@@ -59,26 +59,21 @@ from .majorization import (
     distinct_arrangements,
     is_s_step,
     majorizes,
-    muirhead_scalar,
     s_step_chain,
     sorted_desc,
-    symmetric_mean,
 )
 from .measures import (
     DiscreteMeasure,
-    Rational,
     StepFunction,
     as_rational,
     cdf_diff,
     convolve,
-    convolve_power,
     dirac,
     integrate_hinge,
     make_measure,
     measure_from_json,
     measure_to_json,
     mix,
-    moments,
     step_function,
 )
 from .orders import (
@@ -101,6 +96,7 @@ from .polynomials import (
     SosDecomposition,
     moment_consistency,
     muirhead_cx_check,
+    muirhead_scalar,
     poly_eval_measures,
     sos_cx_check,
     sos_step_decomposition,

@@ -40,6 +40,12 @@ def binomial_measure(n: int, x) -> DiscreteMeasure:
     )
 
 
+def _phi_row_sum(row: Sequence[Fraction], point, phi: ConvexTestFn) -> Fraction:
+    """sum_s row[s] * phi(point(s)) over the non-zero entries: a double sum
+    of this module once collapsed along its diagonals."""
+    return sum((c * phi(point(s)) for s, c in enumerate(row) if c != 0), Fraction(0))
+
+
 def rasa_gap(n: int, x, y, phi: ConvexTestFn) -> Fraction:
     """Exact value of the basis double sum
 
@@ -48,13 +54,8 @@ def rasa_gap(n: int, x, y, phi: ConvexTestFn) -> Fraction:
     collapsed along diagonals: the bracket is the self-convolution of the
     weight difference, so only 2n+1 test-function values are needed.
     Non-negative for convex phi."""
-    u = binomial_weights(n, x)
-    v = binomial_weights(n, y)
-    squared = cauchy_product([a - b for a, b in zip(u, v)], [a - b for a, b in zip(u, v)])
-    return sum(
-        (c * phi(Fraction(s, 2 * n)) for s, c in enumerate(squared) if c != 0),
-        Fraction(0),
-    )
+    diff = [a - b for a, b in zip(binomial_weights(n, x), binomial_weights(n, y))]
+    return _phi_row_sum(cauchy_product(diff, diff), lambda s: Fraction(s, 2 * n), phi)
 
 
 def multi_rasa_gap(n: int, xs: Sequence, phi: ConvexTestFn) -> Fraction:
@@ -79,10 +80,7 @@ def multi_rasa_gap(n: int, xs: Sequence, phi: ConvexTestFn) -> Fraction:
             power = cauchy_product(power, w)
         for s, c in enumerate(power):
             total[s] += c
-    return sum(
-        (c * phi(Fraction(s, m * n)) for s, c in enumerate(total) if c != 0),
-        Fraction(0),
-    )
+    return _phi_row_sum(total, lambda s: Fraction(s, m * n), phi)
 
 
 # -- exact multivariate test functions ---------------------------------------
@@ -348,14 +346,11 @@ def eq6prim_gap(ns: Sequence[int], xs: Sequence, phi: ConvexTestFn) -> Fraction:
     joint = [Fraction(1)]
     for n, x in zip(ns, points):
         joint = cauchy_product(joint, binomial_weights(n, x))
-    mixed = sum(
-        (c * phi(Fraction(s, m)) for s, c in enumerate(joint) if c != 0), Fraction(0)
-    )
+    mixed = _phi_row_sum(joint, lambda s: Fraction(s, m), phi)
     blocks = Fraction(0)
     for n, x in zip(ns, points):
-        row = binomial_weights(m, x)
-        blocks += Fraction(n, m) * sum(
-            (w * phi(Fraction(j, m)) for j, w in enumerate(row) if w != 0), Fraction(0)
+        blocks += Fraction(n, m) * _phi_row_sum(
+            binomial_weights(m, x), lambda s: Fraction(s, m), phi
         )
     return blocks - mixed
 
@@ -411,15 +406,9 @@ def gavrea_p4_sum(n: int, x, y, phi: ConvexTestFn, eps=DEFAULT_EPS) -> IntervalV
     bound = phi.bound_on_unit_interval()
     fam_x = truncate_negbinomial(n, x, eps)
     fam_y = truncate_negbinomial(n, y, eps)
-    size = max(len(fam_x.coeffs), len(fam_y.coeffs))
-    ax = list(fam_x.coeffs) + [Fraction(0)] * (size - len(fam_x.coeffs))
-    ay = list(fam_y.coeffs) + [Fraction(0)] * (size - len(fam_y.coeffs))
-    diff = [a - b for a, b in zip(ax, ay)]
-    squared = cauchy_product(diff, diff)
-    boxed = sum(
-        (c * phi(Fraction(s, 2 * n + s)) for s, c in enumerate(squared) if c != 0),
-        Fraction(0),
-    )
+    pairs = itertools.zip_longest(fam_x.coeffs, fam_y.coeffs, fillvalue=Fraction(0))
+    diff = [a - b for a, b in pairs]
+    boxed = _phi_row_sum(cauchy_product(diff, diff), lambda s: Fraction(s, 2 * n + s), phi)
     sigma = sum((abs(d) for d in diff), Fraction(0))
     tau = fam_x.tail_bound + fam_y.tail_bound
     slack = bound * (2 * sigma * tau + tau * tau)

@@ -24,6 +24,9 @@ multivariate surface (``--g``):
 polynomial (``--expr``):
     c * x1^3 x2 + c2 * x2^4 + c3      (fraction coefficients, 1-based vars)
 
+A ``sum(...)`` or ``mid(...)`` call ends its expression: text after the
+matching ``)`` is an error.
+
 measure arguments: a JSON file path ({"atoms": [{"x": "1/2", "w": "1/4"}]})
 or an inline ``binomial:n,x`` family.  Fraction strings accept plain
 integers; floats are rejected.
@@ -32,9 +35,9 @@ integers; floats are rejected.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import os
+import re
 import random
 import sys
 from fractions import Fraction
@@ -116,54 +119,27 @@ def _fraction(token: str, pos: int) -> Fraction:
 
 
 def _words(text: str, base: int) -> list[tuple[str, int]]:
-    out, i = [], 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace():
-            j += 1
-        out.append((text[i:j], base + i))
-        i = j
-    return out
+    return [(m.group(), base + m.start()) for m in re.finditer(r"\S+", text)]
 
 
-def parse_convex_fn(text: str, base: int = 0) -> ConvexTestFn:
-    """Parse the ``affine a b | quad c | hinge A c | sum(...)`` grammar."""
-    stripped = text.strip()
-    offset = base + len(text) - len(text.lstrip())
-    if stripped.startswith("sum"):
-        open_at = text.index("(", text.find("sum"))
-        close_at = _find_close(text, open_at)
-        inner, inner_base = text[open_at + 1 : close_at], base + open_at + 1
-        total = ConvexTestFn()
-        for part, part_base in _split_top(inner, ",", inner_base):
-            total = total + parse_convex_fn(part, part_base)
-        return total
-    words = _words(text, base)
-    if not words:
-        raise ParseError("empty test-function expression", offset)
-    head, head_pos = words[0]
-    args = words[1:]
+_CALL = re.compile(r"\s*(\w+)\s*\(")
 
-    def need(count: int) -> list[Fraction]:
-        if len(args) != count:
-            raise ParseError(
-                f"{head} takes {count} parameter(s), got {len(args)}", head_pos
-            )
-        return [_fraction(tok, pos) for tok, pos in args]
 
-    if head == "affine":
-        a, b = need(2)
-        return affine_fn(a, b)
-    if head == "quad":
-        (c,) = need(1)
-        return quad_fn(c)
-    if head == "hinge":
-        threshold, coeff = need(2)
-        return hinge_fn(threshold, coeff)
-    raise ParseError(f"unknown test-function atom {head!r}", head_pos)
+def _call_parts(text: str, base: int, sep: str):
+    """Split a call ``name(part <sep> part ...)`` into (name, name position,
+    [(part, offset), ...]) at parenthesis depth 0.
+
+    Returns None when the first word is not followed by '('.  Text after the
+    matching ')' is an error, not something to ignore."""
+    head = _CALL.match(text)
+    if head is None:
+        return None
+    close_at = _find_close(text, head.end() - 1)
+    rest = text[close_at + 1 :]
+    if rest.strip():
+        raise ParseError("unexpected text after ')'", base + len(text) - len(rest.lstrip()))
+    parts = _split_top(text[head.end() : close_at], sep, base + head.end())
+    return head.group(1), base + head.start(1), parts
 
 
 def _fraction_list(token: str, pos: int) -> list[Fraction]:
@@ -177,60 +153,78 @@ def _int_list(token: str, pos: int) -> list[int]:
         raise ParseError(f"bad integer list {token!r}", pos) from exc
 
 
-def parse_surface(text: str, arity: int | None = None, base: int = 0) -> bn.BivariateFn:
-    """Parse the multivariate surface grammar (see module docstring)."""
-    stripped = text.strip()
-    offset = base + len(text) - len(text.lstrip())
-    if stripped.startswith("sum"):
-        open_at = text.index("(", text.find("sum"))
-        close_at = _find_close(text, open_at)
-        parts = _split_top(text[open_at + 1 : close_at], ";", base + open_at + 1)
-        total = None
-        for part, part_base in parts:
-            piece = parse_surface(part, arity, part_base)
-            total = piece if total is None else total + piece
-        if total is None:
-            raise ParseError("empty sum", offset)
-        return total
-    if stripped.startswith("mid"):
-        open_at = text.index("(", text.find("mid"))
-        close_at = _find_close(text, open_at)
-        parts = _split_top(text[open_at + 1 : close_at], ";", base + open_at + 1)
-        if len(parts) != 2:
-            raise ParseError("mid needs (<phi> ; w1,w2,...)", offset)
-        (phi_text, phi_base), (w_text, w_base) = parts
-        phi = parse_convex_fn(phi_text, phi_base)
-        weights = _fraction_list(w_text.strip(), w_base)
-        if arity is not None and len(weights) != arity:
-            raise ParseError(f"mid weights must have {arity} entries", w_base)
-        return bn.compose_convex(phi, weights)
+def _sized_list(read, token: str, pos: int, head: str, arity: int | None) -> list:
+    values = read(token, pos)
+    if arity is not None and len(values) != arity:
+        raise ParseError(f"{head} list must have {arity} entries, got {len(values)}", pos)
+    return values
+
+
+# atom name -> (argument readers, builder).  Surface builders take the
+# arity first, and their list arguments must have one entry per variable.
+_PHI_ATOMS = {
+    "affine": ((_fraction, _fraction), affine_fn),
+    "quad": ((_fraction,), quad_fn),
+    "hinge": ((_fraction, _fraction), hinge_fn),
+}
+_SURFACE_ATOMS = {
+    "absdiff": ((_fraction,), lambda k, c: bn.absdiff_surface(c, arity=k)),
+    "term": ((_fraction, _int_list), lambda k, c, e: bn.poly_surface([(c, tuple(e))], len(e))),
+    "hinge2": ((_fraction, _fraction_list, _fraction), lambda k, *args: bn.hinge_surface(*args)),
+}
+
+
+def _atom(text: str, base: int, table: dict, what: str, arity: int | None = None):
+    """Read ``head arg arg ...`` against an atom table; returns the builder
+    and the parsed arguments."""
     words = _words(text, base)
     if not words:
-        raise ParseError("empty surface expression", offset)
-    head, head_pos = words[0]
-    k = 2 if arity is None else arity
-    if head == "absdiff":
-        if len(words) != 2:
-            raise ParseError("absdiff takes one coefficient", head_pos)
-        return bn.absdiff_surface(_fraction(*words[1]), arity=k)
-    if head == "term":
-        if len(words) != 3:
-            raise ParseError("term takes a coefficient and an exponent list", head_pos)
-        coeff = _fraction(*words[1])
-        exps = _int_list(*words[2])
-        if arity is not None and len(exps) != arity:
-            raise ParseError(f"term exponents must have {arity} entries", words[2][1])
-        return bn.poly_surface([(coeff, tuple(exps))], arity=len(exps))
-    if head == "hinge2":
-        if len(words) != 4:
-            raise ParseError("hinge2 takes coefficient, alpha list, threshold", head_pos)
-        coeff = _fraction(*words[1])
-        alphas = _fraction_list(*words[2])
-        threshold = _fraction(*words[3])
-        if arity is not None and len(alphas) != arity:
-            raise ParseError(f"hinge2 alphas must have {arity} entries", words[2][1])
-        return bn.hinge_surface(coeff, alphas, threshold)
-    raise ParseError(f"unknown surface atom {head!r}", head_pos)
+        raise ParseError(f"empty {what} expression", base + len(text) - len(text.lstrip()))
+    (head, head_pos), args = words[0], words[1:]
+    if head not in table:
+        raise ParseError(f"unknown {what} atom {head!r}", head_pos)
+    readers, build = table[head]
+    if len(args) != len(readers):
+        raise ParseError(f"{head} takes {len(readers)} parameter(s), got {len(args)}", head_pos)
+    values = [
+        read(tok, pos) if read is _fraction else _sized_list(read, tok, pos, head, arity)
+        for read, (tok, pos) in zip(readers, args)
+    ]
+    return build, values
+
+
+def parse_convex_fn(text: str, base: int = 0) -> ConvexTestFn:
+    """Parse the ``affine a b | quad c | hinge A c | sum(...)`` grammar."""
+    call = _call_parts(text, base, ",")
+    if call is None:
+        build, values = _atom(text, base, _PHI_ATOMS, "test-function")
+        return build(*values)
+    name, name_pos, parts = call
+    if name != "sum":
+        raise ParseError(f"unknown test-function call {name!r}", name_pos)
+    total = ConvexTestFn()
+    for part, part_base in parts:
+        total = total + parse_convex_fn(part, part_base)
+    return total
+
+
+def parse_surface(text: str, arity: int | None = None, base: int = 0) -> bn.BivariateFn:
+    """Parse the multivariate surface grammar (see module docstring)."""
+    call = _call_parts(text, base, ";")
+    if call is None:
+        build, values = _atom(text, base, _SURFACE_ATOMS, "surface", arity)
+        return build(2 if arity is None else arity, *values)
+    name, name_pos, parts = call
+    if name == "sum":
+        pieces = [parse_surface(part, arity, part_base) for part, part_base in parts]
+        return sum(pieces[1:], pieces[0])
+    if name != "mid":
+        raise ParseError(f"unknown surface call {name!r}", name_pos)
+    if len(parts) != 2:
+        raise ParseError("mid needs (<phi> ; w1,w2,...)", name_pos)
+    (phi_text, phi_base), (w_text, w_base) = parts
+    weights = _sized_list(_fraction_list, w_text.strip(), w_base, "mid", arity)
+    return bn.compose_convex(parse_convex_fn(phi_text, phi_base), weights)
 
 
 def parse_mvpoly(text: str, arity: int | None = None) -> MVPolynomial:
@@ -460,27 +454,16 @@ def _cmd_genfun(args, out: _Printer) -> int:
     first, second = sequences
     verdict = lat.genfun_test(first, second)
     if args.csv:
-        coeffs = lat.genfun_square_coeffs(first, second)
-        writer = csv.writer(_CsvBuffer(out))
-        writer.writerow(["index", "num", "den", "sign"])
+        coeffs = lat.genfun_square_coeffs(first, second)  # may raise Inconclusive
+        out.say("index,num,den,sign")
         for k, c in enumerate(coeffs):
-            writer.writerow([k, c.numerator, c.denominator, _sign_of(c)])
+            out.say(f"{k},{_csv_gap(c)}")
     return _verdict_exit(out, verdict)
 
 
-class _CsvBuffer:
-    """File-like shim feeding csv.writer rows into the printer."""
-
-    def __init__(self, out: _Printer):
-        self.out = out
-
-    def write(self, chunk: str):
-        if chunk.strip("\r\n"):
-            self.out.say(chunk.strip("\r\n"))
-
-
-def _sign_of(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
+def _csv_gap(q: Fraction) -> str:
+    """The num,den,sign fields of a CSV row; no field ever needs quoting."""
+    return f"{q.numerator},{q.denominator},{(q > 0) - (q < 0)}"
 
 
 def _cmd_major(args, out: _Printer) -> int:
@@ -540,14 +523,10 @@ def _poly_text(out: _Printer, poly: MVPolynomial) -> str:
 
 
 def _scan_rows(out: _Printer, header: list[str], rows) -> int:
-    writer = csv.writer(_CsvBuffer(out))
-    writer.writerow(header)
+    out.say(",".join(header))
     worst = EXIT_HOLDS
     for coords, gap in rows:
-        writer.writerow(
-            [format_rational(c) for c in coords]
-            + [gap.numerator, gap.denominator, _sign_of(gap)]
-        )
+        out.say(",".join(map(format_rational, coords)) + "," + _csv_gap(gap))
         if gap < 0:
             worst = EXIT_FAILS
     return worst
@@ -728,9 +707,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _default_eps() -> Fraction:
     text = os.environ.get("CXORDER_EPS")
-    if text:
+    if not text:
+        return lat.DEFAULT_EPS
+    try:
         return Fraction(text)
-    return lat.DEFAULT_EPS
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"CXORDER_EPS={text!r} is not a fraction: {exc}") from exc
 
 
 def build_parser() -> _Parser:
@@ -853,10 +835,11 @@ _HANDLERS = {
 
 def run(argv: list[str]) -> tuple[int, str]:
     """Execute one command; returns (exit code, stdout text)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _Abort as exc:
+        args = build_parser().parse_args(argv)
+        if args.decimal is not None and args.decimal < 0:
+            raise _Abort(f"argument --decimal: K must be >= 0, got {args.decimal}")
+    except (_Abort, ParseError) as exc:
         return EXIT_USAGE, f"error: {exc}\n"
     except SystemExit as exc:  # --help prints directly and exits 0
         return (exc.code or 0), ""

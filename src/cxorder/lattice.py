@@ -11,6 +11,7 @@ pipeline float-free.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -97,18 +98,6 @@ def cauchy_product(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fractio
     return out
 
 
-def _cdf_difference(a: LatticeSeq, b: LatticeSeq, upto: int) -> list[Fraction]:
-    """d(i) = (G - F)(i) = sum_{k <= i} (b_k - a_k) for i = 0..upto."""
-    run = Fraction(0)
-    out = []
-    for i in range(upto + 1):
-        ai = a.coeffs[i] if i < len(a.coeffs) else Fraction(0)
-        bi = b.coeffs[i] if i < len(b.coeffs) else Fraction(0)
-        run += bi - ai
-        out.append(run)
-    return out
-
-
 def genfun_square_coeffs(a: LatticeSeq, b: LatticeSeq) -> list[Fraction]:
     """Coefficients of ((f(z) - g(z)) / (z - 1))^2.
 
@@ -125,16 +114,14 @@ def genfun_square_coeffs(a: LatticeSeq, b: LatticeSeq) -> list[Fraction]:
             "stored coefficients are lower bounds only; exact series "
             "coefficients are unavailable for this family"
         )
+    # d(i) = (G - F)(i) = sum_{k <= i} (b_k - a_k)
+    steps = itertools.zip_longest(b.coeffs, a.coeffs, fillvalue=Fraction(0))
+    d = list(itertools.accumulate(bk - ak for bk, ak in steps))
     if a.complete and b.complete:
         # (G - F) vanishes from the common support end by mass equality
-        top = max(len(a.coeffs), len(b.coeffs)) - 2
-        if top < 0:
-            return []
-        d = _cdf_difference(a, b, top)
-        return cauchy_product(d, d)
+        return cauchy_product(d[:-1], d[:-1])
     sound = min(a.last_index, b.last_index)
-    d = _cdf_difference(a, b, sound)
-    return cauchy_product(d, d)[: sound + 1]
+    return cauchy_product(d[: sound + 1], d[: sound + 1])[: sound + 1]
 
 
 def genfun_test(a: LatticeSeq, b: LatticeSeq) -> OrderVerdict:

@@ -9,12 +9,9 @@ are exactly what the convolution-polynomial comparisons are built from.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import prod
 from typing import Iterator, Sequence
 
-from .errors import LengthMismatch, NonPositiveInput, NotMajorized
-from .measures import as_rational
+from .errors import LengthMismatch, NotMajorized
 
 ExponentTuple = tuple[int, ...]
 
@@ -118,33 +115,3 @@ def distinct_arrangements(values: Sequence[int]) -> Iterator[ExponentTuple]:
                 yield (v,) + rest
 
     return rec(pool)
-
-
-def symmetric_mean(p: Sequence[int], xs: Sequence) -> Fraction:
-    """W^p(xs): the average over all permutations pi of prod_l xs[pi(l)]^p_l.
-
-    Averaging over the distinct arrangements of p gives the same value with
-    no factorial blow-up for repeated exponents.
-    """
-    ph = sorted_desc(p)
-    if len(xs) != len(ph):
-        raise LengthMismatch(f"need {len(ph)} arguments, got {len(xs)}")
-    points = [as_rational(x) for x in xs]
-    arrangements = list(distinct_arrangements(ph))
-    total = sum(
-        (prod((x**e for x, e in zip(points, arr)), start=Fraction(1)) for arr in arrangements),
-        Fraction(0),
-    )
-    return total / len(arrangements)
-
-
-def muirhead_scalar(p: Sequence[int], q: Sequence[int], xs: Sequence) -> tuple[Fraction, Fraction]:
-    """(W^p(xs), W^q(xs)) for positive rational xs and p majorized by q;
-    the first value never exceeds the second."""
-    if not majorizes(p, q):
-        raise NotMajorized(f"{tuple(p)} is not majorized by {tuple(q)}")
-    points = [as_rational(x) for x in xs]
-    for x in points:
-        if x <= 0:
-            raise NonPositiveInput(f"input {x} is not strictly positive")
-    return symmetric_mean(p, points), symmetric_mean(q, points)

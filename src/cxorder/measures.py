@@ -18,9 +18,6 @@ from typing import Iterable, Sequence
 
 from .errors import MassMismatch, NegativeWeight, ParseError
 
-Rational = Fraction
-
-
 def as_rational(value) -> Fraction:
     """Coerce ints, Fractions and fraction strings like ``-3/4``.
 
@@ -103,11 +100,6 @@ def dirac(position) -> DiscreteMeasure:
     return DiscreteMeasure(((as_rational(position), Fraction(1)),))
 
 
-def moments(mu: DiscreteMeasure) -> tuple[Fraction, Fraction]:
-    """(total mass, raw first moment); the zero measure gives (0, 0)."""
-    return mu.mass, mu.mean
-
-
 @lru_cache(maxsize=4096)
 def _convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
     acc: dict[Fraction, Fraction] = {}
@@ -123,22 +115,14 @@ def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
     independent draws).  Masses multiply and means obey
     mean(mu*nu) = mass(nu)*mean(mu) + mass(mu)*mean(nu).
 
-    Results are memoised behind the scenes; measures are immutable values,
-    so the cache is observable only as speed.
+    Results are memoised in a process-wide ``lru_cache(maxsize=4096)``,
+    which keeps up to 4096 argument pairs and their results alive for the
+    life of the process.  Measures are immutable, so the cache never
+    changes a result.
     """
     if nu.atoms < mu.atoms:  # commutative; normalise the cache key
         mu, nu = nu, mu
     return _convolve(mu, nu)
-
-
-def convolve_power(mu: DiscreteMeasure, k: int) -> DiscreteMeasure:
-    """k-fold convolution power; the empty product (k = 0) is dirac(0)."""
-    if k < 0:
-        raise ValueError("convolution power must be non-negative")
-    out = dirac(0)
-    for _ in range(k):
-        out = convolve(out, mu)
-    return out
 
 
 def mix(coeffs: Sequence, measures: Sequence[DiscreteMeasure]) -> DiscreteMeasure:
@@ -190,9 +174,6 @@ class StepFunction:
         if 0 <= i < len(self.values):
             return self.values[i]
         return Fraction(0)
-
-    def __neg__(self) -> "StepFunction":
-        return StepFunction(self.breakpoints, tuple(-v for v in self.values))
 
 
 def step_function(breakpoints: Sequence, values: Sequence) -> StepFunction:

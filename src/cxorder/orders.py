@@ -223,14 +223,15 @@ def hinge_fn(threshold, coeff=1) -> ConvexTestFn:
 def leq_st(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     """Usual stochastic order: equal masses and F_mu >= F_nu everywhere.
 
-    Both CDFs are steps that only move at atom positions, so checking the
-    union of positions decides the comparison on all of R.
+    H = F_mu - F_nu is a step function that only moves at atom positions,
+    so its values on the steps of cdf_diff decide the comparison on all of
+    R.  The first step where H < 0 starts at the first atom position where
+    it does (a canonical step function breaks wherever its value changes).
     """
     if mu.mass != nu.mass:
         return OrderVerdict(False, Witness("mass", None, -abs(mu.mass - nu.mass)))
-    points = sorted(set(mu.positions()) | set(nu.positions()))
-    for x in points:
-        gap = mu.cdf(x) - nu.cdf(x)
+    h = cdf_diff(mu, nu)
+    for x, gap in zip(h.breakpoints, h.values):
         if gap < 0:
             return OrderVerdict(False, Witness("cdf", x, gap))
     return OrderVerdict(True)

@@ -17,7 +17,9 @@ from typing import Mapping, Sequence
 from .errors import (
     ArityMismatch,
     DecompositionMismatch,
+    LengthMismatch,
     MassMismatch,
+    NonPositiveInput,
     NotMajorized,
     NotNonneg,
     NotSStep,
@@ -145,13 +147,28 @@ def w_polynomial(p: Sequence[int]) -> MVPolynomial:
     return MVPolynomial.from_dict(len(ph), {arr: share for arr in arrangements})
 
 
+def muirhead_scalar(p: Sequence[int], q: Sequence[int], xs: Sequence) -> tuple[Fraction, Fraction]:
+    """(W^p(xs), W^q(xs)) for positive rational xs and p majorized by q;
+    the first value never exceeds the second."""
+    if not majorizes(p, q):
+        raise NotMajorized(f"{tuple(p)} is not majorized by {tuple(q)}")
+    points = [as_rational(x) for x in xs]
+    for x in points:
+        if x <= 0:
+            raise NonPositiveInput(f"input {x} is not strictly positive")
+    if len(points) != len(p):
+        raise LengthMismatch(f"need {len(p)} arguments, got {len(points)}")
+    return w_polynomial(p).eval(points), w_polynomial(q).eval(points)
+
+
 def poly_eval_measures(
     poly: MVPolynomial, measures: Sequence[DiscreteMeasure]
 ) -> DiscreteMeasure:
     """Evaluate a non-negative polynomial on measures by convolution.
 
-    Convolution powers are memoised per call only, so concurrent callers
-    never share mutable state.
+    Each convolution power is built once per call.  Every convolution also
+    goes through the process-wide cache of ``measures.convolve``, so
+    repeated calls on the same measures reuse earlier products.
     """
     if len(measures) != poly.arity:
         raise ArityMismatch(f"need {poly.arity} measures, got {len(measures)}")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from cxorder import DiscreteMeasure, make_measure
+from cxorder import DiscreteMeasure, OrderVerdict, Witness, make_measure
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 positive_rationals = st.fractions(
@@ -72,3 +72,15 @@ def hinge_integral_brute(mu: DiscreteMeasure, threshold) -> Fraction:
     for x, w in mu.atoms:
         total += max(x - Fraction(threshold), Fraction(0)) * w
     return total
+
+
+def leq_st_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
+    """Independent oracle for leq_st: the literal scan that re-sums both
+    CDFs at every position of the union of supports."""
+    if mu.mass != nu.mass:
+        return OrderVerdict(False, Witness("mass", None, -abs(mu.mass - nu.mass)))
+    for x in sorted(set(mu.positions()) | set(nu.positions())):
+        gap = mu.cdf(x) - nu.cdf(x)
+        if gap < 0:
+            return OrderVerdict(False, Witness("cdf", x, gap))
+    return OrderVerdict(True)

@@ -253,3 +253,41 @@ def test_gav_scan_csv():
     by_point = {tuple(line.split(",")[:2]): line.split(",")[2:] for line in lines[1:]}
     assert by_point[("0", "1")] == ["-2", "1", "-1"]
     assert by_point[("1/2", "1/2")] == ["0", "1", "0"]
+
+
+def test_malformed_eps_environment_is_a_usage_error(monkeypatch):
+    monkeypatch.setenv("CXORDER_EPS", "abc")
+    code, text = run(["major", "compare", "--p", "1,1", "--q", "2,0"])
+    assert code == 2
+    assert text.count("\n") == 1 and "CXORDER_EPS" in text
+
+
+def test_negative_decimal_rejected_at_parse_time():
+    code, text = run(["--decimal", "-2", "bernstein", "rasa", "--n", "2", "--x", "1/4",
+                      "--y", "3/4", "--phi", "hinge 1/2 1"])
+    assert code == 2
+    assert text.count("\n") == 1 and "--decimal" in text
+
+
+@pytest.mark.parametrize(
+    "option, text, position",
+    [
+        ("--phi", "sum(quad 1) junk", 12),
+        ("--g", "mid(quad 1; 1,1) trailing", 17),
+        ("--phi", "sum quad 1", 0),
+        ("--phi", "summary", 0),
+    ],
+)
+def test_grammar_rejects_malformed_calls(option, text, position):
+    parse = parse_convex_fn if option == "--phi" else parse_surface
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == position
+    if option == "--phi":
+        argv = ["bernstein", "rasa", "--n", "2", "--x", "1/4", "--y", "3/4", "--phi", text]
+    else:
+        argv = ["bernstein", "supermod", "--g", text, "--step", "1/2"]
+    code, out = run(argv)
+    assert code == 2
+    assert out == f"error: {err.value}\n"
+    assert f"(at position {position})" in out

@@ -58,6 +58,8 @@ CASES = {
                          "--family", "negbinomial:1,3/4", "--eps", "1/1048576"],
     "genfun_truncated_csv": ["genfun", "check", "--family", "negbinomial:1,1/2",
                              "--mu", m("dirac0"), "--eps", "1/256", "--csv"],
+    "genfun_lower_bounds_csv": ["genfun", "check", "--family", "poisson:1",
+                                "--family", "poisson:2", "--eps", "1/64", "--csv"],
     "genfun_equivalence": ["genfun", "equivalence", "--trials", "20", "--seed", "3"],
     # major
     "major_compare_holds": ["major", "compare", "--p", "1,1", "--q", "2,0"],

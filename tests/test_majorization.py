@@ -17,7 +17,7 @@ from cxorder import (
     muirhead_scalar,
     s_step_chain,
     sorted_desc,
-    symmetric_mean,
+    w_polynomial,
 )
 
 tuples = st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=5).map(tuple)
@@ -150,6 +150,10 @@ def test_muirhead_scalar_errors():
         muirhead_scalar((2, 0), (1, 1), (1, 2))
     with pytest.raises(NonPositiveInput):
         muirhead_scalar((1, 1), (2, 0), (0, 2))
+    with pytest.raises(LengthMismatch):
+        muirhead_scalar((1, 1), (2, 0), (1, 2, 3))
+    with pytest.raises(LengthMismatch):
+        muirhead_scalar((1, 1), (2, 0, 0), (1, 2))
 
 
 def test_symmetric_mean_matches_full_permutation_sum():
@@ -166,7 +170,7 @@ def test_symmetric_mean_matches_full_permutation_sum():
             )
             for perm in itertools.permutations(range(length))
         ) / math.factorial(length)
-        assert symmetric_mean(p, xs) == brute
+        assert w_polynomial(p).eval(xs) == brute
 
 
 @settings(max_examples=50)

@@ -62,6 +62,17 @@ def test_leq_st_mass_mismatch_is_failure():
     assert verdict.holds is False and verdict.witness.kind == "mass"
 
 
+@settings(max_examples=200)
+@given(helpers.measures, helpers.measures, st.booleans(), st.randoms(use_true_random=False))
+def test_leq_st_matches_literal_cdf_oracle(mu, nu, rescale, rng):
+    # unequal masses as drawn, equal masses after rescaling, and comparable pairs
+    if rescale and mu.mass and nu.mass:
+        nu = nu.scaled(mu.mass / nu.mass)
+    low, high = helpers.st_comparable_pair(rng)
+    for a, b in [(mu, nu), (nu, mu), (low, high), (high, low)]:
+        assert leq_st(a, b) == helpers.leq_st_oracle(a, b)
+
+
 # -- convex order -------------------------------------------------------------
 
 
