@@ -142,15 +142,28 @@ def _call_parts(text: str, base: int, sep: str):
     return head.group(1), base + head.start(1), parts
 
 
+def _integer(token: str, pos: int) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise ParseError(f"bad integer {token!r}", pos) from exc
+
+
 def _fraction_list(token: str, pos: int) -> list[Fraction]:
-    return [_fraction(t, pos) for t in token.split(",")]
+    return [_fraction(t, p) for t, p in _split_top(token, ",", pos)]
 
 
 def _int_list(token: str, pos: int) -> list[int]:
+    return [_integer(t, p) for t, p in _split_top(token, ",", pos)]
+
+
+def _option(args, name: str, read):
+    """Read option ``--name`` with one of the readers above; a malformed
+    value is a ParseError that names the option."""
     try:
-        return [int(t) for t in token.split(",")]
-    except ValueError as exc:
-        raise ParseError(f"bad integer list {token!r}", pos) from exc
+        return read(getattr(args, name), 0)
+    except ParseError as exc:
+        raise ParseError(f"--{name}: {exc}") from exc
 
 
 def _sized_list(read, token: str, pos: int, head: str, arity: int | None) -> list:
@@ -298,6 +311,8 @@ def _decimal_digits(q: Fraction, digits: int) -> str:
     sign = "-" if q < 0 else ""
     n, d = abs(q.numerator), q.denominator
     scaled = (n * 10**digits + d // 2) // d  # round half up, integers only
+    if digits == 0:
+        return f"{sign}{scaled}"
     whole, frac = divmod(scaled, 10**digits)
     return f"{sign}{whole}.{frac:0{digits}d}"
 
@@ -535,25 +550,26 @@ def _scan_rows(out: _Printer, header: list[str], rows) -> int:
 def _cmd_bernstein(args, out: _Printer) -> int:
     if args.action == "rasa":
         phi = parse_convex_fn(args.phi)
-        return _sign_exit(out, bn.rasa_gap(args.n, Fraction(args.x), Fraction(args.y), phi))
+        x, y = _option(args, "x", _fraction), _option(args, "y", _fraction)
+        return _sign_exit(out, bn.rasa_gap(args.n, x, y, phi))
     if args.action == "rasa-scan":
         phi = parse_convex_fn(args.phi)
-        grid = bn.unit_grid(Fraction(args.step))
+        grid = bn.unit_grid(_option(args, "step", _fraction))
         rows = (
             ((x, y), bn.rasa_gap(args.n, x, y, phi)) for x in grid for y in grid
         )
         return _scan_rows(out, ["x", "y", "num", "den", "sign"], rows)
     if args.action == "gav":
-        points = [Fraction(t) for t in args.points.split(",")]
-        ns = [int(t) for t in args.ns.split(",")]
+        points = _option(args, "points", _fraction_list)
+        ns = _option(args, "ns", _int_list)
         arity = 2 if args.mode in ("P1", "P1p") else len(points)
         g = parse_surface(args.g, arity=arity)
         return _sign_exit(out, bn.gav_gap(args.mode, g, ns, points))
     if args.action == "gav-scan":
-        ns = [int(t) for t in args.ns.split(",")]
+        ns = _option(args, "ns", _int_list)
         k = 2 if args.mode in ("P1", "P1p") else len(ns)
         g = parse_surface(args.g, arity=k)
-        grid = bn.unit_grid(Fraction(args.step))
+        grid = bn.unit_grid(_option(args, "step", _fraction))
         rows = (
             (pt, bn.gav_gap(args.mode, g, ns, list(pt)))
             for pt in itertools.product(grid, repeat=k)
@@ -562,20 +578,21 @@ def _cmd_bernstein(args, out: _Printer) -> int:
         return _scan_rows(out, header, rows)
     if args.action == "supermod":
         g = parse_surface(args.g, arity=2)
-        verdict = bn.supermodularity_check(g, bn.unit_grid(Fraction(args.step)))
+        verdict = bn.supermodularity_check(g, bn.unit_grid(_option(args, "step", _fraction)))
         return _verdict_exit(out, verdict)
     if args.action == "eq6":
-        ns = [int(t) for t in args.ns.split(",")]
-        points = [Fraction(t) for t in args.points.split(",")]
+        ns = _option(args, "ns", _int_list)
+        points = _option(args, "points", _fraction_list)
         phi = parse_convex_fn(args.phi)
         return _sign_exit(out, bn.eq6prim_gap(ns, points, phi))
     if args.action == "multi":
-        points = [Fraction(t) for t in args.points.split(",")]
+        points = _option(args, "points", _fraction_list)
         phi = parse_convex_fn(args.phi)
         return _sign_exit(out, bn.multi_rasa_gap(args.n, points, phi))
     # p4
     phi = parse_convex_fn(args.phi)
-    enclosure = bn.gavrea_p4_sum(args.n, Fraction(args.x), Fraction(args.y), phi, args.eps)
+    x, y = _option(args, "x", _fraction), _option(args, "y", _fraction)
+    enclosure = bn.gavrea_p4_sum(args.n, x, y, phi, args.eps)
     out.say(f"interval [{out.rat(enclosure.lo)}, {out.rat(enclosure.hi)}]")
     try:
         sign = enclosure.certified_sign()

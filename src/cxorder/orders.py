@@ -10,6 +10,16 @@ holds exactly when (H*H)(A) >= 0 for every A.  H is a compactly supported
 step function, so H*H is continuous, piecewise linear, and kinked only at
 pairwise sums of the breakpoints of H; finitely many exact evaluations
 therefore decide the sign everywhere.
+
+Both that profile and the stop-loss gap of the convex order are sums of
+ramps sum_j c_j (A - p_j)+, evaluated at their own sorted kinks p_j by one
+running-slope sweep (``_ramp_sums``).  Writing H = sum_i d_i 1[t >= b_i]
+with jumps d_i at the breakpoints b_i gives the ramp identity
+
+    (H*H)(A) = sum_{i,j} d_i d_j (A - b_i - b_j)+,
+
+so the profile of B breakpoints costs B^2 kink weights, one sort and one
+sweep: O(B^2 log B) exact operations.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import MassMismatch, NonConvexTestFn
 from .measures import (
@@ -25,7 +36,6 @@ from .measures import (
     as_rational,
     cdf_diff,
     convolve,
-    integrate_hinge,
     mix,
 )
 
@@ -237,6 +247,25 @@ def leq_st(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     return OrderVerdict(True)
 
 
+def _ramp_sums(points, weights) -> list:
+    """sum_j weights[j] * (x - points[j])+ at every x in ``points``, which
+    must be strictly increasing; exact on ints or Fractions.
+
+    Between consecutive points the sum is affine, with slope the total
+    weight of the points already passed, so one sweep gives every value.
+    """
+    values = []
+    value = slope = 0
+    previous = None
+    for x, w in zip(points, weights):
+        if previous is not None:
+            value += slope * (x - previous)
+        values.append(value)
+        slope += w
+        previous = x
+    return values
+
+
 def leq_cx(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     """Convex order: integral of every convex function does not decrease.
 
@@ -248,49 +277,58 @@ def leq_cx(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     identically 0 once masses and means agree, and D(A) = 0 above every
     atom.  A piecewise-linear function vanishing on both unbounded rays
     attains its minimum at a kink, so D >= 0 at the kinks gives D >= 0 on R.
+
+    Once masses and means agree, (x-A)+ - (A-x)+ = x - A integrates to the
+    same value against both measures, so D(A) = sum_x (nu(x) - mu(x)) (A-x)+
+    over the union of positions: a ramp sum, swept in one sorted pass
+    (O(n log n) for n positions).  The witness is the first position where
+    D < 0.
     """
     if mu.mass != nu.mass:
         return OrderVerdict(False, Witness("mass", None, -abs(mu.mass - nu.mass)))
     if mu.mean != nu.mean:
         return OrderVerdict(False, Witness("mean", None, -abs(mu.mean - nu.mean)))
-    for a in sorted(set(mu.positions()) | set(nu.positions())):
-        gap = integrate_hinge(nu, a) - integrate_hinge(mu, a)
+    net = dict(nu.atoms)
+    for x, w in mu.atoms:
+        net[x] = net.get(x, 0) - w
+    points = sorted(net)
+    for a, gap in zip(points, _ramp_sums(points, [net[a] for a in points])):
         if gap < 0:
             return OrderVerdict(False, Witness("hinge", a, gap))
     return OrderVerdict(True)
 
 
-def _step_conv_value(h1: StepFunction, h2: StepFunction, at: Fraction) -> Fraction:
-    """Exact (h1 * h2)(at) = integral h1(t) h2(at - t) dt.
-
-    The integrand is a step function of t whose jumps happen at breakpoints
-    of h1 or at reflected breakpoints of h2, so it is constant between
-    consecutive cuts and a midpoint sample per cell is exact.
-    """
-    if h1.is_zero or h2.is_zero:
-        return Fraction(0)
-    lo = max(h1.breakpoints[0], at - h2.breakpoints[-1])
-    hi = min(h1.breakpoints[-1], at - h2.breakpoints[0])
-    if lo >= hi:
-        return Fraction(0)
-    cuts = {lo, hi}
-    cuts.update(t for t in h1.breakpoints if lo < t < hi)
-    cuts.update(at - s for s in h2.breakpoints if lo < at - s < hi)
-    ordered = sorted(cuts)
-    total = Fraction(0)
-    for t0, t1 in zip(ordered, ordered[1:]):
-        mid = (t0 + t1) / 2
-        total += h1.value(mid) * h2.value(at - mid) * (t1 - t0)
-    return total
-
-
 def step_self_convolution(h: StepFunction) -> PiecewiseLinear:
     """The exact profile (h*h), evaluated at every pairwise breakpoint sum
-    (between which it is affine)."""
+    (between which it is affine).
+
+    With jumps d_i at the breakpoints b_i, (h*h)(A) is the ramp sum
+    sum_{i,j} d_i d_j (A - b_i - b_j)+: the B^2 kink weights are collected
+    by their sum b_i + b_j, sorted once and swept once, O(B^2 log B).
+    Sums whose weights cancel stay breakpoints of the profile.  Breakpoints
+    and jumps are scaled to integers by their common denominators, so the
+    B^2 products and the sweep run on ints and each output value is one
+    Fraction.
+    """
     if h.is_zero:
         return PiecewiseLinear((), ())
-    sums = sorted({a + b for a in h.breakpoints for b in h.breakpoints})
-    return PiecewiseLinear(tuple(sums), tuple(_step_conv_value(h, h, s) for s in sums))
+    levels = (0,) + h.values + (0,)
+    jumps = [after - before for before, after in zip(levels, levels[1:])]
+    # integer sweep: breakpoints in units of 1/scale_b, jumps of 1/scale_d
+    scale_b = lcm(*(b.denominator for b in h.breakpoints))
+    scale_d = lcm(*(d.denominator for d in jumps))
+    bs = [b.numerator * (scale_b // b.denominator) for b in h.breakpoints]
+    ds = [d.numerator * (scale_d // d.denominator) for d in jumps]
+    kinks: dict[int, int] = {}
+    for b, d in zip(bs, ds):
+        for c, e in zip(bs, ds):
+            kinks[b + c] = kinks.get(b + c, 0) + d * e
+    sums = sorted(kinks)
+    values = _ramp_sums(sums, [kinks[s] for s in sums])
+    unit = scale_b * scale_d * scale_d
+    return PiecewiseLinear(
+        tuple(Fraction(s, scale_b) for s in sums), tuple(Fraction(v, unit) for v in values)
+    )
 
 
 def rasa_criterion(

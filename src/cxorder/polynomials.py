@@ -10,12 +10,15 @@ coefficients is the corresponding mixture.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
+    BadParameter,
     DecompositionMismatch,
     LengthMismatch,
     MassMismatch,
@@ -33,6 +36,10 @@ from .majorization import (
 )
 from .measures import DiscreteMeasure, as_rational, convolve, dirac, make_measure
 from .orders import OrderVerdict, Witness, leq_cx, rasa_criterion
+
+# Budget for w_polynomial: the most distinct arrangements it enumerates.
+# Eight distinct exponents (8! = 40,320) fit; nine (362,880) are refused.
+MAX_ARRANGEMENTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -133,6 +140,15 @@ class MVPolynomial:
         return total
 
 
+def arrangement_count(p: Sequence[int]) -> int:
+    """Number of distinct orderings of the multiset p: the multinomial
+    len(p)! / prod(multiplicity!)."""
+    count = factorial(len(p))
+    for multiplicity in Counter(p).values():
+        count //= factorial(multiplicity)
+    return count
+
+
 def w_polynomial(p: Sequence[int]) -> MVPolynomial:
     """The symmetrised monomial average: mean over all permutations pi of
     prod_l x_{pi(l)}^{p_l}.
@@ -140,11 +156,17 @@ def w_polynomial(p: Sequence[int]) -> MVPolynomial:
     Computed over distinct arrangements of the multiset p (each raw
     permutation hits one of them, evenly), so repeated exponents cost
     nothing extra.  Symmetric, non-negative, and invariant under permuting p.
+    Raises BadParameter, before enumerating, when p has more than
+    MAX_ARRANGEMENTS distinct arrangements.
     """
     ph = sorted_desc(p)
-    arrangements = list(distinct_arrangements(ph))
-    share = Fraction(1, len(arrangements))
-    return MVPolynomial.from_dict(len(ph), {arr: share for arr in arrangements})
+    count = arrangement_count(ph)
+    if count > MAX_ARRANGEMENTS:
+        raise BadParameter(
+            f"W^{ph} has {count} distinct arrangements, over the limit of {MAX_ARRANGEMENTS}"
+        )
+    share = Fraction(1, count)
+    return MVPolynomial.from_dict(len(ph), {arr: share for arr in distinct_arrangements(ph)})
 
 
 def muirhead_scalar(p: Sequence[int], q: Sequence[int], xs: Sequence) -> tuple[Fraction, Fraction]:

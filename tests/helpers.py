@@ -5,7 +5,15 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from cxorder import DiscreteMeasure, OrderVerdict, Witness, make_measure
+from cxorder import (
+    DiscreteMeasure,
+    OrderVerdict,
+    PiecewiseLinear,
+    StepFunction,
+    Witness,
+    integrate_hinge,
+    make_measure,
+)
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 positive_rationals = st.fractions(
@@ -84,3 +92,52 @@ def leq_st_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
         if gap < 0:
             return OrderVerdict(False, Witness("cdf", x, gap))
     return OrderVerdict(True)
+
+
+def leq_cx_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
+    """Independent oracle for leq_cx: the literal scan that integrates the
+    hinge (x - a)+ against both measures at every position a of the union
+    of supports, O(n^2) for n atoms."""
+    if mu.mass != nu.mass:
+        return OrderVerdict(False, Witness("mass", None, -abs(mu.mass - nu.mass)))
+    if mu.mean != nu.mean:
+        return OrderVerdict(False, Witness("mean", None, -abs(mu.mean - nu.mean)))
+    for a in sorted(set(mu.positions()) | set(nu.positions())):
+        gap = integrate_hinge(nu, a) - integrate_hinge(mu, a)
+        if gap < 0:
+            return OrderVerdict(False, Witness("hinge", a, gap))
+    return OrderVerdict(True)
+
+
+def _step_conv_value(h1: StepFunction, h2: StepFunction, at: Fraction) -> Fraction:
+    """Exact (h1 * h2)(at) = integral h1(t) h2(at - t) dt.
+
+    The integrand is a step function of t whose jumps happen at breakpoints
+    of h1 or at reflected breakpoints of h2, so it is constant between
+    consecutive cuts and a midpoint sample per cell is exact.
+    """
+    if h1.is_zero or h2.is_zero:
+        return Fraction(0)
+    lo = max(h1.breakpoints[0], at - h2.breakpoints[-1])
+    hi = min(h1.breakpoints[-1], at - h2.breakpoints[0])
+    if lo >= hi:
+        return Fraction(0)
+    cuts = {lo, hi}
+    cuts.update(t for t in h1.breakpoints if lo < t < hi)
+    cuts.update(at - s for s in h2.breakpoints if lo < at - s < hi)
+    ordered = sorted(cuts)
+    total = Fraction(0)
+    for t0, t1 in zip(ordered, ordered[1:]):
+        mid = (t0 + t1) / 2
+        total += h1.value(mid) * h2.value(at - mid) * (t1 - t0)
+    return total
+
+
+def step_self_convolution_oracle(h: StepFunction) -> PiecewiseLinear:
+    """Independent oracle for step_self_convolution: the integral (h*h)(A)
+    by midpoint integration over a fresh cut list at every pairwise
+    breakpoint sum A, O(B^3 log B) for B breakpoints."""
+    if h.is_zero:
+        return PiecewiseLinear((), ())
+    sums = sorted({a + b for a in h.breakpoints for b in h.breakpoints})
+    return PiecewiseLinear(tuple(sums), tuple(_step_conv_value(h, h, s) for s in sums))

@@ -291,3 +291,44 @@ def test_grammar_rejects_malformed_calls(option, text, position):
     assert code == 2
     assert out == f"error: {err.value}\n"
     assert f"(at position {position})" in out
+
+
+def test_decimal_zero_writes_no_point(measure_files):
+    code, text = run(["--decimal", "0", "bernstein", "rasa", "--n", "2", "--x", "1/4",
+                      "--y", "3/4", "--phi", "hinge 1/2 1"])
+    assert (code, text) == (0, "gap = 1/8 (0)\n")
+    code, text = run(["--decimal", "0", "rasa", "gap", "--mu", measure_files["outer"],
+                      "--nu", measure_files["inner"], "--phi", "hinge 3 1"])
+    assert code == 1 and "gap = -1/2 (-1)" in text
+    code, text = run(["--decimal", "0", "bernstein", "rasa-scan", "--n", "1",
+                      "--phi", "quad 1", "--step", "1/2"])
+    assert code == 0 and "1,0,1,2,1" in text and "." not in text
+
+
+@pytest.mark.parametrize(
+    "option, argv, message",
+    [
+        ("--x", ["rasa", "--n", "2", "--x", "1/0", "--y", "3/4", "--phi", "quad 1"],
+         "--x: bad fraction '1/0'"),
+        ("--y", ["p4", "--n", "1", "--x", "1/4", "--y", "q", "--phi", "quad 1"],
+         "--y: bad fraction 'q'"),
+        ("--points", ["multi", "--n", "1", "--points", ",", "--phi", "quad 1"],
+         "--points: bad fraction ''"),
+        ("--ns", ["eq6", "--ns", "1,x", "--points", "0,1", "--phi", "quad 1"],
+         "--ns: bad integer 'x'"),
+        ("--step", ["supermod", "--g", "absdiff 1", "--step", "abc"],
+         "--step: bad fraction 'abc'"),
+    ],
+)
+def test_bernstein_number_options_are_named_in_errors(option, argv, message):
+    code, text = run(["bernstein"] + argv)
+    assert code == 2
+    assert text.count("\n") == 1
+    assert text.startswith(f"error: {message}") and "(at position" in text
+
+
+def test_poly_w_over_the_arrangement_budget_exits_2():
+    code, text = run(["poly", "w", "--p", "9,8,7,6,5,4,3,2,1,0"])
+    assert code == 2
+    assert text.count("\n") == 1
+    assert text.startswith("error: BadParameter: ") and "3628800" in text

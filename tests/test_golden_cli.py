@@ -140,6 +140,8 @@ CASES = {
     "decimal_p4": ["--decimal", "5", "bernstein", "p4", "--n", "1", "--x", "1/4",
                    "--y", "3/4", "--phi", "affine 0 1", "--eps", EPS40],
     "decimal_example3": ["--decimal", "3", "reproduce", "example-3"],
+    "decimal_zero": ["--decimal", "0", "bernstein", "rasa", "--n", "2", "--x", "1/4",
+                     "--y", "3/4", "--phi", "hinge 1/2 1"],
     # input errors whose wording is part of the interface
     "error_unknown_phi_atom": ["rasa", "gap", "--mu", m("coin"), "--nu", m("coin"),
                                "--phi", "hige 1 2"],

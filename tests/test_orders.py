@@ -14,15 +14,20 @@ from cxorder import (
     NonConvexTestFn,
     affine_fn,
     binomial_measure,
+    cdf_diff,
+    convolve,
     dirac,
     gap_functional,
     hinge_fn,
     leq_cx,
     leq_st,
     make_measure,
+    mix,
     quad_fn,
     rasa_criterion,
     rasa_direct,
+    step_function,
+    step_self_convolution,
 )
 
 H = Fraction(1, 2)
@@ -98,6 +103,105 @@ def test_leq_cx_nested_pair_and_witness():
 def test_leq_cx_detects_mean_mismatch():
     verdict = leq_cx(dirac(0), dirac(1))
     assert verdict.holds is False and verdict.witness.kind == "mean"
+
+
+def _cx_variants(mu, nu, common, spread):
+    """Pairs that fail leq_cx on mass, on mean or on a hinge, and pairs that
+    hold: ``common`` adds shared atoms (net weight 0 where the pair did not
+    already differ), ``spread`` is a mean-zero probability measure, so
+    mu <=cx mu*spread."""
+    pairs = [(mu, nu), (nu, mu)]
+    if mu.mass and nu.mass:
+        nu = nu.scaled(mu.mass / nu.mass)
+        pairs += [(mu, nu), (nu, mu)]
+        shared = (mix((1, 1), (mu, common)), mix((1, 1), (nu, common)))
+        pairs += [shared, shared[::-1]]
+        spread_out = convolve(mu, spread)
+        pairs += [(mu, spread_out), (spread_out, mu)]
+        shared_spread = (mix((1, 1), (mu, common)), mix((1, 1), (spread_out, common)))
+        pairs += [shared_spread, shared_spread[::-1]]
+    return pairs
+
+
+def _mean_zero(rng):
+    spread = helpers.probability_measure(rng, max_atoms=3)
+    return make_measure((x - spread.mean, w) for x, w in spread.atoms)
+
+
+@settings(max_examples=150)
+@given(helpers.measures, helpers.measures, helpers.measures, st.randoms(use_true_random=False))
+def test_leq_cx_matches_literal_hinge_oracle(mu, nu, common, rng):
+    for a, b in _cx_variants(mu, nu, common, _mean_zero(rng)):
+        assert leq_cx(a, b) == helpers.leq_cx_oracle(a, b)
+
+
+@settings(max_examples=40)
+@given(st.randoms(use_true_random=False))
+def test_leq_cx_matches_oracle_on_convolution_pairs(rng):
+    # the n^2-atom pairs rasa_direct hands to leq_cx, both ways round
+    mu, nu = helpers.equal_mass_pair(rng, max_atoms=6)
+    left = convolve(mu, nu)
+    right = mix((H, H), (convolve(mu, mu), convolve(nu, nu)))
+    assert leq_cx(left, right) == helpers.leq_cx_oracle(left, right)
+    assert leq_cx(right, left) == helpers.leq_cx_oracle(right, left)
+
+
+def test_leq_cx_oracle_comparison_covers_every_outcome():
+    rng = random.Random(11)
+    kinds = set()
+    for _ in range(60):
+        mu = helpers.random_measure(rng, max_atoms=5)
+        nu = helpers.random_measure(rng, max_atoms=5)
+        common = helpers.random_measure(rng, max_atoms=3)
+        for a, b in _cx_variants(mu, nu, common, _mean_zero(rng)):
+            verdict = leq_cx(a, b)
+            assert verdict == helpers.leq_cx_oracle(a, b)
+            kinds.add(verdict.witness.kind if verdict.witness else "holds")
+    assert kinds == {"mass", "mean", "hinge", "holds"}
+
+
+step_functions = st.lists(
+    st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=3), helpers.rationals),
+    min_size=0,
+    max_size=9,
+).map(
+    lambda cells: step_function(
+        sorted({x for x, _ in cells}),
+        [v for _, v in sorted(dict(cells).items())][:-1],
+    )
+)
+
+
+@settings(max_examples=150)
+@given(step_functions)
+def test_step_self_convolution_matches_midpoint_oracle(h):
+    assert step_self_convolution(h) == helpers.step_self_convolution_oracle(h)
+
+
+# jumps (2, 1, -6, 3) at 0, 1, 2, 3: the kink weights of 0+3 and 1+2 cancel
+CANCELLING = step_function((0, 1, 2, 3), (2, 3, -3))
+
+
+def test_step_self_convolution_keeps_kinks_whose_weights_cancel():
+    mu = make_measure([(0, 2), (1, 1), (3, 3)])
+    nu = make_measure([(2, 6)])
+    assert cdf_diff(mu, nu) == CANCELLING
+    profile = step_self_convolution(CANCELLING)
+    assert profile == helpers.step_self_convolution_oracle(CANCELLING)
+    assert profile.breakpoints == tuple(range(7))
+    # affine through 3: the profile is the mean of its neighbours there
+    assert 2 * profile.value(3) == profile.value(2) + profile.value(4)
+
+
+@settings(max_examples=40)
+@given(st.randoms(use_true_random=False))
+def test_step_self_convolution_matches_oracle_on_cdf_differences(rng):
+    # integer positions make many pairwise breakpoint sums coincide
+    mu, nu = helpers.random_lattice_pair(rng, top=6, max_atoms=6)
+    h = cdf_diff(mu, nu)
+    profile = step_self_convolution(h)
+    assert profile == helpers.step_self_convolution_oracle(h)
+    assert all(isinstance(v, Fraction) for v in profile.breakpoints + profile.values)
 
 
 # -- profile criterion ----------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import helpers
 from cxorder import (
     ArityMismatch,
+    BadParameter,
     DecompositionMismatch,
     MVPolynomial,
     NotNonneg,
@@ -31,6 +32,8 @@ from cxorder import (
     sorted_desc,
     w_polynomial,
 )
+from cxorder import polynomials
+from cxorder.majorization import distinct_arrangements
 
 H = Fraction(1, 2)
 
@@ -53,6 +56,34 @@ def test_w_polynomial_examples():
         perm: sixth for perm in set(itertools.permutations((2, 1, 0)))
     }
     assert w_polynomial((2, 1, 0)) == MVPolynomial.from_dict(3, expected)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=6))
+def test_arrangement_count_is_the_multinomial(p):
+    assert polynomials.arrangement_count(p) == len(list(distinct_arrangements(p)))
+
+
+def test_w_polynomial_budget_is_checked_before_enumerating(monkeypatch):
+    def refuse(values):
+        raise AssertionError("enumerated past the budget")
+
+    monkeypatch.setattr(polynomials, "distinct_arrangements", refuse)
+    with pytest.raises(BadParameter) as err:
+        w_polynomial(tuple(range(9, -1, -1)))  # 10! = 3,628,800 arrangements
+    assert "3628800" in str(err.value) and str(polynomials.MAX_ARRANGEMENTS) in str(err.value)
+
+
+def test_w_polynomial_budget_boundary(monkeypatch):
+    monkeypatch.setattr(polynomials, "MAX_ARRANGEMENTS", 12)
+    assert len(w_polynomial((2, 1, 1, 0)).terms) == 12  # exactly at the limit
+    with pytest.raises(BadParameter):
+        w_polynomial((3, 2, 1, 0))  # 24 arrangements
+
+
+def test_w_polynomial_budget_admits_eight_distinct_exponents():
+    # well above the five-entry tuples the tests, goldens and benchmark use
+    assert polynomials.arrangement_count(range(8)) <= polynomials.MAX_ARRANGEMENTS
+    assert polynomials.arrangement_count(range(9)) > polynomials.MAX_ARRANGEMENTS
 
 
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=4))
