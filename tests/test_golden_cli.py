@@ -103,7 +103,16 @@ CASES = {
                                "--ns", "1,1", "--step", "1/2"],
     "bernstein_gav_scan_p3": ["bernstein", "gav-scan", "--mode", "P3",
                               "--g", "mid(quad 1; 1/2,1/2)", "--ns", "2,2", "--step", "1/2"],
+    "bernstein_gav_scan_p1": ["bernstein", "gav-scan", "--mode", "P1",
+                              "--g", "sum(absdiff 1; hinge2 -1 1,-1/2 1/4)", "--ns", "2,3",
+                              "--step", "1/3"],
+    "bernstein_gav_scan_p3p": ["bernstein", "gav-scan", "--mode", "P3p",
+                               "--g", "sum(term 1 1,1,0; hinge2 1 1,1,-1 1/2; absdiff 1/4)",
+                               "--ns", "1,2,1", "--step", "1/2"],
     "bernstein_supermod_fails": ["bernstein", "supermod", "--g", "absdiff 1", "--step", "1/2"],
+    # the first failing quadruple is neither the first (x1, y1) pair nor its first (x2, y2)
+    "bernstein_supermod_late_witness": ["bernstein", "supermod", "--g", "hinge2 -1 1,1 3/2",
+                                        "--step", "1/4"],
     "bernstein_supermod_holds": ["bernstein", "supermod", "--g", "mid(quad 1; 1,1)",
                                  "--step", "1/4"],
     "bernstein_supermod_sum": ["bernstein", "supermod", "--g", "sum(term 1 1,1; absdiff 1/4)",
