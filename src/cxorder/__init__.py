@@ -16,11 +16,13 @@ from .bernstein import (
     compose_convex,
     eq6prim_gap,
     gav_gap,
+    gav_scan,
     gavrea_p4_sum,
     hinge_surface,
     multi_rasa_gap,
     poly_surface,
     rasa_gap,
+    rasa_scan,
     supermodularity_check,
     tensor_bernstein,
     unit_grid,

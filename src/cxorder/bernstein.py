@@ -10,6 +10,7 @@ hunts for sign violations, it does not decide function classes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +21,13 @@ from .errors import BadParameter, Inconclusive, ModeArity
 from .lattice import DEFAULT_EPS, cauchy_product, truncate_negbinomial
 from .measures import DiscreteMeasure, as_rational
 from .orders import ConvexTestFn, OrderVerdict, Witness
+
+# Budgets, checked before any work: unit_grid refuses a step finer than
+# 1/(MAX_GRID_POINTS - 1), and gav_scan/rasa_scan refuse more than
+# MAX_SCAN_POINTS points.  supermodularity_check tabulates G^2 values on a
+# G-point grid, so the grid budget bounds it too.
+MAX_GRID_POINTS = 257
+MAX_SCAN_POINTS = 100_000
 
 
 def binomial_weights(n: int, x) -> list[Fraction]:
@@ -40,10 +48,11 @@ def binomial_measure(n: int, x) -> DiscreteMeasure:
     )
 
 
-def _phi_row_sum(row: Sequence[Fraction], point, phi: ConvexTestFn) -> Fraction:
-    """sum_s row[s] * phi(point(s)) over the non-zero entries: a double sum
-    of this module once collapsed along its diagonals."""
-    return sum((c * phi(point(s)) for s, c in enumerate(row) if c != 0), Fraction(0))
+def _phi_row_sum(row: Sequence[Fraction], phi_at) -> Fraction:
+    """sum_s row[s] * phi_at(s) over the non-zero entries, phi_at(s) being
+    the test function at the s-th scaled point: a double sum of this module
+    once collapsed along its diagonals."""
+    return sum((c * phi_at(s) for s, c in enumerate(row) if c != 0), Fraction(0))
 
 
 def rasa_gap(n: int, x, y, phi: ConvexTestFn) -> Fraction:
@@ -54,8 +63,31 @@ def rasa_gap(n: int, x, y, phi: ConvexTestFn) -> Fraction:
     collapsed along diagonals: the bracket is the self-convolution of the
     weight difference, so only 2n+1 test-function values are needed.
     Non-negative for convex phi."""
-    diff = [a - b for a, b in zip(binomial_weights(n, x), binomial_weights(n, y))]
-    return _phi_row_sum(cauchy_product(diff, diff), lambda s: Fraction(s, 2 * n), phi)
+    phi_at = lambda s: phi(Fraction(s, 2 * n))
+    return _rasa_gap(binomial_weights(n, x), binomial_weights(n, y), phi_at)
+
+
+def _rasa_gap(u: Sequence[Fraction], v: Sequence[Fraction], phi_at) -> Fraction:
+    diff = [a - b for a, b in zip(u, v)]
+    return _phi_row_sum(cauchy_product(diff, diff), phi_at)
+
+
+def rasa_scan(n: int, grid: Sequence, phi: ConvexTestFn) -> list:
+    """[((x, y), rasa_gap(n, x, y, phi)) for x in grid for y in grid], with
+    the basis row of each grid point and each phi(s/(2n)) computed once."""
+    _check_scan_size(grid, 2)
+    rows = {x: binomial_weights(n, x) for x in grid}
+    phi_at = functools.cache(lambda s: phi(Fraction(s, 2 * n)))
+    return [((x, y), _rasa_gap(rows[x], rows[y], phi_at)) for x in grid for y in grid]
+
+
+def _check_scan_size(grid: Sequence, k: int):
+    count = len(grid) ** k
+    if count > MAX_SCAN_POINTS:
+        raise BadParameter(
+            f"a scan of {len(grid)}^{k} = {count} points exceeds"
+            f" MAX_SCAN_POINTS = {MAX_SCAN_POINTS}"
+        )
 
 
 def multi_rasa_gap(n: int, xs: Sequence, phi: ConvexTestFn) -> Fraction:
@@ -80,7 +112,7 @@ def multi_rasa_gap(n: int, xs: Sequence, phi: ConvexTestFn) -> Fraction:
             power = cauchy_product(power, w)
         for s, c in enumerate(power):
             total[s] += c
-    return _phi_row_sum(total, lambda s: Fraction(s, m * n), phi)
+    return _phi_row_sum(total, lambda s: phi(Fraction(s, m * n)))
 
 
 # -- exact multivariate test functions ---------------------------------------
@@ -222,21 +254,60 @@ def tensor_bernstein(g: BivariateFn, ns: Sequence[int], xs: Sequence) -> Fractio
         (B_{n_1..n_k} g)(x_1..x_k)
             = sum b_{n_1,i_1}(x_1) ... b_{n_k,i_k}(x_k) g(i_1/n_1, ..., i_k/n_k).
     """
-    if len(ns) != len(xs):
-        raise ModeArity(f"{len(ns)} degrees vs {len(xs)} coordinates")
-    if g.arity != len(ns):
-        raise ModeArity(f"function arity {g.arity} does not match {len(ns)} axes")
-    weight_rows = [binomial_weights(n, x) for n, x in zip(ns, xs)]
-    total = Fraction(0)
-    for indices in itertools.product(*(range(n + 1) for n in ns)):
-        w = Fraction(1)
-        for row, i in zip(weight_rows, indices):
-            w *= row[i]
-            if w == 0:
-                break
-        if w == 0:
-            continue
-        total += w * g([Fraction(i, n) for i, n in zip(indices, ns)])
+    return _ProductOperator(g)(ns, xs)
+
+
+class _ProductOperator:
+    """tensor_bernstein for one surface g at many points.
+
+    g is tabulated once per degree tuple on the index grid (i_1/n_1, ...,
+    i_k/n_k), flat and index-major; the basis row b_{n,.}(x) is computed once
+    per (n, x); and the table summed against the rows of x_1..x_j is kept per
+    prefix (x_1..x_j).  A point seen before, such as the diagonal and shifted
+    terms that recur across a gav_gap scan, is a lookup, and points sharing a
+    prefix share its partial sums.  One instance serves one call or one scan.
+    """
+
+    def __init__(self, g: BivariateFn):
+        self.g = g
+        self._rows: dict = {}
+        self._tables: dict = {}  # (ns, x_1, ..., x_j) -> table summed over j axes
+
+    def __call__(self, ns: Sequence[int], xs: Sequence) -> Fraction:
+        if len(ns) != len(xs):
+            raise ModeArity(f"{len(ns)} degrees vs {len(xs)} coordinates")
+        if self.g.arity != len(ns):
+            raise ModeArity(f"function arity {self.g.arity} does not match {len(ns)} axes")
+        rows = [self._row(n, x) for n, x in zip(ns, xs)]
+        key = (tuple(ns),)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = [
+                self.g([Fraction(i, n) for i, n in zip(indices, ns)])
+                for indices in itertools.product(*(range(n + 1) for n in ns))
+            ]
+        for x, row in zip(xs, rows):
+            key += (x,)
+            summed = self._tables.get(key)
+            if summed is None:
+                summed = self._tables[key] = _sum_leading_axis(table, row)
+            table = summed
+        return table[0]
+
+    def _row(self, n: int, x) -> list[Fraction]:
+        row = self._rows.get((n, x))
+        if row is None:
+            row = self._rows[(n, x)] = binomial_weights(n, x)
+        return row
+
+
+def _sum_leading_axis(table: list[Fraction], row: list[Fraction]) -> list[Fraction]:
+    """sum_i row[i] * table[i, ...] for an index-major flat table."""
+    size = len(table) // len(row)
+    total = [Fraction(0)] * size
+    for i, w in enumerate(row):
+        if w:
+            total = [t + w * v for t, v in zip(total, table[i * size : (i + 1) * size])]
     return total
 
 
@@ -254,6 +325,18 @@ def gav_gap(mode: str, g: BivariateFn, ns: Sequence[int], points: Sequence) -> F
 
     (B is the tensor_bernstein operator throughout.)
     """
+    return _gav_gap(mode, _ProductOperator(g), ns, points)
+
+
+def gav_scan(mode: str, g: BivariateFn, ns: Sequence[int], grid: Sequence) -> list:
+    """[(point, gav_gap(mode, g, ns, point)) for every point of grid^k], k the
+    arity of g, in itertools.product order, all through one product operator."""
+    _check_scan_size(grid, g.arity)
+    op = _ProductOperator(g)
+    return [(pt, _gav_gap(mode, op, ns, pt)) for pt in itertools.product(grid, repeat=g.arity)]
+
+
+def _gav_gap(mode: str, op: _ProductOperator, ns: Sequence[int], points: Sequence) -> Fraction:
     xs = [as_rational(t) for t in points]
     for t in xs:
         if not 0 <= t <= 1:
@@ -266,26 +349,26 @@ def gav_gap(mode: str, g: BivariateFn, ns: Sequence[int], points: Sequence) -> F
         degrees = list(ns) if len(ns) == 2 else [ns[0], ns[0]]
         x, y = xs
 
-        def op(a, b):
-            return tensor_bernstein(g, degrees, [a, b])
+        def b(u, v):
+            return op(degrees, [u, v])
 
         if mode == "P1":
-            return op(x, x) + op(y, y) - 2 * op(x, y)
-        return op(x, x) + op(y, y) - op(x, y) - op(y, x)
+            return b(x, x) + b(y, y) - 2 * b(x, y)
+        return b(x, x) + b(y, y) - b(x, y) - b(y, x)
     if mode in ("P3", "P3p"):
         k = len(ns)
         if len(xs) != k or k < 1:
             raise ModeArity(f"mode {mode} needs one point per degree")
-        diagonal = [tensor_bernstein(g, ns, [t] * k) for t in xs]
+        diagonal = [op(ns, [t] * k) for t in xs]
         if mode == "P3":
             m = sum(ns)
-            mixed = tensor_bernstein(g, ns, xs)
+            mixed = op(ns, xs)
             return sum(
                 (Fraction(n, m) * d for n, d in zip(ns, diagonal)), Fraction(0)
             ) - mixed
         shifts = sum(
             (
-                tensor_bernstein(g, ns, xs[shift:] + xs[:shift])
+                op(ns, xs[shift:] + xs[:shift])
                 for shift in range(k)
             ),
             Fraction(0),
@@ -295,17 +378,17 @@ def gav_gap(mode: str, g: BivariateFn, ns: Sequence[int], points: Sequence) -> F
 
 
 def unit_grid(step=Fraction(1, 16)) -> list[Fraction]:
-    """Rational grid 0, step, 2*step, ..., 1 (1 always included)."""
+    """Rational grid 0, step, 2*step, ..., 1 (1 always included) of at most
+    MAX_GRID_POINTS points."""
     step = as_rational(step)
     if not 0 < step <= 1:
         raise BadParameter(f"grid step {step} must lie in (0, 1]")
-    points = []
-    t = Fraction(0)
-    while t < 1:
-        points.append(t)
-        t += step
-    points.append(Fraction(1))
-    return points
+    below_one = -(-step.denominator // step.numerator)  # ceil(1/step)
+    if below_one + 1 > MAX_GRID_POINTS:
+        raise BadParameter(
+            f"grid step {step} gives {below_one + 1} points; MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+        )
+    return [i * step for i in range(below_one)] + [Fraction(1)]
 
 
 def supermodularity_check(g: BivariateFn, grid: Sequence | None = None) -> OrderVerdict:
@@ -315,17 +398,37 @@ def supermodularity_check(g: BivariateFn, grid: Sequence | None = None) -> Order
     Only the both-increasing corner is enumerated: swapping the roles of
     (x1,y1) or (x2,y2) maps the both-decreasing case onto it.  A pass is
     evidence on the grid, not a proof on the square.
+
+    g is tabulated once on the sorted grid p_0 < ... < p_{G-1}: G^2 calls.
+    The gap of the quadruple x1 = p_i, y1 = p_j, x2 = p_k, y2 = p_l is
+    D(l) - D(k) with D = g(p_j, .) - g(p_i, .) on the grid, and it is the
+    sum of the adjacent-cell differences of the cells between those rows and
+    columns (the sums telescope).  So every gap is >= 0 exactly when every
+    one of the (G-1)^2 adjacent-cell differences is, that is, when D rises
+    weakly for every pair of adjacent rows (Topkis, Supermodularity and
+    Complementarity, 1998): the pass costs O(G^2).  Only on a failure are
+    the quadruples walked, in the order (x1, y1), then (x2, y2), each pair
+    lexicographic, to report the first failing one and its gap: a row pair
+    whose D rises weakly has no failing quadruple and is passed over.
     """
     pts = [as_rational(t) for t in (grid if grid is not None else unit_grid())]
     if g.arity != 2:
         raise ModeArity("supermodularity screening is for two-variable functions")
     pts = sorted(set(pts))
-    for x1, y1 in itertools.combinations(pts, 2):
-        for x2, y2 in itertools.combinations(pts, 2):
-            gap = g([x1, x2]) + g([y1, y2]) - g([x1, y2]) - g([y1, x2])
-            if gap < 0:
-                return OrderVerdict(False, Witness("quadruple", (x1, x2, y1, y2), gap))
-    return OrderVerdict(True)
+    table = [[g([x, y]) for y in pts] for x in pts]
+
+    def row_gain(i: int, j: int) -> list[Fraction]:
+        return [b - a for a, b in zip(table[i], table[j])]
+
+    def falls(d: list[Fraction]) -> bool:
+        return any(b < a for a, b in zip(d, d[1:]))
+
+    if not any(falls(row_gain(i, i + 1)) for i in range(len(pts) - 1)):
+        return OrderVerdict(True)
+    pairs = list(itertools.combinations(range(len(pts)), 2))
+    (i, j), d = next((ij, d) for ij, d in ((ij, row_gain(*ij)) for ij in pairs) if falls(d))
+    k, l = next((k, l) for k, l in pairs if d[l] < d[k])
+    return OrderVerdict(False, Witness("quadruple", (pts[i], pts[k], pts[j], pts[l]), d[l] - d[k]))
 
 
 def eq6prim_gap(ns: Sequence[int], xs: Sequence, phi: ConvexTestFn) -> Fraction:
@@ -346,12 +449,11 @@ def eq6prim_gap(ns: Sequence[int], xs: Sequence, phi: ConvexTestFn) -> Fraction:
     joint = [Fraction(1)]
     for n, x in zip(ns, points):
         joint = cauchy_product(joint, binomial_weights(n, x))
-    mixed = _phi_row_sum(joint, lambda s: Fraction(s, m), phi)
+    phi_at = lambda s: phi(Fraction(s, m))
+    mixed = _phi_row_sum(joint, phi_at)
     blocks = Fraction(0)
     for n, x in zip(ns, points):
-        blocks += Fraction(n, m) * _phi_row_sum(
-            binomial_weights(m, x), lambda s: Fraction(s, m), phi
-        )
+        blocks += Fraction(n, m) * _phi_row_sum(binomial_weights(m, x), phi_at)
     return blocks - mixed
 
 
@@ -408,7 +510,7 @@ def gavrea_p4_sum(n: int, x, y, phi: ConvexTestFn, eps=DEFAULT_EPS) -> IntervalV
     fam_y = truncate_negbinomial(n, y, eps)
     pairs = itertools.zip_longest(fam_x.coeffs, fam_y.coeffs, fillvalue=Fraction(0))
     diff = [a - b for a, b in pairs]
-    boxed = _phi_row_sum(cauchy_product(diff, diff), lambda s: Fraction(s, 2 * n + s), phi)
+    boxed = _phi_row_sum(cauchy_product(diff, diff), lambda s: phi(Fraction(s, 2 * n + s)))
     sigma = sum((abs(d) for d in diff), Fraction(0))
     tau = fam_x.tail_bound + fam_y.tail_bound
     slack = bound * (2 * sigma * tau + tau * tau)

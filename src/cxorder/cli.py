@@ -35,7 +35,6 @@ integers; floats are rejected.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import re
 import random
@@ -282,10 +281,10 @@ def parse_mvpoly(text: str, arity: int | None = None) -> MVPolynomial:
     return MVPolynomial.from_dict(arity, terms)
 
 
-def parse_exponents(token: str) -> tuple[int, ...]:
-    values = _int_list(token, 0)
+def parse_exponents(token: str, pos: int = 0) -> tuple[int, ...]:
+    values = _int_list(token, pos)
     if any(v < 0 for v in values):
-        raise ParseError(f"exponents must be non-negative: {token!r}", 0)
+        raise ParseError(f"exponents must be non-negative: {token!r}", pos)
     return tuple(values)
 
 
@@ -481,8 +480,12 @@ def _csv_gap(q: Fraction) -> str:
     return f"{q.numerator},{q.denominator},{(q > 0) - (q < 0)}"
 
 
+def _exponent_pair(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return _option(args, "p", parse_exponents), _option(args, "q", parse_exponents)
+
+
 def _cmd_major(args, out: _Printer) -> int:
-    p, q = parse_exponents(args.p), parse_exponents(args.q)
+    p, q = _exponent_pair(args)
     if args.action == "compare":
         if majorizes(p, q):
             out.say("majorized")
@@ -504,11 +507,12 @@ def _measure_line(out: _Printer, mu: DiscreteMeasure) -> str:
 
 def _cmd_poly(args, out: _Printer) -> int:
     if args.action == "w":
-        poly = w_polynomial(parse_exponents(args.p))
+        poly = w_polynomial(_option(args, "p", parse_exponents))
         out.say(_poly_text(out, poly))
         return EXIT_HOLDS
     if args.action == "sos":
-        decomposition = sos_step_decomposition(parse_exponents(args.p), parse_exponents(args.q))
+        p, q = _exponent_pair(args)
+        decomposition = sos_step_decomposition(p, q)
         if not decomposition.parts:
             out.say("zero difference (empty decomposition)")
             return EXIT_HOLDS
@@ -521,7 +525,8 @@ def _cmd_poly(args, out: _Printer) -> int:
         result = poly_eval_measures(poly, measures)
         out.say(_measure_line(out, result))
         return EXIT_HOLDS
-    verdict = muirhead_cx_check(parse_exponents(args.p), parse_exponents(args.q), measures)
+    p, q = _exponent_pair(args)
+    verdict = muirhead_cx_check(p, q, measures)
     return _verdict_exit(out, verdict)
 
 
@@ -555,10 +560,7 @@ def _cmd_bernstein(args, out: _Printer) -> int:
     if args.action == "rasa-scan":
         phi = parse_convex_fn(args.phi)
         grid = bn.unit_grid(_option(args, "step", _fraction))
-        rows = (
-            ((x, y), bn.rasa_gap(args.n, x, y, phi)) for x in grid for y in grid
-        )
-        return _scan_rows(out, ["x", "y", "num", "den", "sign"], rows)
+        return _scan_rows(out, ["x", "y", "num", "den", "sign"], bn.rasa_scan(args.n, grid, phi))
     if args.action == "gav":
         points = _option(args, "points", _fraction_list)
         ns = _option(args, "ns", _int_list)
@@ -570,12 +572,8 @@ def _cmd_bernstein(args, out: _Printer) -> int:
         k = 2 if args.mode in ("P1", "P1p") else len(ns)
         g = parse_surface(args.g, arity=k)
         grid = bn.unit_grid(_option(args, "step", _fraction))
-        rows = (
-            (pt, bn.gav_gap(args.mode, g, ns, list(pt)))
-            for pt in itertools.product(grid, repeat=k)
-        )
         header = [f"x{i + 1}" for i in range(k)] + ["num", "den", "sign"]
-        return _scan_rows(out, header, rows)
+        return _scan_rows(out, header, bn.gav_scan(args.mode, g, ns, grid))
     if args.action == "supermod":
         g = parse_surface(args.g, arity=2)
         verdict = bn.supermodularity_check(g, bn.unit_grid(_option(args, "step", _fraction)))

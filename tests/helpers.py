@@ -1,16 +1,20 @@
 """Shared generators for randomized exact-arithmetic tests."""
 
+import itertools
 import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from cxorder import (
+    BivariateFn,
     DiscreteMeasure,
     OrderVerdict,
     PiecewiseLinear,
     StepFunction,
     Witness,
+    as_rational,
+    binomial_weights,
     integrate_hinge,
     make_measure,
 )
@@ -141,3 +145,34 @@ def step_self_convolution_oracle(h: StepFunction) -> PiecewiseLinear:
         return PiecewiseLinear((), ())
     sums = sorted({a + b for a in h.breakpoints for b in h.breakpoints})
     return PiecewiseLinear(tuple(sums), tuple(_step_conv_value(h, h, s) for s in sums))
+
+
+def tensor_bernstein_oracle(g: BivariateFn, ns, xs) -> Fraction:
+    """Independent oracle for tensor_bernstein: the literal sum over every
+    index tuple of the weight product times g at (i_1/n_1, ..., i_k/n_k),
+    evaluating g afresh wherever the weight is non-zero."""
+    weight_rows = [binomial_weights(n, x) for n, x in zip(ns, xs)]
+    total = Fraction(0)
+    for indices in itertools.product(*(range(n + 1) for n in ns)):
+        w = Fraction(1)
+        for row, i in zip(weight_rows, indices):
+            w *= row[i]
+            if w == 0:
+                break
+        if w == 0:
+            continue
+        total += w * g([Fraction(i, n) for i, n in zip(indices, ns)])
+    return total
+
+
+def supermodularity_check_oracle(g: BivariateFn, grid) -> OrderVerdict:
+    """Independent oracle for supermodularity_check: the literal walk over
+    every grid quadruple, (x1, y1) then (x2, y2) in lexicographic order,
+    with four evaluations of g each, O(G^4) for G grid points."""
+    pts = sorted({as_rational(t) for t in grid})
+    for x1, y1 in itertools.combinations(pts, 2):
+        for x2, y2 in itertools.combinations(pts, 2):
+            gap = g([x1, x2]) + g([y1, y2]) - g([x1, y2]) - g([y1, x2])
+            if gap < 0:
+                return OrderVerdict(False, Witness("quadruple", (x1, x2, y1, y2), gap))
+    return OrderVerdict(True)

@@ -5,9 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from cxorder import (
     BadParameter,
+    BivariateFn,
     ConvexTestFn,
     Inconclusive,
     ModeArity,
@@ -20,6 +24,7 @@ from cxorder import (
     eq6prim_gap,
     gap_functional,
     gav_gap,
+    gav_scan,
     gavrea_p4_sum,
     hinge_fn,
     hinge_surface,
@@ -29,10 +34,12 @@ from cxorder import (
     quad_fn,
     rasa_criterion,
     rasa_gap,
+    rasa_scan,
     supermodularity_check,
     tensor_bernstein,
     unit_grid,
 )
+from cxorder import bernstein
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -351,3 +358,219 @@ def test_compose_convex_evaluates_like_the_profile():
     for u in (Fraction(0), Q, Fraction(5, 7)):
         for v in (Fraction(1), H, Fraction(2, 9)):
             assert g([u, v]) == phi(weights[0] * u + weights[1] * v)
+
+
+# -- tabulated scanners against the literal oracles ---------------------------
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+unit_points = st.sampled_from([Fraction(k, 6) for k in range(7)] + [Q, Fraction(3, 4)])
+
+
+@st.composite
+def surfaces(draw, arity=2, supermodular=False):
+    """Sums of random polynomial, hinge and absolute-difference terms.  With
+    supermodular=True only terms that are supermodular by construction:
+    non-negative products, increasing convex ridges and affine terms."""
+    sign = st.fractions(min_value=0, max_value=2, max_denominator=4) if supermodular else small
+    alphas = st.lists(sign, min_size=arity, max_size=arity)
+    kinds = ["poly", "hinge", "affine"] if supermodular else ["poly", "hinge", "absdiff", "affine"]
+    g = poly_surface([(draw(small), (0,) * arity)], arity)
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        if kind == "poly":
+            exps = draw(st.lists(st.integers(0, 2), min_size=arity, max_size=arity))
+            if supermodular:  # a non-negative monomial of degree <= 1 in each variable
+                exps = [min(e, 1) for e in exps]
+            g = g + poly_surface([(draw(sign), tuple(exps))], arity)
+        elif kind == "hinge":
+            g = g + hinge_surface(draw(sign), draw(alphas), draw(small), arity)
+        elif kind == "absdiff" and arity >= 2:
+            i, j = draw(st.permutations(range(arity)))[:2]
+            g = g + absdiff_surface(draw(small), arity, i, j)
+        else:
+            exps = [0] * arity
+            exps[draw(st.integers(0, arity - 1))] = 1
+            g = g + poly_surface([(draw(small), tuple(exps))], arity)
+    return g
+
+
+grids = st.lists(st.one_of(unit_points, small), min_size=0, max_size=8)
+
+
+@settings(max_examples=200)
+@given(surfaces(), grids)
+def test_supermodularity_check_matches_literal_walk(g, grid):
+    # unsorted grids with repeated points; the verdict, the first witness in
+    # the walk order and its gap are identical
+    assert supermodularity_check(g, grid) == helpers.supermodularity_check_oracle(g, grid)
+
+
+@settings(max_examples=60)
+@given(surfaces(supermodular=True), grids)
+def test_supermodularity_check_passes_supermodular_surfaces(g, grid):
+    verdict = supermodularity_check(g, grid)
+    assert verdict.holds
+    assert verdict == helpers.supermodularity_check_oracle(g, grid)
+
+
+def test_supermodularity_check_oracle_comparison_covers_both_outcomes():
+    # seeded random surfaces: passes, failures at the first quadruple and
+    # failures further down the walk all occur, and all agree
+    rng = random.Random(11)
+    seen = {"holds": 0, "first": 0, "later": 0}
+    for _ in range(150):
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(["poly", "hinge", "absdiff"])
+            c = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 4)))
+            if kind == "poly":
+                terms.append(poly_surface([(c, (rng.randint(0, 2), rng.randint(0, 2)))]))
+            elif kind == "hinge":
+                alphas = [Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(2)]
+                terms.append(hinge_surface(c, alphas, Fraction(rng.randint(-2, 4), 4)))
+            else:
+                terms.append(absdiff_surface(c))
+        g = sum(terms[1:], terms[0])
+        grid = [Fraction(rng.randint(0, 8), 8) for _ in range(rng.randint(2, 9))]
+        verdict = supermodularity_check(g, grid)
+        assert verdict == helpers.supermodularity_check_oracle(g, grid)
+        if verdict.holds:
+            seen["holds"] += 1
+        else:
+            pts = sorted(set(grid))
+            x1, x2, y1, y2 = verdict.witness.point
+            first = (x1, y1) == (pts[0], pts[1]) and (x2, y2) == (pts[0], pts[1])
+            seen["first" if first else "later"] += 1
+    assert all(count >= 5 for count in seen.values()), seen
+
+
+@st.composite
+def operator_inputs(draw):
+    k = draw(st.integers(1, 3))
+    ns = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    xs = draw(st.lists(unit_points, min_size=k, max_size=k))
+    return draw(surfaces(arity=k)), ns, xs
+
+
+@settings(max_examples=150)
+@given(operator_inputs())
+def test_tensor_bernstein_matches_literal_sum(inputs):
+    g, ns, xs = inputs
+    assert tensor_bernstein(g, ns, xs) == helpers.tensor_bernstein_oracle(g, ns, xs)
+
+
+def gav_gap_oracle(mode, g, ns, xs):
+    """The four gaps of gav_gap's docstring, term by term, on the literal
+    operator sum."""
+    def b(degrees, point):
+        return helpers.tensor_bernstein_oracle(g, degrees, point)
+
+    if mode in ("P1", "P1p"):
+        degrees = list(ns) * (2 // len(ns))
+        (x, y), swapped = xs, xs[::-1]
+        mixed = 2 * b(degrees, xs) if mode == "P1" else b(degrees, xs) + b(degrees, swapped)
+        return b(degrees, [x, x]) + b(degrees, [y, y]) - mixed
+    k = len(ns)
+    diagonal = [b(ns, [t] * k) for t in xs]
+    if mode == "P3":
+        return sum(Fraction(n, sum(ns)) * d for n, d in zip(ns, diagonal)) - b(ns, xs)
+    return sum(diagonal) - sum(b(ns, xs[s:] + xs[:s]) for s in range(k))
+
+
+@st.composite
+def gav_inputs(draw):
+    mode = draw(st.sampled_from(["P1", "P1p", "P3", "P3p"]))
+    if mode in ("P1", "P1p"):
+        k, ns = 2, draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    else:
+        k = draw(st.integers(1, 3))
+        ns = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    xs = draw(st.lists(unit_points, min_size=k, max_size=k))
+    return mode, draw(surfaces(arity=k)), ns, xs
+
+
+@settings(max_examples=150)
+@given(gav_inputs())
+def test_gav_gap_matches_oracle_in_every_mode(inputs):
+    mode, g, ns, xs = inputs
+    assert gav_gap(mode, g, ns, xs) == gav_gap_oracle(mode, g, ns, xs)
+
+
+@settings(max_examples=30)
+@given(gav_inputs(), st.lists(unit_points, min_size=1, max_size=3, unique=True))
+def test_gav_scan_matches_pointwise_oracle(inputs, grid):
+    mode, g, ns, _ = inputs
+    expected = [
+        (pt, gav_gap_oracle(mode, g, ns, list(pt)))
+        for pt in itertools.product(grid, repeat=g.arity)
+    ]
+    assert gav_scan(mode, g, ns, grid) == expected
+
+
+def test_rasa_scan_matches_brute_double_sum():
+    phi = hinge_fn(Fraction(3, 8), 2) + quad_fn(1)
+    grid = unit_grid(Fraction(1, 5))
+    for n in (1, 2, 3):
+        expected = [((x, y), brute_rasa_gap(n, x, y, phi)) for x in grid for y in grid]
+        assert rasa_scan(n, grid, phi) == expected
+
+
+def test_supermodularity_check_tabulates_g_once(monkeypatch):
+    # a 33-point grid costs 33^2 surface evaluations whether the screen
+    # passes or has to walk to a witness
+    calls = []
+    evaluate = BivariateFn.__call__
+
+    def counting(self, point):
+        calls.append(point)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(BivariateFn, "__call__", counting)
+    grid = unit_grid(Fraction(1, 32))
+    assert len(grid) == 33
+    assert supermodularity_check(compose_convex(quad_fn(1), (1, 1)), grid).holds
+    assert len(calls) == 33**2
+    calls.clear()
+    verdict = supermodularity_check(hinge_surface(-1, (1, 1), Fraction(3, 2)), grid)
+    assert verdict.holds is False
+    assert len(calls) == 33**2
+
+
+# -- budgets ---------------------------------------------------------------------
+
+
+def test_unit_grid_matches_repeated_steps():
+    for step in (1, Fraction(2, 3), Fraction(1, 3), Fraction(3, 7), Fraction(1, 16), Fraction(5, 16)):
+        points, t = [], Fraction(0)
+        while t < 1:
+            points.append(t)
+            t += step
+        assert unit_grid(step) == points + [Fraction(1)]
+
+
+def test_unit_grid_budget_boundary():
+    limit = bernstein.MAX_GRID_POINTS
+    assert len(unit_grid(Fraction(1, limit - 1))) == limit
+    assert len(unit_grid(Fraction(2, 2 * limit - 3))) == limit
+    for step in (Fraction(1, limit), Fraction(2, 2 * limit - 1), Fraction(1, 10**6)):
+        with pytest.raises(BadParameter, match="MAX_GRID_POINTS"):
+            unit_grid(step)
+
+
+def test_scan_budget_is_checked_before_enumerating(monkeypatch):
+    monkeypatch.setattr(bernstein, "MAX_SCAN_POINTS", 16)
+
+    def refuse(*args):
+        raise AssertionError("nothing may be evaluated")
+
+    g = absdiff_surface(1)
+    assert len(gav_scan("P1", g, [1], [0, Q, H, 1])) == 16
+    assert len(rasa_scan(1, [0, Q, H, 1], hinge_fn(H))) == 16
+    monkeypatch.setattr(BivariateFn, "__call__", refuse)
+    monkeypatch.setattr(bernstein, "binomial_weights", refuse)
+    five = [0, Q, H, Fraction(3, 4), 1]
+    with pytest.raises(BadParameter, match="MAX_SCAN_POINTS"):
+        gav_scan("P1", g, [1], five)
+    with pytest.raises(BadParameter, match="MAX_SCAN_POINTS"):
+        gav_scan("P3", poly_surface([(1, (1, 1, 1))], 3), [1, 1, 1], [0, H, 1])
+    with pytest.raises(BadParameter, match="MAX_SCAN_POINTS"):
+        rasa_scan(1, five, hinge_fn(H))

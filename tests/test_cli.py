@@ -332,3 +332,43 @@ def test_poly_w_over_the_arrangement_budget_exits_2():
     assert code == 2
     assert text.count("\n") == 1
     assert text.startswith("error: BadParameter: ") and "3628800" in text
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["major", "chain", "--p", "1,1", "--q", "2,x"], "--q: bad integer 'x' (at position 2)"),
+        (["major", "compare", "--p", "1,,1", "--q", "2,0,0"], "--p: bad integer ''"),
+        (["poly", "w", "--p", "2,-1"], "--p: exponents must be non-negative"),
+        (["poly", "sos", "--p", "2,1", "--q", "3,y"], "--q: bad integer 'y'"),
+        (["poly", "muirhead", "--p", "a", "--q", "2,0", "--measure", "binomial:1,1/2",
+          "--measure", "binomial:1,1/2"], "--p: bad integer 'a'"),
+    ],
+)
+def test_exponent_options_are_named_in_errors(argv, message):
+    code, text = run(argv)
+    assert code == 2
+    assert text.count("\n") == 1
+    assert text.startswith(f"error: {message}") and "(at position" in text
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["supermod", "--g", "absdiff 1", "--step", "1/1000"], "MAX_GRID_POINTS = 257"),
+        (["rasa-scan", "--n", "1", "--phi", "quad 1", "--step", "1/320"], "MAX_GRID_POINTS = 257"),
+        (["gav-scan", "--mode", "P3", "--g", "absdiff 1", "--ns", "1,1,1", "--step", "1/64"],
+         "MAX_SCAN_POINTS = 100000"),
+    ],
+)
+def test_scan_budgets_exit_2_with_one_line(argv, limit):
+    code, text = run(["bernstein"] + argv)
+    assert code == 2
+    assert text.count("\n") == 1
+    assert text.startswith("error: BadParameter: ") and limit in text
+
+
+def test_scan_input_error_prints_no_csv_header():
+    code, text = run(["bernstein", "gav-scan", "--mode", "P1", "--g", "absdiff 1",
+                      "--ns", "1,1,1", "--step", "1/2"])
+    assert (code, text) == (2, "error: ModeArity: mode P1 takes one or two degrees\n")
