@@ -426,7 +426,8 @@ def supermodularity_check(g: BivariateFn, grid: Sequence | None = None) -> Order
     if not any(falls(row_gain(i, i + 1)) for i in range(len(pts) - 1)):
         return OrderVerdict(True)
     pairs = list(itertools.combinations(range(len(pts)), 2))
-    (i, j), d = next((ij, d) for ij, d in ((ij, row_gain(*ij)) for ij in pairs) if falls(d))
+    i, j = next((i, j) for i, j in pairs if falls(row_gain(i, j)))
+    d = row_gain(i, j)
     k, l = next((k, l) for k, l in pairs if d[l] < d[k])
     return OrderVerdict(False, Witness("quadruple", (pts[i], pts[k], pts[j], pts[l]), d[l] - d[k]))
 
