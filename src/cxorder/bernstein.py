@@ -14,7 +14,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Sequence
 
 from .errors import BadParameter, Inconclusive, ModeArity
@@ -25,9 +25,12 @@ from .orders import ConvexTestFn, OrderVerdict, Witness
 # Budgets, checked before any work: unit_grid refuses a step finer than
 # 1/(MAX_GRID_POINTS - 1), and gav_scan/rasa_scan refuse more than
 # MAX_SCAN_POINTS points.  supermodularity_check tabulates G^2 values on a
-# G-point grid, so the grid budget bounds it too.
+# G-point grid, so the grid budget bounds it too.  The product operator
+# behind tensor_bernstein, gav_gap and gav_scan tabulates prod(n_i + 1)
+# surface values and refuses more than MAX_OPERATOR_TABLE.
 MAX_GRID_POINTS = 257
 MAX_SCAN_POINTS = 100_000
+MAX_OPERATOR_TABLE = 10_000
 
 
 def binomial_weights(n: int, x) -> list[Fraction]:
@@ -74,11 +77,18 @@ def _rasa_gap(u: Sequence[Fraction], v: Sequence[Fraction], phi_at) -> Fraction:
 
 def rasa_scan(n: int, grid: Sequence, phi: ConvexTestFn) -> list:
     """[((x, y), rasa_gap(n, x, y, phi)) for x in grid for y in grid], with
-    the basis row of each grid point and each phi(s/(2n)) computed once."""
+    the basis row of each grid point and each phi(s/(2n)) computed once.
+
+    The gap is symmetric in x and y (a sign flip of the weight difference
+    leaves its self-convolution unchanged), so each unordered pair of grid
+    positions is computed once and mirrored."""
     _check_scan_size(grid, 2)
-    rows = {x: binomial_weights(n, x) for x in grid}
+    rows = [binomial_weights(n, x) for x in grid]
     phi_at = functools.cache(lambda s: phi(Fraction(s, 2 * n)))
-    return [((x, y), _rasa_gap(rows[x], rows[y], phi_at)) for x in grid for y in grid]
+    gaps = {}
+    for i, j in itertools.combinations_with_replacement(range(len(grid)), 2):
+        gaps[i, j] = gaps[j, i] = _rasa_gap(rows[i], rows[j], phi_at)
+    return [((x, y), gaps[i, j]) for i, x in enumerate(grid) for j, y in enumerate(grid)]
 
 
 def _check_scan_size(grid: Sequence, k: int):
@@ -278,6 +288,12 @@ class _ProductOperator:
             raise ModeArity(f"{len(ns)} degrees vs {len(xs)} coordinates")
         if self.g.arity != len(ns):
             raise ModeArity(f"function arity {self.g.arity} does not match {len(ns)} axes")
+        size = prod(n + 1 for n in ns)
+        if size > MAX_OPERATOR_TABLE:
+            raise BadParameter(
+                f"degrees {','.join(map(str, ns))} give a table of {size} surface values;"
+                f" MAX_OPERATOR_TABLE = {MAX_OPERATOR_TABLE}"
+            )
         rows = [self._row(n, x) for n, x in zip(ns, xs)]
         key = (tuple(ns),)
         table = self._tables.get(key)

@@ -466,13 +466,13 @@ def _cmd_genfun(args, out: _Printer) -> int:
     if len(sequences) != 2:
         raise ParseError("genfun check needs exactly two sequences (files or families)")
     first, second = sequences
-    verdict = lat.genfun_test(first, second)
+    coeffs = None
     if args.csv:
         coeffs = lat.genfun_square_coeffs(first, second)  # may raise Inconclusive
         out.say("index,num,den,sign")
         for k, c in enumerate(coeffs):
             out.say(f"{k},{_csv_gap(c)}")
-    return _verdict_exit(out, verdict)
+    return _verdict_exit(out, lat.genfun_test(first, second, coeffs=coeffs))
 
 
 def _csv_gap(q: Fraction) -> str:

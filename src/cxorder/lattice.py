@@ -17,10 +17,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BadParameter, Inconclusive, MassMismatch, NotLattice
-from .measures import DiscreteMeasure, as_rational
+from .measures import DiscreteMeasure, _scaled_ints, as_rational
 from .orders import OrderVerdict, Witness
 
 DEFAULT_EPS = Fraction(1, 2**40)
+# Budget, checked before each doubling: the truncations refuse a cutoff K
+# above MAX_CUTOFF.  The square of a truncated pair costs O(K^2) products on
+# O(K)-digit numbers.
+MAX_CUTOFF = 4096
 
 
 @dataclass(frozen=True)
@@ -84,18 +88,28 @@ def lattice_to_measure(seq: LatticeSeq) -> DiscreteMeasure:
     )
 
 
-def cauchy_product(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-    """Discrete convolution of coefficient sequences."""
-    if not u or not v:
-        return []
-    out = [Fraction(0)] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j, b in enumerate(v):
-            if b != 0:
-                out[i + j] += a * b
-    return out
+def cauchy_product(
+    u: Sequence[Fraction], v: Sequence[Fraction], *, length: int | None = None
+) -> list[Fraction]:
+    """Discrete convolution of coefficient sequences, or only its first
+    ``length`` coefficients.
+
+    Each row is scaled to ints by its common denominator, so the products
+    and sums run on ints and each output coefficient is one Fraction.
+    """
+    size = len(u) + len(v) - 1 if u and v else 0
+    if length is not None:
+        size = max(min(size, length), 0)
+    u_scale, us = _scaled_ints(u[:size])
+    v_scale, vs = _scaled_ints(v[:size])
+    out = [0] * size
+    for i, a in enumerate(us):
+        if a:
+            for j, b in enumerate(vs[: size - i]):
+                if b:
+                    out[i + j] += a * b
+    unit = u_scale * v_scale
+    return [Fraction(c, unit) for c in out]
 
 
 def genfun_square_coeffs(a: LatticeSeq, b: LatticeSeq) -> list[Fraction]:
@@ -121,22 +135,26 @@ def genfun_square_coeffs(a: LatticeSeq, b: LatticeSeq) -> list[Fraction]:
         # (G - F) vanishes from the common support end by mass equality
         return cauchy_product(d[:-1], d[:-1])
     sound = min(a.last_index, b.last_index)
-    return cauchy_product(d[: sound + 1], d[: sound + 1])[: sound + 1]
+    return cauchy_product(d[: sound + 1], d[: sound + 1], length=sound + 1)
 
 
-def genfun_test(a: LatticeSeq, b: LatticeSeq) -> OrderVerdict:
+def genfun_test(
+    a: LatticeSeq, b: LatticeSeq, *, coeffs: Sequence[Fraction] | None = None
+) -> OrderVerdict:
     """Sign test on the squared-quotient coefficients.
 
     Complete inputs get a definite verdict.  Truncated exact inputs can only
     be refuted (any negative coefficient in the sound prefix is a true
     coefficient of the full family); a clean prefix stays inconclusive, and
-    lower-bound families (Poisson) are inconclusive outright.
+    lower-bound families (Poisson) are inconclusive outright.  A caller that
+    already holds ``genfun_square_coeffs(a, b)`` passes it as ``coeffs``.
     """
     if a.total_mass != b.total_mass:
         raise MassMismatch(f"total masses differ: {a.total_mass} vs {b.total_mass}")
     if not (a.exact and b.exact):
         return OrderVerdict(None)
-    coeffs = genfun_square_coeffs(a, b)
+    if coeffs is None:
+        coeffs = genfun_square_coeffs(a, b)
     for k, c in enumerate(coeffs):
         if c < 0:
             return OrderVerdict(False, Witness("coefficient", k, c))
@@ -151,7 +169,8 @@ def truncate_negbinomial(n: int, x, eps=DEFAULT_EPS) -> LatticeSeq:
     K comes from a log-free doubling search: the term ratio
     x (n+k+1) / (k+1) decreases towards x < 1, so once the ratio r at K+1
     drops below 1 the tail is dominated by the geometric series
-    w_{K+1} / (1 - r); K doubles until that certificate is below eps.
+    w_{K+1} / (1 - r); K doubles until that certificate is below eps, and
+    a K above MAX_CUTOFF raises BadParameter before its weights are built.
     """
     x, eps = as_rational(x), as_rational(eps)
     if not isinstance(n, int) or n < 0:
@@ -169,6 +188,7 @@ def truncate_negbinomial(n: int, x, eps=DEFAULT_EPS) -> LatticeSeq:
 
     cutoff = 1
     while True:
+        _check_cutoff(cutoff, f"negbinomial:{n},{x}", eps)
         extend(cutoff + 1)
         ratio = x * Fraction(n + cutoff + 2, cutoff + 2)
         if ratio < 1:
@@ -191,7 +211,9 @@ def truncate_poisson(lam, eps=DEFAULT_EPS) -> LatticeSeq:
     instead L = 1/U for a rational upper bound U >= e^lam from the partial
     exponential series plus a geometric remainder.  The truncation tail and
     the total rounding slack both go into tail_bound, so the sequence is a
-    certified under-approximation of the Poisson family.
+    certified under-approximation of the Poisson family.  The cutoff K
+    doubles until the tail is below eps; a K above MAX_CUTOFF raises
+    BadParameter before its terms are built.
     """
     lam, eps = as_rational(lam), as_rational(eps)
     if lam <= 0:
@@ -204,6 +226,7 @@ def truncate_poisson(lam, eps=DEFAULT_EPS) -> LatticeSeq:
         order *= 2
     cutoff = order
     while True:
+        _check_cutoff(max(order, cutoff), f"poisson:{lam}", eps)
         core = [Fraction(1)]
         for k in range(1, max(order, cutoff) + 2):
             core.append(core[-1] * lam / k)
@@ -227,6 +250,14 @@ def truncate_poisson(lam, eps=DEFAULT_EPS) -> LatticeSeq:
                 )
         order *= 2
         cutoff *= 2
+
+
+def _check_cutoff(cutoff: int, family: str, eps: Fraction):
+    if cutoff > MAX_CUTOFF:
+        raise BadParameter(
+            f"{family} at eps={eps} needs a truncation cutoff above"
+            f" MAX_CUTOFF = {MAX_CUTOFF}"
+        )
 
 
 def truncated_family(family: str, eps=DEFAULT_EPS) -> LatticeSeq:

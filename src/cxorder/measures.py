@@ -13,7 +13,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import MassMismatch, NegativeWeight, ParseError
@@ -100,14 +100,13 @@ def dirac(position) -> DiscreteMeasure:
     return DiscreteMeasure(((as_rational(position), Fraction(1)),))
 
 
-@lru_cache(maxsize=4096)
-def _convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
-    acc: dict[Fraction, Fraction] = {}
-    for x, wx in mu.atoms:
-        for y, wy in nu.atoms:
-            s = x + y
-            acc[s] = acc.get(s, Fraction(0)) + wx * wy
-    return DiscreteMeasure(tuple(sorted(acc.items())))
+def _scaled_ints(values) -> tuple[int, list[int]]:
+    """(scale, [v * scale for v in values]) with scale the least common
+    denominator of ``values``: exact rationals as ints in units of 1/scale,
+    so a kernel can multiply and add on ints and build one Fraction per
+    output."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
@@ -115,14 +114,23 @@ def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
     independent draws).  Masses multiply and means obey
     mean(mu*nu) = mass(nu)*mean(mu) + mass(mu)*mean(nu).
 
-    Results are memoised in a process-wide ``lru_cache(maxsize=4096)``,
-    which keeps up to 4096 argument pairs and their results alive for the
-    life of the process.  Measures are immutable, so the cache never
-    changes a result.
+    The positions of both measures are scaled to ints by one common
+    denominator and the weights of each by its own, so the n*m sums and
+    products run on ints and each output atom is one pair of Fractions.
     """
-    if nu.atoms < mu.atoms:  # commutative; normalise the cache key
-        mu, nu = nu, mu
-    return _convolve(mu, nu)
+    pos_scale, positions = _scaled_ints([x for x, _ in mu.atoms + nu.atoms])
+    xs, ys = positions[: len(mu.atoms)], positions[len(mu.atoms) :]
+    mu_scale, mu_ws = _scaled_ints([w for _, w in mu.atoms])
+    nu_scale, nu_ws = _scaled_ints([w for _, w in nu.atoms])
+    acc: dict[int, int] = {}
+    for x, wx in zip(xs, mu_ws):
+        for y, wy in zip(ys, nu_ws):
+            s = x + y
+            acc[s] = acc.get(s, 0) + wx * wy
+    unit = mu_scale * nu_scale
+    return DiscreteMeasure(
+        tuple((Fraction(s, pos_scale), Fraction(w, unit)) for s, w in sorted(acc.items()))
+    )
 
 
 def mix(coeffs: Sequence, measures: Sequence[DiscreteMeasure]) -> DiscreteMeasure:

@@ -27,12 +27,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import MassMismatch, NonConvexTestFn
 from .measures import (
     DiscreteMeasure,
     StepFunction,
+    _scaled_ints,
     as_rational,
     cdf_diff,
     convolve,
@@ -315,10 +315,8 @@ def step_self_convolution(h: StepFunction) -> PiecewiseLinear:
     levels = (0,) + h.values + (0,)
     jumps = [after - before for before, after in zip(levels, levels[1:])]
     # integer sweep: breakpoints in units of 1/scale_b, jumps of 1/scale_d
-    scale_b = lcm(*(b.denominator for b in h.breakpoints))
-    scale_d = lcm(*(d.denominator for d in jumps))
-    bs = [b.numerator * (scale_b // b.denominator) for b in h.breakpoints]
-    ds = [d.numerator * (scale_d // d.denominator) for d in jumps]
+    scale_b, bs = _scaled_ints(h.breakpoints)
+    scale_d, ds = _scaled_ints(jumps)
     kinks: dict[int, int] = {}
     for b, d in zip(bs, ds):
         for c, e in zip(bs, ds):
@@ -350,9 +348,11 @@ def rasa_criterion(
 
 def rasa_direct(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     """Brute-force oracle: build the three convolutions and run the direct
-    convex-order test.  Shares no code path with rasa_criterion, so the two
-    can certify each other; a mass mismatch is a definite failure here (the
-    constant test functions force equal masses), not an error."""
+    convex-order test.  Of rasa_criterion's code it shares only the integer
+    scaling of ``measures._scaled_ints`` (behind ``convolve`` here and the
+    profile there), which the tests check against literal Fraction loops, so
+    the two can certify each other.  A mass mismatch is a definite failure
+    here (the constant test functions force equal masses), not an error."""
     left = convolve(mu, nu)
     right = mix((_HALF, _HALF), (convolve(mu, mu), convolve(nu, nu)))
     return leq_cx(left, right)

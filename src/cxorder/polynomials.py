@@ -188,9 +188,7 @@ def poly_eval_measures(
 ) -> DiscreteMeasure:
     """Evaluate a non-negative polynomial on measures by convolution.
 
-    Each convolution power is built once per call.  Every convolution also
-    goes through the process-wide cache of ``measures.convolve``, so
-    repeated calls on the same measures reuse earlier products.
+    Each convolution power is built once per call.
     """
     if len(measures) != poly.arity:
         raise ArityMismatch(f"need {poly.arity} measures, got {len(measures)}")

@@ -86,6 +86,32 @@ def hinge_integral_brute(mu: DiscreteMeasure, threshold) -> Fraction:
     return total
 
 
+def convolve_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
+    """Independent oracle for convolve: the literal loop that adds every
+    atom pair's weight product, Fraction by Fraction, at the pair's sum."""
+    acc: dict[Fraction, Fraction] = {}
+    for x, wx in mu.atoms:
+        for y, wy in nu.atoms:
+            s = x + y
+            acc[s] = acc.get(s, Fraction(0)) + wx * wy
+    return DiscreteMeasure(tuple(sorted(acc.items())))
+
+
+def cauchy_product_oracle(u, v) -> list[Fraction]:
+    """Independent oracle for cauchy_product: the literal double loop over
+    the non-zero entries, Fraction by Fraction."""
+    if not u or not v:
+        return []
+    out = [Fraction(0)] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        if a == 0:
+            continue
+        for j, b in enumerate(v):
+            if b != 0:
+                out[i + j] += a * b
+    return out
+
+
 def leq_st_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     """Independent oracle for leq_st: the literal scan that re-sums both
     CDFs at every position of the union of supports."""

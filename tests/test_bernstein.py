@@ -514,6 +514,46 @@ def test_rasa_scan_matches_brute_double_sum():
         assert rasa_scan(n, grid, phi) == expected
 
 
+def test_rasa_scan_computes_each_unordered_pair_once(monkeypatch):
+    # the gap is symmetric, so a G-point grid needs G (G + 1) / 2 squared
+    # rows, not G^2
+    squares = []
+    product = bernstein.cauchy_product
+
+    def counting(u, v):
+        squares.append(len(u))
+        return product(u, v)
+
+    monkeypatch.setattr(bernstein, "cauchy_product", counting)
+    grid = unit_grid(Fraction(1, 6))
+    rows = rasa_scan(2, grid, hinge_fn(Fraction(1, 3)))
+    assert len(squares) == 7 * 8 // 2
+    assert [point for point, _ in rows] == [(x, y) for x in grid for y in grid]
+    gaps = dict(rows)
+    assert all(gaps[x, y] == gaps[y, x] for x in grid for y in grid)
+
+
+def test_operator_table_budget_is_checked_before_evaluating(monkeypatch):
+    monkeypatch.setattr(bernstein, "MAX_OPERATOR_TABLE", 12)
+    g2, g3 = absdiff_surface(1), poly_surface([(1, (1, 1, 1))], 3)
+    assert tensor_bernstein(g2, [2, 3], [Q, H]) == helpers.tensor_bernstein_oracle(g2, [2, 3], [Q, H])
+    assert gav_gap("P3", g3, [1, 2, 1], [0, H, 1]) == gav_gap_oracle("P3", g3, [1, 2, 1], [0, H, 1])
+
+    def refuse(*args):
+        raise AssertionError("nothing may be evaluated")
+
+    monkeypatch.setattr(BivariateFn, "__call__", refuse)
+    monkeypatch.setattr(bernstein, "binomial_weights", refuse)
+    with pytest.raises(BadParameter, match="table of 16 surface values; MAX_OPERATOR_TABLE = 12"):
+        tensor_bernstein(g2, [3, 3], [Q, H])
+    with pytest.raises(BadParameter, match="MAX_OPERATOR_TABLE"):
+        gav_gap("P1", g2, [3], [Q, H])
+    with pytest.raises(BadParameter, match="MAX_OPERATOR_TABLE"):
+        gav_gap("P3p", g3, [1, 2, 2], [0, H, 1])
+    with pytest.raises(BadParameter, match="MAX_OPERATOR_TABLE"):
+        gav_scan("P3", g3, [2, 2, 1], [0, 1])
+
+
 def test_supermodularity_check_tabulates_g_once(monkeypatch):
     # a 33-point grid costs 33^2 surface evaluations whether the screen
     # passes or has to walk to a witness

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cxorder import ParseError, make_measure, measure_from_json, measure_to_json
+from cxorder import ParseError, lattice, make_measure, measure_from_json, measure_to_json
 from cxorder.cli import parse_convex_fn, parse_mvpoly, parse_surface, run
 
 H = Fraction(1, 2)
@@ -359,6 +359,8 @@ def test_exponent_options_are_named_in_errors(argv, message):
         (["rasa-scan", "--n", "1", "--phi", "quad 1", "--step", "1/320"], "MAX_GRID_POINTS = 257"),
         (["gav-scan", "--mode", "P3", "--g", "absdiff 1", "--ns", "1,1,1", "--step", "1/64"],
          "MAX_SCAN_POINTS = 100000"),
+        (["gav", "--mode", "P3", "--g", "mid(quad 1; 1/3,1/3,1/3)", "--ns", "30,30,30",
+          "--points", "1/3,1/2,2/3"], "MAX_OPERATOR_TABLE = 10000"),
     ],
 )
 def test_scan_budgets_exit_2_with_one_line(argv, limit):
@@ -372,3 +374,28 @@ def test_scan_input_error_prints_no_csv_header():
     code, text = run(["bernstein", "gav-scan", "--mode", "P1", "--g", "absdiff 1",
                       "--ns", "1,1,1", "--step", "1/2"])
     assert (code, text) == (2, "error: ModeArity: mode P1 takes one or two degrees\n")
+
+
+def test_truncation_over_the_cutoff_budget_exits_2(monkeypatch):
+    monkeypatch.setattr(lattice, "MAX_CUTOFF", 64)
+    code, text = run(["genfun", "check", "--family", "negbinomial:1,255/256"])
+    assert code == 2
+    assert text == (
+        "error: BadParameter: negbinomial:1,255/256 at eps=1/1099511627776"
+        " needs a truncation cutoff above MAX_CUTOFF = 64\n"
+    )
+
+
+def test_genfun_csv_squares_the_pair_once(monkeypatch):
+    calls = []
+    square = lattice.genfun_square_coeffs
+
+    def counting(a, b):
+        calls.append((a, b))
+        return square(a, b)
+
+    monkeypatch.setattr(lattice, "genfun_square_coeffs", counting)
+    code, text = run(["genfun", "check", "--csv", "--family", "negbinomial:1,1/2",
+                      "--family", "negbinomial:1,9/16"])
+    assert code == 3 and text.startswith("index,num,den,sign\n")
+    assert len(calls) == 1

@@ -1,5 +1,6 @@
 """Generating-function tests and certified truncations."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from cxorder import lattice
 from cxorder import (
     BadParameter,
     Inconclusive,
@@ -127,6 +129,67 @@ def test_cauchy_product_against_polynomial_multiplication():
         assert out[k] == expected
 
 
+_signed_rows = st.lists(
+    st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-9, 9).map(Fraction),
+        st.fractions(min_value=-20, max_value=20, max_denominator=97),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=300)
+@given(_signed_rows, _signed_rows, st.none() | st.integers(-1, 22))
+def test_cauchy_product_matches_literal_oracle(u, v, length):
+    expected = helpers.cauchy_product_oracle(u, v)
+    if length is None:
+        out = cauchy_product(u, v)
+    else:
+        out = cauchy_product(u, v, length=length)
+        expected = expected[: max(length, 0)]
+    assert out == expected
+    assert all(type(c) is Fraction for c in out)
+
+
+@given(
+    st.fractions(min_value=-20, max_value=20, max_denominator=97).filter(bool),
+    st.fractions(min_value=-20, max_value=20, max_denominator=97),
+    st.fractions(min_value=-5, max_value=5, max_denominator=13).filter(bool),
+)
+def test_cauchy_product_keeps_cancelled_coefficients(u0, u1, t):
+    # (u0 + u1 z)(t u0 - t u1 z) = t (u0^2 - u1^2 z^2): the middle coefficient
+    # cancels to 0 and stays in the row
+    u, v = [u0, u1], [t * u0, -t * u1]
+    out = cauchy_product(u, v)
+    assert out == helpers.cauchy_product_oracle(u, v) == [t * u0 * u0, 0, -t * u1 * u1]
+    assert type(out[1]) is Fraction
+
+
+_NEGBIN_PARAMETERS = [Fraction(1, 3), Fraction(1, 2), Fraction(9, 16), Fraction(5, 8), Fraction(2, 7)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.sampled_from(_NEGBIN_PARAMETERS),
+    st.sampled_from(_NEGBIN_PARAMETERS),
+    st.integers(4, 40),
+)
+def test_cauchy_product_matches_oracle_on_negbinomial_differences(n, x, y, bits):
+    # the large-denominator signed rows genfun_square_coeffs squares
+    eps = Fraction(1, 2**bits)
+    a, b = truncate_negbinomial(n, x, eps), truncate_negbinomial(n, y, eps)
+    steps = itertools.zip_longest(b.coeffs, a.coeffs, fillvalue=Fraction(0))
+    d = list(itertools.accumulate(bk - ak for bk, ak in steps))
+    sound = min(a.last_index, b.last_index)
+    row = d[: sound + 1]
+    expected = helpers.cauchy_product_oracle(row, row)
+    assert cauchy_product(row, row) == expected
+    assert cauchy_product(row, row, length=sound + 1) == expected[: sound + 1]
+    assert genfun_square_coeffs(a, b) == expected[: sound + 1]
+
+
 # -- certified truncations -----------------------------------------------------
 
 
@@ -224,3 +287,34 @@ def test_interpolation_against_hinge_gap_on_truncations():
     for i in range(6):
         # normalisation perturbs by less than the tail certificates can hide
         assert abs(profile.value(i + 1) - coeffs[i]) < Fraction(1, 2**30)
+
+
+def test_truncation_cutoff_budget_boundary(monkeypatch):
+    # at eps 2^-10 negbinomial:1,1/2 stops at K = 16 and poisson:1 at K = 8;
+    # a budget one below refuses each
+    eps = Fraction(1, 2**10)
+    assert truncate_negbinomial(1, H, eps).last_index == 16
+    assert truncate_poisson(1, eps).last_index == 8
+    monkeypatch.setattr(lattice, "MAX_CUTOFF", 16)
+    assert truncate_negbinomial(1, H, eps).last_index == 16
+    monkeypatch.setattr(lattice, "MAX_CUTOFF", 15)
+    with pytest.raises(BadParameter, match="MAX_CUTOFF = 15"):
+        truncate_negbinomial(1, H, eps)
+    monkeypatch.setattr(lattice, "MAX_CUTOFF", 8)
+    assert truncate_poisson(1, eps).last_index == 8
+    monkeypatch.setattr(lattice, "MAX_CUTOFF", 7)
+    with pytest.raises(BadParameter, match="MAX_CUTOFF = 7"):
+        truncate_poisson(1, eps)
+
+
+def test_truncation_cutoff_budget_names_the_family(monkeypatch):
+    monkeypatch.setattr(lattice, "MAX_CUTOFF", 4)
+    with pytest.raises(BadParameter, match=r"negbinomial:1,255/256 .*MAX_CUTOFF = 4"):
+        truncate_negbinomial(1, Fraction(255, 256))
+    with pytest.raises(BadParameter, match=r"poisson:3 .*MAX_CUTOFF = 4"):
+        truncate_poisson(3)
+    # a Poisson parameter whose first cutoff 2^ceil(log2(2 lam)) is over the
+    # budget is refused before a single term is built
+    monkeypatch.setattr(lattice, "MAX_CUTOFF", 4096)
+    with pytest.raises(BadParameter, match="MAX_CUTOFF = 4096"):
+        truncate_poisson(10**100)

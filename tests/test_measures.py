@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from cxorder import (
@@ -105,6 +106,24 @@ def test_convolve_matches_direct_atom_pair_sum():
         for y, wy in nu.atoms:
             table[x + y] = table.get(x + y, Fraction(0)) + wx * wy
     assert convolve(mu, nu) == make_measure(table.items())
+
+
+# integer and fractional positions of both signs, weights with large and
+# unrelated denominators, so the common scales of convolve are non-trivial
+_positions = st.one_of(
+    st.integers(-20, 20).map(Fraction),
+    st.fractions(min_value=-20, max_value=20, max_denominator=60),
+)
+_weights = st.fractions(min_value=Fraction(1, 997), max_value=50, max_denominator=997)
+_scaled_measures = st.lists(st.tuples(_positions, _weights), max_size=8).map(make_measure)
+
+
+@settings(max_examples=300)
+@given(_scaled_measures, _scaled_measures)
+def test_convolve_matches_literal_oracle(mu, nu):
+    out = convolve(mu, nu)
+    assert out.atoms == helpers.convolve_oracle(mu, nu).atoms
+    assert all(type(x) is Fraction and type(w) is Fraction for x, w in out.atoms)
 
 
 def test_mix_basics():
