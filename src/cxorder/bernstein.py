@@ -20,14 +20,18 @@ from typing import Sequence
 from .errors import BadParameter, Inconclusive, ModeArity
 from .lattice import DEFAULT_EPS, cauchy_product, truncate_negbinomial
 from .measures import DiscreteMeasure, as_rational
-from .orders import ConvexTestFn, OrderVerdict, Witness
+from .orders import ConvexTestFn, OrderVerdict, Witness, hinge_fn
+from .polynomials import MVPolynomial
 
-# Budgets, checked before any work: unit_grid refuses a step finer than
-# 1/(MAX_GRID_POINTS - 1), and gav_scan/rasa_scan refuse more than
-# MAX_SCAN_POINTS points.  supermodularity_check tabulates G^2 values on a
-# G-point grid, so the grid budget bounds it too.  The product operator
-# behind tensor_bernstein, gav_gap and gav_scan tabulates prod(n_i + 1)
-# surface values and refuses more than MAX_OPERATOR_TABLE.
+# Budgets, checked before any work: binomial_weights refuses a degree above
+# MAX_DEGREE (rasa_gap takes about 0.4 s at n = 512 and 5 s at n = 1024),
+# unit_grid refuses a step finer than 1/(MAX_GRID_POINTS - 1), and
+# gav_scan/rasa_scan refuse more than MAX_SCAN_POINTS points.
+# supermodularity_check tabulates G^2 values on a G-point grid, so the grid
+# budget bounds it too.  The product operator behind tensor_bernstein,
+# gav_gap and gav_scan tabulates prod(n_i + 1) surface values and refuses
+# more than MAX_OPERATOR_TABLE.
+MAX_DEGREE = 512
 MAX_GRID_POINTS = 257
 MAX_SCAN_POINTS = 100_000
 MAX_OPERATOR_TABLE = 10_000
@@ -38,6 +42,8 @@ def binomial_weights(n: int, x) -> list[Fraction]:
     x = as_rational(x)
     if not isinstance(n, int) or n < 1:
         raise BadParameter(f"degree must be an integer >= 1, got {n!r}")
+    if n > MAX_DEGREE:
+        raise BadParameter(f"degree {n} exceeds MAX_DEGREE = {MAX_DEGREE}")
     if not 0 <= x <= 1:
         raise BadParameter(f"parameter x={x} must lie in [0, 1]")
     return [comb(n, i) * x**i * (1 - x) ** (n - i) for i in range(n + 1)]
@@ -71,7 +77,9 @@ def rasa_gap(n: int, x, y, phi: ConvexTestFn) -> Fraction:
 
 
 def _rasa_gap(u: Sequence[Fraction], v: Sequence[Fraction], phi_at) -> Fraction:
-    diff = [a - b for a, b in zip(u, v)]
+    """The squared row (u - v) x (u - v), the shorter row padded with
+    zeros, paired with phi_at."""
+    diff = [a - b for a, b in itertools.zip_longest(u, v, fillvalue=0)]
     return _phi_row_sum(cauchy_product(diff, diff), phi_at)
 
 
@@ -130,132 +138,85 @@ def multi_rasa_gap(n: int, xs: Sequence, phi: ConvexTestFn) -> Fraction:
 
 @dataclass(frozen=True)
 class BivariateFn:
-    """Exactly evaluable function of several rational variables, built from
-    monomial terms c * prod u_t^{e_t}, absolute differences c * |u_i - u_j|
-    and hinges c * (sum alpha_t u_t - A)_+.
+    """Exactly evaluable function of several rational variables: a
+    polynomial plus ridges c * phi(sum w_t u_t), phi a ConvexTestFn.
 
-    ``convex_cert`` / ``supermodular_cert`` record how a property is known:
-    "construction" for shapes that guarantee it, "grid" for a heuristic
-    finite check, None when nothing is claimed.  The name reflects the
-    dominant two-variable use; any arity works.
+    ``convex_cert`` / ``supermodular_cert`` are "construction" when the
+    shape guarantees the property and None when nothing is claimed.  A ridge
+    is convex for c >= 0, and supermodular as well when every w_t >= 0: a
+    convex function of a non-negative linear form (Topkis, Supermodularity
+    and Complementarity, 1998).  The name reflects the dominant two-variable
+    use; any arity works.
     """
 
-    arity: int = 2
-    poly_terms: tuple[tuple[Fraction, tuple[int, ...]], ...] = ()
-    hinge_terms: tuple[tuple[Fraction, tuple[Fraction, ...], Fraction], ...] = ()
-    absdiff_terms: tuple[tuple[Fraction, int, int], ...] = ()
+    poly: MVPolynomial
+    ridges: tuple[tuple[Fraction, ConvexTestFn, tuple[Fraction, ...]], ...] = ()
     convex_cert: str | None = None
     supermodular_cert: str | None = None
+
+    @property
+    def arity(self) -> int:
+        return self.poly.arity
 
     def __call__(self, point: Sequence) -> Fraction:
         xs = [as_rational(t) for t in point]
         if len(xs) != self.arity:
             raise ModeArity(f"need {self.arity} coordinates, got {len(xs)}")
-        total = Fraction(0)
-        for c, exps in self.poly_terms:
-            term = c
-            for t, e in zip(xs, exps):
-                if e:
-                    term *= t**e
-            total += term
-        for c, alphas, a in self.hinge_terms:
-            s = sum((al * t for al, t in zip(alphas, xs)), Fraction(0)) - a
-            if s > 0:
-                total += c * s
-        for c, i, j in self.absdiff_terms:
-            total += c * abs(xs[i] - xs[j])
+        total = self.poly.eval(xs)
+        for c, phi, w in self.ridges:
+            total += c * phi(sum((wt * t for wt, t in zip(w, xs) if wt), Fraction(0)))
         return total
 
     def __add__(self, other: "BivariateFn") -> "BivariateFn":
         if self.arity != other.arity:
             raise ModeArity(f"arities differ: {self.arity} vs {other.arity}")
         return BivariateFn(
-            self.arity,
-            self.poly_terms + other.poly_terms,
-            self.hinge_terms + other.hinge_terms,
-            self.absdiff_terms + other.absdiff_terms,
-            _join_certs(self.convex_cert, other.convex_cert),
-            _join_certs(self.supermodular_cert, other.supermodular_cert),
+            self.poly + other.poly,
+            self.ridges + other.ridges,
+            # both properties are preserved under addition
+            self.convex_cert and other.convex_cert,
+            self.supermodular_cert and other.supermodular_cert,
         )
-
-
-def _join_certs(a: str | None, b: str | None) -> str | None:
-    # both properties are preserved under addition; keep the weaker evidence
-    if a is None or b is None:
-        return None
-    return "grid" if "grid" in (a, b) else "construction"
 
 
 def poly_surface(terms, arity: int = 2) -> BivariateFn:
     """Plain polynomial terms [(coeff, exponents), ...]; certificates are
     claimed only in the affine case (convex and modular by construction)."""
-    cleaned = tuple(
-        (as_rational(c), tuple(int(e) for e in exps)) for c, exps in terms
-    )
-    affine = all(sum(exps) <= 1 for _, exps in cleaned)
-    cert = "construction" if affine else None
-    return BivariateFn(arity, poly_terms=cleaned, convex_cert=cert, supermodular_cert=cert)
+    cleaned = [(as_rational(c), tuple(int(e) for e in exps)) for c, exps in terms]
+    monomials = (MVPolynomial.monomial(arity, exps, c) for c, exps in cleaned)
+    cert = "construction" if all(sum(exps) <= 1 for _, exps in cleaned) else None
+    return BivariateFn(sum(monomials, MVPolynomial.zero(arity)), (), cert, cert)
+
+
+def _ridge(coeff, phi: ConvexTestFn, weights: Sequence, arity: int | None = None) -> BivariateFn:
+    """c * phi(sum w_t u_t) with its certificates (see BivariateFn)."""
+    c = as_rational(coeff)
+    w = tuple(as_rational(t) for t in weights)
+    convex = "construction" if c >= 0 else None
+    supermod = convex if all(t >= 0 for t in w) else None
+    zero = MVPolynomial.zero(len(w) if arity is None else arity)
+    return BivariateFn(zero, ((c, phi, w),), convex, supermod)
 
 
 def absdiff_surface(coeff=1, arity: int = 2, i: int = 0, j: int = 1) -> BivariateFn:
-    """c * |u_i - u_j|: convex by construction for c >= 0 (and famously not
-    supermodular)."""
-    c = as_rational(coeff)
-    return BivariateFn(
-        arity,
-        absdiff_terms=((c, i, j),),
-        convex_cert="construction" if c >= 0 else None,
-    )
+    """c * |u_i - u_j| = c * (2 (u_i - u_j)_+ - (u_i - u_j)): convex for
+    c >= 0 (and famously not supermodular)."""
+    w = [0] * arity
+    w[i] += 1
+    w[j] -= 1
+    return _ridge(coeff, ConvexTestFn(slope=-1, hinges=((0, 2),)), w)
 
 
 def hinge_surface(coeff, alphas, threshold, arity: int | None = None) -> BivariateFn:
-    """c * (sum alpha_t u_t - A)_+; convex for c >= 0, supermodular as well
-    when every alpha is >= 0 (an increasing convex ridge)."""
-    c = as_rational(coeff)
-    al = tuple(as_rational(a) for a in alphas)
-    if arity is None:
-        arity = len(al)
-    convex = "construction" if c >= 0 else None
-    supermod = "construction" if c >= 0 and all(a >= 0 for a in al) else None
-    return BivariateFn(
-        arity,
-        hinge_terms=((c, al, as_rational(threshold)),),
-        convex_cert=convex,
-        supermodular_cert=supermod,
-    )
+    """c * (sum alpha_t u_t - A)_+: an increasing convex ridge when c and
+    every alpha are >= 0."""
+    return _ridge(coeff, hinge_fn(threshold), alphas, arity)
 
 
 def compose_convex(phi: ConvexTestFn, weights: Sequence) -> BivariateFn:
     """g(u_1..u_k) = phi(sum w_t u_t): convex by construction, and
     supermodular too when the weights are non-negative."""
-    w = tuple(as_rational(t) for t in weights)
-    k = len(w)
-    terms: list[tuple[Fraction, tuple[int, ...]]] = []
-    if phi.const:
-        terms.append((phi.const, (0,) * k))
-    if phi.slope:
-        for i, wi in enumerate(w):
-            if wi:
-                exps = [0] * k
-                exps[i] = 1
-                terms.append((phi.slope * wi, tuple(exps)))
-    if phi.curve:
-        for i, wi in enumerate(w):
-            for j, wj in enumerate(w):
-                if wi and wj:
-                    exps = [0] * k
-                    exps[i] += 1
-                    exps[j] += 1
-                    terms.append((phi.curve * wi * wj, tuple(exps)))
-    hinges = tuple((c, w, a) for a, c in phi.hinges)
-    supermod = "construction" if all(t >= 0 for t in w) else None
-    return BivariateFn(
-        k,
-        poly_terms=tuple(terms),
-        hinge_terms=hinges,
-        convex_cert="construction",
-        supermodular_cert=supermod,
-    )
+    return _ridge(1, phi, weights)
 
 
 def tensor_bernstein(g: BivariateFn, ns: Sequence[int], xs: Sequence) -> Fraction:
@@ -352,11 +313,16 @@ def gav_scan(mode: str, g: BivariateFn, ns: Sequence[int], grid: Sequence) -> li
     return [(pt, _gav_gap(mode, op, ns, pt)) for pt in itertools.product(grid, repeat=g.arity)]
 
 
-def _gav_gap(mode: str, op: _ProductOperator, ns: Sequence[int], points: Sequence) -> Fraction:
+def _unit_points(points: Sequence) -> list[Fraction]:
     xs = [as_rational(t) for t in points]
     for t in xs:
         if not 0 <= t <= 1:
             raise BadParameter(f"point coordinate {t} must lie in [0, 1]")
+    return xs
+
+
+def _gav_gap(mode: str, op: _ProductOperator, ns: Sequence[int], points: Sequence) -> Fraction:
+    xs = _unit_points(points)
     if mode in ("P1", "P1p"):
         if len(xs) != 2:
             raise ModeArity(f"mode {mode} takes exactly two points, got {len(xs)}")
@@ -455,23 +421,20 @@ def eq6prim_gap(ns: Sequence[int], xs: Sequence, phi: ConvexTestFn) -> Fraction:
             - sum_{i_1..i_k} prod_t b_{n_t,i_t}(x_t) phi((i_1+...+i_k)/m)
 
     with m = sum n_i; non-negative for convex phi.  The mixed sum collapses
-    along the total index through coefficient convolution."""
+    along the total index through coefficient convolution.  The block rows
+    of degree m come first, so MAX_DEGREE refuses m before any product."""
     if not ns or len(ns) != len(xs):
         raise ModeArity(f"{len(ns)} degrees vs {len(xs)} coordinates; need >= 1 block")
-    points = [as_rational(t) for t in xs]
-    for t in points:
-        if not 0 <= t <= 1:
-            raise BadParameter(f"point coordinate {t} must lie in [0, 1]")
+    points = _unit_points(xs)
     m = sum(ns)
-    joint = [Fraction(1)]
-    for n, x in zip(ns, points):
-        joint = cauchy_product(joint, binomial_weights(n, x))
     phi_at = lambda s: phi(Fraction(s, m))
-    mixed = _phi_row_sum(joint, phi_at)
     blocks = Fraction(0)
     for n, x in zip(ns, points):
         blocks += Fraction(n, m) * _phi_row_sum(binomial_weights(m, x), phi_at)
-    return blocks - mixed
+    joint = [Fraction(1)]
+    for n, x in zip(ns, points):
+        joint = cauchy_product(joint, binomial_weights(n, x))
+    return blocks - _phi_row_sum(joint, phi_at)
 
 
 @dataclass(frozen=True)
@@ -525,10 +488,9 @@ def gavrea_p4_sum(n: int, x, y, phi: ConvexTestFn, eps=DEFAULT_EPS) -> IntervalV
     bound = phi.bound_on_unit_interval()
     fam_x = truncate_negbinomial(n, x, eps)
     fam_y = truncate_negbinomial(n, y, eps)
-    pairs = itertools.zip_longest(fam_x.coeffs, fam_y.coeffs, fillvalue=Fraction(0))
-    diff = [a - b for a, b in pairs]
-    boxed = _phi_row_sum(cauchy_product(diff, diff), lambda s: phi(Fraction(s, 2 * n + s)))
-    sigma = sum((abs(d) for d in diff), Fraction(0))
+    boxed = _rasa_gap(fam_x.coeffs, fam_y.coeffs, lambda s: phi(Fraction(s, 2 * n + s)))
+    pairs = itertools.zip_longest(fam_x.coeffs, fam_y.coeffs, fillvalue=0)
+    sigma = sum((abs(a - b) for a, b in pairs), Fraction(0))
     tau = fam_x.tail_bound + fam_y.tail_bound
     slack = bound * (2 * sigma * tau + tau * tau)
     return IntervalValue(boxed - slack, boxed + slack)

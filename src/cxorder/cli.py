@@ -112,7 +112,7 @@ def _split_top(text: str, sep: str, base: int) -> list[tuple[str, int]]:
 
 def _fraction(token: str, pos: int) -> Fraction:
     try:
-        return Fraction(token)
+        return as_rational(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad fraction {token!r}: {exc}", pos) from exc
 
@@ -297,7 +297,7 @@ def load_measure(spec: str) -> DiscreteMeasure:
         args = spec.split(":", 1)[1]
         try:
             n_text, x_text = args.split(",")
-            return bn.binomial_measure(int(n_text), Fraction(x_text))
+            return bn.binomial_measure(int(n_text), as_rational(x_text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad binomial spec {spec!r}: {exc}") from exc
     raise ParseError(f"measure {spec!r} is neither a file nor an inline family")
@@ -396,11 +396,11 @@ def _equivalence_sweep(out: _Printer, trials: int, seed: int, lattice_only: bool
     rng = random.Random(seed)
     for trial in range(trials):
         if lattice_only:
-            mu = make_measure(
-                (rng.randint(0, 6), Fraction(rng.randint(1, 8))) for _ in range(rng.randint(1, 5))
-            )
-            nu = make_measure(
-                (rng.randint(0, 6), Fraction(rng.randint(1, 8))) for _ in range(rng.randint(1, 5))
+            mu, nu = (
+                make_measure(
+                    (rng.randint(0, 6), rng.randint(1, 8)) for _ in range(rng.randint(1, 5))
+                )
+                for _ in range(2)
             )
             nu = nu.scaled(mu.mass / nu.mass)
             expected = lat.genfun_test(lat.as_lattice(mu), lat.as_lattice(nu))
@@ -430,9 +430,8 @@ def _cmd_rasa(args, out: _Printer) -> int:
     mu, nu = load_measure(args.mu), load_measure(args.nu)
     if args.action == "check":
         verdict, profile = rasa_criterion(mu, nu)
-        _, low = profile.minimum()
         if verdict.holds:
-            out.say(f"holds; min {out.rat(low)}")
+            out.say(f"holds; min {out.rat(profile.minimum()[1])}")
             return EXIT_HOLDS
         out.say("fails; " + _witness_text(out, verdict.witness))
         return EXIT_FAILS
@@ -467,7 +466,7 @@ def _cmd_genfun(args, out: _Printer) -> int:
         raise ParseError("genfun check needs exactly two sequences (files or families)")
     first, second = sequences
     coeffs = None
-    if args.csv:
+    if args.csv and first.total_mass == second.total_mass:  # else a mass witness, no rows
         coeffs = lat.genfun_square_coeffs(first, second)  # may raise Inconclusive
         out.say("index,num,den,sign")
         for k, c in enumerate(coeffs):
@@ -725,9 +724,18 @@ def _default_eps() -> Fraction:
     if not text:
         return lat.DEFAULT_EPS
     try:
-        return Fraction(text)
+        return as_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"CXORDER_EPS={text!r} is not a fraction: {exc}") from exc
+
+
+def _rational_arg(text: str) -> Fraction:
+    """argparse type of the --eps options: as_rational, its errors reported
+    as bad values of the option."""
+    try:
+        return as_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"bad fraction {text!r}: {exc}") from exc
 
 
 def build_parser() -> _Parser:
@@ -763,7 +771,7 @@ def build_parser() -> _Parser:
     check.add_argument("--nu")
     check.add_argument("--family", action="append",
                        help="negbinomial:n,x or poisson:lambda (repeatable)")
-    check.add_argument("--eps", type=Fraction, default=_default_eps())
+    check.add_argument("--eps", type=_rational_arg, default=_default_eps())
     check.add_argument("--csv", action="store_true")
     gequiv = genfun_actions.add_parser("equivalence")
     gequiv.add_argument("--trials", type=int, default=200)
@@ -828,11 +836,11 @@ def build_parser() -> _Parser:
     p4.add_argument("--x", required=True)
     p4.add_argument("--y", required=True)
     p4.add_argument("--phi", required=True)
-    p4.add_argument("--eps", type=Fraction, default=_default_eps())
+    p4.add_argument("--eps", type=_rational_arg, default=_default_eps())
 
     repro = verbs.add_parser("reproduce", help="bundled reference scenarios")
     repro.add_argument("case", choices=["example-3", "gavrea-p4", "absdiff", "rasa-binomial"])
-    repro.add_argument("--eps", type=Fraction, default=_default_eps())
+    repro.add_argument("--eps", type=_rational_arg, default=_default_eps())
 
     return parser
 

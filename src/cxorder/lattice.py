@@ -148,9 +148,11 @@ def genfun_test(
     coefficient of the full family); a clean prefix stays inconclusive, and
     lower-bound families (Poisson) are inconclusive outright.  A caller that
     already holds ``genfun_square_coeffs(a, b)`` passes it as ``coeffs``.
+    Unequal total masses m1 != m2 fail outright with the mass gap
+    -(m1 - m2)^2/2 of the constant test functions, as in rasa_criterion.
     """
     if a.total_mass != b.total_mass:
-        raise MassMismatch(f"total masses differ: {a.total_mass} vs {b.total_mass}")
+        return OrderVerdict(False, Witness("mass", None, -((a.total_mass - b.total_mass) ** 2) / 2))
     if not (a.exact and b.exact):
         return OrderVerdict(None)
     if coeffs is None:
@@ -212,43 +214,38 @@ def truncate_poisson(lam, eps=DEFAULT_EPS) -> LatticeSeq:
     exponential series plus a geometric remainder.  The truncation tail and
     the total rounding slack both go into tail_bound, so the sequence is a
     certified under-approximation of the Poisson family.  The cutoff K
-    doubles until the tail is below eps; a K above MAX_CUTOFF raises
-    BadParameter before its terms are built.
+    starts at the first power of two >= 2 lam, so every term ratio past K is
+    <= 1/2, and doubles until the tail is below eps; the terms lam^k/k! are
+    extended in place, and a K above MAX_CUTOFF raises BadParameter before
+    its terms are built.
     """
     lam, eps = as_rational(lam), as_rational(eps)
     if lam <= 0:
         raise BadParameter(f"Poisson parameter {lam} must be positive")
     if eps <= 0:
         raise BadParameter(f"eps={eps} must be positive")
-
-    order = 1
-    while order < 2 * lam:  # keeps every later term ratio <= 1/2
-        order *= 2
-    cutoff = order
+    cutoff = 1
+    while cutoff < 2 * lam:
+        cutoff *= 2
+    core = [Fraction(1)]  # lam^k / k!
+    boxed, summed = Fraction(0), 0  # boxed = sum(core[:summed])
     while True:
-        _check_cutoff(max(order, cutoff), f"poisson:{lam}", eps)
-        core = [Fraction(1)]
-        for k in range(1, max(order, cutoff) + 2):
-            core.append(core[-1] * lam / k)
-        partial = sum(core[: order + 1], Fraction(0))
-        upper_exp = partial + 2 * core[order + 1]  # geometric tail, ratio <= 1/2
-        lower_factor = 1 / upper_exp  # <= e^(-lam)
-        upper_factor = 1 / partial  # >= e^(-lam)
-
-        ratio = lam / (cutoff + 2)
-        if ratio < 1:
-            core_tail = core[cutoff + 1] / (1 - ratio)
-            boxed = sum(core[: cutoff + 1], Fraction(0))
-            slack = (upper_factor - lower_factor) * boxed
-            tail = upper_factor * core_tail + slack
-            if tail < eps:
-                return LatticeSeq(
-                    tuple(lower_factor * c for c in core[: cutoff + 1]),
-                    tail_bound=tail,
-                    total_mass=Fraction(1),
-                    exact=False,
-                )
-        order *= 2
+        _check_cutoff(cutoff, f"poisson:{lam}", eps)
+        while len(core) < cutoff + 2:
+            core.append(core[-1] * lam / len(core))
+        boxed += sum(core[summed : cutoff + 1], Fraction(0))
+        summed = cutoff + 1
+        lower_factor = 1 / (boxed + 2 * core[cutoff + 1])  # <= e^(-lam)
+        upper_factor = 1 / boxed  # >= e^(-lam)
+        core_tail = core[cutoff + 1] / (1 - lam / (cutoff + 2))
+        tail = upper_factor * core_tail + (upper_factor - lower_factor) * boxed
+        if tail < eps:
+            return LatticeSeq(
+                tuple(lower_factor * c for c in core[: cutoff + 1]),
+                tail_bound=tail,
+                total_mass=Fraction(1),
+                exact=False,
+            )
         cutoff *= 2
 
 
@@ -268,9 +265,9 @@ def truncated_family(family: str, eps=DEFAULT_EPS) -> LatticeSeq:
     try:
         if name == "negbinomial":
             n_text, x_text = (t.strip() for t in args.split(","))
-            return truncate_negbinomial(int(n_text), Fraction(x_text), eps)
+            return truncate_negbinomial(int(n_text), as_rational(x_text), eps)
         if name == "poisson":
-            return truncate_poisson(Fraction(args.strip()), eps)
+            return truncate_poisson(as_rational(args), eps)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadParameter(f"malformed family parameters {args!r}: {exc}") from exc
     raise BadParameter(f"unknown family {name!r}; expected negbinomial or poisson")

@@ -10,6 +10,7 @@ between threads without synchronisation.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,14 +19,27 @@ from typing import Iterable, Sequence
 
 from .errors import MassMismatch, NegativeWeight, ParseError
 
+# Budget on the exponent of a string like "1e-30": Fraction builds 10^|exp|
+# before any other check.  4300 is Python's own cap on the digits of an
+# integer read from a string, which bounds the other parts of the text.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)", re.IGNORECASE)
+
+
 def as_rational(value) -> Fraction:
-    """Coerce ints, Fractions and fraction strings like ``-3/4``.
+    """Coerce ints, Fractions and fraction strings like ``-3/4`` or ``1e-3``.
 
     Floats are refused outright: admitting one would silently break the
-    exactness guarantee of the whole pipeline.
+    exactness guarantee of the whole pipeline.  A string whose exponent
+    exceeds MAX_EXPONENT in size raises ValueError before Fraction sees it.
     """
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass a Fraction, int or string")
+    if isinstance(value, str):
+        match = _EXPONENT.search(value)
+        exponent = match.group(1).replace("_", "").lstrip("0") if match else ""
+        if len(exponent) > len(str(MAX_EXPONENT)) or int(exponent or 0) > MAX_EXPONENT:
+            raise ValueError(f"exponent of {value!r} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
     return Fraction(value)
 
 

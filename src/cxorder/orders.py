@@ -150,7 +150,11 @@ class ConvexTestFn:
 
     def __call__(self, x) -> Fraction:
         x = as_rational(x)
-        out = self.const + self.slope * x + self.curve * x * x
+        out = self.const
+        if self.slope:
+            out += self.slope * x
+        if self.curve:
+            out += self.curve * x * x
         for a, c in self.hinges:
             if x > a:
                 out += c * (x - a)
@@ -331,15 +335,18 @@ def step_self_convolution(h: StepFunction) -> PiecewiseLinear:
 
 def rasa_criterion(
     mu: DiscreteMeasure, nu: DiscreteMeasure
-) -> tuple[OrderVerdict, PiecewiseLinear]:
+) -> tuple[OrderVerdict, PiecewiseLinear | None]:
     """Necessary-and-sufficient test for mu*nu <=_cx (mu*mu + nu*nu)/2.
 
     Returns the verdict together with the full profile (H*H) of
     H = cdf_diff(mu, nu); the verdict holds exactly when the profile is
     nonnegative, and a failure reports the smallest minimising abscissa.
+    Unequal masses m1 != m2 fail with no profile: the constant test
+    functions give the gap m1 m2 - (m1^2 + m2^2)/2 = -(m1 - m2)^2/2.
     """
-    h = cdf_diff(mu, nu)  # raises MassMismatch when unrepresentable
-    profile = step_self_convolution(h)
+    if mu.mass != nu.mass:
+        return OrderVerdict(False, Witness("mass", None, -((mu.mass - nu.mass) ** 2) / 2)), None
+    profile = step_self_convolution(cdf_diff(mu, nu))
     arg, low = profile.minimum()
     if low < 0:
         return OrderVerdict(False, Witness("profile", arg, low)), profile

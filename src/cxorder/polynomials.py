@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -293,14 +293,7 @@ def sos_step_decomposition(p: Sequence[int], q: Sequence[int]) -> SosDecompositi
     rest = tuple(ph[l] for l in range(m) if l not in (l1, l2))
 
     # multiplicity of each distinct arrangement of the remaining exponents
-    count = 1
-    for value in set(rest):
-        occurrences = sum(1 for e in rest if e == value)
-        for f in range(2, occurrences + 1):
-            count *= f
-    m_factorial = 1
-    for f in range(2, m + 1):
-        m_factorial *= f
+    count = prod(map(factorial, Counter(rest).values()))
 
     parts = []
     for u in range(m):
@@ -325,7 +318,7 @@ def sos_step_decomposition(p: Sequence[int], q: Sequence[int]) -> SosDecompositi
             factor = (
                 MVPolynomial.from_dict(m, rest_sum)
                 * MVPolynomial.from_dict(m, bridge)
-            ).scaled(Fraction(1, m_factorial))
+            ).scaled(Fraction(1, factorial(m)))
             if not factor.is_zero:
                 parts.append((u, v, factor))
     decomposition = SosDecomposition(m, tuple(parts))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cxorder import (
     BivariateFn,
+    ConvexTestFn,
     DiscreteMeasure,
     OrderVerdict,
     PiecewiseLinear,
@@ -202,3 +203,44 @@ def supermodularity_check_oracle(g: BivariateFn, grid) -> OrderVerdict:
             if gap < 0:
                 return OrderVerdict(False, Witness("quadruple", (x1, x2, y1, y2), gap))
     return OrderVerdict(True)
+
+
+def surface_oracle(point, poly_terms=(), hinge_terms=(), absdiff_terms=()) -> Fraction:
+    """Independent oracle for BivariateFn: the literal loops over three term
+    kinds, monomials (c, exponents) for c * prod u_t^e_t, hinges
+    (c, alphas, A) for c * (sum alpha_t u_t - A)_+ and absolute differences
+    (c, i, j) for c * |u_i - u_j|."""
+    xs = [as_rational(t) for t in point]
+    total = Fraction(0)
+    for c, exps in poly_terms:
+        term = c
+        for t, e in zip(xs, exps):
+            if e:
+                term *= t**e
+        total += term
+    for c, alphas, a in hinge_terms:
+        s = sum((al * t for al, t in zip(alphas, xs)), Fraction(0)) - a
+        if s > 0:
+            total += c * s
+    for c, i, j in absdiff_terms:
+        total += c * abs(xs[i] - xs[j])
+    return total
+
+
+def compose_convex_terms(phi: ConvexTestFn, weights):
+    """(poly_terms, hinge_terms) of phi(sum w_t u_t) for surface_oracle: the
+    constant, linear and quadratic parts of phi expanded into monomials,
+    each hinge of phi a hinge term."""
+    w = tuple(as_rational(t) for t in weights)
+    k = len(w)
+    terms = [(phi.const, (0,) * k)]
+    for i, wi in enumerate(w):
+        exps = [0] * k
+        exps[i] = 1
+        terms.append((phi.slope * wi, tuple(exps)))
+        for j, wj in enumerate(w):
+            exps = [0] * k
+            exps[i] += 1
+            exps[j] += 1
+            terms.append((phi.curve * wi * wj, tuple(exps)))
+    return terms, [(c, w, a) for a, c in phi.hinges]

@@ -395,6 +395,61 @@ def surfaces(draw, arity=2, supermodular=False):
 
 grids = st.lists(st.one_of(unit_points, small), min_size=0, max_size=8)
 
+nonneg = st.fractions(min_value=0, max_value=2, max_denominator=4)
+convex_fns = st.builds(
+    ConvexTestFn, small, small, nonneg, st.lists(st.tuples(small, nonneg), max_size=2).map(tuple)
+)
+
+
+@st.composite
+def surface_sums(draw):
+    """A random sum of the four surface constructors, signed coefficients
+    and weights, arity 1 to 3; with the oracle's terms and the certificates
+    the three-kind surface type gave each constructor."""
+    arity = draw(st.integers(1, 3))
+    coords = st.lists(small, min_size=arity, max_size=arity)
+    terms = {"poly_terms": [], "hinge_terms": [], "absdiff_terms": []}
+    pieces, convex, supermod = [], True, True
+    kinds = st.sampled_from(["poly", "hinge", "absdiff", "mid"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=4)):
+        c = draw(small)
+        if kind == "poly":
+            exps = tuple(draw(st.lists(st.integers(0, 2), min_size=arity, max_size=arity)))
+            pieces.append(poly_surface([(c, exps)], arity))
+            terms["poly_terms"].append((c, exps))
+            affine = sum(exps) <= 1
+            convex, supermod = convex and affine, supermod and affine
+        elif kind == "hinge":
+            alphas, a = draw(coords), draw(small)
+            pieces.append(hinge_surface(c, alphas, a, draw(st.sampled_from([None, arity]))))
+            terms["hinge_terms"].append((c, alphas, a))
+            convex = convex and c >= 0
+            supermod = supermod and c >= 0 and all(t >= 0 for t in alphas)
+        elif kind == "absdiff" and arity >= 2:
+            i, j = draw(st.permutations(range(arity)))[:2]
+            pieces.append(absdiff_surface(c, arity, i, j))
+            terms["absdiff_terms"].append((c, i, j))
+            convex, supermod = convex and c >= 0, False
+        else:
+            phi, w = draw(convex_fns), draw(coords)
+            pieces.append(compose_convex(phi, w))
+            poly_terms, hinge_terms = helpers.compose_convex_terms(phi, w)
+            terms["poly_terms"] += poly_terms
+            terms["hinge_terms"] += hinge_terms
+            supermod = supermod and all(t >= 0 for t in w)
+    return sum(pieces[1:], pieces[0]), terms, convex, supermod
+
+
+@settings(max_examples=150, deadline=None)
+@given(surface_sums(), st.data())
+def test_surfaces_match_the_three_kind_oracle(drawn, data):
+    g, terms, convex, supermod = drawn
+    points = st.lists(st.one_of(unit_points, small), min_size=g.arity, max_size=g.arity)
+    for point in data.draw(st.lists(points, min_size=1, max_size=4)):
+        assert g(point) == helpers.surface_oracle(point, **terms)
+    assert g.convex_cert == ("construction" if convex else None)
+    assert g.supermodular_cert == ("construction" if supermod else None)
+
 
 @settings(max_examples=200, deadline=None)
 @given(surfaces(), grids)
@@ -614,3 +669,25 @@ def test_scan_budget_is_checked_before_enumerating(monkeypatch):
         gav_scan("P3", poly_surface([(1, (1, 1, 1))], 3), [1, 1, 1], [0, H, 1])
     with pytest.raises(BadParameter, match="MAX_SCAN_POINTS"):
         rasa_scan(1, five, hinge_fn(H))
+
+
+def test_degree_budget_boundary(monkeypatch):
+    limit = bernstein.MAX_DEGREE
+    assert limit == 512
+    assert len(binomial_weights(limit, Fraction(1, 3))) == limit + 1
+
+    def refuse(*args):
+        raise AssertionError("no weight may be built")
+
+    monkeypatch.setattr(bernstein, "comb", refuse)
+    monkeypatch.setattr(bernstein, "cauchy_product", refuse)
+    for call in (
+        lambda: binomial_weights(limit + 1, Fraction(1, 3)),
+        lambda: binomial_measure(limit + 1, H),
+        lambda: rasa_gap(limit + 1, Q, H, quad_fn(1)),
+        lambda: rasa_scan(limit + 1, [0, 1], quad_fn(1)),
+        lambda: multi_rasa_gap(limit + 1, [0, H, 1], quad_fn(1)),
+        lambda: eq6prim_gap([256, 257], [Q, H], quad_fn(1)),  # m = 513
+    ):
+        with pytest.raises(BadParameter, match=f"degree 513 exceeds MAX_DEGREE = {limit}"):
+            call()

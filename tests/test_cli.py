@@ -399,3 +399,85 @@ def test_genfun_csv_squares_the_pair_once(monkeypatch):
                       "--family", "negbinomial:1,9/16"])
     assert code == 3 and text.startswith("index,num,den,sign\n")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bernstein", "rasa", "--n", "513", "--x", "1/4", "--y", "3/4", "--phi", "quad 1"],
+         "degree 513"),
+        (["bernstein", "rasa-scan", "--n", "513", "--phi", "quad 1", "--step", "1/2"],
+         "degree 513"),
+        (["bernstein", "multi", "--n", "513", "--points", "0,1", "--phi", "quad 1"],
+         "degree 513"),
+        (["bernstein", "eq6", "--ns", "500,13", "--points", "0,1", "--phi", "quad 1"],
+         "degree 513"),
+        (["order", "st", "--mu", "binomial:513,1/2", "--nu", "binomial:1,1/2"], "degree 513"),
+    ],
+)
+def test_degree_budget_exits_2_with_one_line(argv, message):
+    code, text = run(argv)
+    assert code == 2
+    assert text == f"error: BadParameter: {message} exceeds MAX_DEGREE = 512\n"
+
+
+def test_degree_budget_admits_512():
+    code, text = run(["order", "cx", "--mu", "binomial:512,1/2", "--nu", "binomial:512,1/2"])
+    assert (code, text) == (0, "holds\n")
+
+
+@pytest.mark.parametrize("exponent", ["4301", "-4301"])
+def test_exponent_budget_at_every_textual_entry_point(exponent, tmp_path, monkeypatch):
+    big = f"1e{exponent}"
+    measure = tmp_path / "big.json"
+    measure.write_text(f'{{"atoms": [{{"x": "{big}", "w": "1"}}]}}')
+    family = ["genfun", "check", "--family"]
+    commands = [
+        ["order", "st", "--mu", str(measure), "--nu", str(measure)],
+        ["bernstein", "rasa", "--n", "1", "--x", big, "--y", "0", "--phi", "quad 1"],
+        ["rasa", "gap", "--mu", "binomial:1,1/2", "--nu", "binomial:1,1/2",
+         "--phi", f"hinge {big} 1"],
+        ["order", "st", "--mu", f"binomial:2,{big}", "--nu", "binomial:2,1/2"],
+        family + [f"negbinomial:1,{big}"],
+        family + [f"poisson:{big}"],
+        family + ["poisson:1", "--eps", big],
+        ["bernstein", "p4", "--n", "1", "--x", "1/4", "--y", "3/4", "--phi", "quad 1",
+         "--eps", big],
+        ["reproduce", "gavrea-p4", "--eps", big],
+    ]
+    for argv in commands:
+        code, text = run(argv)
+        assert code == 2 and text.count("\n") == 1, argv
+        assert "MAX_EXPONENT = 4300" in text, argv
+    monkeypatch.setenv("CXORDER_EPS", big)
+    code, text = run(["major", "compare", "--p", "1,1", "--q", "2,0"])
+    assert code == 2 and text.count("\n") == 1
+    assert text.startswith(f"error: CXORDER_EPS='{big}' is not a fraction")
+    assert "MAX_EXPONENT" in text
+
+
+def test_exponent_budget_admits_4300(tmp_path):
+    measure = tmp_path / "big.json"
+    measure.write_text('{"atoms": [{"x": "1e4300", "w": "1e-4300"}]}')
+    assert run(["order", "cx", "--mu", str(measure), "--nu", str(measure)]) == (0, "holds\n")
+    pair = ["--mu", "binomial:1,1e-4300", "--nu", "binomial:1,1e-4300"]
+    assert run(["rasa", "gap"] + pair + ["--phi", "hinge 1e4300 1"]) == (0, "gap = 0\n")
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_bad_eps_exits_2_with_one_line(value):
+    code, text = run(["genfun", "check", "--family", "poisson:1", "--eps", value])
+    assert code == 2
+    assert text.count("\n") == 1
+    assert text.startswith(f"error: argument --eps: bad fraction '{value}'")
+
+
+def test_genfun_csv_mass_mismatch_prints_the_witness_only(measure_files, tmp_path):
+    half = str(tmp_path / "half.json")
+    with open(half, "w") as handle:
+        handle.write(measure_to_json(make_measure([(0, H)])))
+    argv = ["genfun", "check", "--mu", half, "--nu", measure_files["coin"]]
+    expected = (1, "fails; mass mismatch gap=-1/8\n")
+    assert run(argv) == run(argv + ["--csv"]) == expected
+    assert run(["rasa", "check", "--mu", half, "--nu", measure_files["coin"]]) == expected
+    assert run(["rasa", "direct", "--mu", half, "--nu", measure_files["coin"]]) == expected

@@ -61,6 +61,9 @@ CASES = {
     "genfun_lower_bounds_csv": ["genfun", "check", "--family", "poisson:1",
                                 "--family", "poisson:2", "--eps", "1/64", "--csv"],
     "genfun_equivalence": ["genfun", "equivalence", "--trials", "20", "--seed", "3"],
+    # unequal masses fail with the mass gap of the constant test functions,
+    # the line `rasa direct` prints for the same pair
+    "genfun_check_mass_mismatch": ["genfun", "check", "--mu", m("half"), "--nu", m("coin")],
     # major
     "major_compare_holds": ["major", "compare", "--p", "1,1", "--q", "2,0"],
     "major_compare_fails": ["major", "compare", "--p", "2,0", "--q", "1,1"],

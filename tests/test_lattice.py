@@ -15,6 +15,8 @@ from cxorder import (
     LatticeSeq,
     MassMismatch,
     NotLattice,
+    OrderVerdict,
+    Witness,
     as_lattice,
     cauchy_product,
     dirac,
@@ -80,8 +82,12 @@ def test_genfun_test_holds_and_mass_mismatch():
     b = as_lattice(make_measure([(0, H), (1, H)]))
     assert genfun_test(a, b).holds
     assert genfun_test(a, a).holds
+    # unequal masses 1 and 2: the mass gap -(1 - 2)^2/2 of rasa_direct,
+    # while the square itself stays undefined
+    heavy = as_lattice(make_measure([(0, 2)]))
+    assert genfun_test(a, heavy) == OrderVerdict(False, Witness("mass", None, -H))
     with pytest.raises(MassMismatch):
-        genfun_test(a, as_lattice(make_measure([(0, 2)])))
+        genfun_square_coeffs(a, heavy)
 
 
 def test_tail_sums_match_series_division():

@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from cxorder import measures
 from cxorder import (
     MassMismatch,
     MVPolynomial,
     NegativeWeight,
+    ParseError,
+    as_rational,
     cdf_diff,
     convolve,
     dirac,
@@ -230,3 +233,20 @@ def test_measure_json_rejects_floats():
 
     with pytest.raises(ParseError):
         measure_from_json('{"atoms": [{"x": 0.5, "w": 1}]}')
+
+
+@pytest.mark.parametrize("sign", ["", "+", "-"])
+def test_as_rational_exponent_budget_boundary(sign):
+    # "1e1000000000" would make Fraction build 10^1000000000 (not run here);
+    # an exponent above MAX_EXPONENT is refused before Fraction sees the text,
+    # one of more digits than Python reads into an int included
+    limit = measures.MAX_EXPONENT
+    assert limit == 4300
+    at_limit = as_rational(f"1e{sign}{limit}")
+    assert at_limit == Fraction(10) ** (-limit if sign == "-" else limit)
+    assert as_rational(f"3E{sign}0_0{limit}") == 3 * at_limit
+    for text in (f"1e{sign}{limit + 1}", f"2.5E{sign}{limit + 1}", f"1e{sign}" + "9" * 5000):
+        with pytest.raises(ValueError, match="MAX_EXPONENT = 4300"):
+            as_rational(text)
+    with pytest.raises(ParseError, match="atom #0: .*MAX_EXPONENT"):
+        measure_from_json(f'{{"atoms": [{{"x": "1e{sign}{limit + 1}", "w": "1"}}]}}')

@@ -12,6 +12,8 @@ from cxorder import (
     ConvexTestFn,
     MassMismatch,
     NonConvexTestFn,
+    OrderVerdict,
+    Witness,
     affine_fn,
     binomial_measure,
     cdf_diff,
@@ -230,8 +232,15 @@ def test_criterion_failure_with_smallest_argmin():
 
 
 def test_criterion_requires_equal_mass():
+    # the constant test functions give the gap m1 m2 - (m1^2 + m2^2)/2;
+    # there is no profile, since H does not return to 0 on the right
+    mu, nu = dirac(0), make_measure([(0, 2)])
+    verdict, profile = rasa_criterion(mu, nu)
+    assert verdict == OrderVerdict(False, Witness("mass", None, -H))
+    assert profile is None
+    assert rasa_direct(mu, nu) == verdict
     with pytest.raises(MassMismatch):
-        rasa_criterion(dirac(0), make_measure([(0, 2)]))
+        cdf_diff(mu, nu)
 
 
 def test_oracle_examples():
