@@ -7,102 +7,65 @@ Bernstein-basis gap evaluators, all with exact verdicts and certified
 truncations for the infinite families.
 """
 
-from .bernstein import (
-    BivariateFn,
-    IntervalValue,
-    absdiff_surface,
-    binomial_measure,
-    binomial_weights,
-    compose_convex,
-    eq6prim_gap,
-    gav_gap,
-    gav_scan,
-    gavrea_p4_sum,
-    hinge_surface,
-    multi_rasa_gap,
-    poly_surface,
-    rasa_gap,
-    rasa_scan,
-    supermodularity_check,
-    tensor_bernstein,
-    unit_grid,
-)
-from .errors import (
-    ArityMismatch,
-    BadParameter,
-    CxOrderError,
-    DecompositionMismatch,
-    Inconclusive,
-    LengthMismatch,
-    MassMismatch,
-    ModeArity,
-    NegativeWeight,
-    NonConvexTestFn,
-    NonPositiveInput,
-    NotLattice,
-    NotMajorized,
-    NotNonneg,
-    NotSStep,
-    ParseError,
-)
-from .lattice import (
-    DEFAULT_EPS,
-    LatticeSeq,
-    as_lattice,
-    cauchy_product,
-    genfun_square_coeffs,
-    genfun_test,
-    lattice_to_measure,
-    truncate_negbinomial,
-    truncate_poisson,
-    truncated_family,
-)
-from .majorization import (
-    distinct_arrangements,
-    is_s_step,
-    majorizes,
-    s_step_chain,
-    sorted_desc,
-)
-from .measures import (
-    DiscreteMeasure,
-    StepFunction,
-    as_rational,
-    cdf_diff,
-    convolve,
-    dirac,
-    integrate_hinge,
-    make_measure,
-    measure_from_json,
-    measure_to_json,
-    mix,
-    step_function,
-)
-from .orders import (
-    ConvexTestFn,
-    OrderVerdict,
-    PiecewiseLinear,
-    Witness,
-    affine_fn,
-    gap_functional,
-    hinge_fn,
-    leq_cx,
-    leq_st,
-    quad_fn,
-    rasa_criterion,
-    rasa_direct,
-    step_self_convolution,
-)
-from .polynomials import (
-    MVPolynomial,
-    SosDecomposition,
-    moment_consistency,
-    muirhead_cx_check,
-    muirhead_scalar,
-    poly_eval_measures,
-    sos_cx_check,
-    sos_step_decomposition,
-    w_polynomial,
-)
+from importlib import import_module as _import_module
+
+# Submodule -> the names it exports here.  ``import cxorder`` loads no
+# submodule: a name is imported on first use (PEP 562), so a command
+# pays only for the modules its verb runs.
+_EXPORTS = {
+    "bernstein": (
+        "BivariateFn", "IntervalValue", "absdiff_surface", "binomial_measure",
+        "binomial_weights", "compose_convex", "eq6prim_gap", "gav_gap", "gav_scan",
+        "gavrea_p4_sum", "hinge_surface", "multi_rasa_gap", "poly_surface", "rasa_gap",
+        "rasa_scan", "supermodularity_check", "tensor_bernstein", "unit_grid",
+    ),
+    "errors": (
+        "ArityMismatch", "BadParameter", "CxOrderError", "DecompositionMismatch",
+        "Inconclusive", "LengthMismatch", "MassMismatch", "ModeArity", "NegativeWeight",
+        "NonConvexTestFn", "NonPositiveInput", "NotLattice", "NotMajorized",
+        "NotNonneg", "NotSStep", "ParseError",
+    ),
+    "lattice": (
+        "DEFAULT_EPS", "LatticeSeq", "as_lattice", "cauchy_product",
+        "genfun_square_coeffs", "genfun_test", "lattice_to_measure",
+        "truncate_negbinomial", "truncate_poisson", "truncated_family",
+    ),
+    "majorization": (
+        "distinct_arrangements", "is_s_step", "majorizes", "s_step_chain",
+        "sorted_desc",
+    ),
+    "measures": (
+        "DiscreteMeasure", "StepFunction", "as_rational", "cdf_diff", "convolve",
+        "dirac", "integrate_hinge", "make_measure", "measure_from_json",
+        "measure_to_json", "mix", "step_function",
+    ),
+    "orders": (
+        "ConvexTestFn", "OrderVerdict", "PiecewiseLinear", "Witness", "affine_fn",
+        "gap_functional", "hinge_fn", "leq_cx", "leq_st", "quad_fn", "rasa_criterion",
+        "rasa_direct", "step_self_convolution",
+    ),
+    "polynomials": (
+        "MVPolynomial", "SosDecomposition", "moment_consistency", "muirhead_cx_check",
+        "muirhead_scalar", "poly_eval_measures", "sos_cx_check",
+        "sos_step_decomposition", "w_polynomial",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
+__all__ = [*_MODULE_OF, *_EXPORTS]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        if name not in _EXPORTS:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        return _import_module(f"{__name__}.{name}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF) | set(_EXPORTS))

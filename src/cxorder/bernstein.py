@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb, prod
-from typing import Sequence
 
 from .errors import BadParameter, Inconclusive, ModeArity
 from .lattice import DEFAULT_EPS, cauchy_product, truncate_negbinomial
-from .measures import DiscreteMeasure, as_rational
+from .measures import DiscreteMeasure, _frozen, as_rational, format_rational
 from .orders import ConvexTestFn, OrderVerdict, Witness, hinge_fn
 from .polynomials import MVPolynomial
 
@@ -30,11 +29,14 @@ from .polynomials import MVPolynomial
 # supermodularity_check tabulates G^2 values on a G-point grid, so the grid
 # budget bounds it too.  The product operator behind tensor_bernstein,
 # gav_gap and gav_scan tabulates prod(n_i + 1) surface values and refuses
-# more than MAX_OPERATOR_TABLE.
+# more than MAX_OPERATOR_TABLE.  multi_rasa_gap refuses more than
+# MAX_MULTI_POINTS points: m points cost m(m - 1) products of rows up to
+# m*n + 1 long (at n = 16, 0.6 s for m = 16 and 11 s for m = 32).
 MAX_DEGREE = 512
 MAX_GRID_POINTS = 257
 MAX_SCAN_POINTS = 100_000
 MAX_OPERATOR_TABLE = 10_000
+MAX_MULTI_POINTS = 16
 
 
 def binomial_weights(n: int, x) -> list[Fraction]:
@@ -45,7 +47,7 @@ def binomial_weights(n: int, x) -> list[Fraction]:
     if n > MAX_DEGREE:
         raise BadParameter(f"degree {n} exceeds MAX_DEGREE = {MAX_DEGREE}")
     if not 0 <= x <= 1:
-        raise BadParameter(f"parameter x={x} must lie in [0, 1]")
+        raise BadParameter(f"parameter x={format_rational(x)} must lie in [0, 1]")
     return [comb(n, i) * x**i * (1 - x) ** (n - i) for i in range(n + 1)]
 
 
@@ -116,10 +118,12 @@ def multi_rasa_gap(n: int, xs: Sequence, phi: ConvexTestFn) -> Fraction:
 
     Computed through the m-fold coefficient convolutions; reduces to
     rasa_gap for m = 2 and is non-negative for convex phi."""
-    weights = [binomial_weights(n, x) for x in xs]
-    m = len(weights)
+    m = len(xs)
     if m < 1:
         raise BadParameter("need at least one point")
+    if m > MAX_MULTI_POINTS:
+        raise BadParameter(f"{m} points exceed MAX_MULTI_POINTS = {MAX_MULTI_POINTS}")
+    weights = [binomial_weights(n, x) for x in xs]
     mixed = weights[0]
     for w in weights[1:]:
         mixed = cauchy_product(mixed, w)
@@ -136,7 +140,7 @@ def multi_rasa_gap(n: int, xs: Sequence, phi: ConvexTestFn) -> Fraction:
 # -- exact multivariate test functions ---------------------------------------
 
 
-@dataclass(frozen=True)
+@_frozen
 class BivariateFn:
     """Exactly evaluable function of several rational variables: a
     polynomial plus ridges c * phi(sum w_t u_t), phi a ConvexTestFn.
@@ -317,7 +321,7 @@ def _unit_points(points: Sequence) -> list[Fraction]:
     xs = [as_rational(t) for t in points]
     for t in xs:
         if not 0 <= t <= 1:
-            raise BadParameter(f"point coordinate {t} must lie in [0, 1]")
+            raise BadParameter(f"point coordinate {format_rational(t)} must lie in [0, 1]")
     return xs
 
 
@@ -364,11 +368,12 @@ def unit_grid(step=Fraction(1, 16)) -> list[Fraction]:
     MAX_GRID_POINTS points."""
     step = as_rational(step)
     if not 0 < step <= 1:
-        raise BadParameter(f"grid step {step} must lie in (0, 1]")
+        raise BadParameter(f"grid step {format_rational(step)} must lie in (0, 1]")
     below_one = -(-step.denominator // step.numerator)  # ceil(1/step)
     if below_one + 1 > MAX_GRID_POINTS:
         raise BadParameter(
-            f"grid step {step} gives {below_one + 1} points; MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+            f"grid step {format_rational(step)} gives {below_one + 1} points;"
+            f" MAX_GRID_POINTS = {MAX_GRID_POINTS}"
         )
     return [i * step for i in range(below_one)] + [Fraction(1)]
 
@@ -437,7 +442,7 @@ def eq6prim_gap(ns: Sequence[int], xs: Sequence, phi: ConvexTestFn) -> Fraction:
     return blocks - _phi_row_sum(joint, phi_at)
 
 
-@dataclass(frozen=True)
+@_frozen
 class IntervalValue:
     """A rational interval certified to contain a real number."""
 
@@ -446,7 +451,9 @@ class IntervalValue:
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+            raise ValueError(
+                f"empty interval [{format_rational(self.lo)}, {format_rational(self.hi)}]"
+            )
 
     @property
     def width(self) -> Fraction:
@@ -461,7 +468,7 @@ class IntervalValue:
             return 1
         if self.lo == 0 == self.hi:
             return 0
-        raise Inconclusive(f"0 lies in [{self.lo}, {self.hi}]")
+        raise Inconclusive(f"0 lies in [{format_rational(self.lo)}, {format_rational(self.hi)}]")
 
 
 def gavrea_p4_sum(n: int, x, y, phi: ConvexTestFn, eps=DEFAULT_EPS) -> IntervalValue:

@@ -37,41 +37,12 @@ from __future__ import annotations
 import argparse
 import os
 import re
-import random
 import sys
-from fractions import Fraction
 
-from . import bernstein as bn
-from . import lattice as lat
+# Every import at module level is paid by every command: a handler imports
+# the modules its verb runs when it runs (and looks functions up on them
+# then, so a patched module attribute is the one called).
 from .errors import CxOrderError, Inconclusive, ParseError
-from .majorization import majorizes, s_step_chain
-from .measures import (
-    DiscreteMeasure,
-    as_rational,
-    format_rational,
-    make_measure,
-    measure_from_json,
-    measure_to_json,
-)
-from .orders import (
-    ConvexTestFn,
-    OrderVerdict,
-    affine_fn,
-    gap_functional,
-    hinge_fn,
-    leq_cx,
-    leq_st,
-    quad_fn,
-    rasa_criterion,
-    rasa_direct,
-)
-from .polynomials import (
-    MVPolynomial,
-    muirhead_cx_check,
-    poly_eval_measures,
-    sos_step_decomposition,
-    w_polynomial,
-)
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -111,6 +82,8 @@ def _split_top(text: str, sep: str, base: int) -> list[tuple[str, int]]:
 
 
 def _fraction(token: str, pos: int) -> Fraction:
+    from .measures import as_rational
+
     try:
         return as_rational(token)
     except (ValueError, ZeroDivisionError) as exc:
@@ -172,17 +145,25 @@ def _sized_list(read, token: str, pos: int, head: str, arity: int | None) -> lis
     return values
 
 
-# atom name -> (argument readers, builder).  Surface builders take the
-# arity first, and their list arguments must have one entry per variable.
+# atom name -> (argument readers, builder).  A builder takes the module
+# that defines it (orders for --phi, bernstein for --g); surface builders
+# take the arity next, and their list arguments must have one entry per
+# variable.
 _PHI_ATOMS = {
-    "affine": ((_fraction, _fraction), affine_fn),
-    "quad": ((_fraction,), quad_fn),
-    "hinge": ((_fraction, _fraction), hinge_fn),
+    "affine": ((_fraction, _fraction), lambda orders, a, b: orders.affine_fn(a, b)),
+    "quad": ((_fraction,), lambda orders, c: orders.quad_fn(c)),
+    "hinge": ((_fraction, _fraction), lambda orders, a, c: orders.hinge_fn(a, c)),
 }
 _SURFACE_ATOMS = {
-    "absdiff": ((_fraction,), lambda k, c: bn.absdiff_surface(c, arity=k)),
-    "term": ((_fraction, _int_list), lambda k, c, e: bn.poly_surface([(c, tuple(e))], len(e))),
-    "hinge2": ((_fraction, _fraction_list, _fraction), lambda k, *args: bn.hinge_surface(*args)),
+    "absdiff": ((_fraction,), lambda bn, k, c: bn.absdiff_surface(c, arity=k)),
+    "term": (
+        (_fraction, _int_list),
+        lambda bn, k, c, e: bn.poly_surface([(c, tuple(e))], len(e)),
+    ),
+    "hinge2": (
+        (_fraction, _fraction_list, _fraction),
+        lambda bn, k, *args: bn.hinge_surface(*args),
+    ),
 }
 
 
@@ -207,25 +188,29 @@ def _atom(text: str, base: int, table: dict, what: str, arity: int | None = None
 
 def parse_convex_fn(text: str, base: int = 0) -> ConvexTestFn:
     """Parse the ``affine a b | quad c | hinge A c | sum(...)`` grammar."""
+    from . import orders
+
     call = _call_parts(text, base, ",")
     if call is None:
         build, values = _atom(text, base, _PHI_ATOMS, "test-function")
-        return build(*values)
+        return build(orders, *values)
     name, name_pos, parts = call
     if name != "sum":
         raise ParseError(f"unknown test-function call {name!r}", name_pos)
-    total = ConvexTestFn()
+    total = orders.ConvexTestFn()
     for part, part_base in parts:
         total = total + parse_convex_fn(part, part_base)
     return total
 
 
-def parse_surface(text: str, arity: int | None = None, base: int = 0) -> bn.BivariateFn:
+def parse_surface(text: str, arity: int | None = None, base: int = 0) -> BivariateFn:
     """Parse the multivariate surface grammar (see module docstring)."""
+    from . import bernstein as bn
+
     call = _call_parts(text, base, ";")
     if call is None:
         build, values = _atom(text, base, _SURFACE_ATOMS, "surface", arity)
-        return build(2 if arity is None else arity, *values)
+        return build(bn, 2 if arity is None else arity, *values)
     name, name_pos, parts = call
     if name == "sum":
         pieces = [parse_surface(part, arity, part_base) for part, part_base in parts]
@@ -241,6 +226,10 @@ def parse_surface(text: str, arity: int | None = None, base: int = 0) -> bn.Biva
 
 def parse_mvpoly(text: str, arity: int | None = None) -> MVPolynomial:
     """Parse ``c * x1^3 x2 + ...`` with fraction coefficients."""
+    from fractions import Fraction
+
+    from .polynomials import MVPolynomial
+
     terms: dict[tuple[int, ...], Fraction] = {}
     raw: list[tuple[Fraction, dict[int, int], int]] = []
     top = 0
@@ -290,14 +279,18 @@ def parse_exponents(token: str, pos: int = 0) -> tuple[int, ...]:
 
 def load_measure(spec: str) -> DiscreteMeasure:
     """A measure argument: JSON file path or inline ``binomial:n,x``."""
+    from . import measures
+
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as handle:
-            return measure_from_json(handle.read())
+            return measures.measure_from_json(handle.read())
     if spec.startswith("binomial:"):
+        from . import bernstein
+
         args = spec.split(":", 1)[1]
         try:
             n_text, x_text = args.split(",")
-            return bn.binomial_measure(int(n_text), as_rational(x_text))
+            return bernstein.binomial_measure(int(n_text), measures.as_rational(x_text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad binomial spec {spec!r}: {exc}") from exc
     raise ParseError(f"measure {spec!r} is neither a file nor an inline family")
@@ -307,13 +300,15 @@ def load_measure(spec: str) -> DiscreteMeasure:
 
 
 def _decimal_digits(q: Fraction, digits: int) -> str:
+    from .measures import _int_text
+
     sign = "-" if q < 0 else ""
     n, d = abs(q.numerator), q.denominator
     scaled = (n * 10**digits + d // 2) // d  # round half up, integers only
     if digits == 0:
-        return f"{sign}{scaled}"
+        return f"{sign}{_int_text(scaled)}"
     whole, frac = divmod(scaled, 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{_int_text(whole)}.{_int_text(frac).zfill(digits)}"
 
 
 class _Printer:
@@ -322,6 +317,8 @@ class _Printer:
         self.lines: list[str] = []
 
     def rat(self, q) -> str:
+        from .measures import as_rational, format_rational
+
         q = as_rational(q)
         text = format_rational(q)
         if self.decimal is not None:
@@ -336,6 +333,8 @@ class _Printer:
 
 
 def _point_text(out: _Printer, point) -> str:
+    from fractions import Fraction
+
     if isinstance(point, tuple):
         return "(" + ",".join(_point_text(out, p) for p in point) + ")"
     if isinstance(point, Fraction):
@@ -378,6 +377,10 @@ def _sign_exit(out: _Printer, gap: Fraction, label: str = "gap") -> int:
 
 
 def _random_measure(rng: random.Random, max_atoms: int = 5) -> DiscreteMeasure:
+    from fractions import Fraction
+
+    from .measures import make_measure
+
     atoms = []
     for _ in range(rng.randint(1, max_atoms)):
         position = Fraction(rng.randint(-8, 8), rng.randint(1, 3))
@@ -393,6 +396,12 @@ def _random_equal_mass_pair(rng: random.Random):
 
 
 def _equivalence_sweep(out: _Printer, trials: int, seed: int, lattice_only: bool) -> int:
+    import random
+
+    from . import lattice as lat
+    from .measures import make_measure, measure_to_json
+    from .orders import rasa_criterion, rasa_direct
+
     rng = random.Random(seed)
     for trial in range(trials):
         if lattice_only:
@@ -419,12 +428,16 @@ def _equivalence_sweep(out: _Printer, trials: int, seed: int, lattice_only: bool
 
 
 def _cmd_order(args, out: _Printer) -> int:
+    from .orders import leq_cx, leq_st
+
     mu, nu = load_measure(args.mu), load_measure(args.nu)
     verdict = leq_st(mu, nu) if args.relation == "st" else leq_cx(mu, nu)
     return _verdict_exit(out, verdict)
 
 
 def _cmd_rasa(args, out: _Printer) -> int:
+    from .orders import gap_functional, rasa_criterion, rasa_direct
+
     if args.action == "equivalence":
         return _equivalence_sweep(out, args.trials, args.seed, lattice_only=False)
     mu, nu = load_measure(args.mu), load_measure(args.nu)
@@ -442,6 +455,8 @@ def _cmd_rasa(args, out: _Printer) -> int:
 
 
 def _load_lattice_pair(args):
+    from . import lattice as lat
+
     sequences = []
     for spec in args.family or []:
         sequences.append(lat.truncated_family(spec, args.eps))
@@ -452,6 +467,8 @@ def _load_lattice_pair(args):
 
 
 def _cmd_genfun(args, out: _Printer) -> int:
+    from . import lattice as lat
+
     if args.action == "equivalence":
         return _equivalence_sweep(out, args.trials, args.seed, lattice_only=True)
     sequences = _load_lattice_pair(args)
@@ -476,7 +493,9 @@ def _cmd_genfun(args, out: _Printer) -> int:
 
 def _csv_gap(q: Fraction) -> str:
     """The num,den,sign fields of a CSV row; no field ever needs quoting."""
-    return f"{q.numerator},{q.denominator},{(q > 0) - (q < 0)}"
+    from .measures import _int_text
+
+    return f"{_int_text(q.numerator)},{_int_text(q.denominator)},{(q > 0) - (q < 0)}"
 
 
 def _exponent_pair(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -484,6 +503,8 @@ def _exponent_pair(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _cmd_major(args, out: _Printer) -> int:
+    from .majorization import majorizes, s_step_chain
+
     p, q = _exponent_pair(args)
     if args.action == "compare":
         if majorizes(p, q):
@@ -505,6 +526,13 @@ def _measure_line(out: _Printer, mu: DiscreteMeasure) -> str:
 
 
 def _cmd_poly(args, out: _Printer) -> int:
+    from .polynomials import (
+        muirhead_cx_check,
+        poly_eval_measures,
+        sos_step_decomposition,
+        w_polynomial,
+    )
+
     if args.action == "w":
         poly = w_polynomial(_option(args, "p", parse_exponents))
         out.say(_poly_text(out, poly))
@@ -542,6 +570,8 @@ def _poly_text(out: _Printer, poly: MVPolynomial) -> str:
 
 
 def _scan_rows(out: _Printer, header: list[str], rows) -> int:
+    from .measures import format_rational
+
     out.say(",".join(header))
     worst = EXIT_HOLDS
     for coords, gap in rows:
@@ -552,6 +582,8 @@ def _scan_rows(out: _Printer, header: list[str], rows) -> int:
 
 
 def _cmd_bernstein(args, out: _Printer) -> int:
+    from . import bernstein as bn
+
     if args.action == "rasa":
         phi = parse_convex_fn(args.phi)
         x, y = _option(args, "x", _fraction), _option(args, "y", _fraction)
@@ -604,6 +636,12 @@ def _cmd_bernstein(args, out: _Printer) -> int:
 
 
 def _reproduce_example3(out: _Printer) -> int:
+    from fractions import Fraction
+
+    from .measures import make_measure
+    from .orders import hinge_fn, leq_cx
+    from .polynomials import poly_eval_measures
+
     mu = make_measure([(0, 1)])
     nu = make_measure([(0, Fraction(1, 2)), (1, Fraction(1, 2))])
     poly_p = parse_mvpoly("1/2 * x1^3 x2 + 1/2 * x1 x2^3")
@@ -646,6 +684,8 @@ def _reproduce_example3(out: _Printer) -> int:
 
 
 def _reproduce_absdiff(out: _Printer) -> int:
+    from . import bernstein as bn
+
     g = bn.absdiff_surface(1)
     corners = {
         (a, b): bn.tensor_bernstein(g, [1, 1], [a, b]) for a in (0, 1) for b in (0, 1)
@@ -666,6 +706,11 @@ def _reproduce_absdiff(out: _Printer) -> int:
 
 
 def _reproduce_p4(out: _Printer, eps: Fraction) -> int:
+    from fractions import Fraction
+
+    from . import bernstein as bn
+    from .orders import ConvexTestFn, affine_fn
+
     identity = affine_fn(0, 1)
     enclosure = bn.gavrea_p4_sum(1, Fraction(1, 4), Fraction(3, 4), identity, eps)
     out.say(f"phi(u) = u: interval [{out.rat(enclosure.lo)}, {out.rat(enclosure.hi)}]")
@@ -683,6 +728,12 @@ def _reproduce_p4(out: _Printer, eps: Fraction) -> int:
 
 
 def _reproduce_rasa_binomial(out: _Printer) -> int:
+    from fractions import Fraction
+
+    from . import bernstein as bn
+    from . import lattice as lat
+    from .orders import rasa_criterion, rasa_direct
+
     mu = bn.binomial_measure(2, Fraction(1, 4))
     nu = bn.binomial_measure(2, Fraction(3, 4))
     criterion, _ = rasa_criterion(mu, nu)
@@ -715,14 +766,31 @@ class _Abort(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises instead of exiting, and adds its own arguments only when
+    argparse first gives it arguments to parse: ``populate(parser)`` runs
+    then, so a command builds the parser of its own verb and no other."""
+
+    def __init__(self, *args, populate=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._populate = populate
+
+    def parse_known_args(self, args=None, namespace=None):
+        populate, self._populate = self._populate, None
+        if populate is not None:
+            populate(self)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):  # argparse would sys.exit(2); keep it testable
         raise _Abort(message)
 
 
-def _default_eps() -> Fraction:
+def _default_eps() -> Fraction | None:
+    """CXORDER_EPS as a fraction, or None when it is unset."""
     text = os.environ.get("CXORDER_EPS")
     if not text:
-        return lat.DEFAULT_EPS
+        return None
+    from .measures import as_rational
+
     try:
         return as_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -732,25 +800,30 @@ def _default_eps() -> Fraction:
 def _rational_arg(text: str) -> Fraction:
     """argparse type of the --eps options: as_rational, its errors reported
     as bad values of the option."""
+    from .measures import as_rational
+
     try:
         return as_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad fraction {text!r}: {exc}") from exc
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="cxorder", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--decimal", type=int, default=None, metavar="K",
-                        help="append a K-digit decimal rendering to every fraction")
-    verbs = parser.add_subparsers(dest="verb", required=True)
+def _add_eps(parser: _Parser, eps: Fraction | None):
+    """--eps, defaulting to CXORDER_EPS or else lattice.DEFAULT_EPS."""
+    if eps is None:
+        from .lattice import DEFAULT_EPS
 
-    order = verbs.add_parser("order", help="usual stochastic / convex order")
+        eps = DEFAULT_EPS
+    parser.add_argument("--eps", type=_rational_arg, default=eps)
+
+
+def _order_args(order: _Parser, eps):
     order.add_argument("relation", choices=["st", "cx"])
     order.add_argument("--mu", required=True)
     order.add_argument("--nu", required=True)
 
-    rasa = verbs.add_parser("rasa", help="self-convolution criterion and oracle")
+
+def _rasa_args(rasa: _Parser, eps):
     rasa_actions = rasa.add_subparsers(dest="action", required=True)
     for name in ("check", "direct"):
         sub = rasa_actions.add_parser(name)
@@ -764,27 +837,30 @@ def build_parser() -> _Parser:
     equiv.add_argument("--trials", type=int, default=200)
     equiv.add_argument("--seed", type=int, default=0)
 
-    genfun = verbs.add_parser("genfun", help="lattice generating-function test")
+
+def _genfun_args(genfun: _Parser, eps):
     genfun_actions = genfun.add_subparsers(dest="action", required=True)
     check = genfun_actions.add_parser("check")
     check.add_argument("--mu")
     check.add_argument("--nu")
     check.add_argument("--family", action="append",
                        help="negbinomial:n,x or poisson:lambda (repeatable)")
-    check.add_argument("--eps", type=_rational_arg, default=_default_eps())
+    _add_eps(check, eps)
     check.add_argument("--csv", action="store_true")
     gequiv = genfun_actions.add_parser("equivalence")
     gequiv.add_argument("--trials", type=int, default=200)
     gequiv.add_argument("--seed", type=int, default=0)
 
-    major = verbs.add_parser("major", help="majorization comparisons and chains")
+
+def _major_args(major: _Parser, eps):
     major_actions = major.add_subparsers(dest="action", required=True)
     for name in ("compare", "chain"):
         sub = major_actions.add_parser(name)
         sub.add_argument("--p", required=True)
         sub.add_argument("--q", required=True)
 
-    poly = verbs.add_parser("poly", help="convolution polynomials")
+
+def _poly_args(poly: _Parser, eps):
     poly_actions = poly.add_subparsers(dest="action", required=True)
     w = poly_actions.add_parser("w")
     w.add_argument("--p", required=True)
@@ -799,7 +875,10 @@ def build_parser() -> _Parser:
     muir.add_argument("--q", required=True)
     muir.add_argument("--measure", action="append", required=True)
 
-    bern = verbs.add_parser("bernstein", help="basis gap evaluators and scanners")
+
+def _bernstein_args(bern: _Parser, eps):
+    from .bernstein import GAV_MODES
+
     bern_actions = bern.add_subparsers(dest="action", required=True)
     brasa = bern_actions.add_parser("rasa")
     brasa.add_argument("--n", type=int, required=True)
@@ -811,12 +890,12 @@ def build_parser() -> _Parser:
     bscan.add_argument("--phi", required=True)
     bscan.add_argument("--step", default="1/16")
     gav = bern_actions.add_parser("gav")
-    gav.add_argument("--mode", choices=list(bn.GAV_MODES), required=True)
+    gav.add_argument("--mode", choices=list(GAV_MODES), required=True)
     gav.add_argument("--g", required=True)
     gav.add_argument("--ns", required=True)
     gav.add_argument("--points", required=True)
     gscan = bern_actions.add_parser("gav-scan")
-    gscan.add_argument("--mode", choices=list(bn.GAV_MODES), required=True)
+    gscan.add_argument("--mode", choices=list(GAV_MODES), required=True)
     gscan.add_argument("--g", required=True)
     gscan.add_argument("--ns", required=True)
     gscan.add_argument("--step", default="1/4")
@@ -836,30 +915,45 @@ def build_parser() -> _Parser:
     p4.add_argument("--x", required=True)
     p4.add_argument("--y", required=True)
     p4.add_argument("--phi", required=True)
-    p4.add_argument("--eps", type=_rational_arg, default=_default_eps())
+    _add_eps(p4, eps)
 
-    repro = verbs.add_parser("reproduce", help="bundled reference scenarios")
+
+def _reproduce_args(repro: _Parser, eps):
     repro.add_argument("case", choices=["example-3", "gavrea-p4", "absdiff", "rasa-binomial"])
-    repro.add_argument("--eps", type=_rational_arg, default=_default_eps())
-
-    return parser
+    _add_eps(repro, eps)
 
 
-_HANDLERS = {
-    "order": _cmd_order,
-    "rasa": _cmd_rasa,
-    "genfun": _cmd_genfun,
-    "major": _cmd_major,
-    "poly": _cmd_poly,
-    "bernstein": _cmd_bernstein,
-    "reproduce": _cmd_reproduce,
+# verb -> (help, the arguments of its parser, handler)
+_VERBS = {
+    "order": ("usual stochastic / convex order", _order_args, _cmd_order),
+    "rasa": ("self-convolution criterion and oracle", _rasa_args, _cmd_rasa),
+    "genfun": ("lattice generating-function test", _genfun_args, _cmd_genfun),
+    "major": ("majorization comparisons and chains", _major_args, _cmd_major),
+    "poly": ("convolution polynomials", _poly_args, _cmd_poly),
+    "bernstein": ("basis gap evaluators and scanners", _bernstein_args, _cmd_bernstein),
+    "reproduce": ("bundled reference scenarios", _reproduce_args, _cmd_reproduce),
 }
+
+
+def build_parser(eps: Fraction | None = None) -> _Parser:
+    """The cxorder parser.  A verb's arguments are added when that verb is
+    parsed; ``eps`` (CXORDER_EPS) is the default of the --eps options, None
+    for lattice.DEFAULT_EPS."""
+    parser = _Parser(prog="cxorder", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--decimal", type=int, default=None, metavar="K",
+                        help="append a K-digit decimal rendering to every fraction")
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    for name, (help_text, add_arguments, _) in _VERBS.items():
+        verbs.add_parser(name, help=help_text,
+                         populate=lambda verb, add=add_arguments: add(verb, eps))
+    return parser
 
 
 def run(argv: list[str]) -> tuple[int, str]:
     """Execute one command; returns (exit code, stdout text)."""
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(_default_eps()).parse_args(argv)
         if args.decimal is not None and args.decimal < 0:
             raise _Abort(f"argument --decimal: K must be >= 0, got {args.decimal}")
     except (_Abort, ParseError) as exc:
@@ -867,8 +961,9 @@ def run(argv: list[str]) -> tuple[int, str]:
     except SystemExit as exc:  # --help prints directly and exits 0
         return (exc.code or 0), ""
     out = _Printer(args.decimal)
+    _, _, handler = _VERBS[args.verb]
     try:
-        code = _HANDLERS[args.verb](args, out)
+        code = handler(args, out)
     except ParseError as exc:
         out.say(f"error: {exc}")
         return EXIT_USAGE, out.text()

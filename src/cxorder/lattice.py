@@ -12,12 +12,11 @@ pipeline float-free.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import BadParameter, Inconclusive, MassMismatch, NotLattice
-from .measures import DiscreteMeasure, _scaled_ints, as_rational
+from .measures import DiscreteMeasure, _frozen, _scaled_ints, as_rational, format_rational
 from .orders import OrderVerdict, Witness
 
 DEFAULT_EPS = Fraction(1, 2**40)
@@ -27,7 +26,7 @@ DEFAULT_EPS = Fraction(1, 2**40)
 MAX_CUTOFF = 4096
 
 
-@dataclass(frozen=True)
+@_frozen
 class LatticeSeq:
     """Masses at the integers 0..K plus a certified bound on everything past K.
 
@@ -48,7 +47,7 @@ class LatticeSeq:
     def __post_init__(self):
         for i, c in enumerate(self.coeffs):
             if c < 0:
-                raise BadParameter(f"coefficient {c} at index {i} is negative")
+                raise BadParameter(f"coefficient {format_rational(c)} at index {i} is negative")
         if self.tail_bound < 0:
             raise BadParameter("tail bound must be non-negative")
         if self.total_mass is None:
@@ -74,7 +73,7 @@ def as_lattice(mu: DiscreteMeasure) -> LatticeSeq:
     coeffs: list[Fraction] = []
     for x, w in mu.atoms:
         if x < 0 or x.denominator != 1:
-            raise NotLattice(f"atom position {x} is not a non-negative integer")
+            raise NotLattice(f"atom position {format_rational(x)} is not a non-negative integer")
         k = int(x)
         coeffs.extend([Fraction(0)] * (k + 1 - len(coeffs)))
         coeffs[k] = w
@@ -122,7 +121,10 @@ def genfun_square_coeffs(a: LatticeSeq, b: LatticeSeq) -> list[Fraction]:
     (indices k <= min(Ka, Kb)) is returned.
     """
     if a.total_mass != b.total_mass:
-        raise MassMismatch(f"total masses differ: {a.total_mass} vs {b.total_mass}")
+        raise MassMismatch(
+            f"total masses differ: {format_rational(a.total_mass)}"
+            f" vs {format_rational(b.total_mass)}"
+        )
     if not (a.exact and b.exact):
         raise Inconclusive(
             "stored coefficients are lower bounds only; exact series "
@@ -178,9 +180,9 @@ def truncate_negbinomial(n: int, x, eps=DEFAULT_EPS) -> LatticeSeq:
     if not isinstance(n, int) or n < 0:
         raise BadParameter(f"negative binomial index must be an integer >= 0, got {n!r}")
     if not 0 < x < 1:
-        raise BadParameter(f"negative binomial parameter x={x} must lie in (0, 1)")
+        raise BadParameter(f"negative binomial parameter x={format_rational(x)} must lie in (0, 1)")
     if eps <= 0:
-        raise BadParameter(f"eps={eps} must be positive")
+        raise BadParameter(f"eps={format_rational(eps)} must be positive")
     weights = [(1 - x) ** (n + 1)]
 
     def extend(upto: int):
@@ -190,7 +192,7 @@ def truncate_negbinomial(n: int, x, eps=DEFAULT_EPS) -> LatticeSeq:
 
     cutoff = 1
     while True:
-        _check_cutoff(cutoff, f"negbinomial:{n},{x}", eps)
+        _check_cutoff(cutoff, f"negbinomial:{n},{format_rational(x)}", eps)
         extend(cutoff + 1)
         ratio = x * Fraction(n + cutoff + 2, cutoff + 2)
         if ratio < 1:
@@ -221,16 +223,16 @@ def truncate_poisson(lam, eps=DEFAULT_EPS) -> LatticeSeq:
     """
     lam, eps = as_rational(lam), as_rational(eps)
     if lam <= 0:
-        raise BadParameter(f"Poisson parameter {lam} must be positive")
+        raise BadParameter(f"Poisson parameter {format_rational(lam)} must be positive")
     if eps <= 0:
-        raise BadParameter(f"eps={eps} must be positive")
+        raise BadParameter(f"eps={format_rational(eps)} must be positive")
     cutoff = 1
     while cutoff < 2 * lam:
         cutoff *= 2
     core = [Fraction(1)]  # lam^k / k!
     boxed, summed = Fraction(0), 0  # boxed = sum(core[:summed])
     while True:
-        _check_cutoff(cutoff, f"poisson:{lam}", eps)
+        _check_cutoff(cutoff, f"poisson:{format_rational(lam)}", eps)
         while len(core) < cutoff + 2:
             core.append(core[-1] * lam / len(core))
         boxed += sum(core[summed : cutoff + 1], Fraction(0))
@@ -252,7 +254,7 @@ def truncate_poisson(lam, eps=DEFAULT_EPS) -> LatticeSeq:
 def _check_cutoff(cutoff: int, family: str, eps: Fraction):
     if cutoff > MAX_CUTOFF:
         raise BadParameter(
-            f"{family} at eps={eps} needs a truncation cutoff above"
+            f"{family} at eps={format_rational(eps)} needs a truncation cutoff above"
             f" MAX_CUTOFF = {MAX_CUTOFF}"
         )
 

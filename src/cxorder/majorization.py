@@ -9,7 +9,7 @@ are exactly what the convolution-polynomial comparisons are built from.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .errors import LengthMismatch, NotMajorized
 

@@ -9,13 +9,11 @@ between threads without synchronisation.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
 
 from .errors import MassMismatch, NegativeWeight, ParseError
 
@@ -26,6 +24,83 @@ MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)", re.IGNORECASE)
 
 
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a frozen record."""
+
+
+def _refuse_set(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _frozen(cls):
+    """Class decorator for an immutable record, as @dataclass(frozen=True)
+    would make it, without importing dataclasses (and with it inspect and
+    ast) at every start-up.
+
+    The annotated fields, in order, become the constructor's parameters,
+    positional or keyword; a class attribute of the same name is the
+    default.  ``__post_init__`` runs after the fields are set and may set
+    them again through ``object.__setattr__``.  ``==`` compares instances
+    of the same class field by field, ``hash`` hashes the field tuple,
+    ``repr`` reads ``Name(field=value, ...)``, and assignment or deletion
+    raises FrozenInstanceError.
+    """
+    fields = tuple(cls.__dict__.get("__annotations__", {}))
+    defaults = {f"_default_{name}": cls.__dict__[name] for name in fields if name in cls.__dict__}
+    params = "".join(
+        f", {name}=_default_{name}" if name in cls.__dict__ else f", {name}" for name in fields
+    )
+    lines = [f"def __init__(self{params}):"]
+    lines += [f"    _set(self, {name!r}, {name})" for name in fields]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    lines += ["    return None", "def values(self):"]
+    lines.append("    return (" + "".join(f"self.{name}, " for name in fields) + ")")
+    # Generated code, as dataclasses does: a plain signature keeps
+    # construction as fast as a hand-written __init__.
+    namespace = {"_set": object.__setattr__, **defaults}
+    exec("\n".join(lines), namespace)
+    values = namespace["values"]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        text = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values(self)))
+        return f"{self.__class__.__qualname__}({text})"
+
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"  # names the class in a TypeError
+    cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = init, __eq__, __hash__, __repr__
+    cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_delete
+    return cls
+
+
+def _int_text(n: int) -> str:
+    """The decimal digits of an int of any size.
+
+    str() refuses an int of more digits than sys.get_int_max_str_digits()
+    (4300 by default, never below 640), so a long int is split in two at a
+    power of ten until each piece is short enough."""
+    bits = n.bit_length()
+    if bits <= 2000:  # at most 603 digits
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    low_digits = bits * 3 // 20  # fewer than half of the digits
+    high, low = divmod(n, 10**low_digits)
+    return _int_text(high) + _int_text(low).zfill(low_digits)
+
+
 def as_rational(value) -> Fraction:
     """Coerce ints, Fractions and fraction strings like ``-3/4`` or ``1e-3``.
 
@@ -33,6 +108,8 @@ def as_rational(value) -> Fraction:
     exactness guarantee of the whole pipeline.  A string whose exponent
     exceeds MAX_EXPONENT in size raises ValueError before Fraction sees it.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass a Fraction, int or string")
     if isinstance(value, str):
@@ -43,7 +120,7 @@ def as_rational(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
+@_frozen
 class DiscreteMeasure:
     """Finite non-negative measure with finitely many rational atoms.
 
@@ -58,7 +135,9 @@ class DiscreteMeasure:
         previous = None
         for x, w in self.atoms:
             if w <= 0:
-                raise NegativeWeight(f"atom at {x} has non-positive weight {w}")
+                raise NegativeWeight(
+                    f"atom at {format_rational(x)} has non-positive weight {format_rational(w)}"
+                )
             if previous is not None and x <= previous:
                 raise ValueError("atom positions must be strictly increasing")
             previous = x
@@ -87,7 +166,7 @@ class DiscreteMeasure:
     def scaled(self, factor) -> "DiscreteMeasure":
         factor = as_rational(factor)
         if factor < 0:
-            raise NegativeWeight(f"scale factor {factor} is negative")
+            raise NegativeWeight(f"scale factor {format_rational(factor)} is negative")
         if factor == 0:
             return DiscreteMeasure(())
         return DiscreteMeasure(tuple((x, factor * w) for x, w in self.atoms))
@@ -104,7 +183,9 @@ def make_measure(atoms: Iterable[tuple]) -> DiscreteMeasure:
     for x, w in atoms:
         x, w = as_rational(x), as_rational(w)
         if w < 0:
-            raise NegativeWeight(f"weight {w} at position {x} is negative")
+            raise NegativeWeight(
+                f"weight {format_rational(w)} at position {format_rational(x)} is negative"
+            )
         merged[x] = merged.get(x, Fraction(0)) + w
     return DiscreteMeasure(tuple((x, w) for x, w in sorted(merged.items()) if w != 0))
 
@@ -155,7 +236,7 @@ def mix(coeffs: Sequence, measures: Sequence[DiscreteMeasure]) -> DiscreteMeasur
     for c, m in zip(coeffs, measures):
         c = as_rational(c)
         if c < 0:
-            raise NegativeWeight(f"mixture coefficient {c} is negative")
+            raise NegativeWeight(f"mixture coefficient {format_rational(c)} is negative")
         if c == 0:
             continue
         for x, w in m.atoms:
@@ -169,7 +250,7 @@ def integrate_hinge(mu: DiscreteMeasure, threshold) -> Fraction:
     return sum((w * (x - a) for x, w in mu.atoms if x > a), Fraction(0))
 
 
-@dataclass(frozen=True)
+@_frozen
 class StepFunction:
     """Right-continuous step function vanishing outside a compact interval.
 
@@ -230,7 +311,9 @@ def cdf_diff(mu: DiscreteMeasure, nu: DiscreteMeasure) -> StepFunction:
     cannot be represented.
     """
     if mu.mass != nu.mass:
-        raise MassMismatch(f"masses differ: {mu.mass} vs {nu.mass}")
+        raise MassMismatch(
+            f"masses differ: {format_rational(mu.mass)} vs {format_rational(nu.mass)}"
+        )
     jumps: dict[Fraction, Fraction] = {}
     for x, w in mu.atoms:
         jumps[x] = jumps.get(x, Fraction(0)) + w
@@ -261,16 +344,20 @@ def _reject_float(text: str):
 def format_rational(q: Fraction) -> str:
     q = as_rational(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_text(q.numerator)
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
 def measure_to_json(mu: DiscreteMeasure) -> str:
+    import json
+
     atoms = [{"x": format_rational(x), "w": format_rational(w)} for x, w in mu.atoms]
     return json.dumps({"atoms": atoms})
 
 
 def measure_from_json(text: str) -> DiscreteMeasure:
+    import json
+
     try:
         obj = json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:

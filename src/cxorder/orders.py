@@ -25,24 +25,25 @@ sweep: O(B^2 log B) exact operations.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MassMismatch, NonConvexTestFn
 from .measures import (
     DiscreteMeasure,
     StepFunction,
+    _frozen,
     _scaled_ints,
     as_rational,
     cdf_diff,
     convolve,
+    format_rational,
     mix,
 )
 
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Witness:
     """Where and by how much a tested inequality fails.
 
@@ -57,7 +58,7 @@ class Witness:
     gap: Fraction
 
 
-@dataclass(frozen=True)
+@_frozen
 class OrderVerdict:
     """Outcome of an order test.
 
@@ -74,7 +75,7 @@ class OrderVerdict:
             raise ValueError("a failing verdict must carry a witness")
 
 
-@dataclass(frozen=True)
+@_frozen
 class PiecewiseLinear:
     """Continuous function, affine between consecutive breakpoints and zero
     outside them.  ``values[i]`` is the value at ``breakpoints[i]``; the
@@ -118,7 +119,7 @@ class PiecewiseLinear:
         return best_x, best_v
 
 
-@dataclass(frozen=True)
+@_frozen
 class ConvexTestFn:
     """phi(x) = const + slope*x + curve*x^2 + sum c_i * max(x - A_i, 0).
 
@@ -138,12 +139,16 @@ class ConvexTestFn:
         object.__setattr__(self, "slope", as_rational(self.slope))
         object.__setattr__(self, "curve", as_rational(self.curve))
         if self.curve < 0:
-            raise NonConvexTestFn(f"quadratic coefficient {self.curve} is negative")
+            raise NonConvexTestFn(
+                f"quadratic coefficient {format_rational(self.curve)} is negative"
+            )
         merged: dict[Fraction, Fraction] = {}
         for a, c in self.hinges:
             a, c = as_rational(a), as_rational(c)
             if c < 0:
-                raise NonConvexTestFn(f"hinge coefficient {c} at {a} is negative")
+                raise NonConvexTestFn(
+                    f"hinge coefficient {format_rational(c)} at {format_rational(a)} is negative"
+                )
             if c != 0:
                 merged[a] = merged.get(a, Fraction(0)) + c
         object.__setattr__(self, "hinges", tuple(sorted(merged.items())))
@@ -373,7 +378,9 @@ def gap_functional(mu: DiscreteMeasure, nu: DiscreteMeasure, phi: ConvexTestFn) 
     equals 2 (mean mu - mean nu)^2 (raw means, any equal mass).
     """
     if mu.mass != nu.mass:
-        raise MassMismatch(f"masses differ: {mu.mass} vs {nu.mass}")
+        raise MassMismatch(
+            f"masses differ: {format_rational(mu.mass)} vs {format_rational(nu.mass)}"
+        )
     if not isinstance(phi, ConvexTestFn):
         raise NonConvexTestFn("test function must be a ConvexTestFn")
     both = phi.integrate(convolve(mu, mu)) + phi.integrate(convolve(nu, nu))

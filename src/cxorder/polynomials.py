@@ -11,10 +11,9 @@ coefficients is the corresponding mixture.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import factorial, prod
-from typing import Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -34,7 +33,15 @@ from .majorization import (
     s_step_chain,
     sorted_desc,
 )
-from .measures import DiscreteMeasure, as_rational, convolve, dirac, make_measure
+from .measures import (
+    DiscreteMeasure,
+    _frozen,
+    as_rational,
+    convolve,
+    dirac,
+    format_rational,
+    make_measure,
+)
 from .orders import OrderVerdict, Witness, leq_cx, rasa_criterion
 
 # Budget for w_polynomial: the most distinct arrangements it enumerates.
@@ -42,7 +49,7 @@ from .orders import OrderVerdict, Witness, leq_cx, rasa_criterion
 MAX_ARRANGEMENTS = 100_000
 
 
-@dataclass(frozen=True)
+@_frozen
 class MVPolynomial:
     """Sparse polynomial; ``terms`` maps exponent tuples (length = arity) to
     non-zero rational coefficients, stored sorted for canonical equality."""
@@ -177,7 +184,7 @@ def muirhead_scalar(p: Sequence[int], q: Sequence[int], xs: Sequence) -> tuple[F
     points = [as_rational(x) for x in xs]
     for x in points:
         if x <= 0:
-            raise NonPositiveInput(f"input {x} is not strictly positive")
+            raise NonPositiveInput(f"input {format_rational(x)} is not strictly positive")
     if len(points) != len(p):
         raise LengthMismatch(f"need {len(p)} arguments, got {len(points)}")
     return w_polynomial(p).eval(points), w_polynomial(q).eval(points)
@@ -237,7 +244,7 @@ def moment_consistency(
     return lhs == rhs
 
 
-@dataclass(frozen=True)
+@_frozen
 class SosDecomposition:
     """A certificate sum_{u<v} (x_u - x_v)^2 * R_uv with non-negative R's."""
 
@@ -332,7 +339,10 @@ def sos_step_decomposition(p: Sequence[int], q: Sequence[int]) -> SosDecompositi
 def _require_equal_masses(measures: Sequence[DiscreteMeasure]):
     masses = {m.mass for m in measures}
     if len(masses) > 1:
-        raise MassMismatch(f"measures carry different masses: {sorted(masses)}")
+        raise MassMismatch(
+            "measures carry different masses: "
+            + ", ".join(map(format_rational, sorted(masses)))
+        )
 
 
 def _pairwise_profiles_nonneg(measures: Sequence[DiscreteMeasure]) -> Witness | None:

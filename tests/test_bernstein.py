@@ -691,3 +691,17 @@ def test_degree_budget_boundary(monkeypatch):
     ):
         with pytest.raises(BadParameter, match=f"degree 513 exceeds MAX_DEGREE = {limit}"):
             call()
+
+
+def test_multi_points_budget_boundary(monkeypatch):
+    limit = bernstein.MAX_MULTI_POINTS
+    assert limit == 16
+    assert multi_rasa_gap(1, [H] * limit, quad_fn(1)) == 0  # equal points: the gap vanishes
+
+    def refuse(*args):
+        raise AssertionError("no row may be built")
+
+    monkeypatch.setattr(bernstein, "binomial_weights", refuse)
+    monkeypatch.setattr(bernstein, "cauchy_product", refuse)
+    with pytest.raises(BadParameter, match="17 points exceed MAX_MULTI_POINTS = 16"):
+        multi_rasa_gap(1, [H] * (limit + 1), quad_fn(1))

@@ -1,11 +1,12 @@
 """Command-line behaviour: exit codes, witnesses, grammars, reproductions."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
 from cxorder import ParseError, lattice, make_measure, measure_from_json, measure_to_json
-from cxorder.cli import parse_convex_fn, parse_mvpoly, parse_surface, run
+from cxorder.cli import build_parser, parse_convex_fn, parse_mvpoly, parse_surface, run
 
 H = Fraction(1, 2)
 
@@ -361,6 +362,8 @@ def test_exponent_options_are_named_in_errors(argv, message):
          "MAX_SCAN_POINTS = 100000"),
         (["gav", "--mode", "P3", "--g", "mid(quad 1; 1/3,1/3,1/3)", "--ns", "30,30,30",
           "--points", "1/3,1/2,2/3"], "MAX_OPERATOR_TABLE = 10000"),
+        (["multi", "--n", "1", "--points", ",".join(["1/2"] * 17), "--phi", "quad 1"],
+         "MAX_MULTI_POINTS = 16"),
     ],
 )
 def test_scan_budgets_exit_2_with_one_line(argv, limit):
@@ -481,3 +484,52 @@ def test_genfun_csv_mass_mismatch_prints_the_witness_only(measure_files, tmp_pat
     assert run(argv) == run(argv + ["--csv"]) == expected
     assert run(["rasa", "check", "--mu", half, "--nu", measure_files["coin"]]) == expected
     assert run(["rasa", "direct", "--mu", half, "--nu", measure_files["coin"]]) == expected
+
+
+def test_numbers_over_4300_digits_are_printed():
+    # str() refuses ints over 4300 digits; this gap is 1/(2 * 10^8600).
+    argv = ["bernstein", "rasa", "--n", "1", "--x", "1e-4300", "--y", "0", "--phi", "quad 1"]
+    assert run(argv) == (0, "gap = 1/2" + "0" * 8600 + "\n")
+    code, text = run(["--decimal", "2"] + argv)
+    assert (code, text) == (0, "gap = 1/2" + "0" * 8600 + " (0.00)\n")
+    big = "1" + "0" * 4300  # the gap 10^4300 of B(1, 1) against B(1, 0) under 2 * 10^4300 x^2
+    argv = ["bernstein", "rasa", "--n", "1", "--x", "1", "--y", "0",
+            "--phi", "sum(quad 1e4300, quad 1e4300)"]
+    assert run(["--decimal", "0"] + argv) == (0, f"gap = {big} ({big})\n")
+    assert run(["--decimal", "2"] + argv) == (0, f"gap = {big} ({big}.00)\n")
+    code, text = run(["bernstein", "rasa", "--n", "1", "--x", "1e4300", "--y", "0",
+                      "--phi", "quad 1"])
+    assert (code, text) == (
+        2, "error: BadParameter: parameter x=1" + "0" * 4300 + " must lie in [0, 1]\n"
+    )
+
+
+def test_truncations_print_numbers_over_4300_digits():
+    seq = lattice.truncated_family("poisson:1", Fraction(1, 10**4300))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the expected text, from str() without its cap
+    try:
+        expected = (f"coefficients 0..{seq.last_index}; boxed mass {seq.boxed_mass}; "
+                    f"tail bound {seq.tail_bound}\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) > 4300
+    assert run(["genfun", "check", "--family", "poisson:1", "--eps", "1e-4300"]) == (0, expected)
+    code, text = run(["genfun", "check", "--family", "negbinomial:1,255/256", "--eps", "1e-4300"])
+    assert (code, text) == (
+        2,
+        f"error: BadParameter: negbinomial:1,255/256 at eps=1/1{'0' * 4300} needs a truncation"
+        " cutoff above MAX_CUTOFF = 4096\n",
+    )
+
+
+def test_a_parser_builds_each_verb_once():
+    # A verb's arguments are added on its first parse; a second parse with
+    # the same parser must not add them again (argparse refuses duplicates).
+    parser = build_parser()
+    for argv in (["major", "compare", "--p", "1,1", "--q", "2,0"],
+                 ["major", "chain", "--p", "1,1", "--q", "2,0"],
+                 ["order", "cx", "--mu", "a.json", "--nu", "b.json"]):
+        args = parser.parse_args(argv)
+        assert args.verb == argv[0]
+    assert (args.relation, args.mu, args.nu) == ("cx", "a.json", "b.json")

@@ -1,0 +1,126 @@
+"""Start-up footprint: each command loads only the modules its verb runs.
+
+Every probe runs in a fresh interpreter without site packages (``-I -S``),
+so the modules it reports are those the command itself imported.  The test
+counts modules rather than timing them, so it is deterministic.
+"""
+
+import importlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+if sys.argv[2:]:
+    from cxorder.cli import run
+    code, _ = run(sys.argv[2:])
+    assert code == 0, code
+else:
+    import cxorder
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+# Loaded by no command: dataclasses pulls in inspect, ast, dis and tokenize.
+_NEVER = {"dataclasses", "inspect"}
+_KERNELS = {"cxorder.lattice", "cxorder.polynomials", "cxorder.bernstein"}
+
+
+def _loaded(*argv: str) -> set[str]:
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _PROBE, str(SRC), *argv],
+        capture_output=True, text=True, check=True,
+    )
+    return set(result.stdout.split())
+
+
+def _cxorder_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m == "cxorder" or m.startswith("cxorder.")}
+
+
+@pytest.fixture(scope="module")
+def coin(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("measures") / "coin.json"
+    path.write_text('{"atoms": [{"x": "0", "w": "1/2"}, {"x": "1", "w": "1/2"}]}')
+    return str(path)
+
+
+def test_import_cxorder_imports_no_submodule():
+    assert _cxorder_modules(_loaded()) == {"cxorder"}
+
+
+def test_major_compare_loads_only_majorization():
+    loaded = _loaded("major", "compare", "--p", "1,1", "--q", "2,0")
+    assert _cxorder_modules(loaded) == {
+        "cxorder", "cxorder.cli", "cxorder.errors", "cxorder.majorization",
+    }
+    assert not loaded & (_NEVER | {"fractions", "decimal", "json", "random"})
+
+
+@pytest.mark.parametrize("argv", [
+    ["order", "cx", "--mu", "{coin}", "--nu", "{coin}"],
+    ["order", "st", "--mu", "{coin}", "--nu", "{coin}"],
+    ["rasa", "check", "--mu", "{coin}", "--nu", "{coin}"],
+    ["rasa", "direct", "--mu", "{coin}", "--nu", "{coin}"],
+])
+def test_order_and_rasa_on_files_load_no_other_kernel(coin, argv):
+    loaded = _loaded(*(a.format(coin=coin) for a in argv))
+    assert "cxorder.orders" in loaded and "json" in loaded
+    assert not loaded & (_NEVER | _KERNELS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["genfun", "check", "--family", "negbinomial:1,1/2"],
+    ["poly", "w", "--p", "2,1"],
+    ["bernstein", "rasa", "--n", "2", "--x", "1/4", "--y", "3/4", "--phi", "quad 1"],
+    ["reproduce", "example-3"],
+])
+def test_no_verb_loads_dataclasses(argv):
+    loaded = _loaded(*argv)
+    assert not loaded & _NEVER
+    assert "json" not in loaded  # no measure file is read
+
+
+# Every name `cxorder` exported before its exports became lazy.
+EXPORTS = """
+    ArityMismatch BadParameter BivariateFn ConvexTestFn CxOrderError DEFAULT_EPS
+    DecompositionMismatch DiscreteMeasure Inconclusive IntervalValue LatticeSeq
+    LengthMismatch MVPolynomial MassMismatch ModeArity NegativeWeight NonConvexTestFn
+    NonPositiveInput NotLattice NotMajorized NotNonneg NotSStep OrderVerdict ParseError
+    PiecewiseLinear SosDecomposition StepFunction Witness absdiff_surface affine_fn
+    as_lattice as_rational bernstein binomial_measure binomial_weights cauchy_product
+    cdf_diff compose_convex convolve dirac distinct_arrangements eq6prim_gap errors
+    gap_functional gav_gap gav_scan gavrea_p4_sum genfun_square_coeffs genfun_test
+    hinge_fn hinge_surface integrate_hinge is_s_step lattice lattice_to_measure
+    leq_cx leq_st majorization majorizes make_measure measure_from_json
+    measure_to_json measures mix moment_consistency muirhead_cx_check
+    muirhead_scalar multi_rasa_gap orders poly_eval_measures poly_surface
+    polynomials quad_fn rasa_criterion rasa_direct rasa_gap rasa_scan s_step_chain
+    sorted_desc sos_cx_check sos_step_decomposition step_function step_self_convolution
+    supermodularity_check tensor_bernstein truncate_negbinomial truncate_poisson
+    truncated_family unit_grid w_polynomial
+""".split()
+
+
+def test_every_export_resolves():
+    import cxorder
+
+    assert len(EXPORTS) == 90
+    assert set(EXPORTS) <= set(dir(cxorder))
+    submodules = [importlib.import_module(f"cxorder.{name}") for name in (
+        "bernstein", "errors", "lattice", "majorization", "measures", "orders", "polynomials")]
+    for name in EXPORTS:
+        value = getattr(cxorder, name)
+        namespace = {}
+        exec(f"from cxorder import {name}", namespace)
+        assert namespace[name] is value
+        assert value in submodules or any(getattr(m, name, None) is value for m in submodules)
+    assert cxorder.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        cxorder.nonexistent
+    with pytest.raises(ImportError):
+        exec("from cxorder import nonexistent", {})

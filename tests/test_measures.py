@@ -1,5 +1,6 @@
 """Measure algebra: construction, moments, convolution, CDF differences."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -250,3 +251,39 @@ def test_as_rational_exponent_budget_boundary(sign):
             as_rational(text)
     with pytest.raises(ParseError, match="atom #0: .*MAX_EXPONENT"):
         measure_from_json(f'{{"atoms": [{{"x": "1e{sign}{limit + 1}", "w": "1"}}]}}')
+
+
+def test_as_rational_returns_a_fraction_unchanged():
+    q = Fraction(-7, 3)
+    assert as_rational(q) is q
+    for value, expected in ((5, Fraction(5)), ("-3/4", Fraction(-3, 4)), ("1e-3", Fraction(1, 1000)),
+                            (True, Fraction(1)), (False, Fraction(0))):
+        converted = as_rational(value)
+        assert converted == expected and type(converted) is Fraction
+    with pytest.raises(TypeError, match="refusing float"):
+        as_rational(0.5)
+
+
+def _str_without_cap(n: int) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=-10**6, max_value=10**6),
+       st.booleans())
+def test_int_text_prints_ints_of_any_size(digits, offset, negative):
+    n = 10**digits + offset
+    n = -n if negative else n
+    assert measures._int_text(n) == _str_without_cap(n)
+
+
+def test_format_rational_prints_over_4300_digits():
+    big = 10**4300  # 4301 digits
+    assert measures.format_rational(Fraction(-big - 1, 3)) == "-1" + "0" * 4299 + "1/3"
+    assert measures.format_rational(Fraction(1, big)) == "1/1" + "0" * 4300
+    assert measures.format_rational(Fraction(7 * big**3)) == "7" + "0" * 12900
