@@ -38,6 +38,7 @@ import argparse
 import os
 import re
 import sys
+from functools import cached_property
 
 # Every import at module level is paid by every command: a handler imports
 # the modules its verb runs when it runs (and looks functions up on them
@@ -299,31 +300,41 @@ def load_measure(spec: str) -> DiscreteMeasure:
 # -- output helpers ----------------------------------------------------------
 
 
-def _decimal_digits(q: Fraction, digits: int) -> str:
-    from .measures import _int_text
-
-    sign = "-" if q < 0 else ""
-    n, d = abs(q.numerator), q.denominator
-    scaled = (n * 10**digits + d // 2) // d  # round half up, integers only
-    if digits == 0:
-        return f"{sign}{_int_text(scaled)}"
-    whole, frac = divmod(scaled, 10**digits)
-    return f"{sign}{_int_text(whole)}.{_int_text(frac).zfill(digits)}"
-
-
 class _Printer:
     def __init__(self, decimal: int | None):
         self.decimal = decimal
         self.lines: list[str] = []
 
-    def rat(self, q) -> str:
-        from .measures import as_rational, format_rational
+    @cached_property
+    def _num(self):
+        """measures, bound on the first number printed: ``major compare``
+        prints none and so never loads fractions."""
+        from . import measures
 
-        q = as_rational(q)
-        text = format_rational(q)
+        return measures
+
+    def rat(self, q) -> str:
+        num = self._num
+        q = num.as_rational(q)
+        text = num.format_rational(q)
         if self.decimal is not None:
-            text += f" ({_decimal_digits(q, self.decimal)})"
+            text += f" ({self._decimal_digits(q)})"
         return text
+
+    def _decimal_digits(self, q: Fraction) -> str:
+        int_text, digits = self._num._int_text, self.decimal
+        sign = "-" if q < 0 else ""
+        n, d = abs(q.numerator), q.denominator
+        scaled = (n * 10**digits + d // 2) // d  # round half up, integers only
+        if digits == 0:
+            return f"{sign}{int_text(scaled)}"
+        whole, frac = divmod(scaled, 10**digits)
+        return f"{sign}{int_text(whole)}.{int_text(frac).zfill(digits)}"
+
+    def csv_gap(self, q: Fraction) -> str:
+        """The num,den,sign fields of a CSV row; no field ever needs quoting."""
+        int_text = self._num._int_text
+        return f"{int_text(q.numerator)},{int_text(q.denominator)},{(q > 0) - (q < 0)}"
 
     def say(self, text: str = ""):
         self.lines.append(text)
@@ -333,11 +344,9 @@ class _Printer:
 
 
 def _point_text(out: _Printer, point) -> str:
-    from fractions import Fraction
-
     if isinstance(point, tuple):
         return "(" + ",".join(_point_text(out, p) for p in point) + ")"
-    if isinstance(point, Fraction):
+    if isinstance(point, out._num.Fraction):
         return out.rat(point)
     return str(point)
 
@@ -487,15 +496,8 @@ def _cmd_genfun(args, out: _Printer) -> int:
         coeffs = lat.genfun_square_coeffs(first, second)  # may raise Inconclusive
         out.say("index,num,den,sign")
         for k, c in enumerate(coeffs):
-            out.say(f"{k},{_csv_gap(c)}")
+            out.say(f"{k},{out.csv_gap(c)}")
     return _verdict_exit(out, lat.genfun_test(first, second, coeffs=coeffs))
-
-
-def _csv_gap(q: Fraction) -> str:
-    """The num,den,sign fields of a CSV row; no field ever needs quoting."""
-    from .measures import _int_text
-
-    return f"{_int_text(q.numerator)},{_int_text(q.denominator)},{(q > 0) - (q < 0)}"
 
 
 def _exponent_pair(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -570,12 +572,11 @@ def _poly_text(out: _Printer, poly: MVPolynomial) -> str:
 
 
 def _scan_rows(out: _Printer, header: list[str], rows) -> int:
-    from .measures import format_rational
-
+    format_rational = out._num.format_rational
     out.say(",".join(header))
     worst = EXIT_HOLDS
     for coords, gap in rows:
-        out.say(",".join(map(format_rational, coords)) + "," + _csv_gap(gap))
+        out.say(",".join(map(format_rational, coords)) + "," + out.csv_gap(gap))
         if gap < 0:
             worst = EXIT_FAILS
     return worst
@@ -935,10 +936,10 @@ _VERBS = {
 }
 
 
-def build_parser(eps: Fraction | None = None) -> _Parser:
+def build_parser() -> _Parser:
     """The cxorder parser.  A verb's arguments are added when that verb is
-    parsed; ``eps`` (CXORDER_EPS) is the default of the --eps options, None
-    for lattice.DEFAULT_EPS."""
+    parsed; CXORDER_EPS, when set, is the default of the --eps options."""
+    eps = _default_eps()
     parser = _Parser(prog="cxorder", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--decimal", type=int, default=None, metavar="K",
@@ -953,7 +954,7 @@ def build_parser(eps: Fraction | None = None) -> _Parser:
 def run(argv: list[str]) -> tuple[int, str]:
     """Execute one command; returns (exit code, stdout text)."""
     try:
-        args = build_parser(_default_eps()).parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.decimal is not None and args.decimal < 0:
             raise _Abort(f"argument --decimal: K must be >= 0, got {args.decimal}")
     except (_Abort, ParseError) as exc:
