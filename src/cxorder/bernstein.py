@@ -30,8 +30,7 @@ from .polynomials import MVPolynomial
 # budget bounds it too.  The product operator behind tensor_bernstein,
 # gav_gap and gav_scan tabulates prod(n_i + 1) surface values and refuses
 # more than MAX_OPERATOR_TABLE.  multi_rasa_gap refuses more than
-# MAX_MULTI_POINTS points: m points cost m(m - 1) products of rows up to
-# m*n + 1 long (at n = 16, 0.6 s for m = 16 and 11 s for m = 32).
+# MAX_MULTI_POINTS points and, through eq6prim_gap, m*n above MAX_DEGREE.
 MAX_DEGREE = 512
 MAX_GRID_POINTS = 257
 MAX_SCAN_POINTS = 100_000
@@ -42,13 +41,17 @@ MAX_MULTI_POINTS = 16
 def binomial_weights(n: int, x) -> list[Fraction]:
     """All n+1 basis values b_{n,i}(x), zeros included."""
     x = as_rational(x)
+    _check_degree(n)
+    if not 0 <= x <= 1:
+        raise BadParameter(f"parameter x={format_rational(x)} must lie in [0, 1]")
+    return [comb(n, i) * x**i * (1 - x) ** (n - i) for i in range(n + 1)]
+
+
+def _check_degree(n: int):
     if not isinstance(n, int) or n < 1:
         raise BadParameter(f"degree must be an integer >= 1, got {n!r}")
     if n > MAX_DEGREE:
         raise BadParameter(f"degree {n} exceeds MAX_DEGREE = {MAX_DEGREE}")
-    if not 0 <= x <= 1:
-        raise BadParameter(f"parameter x={format_rational(x)} must lie in [0, 1]")
-    return [comb(n, i) * x**i * (1 - x) ** (n - i) for i in range(n + 1)]
 
 
 def binomial_measure(n: int, x) -> DiscreteMeasure:
@@ -116,25 +119,12 @@ def multi_rasa_gap(n: int, xs: Sequence, phi: ConvexTestFn) -> Fraction:
         sum over (i_1..i_m) of [sum_l prod_k b_{i_k}(x_l) - m prod_k b_{i_k}(x_k)]
         * phi((i_1+...+i_m)/(m n)).
 
-    Computed through the m-fold coefficient convolutions; reduces to
-    rasa_gap for m = 2 and is non-negative for convex phi."""
-    m = len(xs)
-    if m < 1:
-        raise BadParameter("need at least one point")
-    if m > MAX_MULTI_POINTS:
-        raise BadParameter(f"{m} points exceed MAX_MULTI_POINTS = {MAX_MULTI_POINTS}")
-    weights = [binomial_weights(n, x) for x in xs]
-    mixed = weights[0]
-    for w in weights[1:]:
-        mixed = cauchy_product(mixed, w)
-    total = [-Fraction(m) * c for c in mixed]
-    for w in weights:
-        power = w
-        for _ in range(m - 1):
-            power = cauchy_product(power, w)
-        for s, c in enumerate(power):
-            total[s] += c
-    return _phi_row_sum(total, lambda s: phi(Fraction(s, m * n)))
+    A sum of m independent B(n, x) is B(m n, x), so this is m times the
+    block gap eq6prim_gap([n] * m, xs, phi); non-negative for convex phi."""
+    _check_degree(n)
+    if len(xs) > MAX_MULTI_POINTS:
+        raise BadParameter(f"{len(xs)} points exceed MAX_MULTI_POINTS = {MAX_MULTI_POINTS}")
+    return len(xs) * eq6prim_gap([n] * len(xs), xs, phi)
 
 
 # -- exact multivariate test functions ---------------------------------------

@@ -411,6 +411,8 @@ def _equivalence_sweep(out: _Printer, trials: int, seed: int, lattice_only: bool
     from .measures import make_measure, measure_to_json
     from .orders import rasa_criterion, rasa_direct
 
+    if trials < 0:
+        raise ParseError(f"--trials: must be >= 0, got {trials}")
     rng = random.Random(seed)
     for trial in range(trials):
         if lattice_only:
@@ -955,8 +957,14 @@ def run(argv: list[str]) -> tuple[int, str]:
     """Execute one command; returns (exit code, stdout text)."""
     try:
         args = build_parser().parse_args(argv)
-        if args.decimal is not None and args.decimal < 0:
-            raise _Abort(f"argument --decimal: K must be >= 0, got {args.decimal}")
+        if args.decimal is not None:
+            from .measures import MAX_EXPONENT  # it also keeps 10**K out of fraction text
+
+            if args.decimal < 0:
+                raise _Abort(f"argument --decimal: K must be >= 0, got {args.decimal}")
+            if args.decimal > MAX_EXPONENT:
+                raise _Abort(f"argument --decimal: K = {args.decimal} exceeds"
+                             f" MAX_EXPONENT = {MAX_EXPONENT}")
     except (_Abort, ParseError) as exc:
         return EXIT_USAGE, f"error: {exc}\n"
     except SystemExit as exc:  # --help prints directly and exits 0

@@ -362,7 +362,7 @@ def measure_from_json(text: str) -> DiscreteMeasure:
         obj = json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
-    if not isinstance(obj, dict) or "atoms" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("atoms"), list):
         raise ParseError('measure file must be an object {"atoms": [...]}')
     pairs = []
     for i, entry in enumerate(obj["atoms"]):

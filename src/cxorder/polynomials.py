@@ -195,28 +195,25 @@ def poly_eval_measures(
 ) -> DiscreteMeasure:
     """Evaluate a non-negative polynomial on measures by convolution.
 
-    Each convolution power is built once per call.
+    Each convolution power is built once per call, in a loop (not one stack
+    frame per power) up to the variable's largest exponent.
     """
     if len(measures) != poly.arity:
         raise ArityMismatch(f"need {poly.arity} measures, got {len(measures)}")
     if not poly.nonneg:
         raise NotNonneg("polynomial has a negative coefficient")
-    powers: list[dict[int, DiscreteMeasure]] = [
-        {0: dirac(0), 1: m} for m in measures
-    ]
-
-    def power(i: int, k: int) -> DiscreteMeasure:
-        memo = powers[i]
-        if k not in memo:
-            memo[k] = convolve(power(i, k - 1), measures[i])
-        return memo[k]
+    powers: list[list[DiscreteMeasure]] = [[dirac(0), m] for m in measures]
+    for exps, _ in poly.terms:
+        for row, m, e in zip(powers, measures, exps):
+            while len(row) <= e:
+                row.append(convolve(row[-1], m))
 
     acc: dict[Fraction, Fraction] = {}
     for exps, coeff in poly.terms:
         part = dirac(0)
         for i, e in enumerate(exps):
             if e:
-                part = convolve(part, power(i, e))
+                part = convolve(part, powers[i][e])
         for x, w in part.atoms:
             acc[x] = acc.get(x, Fraction(0)) + coeff * w
     return make_measure(acc.items())

@@ -16,6 +16,7 @@ from cxorder import (
     Witness,
     as_rational,
     binomial_weights,
+    cauchy_product,
     integrate_hinge,
     make_measure,
 )
@@ -190,6 +191,27 @@ def tensor_bernstein_oracle(g: BivariateFn, ns, xs) -> Fraction:
             continue
         total += w * g([Fraction(i, n) for i, n in zip(indices, ns)])
     return total
+
+
+def multi_rasa_gap_oracle(n: int, xs, phi: ConvexTestFn) -> Fraction:
+    """Independent oracle for multi_rasa_gap: the mixed row of the m basis
+    rows and the m-th power of each row, built by m(m - 1) + m - 1
+    cauchy_product calls, their difference paired with phi(s/(m n))."""
+    m = len(xs)
+    weights = [binomial_weights(n, x) for x in xs]
+    mixed = weights[0]
+    for w in weights[1:]:
+        mixed = cauchy_product(mixed, w)
+    total = [-Fraction(m) * c for c in mixed]
+    for w in weights:
+        power = w
+        for _ in range(m - 1):
+            power = cauchy_product(power, w)
+        for s, c in enumerate(power):
+            total[s] += c
+    return sum(
+        (c * phi(Fraction(s, m * n)) for s, c in enumerate(total) if c != 0), Fraction(0)
+    )
 
 
 def supermodularity_check_oracle(g: BivariateFn, grid) -> OrderVerdict:

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -126,6 +126,51 @@ def test_multi_rasa_gap_three_points():
     value = multi_rasa_gap(1, list(xs), phi)
     assert value == expected
     assert value > 0
+
+
+eighths = st.integers(0, 8).map(lambda k: Fraction(k, 8))
+hinge_quads = st.builds(
+    lambda a, c, q: hinge_fn(Fraction(a, 4), c) + quad_fn(q),
+    st.integers(0, 4), st.integers(1, 3), st.integers(0, 2),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 4), xs=st.lists(eighths, min_size=1, max_size=5), phi=hinge_quads)
+@example(n=2, xs=[Fraction(0), Fraction(1), Fraction(1)], phi=quad_fn(1))
+@example(n=4, xs=[Fraction(0), Q, Q, Fraction(1), H], phi=hinge_fn(H))
+def test_multi_rasa_gap_matches_the_power_loop_oracle(n, xs, phi):
+    value = multi_rasa_gap(n, xs, phi)
+    assert isinstance(value, Fraction)
+    assert value == helpers.multi_rasa_gap_oracle(n, xs, phi)
+
+
+def test_multi_rasa_gap_is_m_block_gaps(monkeypatch):
+    calls = []
+
+    def block_gap(ns, xs, phi):
+        calls.append((ns, xs, phi))
+        return Fraction(1, 7)
+
+    def refuse(*args):
+        raise AssertionError("multi_rasa_gap builds no row of its own")
+
+    monkeypatch.setattr(bernstein, "eq6prim_gap", block_gap)
+    monkeypatch.setattr(bernstein, "binomial_weights", refuse)
+    monkeypatch.setattr(bernstein, "cauchy_product", refuse)
+    phi = quad_fn(1)
+    assert multi_rasa_gap(3, [0, H, 1], phi) == Fraction(3, 7)
+    assert calls == [([3, 3, 3], [0, H, 1], phi)]
+
+
+def test_multi_rasa_gap_takes_the_block_degree_budget(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no row may be built")
+
+    monkeypatch.setattr(bernstein, "comb", refuse)
+    monkeypatch.setattr(bernstein, "cauchy_product", refuse)
+    with pytest.raises(BadParameter, match="^degree 1536 exceeds MAX_DEGREE = 512$"):
+        multi_rasa_gap(512, [0, H, 1], quad_fn(1))
 
 
 def test_multi_rasa_gap_equal_points_vanishes():

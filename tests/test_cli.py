@@ -178,6 +178,25 @@ def test_usage_errors_exit_two(measure_files, tmp_path):
     assert run(["order", "weird"])[0] == 2
 
 
+@pytest.mark.parametrize("atoms", ["5", "null"])
+def test_measure_file_without_an_atom_list_exits_2(atoms, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"atoms": {atoms}}}')
+    assert run(["order", "cx", "--mu", str(bad), "--nu", str(bad)]) == (
+        2, 'error: measure file must be an object {"atoms": [...]}\n'
+    )
+
+
+@pytest.mark.parametrize("verb", ["rasa", "genfun"])
+def test_negative_trials_exit_2_with_one_line(verb):
+    assert run([verb, "equivalence", "--trials", "-5"]) == (
+        2, "error: --trials: must be >= 0, got -5\n"
+    )
+    assert run([verb, "equivalence", "--trials", "0"]) == (
+        0, "0 randomized pairs: criterion and oracle agree\n"
+    )
+
+
 def test_decimal_flag(measure_files):
     code, text = run(["--decimal", "3", "rasa", "gap", "--mu", measure_files["outer"],
                       "--nu", measure_files["inner"], "--phi", "hinge 3 1"])
@@ -268,6 +287,15 @@ def test_negative_decimal_rejected_at_parse_time():
                       "--y", "3/4", "--phi", "hinge 1/2 1"])
     assert code == 2
     assert text.count("\n") == 1 and "--decimal" in text
+
+
+def test_decimal_digits_budget_boundary():
+    command = ["bernstein", "rasa", "--n", "2", "--x", "1/3", "--y", "3/4", "--phi", "quad 1"]
+    code, text = run(["--decimal", "4300"] + command)
+    assert code == 0 and text.startswith("gap = 25/288 (0.0868055555")
+    assert run(["--decimal", "4301"] + command) == (
+        2, "error: argument --decimal: K = 4301 exceeds MAX_EXPONENT = 4300\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -416,6 +444,9 @@ def test_genfun_csv_squares_the_pair_once(monkeypatch):
         (["bernstein", "eq6", "--ns", "500,13", "--points", "0,1", "--phi", "quad 1"],
          "degree 513"),
         (["order", "st", "--mu", "binomial:513,1/2", "--nu", "binomial:1,1/2"], "degree 513"),
+        # multi with m points takes eq6's total degree m*n
+        (["bernstein", "multi", "--n", "200", "--points", "0,1/2,1", "--phi", "quad 1"],
+         "degree 600"),
     ],
 )
 def test_degree_budget_exits_2_with_one_line(argv, message):

@@ -236,6 +236,15 @@ def test_measure_json_rejects_floats():
         measure_from_json('{"atoms": [{"x": 0.5, "w": 1}]}')
 
 
+@pytest.mark.parametrize("text", ['{"atoms": 5}', '{"atoms": null}', '{"atoms": "0"}', "[]"])
+def test_measure_json_needs_an_atom_list(text):
+    from cxorder import ParseError
+
+    with pytest.raises(ParseError) as info:
+        measure_from_json(text)
+    assert str(info.value) == 'measure file must be an object {"atoms": [...]}'
+
+
 @pytest.mark.parametrize("sign", ["", "+", "-"])
 def test_as_rational_exponent_budget_boundary(sign):
     # "1e1000000000" would make Fraction build 10^1000000000 (not run here);

@@ -118,6 +118,28 @@ def test_poly_eval_square_on_dirac():
     assert poly_eval_measures(square, [dirac(1)]) == dirac(2)
 
 
+def test_poly_eval_builds_high_powers_without_recursion():
+    # one stack frame per power overflowed the stack near exponent 1000
+    assert poly_eval_measures(MVPolynomial.monomial(1, (1100,)), [dirac(1)]) == dirac(1100)
+
+
+def test_poly_eval_convolves_each_power_once(monkeypatch):
+    calls = []
+    convolve = polynomials.convolve
+
+    def counting(mu, nu):
+        calls.append(1)
+        return convolve(mu, nu)
+
+    monkeypatch.setattr(polynomials, "convolve", counting)
+    poly = MVPolynomial.from_dict(2, {(3, 0): 1, (2, 1): 2, (0, 0): 1})
+    coin = make_measure([(0, Fraction(1, 2)), (1, Fraction(1, 2))])
+    poly_eval_measures(poly, [coin, dirac(1)])
+    # powers 2 and 3 of x1, none of x2, then one product per non-zero
+    # exponent of each term: 2 + 3
+    assert len(calls) == 5
+
+
 def test_poly_eval_rejects_negative_coefficients():
     signed = MVPolynomial.from_dict(1, {(1,): -1})
     with pytest.raises(NotNonneg):
