@@ -417,12 +417,13 @@ def eq6prim_gap(ns: Sequence[int], xs: Sequence, phi: ConvexTestFn) -> Fraction:
 
     with m = sum n_i; non-negative for convex phi.  The mixed sum collapses
     along the total index through coefficient convolution.  The block rows
-    of degree m come first, so MAX_DEGREE refuses m before any product."""
+    of degree m come first, so MAX_DEGREE refuses m before any product.
+    phi is evaluated at most once per point s/m, however many blocks."""
     if not ns or len(ns) != len(xs):
         raise ModeArity(f"{len(ns)} degrees vs {len(xs)} coordinates; need >= 1 block")
     points = _unit_points(xs)
     m = sum(ns)
-    phi_at = lambda s: phi(Fraction(s, m))
+    phi_at = functools.cache(lambda s: phi(Fraction(s, m)))
     blocks = Fraction(0)
     for n, x in zip(ns, points):
         blocks += Fraction(n, m) * _phi_row_sum(binomial_weights(m, x), phi_at)

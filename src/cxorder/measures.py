@@ -204,6 +204,21 @@ def _scaled_ints(values) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
+def _product_row(
+    left: Iterable[tuple[int, int]], right: Iterable[tuple[int, int]]
+) -> dict[int, int]:
+    """The convolution of two rows of (position, weight) int pairs as a
+    dict position -> weight: positions add, weights multiply.  ``right``
+    is iterated once per entry of ``left``, so it must be re-iterable."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for x, wx in left:
+        for y, wy in right:
+            s = x + y
+            acc[s] = get(s, 0) + wx * wy
+    return acc
+
+
 def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
     """Convolution: positions add, weights multiply (law of a sum of
     independent draws).  Masses multiply and means obey
@@ -217,11 +232,7 @@ def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
     xs, ys = positions[: len(mu.atoms)], positions[len(mu.atoms) :]
     mu_scale, mu_ws = _scaled_ints([w for _, w in mu.atoms])
     nu_scale, nu_ws = _scaled_ints([w for _, w in nu.atoms])
-    acc: dict[int, int] = {}
-    for x, wx in zip(xs, mu_ws):
-        for y, wy in zip(ys, nu_ws):
-            s = x + y
-            acc[s] = acc.get(s, 0) + wx * wy
+    acc = _product_row(zip(xs, mu_ws), list(zip(ys, nu_ws)))
     unit = mu_scale * nu_scale
     return DiscreteMeasure(
         tuple((Fraction(s, pos_scale), Fraction(w, unit)) for s, w in sorted(acc.items()))

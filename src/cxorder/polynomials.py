@@ -36,17 +36,21 @@ from .majorization import (
 from .measures import (
     DiscreteMeasure,
     _frozen,
+    _product_row,
+    _scaled_ints,
     as_rational,
-    convolve,
-    dirac,
     format_rational,
-    make_measure,
 )
 from .orders import OrderVerdict, Witness, leq_cx, rasa_criterion
 
 # Budget for w_polynomial: the most distinct arrangements it enumerates.
 # Eight distinct exponents (8! = 40,320) fit; nine (362,880) are refused.
 MAX_ARRANGEMENTS = 100_000
+# Budget for poly_eval_measures: the largest span of one term,
+# sum_i e_i * max(atoms(mu_i) - 1, 1), which bounds both the term's atom
+# count and the power steps that build it.  x1^2048 on a coin takes about
+# 3 s.
+MAX_POLY_SPAN = 2048
 
 
 @_frozen
@@ -195,28 +199,68 @@ def poly_eval_measures(
 ) -> DiscreteMeasure:
     """Evaluate a non-negative polynomial on measures by convolution.
 
-    Each convolution power is built once per call, in a loop (not one stack
-    frame per power) up to the variable's largest exponent.
+    Runs on ints: positions in units of their least common denominator,
+    the weights of every measure in units of one common denominator D and
+    the coefficients in units of their lcm C.  A term c * x^e of degree d
+    starts as the int c*C*D^(top - d), top being the largest degree, so
+    every term ends in the one unit C*D^top and one Fraction pair is built
+    per output atom.
+
+    The variables are walked left to right, Horner-like: at each level the
+    terms whose remaining exponents coincide are summed into one row,
+    which is multiplied by the power of that variable once, so there is one
+    product per distinct exponent suffix (for W^t, one per arrangement of a
+    sub-multiset of t) rather than one per term and variable.  Each
+    variable's powers are built once, in a loop.  Raises BadParameter,
+    before any power is built, when a term's span exceeds MAX_POLY_SPAN.
     """
     if len(measures) != poly.arity:
         raise ArityMismatch(f"need {poly.arity} measures, got {len(measures)}")
     if not poly.nonneg:
         raise NotNonneg("polynomial has a negative coefficient")
-    powers: list[list[DiscreteMeasure]] = [[dirac(0), m] for m in measures]
+    steps = [max(len(m.atoms) - 1, 1) for m in measures]
     for exps, _ in poly.terms:
-        for row, m, e in zip(powers, measures, exps):
-            while len(row) <= e:
-                row.append(convolve(row[-1], m))
-
-    acc: dict[Fraction, Fraction] = {}
-    for exps, coeff in poly.terms:
-        part = dirac(0)
-        for i, e in enumerate(exps):
-            if e:
-                part = convolve(part, powers[i][e])
-        for x, w in part.atoms:
-            acc[x] = acc.get(x, Fraction(0)) + coeff * w
-    return make_measure(acc.items())
+        span = sum(e * step for e, step in zip(exps, steps))
+        if span > MAX_POLY_SPAN:
+            raise BadParameter(
+                f"monomial {exps} has span {span}, which exceeds MAX_POLY_SPAN = {MAX_POLY_SPAN}"
+            )
+    pos_scale, positions = _scaled_ints([x for m in measures for x, _ in m.atoms])
+    weight_scale, weights = _scaled_ints([w for m in measures for _, w in m.atoms])
+    coeff_scale, coeffs = _scaled_ints([c for _, c in poly.terms])
+    degrees = [sum(exps) for exps, _ in poly.terms]
+    top = max(degrees, default=0)
+    # remaining exponents -> row {position: weight} summed over the terms
+    groups: dict[tuple[int, ...], dict[int, int]] = {
+        exps: {0: c * weight_scale ** (top - d)}
+        for (exps, _), c, d in zip(poly.terms, coeffs, degrees)
+    }
+    start = 0
+    for m in measures:
+        stop = start + len(m.atoms)
+        base = list(zip(positions[start:stop], weights[start:stop]))
+        start = stop
+        powers = [[], base]  # powers[e]: the (position, weight) pairs of m^{*e}
+        for _ in range(max((exps[0] for exps in groups), default=1) - 1):
+            powers.append(list(_product_row(powers[-1], base).items()))
+        merged: dict[tuple[int, ...], dict[int, int]] = {}
+        for exps, row in groups.items():
+            if exps[0]:
+                row = _product_row(row.items(), powers[exps[0]])
+            into = merged.get(exps[1:])
+            if into is None:
+                merged[exps[1:]] = row
+            else:
+                for s, w in row.items():
+                    into[s] = into.get(s, 0) + w
+        groups = merged
+    unit = coeff_scale * weight_scale**top
+    return DiscreteMeasure(
+        tuple(
+            (Fraction(s, pos_scale), Fraction(w, unit))
+            for s, w in sorted(groups.get((), {}).items())
+        )
+    )
 
 
 def moment_consistency(

@@ -7,9 +7,12 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from cxorder import (
+    ArityMismatch,
     BivariateFn,
     ConvexTestFn,
     DiscreteMeasure,
+    MVPolynomial,
+    NotNonneg,
     OrderVerdict,
     PiecewiseLinear,
     StepFunction,
@@ -17,6 +20,8 @@ from cxorder import (
     as_rational,
     binomial_weights,
     cauchy_product,
+    convolve,
+    dirac,
     integrate_hinge,
     make_measure,
 )
@@ -191,6 +196,31 @@ def tensor_bernstein_oracle(g: BivariateFn, ns, xs) -> Fraction:
             continue
         total += w * g([Fraction(i, n) for i, n in zip(indices, ns)])
     return total
+
+
+def poly_eval_measures_oracle(poly: MVPolynomial, measures) -> DiscreteMeasure:
+    """Independent oracle for poly_eval_measures: each variable's powers by
+    one convolve per step, then per term one convolve per non-zero
+    exponent, the terms mixed Fraction by Fraction."""
+    if len(measures) != poly.arity:
+        raise ArityMismatch(f"need {poly.arity} measures, got {len(measures)}")
+    if not poly.nonneg:
+        raise NotNonneg("polynomial has a negative coefficient")
+    powers: list[list[DiscreteMeasure]] = [[dirac(0), m] for m in measures]
+    for exps, _ in poly.terms:
+        for row, m, e in zip(powers, measures, exps):
+            while len(row) <= e:
+                row.append(convolve(row[-1], m))
+
+    acc: dict[Fraction, Fraction] = {}
+    for exps, coeff in poly.terms:
+        part = dirac(0)
+        for i, e in enumerate(exps):
+            if e:
+                part = convolve(part, powers[i][e])
+        for x, w in part.atoms:
+            acc[x] = acc.get(x, Fraction(0)) + coeff * w
+    return make_measure(acc.items())
 
 
 def multi_rasa_gap_oracle(n: int, xs, phi: ConvexTestFn) -> Fraction:

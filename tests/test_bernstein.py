@@ -282,6 +282,21 @@ def test_eq6prim_hand_value():
     assert eq6prim_gap([1, 1], [0, 1], hinge_fn(H)) == Q
 
 
+def test_eq6prim_evaluates_phi_once_per_grid_point():
+    phi = hinge_fn(Fraction(1, 3), 2) + quad_fn(1)
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return phi(t)
+
+    n, xs = 4, [Fraction(1, k) for k in range(2, 10)]  # 8 blocks, m = 32
+    gap = eq6prim_gap([n] * len(xs), xs, counting)
+    assert len(calls) == len(set(calls)) <= n * len(xs) + 1
+    # a sum of m independent B(n, x) is B(m n, x): the m-point gap is m blocks
+    assert gap == helpers.multi_rasa_gap_oracle(n, xs, phi) / len(xs)
+
+
 def test_eq6prim_single_block_vanishes():
     phi = hinge_fn(Fraction(3, 7)) + quad_fn(2)
     for n, x in ((1, Q), (2, Fraction(5, 8)), (3, 1)):

@@ -460,6 +460,15 @@ def test_degree_budget_admits_512():
     assert (code, text) == (0, "holds\n")
 
 
+def test_poly_eval_span_budget_exits_2_with_one_line(measure_files):
+    code, text = run(["poly", "eval", "--expr", "1 * x1^5000", "--measure", measure_files["coin"]])
+    assert code == 2
+    assert text == (
+        "error: BadParameter: monomial (5000,) has span 5000, "
+        "which exceeds MAX_POLY_SPAN = 2048\n"
+    )
+
+
 @pytest.mark.parametrize("exponent", ["4301", "-4301"])
 def test_exponent_budget_at_every_textual_entry_point(exponent, tmp_path, monkeypatch):
     big = f"1e{exponent}"

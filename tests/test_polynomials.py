@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -125,19 +125,88 @@ def test_poly_eval_builds_high_powers_without_recursion():
 
 def test_poly_eval_convolves_each_power_once(monkeypatch):
     calls = []
-    convolve = polynomials.convolve
+    product_row = polynomials._product_row
 
-    def counting(mu, nu):
+    def counting(left, right):
         calls.append(1)
-        return convolve(mu, nu)
+        return product_row(left, right)
 
-    monkeypatch.setattr(polynomials, "convolve", counting)
-    poly = MVPolynomial.from_dict(2, {(3, 0): 1, (2, 1): 2, (0, 0): 1})
+    monkeypatch.setattr(polynomials, "_product_row", counting)
+    poly = MVPolynomial.from_dict(2, {(1, 2): 1, (2, 2): 2, (0, 0): 1})
     coin = make_measure([(0, Fraction(1, 2)), (1, Fraction(1, 2))])
-    poly_eval_measures(poly, [coin, dirac(1)])
-    # powers 2 and 3 of x1, none of x2, then one product per non-zero
-    # exponent of each term: 2 + 3
+    assert poly_eval_measures(poly, [coin, coin]) == helpers.poly_eval_measures_oracle(
+        poly, [coin, coin]
+    )
+    # powers: the square of each variable, 1 + 1; then one product per
+    # distinct non-zero exponent suffix: (1, 2) and (2, 2) at x1, and the
+    # merged (2,) at x2, 2 + 1
     assert len(calls) == 5
+
+
+def test_poly_eval_on_many_variables_without_recursion():
+    # one level per variable: a recursion over the variables would overflow
+    poly = MVPolynomial.monomial(1500, (1,) * 1500)
+    assert poly_eval_measures(poly, [dirac(1)] * 1500) == dirac(1500)
+
+
+def test_poly_eval_span_budget_is_checked_before_any_power(monkeypatch):
+    def refuse(left, right):
+        raise AssertionError("built a power past the budget")
+
+    monkeypatch.setattr(polynomials, "_product_row", refuse)
+    coin = make_measure([(0, Fraction(1, 2)), (1, Fraction(1, 2))])
+    three = make_measure([(0, 1), (1, 1), (5, 1)])
+    poly = MVPolynomial.from_dict(2, {(1, 0): 1, (1, 1024): 1})  # span 1 + 2 * 1024
+    with pytest.raises(BadParameter) as err:
+        poly_eval_measures(poly, [coin, three])
+    assert str(err.value) == "monomial (1, 1024) has span 2049, which exceeds MAX_POLY_SPAN = 2048"
+
+
+def test_poly_eval_span_budget_boundary():
+    # a zero measure and a point mass count one step per unit of exponent
+    poly = MVPolynomial.from_dict(2, {(2047, 1): 1})
+    assert poly_eval_measures(poly, [dirac(1), make_measure([])]).is_zero
+    with pytest.raises(BadParameter):
+        poly_eval_measures(MVPolynomial.monomial(2, (2048, 1)), [dirac(1), dirac(0)])
+
+
+_poly_terms = st.dictionaries(
+    st.lists(st.integers(min_value=0, max_value=4), min_size=3, max_size=3).map(tuple),
+    st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4),
+    max_size=4,
+)
+_poly_measures = st.lists(
+    st.tuples(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5),
+    ),
+    max_size=4,
+).map(make_measure)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    _poly_terms,
+    st.lists(_poly_measures, min_size=3, max_size=3),
+)
+@example(1, {(0, 0, 0): Fraction(3, 2)}, [make_measure([(1, 1)])] * 3)  # constant
+@example(2, {}, [make_measure([(1, 1)])] * 3)  # empty polynomial
+def test_poly_eval_matches_the_convolve_loop_oracle(arity, terms, measures):
+    poly = MVPolynomial.from_dict(arity, {e[:arity]: c for e, c in terms.items()})
+    assert poly_eval_measures(poly, measures[:arity]) == helpers.poly_eval_measures_oracle(
+        poly, measures[:arity]
+    )
+
+
+@pytest.mark.parametrize("t", [
+    t for size in (1, 2, 3)
+    for t in itertools.combinations_with_replacement(range(7), size) if sum(t) <= 6
+])
+def test_poly_eval_w_matches_the_oracle_on_binomials(t):
+    measures = [binomial_measure(3, Fraction(k, 8)) for k in (1, 3, 6)][: len(t)]
+    poly = w_polynomial(t)
+    assert poly_eval_measures(poly, measures) == helpers.poly_eval_measures_oracle(poly, measures)
 
 
 def test_poly_eval_rejects_negative_coefficients():
