@@ -29,8 +29,9 @@ from .polynomials import MVPolynomial
 # supermodularity_check tabulates G^2 values on a G-point grid, so the grid
 # budget bounds it too.  The product operator behind tensor_bernstein,
 # gav_gap and gav_scan tabulates prod(n_i + 1) surface values and refuses
-# more than MAX_OPERATOR_TABLE.  multi_rasa_gap refuses more than
-# MAX_MULTI_POINTS points and, through eq6prim_gap, m*n above MAX_DEGREE.
+# more than MAX_OPERATOR_TABLE.  eq6prim_gap refuses more than
+# MAX_MULTI_POINTS blocks (points) and a total degree above MAX_DEGREE, and
+# multi_rasa_gap, m times eq6prim_gap([n] * m, ...), inherits both.
 MAX_DEGREE = 512
 MAX_GRID_POINTS = 257
 MAX_SCAN_POINTS = 100_000
@@ -122,8 +123,6 @@ def multi_rasa_gap(n: int, xs: Sequence, phi: ConvexTestFn) -> Fraction:
     A sum of m independent B(n, x) is B(m n, x), so this is m times the
     block gap eq6prim_gap([n] * m, xs, phi); non-negative for convex phi."""
     _check_degree(n)
-    if len(xs) > MAX_MULTI_POINTS:
-        raise BadParameter(f"{len(xs)} points exceed MAX_MULTI_POINTS = {MAX_MULTI_POINTS}")
     return len(xs) * eq6prim_gap([n] * len(xs), xs, phi)
 
 
@@ -421,6 +420,8 @@ def eq6prim_gap(ns: Sequence[int], xs: Sequence, phi: ConvexTestFn) -> Fraction:
     phi is evaluated at most once per point s/m, however many blocks."""
     if not ns or len(ns) != len(xs):
         raise ModeArity(f"{len(ns)} degrees vs {len(xs)} coordinates; need >= 1 block")
+    if len(ns) > MAX_MULTI_POINTS:
+        raise BadParameter(f"{len(ns)} points exceed MAX_MULTI_POINTS = {MAX_MULTI_POINTS}")
     points = _unit_points(xs)
     m = sum(ns)
     phi_at = functools.cache(lambda s: phi(Fraction(s, m)))

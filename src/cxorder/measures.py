@@ -13,6 +13,7 @@ import re
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .errors import MassMismatch, NegativeWeight, ParseError
@@ -325,19 +326,14 @@ def cdf_diff(mu: DiscreteMeasure, nu: DiscreteMeasure) -> StepFunction:
         raise MassMismatch(
             f"masses differ: {format_rational(mu.mass)} vs {format_rational(nu.mass)}"
         )
-    jumps: dict[Fraction, Fraction] = {}
-    for x, w in mu.atoms:
-        jumps[x] = jumps.get(x, Fraction(0)) + w
+    net = dict(mu.atoms)
     for x, w in nu.atoms:
-        jumps[x] = jumps.get(x, Fraction(0)) - w
-    xs = sorted(jumps)
-    running = Fraction(0)
-    values = []
-    for x in xs[:-1]:
-        running += jumps[x]
-        values.append(running)
-    # equal masses force the level after the last jump back to 0
-    return step_function(xs, values)
+        net[x] = net.get(x, 0) - w
+    xs = sorted(x for x, w in net.items() if w)
+    # Already canonical: every kept jump is non-zero, so no two adjacent
+    # levels are equal and the first is not 0, and equal masses bring the
+    # level after the last jump back to 0; step_function would change nothing.
+    return StepFunction(tuple(xs), tuple(accumulate(net[x] for x in xs[:-1])))
 
 
 # -- measure file format ----------------------------------------------------

@@ -27,11 +27,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 
-from .errors import MassMismatch, NonConvexTestFn
+from .errors import NonConvexTestFn
 from .measures import (
     DiscreteMeasure,
     StepFunction,
     _frozen,
+    _product_row,
     _scaled_ints,
     as_rational,
     cdf_diff,
@@ -307,34 +308,34 @@ def leq_cx(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     return OrderVerdict(True)
 
 
+def _signed_square(h: StepFunction) -> tuple[int, int, dict[int, int]]:
+    """The signed measure (mu - nu)*(mu - nu), for h = cdf_diff(mu, nu) with
+    jumps d_i at breakpoints b_i: the weights d_i d_j at b_i + b_j, as
+    (scale, unit, kinks) with kinks[s] = w for the weight w/unit at s/scale.
+    Both are scaled to ints, so the B^2 products run on ints; sums whose
+    weights cancel stay in ``kinks`` with weight 0."""
+    levels = (0,) + h.values + (0,)
+    jumps = [after - before for before, after in zip(levels, levels[1:])]
+    scale, bs = _scaled_ints(h.breakpoints)
+    scale_d, ds = _scaled_ints(jumps)
+    row = list(zip(bs, ds))
+    return scale, scale_d * scale_d, _product_row(row, row)
+
+
 def step_self_convolution(h: StepFunction) -> PiecewiseLinear:
     """The exact profile (h*h), evaluated at every pairwise breakpoint sum
     (between which it is affine).
 
     With jumps d_i at the breakpoints b_i, (h*h)(A) is the ramp sum
-    sum_{i,j} d_i d_j (A - b_i - b_j)+: the B^2 kink weights are collected
-    by their sum b_i + b_j, sorted once and swept once, O(B^2 log B).
-    Sums whose weights cancel stay breakpoints of the profile.  Breakpoints
-    and jumps are scaled to integers by their common denominators, so the
-    B^2 products and the sweep run on ints and each output value is one
-    Fraction.
+    sum_{i,j} d_i d_j (A - b_i - b_j)+ over the kinks of ``_signed_square``,
+    sorted once and swept once on ints, O(B^2 log B).  Sums whose weights
+    cancel stay breakpoints of the profile.
     """
-    if h.is_zero:
-        return PiecewiseLinear((), ())
-    levels = (0,) + h.values + (0,)
-    jumps = [after - before for before, after in zip(levels, levels[1:])]
-    # integer sweep: breakpoints in units of 1/scale_b, jumps of 1/scale_d
-    scale_b, bs = _scaled_ints(h.breakpoints)
-    scale_d, ds = _scaled_ints(jumps)
-    kinks: dict[int, int] = {}
-    for b, d in zip(bs, ds):
-        for c, e in zip(bs, ds):
-            kinks[b + c] = kinks.get(b + c, 0) + d * e
+    scale, unit, kinks = _signed_square(h)
     sums = sorted(kinks)
     values = _ramp_sums(sums, [kinks[s] for s in sums])
-    unit = scale_b * scale_d * scale_d
     return PiecewiseLinear(
-        tuple(Fraction(s, scale_b) for s in sums), tuple(Fraction(v, unit) for v in values)
+        tuple(Fraction(s, scale) for s in sums), tuple(Fraction(v, scale * unit) for v in values)
     )
 
 
@@ -373,15 +374,13 @@ def rasa_direct(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
 def gap_functional(mu: DiscreteMeasure, nu: DiscreteMeasure, phi: ConvexTestFn) -> Fraction:
     """Exact value of integral phi d(mu*mu + nu*nu - 2 mu*nu).
 
-    Requires equal masses so the affine part of phi cancels exactly.  For a
-    hinge at A this equals the rasa_criterion profile at A; for phi = x^2 it
-    equals 2 (mean mu - mean nu)^2 (raw means, any equal mass).
+    Requires equal masses so the affine part of phi cancels exactly.  The
+    measure is the signed square (mu - nu)*(mu - nu) whose kinks the profile
+    sweeps, so for a hinge at A this equals the rasa_criterion profile at A;
+    for phi = x^2 it equals 2 (mean mu - mean nu)^2 (raw means, any equal mass).
     """
-    if mu.mass != nu.mass:
-        raise MassMismatch(
-            f"masses differ: {format_rational(mu.mass)} vs {format_rational(nu.mass)}"
-        )
+    h = cdf_diff(mu, nu)
     if not isinstance(phi, ConvexTestFn):
         raise NonConvexTestFn("test function must be a ConvexTestFn")
-    both = phi.integrate(convolve(mu, mu)) + phi.integrate(convolve(nu, nu))
-    return both - 2 * phi.integrate(convolve(mu, nu))
+    scale, unit, kinks = _signed_square(h)
+    return sum((w * phi(Fraction(s, scale)) for s, w in kinks.items() if w), Fraction(0)) / unit

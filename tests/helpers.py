@@ -12,6 +12,7 @@ from cxorder import (
     ConvexTestFn,
     DiscreteMeasure,
     MVPolynomial,
+    MassMismatch,
     NotNonneg,
     OrderVerdict,
     PiecewiseLinear,
@@ -25,6 +26,7 @@ from cxorder import (
     integrate_hinge,
     make_measure,
 )
+from cxorder.measures import format_rational
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 positive_rationals = st.fractions(
@@ -102,6 +104,25 @@ def convolve_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure
             s = x + y
             acc[s] = acc.get(s, Fraction(0)) + wx * wy
     return DiscreteMeasure(tuple(sorted(acc.items())))
+
+
+def gap_functional_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, phi: ConvexTestFn) -> Fraction:
+    """Independent oracle for gap_functional: the three literal convolutions
+    mu*mu, nu*nu and mu*nu of convolve_oracle, phi summed over the atoms of
+    each, Fraction by Fraction, and the first two less twice the third."""
+    if mu.mass != nu.mass:
+        raise MassMismatch(
+            f"masses differ: {format_rational(mu.mass)} vs {format_rational(nu.mass)}"
+        )
+
+    def integral(m: DiscreteMeasure) -> Fraction:
+        total = Fraction(0)
+        for x, w in m.atoms:
+            total += w * phi(x)
+        return total
+
+    both = integral(convolve_oracle(mu, mu)) + integral(convolve_oracle(nu, nu))
+    return both - 2 * integral(convolve_oracle(mu, nu))
 
 
 def cauchy_product_oracle(u, v) -> list[Fraction]:

@@ -765,3 +765,17 @@ def test_multi_points_budget_boundary(monkeypatch):
     monkeypatch.setattr(bernstein, "cauchy_product", refuse)
     with pytest.raises(BadParameter, match="17 points exceed MAX_MULTI_POINTS = 16"):
         multi_rasa_gap(1, [H] * (limit + 1), quad_fn(1))
+
+
+def test_eq6_blocks_budget_boundary(monkeypatch):
+    limit = bernstein.MAX_MULTI_POINTS
+    assert eq6prim_gap([1] * limit, [H] * limit, quad_fn(1)) == 0  # equal points
+
+    def refuse(*args):
+        raise AssertionError("no row may be built")
+
+    monkeypatch.setattr(bernstein, "binomial_weights", refuse)
+    monkeypatch.setattr(bernstein, "cauchy_product", refuse)
+    # the points lie outside [0, 1]: the block count is refused before them
+    with pytest.raises(BadParameter, match="17 points exceed MAX_MULTI_POINTS = 16"):
+        eq6prim_gap([1] * (limit + 1), [2] * (limit + 1), quad_fn(1))

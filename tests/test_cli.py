@@ -392,6 +392,8 @@ def test_exponent_options_are_named_in_errors(argv, message):
           "--points", "1/3,1/2,2/3"], "MAX_OPERATOR_TABLE = 10000"),
         (["multi", "--n", "1", "--points", ",".join(["1/2"] * 17), "--phi", "quad 1"],
          "MAX_MULTI_POINTS = 16"),
+        (["eq6", "--ns", ",".join(["1"] * 17), "--points", ",".join(["1/2"] * 17),
+          "--phi", "quad 1"], "MAX_MULTI_POINTS = 16"),
     ],
 )
 def test_scan_budgets_exit_2_with_one_line(argv, limit):

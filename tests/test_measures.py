@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -222,6 +222,21 @@ def test_cdf_diff_antisymmetric(a, b):
     probes = set(h.breakpoints) | {Fraction(0)}
     for x in probes:
         assert h.value(x) == a.cdf(x) - b.cdf(x)
+
+
+@given(helpers.measures, helpers.nonempty_measures, helpers.measures)
+@example(  # both share 0 and 1; the weights at 1 cancel
+    make_measure([(0, 1), (1, H)]), make_measure([(0, H), (1, H), (2, H)]), make_measure([])
+)
+def test_cdf_diff_is_canonical(a, b, shared):
+    # atoms of ``shared`` sit in both measures with equal weights and cancel
+    b = b.scaled(a.mass / b.mass)
+    mu, nu = mix((1, 1), (a, shared)), mix((1, 1), (b, shared))
+    h = cdf_diff(mu, nu)
+    assert h == step_function(h.breakpoints, h.values)
+    assert all(type(v) is Fraction for v in h.values)
+    for x in set(mu.positions()) | set(nu.positions()):
+        assert h.value(x) == mu.cdf(x) - nu.cdf(x)
 
 
 def test_measure_json_round_trip():

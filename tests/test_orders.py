@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -280,6 +280,65 @@ def test_gap_hinge_equals_profile_value():
 def test_gap_requires_equal_mass():
     with pytest.raises(MassMismatch):
         gap_functional(dirac(0), make_measure([(0, 2)]), quad_fn(1))
+
+
+# equal-mass pairs with negative and fractional positions; a zero first
+# measure scales the second to zero too
+_equal_mass_pairs = st.tuples(helpers.measures, helpers.nonempty_measures).map(
+    lambda pair: (pair[0], pair[1].scaled(pair[0].mass / pair[1].mass))
+)
+_coefficients = st.fractions(min_value=0, max_value=4, max_denominator=4)
+_test_fns = st.builds(
+    ConvexTestFn,
+    const=helpers.rationals,
+    slope=helpers.rationals,
+    curve=_coefficients,
+    hinges=st.lists(st.tuples(helpers.rationals, _coefficients), max_size=3).map(tuple),
+)
+_PHI = ConvexTestFn(1, -2, H, ((Fraction(-1, 3), 1), (H, 3)))
+
+
+@given(_equal_mass_pairs, _test_fns)
+@example((make_measure([(Fraction(-3, 2), H), (Fraction(1, 3), 2)]),) * 2, _PHI)  # identical
+@example((make_measure([]), make_measure([])), _PHI)  # two zero measures
+@example(  # the shared position 1 cancels in mu - nu, the shared -1/2 only in part
+    (
+        make_measure([(Fraction(-1, 2), 1), (1, 1), (4, 1)]),
+        make_measure([(Fraction(-1, 2), H), (1, 1), (Fraction(5, 2), Fraction(3, 2))]),
+    ),
+    _PHI,
+)
+def test_gap_functional_matches_three_convolution_oracle(pair, phi):
+    mu, nu = pair
+    assert gap_functional(mu, nu, phi) == helpers.gap_functional_oracle(mu, nu, phi)
+
+
+def test_gap_functional_and_oracle_refuse_unequal_masses_alike():
+    pairs = [
+        (dirac(0), make_measure([(0, 2)])),
+        (make_measure([(H, Fraction(1, 3))]), make_measure([])),
+        (make_measure([(-1, H), (1, H)]), make_measure([(0, Fraction(2, 3))])),
+    ]
+    for mu, nu in pairs:
+        with pytest.raises(MassMismatch) as ours:
+            gap_functional(mu, nu, _PHI)
+        with pytest.raises(MassMismatch) as oracle:
+            helpers.gap_functional_oracle(mu, nu, _PHI)
+        assert str(ours.value) == str(oracle.value)
+        assert str(ours.value).startswith("masses differ: ")
+
+
+def test_gap_functional_builds_no_convolution(monkeypatch):
+    from cxorder import orders
+
+    def refuse(*args):
+        raise AssertionError("gap_functional must neither convolve nor integrate")
+
+    monkeypatch.setattr(orders, "convolve", refuse)
+    monkeypatch.setattr(ConvexTestFn, "integrate", refuse)
+    mu, nu = cross_pair()
+    assert gap_functional(mu, nu, hinge_fn(3)) == -H
+    assert gap_functional(mu, nu, _PHI) == helpers.gap_functional_oracle(mu, nu, _PHI)
 
 
 def test_convex_fn_rejects_negative_certificates():
