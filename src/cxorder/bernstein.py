@@ -10,22 +10,23 @@ hunts for sign violations, it does not decide function classes.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections.abc import Sequence
 from fractions import Fraction
 from math import comb, prod
+from operator import mul
 
 from .errors import BadParameter, Inconclusive, ModeArity
 from .lattice import DEFAULT_EPS, cauchy_product, truncate_negbinomial
-from .measures import DiscreteMeasure, _frozen, as_rational, format_rational
+from .measures import DiscreteMeasure, _frozen, _scaled_ints, as_rational, format_rational
 from .orders import ConvexTestFn, OrderVerdict, Witness, hinge_fn
-from .polynomials import MVPolynomial
 
 # Budgets, checked before any work: binomial_weights refuses a degree above
-# MAX_DEGREE (rasa_gap takes about 0.4 s at n = 512 and 5 s at n = 1024),
-# unit_grid refuses a step finer than 1/(MAX_GRID_POINTS - 1), and
-# gav_scan/rasa_scan refuse more than MAX_SCAN_POINTS points.
+# MAX_DEGREE (rasa_gap at x = 1/3, y = 3/7 with a hinge at 1/3 takes about
+# 0.05 s at n = 512, 0.3 s at n = 1024 and 2 s at n = 2048 on one Xeon core;
+# the gaps build their rows before any phi value), unit_grid refuses a step
+# finer than 1/(MAX_GRID_POINTS - 1), and gav_scan/rasa_scan refuse more
+# than MAX_SCAN_POINTS points.
 # supermodularity_check tabulates G^2 values on a G-point grid, so the grid
 # budget bounds it too.  The product operator behind tensor_bernstein,
 # gav_gap and gav_scan tabulates prod(n_i + 1) surface values and refuses
@@ -63,11 +64,13 @@ def binomial_measure(n: int, x) -> DiscreteMeasure:
     )
 
 
-def _phi_row_sum(row: Sequence[Fraction], phi_at) -> Fraction:
-    """sum_s row[s] * phi_at(s) over the non-zero entries, phi_at(s) being
-    the test function at the s-th scaled point: a double sum of this module
-    once collapsed along its diagonals."""
-    return sum((c * phi_at(s) for s, c in enumerate(row) if c != 0), Fraction(0))
+def _phi_form(u: Sequence, v: Sequence, phis: Sequence) -> Fraction:
+    """sum_{i,j} u_i v_j phis[i+j], len(phis) = len(u) + len(v) - 1: each
+    Hankel row (v against phis shifted by i) summed on ints scaled by common
+    denominators, then weighted by u_i; one Fraction at the end."""
+    (u_scale, us), (v_scale, vs), (phi_scale, ps) = map(_scaled_ints, (u, v, phis))
+    total = sum(a * sum(map(mul, vs, ps[i:])) for i, a in enumerate(us) if a)
+    return Fraction(total, u_scale * v_scale * phi_scale)
 
 
 def rasa_gap(n: int, x, y, phi: ConvexTestFn) -> Fraction:
@@ -75,18 +78,9 @@ def rasa_gap(n: int, x, y, phi: ConvexTestFn) -> Fraction:
 
         sum_{i,j} (b_i(x)b_j(x) + b_i(y)b_j(y) - 2 b_i(x)b_j(y)) phi((i+j)/(2n)),
 
-    collapsed along diagonals: the bracket is the self-convolution of the
-    weight difference, so only 2n+1 test-function values are needed.
-    Non-negative for convex phi."""
-    phi_at = lambda s: phi(Fraction(s, 2 * n))
-    return _rasa_gap(binomial_weights(n, x), binomial_weights(n, y), phi_at)
-
-
-def _rasa_gap(u: Sequence[Fraction], v: Sequence[Fraction], phi_at) -> Fraction:
-    """The squared row (u - v) x (u - v), the shorter row padded with
-    zeros, paired with phi_at."""
-    diff = [a - b for a, b in itertools.zip_longest(u, v, fillvalue=0)]
-    return _phi_row_sum(cauchy_product(diff, diff), phi_at)
+    whose bracket is d_i d_j for d = b(x) - b(y).  Non-negative for convex phi."""
+    d = [a - b for a, b in zip(binomial_weights(n, x), binomial_weights(n, y))]
+    return _phi_form(d, d, [phi(Fraction(s, 2 * n)) for s in range(2 * n + 1)])
 
 
 def rasa_scan(n: int, grid: Sequence, phi: ConvexTestFn) -> list:
@@ -98,10 +92,11 @@ def rasa_scan(n: int, grid: Sequence, phi: ConvexTestFn) -> list:
     positions is computed once and mirrored."""
     _check_scan_size(grid, 2)
     rows = [binomial_weights(n, x) for x in grid]
-    phi_at = functools.cache(lambda s: phi(Fraction(s, 2 * n)))
+    phis = [phi(Fraction(s, 2 * n)) for s in range(2 * n + 1)]
     gaps = {}
     for i, j in itertools.combinations_with_replacement(range(len(grid)), 2):
-        gaps[i, j] = gaps[j, i] = _rasa_gap(rows[i], rows[j], phi_at)
+        d = [a - b for a, b in zip(rows[i], rows[j])]
+        gaps[i, j] = gaps[j, i] = _phi_form(d, d, phis)
     return [((x, y), gaps[i, j]) for i, x in enumerate(grid) for j, y in enumerate(grid)]
 
 
@@ -175,6 +170,8 @@ class BivariateFn:
 def poly_surface(terms, arity: int = 2) -> BivariateFn:
     """Plain polynomial terms [(coeff, exponents), ...]; certificates are
     claimed only in the affine case (convex and modular by construction)."""
+    from .polynomials import MVPolynomial
+
     cleaned = [(as_rational(c), tuple(int(e) for e in exps)) for c, exps in terms]
     monomials = (MVPolynomial.monomial(arity, exps, c) for c, exps in cleaned)
     cert = "construction" if all(sum(exps) <= 1 for _, exps in cleaned) else None
@@ -183,6 +180,8 @@ def poly_surface(terms, arity: int = 2) -> BivariateFn:
 
 def _ridge(coeff, phi: ConvexTestFn, weights: Sequence, arity: int | None = None) -> BivariateFn:
     """c * phi(sum w_t u_t) with its certificates (see BivariateFn)."""
+    from .polynomials import MVPolynomial
+
     c = as_rational(coeff)
     w = tuple(as_rational(t) for t in weights)
     convex = "construction" if c >= 0 else None
@@ -415,23 +414,23 @@ def eq6prim_gap(ns: Sequence[int], xs: Sequence, phi: ConvexTestFn) -> Fraction:
             - sum_{i_1..i_k} prod_t b_{n_t,i_t}(x_t) phi((i_1+...+i_k)/m)
 
     with m = sum n_i; non-negative for convex phi.  The mixed sum collapses
-    along the total index through coefficient convolution.  The block rows
-    of degree m come first, so MAX_DEGREE refuses m before any product.
-    phi is evaluated at most once per point s/m, however many blocks."""
+    along the total index: the product of the first k-1 rows paired with
+    the last.  The block rows of degree m come first, so MAX_DEGREE refuses
+    m before any product or phi value, each phi(s/m) then computed once."""
     if not ns or len(ns) != len(xs):
         raise ModeArity(f"{len(ns)} degrees vs {len(xs)} coordinates; need >= 1 block")
     if len(ns) > MAX_MULTI_POINTS:
         raise BadParameter(f"{len(ns)} points exceed MAX_MULTI_POINTS = {MAX_MULTI_POINTS}")
     points = _unit_points(xs)
     m = sum(ns)
-    phi_at = functools.cache(lambda s: phi(Fraction(s, m)))
-    blocks = Fraction(0)
-    for n, x in zip(ns, points):
-        blocks += Fraction(n, m) * _phi_row_sum(binomial_weights(m, x), phi_at)
+    block_rows = [binomial_weights(m, x) for x in points]
+    rows = [binomial_weights(n, x) for n, x in zip(ns, points)]
+    phis = [phi(Fraction(s, m)) for s in range(m + 1)]
+    blocks = sum(Fraction(n, m) * _phi_form([1], row, phis) for n, row in zip(ns, block_rows))
     joint = [Fraction(1)]
-    for n, x in zip(ns, points):
-        joint = cauchy_product(joint, binomial_weights(n, x))
-    return blocks - _phi_row_sum(joint, phi_at)
+    for row in rows[:-1]:
+        joint = cauchy_product(joint, row)
+    return blocks - _phi_form(joint, rows[-1], phis)
 
 
 @_frozen
@@ -487,9 +486,9 @@ def gavrea_p4_sum(n: int, x, y, phi: ConvexTestFn, eps=DEFAULT_EPS) -> IntervalV
     bound = phi.bound_on_unit_interval()
     fam_x = truncate_negbinomial(n, x, eps)
     fam_y = truncate_negbinomial(n, y, eps)
-    boxed = _rasa_gap(fam_x.coeffs, fam_y.coeffs, lambda s: phi(Fraction(s, 2 * n + s)))
-    pairs = itertools.zip_longest(fam_x.coeffs, fam_y.coeffs, fillvalue=0)
-    sigma = sum((abs(a - b) for a, b in pairs), Fraction(0))
+    d = [a - b for a, b in itertools.zip_longest(fam_x.coeffs, fam_y.coeffs, fillvalue=0)]
+    boxed = _phi_form(d, d, [phi(Fraction(s, 2 * n + s)) for s in range(2 * len(d) - 1)])
+    sigma = sum(map(abs, d), Fraction(0))
     tau = fam_x.tail_bound + fam_y.tail_bound
     slack = bound * (2 * sigma * tau + tau * tau)
     return IntervalValue(boxed - slack, boxed + slack)

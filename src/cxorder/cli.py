@@ -366,32 +366,32 @@ def _witness_text(out: _Printer, witness) -> str:
     return f"{kind}={_point_text(out, point)} gap={out.rat(gap)}"
 
 
-def _verdict_exit(out: _Printer, verdict: OrderVerdict, prefix: str = "") -> int:
+def _verdict_exit(out: _Printer, verdict: OrderVerdict) -> int:
     if verdict.holds:
-        out.say(prefix + "holds")
+        out.say("holds")
         return EXIT_HOLDS
     if verdict.holds is None:
-        out.say(prefix + "inconclusive (certified prefix clean; tail unseen)")
+        out.say("inconclusive (certified prefix clean; tail unseen)")
         return EXIT_INCONCLUSIVE
-    out.say(prefix + "fails; " + _witness_text(out, verdict.witness))
+    out.say("fails; " + _witness_text(out, verdict.witness))
     return EXIT_FAILS
 
 
-def _sign_exit(out: _Printer, gap: Fraction, label: str = "gap") -> int:
-    out.say(f"{label} = {out.rat(gap)}")
+def _sign_exit(out: _Printer, gap: Fraction) -> int:
+    out.say(f"gap = {out.rat(gap)}")
     return EXIT_HOLDS if gap >= 0 else EXIT_FAILS
 
 
 # -- random sweeps (the seeded property subcommands) -------------------------
 
 
-def _random_measure(rng: random.Random, max_atoms: int = 5) -> DiscreteMeasure:
+def _random_measure(rng: random.Random) -> DiscreteMeasure:
     from fractions import Fraction
 
     from .measures import make_measure
 
     atoms = []
-    for _ in range(rng.randint(1, max_atoms)):
+    for _ in range(rng.randint(1, 5)):
         position = Fraction(rng.randint(-8, 8), rng.randint(1, 3))
         weight = Fraction(rng.randint(1, 8), rng.randint(1, 4))
         atoms.append((position, weight))

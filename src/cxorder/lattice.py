@@ -20,10 +20,16 @@ from .measures import DiscreteMeasure, _frozen, _scaled_ints, as_rational, forma
 from .orders import OrderVerdict, Witness
 
 DEFAULT_EPS = Fraction(1, 2**40)
-# Budget, checked before each doubling: the truncations refuse a cutoff K
-# above MAX_CUTOFF.  The square of a truncated pair costs O(K^2) products on
-# O(K)-digit numbers.
+# Budgets, each checked before the weights it bounds are built: the
+# truncations refuse a cutoff K above MAX_CUTOFF (the square of a truncated
+# pair costs O(K^2) products on O(K)-digit numbers), truncate_negbinomial an
+# index n above MAX_NEGBIN_INDEX (every weight carries (1 - x)^(n+1), so its
+# digits grow with n at any cutoff) and truncate_poisson a parameter above
+# MAX_POISSON_RATE (its first cutoff is the power of two >= 2 lambda: 1024
+# at the limit, 2048 just past it, where the truncation costs five times more).
 MAX_CUTOFF = 4096
+MAX_NEGBIN_INDEX = 4096
+MAX_POISSON_RATE = 512
 
 
 @_frozen
@@ -174,7 +180,8 @@ def truncate_negbinomial(n: int, x, eps=DEFAULT_EPS) -> LatticeSeq:
     x (n+k+1) / (k+1) decreases towards x < 1, so once the ratio r at K+1
     drops below 1 the tail is dominated by the geometric series
     w_{K+1} / (1 - r); K doubles until that certificate is below eps, and
-    a K above MAX_CUTOFF raises BadParameter before its weights are built.
+    a K above MAX_CUTOFF raises BadParameter before its weights are built,
+    as does an index n above MAX_NEGBIN_INDEX.
     """
     x, eps = as_rational(x), as_rational(eps)
     if not isinstance(n, int) or n < 0:
@@ -183,6 +190,10 @@ def truncate_negbinomial(n: int, x, eps=DEFAULT_EPS) -> LatticeSeq:
         raise BadParameter(f"negative binomial parameter x={format_rational(x)} must lie in (0, 1)")
     if eps <= 0:
         raise BadParameter(f"eps={format_rational(eps)} must be positive")
+    if n > MAX_NEGBIN_INDEX:
+        raise BadParameter(
+            f"negative binomial index {n} exceeds MAX_NEGBIN_INDEX = {MAX_NEGBIN_INDEX}"
+        )
     weights = [(1 - x) ** (n + 1)]
 
     def extend(upto: int):
@@ -219,7 +230,8 @@ def truncate_poisson(lam, eps=DEFAULT_EPS) -> LatticeSeq:
     starts at the first power of two >= 2 lam, so every term ratio past K is
     <= 1/2, and doubles until the tail is below eps; the terms lam^k/k! are
     extended in place, and a K above MAX_CUTOFF raises BadParameter before
-    its terms are built.
+    its terms are built.  A lam above MAX_POISSON_RATE is refused right
+    after the first cutoff check, before any term.
     """
     lam, eps = as_rational(lam), as_rational(eps)
     if lam <= 0:
@@ -229,10 +241,14 @@ def truncate_poisson(lam, eps=DEFAULT_EPS) -> LatticeSeq:
     cutoff = 1
     while cutoff < 2 * lam:
         cutoff *= 2
+    _check_cutoff(cutoff, f"poisson:{format_rational(lam)}", eps)
+    if lam > MAX_POISSON_RATE:
+        raise BadParameter(
+            f"Poisson parameter {format_rational(lam)} exceeds MAX_POISSON_RATE = {MAX_POISSON_RATE}"
+        )
     core = [Fraction(1)]  # lam^k / k!
     boxed, summed = Fraction(0), 0  # boxed = sum(core[:summed])
     while True:
-        _check_cutoff(cutoff, f"poisson:{format_rational(lam)}", eps)
         while len(core) < cutoff + 2:
             core.append(core[-1] * lam / len(core))
         boxed += sum(core[summed : cutoff + 1], Fraction(0))
@@ -249,6 +265,7 @@ def truncate_poisson(lam, eps=DEFAULT_EPS) -> LatticeSeq:
                 exact=False,
             )
         cutoff *= 2
+        _check_cutoff(cutoff, f"poisson:{format_rational(lam)}", eps)
 
 
 def _check_cutoff(cutoff: int, family: str, eps: Fraction):

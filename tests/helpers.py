@@ -244,6 +244,16 @@ def poly_eval_measures_oracle(poly: MVPolynomial, measures) -> DiscreteMeasure:
     return make_measure(acc.items())
 
 
+def squared_difference_gap_oracle(u, v, phi_at) -> Fraction:
+    """Independent oracle for the squared-difference Hankel forms of
+    bernstein (rasa_gap, rasa_scan, the gavrea_p4_sum box): the difference
+    u - v, the shorter row padded with zeros, squared by cauchy_product and
+    paired with phi_at(s) along its diagonals."""
+    diff = [a - b for a, b in itertools.zip_longest(u, v, fillvalue=0)]
+    square = cauchy_product(diff, diff)
+    return sum((c * phi_at(s) for s, c in enumerate(square) if c != 0), Fraction(0))
+
+
 def multi_rasa_gap_oracle(n: int, xs, phi: ConvexTestFn) -> Fraction:
     """Independent oracle for multi_rasa_gap: the mixed row of the m basis
     rows and the m-th power of each row, built by m(m - 1) + m - 1

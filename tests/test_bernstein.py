@@ -178,6 +178,50 @@ def test_multi_rasa_gap_equal_points_vanishes():
     assert multi_rasa_gap(2, [Q, Q, Q], phi) == 0
 
 
+# -- the Hankel-form kernel ------------------------------------------------------
+
+signed_rows = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=9), min_size=1, max_size=7
+)
+
+
+def literal_phi_form(u, v, phis):
+    return sum(
+        (a * b * phis[i + j] for (i, a), (j, b) in itertools.product(enumerate(u), enumerate(v))),
+        Fraction(0),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(u=signed_rows, v=signed_rows, phi=hinge_quads, shift=st.integers(1, 8))
+@example(u=[Fraction(1, 3)] * 3, v=[Fraction(1, 3)] * 3, phi=quad_fn(1), shift=2)  # u = v
+@example(u=[Fraction(1)], v=[Fraction(0), H, H], phi=hinge_fn(H), shift=1)
+def test_phi_form_matches_the_squared_difference_oracle(u, v, phi, shift):
+    # rows of unequal length and phi on a grid s / (shift + s), as in the
+    # gavrea_p4_sum box
+    phi_at = lambda s: phi(Fraction(s, shift + s))
+    d = [a - b for a, b in itertools.zip_longest(u, v, fillvalue=0)]
+    value = bernstein._phi_form(d, d, [phi_at(s) for s in range(2 * len(d) - 1)])
+    assert isinstance(value, Fraction)
+    assert value == helpers.squared_difference_gap_oracle(u, v, phi_at)
+    phis = [phi_at(s) for s in range(len(u) + len(v) - 1)]
+    assert bernstein._phi_form(u, v, phis) == literal_phi_form(u, v, phis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 6), x=eighths, y=eighths, phi=hinge_quads)
+@example(n=3, x=Fraction(0), y=Fraction(1), phi=hinge_fn(H))
+@example(n=3, x=Fraction(1), y=Fraction(1), phi=quad_fn(1))
+@example(n=4, x=Q, y=Q, phi=hinge_fn(Q) + quad_fn(2))
+def test_phi_form_on_basis_rows_matches_the_squared_difference_oracle(n, x, y, phi):
+    phi_at = lambda s: phi(Fraction(s, 2 * n))
+    u, v = binomial_weights(n, x), binomial_weights(n, y)
+    d = [a - b for a, b in zip(u, v)]
+    expected = helpers.squared_difference_gap_oracle(u, v, phi_at)
+    assert bernstein._phi_form(d, d, [phi_at(s) for s in range(2 * n + 1)]) == expected
+    assert rasa_gap(n, x, y, phi) == expected
+
+
 def test_tensor_bernstein_partition_of_unity():
     ones = poly_surface([(1, (0, 0))])
     assert tensor_bernstein(ones, [3, 2], [Fraction(2, 5), Fraction(1, 7)]) == 1
@@ -372,6 +416,23 @@ def test_p4_width_certificate():
     assert enclosure.width <= 4 * bound * certificate
 
 
+def test_p4_box_is_the_literal_double_sum():
+    from cxorder import truncate_negbinomial
+
+    eps, n, x, y = Fraction(1, 2**10), 2, Fraction(1, 3), Fraction(5, 8)
+    phi = hinge_fn(H) + quad_fn(1)
+    enclosure = gavrea_p4_sum(n, x, y, phi, eps)
+    a, b = truncate_negbinomial(n, x, eps).coeffs, truncate_negbinomial(n, y, eps).coeffs
+    assert len(a) < len(b)  # the box pads the shorter row with zeros
+    d = [p - q for p, q in itertools.zip_longest(a, b, fillvalue=0)]
+    box = sum(
+        (d[i] * d[j] * phi(Fraction(i + j, 2 * n + i + j))
+         for i in range(len(d)) for j in range(len(d))),
+        Fraction(0),
+    )
+    assert (enclosure.lo + enclosure.hi) / 2 == box
+
+
 def test_p4_inconclusive_when_interval_straddles_zero():
     # a symmetric-but-distinct pair with a huge eps cannot certify the sign
     enclosure = gavrea_p4_sum(1, Fraction(2, 5), Fraction(3, 5), affine_fn(0, 1), Fraction(1, 4))
@@ -385,6 +446,18 @@ def test_p4_parameter_validation():
         gavrea_p4_sum(1, Fraction(0), H, affine_fn(0, 1))
     with pytest.raises(BadParameter):
         gavrea_p4_sum(0, Q, H, affine_fn(0, 1))
+
+
+def test_p4_takes_the_negbinomial_index_budget(monkeypatch):
+    from cxorder import lattice
+
+    def refuse(*args):
+        raise AssertionError("no weight and no phi value may be built")
+
+    monkeypatch.setattr(Fraction, "__pow__", refuse)
+    monkeypatch.setattr(bernstein, "_phi_form", refuse)
+    with pytest.raises(BadParameter, match="^negative binomial index 4097 exceeds"):
+        gavrea_p4_sum(lattice.MAX_NEGBIN_INDEX + 1, Q, H, affine_fn(0, 1))
 
 
 def test_surface_certificates():
@@ -630,16 +703,16 @@ def test_rasa_scan_matches_brute_double_sum():
 
 
 def test_rasa_scan_computes_each_unordered_pair_once(monkeypatch):
-    # the gap is symmetric, so a G-point grid needs G (G + 1) / 2 squared
-    # rows, not G^2
+    # the gap is symmetric, so a G-point grid needs G (G + 1) / 2 Hankel
+    # forms, not G^2
     squares = []
-    product = bernstein.cauchy_product
+    form = bernstein._phi_form
 
-    def counting(u, v):
+    def counting(u, v, phis):
         squares.append(len(u))
-        return product(u, v)
+        return form(u, v, phis)
 
-    monkeypatch.setattr(bernstein, "cauchy_product", counting)
+    monkeypatch.setattr(bernstein, "_phi_form", counting)
     grid = unit_grid(Fraction(1, 6))
     rows = rasa_scan(2, grid, hinge_fn(Fraction(1, 3)))
     assert len(squares) == 7 * 8 // 2
@@ -737,10 +810,11 @@ def test_degree_budget_boundary(monkeypatch):
     assert len(binomial_weights(limit, Fraction(1, 3))) == limit + 1
 
     def refuse(*args):
-        raise AssertionError("no weight may be built")
+        raise AssertionError("no weight and no phi value may be built")
 
     monkeypatch.setattr(bernstein, "comb", refuse)
     monkeypatch.setattr(bernstein, "cauchy_product", refuse)
+    monkeypatch.setattr(ConvexTestFn, "__call__", refuse)
     for call in (
         lambda: binomial_weights(limit + 1, Fraction(1, 3)),
         lambda: binomial_measure(limit + 1, H),

@@ -403,6 +403,21 @@ def test_scan_budgets_exit_2_with_one_line(argv, limit):
     assert text.startswith("error: BadParameter: ") and limit in text
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["genfun", "check", "--family", "negbinomial:4097,1/1000"],
+         "negative binomial index 4097 exceeds MAX_NEGBIN_INDEX = 4096"),
+        (["genfun", "check", "--family", "poisson:1/2", "--family", "poisson:513"],
+         "Poisson parameter 513 exceeds MAX_POISSON_RATE = 512"),
+        (["bernstein", "p4", "--n", "4097", "--x", "1/1000", "--y", "1/999", "--phi", "quad 1"],
+         "negative binomial index 4097 exceeds MAX_NEGBIN_INDEX = 4096"),
+    ],
+)
+def test_family_budgets_exit_2_with_one_line(argv, message):
+    assert run(argv) == (2, f"error: BadParameter: {message}\n")
+
+
 def test_scan_input_error_prints_no_csv_header():
     code, text = run(["bernstein", "gav-scan", "--mode", "P1", "--g", "absdiff 1",
                       "--ns", "1,1,1", "--step", "1/2"])

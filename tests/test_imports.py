@@ -74,6 +74,30 @@ def test_order_and_rasa_on_files_load_no_other_kernel(coin, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["bernstein", "rasa", "--n", "2", "--x", "1/4", "--y", "3/4", "--phi", "quad 1"],
+    ["bernstein", "rasa-scan", "--n", "2", "--step", "1/2", "--phi", "hinge 1/2 1"],
+    ["bernstein", "eq6", "--ns", "1,2", "--points", "1/4,1/2", "--phi", "quad 1"],
+    ["bernstein", "multi", "--n", "2", "--points", "1/4,1/2,3/4", "--phi", "quad 1"],
+    ["bernstein", "p4", "--n", "1", "--x", "1/4", "--y", "3/4",
+     "--phi", "sum(affine 1 -2, quad 1)"],
+    ["reproduce", "gavrea-p4"],
+])
+def test_bernstein_gaps_load_no_polynomials(argv):
+    loaded = _loaded(*argv)
+    assert "cxorder.bernstein" in loaded
+    assert not loaded & {"cxorder.polynomials", "cxorder.majorization"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["bernstein", "gav", "--mode", "P1", "--g", "mid(quad 1; 1,1)", "--ns", "2",
+     "--points", "1/4,3/4"],
+    ["bernstein", "supermod", "--g", "mid(quad 1; 1,1)", "--step", "1/2"],
+])
+def test_bernstein_surfaces_load_polynomials(argv):
+    assert "cxorder.polynomials" in _loaded(*argv)
+
+
+@pytest.mark.parametrize("argv", [
     ["genfun", "check", "--family", "negbinomial:1,1/2"],
     ["poly", "w", "--p", "2,1"],
     ["bernstein", "rasa", "--n", "2", "--x", "1/4", "--y", "3/4", "--phi", "quad 1"],

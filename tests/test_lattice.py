@@ -324,3 +324,38 @@ def test_truncation_cutoff_budget_names_the_family(monkeypatch):
     monkeypatch.setattr(lattice, "MAX_CUTOFF", 4096)
     with pytest.raises(BadParameter, match="MAX_CUTOFF = 4096"):
         truncate_poisson(10**100)
+
+
+def refuse_weights(monkeypatch):
+    """Make every weight of the truncations fail: both build theirs with
+    Fraction products, powers and quotients."""
+
+    def refuse(*args):
+        raise AssertionError("no weight may be built")
+
+    for name in ("__mul__", "__pow__", "__truediv__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+
+
+def test_negbinomial_index_budget_boundary(monkeypatch):
+    limit = lattice.MAX_NEGBIN_INDEX
+    assert limit == 4096
+    assert truncate_negbinomial(limit, Fraction(1, 1000)).last_index == 32
+    refuse_weights(monkeypatch)
+    message = "^negative binomial index 4097 exceeds MAX_NEGBIN_INDEX = 4096$"
+    with pytest.raises(BadParameter, match=message):
+        truncate_negbinomial(limit + 1, Fraction(1, 1000))
+    with pytest.raises(BadParameter, match=message):
+        truncated_family("negbinomial:4097,1/2")
+
+
+def test_poisson_rate_budget_boundary(monkeypatch):
+    limit = lattice.MAX_POISSON_RATE
+    assert limit == 512
+    assert truncate_poisson(limit).last_index == 1024
+    refuse_weights(monkeypatch)
+    message = "^Poisson parameter 513 exceeds MAX_POISSON_RATE = 512$"
+    with pytest.raises(BadParameter, match=message):
+        truncate_poisson(limit + 1)
+    with pytest.raises(BadParameter, match="^Poisson parameter 512001/1000 exceeds"):
+        truncated_family("poisson:512001/1000")
