@@ -17,7 +17,7 @@ from math import comb, prod
 from operator import mul
 
 from .errors import BadParameter, Inconclusive, ModeArity
-from .lattice import DEFAULT_EPS, cauchy_product, truncate_negbinomial
+from .lattice import DEFAULT_EPS, _check_square, cauchy_product, truncate_negbinomial
 from .measures import DiscreteMeasure, _frozen, _scaled_ints, as_rational, format_rational
 from .orders import ConvexTestFn, OrderVerdict, Witness, hinge_fn
 
@@ -473,19 +473,21 @@ def gavrea_p4_sum(n: int, x, y, phi: ConvexTestFn, eps=DEFAULT_EPS) -> IntervalV
     remainder is bounded through |phi| <= M on [0,1]: the bracket equals the
     product (a-b)x(a-b), whose mass outside the box is at most
     2*sigma*tau + tau^2 for sigma the boxed L1 difference and tau the summed
-    tail certificates.
+    tail certificates.  A box past lattice.MAX_SQUARE_CUTOFF raises
+    BadParameter before its first product.
     """
     x, y, eps = as_rational(x), as_rational(y), as_rational(eps)
     if not isinstance(n, int) or n < 1:
         raise BadParameter(f"index must be an integer >= 1, got {n!r}")
     if not (0 < x < 1 and 0 < y < 1):
         raise BadParameter("both parameters must lie strictly inside (0, 1)")
+    fam_x = truncate_negbinomial(n, x, eps)  # checks eps and n
     if x == y:
         # identical families: every bracket term vanishes identically
         return IntervalValue(Fraction(0), Fraction(0))
-    bound = phi.bound_on_unit_interval()
-    fam_x = truncate_negbinomial(n, x, eps)
     fam_y = truncate_negbinomial(n, y, eps)
+    _check_square(max(fam_x.last_index, fam_y.last_index))
+    bound = phi.bound_on_unit_interval()
     d = [a - b for a, b in itertools.zip_longest(fam_x.coeffs, fam_y.coeffs, fillvalue=0)]
     boxed = _phi_form(d, d, [phi(Fraction(s, 2 * n + s)) for s in range(2 * len(d) - 1)])
     sigma = sum(map(abs, d), Fraction(0))

@@ -54,19 +54,6 @@ EXIT_INCONCLUSIVE = 3
 # -- textual parsers ---------------------------------------------------------
 
 
-def _find_close(text: str, start: int) -> int:
-    """Index of the parenthesis matching the one at ``start``."""
-    depth = 0
-    for i in range(start, len(text)):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-    raise ParseError("unbalanced parenthesis", start)
-
-
 def _split_top(text: str, sep: str, base: int) -> list[tuple[str, int]]:
     """Split on a separator at parenthesis depth 0, keeping offsets."""
     parts, depth, begin = [], 0, 0
@@ -96,6 +83,10 @@ def _words(text: str, base: int) -> list[tuple[str, int]]:
 
 
 _CALL = re.compile(r"\s*(\w+)\s*\(")
+# Budget: the parsers recurse once per nested call, so an expression whose
+# parentheses nest deeper than MAX_NESTING is refused before any recursion
+# (about 490 nested calls would exhaust Python's stack).
+MAX_NESTING = 64
 
 
 def _call_parts(text: str, base: int, sep: str):
@@ -107,7 +98,19 @@ def _call_parts(text: str, base: int, sep: str):
     head = _CALL.match(text)
     if head is None:
         return None
-    close_at = _find_close(text, head.end() - 1)
+    depth = 0
+    for close_at in range(head.end() - 1, len(text)):
+        if text[close_at] == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than MAX_NESTING = {MAX_NESTING}",
+                                 base + close_at)
+        elif text[close_at] == ")":
+            depth -= 1
+            if depth == 0:
+                break
+    else:
+        raise ParseError("unbalanced parenthesis", head.end() - 1)
     rest = text[close_at + 1 :]
     if rest.strip():
         raise ParseError("unexpected text after ')'", base + len(text) - len(rest.lstrip()))
@@ -301,8 +304,8 @@ def load_measure(spec: str) -> DiscreteMeasure:
 
 
 class _Printer:
-    def __init__(self, decimal: int | None):
-        self.decimal = decimal
+    def __init__(self):
+        self.decimal: int | None = None
         self.lines: list[str] = []
 
     @cached_property
@@ -398,37 +401,28 @@ def _random_measure(rng: random.Random) -> DiscreteMeasure:
     return make_measure(atoms)
 
 
-def _random_equal_mass_pair(rng: random.Random):
-    mu = _random_measure(rng)
-    nu = _random_measure(rng)
-    return mu, nu.scaled(mu.mass / nu.mass)
+def _random_lattice_measure(rng: random.Random) -> DiscreteMeasure:
+    from .measures import make_measure
+
+    return make_measure((rng.randint(0, 6), rng.randint(1, 8)) for _ in range(rng.randint(1, 5)))
 
 
-def _equivalence_sweep(out: _Printer, trials: int, seed: int, lattice_only: bool) -> int:
+def _equivalence_sweep(out: _Printer, trials: int, seed: int, draw, oracle) -> int:
+    """rasa_criterion against ``oracle(mu, nu)`` on seeded pairs: mu, then
+    nu, from ``draw(rng)``, nu scaled to the mass of mu."""
     import random
 
-    from . import lattice as lat
-    from .measures import make_measure, measure_to_json
-    from .orders import rasa_criterion, rasa_direct
+    from .measures import measure_to_json
+    from .orders import rasa_criterion
 
     if trials < 0:
         raise ParseError(f"--trials: must be >= 0, got {trials}")
     rng = random.Random(seed)
     for trial in range(trials):
-        if lattice_only:
-            mu, nu = (
-                make_measure(
-                    (rng.randint(0, 6), rng.randint(1, 8)) for _ in range(rng.randint(1, 5))
-                )
-                for _ in range(2)
-            )
-            nu = nu.scaled(mu.mass / nu.mass)
-            expected = lat.genfun_test(lat.as_lattice(mu), lat.as_lattice(nu))
-        else:
-            mu, nu = _random_equal_mass_pair(rng)
-            expected = rasa_direct(mu, nu)
+        mu, nu = draw(rng), draw(rng)
+        nu = nu.scaled(mu.mass / nu.mass)
         verdict, _ = rasa_criterion(mu, nu)
-        if verdict.holds != expected.holds:
+        if verdict.holds != oracle(mu, nu).holds:
             out.say(f"disagreement at trial {trial}: {measure_to_json(mu)} {measure_to_json(nu)}")
             return EXIT_FAILS
     out.say(f"{trials} randomized pairs: criterion and oracle agree")
@@ -450,7 +444,7 @@ def _cmd_rasa(args, out: _Printer) -> int:
     from .orders import gap_functional, rasa_criterion, rasa_direct
 
     if args.action == "equivalence":
-        return _equivalence_sweep(out, args.trials, args.seed, lattice_only=False)
+        return _equivalence_sweep(out, args.trials, args.seed, _random_measure, rasa_direct)
     mu, nu = load_measure(args.mu), load_measure(args.nu)
     if args.action == "check":
         verdict, profile = rasa_criterion(mu, nu)
@@ -481,7 +475,10 @@ def _cmd_genfun(args, out: _Printer) -> int:
     from . import lattice as lat
 
     if args.action == "equivalence":
-        return _equivalence_sweep(out, args.trials, args.seed, lattice_only=True)
+        return _equivalence_sweep(
+            out, args.trials, args.seed, _random_lattice_measure,
+            lambda mu, nu: lat.genfun_test(lat.as_lattice(mu), lat.as_lattice(nu)),
+        )
     sequences = _load_lattice_pair(args)
     if len(sequences) == 1:
         seq = sequences[0]
@@ -638,7 +635,7 @@ def _cmd_bernstein(args, out: _Printer) -> int:
 # -- bundled reference reproductions ------------------------------------------
 
 
-def _reproduce_example3(out: _Printer) -> int:
+def _reproduce_example3(out: _Printer, eps: Fraction) -> bool:
     from fractions import Fraction
 
     from .measures import make_measure
@@ -675,18 +672,16 @@ def _reproduce_example3(out: _Printer) -> int:
     )
     verdict = leq_cx(left, right)
     out.say("convex order: " + ("holds" if verdict.holds else "fails"))
-    ok = (
+    return (
         left == expected_left
         and right == expected_right
         and p_integral == Fraction(1, 16)
         and q_integral == Fraction(6, 128)
         and verdict.holds is False
     )
-    out.say("REPRODUCED" if ok else "MISMATCH")
-    return EXIT_HOLDS if ok else EXIT_FAILS
 
 
-def _reproduce_absdiff(out: _Printer) -> int:
+def _reproduce_absdiff(out: _Printer, eps: Fraction) -> bool:
     from . import bernstein as bn
 
     g = bn.absdiff_surface(1)
@@ -703,12 +698,10 @@ def _reproduce_absdiff(out: _Printer) -> int:
     out.say(f"{out.rat(corners[(0, 1)])}+{out.rat(corners[(1, 0)])} > "
             f"{out.rat(corners[(0, 0)])}+{out.rat(corners[(1, 1)])}")
     out.say(f"gap = {out.rat(gap)} (expected -2): inequality fails for |u - v|")
-    ok = gap == -2 and lhs == 2 and rhs == 0
-    out.say("REPRODUCED" if ok else "MISMATCH")
-    return EXIT_HOLDS if ok else EXIT_FAILS
+    return gap == -2 and lhs == 2 and rhs == 0
 
 
-def _reproduce_p4(out: _Printer, eps: Fraction) -> int:
+def _reproduce_p4(out: _Printer, eps: Fraction) -> bool:
     from fractions import Fraction
 
     from . import bernstein as bn
@@ -725,12 +718,10 @@ def _reproduce_p4(out: _Printer, eps: Fraction) -> int:
         f"phi(u) = (1-u)^2: interval [{out.rat(check.lo)}, {out.rat(check.hi)}] "
         f"(expected: consistent with >= 0)"
     )
-    ok = negative and check.hi > 0
-    out.say("REPRODUCED" if ok else "MISMATCH")
-    return EXIT_HOLDS if ok else EXIT_FAILS
+    return negative and check.hi > 0
 
 
-def _reproduce_rasa_binomial(out: _Printer) -> int:
+def _reproduce_rasa_binomial(out: _Printer, eps: Fraction) -> bool:
     from fractions import Fraction
 
     from . import bernstein as bn
@@ -745,27 +736,26 @@ def _reproduce_rasa_binomial(out: _Printer) -> int:
     out.say(f"criterion: {'holds' if criterion.holds else 'fails'}")
     out.say(f"direct convex-order oracle: {'holds' if oracle.holds else 'fails'}")
     out.say(f"generating-function test: {'holds' if series.holds else 'fails'}")
-    ok = criterion.holds and oracle.holds and series.holds
+    return criterion.holds and oracle.holds and series.holds
+
+
+# case -> script(out, eps): prints its lines, returns whether every value
+# matched the expected one
+_REPRODUCTIONS = {
+    "example-3": _reproduce_example3,
+    "gavrea-p4": _reproduce_p4,
+    "absdiff": _reproduce_absdiff,
+    "rasa-binomial": _reproduce_rasa_binomial,
+}
+
+
+def _cmd_reproduce(args, out: _Printer) -> int:
+    ok = _REPRODUCTIONS[args.case](out, args.eps)
     out.say("REPRODUCED" if ok else "MISMATCH")
     return EXIT_HOLDS if ok else EXIT_FAILS
 
 
-def _cmd_reproduce(args, out: _Printer) -> int:
-    if args.case == "example-3":
-        return _reproduce_example3(out)
-    if args.case == "absdiff":
-        return _reproduce_absdiff(out)
-    if args.case == "gavrea-p4":
-        return _reproduce_p4(out, args.eps)
-    return _reproduce_rasa_binomial(out)
-
-
 # -- argument plumbing --------------------------------------------------------
-
-
-class _Abort(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -784,7 +774,7 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
     def error(self, message):  # argparse would sys.exit(2); keep it testable
-        raise _Abort(message)
+        raise ParseError(message)
 
 
 def _default_eps() -> Fraction | None:
@@ -922,7 +912,7 @@ def _bernstein_args(bern: _Parser, eps):
 
 
 def _reproduce_args(repro: _Parser, eps):
-    repro.add_argument("case", choices=["example-3", "gavrea-p4", "absdiff", "rasa-binomial"])
+    repro.add_argument("case", choices=list(_REPRODUCTIONS))
     _add_eps(repro, eps)
 
 
@@ -955,24 +945,22 @@ def build_parser() -> _Parser:
 
 def run(argv: list[str]) -> tuple[int, str]:
     """Execute one command; returns (exit code, stdout text)."""
+    out = _Printer()
     try:
         args = build_parser().parse_args(argv)
         if args.decimal is not None:
             from .measures import MAX_EXPONENT  # it also keeps 10**K out of fraction text
 
             if args.decimal < 0:
-                raise _Abort(f"argument --decimal: K must be >= 0, got {args.decimal}")
+                raise ParseError(f"argument --decimal: K must be >= 0, got {args.decimal}")
             if args.decimal > MAX_EXPONENT:
-                raise _Abort(f"argument --decimal: K = {args.decimal} exceeds"
-                             f" MAX_EXPONENT = {MAX_EXPONENT}")
-    except (_Abort, ParseError) as exc:
-        return EXIT_USAGE, f"error: {exc}\n"
+                raise ParseError(f"argument --decimal: K = {args.decimal} exceeds"
+                                 f" MAX_EXPONENT = {MAX_EXPONENT}")
+            out.decimal = args.decimal
+        _, _, handler = _VERBS[args.verb]
+        code = handler(args, out)
     except SystemExit as exc:  # --help prints directly and exits 0
         return (exc.code or 0), ""
-    out = _Printer(args.decimal)
-    _, _, handler = _VERBS[args.verb]
-    try:
-        code = handler(args, out)
     except ParseError as exc:
         out.say(f"error: {exc}")
         return EXIT_USAGE, out.text()

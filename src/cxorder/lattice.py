@@ -27,9 +27,14 @@ DEFAULT_EPS = Fraction(1, 2**40)
 # digits grow with n at any cutoff) and truncate_poisson a parameter above
 # MAX_POISSON_RATE (its first cutoff is the power of two >= 2 lambda: 1024
 # at the limit, 2048 just past it, where the truncation costs five times more).
+# The square of a truncated pair (genfun_square_coeffs on its sound prefix,
+# the box of bernstein.gavrea_p4_sum) costs O(K^2) products, each on ints
+# that grow with n and K, so a square past cutoff MAX_SQUARE_CUTOFF is
+# refused before its first product.
 MAX_CUTOFF = 4096
 MAX_NEGBIN_INDEX = 4096
 MAX_POISSON_RATE = 512
+MAX_SQUARE_CUTOFF = 256
 
 
 @_frozen
@@ -124,7 +129,8 @@ def genfun_square_coeffs(a: LatticeSeq, b: LatticeSeq) -> list[Fraction]:
     sum_i (G - F)(i) z^i, so the result is the discrete self-convolution of
     the CDF difference.  Complete sequences yield the full finite list; for
     truncations only the prefix provably unaffected by the unseen tail
-    (indices k <= min(Ka, Kb)) is returned.
+    (indices k <= min(Ka, Kb)) is returned, and a prefix past
+    MAX_SQUARE_CUTOFF raises BadParameter.
     """
     if a.total_mass != b.total_mass:
         raise MassMismatch(
@@ -136,13 +142,16 @@ def genfun_square_coeffs(a: LatticeSeq, b: LatticeSeq) -> list[Fraction]:
             "stored coefficients are lower bounds only; exact series "
             "coefficients are unavailable for this family"
         )
+    truncated = not (a.complete and b.complete)
+    sound = min(a.last_index, b.last_index)
+    if truncated:
+        _check_square(sound)
     # d(i) = (G - F)(i) = sum_{k <= i} (b_k - a_k)
     steps = itertools.zip_longest(b.coeffs, a.coeffs, fillvalue=Fraction(0))
     d = list(itertools.accumulate(bk - ak for bk, ak in steps))
-    if a.complete and b.complete:
+    if not truncated:
         # (G - F) vanishes from the common support end by mass equality
         return cauchy_product(d[:-1], d[:-1])
-    sound = min(a.last_index, b.last_index)
     return cauchy_product(d[: sound + 1], d[: sound + 1], length=sound + 1)
 
 
@@ -273,6 +282,14 @@ def _check_cutoff(cutoff: int, family: str, eps: Fraction):
         raise BadParameter(
             f"{family} at eps={format_rational(eps)} needs a truncation cutoff above"
             f" MAX_CUTOFF = {MAX_CUTOFF}"
+        )
+
+
+def _check_square(cutoff: int):
+    if cutoff > MAX_SQUARE_CUTOFF:
+        raise BadParameter(
+            f"the square of a truncated pair at cutoff {cutoff} exceeds"
+            f" MAX_SQUARE_CUTOFF = {MAX_SQUARE_CUTOFF}"
         )
 
 

@@ -446,6 +446,11 @@ def test_p4_parameter_validation():
         gavrea_p4_sum(1, Fraction(0), H, affine_fn(0, 1))
     with pytest.raises(BadParameter):
         gavrea_p4_sum(0, Q, H, affine_fn(0, 1))
+    # x = y gives [0, 0], but only after n and eps are checked
+    with pytest.raises(BadParameter, match="^negative binomial index 4097 exceeds"):
+        gavrea_p4_sum(4097, H, H, affine_fn(0, 1))
+    with pytest.raises(BadParameter, match="^eps=0 must be positive$"):
+        gavrea_p4_sum(1, H, H, affine_fn(0, 1), 0)
 
 
 def test_p4_takes_the_negbinomial_index_budget(monkeypatch):
@@ -458,6 +463,24 @@ def test_p4_takes_the_negbinomial_index_budget(monkeypatch):
     monkeypatch.setattr(bernstein, "_phi_form", refuse)
     with pytest.raises(BadParameter, match="^negative binomial index 4097 exceeds"):
         gavrea_p4_sum(lattice.MAX_NEGBIN_INDEX + 1, Q, H, affine_fn(0, 1))
+
+
+def test_p4_box_takes_the_square_budget(monkeypatch):
+    # negbinomial:1 stops at K = 256 for 13/16 and 27/32 and at K = 512 for
+    # 15/16; the box side is the longer truncation
+    from cxorder import lattice
+
+    assert lattice.MAX_SQUARE_CUTOFF == 256
+    enclosure = gavrea_p4_sum(1, Fraction(13, 16), Fraction(27, 32), quad_fn(1))
+    assert enclosure.lo <= enclosure.hi
+
+    def refuse(*args):
+        raise AssertionError("no box product and no phi value may be computed")
+
+    monkeypatch.setattr(bernstein, "_phi_form", refuse)
+    monkeypatch.setattr(ConvexTestFn, "__call__", refuse)
+    with pytest.raises(BadParameter, match="^the square of a truncated pair at cutoff 512 exceeds"):
+        gavrea_p4_sum(1, Fraction(13, 16), Fraction(15, 16), quad_fn(1))
 
 
 def test_surface_certificates():

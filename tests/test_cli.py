@@ -5,8 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from cxorder import ParseError, lattice, make_measure, measure_from_json, measure_to_json
-from cxorder.cli import build_parser, parse_convex_fn, parse_mvpoly, parse_surface, run
+from cxorder import (
+    ParseError,
+    bernstein,
+    lattice,
+    make_measure,
+    measure_from_json,
+    measure_to_json,
+)
+from cxorder.cli import (
+    MAX_NESTING,
+    build_parser,
+    parse_convex_fn,
+    parse_mvpoly,
+    parse_surface,
+    run,
+)
 
 H = Fraction(1, 2)
 
@@ -282,6 +296,36 @@ def test_malformed_eps_environment_is_a_usage_error(monkeypatch):
     assert text.count("\n") == 1 and "CXORDER_EPS" in text
 
 
+def test_unknown_reproduce_case_lists_the_cases_in_order():
+    assert run(["reproduce", "nope"]) == (
+        2,
+        "error: argument case: invalid choice: 'nope' (choose from 'example-3', 'gavrea-p4',"
+        " 'absdiff', 'rasa-binomial')\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, env, line",
+    [
+        (["bernstein", "p4", "--n", "1", "--y", "1/2", "--phi", "quad 1"], None,
+         "error: the following arguments are required: --x"),
+        (["--decimal", "-1", "major", "compare", "--p", "1", "--q", "1"], None,
+         "error: argument --decimal: K must be >= 0, got -1"),
+        (["rasa", "equivalence", "--trials", "x"], None,
+         "error: argument --trials: invalid int value: 'x'"),
+        ([], None, "error: the following arguments are required: verb"),
+        (["major", "compare", "--p", "1", "--q", "1"], "abc",
+         "error: CXORDER_EPS='abc' is not a fraction: Invalid literal for Fraction: 'abc'"),
+        (["major", "compare", "--p", "1", "--q", "1"], "1/0",
+         "error: CXORDER_EPS='1/0' is not a fraction: Fraction(1, 0)"),
+    ],
+)
+def test_parse_stage_errors_keep_their_line(argv, env, line, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("CXORDER_EPS", env)
+    assert run(argv) == (2, line + "\n")
+
+
 def test_negative_decimal_rejected_at_parse_time():
     code, text = run(["--decimal", "-2", "bernstein", "rasa", "--n", "2", "--x", "1/4",
                       "--y", "3/4", "--phi", "hinge 1/2 1"])
@@ -412,10 +456,63 @@ def test_scan_budgets_exit_2_with_one_line(argv, limit):
          "Poisson parameter 513 exceeds MAX_POISSON_RATE = 512"),
         (["bernstein", "p4", "--n", "4097", "--x", "1/1000", "--y", "1/999", "--phi", "quad 1"],
          "negative binomial index 4097 exceeds MAX_NEGBIN_INDEX = 4096"),
+        # x = y gives [0, 0], but only after n and eps are checked
+        (["bernstein", "p4", "--n", "100000", "--x", "1/2", "--y", "1/2", "--phi", "quad 1"],
+         "negative binomial index 100000 exceeds MAX_NEGBIN_INDEX = 4096"),
+        (["bernstein", "p4", "--n", "1", "--x", "1/2", "--y", "1/2", "--phi", "quad 1",
+          "--eps", "0"], "eps=0 must be positive"),
     ],
 )
 def test_family_budgets_exit_2_with_one_line(argv, message):
     assert run(argv) == (2, f"error: BadParameter: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["genfun", "check", "--family", "negbinomial:1,15/16", "--family", "negbinomial:1,31/32"],
+        ["genfun", "check", "--csv", "--family", "negbinomial:1,31/32",
+         "--family", "negbinomial:1,15/16"],
+        # one truncation at K = 256, the other at K = 512: the box side is 512
+        ["bernstein", "p4", "--n", "1", "--x", "13/16", "--y", "15/16", "--phi", "quad 1"],
+    ],
+)
+def test_square_budget_exits_2_before_any_product(argv, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no product may be computed")
+
+    monkeypatch.setattr(lattice, "cauchy_product", refuse)
+    monkeypatch.setattr(bernstein, "_phi_form", refuse)
+    assert run(argv) == (
+        2,
+        "error: BadParameter: the square of a truncated pair at cutoff 512 exceeds"
+        " MAX_SQUARE_CUTOFF = 256\n",
+    )
+
+
+def _nested(option: str, depth: int) -> list[str]:
+    """A command whose --phi or --g nests parentheses ``depth`` deep: sum()
+    calls around ``quad 1``, inside one mid(...) for --g."""
+    if option == "--phi":
+        text = "sum(" * depth + "quad 1" + ")" * depth
+        return ["bernstein", "rasa", "--n", "2", "--x", "1/4", "--y", "3/4", "--phi", text]
+    text = "mid(" + "sum(" * (depth - 1) + "quad 1" + ")" * (depth - 1) + "; 1,1)"
+    return ["bernstein", "supermod", "--g", text, "--step", "1/2"]
+
+
+@pytest.mark.parametrize("option", ["--phi", "--g"])
+def test_nesting_budget_boundary(option):
+    assert MAX_NESTING == 64
+    code, text = run(_nested(option, MAX_NESTING))
+    assert code == 0 and text.count("\n") == 1
+    # the error points at the first parenthesis past the budget; 1,200
+    # nested calls once overflowed the parsers' recursion
+    for depth in (MAX_NESTING + 1, 1200):
+        assert run(_nested(option, depth)) == (
+            2,
+            "error: parentheses nest deeper than MAX_NESTING = 64"
+            f" (at position {4 * (MAX_NESTING + 1) - 1})\n",
+        )
 
 
 def test_scan_input_error_prints_no_csv_header():

@@ -73,6 +73,12 @@ def test_order_and_rasa_on_files_load_no_other_kernel(coin, argv):
     assert not loaded & (_NEVER | _KERNELS)
 
 
+def test_rasa_equivalence_loads_no_other_kernel():
+    loaded = _loaded("rasa", "equivalence", "--trials", "3", "--seed", "1")
+    assert "cxorder.orders" in loaded
+    assert not loaded & (_NEVER | _KERNELS)
+
+
 @pytest.mark.parametrize("argv", [
     ["bernstein", "rasa", "--n", "2", "--x", "1/4", "--y", "3/4", "--phi", "quad 1"],
     ["bernstein", "rasa-scan", "--n", "2", "--step", "1/2", "--phi", "hinge 1/2 1"],

@@ -359,3 +359,26 @@ def test_poisson_rate_budget_boundary(monkeypatch):
         truncate_poisson(limit + 1)
     with pytest.raises(BadParameter, match="^Poisson parameter 512001/1000 exceeds"):
         truncated_family("poisson:512001/1000")
+
+
+def test_square_cutoff_budget_boundary(monkeypatch):
+    # negbinomial:1 stops at K = 256 for 13/16, at 512 for 15/16 and at 1024
+    # for 31/32; a truncated pair is squared up to the shorter cutoff
+    limit = lattice.MAX_SQUARE_CUTOFF
+    assert limit == 256
+    short, mid, long = (truncated_family(f"negbinomial:1,{x}") for x in ("13/16", "15/16", "31/32"))
+    assert (short.last_index, mid.last_index, long.last_index) == (256, 512, 1024)
+    assert len(genfun_square_coeffs(short, mid)) == limit + 1
+    # complete sequences are bounded by their own length, not by the budget
+    ramp = [make_measure([(k, 1) for k in range(start, start + 300)]) for start in (0, 1)]
+    assert len(genfun_square_coeffs(*map(as_lattice, ramp))) == 2 * 300 - 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no product may be computed")
+
+    monkeypatch.setattr(lattice, "cauchy_product", refuse)
+    message = "^the square of a truncated pair at cutoff 512 exceeds MAX_SQUARE_CUTOFF = 256$"
+    with pytest.raises(BadParameter, match=message):
+        genfun_square_coeffs(mid, long)
+    with pytest.raises(BadParameter, match=message):
+        genfun_test(long, mid)
