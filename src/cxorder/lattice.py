@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from fractions import Fraction
+from math import lcm
 
 from .errors import BadParameter, Inconclusive, MassMismatch, NotLattice
 from .measures import DiscreteMeasure, _frozen, _scaled_ints, as_rational, format_rational
@@ -21,15 +22,16 @@ from .orders import OrderVerdict, Witness
 
 DEFAULT_EPS = Fraction(1, 2**40)
 # Budgets, each checked before the weights it bounds are built: the
-# truncations refuse a cutoff K above MAX_CUTOFF (the square of a truncated
-# pair costs O(K^2) products on O(K)-digit numbers), truncate_negbinomial an
+# truncations refuse a cutoff K above MAX_CUTOFF, and as_lattice an atom
+# position above it (the square of a sequence of length K costs O(K^2)
+# products on O(K)-digit numbers), truncate_negbinomial an
 # index n above MAX_NEGBIN_INDEX (every weight carries (1 - x)^(n+1), so its
 # digits grow with n at any cutoff) and truncate_poisson a parameter above
 # MAX_POISSON_RATE (its first cutoff is the power of two >= 2 lambda: 1024
 # at the limit, 2048 just past it, where the truncation costs five times more).
 # The square of a truncated pair (genfun_square_coeffs on its sound prefix,
-# the box of bernstein.gavrea_p4_sum) costs O(K^2) products, each on ints
-# that grow with n and K, so a square past cutoff MAX_SQUARE_CUTOFF is
+# the box of bernstein.gavrea_p4_sum) costs up to O(K^2) products, each on
+# ints that grow with n and K, so a square past cutoff MAX_SQUARE_CUTOFF is
 # refused before its first product.
 MAX_CUTOFF = 4096
 MAX_NEGBIN_INDEX = 4096
@@ -47,13 +49,20 @@ class LatticeSeq:
     ``tail_bound`` certifies the missing mass.  ``exact`` records whether the
     stored coefficients equal the true masses (negative binomial) or are
     certified lower bounds whose slack is folded into ``tail_bound``
-    (Poisson, where the normalising constant is irrational).
+    (Poisson, where the normalising constant is irrational).  ``poles``
+    lists pairs (x, m) such that f(z) * prod (1 - x z)^m, f the generating
+    function of the untruncated family, is a polynomial of degree below
+    sum m: ((x, n + 1),) for negbinomial:n,x, empty for complete sequences
+    and for Poisson.  The square of a truncated pair trusts them, checking
+    only that the z^r coefficient of (CDF difference) * prod (1 - x z)^m
+    is 0, so only ``truncate_negbinomial`` should set them.
     """
 
     coeffs: tuple[Fraction, ...]
     tail_bound: Fraction = Fraction(0)
     total_mass: Fraction | None = None
     exact: bool = True
+    poles: tuple[tuple[Fraction, int], ...] = ()
 
     def __post_init__(self):
         for i, c in enumerate(self.coeffs):
@@ -80,14 +89,19 @@ class LatticeSeq:
 
 
 def as_lattice(mu: DiscreteMeasure) -> LatticeSeq:
-    """View a measure supported on {0, 1, 2, ...} as a coefficient sequence."""
-    coeffs: list[Fraction] = []
-    for x, w in mu.atoms:
+    """View a measure supported on {0, 1, 2, ...} as a coefficient sequence.
+
+    The sequence runs up to the largest atom, so a position above
+    MAX_CUTOFF raises BadParameter before the sequence is built."""
+    for x, _ in mu.atoms:
         if x < 0 or x.denominator != 1:
             raise NotLattice(f"atom position {format_rational(x)} is not a non-negative integer")
-        k = int(x)
-        coeffs.extend([Fraction(0)] * (k + 1 - len(coeffs)))
-        coeffs[k] = w
+    top = int(mu.atoms[-1][0]) if mu.atoms else -1  # positions ascend
+    if top > MAX_CUTOFF:
+        raise BadParameter(f"atom position {top} exceeds MAX_CUTOFF = {MAX_CUTOFF}")
+    coeffs = [Fraction(0)] * (top + 1)
+    for x, w in mu.atoms:
+        coeffs[int(x)] = w
     return LatticeSeq(tuple(coeffs))
 
 
@@ -129,8 +143,11 @@ def genfun_square_coeffs(a: LatticeSeq, b: LatticeSeq) -> list[Fraction]:
     sum_i (G - F)(i) z^i, so the result is the discrete self-convolution of
     the CDF difference.  Complete sequences yield the full finite list; for
     truncations only the prefix provably unaffected by the unseen tail
-    (indices k <= min(Ka, Kb)) is returned, and a prefix past
-    MAX_SQUARE_CUTOFF raises BadParameter.
+    (indices k <= K = min(Ka, Kb)) is returned, and a prefix past
+    MAX_SQUARE_CUTOFF raises BadParameter before any product.  When both
+    truncations carry their poles and their total order r is at most K, the
+    prefix comes from the rational generating function (``_rational_square``,
+    O(K r) products); every other pair is squared by ``cauchy_product``.
     """
     if a.total_mass != b.total_mass:
         raise MassMismatch(
@@ -152,7 +169,53 @@ def genfun_square_coeffs(a: LatticeSeq, b: LatticeSeq) -> list[Fraction]:
     if not truncated:
         # (G - F) vanishes from the common support end by mass equality
         return cauchy_product(d[:-1], d[:-1])
-    return cauchy_product(d[: sound + 1], d[: sound + 1], length=sound + 1)
+    row, poles = d[: sound + 1], a.poles + b.poles
+    if a.poles and b.poles and sum(m for _, m in poles) <= sound:
+        return _rational_square(row, poles)
+    return cauchy_product(row, row, length=sound + 1)
+
+
+def _rational_square(
+    d: Sequence[Fraction], poles: Sequence[tuple[Fraction, int]]
+) -> list[Fraction]:
+    """The first len(d) coefficients of D(z)^2, for a series D = sum d_i z^i
+    whose product with Den(z) = prod (1 - x z)^m over ``poles`` is a
+    polynomial N of degree below r = sum m, given d_0..d_K with r <= K.
+
+    Den * D^2 = N * D, so with Q = N the first r coefficients of d * Den and
+    P the first K + 1 of Q * d, the square's coefficients obey the
+    recurrence E_k = P_k - sum_{j=1}^{min(k, r)} Den_j E_{k-j}: O(K r)
+    products instead of the Cauchy square's O(K^2).  The substitution
+    z = s w, s the lcm of the pole denominators, makes every Den_j s^j an
+    int; the row d_i s^i is scaled to ints by its common denominator, so the
+    recurrence runs on ints and E_k is one Fraction over scale^2 * s^k.
+    Poles that do not fit d are refused: the z^r coefficient of d * Den must
+    be 0 (r + 1 more products).
+    """
+    s = lcm(*(x.denominator for x, _ in poles))
+    den = [1]  # Den_j * s^j
+    for x, m in poles:
+        c = x.numerator * (s // x.denominator)
+        for _ in range(m):
+            den = [u - c * v for u, v in zip(den + [0], [0] + den)]
+    r = len(den) - 1
+    row, power = [], 1
+    for di in d:
+        row.append(di * power)
+        power *= s
+    scale, ts = _scaled_ints(row)
+    q = [sum(den[j] * ts[i - j] for j in range(i + 1)) for i in range(r + 1)]
+    if q.pop():  # d_r is known as r <= K, and N has no term at z^r
+        raise BadParameter("the poles of a truncated pair do not match its coefficients")
+    out: list[int] = []
+    for k in range(len(ts)):
+        e = sum(q[i] * ts[k - i] for i in range(min(k + 1, r)))
+        out.append(e - sum(den[j] * out[k - j] for j in range(1, min(k, r) + 1)))
+    unit, coeffs = scale * scale, []
+    for e in out:
+        coeffs.append(Fraction(e, unit))
+        unit *= s
+    return coeffs
 
 
 def genfun_test(
@@ -223,6 +286,7 @@ def truncate_negbinomial(n: int, x, eps=DEFAULT_EPS) -> LatticeSeq:
                     tail_bound=certificate,
                     total_mass=Fraction(1),
                     exact=True,
+                    poles=((x, n + 1),),
                 )
         cutoff *= 2
 

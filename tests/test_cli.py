@@ -482,6 +482,7 @@ def test_square_budget_exits_2_before_any_product(argv, monkeypatch):
         raise AssertionError("no product may be computed")
 
     monkeypatch.setattr(lattice, "cauchy_product", refuse)
+    monkeypatch.setattr(lattice, "_rational_square", refuse)
     monkeypatch.setattr(bernstein, "_phi_form", refuse)
     assert run(argv) == (
         2,
@@ -519,6 +520,28 @@ def test_scan_input_error_prints_no_csv_header():
     code, text = run(["bernstein", "gav-scan", "--mode", "P1", "--g", "absdiff 1",
                       "--ns", "1,1,1", "--step", "1/2"])
     assert (code, text) == (2, "error: ModeArity: mode P1 takes one or two degrees\n")
+
+
+def test_negbinomial_pair_at_the_square_budget_needs_no_cauchy_product(monkeypatch):
+    # both families carry their poles (order r = 4 <= K = 256), so the sound
+    # prefix comes from the recurrence alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("cauchy_product may not run")
+
+    monkeypatch.setattr(lattice, "cauchy_product", refuse)
+    assert run(["genfun", "check", "--family", "negbinomial:1,27/32",
+                "--family", "negbinomial:1,13/16"]) == (
+        3, "inconclusive (certified prefix clean; tail unseen)\n"
+    )
+
+
+def test_lattice_file_over_the_cutoff_budget_exits_2(tmp_path):
+    far, mid = tmp_path / "far.json", tmp_path / "mid.json"
+    far.write_text(measure_to_json(make_measure([(0, H), (4097, H)])))
+    mid.write_text(measure_to_json(make_measure([(2048, 1)])))
+    assert run(["genfun", "check", "--mu", str(far), "--nu", str(mid)]) == (
+        2, "error: BadParameter: atom position 4097 exceeds MAX_CUTOFF = 4096\n"
+    )
 
 
 def test_truncation_over_the_cutoff_budget_exits_2(monkeypatch):

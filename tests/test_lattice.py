@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -186,14 +186,81 @@ def test_cauchy_product_matches_oracle_on_negbinomial_differences(n, x, y, bits)
     # the large-denominator signed rows genfun_square_coeffs squares
     eps = Fraction(1, 2**bits)
     a, b = truncate_negbinomial(n, x, eps), truncate_negbinomial(n, y, eps)
-    steps = itertools.zip_longest(b.coeffs, a.coeffs, fillvalue=Fraction(0))
-    d = list(itertools.accumulate(bk - ak for bk, ak in steps))
     sound = min(a.last_index, b.last_index)
-    row = d[: sound + 1]
+    row = _cdf_difference(a, b)[: sound + 1]
     expected = helpers.cauchy_product_oracle(row, row)
     assert cauchy_product(row, row) == expected
     assert cauchy_product(row, row, length=sound + 1) == expected[: sound + 1]
     assert genfun_square_coeffs(a, b) == expected[: sound + 1]
+
+
+def _cdf_difference(a, b):
+    """(G - F)(i) for every stored index i of the longer sequence."""
+    steps = itertools.zip_longest(b.coeffs, a.coeffs, fillvalue=Fraction(0))
+    return list(itertools.accumulate(bk - ak for bk, ak in steps))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 12),
+    st.integers(0, 12),
+    st.sampled_from(_NEGBIN_PARAMETERS),
+    st.sampled_from(_NEGBIN_PARAMETERS),
+    st.integers(4, 20),
+)
+@example(0, 0, Fraction(1, 2), Fraction(1, 3), 16)  # n = m = 0: geometric pair
+@example(2, 2, H, H, 16)  # one family twice: every coefficient is 0
+@example(12, 3, Fraction(2, 7), Fraction(2, 7), 4)  # x = y, n != m, r = 17 > K = 4
+@example(12, 8, Fraction(1, 3), Fraction(2, 7), 10)  # r = 22 > K = 16: the fallback
+def test_square_of_negbinomial_pair_matches_cauchy_oracle(n, m, x, y, bits):
+    # pairs of order r = n + m + 2 <= K take the recurrence, the rest
+    # cauchy_product; both must equal the literal Fraction double loop
+    eps = Fraction(1, 2**bits)
+    a, b = truncate_negbinomial(n, x, eps), truncate_negbinomial(m, y, eps)
+    assert (a.poles, b.poles) == (((x, n + 1),), ((y, m + 1),))
+    sound = min(a.last_index, b.last_index)
+    row = _cdf_difference(a, b)[: sound + 1]
+    assert genfun_square_coeffs(a, b) == helpers.cauchy_product_oracle(row, row)[: sound + 1]
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} may not run")
+
+    return refuse
+
+
+def test_square_takes_the_recurrence_exactly_when_its_order_fits(monkeypatch):
+    # negbinomial:1,13/16 and 1,27/32 stop at K = 256 (order r = 4); at
+    # eps 2^-10, negbinomial:12,2/7 stops at K = 16 and 8,1/3 at 16 (r = 22)
+    fits = [truncated_family(f"negbinomial:1,{x}") for x in ("13/16", "27/32")]
+    over = [truncated_family(f"negbinomial:{spec}", Fraction(1, 2**10)) for spec in ("12,2/7", "8,1/3")]
+    expected = [genfun_square_coeffs(*pair) for pair in (fits, over)]
+    monkeypatch.setattr(lattice, "cauchy_product", _refuse("cauchy_product"))
+    assert genfun_square_coeffs(*fits) == expected[0]
+    with pytest.raises(AssertionError, match="cauchy_product"):
+        genfun_square_coeffs(*over)
+    monkeypatch.undo()
+    monkeypatch.setattr(lattice, "_rational_square", _refuse("_rational_square"))
+    assert genfun_square_coeffs(*over) == expected[1]
+    with pytest.raises(AssertionError, match="_rational_square"):
+        genfun_square_coeffs(*fits)
+    # a complete sequence carries no poles, so a mixed pair takes cauchy_product
+    mixed = (truncated_family("negbinomial:0,1/2"), as_lattice(make_measure([(0, H), (2, H)])))
+    assert mixed[1].poles == ()
+    row = _cdf_difference(*mixed)[:3]
+    assert genfun_square_coeffs(*mixed) == helpers.cauchy_product_oracle(row, row)[:3]
+
+
+@pytest.mark.parametrize("poles", [((Fraction(1, 2), 2),), ((Fraction(1, 3), 1),)])
+def test_square_refuses_poles_that_do_not_fit_the_coefficients(poles):
+    # negbinomial:1,1/3 has the pole 1/3 of order 2; a hand-built sequence
+    # that claims another pole, or a lower order, must not reach a wrong square
+    a = truncate_negbinomial(1, Fraction(1, 3), Fraction(1, 2**20))
+    b = truncate_negbinomial(1, Fraction(1, 2), Fraction(1, 2**20))
+    wrong = LatticeSeq(a.coeffs, a.tail_bound, a.total_mass, poles=poles)
+    with pytest.raises(BadParameter, match="^the poles of a truncated pair do not match its coefficients$"):
+        genfun_square_coeffs(wrong, b)
 
 
 # -- certified truncations -----------------------------------------------------
@@ -373,12 +440,27 @@ def test_square_cutoff_budget_boundary(monkeypatch):
     ramp = [make_measure([(k, 1) for k in range(start, start + 300)]) for start in (0, 1)]
     assert len(genfun_square_coeffs(*map(as_lattice, ramp))) == 2 * 300 - 1
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("no product may be computed")
-
-    monkeypatch.setattr(lattice, "cauchy_product", refuse)
+    # mid and long carry their poles (order r = 4), so only the budget stands
+    # between them and the recurrence
+    for kernel in ("cauchy_product", "_rational_square"):
+        monkeypatch.setattr(lattice, kernel, _refuse(kernel))
     message = "^the square of a truncated pair at cutoff 512 exceeds MAX_SQUARE_CUTOFF = 256$"
     with pytest.raises(BadParameter, match=message):
         genfun_square_coeffs(mid, long)
     with pytest.raises(BadParameter, match=message):
         genfun_test(long, mid)
+
+
+def test_lattice_position_budget_boundary(monkeypatch):
+    limit = lattice.MAX_CUTOFF
+    assert limit == 4096
+    assert as_lattice(make_measure([(0, H), (limit, H)])).last_index == limit
+    # the sequence would be padded with Fraction(0) up to the largest atom
+    monkeypatch.setattr(lattice, "Fraction", _refuse("Fraction"))
+    message = "^atom position 4097 exceeds MAX_CUTOFF = 4096$"
+    with pytest.raises(BadParameter, match=message):
+        as_lattice(make_measure([(0, H), (limit + 1, H)]))
+    with pytest.raises(BadParameter, match="^atom position 1000000000 exceeds"):
+        as_lattice(dirac(10**9))
+    with pytest.raises(NotLattice):  # positions are checked before the budget
+        as_lattice(make_measure([(H, H), (limit + 1, H)]))
