@@ -17,7 +17,13 @@ from math import comb, prod
 from operator import mul
 
 from .errors import BadParameter, Inconclusive, ModeArity
-from .lattice import DEFAULT_EPS, _check_square, cauchy_product, truncate_negbinomial
+from .lattice import (
+    DEFAULT_EPS,
+    _check_square,
+    _check_square_bits,
+    cauchy_product,
+    truncate_negbinomial,
+)
 from .measures import DiscreteMeasure, _frozen, _scaled_ints, as_rational, format_rational
 from .orders import ConvexTestFn, OrderVerdict, Witness, hinge_fn
 
@@ -473,7 +479,8 @@ def gavrea_p4_sum(n: int, x, y, phi: ConvexTestFn, eps=DEFAULT_EPS) -> IntervalV
     remainder is bounded through |phi| <= M on [0,1]: the bracket equals the
     product (a-b)x(a-b), whose mass outside the box is at most
     2*sigma*tau + tau^2 for sigma the boxed L1 difference and tau the summed
-    tail certificates.  A box past lattice.MAX_SQUARE_CUTOFF raises
+    tail certificates.  A box past lattice.MAX_SQUARE_CUTOFF, or whose
+    scaled difference row d has ints past lattice.MAX_SQUARE_BITS, raises
     BadParameter before its first product.
     """
     x, y, eps = as_rational(x), as_rational(y), as_rational(eps)
@@ -487,10 +494,14 @@ def gavrea_p4_sum(n: int, x, y, phi: ConvexTestFn, eps=DEFAULT_EPS) -> IntervalV
         return IntervalValue(Fraction(0), Fraction(0))
     fam_y = truncate_negbinomial(n, y, eps)
     _check_square(max(fam_x.last_index, fam_y.last_index))
+    scale, d = _scaled_ints(
+        [a - b for a, b in itertools.zip_longest(fam_x.coeffs, fam_y.coeffs, fillvalue=0)]
+    )
+    _check_square_bits(d)
     bound = phi.bound_on_unit_interval()
-    d = [a - b for a, b in itertools.zip_longest(fam_x.coeffs, fam_y.coeffs, fillvalue=0)]
-    boxed = _phi_form(d, d, [phi(Fraction(s, 2 * n + s)) for s in range(2 * len(d) - 1)])
-    sigma = sum(map(abs, d), Fraction(0))
+    phis = [phi(Fraction(s, 2 * n + s)) for s in range(2 * len(d) - 1)]
+    boxed = _phi_form(d, d, phis) / (scale * scale)
+    sigma = Fraction(sum(map(abs, d)), scale)
     tau = fam_x.tail_bound + fam_y.tail_bound
     slack = bound * (2 * sigma * tau + tau * tau)
     return IntervalValue(boxed - slack, boxed + slack)

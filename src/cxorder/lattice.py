@@ -15,6 +15,7 @@ import itertools
 from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import BadParameter, Inconclusive, MassMismatch, NotLattice
 from .measures import DiscreteMeasure, _frozen, _scaled_ints, as_rational, format_rational
@@ -32,11 +33,15 @@ DEFAULT_EPS = Fraction(1, 2**40)
 # The square of a truncated pair (genfun_square_coeffs on its sound prefix,
 # the box of bernstein.gavrea_p4_sum) costs up to O(K^2) products, each on
 # ints that grow with n and K, so a square past cutoff MAX_SQUARE_CUTOFF is
-# refused before its first product.
+# refused before its first product, and so is any square, complete pairs
+# included, whose scaled row holds an int of more than MAX_SQUARE_BITS bits
+# (at K = 256 with no recurrence, rows of about 3,800 bits take 0.7-1.1 s
+# and rows of 7,900 bits 2.6-3.6 s; the README table has the timings).
 MAX_CUTOFF = 4096
 MAX_NEGBIN_INDEX = 4096
 MAX_POISSON_RATE = 512
 MAX_SQUARE_CUTOFF = 256
+MAX_SQUARE_BITS = 4096
 
 
 @_frozen
@@ -53,9 +58,10 @@ class LatticeSeq:
     lists pairs (x, m) such that f(z) * prod (1 - x z)^m, f the generating
     function of the untruncated family, is a polynomial of degree below
     sum m: ((x, n + 1),) for negbinomial:n,x, empty for complete sequences
-    and for Poisson.  The square of a truncated pair trusts them, checking
-    only that the z^r coefficient of (CDF difference) * prod (1 - x z)^m
-    is 0, so only ``truncate_negbinomial`` should set them.
+    and for Poisson.  A square of two sequences with poles trusts them
+    (without, its Den is 1), checking only that the z^r coefficient of
+    (CDF difference) * prod (1 - x z)^m is 0, so only
+    ``truncate_negbinomial`` should set them.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -124,16 +130,15 @@ def cauchy_product(
     size = len(u) + len(v) - 1 if u and v else 0
     if length is not None:
         size = max(min(size, length), 0)
-    u_scale, us = _scaled_ints(u[:size])
-    v_scale, vs = _scaled_ints(v[:size])
-    out = [0] * size
-    for i, a in enumerate(us):
-        if a:
-            for j, b in enumerate(vs[: size - i]):
-                if b:
-                    out[i + j] += a * b
+    (u_scale, us), (v_scale, vs) = _scaled_ints(u[:size]), _scaled_ints(v[:size])
     unit = u_scale * v_scale
-    return [Fraction(c, unit) for c in out]
+    return [Fraction(c, unit) for c in _int_product(us, vs, size)]
+
+
+def _int_product(us: Sequence[int], vs: Sequence[int], size: int) -> list[int]:
+    """The first ``size`` coefficients of us * vs, one anti-diagonal sum each."""
+    rv, top = vs[::-1], len(vs) - 1
+    return [sum(map(mul, us[max(k - top, 0) : k + 1], rv[max(top - k, 0) :])) for k in range(size)]
 
 
 def genfun_square_coeffs(a: LatticeSeq, b: LatticeSeq) -> list[Fraction]:
@@ -144,10 +149,10 @@ def genfun_square_coeffs(a: LatticeSeq, b: LatticeSeq) -> list[Fraction]:
     the CDF difference.  Complete sequences yield the full finite list; for
     truncations only the prefix provably unaffected by the unseen tail
     (indices k <= K = min(Ka, Kb)) is returned, and a prefix past
-    MAX_SQUARE_CUTOFF raises BadParameter before any product.  When both
-    truncations carry their poles and their total order r is at most K, the
-    prefix comes from the rational generating function (``_rational_square``,
-    O(K r) products); every other pair is squared by ``cauchy_product``.
+    MAX_SQUARE_CUTOFF raises BadParameter before any product.  Every pair is
+    squared by one kernel, ``_rational_square``: with the poles of both
+    truncations when both carry them and their total order r is at most K
+    (O(K r) products), with none (Den = 1, the plain square) otherwise.
     """
     if a.total_mass != b.total_mass:
         raise MassMismatch(
@@ -159,38 +164,34 @@ def genfun_square_coeffs(a: LatticeSeq, b: LatticeSeq) -> list[Fraction]:
             "stored coefficients are lower bounds only; exact series "
             "coefficients are unavailable for this family"
         )
-    truncated = not (a.complete and b.complete)
-    sound = min(a.last_index, b.last_index)
-    if truncated:
-        _check_square(sound)
-    # d(i) = (G - F)(i) = sum_{k <= i} (b_k - a_k)
-    steps = itertools.zip_longest(b.coeffs, a.coeffs, fillvalue=Fraction(0))
-    d = list(itertools.accumulate(bk - ak for bk, ak in steps))
-    if not truncated:
+    poles = a.poles + b.poles if a.poles and b.poles else ()
+    if a.complete and b.complete:
         # (G - F) vanishes from the common support end by mass equality
-        return cauchy_product(d[:-1], d[:-1])
-    row, poles = d[: sound + 1], a.poles + b.poles
-    if a.poles and b.poles and sum(m for _, m in poles) <= sound:
-        return _rational_square(row, poles)
-    return cauchy_product(row, row, length=sound + 1)
+        length = max(len(a.coeffs), len(b.coeffs)) - 1
+        size = max(2 * length - 1, 0)
+    else:
+        length = size = min(a.last_index, b.last_index) + 1
+        _check_square(length - 1)
+    if sum(m for _, m in poles) >= length:
+        poles = ()
+    return _rational_square(a.coeffs[:length], b.coeffs[:length], poles, size)
 
 
 def _rational_square(
-    d: Sequence[Fraction], poles: Sequence[tuple[Fraction, int]]
+    a: Sequence[Fraction], b: Sequence[Fraction], poles: Sequence[tuple[Fraction, int]], size: int
 ) -> list[Fraction]:
-    """The first len(d) coefficients of D(z)^2, for a series D = sum d_i z^i
-    whose product with Den(z) = prod (1 - x z)^m over ``poles`` is a
-    polynomial N of degree below r = sum m, given d_0..d_K with r <= K.
+    """The first ``size`` coefficients of D(z)^2, D = sum d_i z^i the CDF
+    difference d_i = sum_{k <= i} (b_k - a_k) of the rows a and b, where
+    Den * D = N for Den = prod (1 - x z)^m over ``poles`` and deg N < r = sum m < len(d).
 
-    Den * D^2 = N * D, so with Q = N the first r coefficients of d * Den and
-    P the first K + 1 of Q * d, the square's coefficients obey the
-    recurrence E_k = P_k - sum_{j=1}^{min(k, r)} Den_j E_{k-j}: O(K r)
-    products instead of the Cauchy square's O(K^2).  The substitution
-    z = s w, s the lcm of the pole denominators, makes every Den_j s^j an
-    int; the row d_i s^i is scaled to ints by its common denominator, so the
-    recurrence runs on ints and E_k is one Fraction over scale^2 * s^k.
-    Poles that do not fit d are refused: the z^r coefficient of d * Den must
-    be 0 (r + 1 more products).
+    Den * D^2 = N * D, so with P the first ``size`` coefficients of N * d,
+    E_k = P_k - sum_{j=1}^{min(k, r)} Den_j E_{k-j}: O(size r) products;
+    with no poles Den = 1, N = d and E = P is the plain square.  With
+    z = s w, s the lcm of the pole denominators, Den_j s^j is an int; a and
+    b (times s^k when s != 1) share one common denominator, so d_i s^i is
+    summed and multiplied on ints (a row past MAX_SQUARE_BITS is refused
+    before the first product) and E_k is one Fraction over scale^2 * s^k.
+    Poles that do not fit d are refused: d * Den must have no z^r term.
     """
     s = lcm(*(x.denominator for x, _ in poles))
     den = [1]  # Den_j * s^j
@@ -199,23 +200,22 @@ def _rational_square(
         for _ in range(m):
             den = [u - c * v for u, v in zip(den + [0], [0] + den)]
     r = len(den) - 1
-    row, power = [], 1
-    for di in d:
-        row.append(di * power)
-        power *= s
-    scale, ts = _scaled_ints(row)
-    q = [sum(den[j] * ts[i - j] for j in range(i + 1)) for i in range(r + 1)]
-    if q.pop():  # d_r is known as r <= K, and N has no term at z^r
-        raise BadParameter("the poles of a truncated pair do not match its coefficients")
-    out: list[int] = []
-    for k in range(len(ts)):
-        e = sum(q[i] * ts[k - i] for i in range(min(k + 1, r)))
-        out.append(e - sum(den[j] * out[k - j] for j in range(1, min(k, r) + 1)))
-    unit, coeffs = scale * scale, []
-    for e in out:
-        coeffs.append(Fraction(e, unit))
-        unit *= s
-    return coeffs
+    if s != 1:
+        a, b = ([c * s**k for k, c in enumerate(row)] for row in (a, b))
+    scale, ints = _scaled_ints([*b, *a])
+    steps = itertools.zip_longest(ints[: len(b)], ints[len(b) :], fillvalue=0)
+    ts = list(itertools.accumulate((bk - ak for bk, ak in steps), lambda t, step: s * t + step))
+    _check_square_bits(ts)
+    q = ts  # N
+    if poles:
+        q = _int_product(den, ts, r + 1)
+        if q.pop():  # d_r is known as r < len(d), and N has no term at z^r
+            raise BadParameter("the poles of a truncated pair do not match its coefficients")
+    out = _int_product(q, ts, size)
+    for k in range(1, len(out) if r else 0):
+        out[k] -= sum(map(mul, den[1 : k + 1], reversed(out[max(k - r, 0) : k])))
+    units = itertools.accumulate(itertools.repeat(s), mul, initial=scale * scale)  # scale^2 s^k
+    return [Fraction(e, unit) for e, unit in zip(out, units)]
 
 
 def genfun_test(
@@ -354,6 +354,15 @@ def _check_square(cutoff: int):
         raise BadParameter(
             f"the square of a truncated pair at cutoff {cutoff} exceeds"
             f" MAX_SQUARE_CUTOFF = {MAX_SQUARE_CUTOFF}"
+        )
+
+
+def _check_square_bits(ints: Sequence[int]):
+    bits = max(map(int.bit_length, ints), default=0)
+    if bits > MAX_SQUARE_BITS:
+        raise BadParameter(
+            f"the square of a lattice pair on {bits}-bit ints exceeds"
+            f" MAX_SQUARE_BITS = {MAX_SQUARE_BITS}"
         )
 
 

@@ -483,6 +483,26 @@ def test_p4_box_takes_the_square_budget(monkeypatch):
         gavrea_p4_sum(1, Fraction(13, 16), Fraction(15, 16), quad_fn(1))
 
 
+def test_p4_box_takes_the_bits_budget(monkeypatch):
+    # negbinomial:189 stops at K = 8 for 1/1000 and 1/999; at n = 190 the
+    # box side is 16 and its difference row holds 4,109-bit ints
+    from cxorder import lattice
+
+    assert lattice.MAX_SQUARE_BITS == 4096
+    x, y = Fraction(1, 1000), Fraction(1, 999)
+    enclosure = gavrea_p4_sum(189, x, y, quad_fn(1))
+    assert enclosure.lo <= enclosure.hi
+
+    def refuse(*args):
+        raise AssertionError("no box product and no phi value may be computed")
+
+    monkeypatch.setattr(bernstein, "_phi_form", refuse)
+    monkeypatch.setattr(ConvexTestFn, "__call__", refuse)
+    message = "^the square of a lattice pair on 4109-bit ints exceeds MAX_SQUARE_BITS = 4096$"
+    with pytest.raises(BadParameter, match=message):
+        gavrea_p4_sum(190, x, y, quad_fn(1))
+
+
 def test_surface_certificates():
     # construction-level certificates follow the closure rules
     assert absdiff_surface(1).convex_cert == "construction"

@@ -481,14 +481,47 @@ def test_square_budget_exits_2_before_any_product(argv, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no product may be computed")
 
-    monkeypatch.setattr(lattice, "cauchy_product", refuse)
-    monkeypatch.setattr(lattice, "_rational_square", refuse)
+    monkeypatch.setattr(lattice, "_int_product", refuse)
     monkeypatch.setattr(bernstein, "_phi_form", refuse)
     assert run(argv) == (
         2,
         "error: BadParameter: the square of a truncated pair at cutoff 512 exceeds"
         " MAX_SQUARE_CUTOFF = 256\n",
     )
+
+
+def test_square_bits_budget_boundary_exits_2_with_one_line(monkeypatch):
+    # binomial:1,2^-b against binomial:1,1 squares the one int 1 - 2^b;
+    # negbinomial:189 with 1/1000 and 1/999 stops at K = 8, and 190 at
+    # K = 16 with rows of 4,109 bits
+    def pair(bits):
+        return ["genfun", "check", "--mu", f"binomial:1,1/{2**bits}", "--nu", "binomial:1,1"]
+
+    def families(n):
+        return ["genfun", "check", "--family", f"negbinomial:{n},1/1000",
+                "--family", f"negbinomial:{n},1/999"]
+
+    def box(n):
+        return ["bernstein", "p4", "--n", str(n), "--x", "1/1000", "--y", "1/999",
+                "--phi", "quad 1"]
+
+    limit = lattice.MAX_SQUARE_BITS
+    assert run(pair(limit)) == (0, "holds\n")
+    assert run(families(189)) == (3, "inconclusive (certified prefix clean; tail unseen)\n")
+    code, text = run(box(189))
+    assert code == 0 and text.startswith("interval [")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no product may be computed")
+
+    monkeypatch.setattr(lattice, "_int_product", refuse)
+    monkeypatch.setattr(bernstein, "_phi_form", refuse)
+    for argv, bits in ((pair(limit + 1), 4097), (families(190), 4109), (box(190), 4109)):
+        assert run(argv) == (
+            2,
+            f"error: BadParameter: the square of a lattice pair on {bits}-bit ints exceeds"
+            " MAX_SQUARE_BITS = 4096\n",
+        )
 
 
 def _nested(option: str, depth: int) -> list[str]:
@@ -523,16 +556,24 @@ def test_scan_input_error_prints_no_csv_header():
 
 
 def test_negbinomial_pair_at_the_square_budget_needs_no_cauchy_product(monkeypatch):
-    # both families carry their poles (order r = 4 <= K = 256), so the sound
-    # prefix comes from the recurrence alone
+    # both families carry their poles (order r = 4 <= K = 256), so the
+    # kernel gets them and squares the sound prefix by the recurrence
     def refuse(*args, **kwargs):
         raise AssertionError("cauchy_product may not run")
 
+    kernel, poles = lattice._rational_square, []
+
+    def spy(a, b, pair_poles, size):
+        poles.append(pair_poles)
+        return kernel(a, b, pair_poles, size)
+
     monkeypatch.setattr(lattice, "cauchy_product", refuse)
+    monkeypatch.setattr(lattice, "_rational_square", spy)
     assert run(["genfun", "check", "--family", "negbinomial:1,27/32",
                 "--family", "negbinomial:1,13/16"]) == (
         3, "inconclusive (certified prefix clean; tail unseen)\n"
     )
+    assert poles == [((Fraction(27, 32), 2), (Fraction(13, 16), 2))]
 
 
 def test_lattice_file_over_the_cutoff_budget_exits_2(tmp_path):

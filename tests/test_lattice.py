@@ -223,6 +223,33 @@ def test_square_of_negbinomial_pair_matches_cauchy_oracle(n, m, x, y, bits):
     assert genfun_square_coeffs(a, b) == helpers.cauchy_product_oracle(row, row)[: sound + 1]
 
 
+def _unit_mass(weights):
+    """The complete sequence with masses proportional to ``weights``."""
+    total = sum(weights)
+    return as_lattice(make_measure([(k, Fraction(w, total)) for k, w in enumerate(weights) if w]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(0, 5), min_size=1, max_size=9).filter(any),
+    st.lists(st.integers(0, 5), min_size=1, max_size=9).filter(any),
+    st.integers(0, 3),
+    st.sampled_from(_NEGBIN_PARAMETERS),
+)
+@example([1], [1], 0, H)  # two one-atom sequences at 0: the empty square
+@example([1, 0, 1], [0, 1], 0, H)  # rows of lengths 3 and 2
+@example([0, 0, 0, 1], [1], 2, Fraction(1, 3))  # the file is longer than its rival
+def test_square_of_complete_and_mixed_pairs_matches_cauchy_oracle(u, v, n, x):
+    # no poles on either side or on one side: the kernel runs with Den = 1
+    a, b = _unit_mass(u), _unit_mass(v)
+    d = _cdf_difference(a, b)
+    assert genfun_square_coeffs(a, b) == helpers.cauchy_product_oracle(d[:-1], d[:-1])
+    family = truncate_negbinomial(n, x, Fraction(1, 2**8))
+    sound = min(a.last_index, family.last_index)
+    row = _cdf_difference(a, family)[: sound + 1]
+    assert genfun_square_coeffs(a, family) == helpers.cauchy_product_oracle(row, row)[: sound + 1]
+
+
 def _refuse(name):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{name} may not run")
@@ -235,21 +262,23 @@ def test_square_takes_the_recurrence_exactly_when_its_order_fits(monkeypatch):
     # eps 2^-10, negbinomial:12,2/7 stops at K = 16 and 8,1/3 at 16 (r = 22)
     fits = [truncated_family(f"negbinomial:1,{x}") for x in ("13/16", "27/32")]
     over = [truncated_family(f"negbinomial:{spec}", Fraction(1, 2**10)) for spec in ("12,2/7", "8,1/3")]
-    expected = [genfun_square_coeffs(*pair) for pair in (fits, over)]
-    monkeypatch.setattr(lattice, "cauchy_product", _refuse("cauchy_product"))
-    assert genfun_square_coeffs(*fits) == expected[0]
-    with pytest.raises(AssertionError, match="cauchy_product"):
-        genfun_square_coeffs(*over)
-    monkeypatch.undo()
-    monkeypatch.setattr(lattice, "_rational_square", _refuse("_rational_square"))
-    assert genfun_square_coeffs(*over) == expected[1]
-    with pytest.raises(AssertionError, match="_rational_square"):
-        genfun_square_coeffs(*fits)
-    # a complete sequence carries no poles, so a mixed pair takes cauchy_product
+    # a complete sequence carries no poles, so a mixed pair passes none
     mixed = (truncated_family("negbinomial:0,1/2"), as_lattice(make_measure([(0, H), (2, H)])))
     assert mixed[1].poles == ()
-    row = _cdf_difference(*mixed)[:3]
-    assert genfun_square_coeffs(*mixed) == helpers.cauchy_product_oracle(row, row)[:3]
+    kernel, poles = lattice._rational_square, []
+
+    def spy(a, b, pair_poles, size):
+        poles.append(pair_poles)
+        return kernel(a, b, pair_poles, size)
+
+    monkeypatch.setattr(lattice, "_rational_square", spy)
+    monkeypatch.setattr(lattice, "cauchy_product", _refuse("cauchy_product"))
+    squares = [genfun_square_coeffs(*pair) for pair in (fits, over, mixed)]
+    assert poles == [fits[0].poles + fits[1].poles, (), ()]
+    for pair, square in zip((fits, over, mixed), squares):
+        sound = min(pair[0].last_index, pair[1].last_index)
+        row = _cdf_difference(*pair)[: sound + 1]
+        assert square == helpers.cauchy_product_oracle(row, row)[: sound + 1]
 
 
 @pytest.mark.parametrize("poles", [((Fraction(1, 2), 2),), ((Fraction(1, 3), 1),)])
@@ -442,13 +471,35 @@ def test_square_cutoff_budget_boundary(monkeypatch):
 
     # mid and long carry their poles (order r = 4), so only the budget stands
     # between them and the recurrence
-    for kernel in ("cauchy_product", "_rational_square"):
-        monkeypatch.setattr(lattice, kernel, _refuse(kernel))
+    monkeypatch.setattr(lattice, "_int_product", _refuse("_int_product"))
     message = "^the square of a truncated pair at cutoff 512 exceeds MAX_SQUARE_CUTOFF = 256$"
     with pytest.raises(BadParameter, match=message):
         genfun_square_coeffs(mid, long)
     with pytest.raises(BadParameter, match=message):
         genfun_test(long, mid)
+
+
+def _bits_pair(bits):
+    """A complete pair whose scaled row is the one int 1 - 2^bits."""
+    tiny = Fraction(1, 2**bits)
+    return as_lattice(make_measure([(0, 1 - tiny), (1, tiny)])), as_lattice(dirac(1))
+
+
+def test_square_bits_budget_boundary(monkeypatch):
+    limit = lattice.MAX_SQUARE_BITS
+    assert limit == 4096
+    assert genfun_square_coeffs(*_bits_pair(limit)) == [(1 - Fraction(1, 2**limit)) ** 2]
+    # negbinomial:189 stops at K = 8 for 1/1000 and 1/999, 190 at K = 16
+    # with rows of 4,109 bits; both pairs carry poles of order r > K
+    fits = [truncated_family(f"negbinomial:189,{x}") for x in ("1/1000", "1/999")]
+    over = [truncated_family(f"negbinomial:190,{x}") for x in ("1/1000", "1/999")]
+    assert len(genfun_square_coeffs(*fits)) == 9
+    monkeypatch.setattr(lattice, "_int_product", _refuse("_int_product"))
+    message = "^the square of a lattice pair on 4097-bit ints exceeds MAX_SQUARE_BITS = 4096$"
+    with pytest.raises(BadParameter, match=message):
+        genfun_square_coeffs(*_bits_pair(limit + 1))
+    with pytest.raises(BadParameter, match="^the square of a lattice pair on 4109-bit ints"):
+        genfun_test(*over)
 
 
 def test_lattice_position_budget_boundary(monkeypatch):
