@@ -20,7 +20,6 @@ from .errors import BadParameter, Inconclusive, ModeArity
 from .lattice import (
     DEFAULT_EPS,
     _check_square,
-    _check_square_bits,
     cauchy_product,
     truncate_negbinomial,
 )
@@ -479,9 +478,9 @@ def gavrea_p4_sum(n: int, x, y, phi: ConvexTestFn, eps=DEFAULT_EPS) -> IntervalV
     remainder is bounded through |phi| <= M on [0,1]: the bracket equals the
     product (a-b)x(a-b), whose mass outside the box is at most
     2*sigma*tau + tau^2 for sigma the boxed L1 difference and tau the summed
-    tail certificates.  A box past lattice.MAX_SQUARE_CUTOFF, or whose
-    scaled difference row d has ints past lattice.MAX_SQUARE_BITS, raises
-    BadParameter before its first product.
+    tail certificates.  A box whose len(d)^2 products on the widest int of
+    the scaled difference row d exceed lattice.MAX_SQUARE_WORK raises
+    BadParameter before its first product and before any phi value.
     """
     x, y, eps = as_rational(x), as_rational(y), as_rational(eps)
     if not isinstance(n, int) or n < 1:
@@ -493,11 +492,10 @@ def gavrea_p4_sum(n: int, x, y, phi: ConvexTestFn, eps=DEFAULT_EPS) -> IntervalV
         # identical families: every bracket term vanishes identically
         return IntervalValue(Fraction(0), Fraction(0))
     fam_y = truncate_negbinomial(n, y, eps)
-    _check_square(max(fam_x.last_index, fam_y.last_index))
     scale, d = _scaled_ints(
         [a - b for a, b in itertools.zip_longest(fam_x.coeffs, fam_y.coeffs, fillvalue=0)]
     )
-    _check_square_bits(d)
+    _check_square(len(d) ** 2, d)
     bound = phi.bound_on_unit_interval()
     phis = [phi(Fraction(s, 2 * n + s)) for s in range(2 * len(d) - 1)]
     boxed = _phi_form(d, d, phis) / (scale * scale)

@@ -30,18 +30,16 @@ DEFAULT_EPS = Fraction(1, 2**40)
 # digits grow with n at any cutoff) and truncate_poisson a parameter above
 # MAX_POISSON_RATE (its first cutoff is the power of two >= 2 lambda: 1024
 # at the limit, 2048 just past it, where the truncation costs five times more).
-# The square of a truncated pair (genfun_square_coeffs on its sound prefix,
-# the box of bernstein.gavrea_p4_sum) costs up to O(K^2) products, each on
-# ints that grow with n and K, so a square past cutoff MAX_SQUARE_CUTOFF is
-# refused before its first product, and so is any square, complete pairs
-# included, whose scaled row holds an int of more than MAX_SQUARE_BITS bits
-# (at K = 256 with no recurrence, rows of about 3,800 bits take 0.7-1.1 s
-# and rows of 7,900 bits 2.6-3.6 s; the README table has the timings).
+# Every square (genfun_square_coeffs, the box of bernstein.gavrea_p4_sum)
+# costs one product per pair of row entries, each on ints of up to ``bits``
+# bits, so products * bits^2 above MAX_SQUARE_WORK is refused after the row
+# is scaled and before its first product: products counts the plain square
+# even when poles make the recurrence cheaper (at K = 256 rows of up to 4,080
+# bits pass; the README table has the timings).
 MAX_CUTOFF = 4096
 MAX_NEGBIN_INDEX = 4096
 MAX_POISSON_RATE = 512
-MAX_SQUARE_CUTOFF = 256
-MAX_SQUARE_BITS = 4096
+MAX_SQUARE_WORK = 2**40
 
 
 @_frozen
@@ -61,7 +59,8 @@ class LatticeSeq:
     and for Poisson.  A square of two sequences with poles trusts them
     (without, its Den is 1), checking only that the z^r coefficient of
     (CDF difference) * prod (1 - x z)^m is 0, so only
-    ``truncate_negbinomial`` should set them.
+    ``truncate_negbinomial`` should set them.  Poles make a square cheaper
+    but not more affordable: MAX_SQUARE_WORK counts its plain products.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -118,19 +117,14 @@ def lattice_to_measure(seq: LatticeSeq) -> DiscreteMeasure:
     )
 
 
-def cauchy_product(
-    u: Sequence[Fraction], v: Sequence[Fraction], *, length: int | None = None
-) -> list[Fraction]:
-    """Discrete convolution of coefficient sequences, or only its first
-    ``length`` coefficients.
+def cauchy_product(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
+    """Discrete convolution of coefficient sequences.
 
     Each row is scaled to ints by its common denominator, so the products
     and sums run on ints and each output coefficient is one Fraction.
     """
     size = len(u) + len(v) - 1 if u and v else 0
-    if length is not None:
-        size = max(min(size, length), 0)
-    (u_scale, us), (v_scale, vs) = _scaled_ints(u[:size]), _scaled_ints(v[:size])
+    (u_scale, us), (v_scale, vs) = _scaled_ints(u), _scaled_ints(v)
     unit = u_scale * v_scale
     return [Fraction(c, unit) for c in _int_product(us, vs, size)]
 
@@ -148,11 +142,11 @@ def genfun_square_coeffs(a: LatticeSeq, b: LatticeSeq) -> list[Fraction]:
     sum_i (G - F)(i) z^i, so the result is the discrete self-convolution of
     the CDF difference.  Complete sequences yield the full finite list; for
     truncations only the prefix provably unaffected by the unseen tail
-    (indices k <= K = min(Ka, Kb)) is returned, and a prefix past
-    MAX_SQUARE_CUTOFF raises BadParameter before any product.  Every pair is
-    squared by one kernel, ``_rational_square``: with the poles of both
-    truncations when both carry them and their total order r is at most K
-    (O(K r) products), with none (Den = 1, the plain square) otherwise.
+    (indices k <= K = min(Ka, Kb)) is returned.  Every pair is squared by
+    one kernel, ``_rational_square``: with the poles of both truncations
+    when both carry them and their total order r is at most K (O(K r)
+    products), with none (Den = 1, the plain square) otherwise.  The kernel
+    refuses, complete pairs included, a square past MAX_SQUARE_WORK.
     """
     if a.total_mass != b.total_mass:
         raise MassMismatch(
@@ -171,7 +165,6 @@ def genfun_square_coeffs(a: LatticeSeq, b: LatticeSeq) -> list[Fraction]:
         size = max(2 * length - 1, 0)
     else:
         length = size = min(a.last_index, b.last_index) + 1
-        _check_square(length - 1)
     if sum(m for _, m in poles) >= length:
         poles = ()
     return _rational_square(a.coeffs[:length], b.coeffs[:length], poles, size)
@@ -189,8 +182,9 @@ def _rational_square(
     with no poles Den = 1, N = d and E = P is the plain square.  With
     z = s w, s the lcm of the pole denominators, Den_j s^j is an int; a and
     b (times s^k when s != 1) share one common denominator, so d_i s^i is
-    summed and multiplied on ints (a row past MAX_SQUARE_BITS is refused
-    before the first product) and E_k is one Fraction over scale^2 * s^k.
+    summed and multiplied on ints and E_k is one Fraction over scale^2 * s^k.
+    Before the first product, size * len(d) * bits^2, bits the widest int of
+    the scaled row, is checked against MAX_SQUARE_WORK, poles or not.
     Poles that do not fit d are refused: d * Den must have no z^r term.
     """
     s = lcm(*(x.denominator for x, _ in poles))
@@ -205,7 +199,7 @@ def _rational_square(
     scale, ints = _scaled_ints([*b, *a])
     steps = itertools.zip_longest(ints[: len(b)], ints[len(b) :], fillvalue=0)
     ts = list(itertools.accumulate((bk - ak for bk, ak in steps), lambda t, step: s * t + step))
-    _check_square_bits(ts)
+    _check_square(size * len(ts), ts)
     q = ts  # N
     if poles:
         q = _int_product(den, ts, r + 1)
@@ -349,20 +343,12 @@ def _check_cutoff(cutoff: int, family: str, eps: Fraction):
         )
 
 
-def _check_square(cutoff: int):
-    if cutoff > MAX_SQUARE_CUTOFF:
-        raise BadParameter(
-            f"the square of a truncated pair at cutoff {cutoff} exceeds"
-            f" MAX_SQUARE_CUTOFF = {MAX_SQUARE_CUTOFF}"
-        )
-
-
-def _check_square_bits(ints: Sequence[int]):
+def _check_square(products: int, ints: Sequence[int]):
     bits = max(map(int.bit_length, ints), default=0)
-    if bits > MAX_SQUARE_BITS:
+    if products * bits * bits > MAX_SQUARE_WORK:
         raise BadParameter(
-            f"the square of a lattice pair on {bits}-bit ints exceeds"
-            f" MAX_SQUARE_BITS = {MAX_SQUARE_BITS}"
+            f"the square of a lattice pair, {products} products on {bits}-bit ints,"
+            f" exceeds MAX_SQUARE_WORK = {MAX_SQUARE_WORK} (products x bits^2)"
         )
 
 

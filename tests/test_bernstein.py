@@ -465,41 +465,47 @@ def test_p4_takes_the_negbinomial_index_budget(monkeypatch):
         gavrea_p4_sum(lattice.MAX_NEGBIN_INDEX + 1, Q, H, affine_fn(0, 1))
 
 
-def test_p4_box_takes_the_square_budget(monkeypatch):
-    # negbinomial:1 stops at K = 256 for 13/16 and 27/32 and at K = 512 for
-    # 15/16; the box side is the longer truncation
-    from cxorder import lattice
-
-    assert lattice.MAX_SQUARE_CUTOFF == 256
-    enclosure = gavrea_p4_sum(1, Fraction(13, 16), Fraction(27, 32), quad_fn(1))
-    assert enclosure.lo <= enclosure.hi
-
+def _refuse_box_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("no box product and no phi value may be computed")
 
     monkeypatch.setattr(bernstein, "_phi_form", refuse)
     monkeypatch.setattr(ConvexTestFn, "__call__", refuse)
-    with pytest.raises(BadParameter, match="^the square of a truncated pair at cutoff 512 exceeds"):
+
+
+def _box_work_message(products, bits):
+    return (
+        f"^the square of a lattice pair, {products} products on {bits}-bit ints,"
+        r" exceeds MAX_SQUARE_WORK = 1099511627776 \(products x bits\^2\)$"
+    )
+
+
+def test_p4_box_takes_the_square_budget(monkeypatch):
+    # the box squares its difference row d, len(d)^2 products; negbinomial:1
+    # stops at K = 256 for 13/16 and 27/32 and at K = 512 for 15/16, and the
+    # box side is the longer truncation
+    from cxorder import lattice
+
+    assert lattice.MAX_SQUARE_WORK == 2**40
+    enclosure = gavrea_p4_sum(1, Fraction(13, 16), Fraction(27, 32), quad_fn(1))
+    assert enclosure.lo <= enclosure.hi
+    _refuse_box_work(monkeypatch)
+    with pytest.raises(BadParameter, match=_box_work_message(263169, 2053)):
         gavrea_p4_sum(1, Fraction(13, 16), Fraction(15, 16), quad_fn(1))
 
 
 def test_p4_box_takes_the_bits_budget(monkeypatch):
-    # negbinomial:189 stops at K = 8 for 1/1000 and 1/999; at n = 190 the
-    # box side is 16 and its difference row holds 4,109-bit ints
+    # at n = 190 both truncations stop at K = 16 and the difference row holds
+    # 4,109-bit ints: the box is 17^2 products of 4,109^2 each
     from cxorder import lattice
 
-    assert lattice.MAX_SQUARE_BITS == 4096
-    x, y = Fraction(1, 1000), Fraction(1, 999)
-    enclosure = gavrea_p4_sum(189, x, y, quad_fn(1))
+    x, y, work = Fraction(1, 1000), Fraction(1, 999), 17**2 * 4109**2
+    monkeypatch.setattr(lattice, "MAX_SQUARE_WORK", work)
+    enclosure = gavrea_p4_sum(190, x, y, quad_fn(1))
     assert enclosure.lo <= enclosure.hi
-
-    def refuse(*args):
-        raise AssertionError("no box product and no phi value may be computed")
-
-    monkeypatch.setattr(bernstein, "_phi_form", refuse)
-    monkeypatch.setattr(ConvexTestFn, "__call__", refuse)
-    message = "^the square of a lattice pair on 4109-bit ints exceeds MAX_SQUARE_BITS = 4096$"
-    with pytest.raises(BadParameter, match=message):
+    monkeypatch.setattr(lattice, "MAX_SQUARE_WORK", work - 1)
+    _refuse_box_work(monkeypatch)
+    with pytest.raises(BadParameter, match="^the square of a lattice pair, 289 products on 4109-bit"):
         gavrea_p4_sum(190, x, y, quad_fn(1))
 
 

@@ -12,6 +12,7 @@ from cxorder import (
     make_measure,
     measure_from_json,
     measure_to_json,
+    orders,
 )
 from cxorder.cli import (
     MAX_NESTING,
@@ -467,61 +468,112 @@ def test_family_budgets_exit_2_with_one_line(argv, message):
     assert run(argv) == (2, f"error: BadParameter: {message}\n")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["genfun", "check", "--family", "negbinomial:1,15/16", "--family", "negbinomial:1,31/32"],
-        ["genfun", "check", "--csv", "--family", "negbinomial:1,31/32",
-         "--family", "negbinomial:1,15/16"],
-        # one truncation at K = 256, the other at K = 512: the box side is 512
-        ["bernstein", "p4", "--n", "1", "--x", "13/16", "--y", "15/16", "--phi", "quad 1"],
-    ],
-)
-def test_square_budget_exits_2_before_any_product(argv, monkeypatch):
+def _families(n, x, y):
+    return ["genfun", "check", "--family", f"negbinomial:{n},{x}", "--family", f"negbinomial:{n},{y}"]
+
+
+def _box(n, x, y):
+    return ["bernstein", "p4", "--n", str(n), "--x", x, "--y", y, "--phi", "quad 1"]
+
+
+def _refuse_squares(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("no product may be computed")
+        raise AssertionError("no product and no phi value may be computed")
 
     monkeypatch.setattr(lattice, "_int_product", refuse)
     monkeypatch.setattr(bernstein, "_phi_form", refuse)
+    monkeypatch.setattr(bernstein.ConvexTestFn, "__call__", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv, products, bits",
+    [
+        # a complete pair: 1,023 * 512 products
+        (["genfun", "check", "--mu", "binomial:512,1/5", "--nu", "binomial:512,1/6"], 523776, 2512),
+        # K = 256, wide ints
+        (_families(512, "1/8", "1/9"), 66049, 4737),
+        # K = 512 with poles of order 4: the plain square's products count
+        (_families(1, "15/16", "31/32"), 263169, 2551),
+        # one truncation at K = 256, the other at K = 512: the box side is 513
+        (_box(1, "13/16", "15/16"), 263169, 2053),
+    ],
+    ids=["argv0", "argv1", "argv2", "argv3"],
+)
+def test_square_budget_exits_2_before_any_product(argv, products, bits, monkeypatch):
+    _refuse_squares(monkeypatch)
     assert run(argv) == (
         2,
-        "error: BadParameter: the square of a truncated pair at cutoff 512 exceeds"
-        " MAX_SQUARE_CUTOFF = 256\n",
+        f"error: BadParameter: the square of a lattice pair, {products} products on {bits}-bit"
+        " ints, exceeds MAX_SQUARE_WORK = 1099511627776 (products x bits^2)\n",
     )
 
 
 def test_square_bits_budget_boundary_exits_2_with_one_line(monkeypatch):
-    # binomial:1,2^-b against binomial:1,1 squares the one int 1 - 2^b;
-    # negbinomial:189 with 1/1000 and 1/999 stops at K = 8, and 190 at
-    # K = 16 with rows of 4,109 bits
-    def pair(bits):
-        return ["genfun", "check", "--mu", f"binomial:1,1/{2**bits}", "--nu", "binomial:1,1"]
-
-    def families(n):
-        return ["genfun", "check", "--family", f"negbinomial:{n},1/1000",
-                "--family", f"negbinomial:{n},1/999"]
-
-    def box(n):
-        return ["bernstein", "p4", "--n", str(n), "--x", "1/1000", "--y", "1/999",
-                "--phi", "quad 1"]
-
-    limit = lattice.MAX_SQUARE_BITS
-    assert run(pair(limit)) == (0, "holds\n")
-    assert run(families(189)) == (3, "inconclusive (certified prefix clean; tail unseen)\n")
-    code, text = run(box(189))
+    # negbinomial:190 with 1/1000 and 1/999 stops at K = 16 with rows of
+    # 4,109 bits: 17^2 products for the genfun prefix and for the box
+    work = 17 * 17 * 4109 * 4109
+    assert run(_families(190, "1/1000", "1/999")) == (
+        3, "inconclusive (certified prefix clean; tail unseen)\n"
+    )
+    code, text = run(_box(190, "1/1000", "1/999"))
     assert code == 0 and text.startswith("interval [")
+
+    monkeypatch.setattr(lattice, "MAX_SQUARE_WORK", work - 1)
+    _refuse_squares(monkeypatch)
+    for argv in (_families(190, "1/1000", "1/999"), _box(190, "1/1000", "1/999")):
+        assert run(argv) == (
+            2,
+            "error: BadParameter: the square of a lattice pair, 289 products on 4109-bit ints,"
+            f" exceeds MAX_SQUARE_WORK = {work - 1} (products x bits^2)\n",
+        )
+
+
+def test_squares_inside_the_budget_run(tmp_path):
+    # K = 256 on rows of 3,765 bits: 257^2 products for the genfun prefix
+    # and for the box, about 0.85 of the budget
+    assert run(_families(512, "1/5", "1/6")) == (
+        3, "inconclusive (certified prefix clean; tail unseen)\n"
+    )
+    code, text = run(_box(512, "1/5", "1/6"))
+    assert code == 0 and text.startswith("interval [")
+    # 1,025 unit atoms at 0..1024 against 1..1025: 2,049 * 1,025 products on
+    # one-bit ints
+    paths = []
+    for start in (0, 1):
+        path = tmp_path / f"ramp{start}.json"
+        path.write_text(measure_to_json(make_measure([(k, 1) for k in range(start, start + 1025)])))
+        paths.append(str(path))
+    assert run(["genfun", "check", "--mu", paths[0], "--nu", paths[1]]) == (0, "holds\n")
+
+
+@pytest.mark.parametrize(
+    "action, sizes, message",
+    [
+        ("check", (128, 129), "the signed square of 257 breakpoints: 66049 pairs"),
+        ("gap", (128, 129), "the signed square of 257 breakpoints: 66049 pairs"),
+        ("direct", (148, 148), "the three convolutions of 148 and 148 atoms: 65712 pairs"),
+    ],
+)
+def test_convolution_pairs_budget_exits_2_before_any_product(
+    action, sizes, message, tmp_path, monkeypatch
+):
+    # atoms at the even integers against atoms at the odd ones, equal masses
+    from cxorder import measures
+
+    evens, odds = sizes
+    mu, nu = tmp_path / "evens.json", tmp_path / "odds.json"
+    mu.write_text(measure_to_json(make_measure([(2 * k, 1) for k in range(evens)])))
+    nu.write_text(measure_to_json(make_measure([(2 * k + 1, Fraction(evens, odds)) for k in range(odds)])))
 
     def refuse(*args, **kwargs):
         raise AssertionError("no product may be computed")
 
-    monkeypatch.setattr(lattice, "_int_product", refuse)
-    monkeypatch.setattr(bernstein, "_phi_form", refuse)
-    for argv, bits in ((pair(limit + 1), 4097), (families(190), 4109), (box(190), 4109)):
-        assert run(argv) == (
-            2,
-            f"error: BadParameter: the square of a lattice pair on {bits}-bit ints exceeds"
-            " MAX_SQUARE_BITS = 4096\n",
-        )
+    monkeypatch.setattr(measures, "_product_row", refuse)
+    monkeypatch.setattr(orders, "_product_row", refuse)
+    argv = ["rasa", action, "--mu", str(mu), "--nu", str(nu)]
+    assert run(argv + (["--phi", "quad 1"] if action == "gap" else [])) == (
+        2, f"error: BadParameter: {message} exceed MAX_CONVOLUTION_PAIRS = 65536\n"
+    )
 
 
 def _nested(option: str, depth: int) -> list[str]:
@@ -751,3 +803,45 @@ def test_a_parser_builds_each_verb_once():
         args = parser.parse_args(argv)
         assert args.verb == argv[0]
     assert (args.relation, args.mu, args.nu) == ("cx", "a.json", "b.json")
+
+
+_RASA_PHI = ["bernstein", "rasa", "--n", "2", "--x", "1/4", "--y", "3/4", "--phi"]
+_SUPERMOD_G = ["bernstein", "supermod", "--step", "1/2", "--g"]
+_POLY_EXPR = ["poly", "eval", "--measure", "binomial:1,1/2", "--measure", "binomial:1,1/2", "--expr"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bernstein", "gav", "--mode", "P1", "--g", "hinge2 1 1,1,1 1/2", "--ns", "1,1",
+          "--points", "0,1"], "hinge2 list must have 2 entries, got 3 (at position 9)"),
+        (_RASA_PHI + [""], "empty test-function expression (at position 0)"),
+        (_RASA_PHI + ["sum(quad 1,)"], "empty test-function expression (at position 11)"),
+        (_RASA_PHI + ["max(quad 1)"], "unknown test-function call 'max' (at position 0)"),
+        (_SUPERMOD_G + ["max(absdiff 1)"], "unknown surface call 'max' (at position 0)"),
+        (_SUPERMOD_G + ["mid(quad 1)"], "mid needs (<phi> ; w1,w2,...) (at position 0)"),
+        (_POLY_EXPR + ["1 + "], "empty polynomial term (at position 3)"),
+        (_POLY_EXPR + ["2 *"], "dangling '*' (at position 0)"),
+        (_POLY_EXPR + ["1 * xq"], "bad variable token 'xq' (at position 4)"),
+        (_POLY_EXPR + ["1 * x0"], "bad variable token 'x0' (at position 4)"),
+        (_POLY_EXPR + ["1 * x3"], "variable index exceeds arity 2 (at position 0)"),
+        (["genfun", "check", "--mu", "binomial:1,1/2", "--nu", "binomial:1,1/2",
+          "--family", "negbinomial:1,1/2"], "genfun check needs exactly two sequences (files or families)"),
+        (["genfun", "check"], "genfun check needs exactly two sequences (files or families)"),
+    ],
+)
+def test_input_errors_exit_2_with_one_line(argv, message):
+    assert run(argv) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("{", "invalid JSON: Expecting property name enclosed in double quotes (at position 1)"),
+        ('{"atoms": [1]}', 'atom #0 must be an object {"x": ..., "w": ...}'),
+    ],
+)
+def test_malformed_measure_file_exits_2_with_one_line(body, message, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(body)
+    assert run(["order", "cx", "--mu", str(bad), "--nu", str(bad)]) == (2, f"error: {message}\n")

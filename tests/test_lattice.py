@@ -146,15 +146,10 @@ _signed_rows = st.lists(
 
 
 @settings(max_examples=300)
-@given(_signed_rows, _signed_rows, st.none() | st.integers(-1, 22))
-def test_cauchy_product_matches_literal_oracle(u, v, length):
-    expected = helpers.cauchy_product_oracle(u, v)
-    if length is None:
-        out = cauchy_product(u, v)
-    else:
-        out = cauchy_product(u, v, length=length)
-        expected = expected[: max(length, 0)]
-    assert out == expected
+@given(_signed_rows, _signed_rows)
+def test_cauchy_product_matches_literal_oracle(u, v):
+    out = cauchy_product(u, v)
+    assert out == helpers.cauchy_product_oracle(u, v)
     assert all(type(c) is Fraction for c in out)
 
 
@@ -190,7 +185,6 @@ def test_cauchy_product_matches_oracle_on_negbinomial_differences(n, x, y, bits)
     row = _cdf_difference(a, b)[: sound + 1]
     expected = helpers.cauchy_product_oracle(row, row)
     assert cauchy_product(row, row) == expected
-    assert cauchy_product(row, row, length=sound + 1) == expected[: sound + 1]
     assert genfun_square_coeffs(a, b) == expected[: sound + 1]
 
 
@@ -457,25 +451,36 @@ def test_poisson_rate_budget_boundary(monkeypatch):
         truncated_family("poisson:512001/1000")
 
 
+def _work_message(products, bits):
+    return (
+        f"^the square of a lattice pair, {products} products on {bits}-bit ints,"
+        r" exceeds MAX_SQUARE_WORK = 1099511627776 \(products x bits\^2\)$"
+    )
+
+
 def test_square_cutoff_budget_boundary(monkeypatch):
+    # MAX_SQUARE_WORK bounds products * bits^2, products = size * len(row);
     # negbinomial:1 stops at K = 256 for 13/16, at 512 for 15/16 and at 1024
-    # for 31/32; a truncated pair is squared up to the shorter cutoff
-    limit = lattice.MAX_SQUARE_CUTOFF
-    assert limit == 256
+    # for 31/32, and a truncated pair is squared up to the shorter cutoff
+    assert lattice.MAX_SQUARE_WORK == 2**40
     short, mid, long = (truncated_family(f"negbinomial:1,{x}") for x in ("13/16", "15/16", "31/32"))
     assert (short.last_index, mid.last_index, long.last_index) == (256, 512, 1024)
-    assert len(genfun_square_coeffs(short, mid)) == limit + 1
-    # complete sequences are bounded by their own length, not by the budget
-    ramp = [make_measure([(k, 1) for k in range(start, start + 300)]) for start in (0, 1)]
-    assert len(genfun_square_coeffs(*map(as_lattice, ramp))) == 2 * 300 - 1
-
-    # mid and long carry their poles (order r = 4), so only the budget stands
-    # between them and the recurrence
+    assert len(genfun_square_coeffs(short, mid)) == 257
+    # complete sequences count their products too: 2,049 * 1,025 on one-bit ints
+    ramp = [as_lattice(make_measure([(k, 1) for k in range(start, start + 1025)])) for start in (0, 1)]
+    monkeypatch.setattr(lattice, "MAX_SQUARE_WORK", 2049 * 1025)
+    assert len(genfun_square_coeffs(*ramp)) == 2049
+    monkeypatch.setattr(lattice, "MAX_SQUARE_WORK", 2049 * 1025 - 1)
     monkeypatch.setattr(lattice, "_int_product", _refuse("_int_product"))
-    message = "^the square of a truncated pair at cutoff 512 exceeds MAX_SQUARE_CUTOFF = 256$"
-    with pytest.raises(BadParameter, match=message):
+    with pytest.raises(BadParameter, match="^the square of a lattice pair, 2100225 products on 1-bit"):
+        genfun_square_coeffs(*ramp)
+
+    # mid and long carry their poles (order r = 4): the budget counts the
+    # 513^2 products of the plain square, not the recurrence's 513 * 4
+    monkeypatch.setattr(lattice, "MAX_SQUARE_WORK", 2**40)
+    with pytest.raises(BadParameter, match=_work_message(263169, 2551)):
         genfun_square_coeffs(mid, long)
-    with pytest.raises(BadParameter, match=message):
+    with pytest.raises(BadParameter, match=_work_message(263169, 2551)):
         genfun_test(long, mid)
 
 
@@ -486,19 +491,20 @@ def _bits_pair(bits):
 
 
 def test_square_bits_budget_boundary(monkeypatch):
-    limit = lattice.MAX_SQUARE_BITS
-    assert limit == 4096
-    assert genfun_square_coeffs(*_bits_pair(limit)) == [(1 - Fraction(1, 2**limit)) ** 2]
-    # negbinomial:189 stops at K = 8 for 1/1000 and 1/999, 190 at K = 16
-    # with rows of 4,109 bits; both pairs carry poles of order r > K
-    fits = [truncated_family(f"negbinomial:189,{x}") for x in ("1/1000", "1/999")]
-    over = [truncated_family(f"negbinomial:190,{x}") for x in ("1/1000", "1/999")]
-    assert len(genfun_square_coeffs(*fits)) == 9
+    # the one product of a bits pair weighs bits^2
+    monkeypatch.setattr(lattice, "MAX_SQUARE_WORK", 64 * 64)
+    assert genfun_square_coeffs(*_bits_pair(64)) == [(1 - Fraction(1, 2**64)) ** 2]
+    with pytest.raises(BadParameter, match="^the square of a lattice pair, 1 products on 65-bit"):
+        genfun_square_coeffs(*_bits_pair(65))
+    # at the real budget, negbinomial:190 (K = 16 for 1/1000 and 1/999) squares
+    # rows of 4,109 bits, and negbinomial:512 (K = 256 for 1/8 and 1/9) is
+    # refused on rows of 4,737 bits; both pairs carry poles of order r > K
+    monkeypatch.setattr(lattice, "MAX_SQUARE_WORK", 2**40)
+    fits = [truncated_family(f"negbinomial:190,{x}") for x in ("1/1000", "1/999")]
+    over = [truncated_family(f"negbinomial:512,{x}") for x in ("1/8", "1/9")]
+    assert len(genfun_square_coeffs(*fits)) == 17
     monkeypatch.setattr(lattice, "_int_product", _refuse("_int_product"))
-    message = "^the square of a lattice pair on 4097-bit ints exceeds MAX_SQUARE_BITS = 4096$"
-    with pytest.raises(BadParameter, match=message):
-        genfun_square_coeffs(*_bits_pair(limit + 1))
-    with pytest.raises(BadParameter, match="^the square of a lattice pair on 4109-bit ints"):
+    with pytest.raises(BadParameter, match=_work_message(66049, 4737)):
         genfun_test(*over)
 
 

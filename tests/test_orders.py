@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from cxorder import orders
 from cxorder import (
+    BadParameter,
     ConvexTestFn,
     MassMismatch,
     NonConvexTestFn,
@@ -451,3 +453,45 @@ def test_leq_cx_means_and_masses_are_forced():
         mu, nu = helpers.equal_mass_pair(rng, max_atoms=4)
         if leq_cx(mu, nu).holds:
             assert mu.mass == nu.mass and mu.mean == nu.mean
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} may not run")
+
+    return refuse
+
+
+def test_convolution_pairs_budget_boundary(monkeypatch):
+    # 128 atoms at the even and 128 at the odd integers: H has 256
+    # breakpoints, so the signed square forms 256^2 pairs, the budget itself
+    assert orders.MAX_CONVOLUTION_PAIRS == 2**16
+    evens = make_measure([(2 * k, 1) for k in range(128)])
+    odds = make_measure([(2 * k + 1, 1) for k in range(128)])
+    verdict, profile = rasa_criterion(evens, odds)
+    assert verdict.holds and len(profile.breakpoints) == 511
+    assert gap_functional(evens, odds, quad_fn(1)) == 2 * 128 * 128
+    wider = make_measure([(2 * k + 1, Fraction(128, 129)) for k in range(129)])
+    monkeypatch.setattr(orders, "_product_row", _refuse("_product_row"))
+    message = "^the signed square of 257 breakpoints: 66049 pairs exceed MAX_CONVOLUTION_PAIRS = 65536$"
+    with pytest.raises(BadParameter, match=message):
+        rasa_criterion(evens, wider)
+    with pytest.raises(BadParameter, match=message):
+        gap_functional(evens, wider, quad_fn(1))
+    with pytest.raises(BadParameter, match=message):
+        step_self_convolution(cdf_diff(evens, wider))
+
+
+def test_rasa_direct_takes_the_convolution_pairs_budget(monkeypatch):
+    # 3 and 4 atoms: 3*4 + 3^2 + 4^2 = 37 pairs in the three convolutions
+    mu = make_measure([(0, 4), (1, 4), (2, 4)])
+    nu = make_measure([(0, 3), (1, 3), (2, 3), (3, 3)])
+    monkeypatch.setattr(orders, "MAX_CONVOLUTION_PAIRS", 37)
+    assert rasa_direct(mu, nu) == rasa_criterion(mu, nu)[0]
+    monkeypatch.setattr(orders, "MAX_CONVOLUTION_PAIRS", 36)
+    monkeypatch.setattr(orders, "convolve", _refuse("convolve"))
+    with pytest.raises(
+        BadParameter,
+        match="^the three convolutions of 3 and 4 atoms: 37 pairs exceed MAX_CONVOLUTION_PAIRS = 36$",
+    ):
+        rasa_direct(mu, nu)
