@@ -478,9 +478,9 @@ def gavrea_p4_sum(n: int, x, y, phi: ConvexTestFn, eps=DEFAULT_EPS) -> IntervalV
     remainder is bounded through |phi| <= M on [0,1]: the bracket equals the
     product (a-b)x(a-b), whose mass outside the box is at most
     2*sigma*tau + tau^2 for sigma the boxed L1 difference and tau the summed
-    tail certificates.  A box whose len(d)^2 products on the widest int of
-    the scaled difference row d exceed lattice.MAX_SQUARE_WORK raises
-    BadParameter before its first product and before any phi value.
+    tail certificates.  A box whose len(d)^2 products (at least 64) on the
+    widest int of the scaled difference row d exceed lattice.MAX_SQUARE_WORK
+    raises BadParameter before its first product and before any phi value.
     """
     x, y, eps = as_rational(x), as_rational(y), as_rational(eps)
     if not isinstance(n, int) or n < 1:

@@ -34,8 +34,11 @@ DEFAULT_EPS = Fraction(1, 2**40)
 # costs one product per pair of row entries, each on ints of up to ``bits``
 # bits, so products * bits^2 above MAX_SQUARE_WORK is refused after the row
 # is scaled and before its first product: products counts the plain square
-# even when poles make the recurrence cheaper (at K = 256 rows of up to 4,080
-# bits pass; the README table has the timings).
+# even when poles make the recurrence cheaper, and at least 64, since the
+# Fractions built from the result (reduced to lowest terms on ints twice as
+# wide) cost about that much however short the row.  At K = 256 rows of up
+# to 4,080 bits pass, at K = 1 rows of up to 131,072; the README table has
+# the timings.
 MAX_CUTOFF = 4096
 MAX_NEGBIN_INDEX = 4096
 MAX_POISSON_RATE = 512
@@ -183,8 +186,9 @@ def _rational_square(
     z = s w, s the lcm of the pole denominators, Den_j s^j is an int; a and
     b (times s^k when s != 1) share one common denominator, so d_i s^i is
     summed and multiplied on ints and E_k is one Fraction over scale^2 * s^k.
-    Before the first product, size * len(d) * bits^2, bits the widest int of
-    the scaled row, is checked against MAX_SQUARE_WORK, poles or not.
+    Before the first product, max(size * len(d), 64) * bits^2, bits the
+    widest int of the scaled row, is checked against MAX_SQUARE_WORK, poles
+    or not.
     Poles that do not fit d are refused: d * Den must have no z^r term.
     """
     s = lcm(*(x.denominator for x, _ in poles))
@@ -345,10 +349,10 @@ def _check_cutoff(cutoff: int, family: str, eps: Fraction):
 
 def _check_square(products: int, ints: Sequence[int]):
     bits = max(map(int.bit_length, ints), default=0)
-    if products * bits * bits > MAX_SQUARE_WORK:
+    if max(products, 64) * bits * bits > MAX_SQUARE_WORK:
         raise BadParameter(
             f"the square of a lattice pair, {products} products on {bits}-bit ints,"
-            f" exceeds MAX_SQUARE_WORK = {MAX_SQUARE_WORK} (products x bits^2)"
+            f" exceeds MAX_SQUARE_WORK = {MAX_SQUARE_WORK} (max(products, 64) x bits^2)"
         )
 
 

@@ -43,12 +43,16 @@ from .measures import (
 
 _HALF = Fraction(1, 2)
 
-# Budget, checked before the first product: the signed square of B
-# breakpoints forms B^2 pairs and the three convolutions of rasa_direct
-# n*m + n^2 + m^2 for n and m atoms, and more pairs than
-# MAX_CONVOLUTION_PAIRS are refused (at the limit `rasa check` takes about
-# 0.2 s, `rasa gap` 0.5 s and `rasa direct` 1.5 s; the README has the table).
-MAX_CONVOLUTION_PAIRS = 2**16
+# Budget, checked after the rows are scaled to ints and before the first
+# product: the signed square of B breakpoints forms B^2 pairs and the three
+# convolutions of rasa_direct n*m + n^2 + m^2 for n and m atoms, each pair a
+# product on ints of up to ``bits`` bits whose result becomes a Fraction,
+# plus a fixed Python overhead that counts as 512 bits, so
+# pairs * max(bits, 512)^2 above MAX_CONVOLUTION_WORK is refused: 65,536
+# pairs of ints up to 512 bits pass, 1,024 of 4,096 bits (at the limit
+# `rasa check` takes about 0.5 s, `rasa gap` 1.1 s and `rasa direct` 3.1 s;
+# the README has the table).
+MAX_CONVOLUTION_WORK = 2**34
 
 
 @_frozen
@@ -320,22 +324,24 @@ def _signed_square(h: StepFunction) -> tuple[int, int, dict[int, int]]:
     jumps d_i at breakpoints b_i: the weights d_i d_j at b_i + b_j, as
     (scale, unit, kinks) with kinks[s] = w for the weight w/unit at s/scale.
     Both are scaled to ints, so the B^2 products run on ints; sums whose
-    weights cancel stay in ``kinks`` with weight 0.  More than
-    MAX_CONVOLUTION_PAIRS pairs raise BadParameter before the first product."""
-    breaks = len(h.breakpoints)
-    _check_pairs(breaks * breaks, f"the signed square of {breaks} breakpoints")
+    weights cancel stay in ``kinks`` with weight 0.  B^2 pairs past
+    MAX_CONVOLUTION_WORK raise BadParameter before the first product."""
     levels = (0,) + h.values + (0,)
     jumps = [after - before for before, after in zip(levels, levels[1:])]
     scale, bs = _scaled_ints(h.breakpoints)
     scale_d, ds = _scaled_ints(jumps)
+    breaks = len(bs)
+    _check_work(breaks * breaks, bs + ds, f"the signed square of {breaks} breakpoints")
     row = list(zip(bs, ds))
     return scale, scale_d * scale_d, _product_row(row, row)
 
 
-def _check_pairs(pairs: int, what: str):
-    if pairs > MAX_CONVOLUTION_PAIRS:
+def _check_work(pairs: int, ints: list[int], what: str):
+    bits = max(map(int.bit_length, ints), default=0)
+    if pairs * max(bits, 512) ** 2 > MAX_CONVOLUTION_WORK:
         raise BadParameter(
-            f"{what}: {pairs} pairs exceed MAX_CONVOLUTION_PAIRS = {MAX_CONVOLUTION_PAIRS}"
+            f"{what}: {pairs} pairs on {bits}-bit ints exceed MAX_CONVOLUTION_WORK"
+            f" = {MAX_CONVOLUTION_WORK} (pairs x max(bits, 512)^2)"
         )
 
 
@@ -381,12 +387,16 @@ def rasa_direct(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     convex-order test.  Of rasa_criterion's code it shares only the integer
     scaling of ``measures._scaled_ints`` (behind ``convolve`` here and the
     profile there), which the tests check against literal Fraction loops,
-    and the pairs budget, so the two can certify each other.  A mass
+    and the work budget, so the two can certify each other.  A mass
     mismatch is a definite failure here (the constant test functions force
-    equal masses), not an error.  More than MAX_CONVOLUTION_PAIRS pairs
-    raise BadParameter before the first convolution."""
+    equal masses), not an error.  The n*m + n^2 + m^2 pairs of the three
+    convolutions, on the widest int that ``convolve`` scales the positions
+    and weights to, past MAX_CONVOLUTION_WORK raise BadParameter before the
+    first convolution."""
     n, m = len(mu.atoms), len(nu.atoms)
-    _check_pairs(n * m + n * n + m * m, f"the three convolutions of {n} and {m} atoms")
+    rows = ([x for x, _ in mu.atoms + nu.atoms], [w for _, w in mu.atoms], [w for _, w in nu.atoms])
+    ints = [v for row in rows for v in _scaled_ints(row)[1]]
+    _check_work(n * m + n * n + m * m, ints, f"the three convolutions of {n} and {m} atoms")
     left = convolve(mu, nu)
     right = mix((_HALF, _HALF), (convolve(mu, mu), convolve(nu, nu)))
     return leq_cx(left, right)

@@ -327,3 +327,30 @@ def compose_convex_terms(phi: ConvexTestFn, weights):
             exps[j] += 1
             terms.append((phi.curve * wi * wj, tuple(exps)))
     return terms, [(c, w, a) for a, c in phi.hinges]
+
+
+def refuse(name):
+    """A stand-in for ``name`` that fails the test if it is called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} may not run")
+
+    return refuse
+
+
+def square_work_message(products, bits, work=2**40):
+    """The one line with which a lattice square past MAX_SQUARE_WORK = work
+    is refused."""
+    return (
+        f"the square of a lattice pair, {products} products on {bits}-bit ints,"
+        f" exceeds MAX_SQUARE_WORK = {work} (max(products, 64) x bits^2)"
+    )
+
+
+def convolution_work_message(what, pairs, bits, work=2**34):
+    """The one line with which an order-engine square or convolution past
+    MAX_CONVOLUTION_WORK = work is refused."""
+    return (
+        f"{what}: {pairs} pairs on {bits}-bit ints exceed MAX_CONVOLUTION_WORK"
+        f" = {work} (pairs x max(bits, 512)^2)"
+    )

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -466,18 +467,12 @@ def test_p4_takes_the_negbinomial_index_budget(monkeypatch):
 
 
 def _refuse_box_work(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("no box product and no phi value may be computed")
-
-    monkeypatch.setattr(bernstein, "_phi_form", refuse)
-    monkeypatch.setattr(ConvexTestFn, "__call__", refuse)
+    monkeypatch.setattr(bernstein, "_phi_form", helpers.refuse("_phi_form"))
+    monkeypatch.setattr(ConvexTestFn, "__call__", helpers.refuse("phi"))
 
 
-def _box_work_message(products, bits):
-    return (
-        f"^the square of a lattice pair, {products} products on {bits}-bit ints,"
-        r" exceeds MAX_SQUARE_WORK = 1099511627776 \(products x bits\^2\)$"
-    )
+def _box_work_message(products, bits, work=2**40):
+    return "^" + re.escape(helpers.square_work_message(products, bits, work)) + "$"
 
 
 def test_p4_box_takes_the_square_budget(monkeypatch):
@@ -505,8 +500,18 @@ def test_p4_box_takes_the_bits_budget(monkeypatch):
     assert enclosure.lo <= enclosure.hi
     monkeypatch.setattr(lattice, "MAX_SQUARE_WORK", work - 1)
     _refuse_box_work(monkeypatch)
-    with pytest.raises(BadParameter, match="^the square of a lattice pair, 289 products on 4109-bit"):
+    with pytest.raises(BadParameter, match=_box_work_message(289, 4109, work - 1)):
         gavrea_p4_sum(190, x, y, quad_fn(1))
+    # at n = 34 and x, y = 1/10^20, 2/10^20 both truncations stop at K = 1:
+    # the box's 4 products on 2,326-bit ints count as 64
+    x, y, work = Fraction(1, 10**20), Fraction(2, 10**20), 64 * 2326**2
+    monkeypatch.undo()
+    monkeypatch.setattr(lattice, "MAX_SQUARE_WORK", work)
+    assert gavrea_p4_sum(34, x, y, quad_fn(1)).lo > 0
+    monkeypatch.setattr(lattice, "MAX_SQUARE_WORK", work - 1)
+    _refuse_box_work(monkeypatch)
+    with pytest.raises(BadParameter, match=_box_work_message(4, 2326, work - 1)):
+        gavrea_p4_sum(34, x, y, quad_fn(1))
 
 
 def test_surface_certificates():

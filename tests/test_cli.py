@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from cxorder import (
     ParseError,
     bernstein,
@@ -477,12 +478,9 @@ def _box(n, x, y):
 
 
 def _refuse_squares(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("no product and no phi value may be computed")
-
-    monkeypatch.setattr(lattice, "_int_product", refuse)
-    monkeypatch.setattr(bernstein, "_phi_form", refuse)
-    monkeypatch.setattr(bernstein.ConvexTestFn, "__call__", refuse)
+    monkeypatch.setattr(lattice, "_int_product", helpers.refuse("_int_product"))
+    monkeypatch.setattr(bernstein, "_phi_form", helpers.refuse("_phi_form"))
+    monkeypatch.setattr(bernstein.ConvexTestFn, "__call__", helpers.refuse("phi"))
 
 
 @pytest.mark.parametrize(
@@ -494,18 +492,20 @@ def _refuse_squares(monkeypatch):
         (_families(512, "1/8", "1/9"), 66049, 4737),
         # K = 512 with poles of order 4: the plain square's products count
         (_families(1, "15/16", "31/32"), 263169, 2551),
+        # --csv squares the pair before its header: a refusal prints no row
+        (["genfun", "check", "--csv", *_families(1, "31/32", "15/16")[2:]], 263169, 2551),
         # one truncation at K = 256, the other at K = 512: the box side is 513
         (_box(1, "13/16", "15/16"), 263169, 2053),
+        # K = 1: 4 products, counted as 64, on ints past 2^17 bits
+        (_families(34, "1e-1130", "2e-1130"), 4, 131386),
+        (_box(34, "1e-1130", "2e-1130"), 4, 131383),
     ],
-    ids=["argv0", "argv1", "argv2", "argv3"],
+    ids=["argv0", "argv1", "argv2", "argv3", "argv4", "argv5", "argv6"],
 )
 def test_square_budget_exits_2_before_any_product(argv, products, bits, monkeypatch):
     _refuse_squares(monkeypatch)
-    assert run(argv) == (
-        2,
-        f"error: BadParameter: the square of a lattice pair, {products} products on {bits}-bit"
-        " ints, exceeds MAX_SQUARE_WORK = 1099511627776 (products x bits^2)\n",
-    )
+    message = helpers.square_work_message(products, bits)
+    assert run(argv) == (2, f"error: BadParameter: {message}\n")
 
 
 def test_square_bits_budget_boundary_exits_2_with_one_line(monkeypatch):
@@ -520,12 +520,9 @@ def test_square_bits_budget_boundary_exits_2_with_one_line(monkeypatch):
 
     monkeypatch.setattr(lattice, "MAX_SQUARE_WORK", work - 1)
     _refuse_squares(monkeypatch)
+    message = helpers.square_work_message(289, 4109, work - 1)
     for argv in (_families(190, "1/1000", "1/999"), _box(190, "1/1000", "1/999")):
-        assert run(argv) == (
-            2,
-            "error: BadParameter: the square of a lattice pair, 289 products on 4109-bit ints,"
-            f" exceeds MAX_SQUARE_WORK = {work - 1} (products x bits^2)\n",
-        )
+        assert run(argv) == (2, f"error: BadParameter: {message}\n")
 
 
 def test_squares_inside_the_budget_run(tmp_path):
@@ -547,15 +544,15 @@ def test_squares_inside_the_budget_run(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "action, sizes, message",
+    "action, sizes, what, pairs",
     [
-        ("check", (128, 129), "the signed square of 257 breakpoints: 66049 pairs"),
-        ("gap", (128, 129), "the signed square of 257 breakpoints: 66049 pairs"),
-        ("direct", (148, 148), "the three convolutions of 148 and 148 atoms: 65712 pairs"),
+        ("check", (128, 129), "the signed square of 257 breakpoints", 66049),
+        ("gap", (128, 129), "the signed square of 257 breakpoints", 66049),
+        ("direct", (148, 148), "the three convolutions of 148 and 148 atoms", 65712),
     ],
 )
-def test_convolution_pairs_budget_exits_2_before_any_product(
-    action, sizes, message, tmp_path, monkeypatch
+def test_convolution_work_budget_exits_2_before_any_product(
+    action, sizes, what, pairs, tmp_path, monkeypatch
 ):
     # atoms at the even integers against atoms at the odd ones, equal masses
     from cxorder import measures
@@ -564,15 +561,13 @@ def test_convolution_pairs_budget_exits_2_before_any_product(
     mu, nu = tmp_path / "evens.json", tmp_path / "odds.json"
     mu.write_text(measure_to_json(make_measure([(2 * k, 1) for k in range(evens)])))
     nu.write_text(measure_to_json(make_measure([(2 * k + 1, Fraction(evens, odds)) for k in range(odds)])))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("no product may be computed")
-
-    monkeypatch.setattr(measures, "_product_row", refuse)
-    monkeypatch.setattr(orders, "_product_row", refuse)
+    monkeypatch.setattr(measures, "_product_row", helpers.refuse("_product_row"))
+    monkeypatch.setattr(orders, "_product_row", helpers.refuse("_product_row"))
     argv = ["rasa", action, "--mu", str(mu), "--nu", str(nu)]
+    # every int has 9 bits, counted as 512
+    message = helpers.convolution_work_message(what, pairs, 9)
     assert run(argv + (["--phi", "quad 1"] if action == "gap" else [])) == (
-        2, f"error: BadParameter: {message} exceed MAX_CONVOLUTION_PAIRS = 65536\n"
+        2, f"error: BadParameter: {message}\n"
     )
 
 

@@ -1,6 +1,7 @@
 """Generating-function tests and certified truncations."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -244,13 +245,6 @@ def test_square_of_complete_and_mixed_pairs_matches_cauchy_oracle(u, v, n, x):
     assert genfun_square_coeffs(a, family) == helpers.cauchy_product_oracle(row, row)[: sound + 1]
 
 
-def _refuse(name):
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{name} may not run")
-
-    return refuse
-
-
 def test_square_takes_the_recurrence_exactly_when_its_order_fits(monkeypatch):
     # negbinomial:1,13/16 and 1,27/32 stop at K = 256 (order r = 4); at
     # eps 2^-10, negbinomial:12,2/7 stops at K = 16 and 8,1/3 at 16 (r = 22)
@@ -266,7 +260,7 @@ def test_square_takes_the_recurrence_exactly_when_its_order_fits(monkeypatch):
         return kernel(a, b, pair_poles, size)
 
     monkeypatch.setattr(lattice, "_rational_square", spy)
-    monkeypatch.setattr(lattice, "cauchy_product", _refuse("cauchy_product"))
+    monkeypatch.setattr(lattice, "cauchy_product", helpers.refuse("cauchy_product"))
     squares = [genfun_square_coeffs(*pair) for pair in (fits, over, mixed)]
     assert poles == [fits[0].poles + fits[1].poles, (), ()]
     for pair, square in zip((fits, over, mixed), squares):
@@ -451,15 +445,12 @@ def test_poisson_rate_budget_boundary(monkeypatch):
         truncated_family("poisson:512001/1000")
 
 
-def _work_message(products, bits):
-    return (
-        f"^the square of a lattice pair, {products} products on {bits}-bit ints,"
-        r" exceeds MAX_SQUARE_WORK = 1099511627776 \(products x bits\^2\)$"
-    )
+def _work_message(products, bits, work=2**40):
+    return "^" + re.escape(helpers.square_work_message(products, bits, work)) + "$"
 
 
 def test_square_cutoff_budget_boundary(monkeypatch):
-    # MAX_SQUARE_WORK bounds products * bits^2, products = size * len(row);
+    # MAX_SQUARE_WORK bounds max(products, 64) * bits^2, products = size * len(row);
     # negbinomial:1 stops at K = 256 for 13/16, at 512 for 15/16 and at 1024
     # for 31/32, and a truncated pair is squared up to the shorter cutoff
     assert lattice.MAX_SQUARE_WORK == 2**40
@@ -471,8 +462,8 @@ def test_square_cutoff_budget_boundary(monkeypatch):
     monkeypatch.setattr(lattice, "MAX_SQUARE_WORK", 2049 * 1025)
     assert len(genfun_square_coeffs(*ramp)) == 2049
     monkeypatch.setattr(lattice, "MAX_SQUARE_WORK", 2049 * 1025 - 1)
-    monkeypatch.setattr(lattice, "_int_product", _refuse("_int_product"))
-    with pytest.raises(BadParameter, match="^the square of a lattice pair, 2100225 products on 1-bit"):
+    monkeypatch.setattr(lattice, "_int_product", helpers.refuse("_int_product"))
+    with pytest.raises(BadParameter, match=_work_message(2100225, 1, 2049 * 1025 - 1)):
         genfun_square_coeffs(*ramp)
 
     # mid and long carry their poles (order r = 4): the budget counts the
@@ -491,19 +482,19 @@ def _bits_pair(bits):
 
 
 def test_square_bits_budget_boundary(monkeypatch):
-    # the one product of a bits pair weighs bits^2
-    monkeypatch.setattr(lattice, "MAX_SQUARE_WORK", 64 * 64)
-    assert genfun_square_coeffs(*_bits_pair(64)) == [(1 - Fraction(1, 2**64)) ** 2]
-    with pytest.raises(BadParameter, match="^the square of a lattice pair, 1 products on 65-bit"):
-        genfun_square_coeffs(*_bits_pair(65))
-    # at the real budget, negbinomial:190 (K = 16 for 1/1000 and 1/999) squares
-    # rows of 4,109 bits, and negbinomial:512 (K = 256 for 1/8 and 1/9) is
-    # refused on rows of 4,737 bits; both pairs carry poles of order r > K
-    monkeypatch.setattr(lattice, "MAX_SQUARE_WORK", 2**40)
+    # a square counts at least 64 products, so the one product of a bits
+    # pair weighs 64 bits^2: at the budget 2^40, rows of up to 2^17 bits
+    assert lattice.MAX_SQUARE_WORK == 64 * (2**17) ** 2
+    assert genfun_square_coeffs(*_bits_pair(2**17)) == [(1 - Fraction(1, 2**2**17)) ** 2]
+    # negbinomial:190 (K = 16 for 1/1000 and 1/999) squares rows of 4,109
+    # bits, and negbinomial:512 (K = 256 for 1/8 and 1/9) is refused on rows
+    # of 4,737 bits; both pairs carry poles of order r > K
     fits = [truncated_family(f"negbinomial:190,{x}") for x in ("1/1000", "1/999")]
     over = [truncated_family(f"negbinomial:512,{x}") for x in ("1/8", "1/9")]
     assert len(genfun_square_coeffs(*fits)) == 17
-    monkeypatch.setattr(lattice, "_int_product", _refuse("_int_product"))
+    monkeypatch.setattr(lattice, "_int_product", helpers.refuse("_int_product"))
+    with pytest.raises(BadParameter, match=_work_message(1, 2**17 + 1)):
+        genfun_square_coeffs(*_bits_pair(2**17 + 1))
     with pytest.raises(BadParameter, match=_work_message(66049, 4737)):
         genfun_test(*over)
 
@@ -513,7 +504,7 @@ def test_lattice_position_budget_boundary(monkeypatch):
     assert limit == 4096
     assert as_lattice(make_measure([(0, H), (limit, H)])).last_index == limit
     # the sequence would be padded with Fraction(0) up to the largest atom
-    monkeypatch.setattr(lattice, "Fraction", _refuse("Fraction"))
+    monkeypatch.setattr(lattice, "Fraction", helpers.refuse("Fraction"))
     message = "^atom position 4097 exceeds MAX_CUTOFF = 4096$"
     with pytest.raises(BadParameter, match=message):
         as_lattice(make_measure([(0, H), (limit + 1, H)]))

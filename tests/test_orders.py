@@ -1,6 +1,7 @@
 """Order decisions: stochastic order, convex order, and the profile test."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -455,43 +456,60 @@ def test_leq_cx_means_and_masses_are_forced():
             assert mu.mass == nu.mass and mu.mean == nu.mean
 
 
-def _refuse(name):
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{name} may not run")
-
-    return refuse
+def _work_message(what, pairs, bits, work=2**34):
+    return "^" + re.escape(helpers.convolution_work_message(what, pairs, bits, work)) + "$"
 
 
-def test_convolution_pairs_budget_boundary(monkeypatch):
+def test_convolution_work_budget_boundary(monkeypatch):
     # 128 atoms at the even and 128 at the odd integers: H has 256
-    # breakpoints, so the signed square forms 256^2 pairs, the budget itself
-    assert orders.MAX_CONVOLUTION_PAIRS == 2**16
+    # breakpoints, so the signed square forms 256^2 pairs of small ints,
+    # counted at 512 bits: the budget itself
+    assert orders.MAX_CONVOLUTION_WORK == 2**16 * 512**2
     evens = make_measure([(2 * k, 1) for k in range(128)])
     odds = make_measure([(2 * k + 1, 1) for k in range(128)])
     verdict, profile = rasa_criterion(evens, odds)
     assert verdict.holds and len(profile.breakpoints) == 511
     assert gap_functional(evens, odds, quad_fn(1)) == 2 * 128 * 128
     wider = make_measure([(2 * k + 1, Fraction(128, 129)) for k in range(129)])
-    monkeypatch.setattr(orders, "_product_row", _refuse("_product_row"))
-    message = "^the signed square of 257 breakpoints: 66049 pairs exceed MAX_CONVOLUTION_PAIRS = 65536$"
+    # the first atom of each measure moved right by t = 2^-16381: 8
+    # breakpoints scaled to ints of up to 7 * 2^16381, 16,384 bits, are the
+    # budget itself, and 10 breakpoints of up to 16,385 bits are past it
+    t = Fraction(1, 2**16381)
+    mu = make_measure([(2 * k + (t if k == 0 else 0), 1) for k in range(4)])
+    nu, six = (
+        make_measure([(2 * k + 1 + (t if k == 0 else 0), Fraction(4, n)) for k in range(n)]) for n in (4, 6)
+    )
+    assert len(cdf_diff(mu, nu).breakpoints) == 8
+    assert rasa_criterion(mu, nu)[1] is not None
+    monkeypatch.setattr(orders, "_product_row", helpers.refuse("_product_row"))
+    message = _work_message("the signed square of 257 breakpoints", 66049, 9)
     with pytest.raises(BadParameter, match=message):
         rasa_criterion(evens, wider)
     with pytest.raises(BadParameter, match=message):
         gap_functional(evens, wider, quad_fn(1))
     with pytest.raises(BadParameter, match=message):
         step_self_convolution(cdf_diff(evens, wider))
+    with pytest.raises(BadParameter, match=_work_message("the signed square of 10 breakpoints", 100, 16385)):
+        rasa_criterion(mu, six)
 
 
-def test_rasa_direct_takes_the_convolution_pairs_budget(monkeypatch):
+def test_rasa_direct_takes_the_convolution_work_budget(monkeypatch):
     # 3 and 4 atoms: 3*4 + 3^2 + 4^2 = 37 pairs in the three convolutions
     mu = make_measure([(0, 4), (1, 4), (2, 4)])
     nu = make_measure([(0, 3), (1, 3), (2, 3), (3, 3)])
-    monkeypatch.setattr(orders, "MAX_CONVOLUTION_PAIRS", 37)
+    monkeypatch.setattr(orders, "MAX_CONVOLUTION_WORK", 37 * 512**2)
     assert rasa_direct(mu, nu) == rasa_criterion(mu, nu)[0]
-    monkeypatch.setattr(orders, "MAX_CONVOLUTION_PAIRS", 36)
-    monkeypatch.setattr(orders, "convolve", _refuse("convolve"))
-    with pytest.raises(
-        BadParameter,
-        match="^the three convolutions of 3 and 4 atoms: 37 pairs exceed MAX_CONVOLUTION_PAIRS = 36$",
-    ):
+    monkeypatch.setattr(orders, "MAX_CONVOLUTION_WORK", 37 * 512**2 - 1)
+    monkeypatch.setattr(orders, "convolve", helpers.refuse("convolve"))
+    message = _work_message("the three convolutions of 3 and 4 atoms", 37, 3, 37 * 512**2 - 1)
+    with pytest.raises(BadParameter, match=message):
         rasa_direct(mu, nu)
+    # the widest int is one that convolve builds: the positions of both
+    # measures over one denominator, here 2^21000 or 2^22000, and 37 pairs
+    # of ints of up to 21,002 bits pass, of 22,002 bits do not
+    monkeypatch.undo()
+    near, far = (make_measure([(Fraction(1, 2**e), 4), (1, 4), (2, 4)]) for e in (21000, 22000))
+    assert rasa_direct(near, nu).holds is rasa_criterion(near, nu)[0].holds
+    monkeypatch.setattr(orders, "convolve", helpers.refuse("convolve"))
+    with pytest.raises(BadParameter, match=_work_message("the three convolutions of 3 and 4 atoms", 37, 22002)):
+        rasa_direct(far, nu)
