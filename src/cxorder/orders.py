@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 
 from .errors import BadParameter, NonConvexTestFn
 from .measures import (
@@ -51,7 +52,9 @@ _HALF = Fraction(1, 2)
 # pairs * max(bits, 512)^2 above MAX_CONVOLUTION_WORK is refused: 65,536
 # pairs of ints up to 512 bits pass, 1,024 of 4,096 bits (at the limit
 # `rasa check` takes about 0.5 s, `rasa gap` 1.1 s and `rasa direct` 3.1 s;
-# the README has the table).
+# the README has the table).  leq_cx counts its n + m atoms instead of
+# pairs, each a few products and an lcm step on such ints, and checks its
+# common denominators while they grow.
 MAX_CONVOLUTION_WORK = 2**34
 
 
@@ -185,17 +188,6 @@ class ConvexTestFn:
             self.hinges + other.hinges,
         )
 
-    def scaled(self, factor) -> "ConvexTestFn":
-        factor = as_rational(factor)
-        if factor < 0:
-            raise NonConvexTestFn("scaling by a negative factor breaks convexity")
-        return ConvexTestFn(
-            factor * self.const,
-            factor * self.slope,
-            factor * self.curve,
-            tuple((a, factor * c) for a, c in self.hinges),
-        )
-
     def rescale_argument(self, factor) -> "ConvexTestFn":
         """The function x -> phi(factor * x), for factor > 0."""
         s = as_rational(factor)
@@ -304,19 +296,63 @@ def leq_cx(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     over the union of positions: a ramp sum, swept in one sorted pass
     (O(n log n) for n positions).  The witness is the first position where
     D < 0.
+
+    Runs on ints: the positions of both measures are scaled by one common
+    denominator and the weights by one unit, and the mass, mean and ramp
+    checks run in ``_cx_ints``, which builds Fractions only for a witness.
+    The n + m atoms times max(bits, 512)^2 of the widest int past
+    MAX_CONVOLUTION_WORK raise BadParameter; the common denominators are
+    checked while they grow, so wide coprime denominators are refused
+    before their full lcm.
     """
-    if mu.mass != nu.mass:
-        return OrderVerdict(False, Witness("mass", None, -abs(mu.mass - nu.mass)))
-    if mu.mean != nu.mean:
-        return OrderVerdict(False, Witness("mean", None, -abs(mu.mean - nu.mean)))
-    net = dict(nu.atoms)
-    for x, w in mu.atoms:
+    return _leq_cx(mu, nu, len(mu.atoms) + len(nu.atoms))
+
+
+def _leq_cx(mu: DiscreteMeasure, nu: DiscreteMeasure, atoms: int) -> OrderVerdict:
+    """leq_cx with ``atoms`` counted against MAX_CONVOLUTION_WORK."""
+    n, m = len(mu.atoms), len(nu.atoms)
+    what = f"the convex-order test of {n} and {m} atoms"
+    both = mu.atoms + nu.atoms
+    scale, xs = _budgeted_ints([x for x, _ in both], atoms, what)
+    unit, ws = _budgeted_ints([w for _, w in both], atoms, what)
+    net = dict(zip(xs[n:], ws[n:]))
+    for x, w in zip(xs[:n], ws[:n]):
         net[x] = net.get(x, 0) - w
+    witness = _cx_ints(net, scale, unit)
+    return OrderVerdict(True) if witness is None else OrderVerdict(False, witness)
+
+
+def _cx_ints(net: dict[int, int], scale: int, unit: int) -> Witness | None:
+    """The convex-order test of leq_cx on ints, also run by the Muirhead
+    chain.  ``net`` maps every position of the union of supports, in units
+    of 1/scale, to nu's weight less mu's, in units of 1/unit (0 where they
+    agree).  Returns None when mu <=_cx nu, else the first failure's
+    witness: the only Fractions built."""
+    mass = sum(net.values())
+    if mass:
+        return Witness("mass", None, Fraction(-abs(mass), unit))
+    mean = sum(x * w for x, w in net.items())
+    if mean:
+        return Witness("mean", None, Fraction(-abs(mean), scale * unit))
     points = sorted(net)
     for a, gap in zip(points, _ramp_sums(points, [net[a] for a in points])):
         if gap < 0:
-            return OrderVerdict(False, Witness("hinge", a, gap))
-    return OrderVerdict(True)
+            return Witness("hinge", Fraction(a, scale), Fraction(gap, scale * unit))
+    return None
+
+
+def _budgeted_ints(values, atoms: int, what: str) -> tuple[int, list[int]]:
+    """``measures._scaled_ints`` under the work check of ``atoms`` atoms:
+    the common denominator grows one value at a time and is checked at each
+    step, and the scaled ints are checked once built."""
+    scale = 1
+    for v in values:
+        if scale % v.denominator:
+            scale = lcm(scale, v.denominator)
+            _check_work(atoms, (scale,), what, "atoms")
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    _check_work(atoms, ints, what, "atoms")
+    return scale, ints
 
 
 def _signed_square(h: StepFunction) -> tuple[int, int, dict[int, int]]:
@@ -336,12 +372,12 @@ def _signed_square(h: StepFunction) -> tuple[int, int, dict[int, int]]:
     return scale, scale_d * scale_d, _product_row(row, row)
 
 
-def _check_work(pairs: int, ints: list[int], what: str):
+def _check_work(count: int, ints, what: str, noun: str = "pairs"):
     bits = max(map(int.bit_length, ints), default=0)
-    if pairs * max(bits, 512) ** 2 > MAX_CONVOLUTION_WORK:
+    if count * max(bits, 512) ** 2 > MAX_CONVOLUTION_WORK:
         raise BadParameter(
-            f"{what}: {pairs} pairs on {bits}-bit ints exceed MAX_CONVOLUTION_WORK"
-            f" = {MAX_CONVOLUTION_WORK} (pairs x max(bits, 512)^2)"
+            f"{what}: {count} {noun} on {bits}-bit ints exceed MAX_CONVOLUTION_WORK"
+            f" = {MAX_CONVOLUTION_WORK} ({noun} x max(bits, 512)^2)"
         )
 
 
@@ -399,7 +435,9 @@ def rasa_direct(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     _check_work(n * m + n * n + m * m, ints, f"the three convolutions of {n} and {m} atoms")
     left = convolve(mu, nu)
     right = mix((_HALF, _HALF), (convolve(mu, mu), convolve(nu, nu)))
-    return leq_cx(left, right)
+    # Counted above: testing the convolutions costs about as much as
+    # building their Fractions did, so it counts no atoms of its own.
+    return _leq_cx(left, right, 0)
 
 
 def gap_functional(mu: DiscreteMeasure, nu: DiscreteMeasure, phi: ConvexTestFn) -> Fraction:

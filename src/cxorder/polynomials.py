@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .errors import (
     ArityMismatch,
@@ -41,7 +41,7 @@ from .measures import (
     as_rational,
     format_rational,
 )
-from .orders import OrderVerdict, Witness, leq_cx, rasa_criterion
+from .orders import OrderVerdict, Witness, _cx_ints, leq_cx, rasa_criterion
 
 # Budget for w_polynomial: the most distinct arrangements it enumerates.
 # Eight distinct exponents (8! = 40,320) fit; nine (362,880) are refused.
@@ -199,34 +199,70 @@ def poly_eval_measures(
 ) -> DiscreteMeasure:
     """Evaluate a non-negative polynomial on measures by convolution.
 
-    Runs on ints: positions in units of their least common denominator,
-    the weights of every measure in units of one common denominator D and
-    the coefficients in units of their lcm C.  A term c * x^e of degree d
-    starts as the int c*C*D^(top - d), top being the largest degree, so
-    every term ends in the one unit C*D^top and one Fraction pair is built
-    per output atom.
+    Runs on ints (``_eval_ints``): positions in units of their least
+    common denominator, the weights of every measure in units of one common
+    denominator, and one Fraction pair built per output atom.  Raises
+    ArityMismatch for the wrong number of measures, NotNonneg for a
+    negative coefficient, and BadParameter, before any power is built, when
+    a term's span exceeds MAX_POLY_SPAN.
+    """
+    pos_scale, weight_scale, powers = _measure_powers(measures)
+    unit, row = _eval_ints(poly, powers, weight_scale)
+    return DiscreteMeasure(
+        tuple((Fraction(s, pos_scale), Fraction(w, unit)) for s, w in sorted(row.items()))
+    )
+
+
+def _measure_powers(measures: Sequence[DiscreteMeasure]) -> tuple[int, int, list[list]]:
+    """(pos_scale, weight_scale, powers): every measure's atoms as
+    (position, weight) int pairs, positions in units of 1/pos_scale and
+    weights in units of 1/weight_scale, each the entry 1 of that measure's
+    list of convolution powers ``[[], pairs]`` for ``_eval_ints``."""
+    pos_scale, positions = _scaled_ints([x for m in measures for x, _ in m.atoms])
+    weight_scale, weights = _scaled_ints([w for m in measures for _, w in m.atoms])
+    powers = []
+    start = 0
+    for m in measures:
+        stop = start + len(m.atoms)
+        powers.append([[], list(zip(positions[start:stop], weights[start:stop]))])
+        start = stop
+    return pos_scale, weight_scale, powers
+
+
+def _eval_ints(
+    poly: MVPolynomial, powers: list[list], weight_scale: int
+) -> tuple[int, dict[int, int]]:
+    """The core of poly_eval_measures: (unit, row) with row the evaluated
+    measure as a dict position -> weight, in the position unit of
+    ``powers`` and weights in units of 1/unit.
+
+    ``powers[i][e]`` holds the (position, weight) int pairs of the i-th
+    measure's e-th convolution power, weights in units of 1/weight_scale^e.
+    Missing powers are appended in place, so polynomials evaluated on the
+    same ``powers`` build each power once.  The coefficients are scaled by
+    their lcm C, and a term c * x^e of degree d starts as the int
+    c*C*weight_scale^(top - d), top being the largest degree, so every term
+    ends in the one unit C*weight_scale^top.
 
     The variables are walked left to right, Horner-like: at each level the
     terms whose remaining exponents coincide are summed into one row,
     which is multiplied by the power of that variable once, so there is one
     product per distinct exponent suffix (for W^t, one per arrangement of a
-    sub-multiset of t) rather than one per term and variable.  Each
-    variable's powers are built once, in a loop.  Raises BadParameter,
-    before any power is built, when a term's span exceeds MAX_POLY_SPAN.
+    sub-multiset of t) rather than one per term and variable.  Raises
+    BadParameter, before any power is built, when a term's span exceeds
+    MAX_POLY_SPAN.
     """
-    if len(measures) != poly.arity:
-        raise ArityMismatch(f"need {poly.arity} measures, got {len(measures)}")
+    if len(powers) != poly.arity:
+        raise ArityMismatch(f"need {poly.arity} measures, got {len(powers)}")
     if not poly.nonneg:
         raise NotNonneg("polynomial has a negative coefficient")
-    steps = [max(len(m.atoms) - 1, 1) for m in measures]
+    steps = [max(len(row[1]) - 1, 1) for row in powers]
     for exps, _ in poly.terms:
         span = sum(e * step for e, step in zip(exps, steps))
         if span > MAX_POLY_SPAN:
             raise BadParameter(
                 f"monomial {exps} has span {span}, which exceeds MAX_POLY_SPAN = {MAX_POLY_SPAN}"
             )
-    pos_scale, positions = _scaled_ints([x for m in measures for x, _ in m.atoms])
-    weight_scale, weights = _scaled_ints([w for m in measures for _, w in m.atoms])
     coeff_scale, coeffs = _scaled_ints([c for _, c in poly.terms])
     degrees = [sum(exps) for exps, _ in poly.terms]
     top = max(degrees, default=0)
@@ -235,18 +271,14 @@ def poly_eval_measures(
         exps: {0: c * weight_scale ** (top - d)}
         for (exps, _), c, d in zip(poly.terms, coeffs, degrees)
     }
-    start = 0
-    for m in measures:
-        stop = start + len(m.atoms)
-        base = list(zip(positions[start:stop], weights[start:stop]))
-        start = stop
-        powers = [[], base]  # powers[e]: the (position, weight) pairs of m^{*e}
-        for _ in range(max((exps[0] for exps in groups), default=1) - 1):
-            powers.append(list(_product_row(powers[-1], base).items()))
+    for row_powers in powers:
+        base = row_powers[1]
+        for _ in range(len(row_powers), max((exps[0] for exps in groups), default=0) + 1):
+            row_powers.append(list(_product_row(row_powers[-1], base).items()))
         merged: dict[tuple[int, ...], dict[int, int]] = {}
         for exps, row in groups.items():
             if exps[0]:
-                row = _product_row(row.items(), powers[exps[0]])
+                row = _product_row(row.items(), row_powers[exps[0]])
             into = merged.get(exps[1:])
             if into is None:
                 merged[exps[1:]] = row
@@ -254,13 +286,7 @@ def poly_eval_measures(
                 for s, w in row.items():
                     into[s] = into.get(s, 0) + w
         groups = merged
-    unit = coeff_scale * weight_scale**top
-    return DiscreteMeasure(
-        tuple(
-            (Fraction(s, pos_scale), Fraction(w, unit))
-            for s, w in sorted(groups.get((), {}).items())
-        )
-    )
+    return coeff_scale * weight_scale**top, groups.get((), {})
 
 
 def moment_consistency(
@@ -432,6 +458,11 @@ def muirhead_cx_check(
     Walks the elementary-transfer chain and re-verifies every step with the
     direct convex-order test; the first failing step is reported, exercising
     the theory rather than assuming it.
+
+    Runs on ints end to end: the measures are scaled once and their
+    convolution powers shared by every W^t of the chain, and consecutive
+    rows are compared by leq_cx's kernel ``_cx_ints`` on the lcm of their
+    two units, only the previous row being kept.
     """
     if not majorizes(p, q):
         raise NotMajorized(f"{tuple(p)} is not majorized by {tuple(q)}")
@@ -441,17 +472,21 @@ def muirhead_cx_check(
     bad_pair = _pairwise_profiles_nonneg(measures)
     if bad_pair is not None:
         return OrderVerdict(False, bad_pair)
-    evaluated: dict[tuple[int, ...], DiscreteMeasure] = {}
-
-    def w_measure(t: tuple[int, ...]) -> DiscreteMeasure:
-        if t not in evaluated:
-            evaluated[t] = poly_eval_measures(w_polynomial(t), measures)
-        return evaluated[t]
-
     chain = s_step_chain(p, q)
-    for lower, upper in zip(chain, chain[1:]):
-        verdict = leq_cx(w_measure(lower), w_measure(upper))
-        if not verdict.holds:
-            w = verdict.witness
-            return OrderVerdict(False, Witness("step", (lower, upper, w.point), w.gap))
+    pos_scale, weight_scale, powers = _measure_powers(measures)
+    previous = None
+    for t in chain:
+        unit, row = _eval_ints(w_polynomial(t), powers, weight_scale)
+        if previous is not None:
+            lower, lower_unit, lower_row = previous
+            common = lcm(lower_unit, unit)
+            up, down = common // unit, common // lower_unit
+            net = {s: w * up for s, w in row.items()}
+            for s, w in lower_row.items():
+                net[s] = net.get(s, 0) - w * down
+            witness = _cx_ints(net, pos_scale, common)
+            if witness is not None:
+                point = (lower, t, witness.point)
+                return OrderVerdict(False, Witness("step", point, witness.gap))
+        previous = t, unit, row
     return OrderVerdict(True)

@@ -13,6 +13,7 @@ from cxorder import (
     DiscreteMeasure,
     MVPolynomial,
     MassMismatch,
+    NotMajorized,
     NotNonneg,
     OrderVerdict,
     PiecewiseLinear,
@@ -24,7 +25,11 @@ from cxorder import (
     convolve,
     dirac,
     integrate_hinge,
+    majorizes,
     make_measure,
+    rasa_criterion,
+    s_step_chain,
+    w_polynomial,
 )
 from cxorder.measures import format_rational
 
@@ -244,6 +249,37 @@ def poly_eval_measures_oracle(poly: MVPolynomial, measures) -> DiscreteMeasure:
     return make_measure(acc.items())
 
 
+def muirhead_cx_check_oracle(p, q, measures, chain=None) -> OrderVerdict:
+    """Independent oracle for muirhead_cx_check: its former loop, with
+    every W^t evaluated afresh by poly_eval_measures_oracle and every step
+    compared by leq_cx_oracle, on Fractions.  ``chain`` replaces
+    s_step_chain(p, q)."""
+    if not majorizes(p, q):
+        raise NotMajorized(f"{tuple(p)} is not majorized by {tuple(q)}")
+    if len(measures) != len(p):
+        raise ArityMismatch(f"need {len(p)} measures, got {len(measures)}")
+    masses = {m.mass for m in measures}
+    if len(masses) > 1:
+        raise MassMismatch(
+            "measures carry different masses: " + ", ".join(map(format_rational, sorted(masses)))
+        )
+    for i, j in itertools.combinations(range(len(measures)), 2):
+        verdict, _ = rasa_criterion(measures[i], measures[j])
+        if not verdict.holds:
+            w = verdict.witness
+            return OrderVerdict(False, Witness("pair", (i, j, w.point), w.gap))
+    chain = s_step_chain(p, q) if chain is None else chain
+    for lower, upper in zip(chain, chain[1:]):
+        verdict = leq_cx_oracle(
+            poly_eval_measures_oracle(w_polynomial(lower), measures),
+            poly_eval_measures_oracle(w_polynomial(upper), measures),
+        )
+        if not verdict.holds:
+            w = verdict.witness
+            return OrderVerdict(False, Witness("step", (lower, upper, w.point), w.gap))
+    return OrderVerdict(True)
+
+
 def squared_difference_gap_oracle(u, v, phi_at) -> Fraction:
     """Independent oracle for the squared-difference Hankel forms of
     bernstein (rasa_gap, rasa_scan, the gavrea_p4_sum box): the difference
@@ -347,10 +383,22 @@ def square_work_message(products, bits, work=2**40):
     )
 
 
-def convolution_work_message(what, pairs, bits, work=2**34):
-    """The one line with which an order-engine square or convolution past
-    MAX_CONVOLUTION_WORK = work is refused."""
+def wide_denominator_pair(n):
+    """n unit atoms at 2k + 1/(10^4000 + k) against n at 2k + 1 +
+    1/(10^4000 + n + k): equal masses, and 2n denominators of 13,288 bits
+    whose pairwise gcds divide their differences, so the lcm of any two
+    has about 26,576 bits."""
+    big = 10**4000
+    mu = make_measure([(2 * k + Fraction(1, big + k), 1) for k in range(n)])
+    nu = make_measure([(2 * k + 1 + Fraction(1, big + n + k), 1) for k in range(n)])
+    return mu, nu
+
+
+def convolution_work_message(what, count, bits, work=2**34, noun="pairs"):
+    """The one line with which an order-engine square, convolution or
+    convex-order test past MAX_CONVOLUTION_WORK = work is refused: count
+    pairs, or atoms for leq_cx."""
     return (
-        f"{what}: {pairs} pairs on {bits}-bit ints exceed MAX_CONVOLUTION_WORK"
-        f" = {work} (pairs x max(bits, 512)^2)"
+        f"{what}: {count} {noun} on {bits}-bit ints exceed MAX_CONVOLUTION_WORK"
+        f" = {work} ({noun} x max(bits, 512)^2)"
     )

@@ -571,6 +571,30 @@ def test_convolution_work_budget_exits_2_before_any_product(
     )
 
 
+@pytest.mark.parametrize("n", [16, 48])
+def test_order_cx_on_wide_denominators_exits_2_with_one_line(n, tmp_path):
+    paths = [tmp_path / "mu.json", tmp_path / "nu.json"]
+    for path, measure in zip(paths, helpers.wide_denominator_pair(n)):
+        path.write_text(measure_to_json(measure))
+    message = helpers.convolution_work_message(
+        f"the convex-order test of {n} and {n} atoms", 2 * n, 26576, noun="atoms"
+    )
+    argv = ["order", "cx", "--mu", str(paths[0]), "--nu", str(paths[1])]
+    assert run(argv) == (2, f"error: BadParameter: {message}\n")
+
+
+def test_poly_muirhead_prints_a_failing_step(monkeypatch):
+    # the chain walked backwards, from W^(3,0,0) down to W^(1,1,1), fails at
+    # its first step
+    from cxorder import polynomials
+
+    forward = polynomials.s_step_chain
+    monkeypatch.setattr(polynomials, "s_step_chain", lambda p, q: forward(p, q)[::-1])
+    argv = ["poly", "muirhead", "--p", "1,1,1", "--q", "3,0,0", "--measure", "binomial:2,1/4",
+            "--measure", "binomial:2,1/2", "--measure", "binomial:2,3/4"]
+    assert run(argv) == (1, "fails; step=((3,0,0),(2,1,0),1) gap=-505/12288\n")
+
+
 def _nested(option: str, depth: int) -> list[str]:
     """A command whose --phi or --g nests parentheses ``depth`` deep: sum()
     calls around ``quad 1``, inside one mid(...) for --g."""

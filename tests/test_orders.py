@@ -152,17 +152,83 @@ def test_leq_cx_matches_oracle_on_convolution_pairs(rng):
 
 
 def test_leq_cx_oracle_comparison_covers_every_outcome():
-    rng = random.Random(11)
-    kinds = set()
-    for _ in range(60):
-        mu = helpers.random_measure(rng, max_atoms=5)
-        nu = helpers.random_measure(rng, max_atoms=5)
-        common = helpers.random_measure(rng, max_atoms=3)
-        for a, b in _cx_variants(mu, nu, common, _mean_zero(rng)):
-            verdict = leq_cx(a, b)
-            assert verdict == helpers.leq_cx_oracle(a, b)
-            kinds.add(verdict.witness.kind if verdict.witness else "holds")
-    assert kinds == {"mass", "mean", "hinge", "holds"}
+    # the second round gives the two measures unequal, non-dyadic
+    # denominators, so the mass, mean and hinge gaps are read back from
+    # units that are neither powers of two nor shared
+    for mu_denominators, nu_denominators in [((1, 2), (1, 2)), ((3, 7, 9), (5, 11, 13))]:
+        rng = random.Random(11)
+        kinds = set()
+        odd_gaps = set()
+        for _ in range(60):
+            mu = helpers.random_measure(rng, max_atoms=5, denominators=mu_denominators)
+            nu = helpers.random_measure(rng, max_atoms=5, denominators=nu_denominators)
+            common = helpers.random_measure(rng, max_atoms=3, denominators=mu_denominators)
+            for a, b in _cx_variants(mu, nu, common, _mean_zero(rng)):
+                verdict = leq_cx(a, b)
+                assert verdict == helpers.leq_cx_oracle(a, b)
+                kinds.add(verdict.witness.kind if verdict.witness else "holds")
+                denominator = verdict.witness.gap.denominator if verdict.witness else 1
+                if denominator & (denominator - 1):
+                    odd_gaps.add(verdict.witness.kind)
+        assert kinds == {"mass", "mean", "hinge", "holds"}
+    assert odd_gaps == {"mass", "mean", "hinge"}
+
+
+non_dyadic = st.builds(
+    Fraction, st.integers(min_value=-30, max_value=30), st.sampled_from((3, 5, 7, 9, 11, 13))
+)
+non_dyadic_measures = st.lists(
+    st.tuples(non_dyadic, non_dyadic.map(lambda w: abs(w) + Fraction(1, 7))), min_size=1, max_size=5
+).map(make_measure)
+
+
+@settings(max_examples=100)
+@given(non_dyadic_measures, non_dyadic_measures, non_dyadic_measures, st.randoms(use_true_random=False))
+def test_leq_cx_matches_the_oracle_on_non_dyadic_denominators(mu, nu, common, rng):
+    for a, b in _cx_variants(mu, nu, common, _mean_zero(rng)):
+        assert leq_cx(a, b) == helpers.leq_cx_oracle(a, b)
+
+
+@pytest.mark.parametrize("n", [16, 48])
+def test_leq_cx_refuses_wide_denominators_before_their_full_lcm(n, monkeypatch):
+    mu, nu = helpers.wide_denominator_pair(n)
+    steps = []
+    lcm = orders.lcm
+
+    def counting(a, b):
+        steps.append(1)
+        return lcm(a, b)
+
+    monkeypatch.setattr(orders, "lcm", counting)
+    message = helpers.convolution_work_message(
+        f"the convex-order test of {n} and {n} atoms", 2 * n, 26576, noun="atoms"
+    )
+    with pytest.raises(BadParameter, match="^" + re.escape(message) + "$"):
+        leq_cx(mu, nu)
+    # one denominator of 13,288 bits passes; the lcm of two is refused
+    assert len(steps) == 2
+
+
+def test_leq_cx_work_budget_boundary(monkeypatch):
+    # two point masses at 1/2^e: the common denominator 2^e has e + 1 bits,
+    # and 2 atoms on 92,681 bits are inside 2^34, on 92,682 bits past it
+    assert 2 * 92681**2 <= orders.MAX_CONVOLUTION_WORK < 2 * 92682**2
+    inside, outside = (dirac(Fraction(1, 2**e)) for e in (92680, 92681))
+    assert leq_cx(inside, inside).holds
+    message = helpers.convolution_work_message("the convex-order test of 1 and 1 atoms", 2, 92682, noun="atoms")
+    with pytest.raises(BadParameter, match="^" + re.escape(message) + "$"):
+        leq_cx(outside, outside)
+    # small ints count as 512 bits: 3 + 4 atoms are at the budget 7 * 512^2
+    mu = make_measure([(0, 4), (1, 4), (2, 4)])
+    nu = make_measure([(0, 3), (1, 3), (2, 3), (3, 3)])
+    monkeypatch.setattr(orders, "MAX_CONVOLUTION_WORK", 7 * 512**2)
+    assert leq_cx(mu, nu) == helpers.leq_cx_oracle(mu, nu)
+    monkeypatch.setattr(orders, "MAX_CONVOLUTION_WORK", 7 * 512**2 - 1)
+    message = helpers.convolution_work_message(
+        "the convex-order test of 3 and 4 atoms", 7, 2, 7 * 512**2 - 1, noun="atoms"
+    )
+    with pytest.raises(BadParameter, match="^" + re.escape(message) + "$"):
+        leq_cx(mu, nu)
 
 
 step_functions = st.lists(
@@ -491,6 +557,22 @@ def test_convolution_work_budget_boundary(monkeypatch):
         step_self_convolution(cdf_diff(evens, wider))
     with pytest.raises(BadParameter, match=_work_message("the signed square of 10 breakpoints", 100, 16385)):
         rasa_criterion(mu, six)
+
+
+def test_rasa_direct_counts_its_convex_order_test_with_the_convolutions(monkeypatch):
+    # weights over d = 2^600 + 1 scale to small ints, so the 37 pairs of the
+    # three convolutions count 512 bits each, but the weights of the
+    # convolutions have denominators of about 1,200 bits: leq_cx alone on
+    # their 13 atoms would be past a budget at rasa_direct's own work
+    d = 2**600 + 1
+    mu = make_measure([(k, Fraction(1, d)) for k in range(3)])
+    nu = make_measure([(k, Fraction(3, 4 * d)) for k in range(4)])
+    monkeypatch.setattr(orders, "MAX_CONVOLUTION_WORK", 37 * 512**2)
+    left = convolve(mu, nu)
+    right = mix((H, H), (convolve(mu, mu), convolve(nu, nu)))
+    with pytest.raises(BadParameter, match="the convex-order test of 6 and 7 atoms: 13 atoms on 1203-bit"):
+        leq_cx(left, right)
+    assert rasa_direct(mu, nu) == helpers.leq_cx_oracle(left, right)
 
 
 def test_rasa_direct_takes_the_convolution_work_budget(monkeypatch):

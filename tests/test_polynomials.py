@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -16,7 +16,9 @@ from cxorder import (
     MVPolynomial,
     NotNonneg,
     NotSStep,
+    OrderVerdict,
     SosDecomposition,
+    Witness,
     binomial_measure,
     convolve,
     dirac,
@@ -432,3 +434,48 @@ def test_muirhead_cx_mass_and_major_checks():
         muirhead_cx_check((2, 0), (1, 1), [dirac(0), dirac(0)])
     with pytest.raises(MassMismatch):
         muirhead_cx_check((1, 1), (2, 0), [dirac(0), make_measure([(0, 2)])])
+
+
+def test_muirhead_cx_reports_a_failing_step_as_the_oracle_does(monkeypatch):
+    # the chain walked from q down to p, so that its steps fail
+    forward = polynomials.s_step_chain
+    monkeypatch.setattr(polynomials, "s_step_chain", lambda p, q: forward(p, q)[::-1])
+    measures = [binomial_measure(2, Fraction(k, 4)) for k in (1, 2, 3)]
+    p, q = (1, 1, 1), (3, 0, 0)
+    verdict = muirhead_cx_check(p, q, measures)
+    # the first reversed step, W^(3,0,0) against W^(2,1,0), fails at the
+    # hinge (x - 1)+
+    assert verdict == OrderVerdict(
+        False, Witness("step", ((3, 0, 0), (2, 1, 0), Fraction(1)), Fraction(-505, 12288))
+    )
+    assert verdict == helpers.muirhead_cx_check_oracle(p, q, measures, chain=forward(p, q)[::-1])
+
+
+_small_measures = st.lists(
+    st.tuples(st.integers(min_value=-2, max_value=3), st.integers(min_value=1, max_value=4)),
+    min_size=1,
+    max_size=3,
+).map(make_measure)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=3),
+    st.data(),
+    st.booleans(),
+)
+def test_muirhead_cx_matches_the_loop_oracle(p, data, reverse):
+    # q gathers p's total into fewer entries, so p is majorized by q
+    total, arity = sum(p), len(p)
+    head = data.draw(st.integers(min_value=max(p), max_value=total), label="head")
+    q = (head, total - head) + (0,) * (arity - 2)
+    assume(sorted_desc(p) != sorted_desc(q))
+    drawn = data.draw(st.lists(_small_measures, min_size=arity, max_size=arity))
+    measures = [m.scaled(drawn[0].mass / m.mass) for m in drawn]
+    forward = polynomials.s_step_chain
+    chain = forward(p, q)[::-1] if reverse else None
+    with pytest.MonkeyPatch.context() as patch:
+        if reverse:
+            patch.setattr(polynomials, "s_step_chain", lambda a, b: forward(a, b)[::-1])
+        verdict = muirhead_cx_check(p, q, measures)
+    assert verdict == helpers.muirhead_cx_check_oracle(p, q, measures, chain=chain)
