@@ -34,11 +34,11 @@ integers; floats are rejected.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
 from functools import cached_property
+from types import SimpleNamespace
 
 # Every import at module level is paid by every command: a handler imports
 # the modules its verb runs when it runs (and looks functions up on them
@@ -464,7 +464,7 @@ def _load_lattice_pair(args):
 
     sequences = []
     for spec in args.family or []:
-        sequences.append(lat.truncated_family(spec, args.eps))
+        sequences.append(lat.truncated_family(spec, _eps(args)))
     for spec in (args.mu, args.nu):
         if spec is not None:
             sequences.append(lat.as_lattice(load_measure(spec)))
@@ -621,7 +621,7 @@ def _cmd_bernstein(args, out: _Printer) -> int:
     # p4
     phi = parse_convex_fn(args.phi)
     x, y = _option(args, "x", _fraction), _option(args, "y", _fraction)
-    enclosure = bn.gavrea_p4_sum(args.n, x, y, phi, args.eps)
+    enclosure = bn.gavrea_p4_sum(args.n, x, y, phi, _eps(args))
     out.say(f"interval [{out.rat(enclosure.lo)}, {out.rat(enclosure.hi)}]")
     try:
         sign = enclosure.certified_sign()
@@ -635,7 +635,7 @@ def _cmd_bernstein(args, out: _Printer) -> int:
 # -- bundled reference reproductions ------------------------------------------
 
 
-def _reproduce_example3(out: _Printer, eps: Fraction) -> bool:
+def _reproduce_example3(out: _Printer, args) -> bool:
     from fractions import Fraction
 
     from .measures import make_measure
@@ -648,18 +648,8 @@ def _reproduce_example3(out: _Printer, eps: Fraction) -> bool:
     poly_q = parse_mvpoly("1/8 * x1^4 + 3/4 * x1^2 x2^2 + 1/8 * x2^4")
     left = poly_eval_measures(poly_p, [mu, nu])
     right = poly_eval_measures(poly_q, [mu, nu])
-    expected_left = make_measure(
-        [(0, Fraction(5, 16)), (1, Fraction(7, 16)), (2, Fraction(3, 16)), (3, Fraction(1, 16))]
-    )
-    expected_right = make_measure(
-        [
-            (0, Fraction(41, 128)),
-            (1, Fraction(52, 128)),
-            (2, Fraction(30, 128)),
-            (3, Fraction(4, 128)),
-            (4, Fraction(1, 128)),
-        ]
-    )
+    expected_left = make_measure(enumerate(Fraction(w, 16) for w in (5, 7, 3, 1)))
+    expected_right = make_measure(enumerate(Fraction(w, 128) for w in (41, 52, 30, 4, 1)))
     out.say(f"P(mu,nu) atoms: {_measure_line(out, left)}")
     out.say(f"expected:       {_measure_line(out, expected_left)}")
     out.say(f"Q(mu,nu) atoms: {_measure_line(out, right)}")
@@ -681,7 +671,7 @@ def _reproduce_example3(out: _Printer, eps: Fraction) -> bool:
     )
 
 
-def _reproduce_absdiff(out: _Printer, eps: Fraction) -> bool:
+def _reproduce_absdiff(out: _Printer, args) -> bool:
     from . import bernstein as bn
 
     g = bn.absdiff_surface(1)
@@ -701,12 +691,13 @@ def _reproduce_absdiff(out: _Printer, eps: Fraction) -> bool:
     return gap == -2 and lhs == 2 and rhs == 0
 
 
-def _reproduce_p4(out: _Printer, eps: Fraction) -> bool:
+def _reproduce_p4(out: _Printer, args) -> bool:
     from fractions import Fraction
 
     from . import bernstein as bn
     from .orders import ConvexTestFn, affine_fn
 
+    eps = _eps(args)
     identity = affine_fn(0, 1)
     enclosure = bn.gavrea_p4_sum(1, Fraction(1, 4), Fraction(3, 4), identity, eps)
     out.say(f"phi(u) = u: interval [{out.rat(enclosure.lo)}, {out.rat(enclosure.hi)}]")
@@ -721,7 +712,7 @@ def _reproduce_p4(out: _Printer, eps: Fraction) -> bool:
     return negative and check.hi > 0
 
 
-def _reproduce_rasa_binomial(out: _Printer, eps: Fraction) -> bool:
+def _reproduce_rasa_binomial(out: _Printer, args) -> bool:
     from fractions import Fraction
 
     from . import bernstein as bn
@@ -739,7 +730,7 @@ def _reproduce_rasa_binomial(out: _Printer, eps: Fraction) -> bool:
     return criterion.holds and oracle.holds and series.holds
 
 
-# case -> script(out, eps): prints its lines, returns whether every value
+# case -> script(out, args): prints its lines, returns whether every value
 # matched the expected one
 _REPRODUCTIONS = {
     "example-3": _reproduce_example3,
@@ -750,204 +741,199 @@ _REPRODUCTIONS = {
 
 
 def _cmd_reproduce(args, out: _Printer) -> int:
-    ok = _REPRODUCTIONS[args.case](out, args.eps)
+    ok = _REPRODUCTIONS[args.case](out, args)
     out.say("REPRODUCED" if ok else "MISMATCH")
     return EXIT_HOLDS if ok else EXIT_FAILS
 
 
 # -- argument plumbing --------------------------------------------------------
 
+_REQUIRED = object()  # the default of an option that must be given
+_HELP = ("-h", "--help")
+_STR, _INT = ("str", _REQUIRED), ("int", _REQUIRED)
+_PAIR = {"--mu": _STR, "--nu": _STR}
+_PQ = {"--p": _STR, "--q": _STR}
+_SWEEP = {"--trials": ("int", 200), "--seed": ("int", 0)}
+_EPS = {"--eps": ("eps", None)}  # defaults to CXORDER_EPS, else see _eps
+_GAV_MODES = ("P1", "P1p", "P3", "P3p")  # bernstein.GAV_MODES, without loading bernstein
+_GAV = {"--mode": (_GAV_MODES, _REQUIRED), "--g": _STR, "--ns": _STR}
 
-class _Parser(argparse.ArgumentParser):
-    """Raises instead of exiting, and adds its own arguments only when
-    argparse first gives it arguments to parse: ``populate(parser)`` runs
-    then, so a command builds the parser of its own verb and no other."""
-
-    def __init__(self, *args, populate=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._populate = populate
-
-    def parse_known_args(self, args=None, namespace=None):
-        populate, self._populate = self._populate, None
-        if populate is not None:
-            populate(self)
-        return super().parse_known_args(args, namespace)
-
-    def error(self, message):  # argparse would sys.exit(2); keep it testable
-        raise ParseError(message)
-
-
-def _default_eps() -> Fraction | None:
-    """CXORDER_EPS as a fraction, or None when it is unset."""
-    text = os.environ.get("CXORDER_EPS")
-    if not text:
-        return None
-    from .measures import as_rational
-
-    try:
-        return as_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"CXORDER_EPS={text!r} is not a fraction: {exc}") from exc
-
-
-def _rational_arg(text: str) -> Fraction:
-    """argparse type of the --eps options: as_rational, its errors reported
-    as bad values of the option."""
-    from .measures import as_rational
-
-    try:
-        return as_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad fraction {text!r}: {exc}") from exc
-
-
-def _add_eps(parser: _Parser, eps: Fraction | None):
-    """--eps, defaulting to CXORDER_EPS or else lattice.DEFAULT_EPS."""
-    if eps is None:
-        from .lattice import DEFAULT_EPS
-
-        eps = DEFAULT_EPS
-    parser.add_argument("--eps", type=_rational_arg, default=eps)
-
-
-def _order_args(order: _Parser, eps):
-    order.add_argument("relation", choices=["st", "cx"])
-    order.add_argument("--mu", required=True)
-    order.add_argument("--nu", required=True)
-
-
-def _rasa_args(rasa: _Parser, eps):
-    rasa_actions = rasa.add_subparsers(dest="action", required=True)
-    for name in ("check", "direct"):
-        sub = rasa_actions.add_parser(name)
-        sub.add_argument("--mu", required=True)
-        sub.add_argument("--nu", required=True)
-    gap = rasa_actions.add_parser("gap")
-    gap.add_argument("--mu", required=True)
-    gap.add_argument("--nu", required=True)
-    gap.add_argument("--phi", required=True)
-    equiv = rasa_actions.add_parser("equivalence")
-    equiv.add_argument("--trials", type=int, default=200)
-    equiv.add_argument("--seed", type=int, default=0)
-
-
-def _genfun_args(genfun: _Parser, eps):
-    genfun_actions = genfun.add_subparsers(dest="action", required=True)
-    check = genfun_actions.add_parser("check")
-    check.add_argument("--mu")
-    check.add_argument("--nu")
-    check.add_argument("--family", action="append",
-                       help="negbinomial:n,x or poisson:lambda (repeatable)")
-    _add_eps(check, eps)
-    check.add_argument("--csv", action="store_true")
-    gequiv = genfun_actions.add_parser("equivalence")
-    gequiv.add_argument("--trials", type=int, default=200)
-    gequiv.add_argument("--seed", type=int, default=0)
-
-
-def _major_args(major: _Parser, eps):
-    major_actions = major.add_subparsers(dest="action", required=True)
-    for name in ("compare", "chain"):
-        sub = major_actions.add_parser(name)
-        sub.add_argument("--p", required=True)
-        sub.add_argument("--q", required=True)
-
-
-def _poly_args(poly: _Parser, eps):
-    poly_actions = poly.add_subparsers(dest="action", required=True)
-    w = poly_actions.add_parser("w")
-    w.add_argument("--p", required=True)
-    sos = poly_actions.add_parser("sos")
-    sos.add_argument("--p", required=True)
-    sos.add_argument("--q", required=True)
-    evaluate = poly_actions.add_parser("eval")
-    evaluate.add_argument("--expr", required=True)
-    evaluate.add_argument("--measure", action="append", required=True)
-    muir = poly_actions.add_parser("muirhead")
-    muir.add_argument("--p", required=True)
-    muir.add_argument("--q", required=True)
-    muir.add_argument("--measure", action="append", required=True)
-
-
-def _bernstein_args(bern: _Parser, eps):
-    from .bernstein import GAV_MODES
-
-    bern_actions = bern.add_subparsers(dest="action", required=True)
-    brasa = bern_actions.add_parser("rasa")
-    brasa.add_argument("--n", type=int, required=True)
-    brasa.add_argument("--x", required=True)
-    brasa.add_argument("--y", required=True)
-    brasa.add_argument("--phi", required=True)
-    bscan = bern_actions.add_parser("rasa-scan")
-    bscan.add_argument("--n", type=int, required=True)
-    bscan.add_argument("--phi", required=True)
-    bscan.add_argument("--step", default="1/16")
-    gav = bern_actions.add_parser("gav")
-    gav.add_argument("--mode", choices=list(GAV_MODES), required=True)
-    gav.add_argument("--g", required=True)
-    gav.add_argument("--ns", required=True)
-    gav.add_argument("--points", required=True)
-    gscan = bern_actions.add_parser("gav-scan")
-    gscan.add_argument("--mode", choices=list(GAV_MODES), required=True)
-    gscan.add_argument("--g", required=True)
-    gscan.add_argument("--ns", required=True)
-    gscan.add_argument("--step", default="1/4")
-    smod = bern_actions.add_parser("supermod")
-    smod.add_argument("--g", required=True)
-    smod.add_argument("--step", default="1/16")
-    eq6 = bern_actions.add_parser("eq6")
-    eq6.add_argument("--ns", required=True)
-    eq6.add_argument("--points", required=True)
-    eq6.add_argument("--phi", required=True)
-    multi = bern_actions.add_parser("multi")
-    multi.add_argument("--n", type=int, required=True)
-    multi.add_argument("--points", required=True)
-    multi.add_argument("--phi", required=True)
-    p4 = bern_actions.add_parser("p4")
-    p4.add_argument("--n", type=int, required=True)
-    p4.add_argument("--x", required=True)
-    p4.add_argument("--y", required=True)
-    p4.add_argument("--phi", required=True)
-    _add_eps(p4, eps)
-
-
-def _reproduce_args(repro: _Parser, eps):
-    repro.add_argument("case", choices=list(_REPRODUCTIONS))
-    _add_eps(repro, eps)
-
-
-# verb -> (help, the arguments of its parser, handler)
-_VERBS = {
-    "order": ("usual stochastic / convex order", _order_args, _cmd_order),
-    "rasa": ("self-convolution criterion and oracle", _rasa_args, _cmd_rasa),
-    "genfun": ("lattice generating-function test", _genfun_args, _cmd_genfun),
-    "major": ("majorization comparisons and chains", _major_args, _cmd_major),
-    "poly": ("convolution polynomials", _poly_args, _cmd_poly),
-    "bernstein": ("basis gap evaluators and scanners", _bernstein_args, _cmd_bernstein),
-    "reproduce": ("bundled reference scenarios", _reproduce_args, _cmd_reproduce),
+# verb -> (help, handler, actions), actions: action (None for a verb without
+# any) -> (positional, options).  A positional is (name, choices); an option
+# --name maps to (kind, default or _REQUIRED) and sets the attribute name, its
+# kind "str", "int", "append", "flag", "eps" (a fraction) or a tuple of choices.
+_COMMANDS = {
+    "order": ("usual stochastic / convex order", _cmd_order,
+              {None: (("relation", ("st", "cx")), _PAIR)}),
+    "rasa": ("self-convolution criterion and oracle", _cmd_rasa, {
+        "check": (None, _PAIR),
+        "direct": (None, _PAIR),
+        "gap": (None, {**_PAIR, "--phi": _STR}),
+        "equivalence": (None, _SWEEP),
+    }),
+    "genfun": ("lattice generating-function test", _cmd_genfun, {
+        "check": (None, {"--mu": ("str", None), "--nu": ("str", None),
+                         "--family": ("append", None), **_EPS, "--csv": ("flag", False)}),
+        "equivalence": (None, _SWEEP),
+    }),
+    "major": ("majorization comparisons and chains", _cmd_major,
+              {"compare": (None, _PQ), "chain": (None, _PQ)}),
+    "poly": ("convolution polynomials", _cmd_poly, {
+        "w": (None, {"--p": _STR}),
+        "sos": (None, _PQ),
+        "eval": (None, {"--expr": _STR, "--measure": ("append", _REQUIRED)}),
+        "muirhead": (None, {**_PQ, "--measure": ("append", _REQUIRED)}),
+    }),
+    "bernstein": ("basis gap evaluators and scanners", _cmd_bernstein, {
+        "rasa": (None, {"--n": _INT, "--x": _STR, "--y": _STR, "--phi": _STR}),
+        "rasa-scan": (None, {"--n": _INT, "--phi": _STR, "--step": ("str", "1/16")}),
+        "gav": (None, {**_GAV, "--points": _STR}),
+        "gav-scan": (None, {**_GAV, "--step": ("str", "1/4")}),
+        "supermod": (None, {"--g": _STR, "--step": ("str", "1/16")}),
+        "eq6": (None, {"--ns": _STR, "--points": _STR, "--phi": _STR}),
+        "multi": (None, {"--n": _INT, "--points": _STR, "--phi": _STR}),
+        "p4": (None, {"--n": _INT, "--x": _STR, "--y": _STR, "--phi": _STR, **_EPS}),
+    }),
+    "reproduce": ("bundled reference scenarios", _cmd_reproduce,
+                  {None: (("case", tuple(_REPRODUCTIONS)), _EPS)}),
 }
+# argparse's test for a negative number, which is a value, not an option
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
-def build_parser() -> _Parser:
-    """The cxorder parser.  A verb's arguments are added when that verb is
-    parsed; CXORDER_EPS, when set, is the default of the --eps options."""
-    eps = _default_eps()
-    parser = _Parser(prog="cxorder", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--decimal", type=int, default=None, metavar="K",
-                        help="append a K-digit decimal rendering to every fraction")
-    verbs = parser.add_subparsers(dest="verb", required=True)
-    for name, (help_text, add_arguments, _) in _VERBS.items():
-        verbs.add_parser(name, help=help_text,
-                         populate=lambda verb, add=add_arguments: add(verb, eps))
-    return parser
+class _Help(Exception):
+    """-h/--help: carries the usage text, printed with exit 0."""
+
+
+def _eps(args) -> Fraction:
+    """--eps, else CXORDER_EPS, else lattice.DEFAULT_EPS: only a command
+    that reads its eps loads lattice for it."""
+    from .lattice import DEFAULT_EPS
+
+    return DEFAULT_EPS if args.eps is None else args.eps
+
+
+def _level(path: list[str]):
+    """(positional, options, descends) of the level reached by ``path``, the
+    verb and action read so far; a descending positional starts the next."""
+    if not path:
+        return ("verb", tuple(_COMMANDS)), {"--decimal": ("int", None)}, True
+    actions = _COMMANDS[path[0]][2]
+    if None in actions or len(path) == 2:
+        return (*actions[path[1] if len(path) == 2 else None], False)
+    return ("action", tuple(actions)), {}, True
+
+
+def _option_at(token: str, options: dict):
+    """argparse's reading of ``token`` at a level: None for a value, else
+    (option or None if unknown, text after "=" or None); prefixes allowed."""
+    if token[:1] != "-" or token == "-":
+        return None
+    known, (name, eq, text) = (*_HELP, *options), token.partition("=")
+    if token in known or (eq and name in known):
+        return name, text if eq else None
+    matches = [option for option in known if name[2:] and option.startswith(name)]
+    if len(matches) > 1:
+        raise ParseError(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], text if eq else None
+    return None if _NEGATIVE_NUMBER.match(token) or " " in token else (None, None)
+
+
+def _value(name: str, kind, text: str):
+    """The text of an option or positional ``name`` read as its kind."""
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ParseError(f"argument {name}: invalid choice: {text!r}"
+                             f" (choose from {', '.join(map(repr, kind))})")
+        return text
+    try:
+        return int(text) if kind == "int" else _fraction(text, None) if kind == "eps" else text
+    except ValueError:
+        raise ParseError(f"argument {name}: invalid int value: {text!r}") from None
+    except ParseError as exc:
+        raise ParseError(f"argument {name}: {exc}") from exc
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read argv against _COMMANDS in one pass, to the namespace and the usage
+    error line (a ParseError) that argparse gave; -h/--help raises _Help with
+    the usage of its level.  A malformed CXORDER_EPS fails every command."""
+    text = os.environ.get("CXORDER_EPS")
+    try:
+        eps = _fraction(text, None) if text else None  # the default of --eps
+    except ParseError as exc:
+        raise ParseError(f"CXORDER_EPS={text!r} is not a fraction: {exc.__cause__}") from exc
+    args, path, extras, i = SimpleNamespace(), [], [], 0
+    while True:  # one level: cxorder, then its verb, then the verb's action
+        positional, options, descends = _level(path)
+        for option, (kind, default) in options.items():
+            setattr(args, option[2:], eps if kind == "eps" else
+                    None if default is _REQUIRED else default)
+        if positional:
+            setattr(args, positional[0], None)
+        # argparse reads every token of a level before it takes any
+        reads, seen = [None] * i + [_option_at(token, options) for token in argv[i:]], set()
+        while i < len(argv):
+            token, read = argv[i], reads[i]
+            i += 1
+            if read is None and positional and getattr(args, positional[0]) is None:
+                setattr(args, positional[0], _value(*positional, token))
+                if descends:
+                    path.append(token)
+                    break
+            elif read is None or read[0] is None:
+                extras.append(token)
+            else:
+                option, text = read
+                kind = options.get(option, ("flag",))[0]  # -h/--help is a flag too
+                if kind == "flag" and text is not None:
+                    name = "-h/--help" if option in _HELP else option
+                    raise ParseError(f"argument {name}: ignored explicit argument {text!r}")
+                if option in _HELP:
+                    raise _Help(_usage(path))
+                if kind != "flag" and text is None:
+                    if i == len(argv) or reads[i] is not None:
+                        raise ParseError(f"argument {option}: expected one argument")
+                    text, i = argv[i], i + 1
+                value = True if kind == "flag" else _value(option, kind, text)
+                if kind == "append":
+                    value = [*(getattr(args, option[2:]) or ()), value]
+                setattr(args, option[2:], value)
+                seen.add(option)
+        else:
+            break
+    missing = [positional[0]] if positional and getattr(args, positional[0]) is None else []
+    missing += [o for o, (_, default) in options.items() if default is _REQUIRED and o not in seen]
+    if missing:
+        raise ParseError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ParseError(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def _usage(path: list[str]) -> str:
+    """The -h/--help text of a level: its usage line, and at the top the
+    module docstring and the verbs."""
+    positional, options, descends = _level(path)
+    words = ["usage: cxorder", *path, "[-h]"]
+    for option, (kind, default) in options.items():
+        meta = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else option[2:].upper()
+        word = option if kind == "flag" else f"{option} {meta}"
+        words.append((word if default is _REQUIRED else f"[{word}]") + "..." * (kind == "append"))
+    if positional:
+        words.append("{" + ",".join(positional[1]) + "}" + " ..." * descends)
+    if path:
+        return " ".join(words) + "\n"
+    verbs = "".join(f"  {verb:<10} {text}\n" for verb, (text, _, _) in _COMMANDS.items())
+    return f"{' '.join(words)}\n\n{__doc__}\nverbs:\n{verbs}"
 
 
 def run(argv: list[str]) -> tuple[int, str]:
     """Execute one command; returns (exit code, stdout text)."""
     out = _Printer()
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
         if args.decimal is not None:
             from .measures import MAX_EXPONENT  # it also keeps 10**K out of fraction text
 
@@ -957,10 +943,9 @@ def run(argv: list[str]) -> tuple[int, str]:
                 raise ParseError(f"argument --decimal: K = {args.decimal} exceeds"
                                  f" MAX_EXPONENT = {MAX_EXPONENT}")
             out.decimal = args.decimal
-        _, _, handler = _VERBS[args.verb]
-        code = handler(args, out)
-    except SystemExit as exc:  # --help prints directly and exits 0
-        return (exc.code or 0), ""
+        code = _COMMANDS[args.verb][1](args, out)
+    except _Help as exc:
+        return EXIT_HOLDS, str(exc)
     except ParseError as exc:
         out.say(f"error: {exc}")
         return EXIT_USAGE, out.text()

@@ -18,7 +18,8 @@ from math import lcm
 from operator import mul
 
 from .errors import BadParameter, Inconclusive, MassMismatch, NotLattice
-from .measures import DiscreteMeasure, _frozen, _scaled_ints, as_rational, format_rational
+from .measures import (DiscreteMeasure, _check_work, _frozen, _scaled_ints, as_rational,
+                       format_rational)
 from .orders import OrderVerdict, Witness
 
 DEFAULT_EPS = Fraction(1, 2**40)
@@ -29,7 +30,9 @@ DEFAULT_EPS = Fraction(1, 2**40)
 # index n above MAX_NEGBIN_INDEX (every weight carries (1 - x)^(n+1), so its
 # digits grow with n at any cutoff) and truncate_poisson a parameter above
 # MAX_POISSON_RATE (its first cutoff is the power of two >= 2 lambda: 1024
-# at the limit, 2048 just past it, where the truncation costs five times more).
+# at the limit, 2048 just past it, where the truncation costs five times more),
+# and truncate_negbinomial a cutoff K whose weights, over q^(n + 1 + k) for x =
+# p/q and k <= K + 1, exceed (n + K + 2) x bits(q) = MAX_WEIGHT_BITS.
 # Every square (genfun_square_coeffs, the box of bernstein.gavrea_p4_sum)
 # costs one product per pair of row entries, each on ints of up to ``bits``
 # bits, so products * bits^2 above MAX_SQUARE_WORK is refused after the row
@@ -42,6 +45,7 @@ DEFAULT_EPS = Fraction(1, 2**40)
 MAX_CUTOFF = 4096
 MAX_NEGBIN_INDEX = 4096
 MAX_POISSON_RATE = 512
+MAX_WEIGHT_BITS = 2**18
 MAX_SQUARE_WORK = 2**40
 
 
@@ -250,8 +254,8 @@ def truncate_negbinomial(n: int, x, eps=DEFAULT_EPS) -> LatticeSeq:
     x (n+k+1) / (k+1) decreases towards x < 1, so once the ratio r at K+1
     drops below 1 the tail is dominated by the geometric series
     w_{K+1} / (1 - r); K doubles until that certificate is below eps, and
-    a K above MAX_CUTOFF raises BadParameter before its weights are built,
-    as does an index n above MAX_NEGBIN_INDEX.
+    a K above MAX_CUTOFF or past MAX_WEIGHT_BITS raises BadParameter before
+    its weights are built, as does an index n above MAX_NEGBIN_INDEX.
     """
     x, eps = as_rational(x), as_rational(eps)
     if not isinstance(n, int) or n < 0:
@@ -264,16 +268,17 @@ def truncate_negbinomial(n: int, x, eps=DEFAULT_EPS) -> LatticeSeq:
         raise BadParameter(
             f"negative binomial index {n} exceeds MAX_NEGBIN_INDEX = {MAX_NEGBIN_INDEX}"
         )
-    weights = [(1 - x) ** (n + 1)]
+    weights = []
 
     def extend(upto: int):
         while len(weights) <= upto:
             k = len(weights) - 1
-            weights.append(weights[-1] * x * (n + k + 1) / (k + 1))
+            weights.append(weights[-1] * x * (n + k + 1) / (k + 1) if weights
+                           else (1 - x) ** (n + 1))
 
-    cutoff = 1
+    family, cutoff = f"negbinomial:{n},{format_rational(x)}", 1
     while True:
-        _check_cutoff(cutoff, f"negbinomial:{n},{format_rational(x)}", eps)
+        _check_cutoff(cutoff, family, eps, (n + cutoff + 2) * x.denominator.bit_length())
         extend(cutoff + 1)
         ratio = x * Fraction(n + cutoff + 2, cutoff + 2)
         if ratio < 1:
@@ -339,21 +344,22 @@ def truncate_poisson(lam, eps=DEFAULT_EPS) -> LatticeSeq:
         _check_cutoff(cutoff, f"poisson:{format_rational(lam)}", eps)
 
 
-def _check_cutoff(cutoff: int, family: str, eps: Fraction):
+def _check_cutoff(cutoff: int, family: str, eps: Fraction, bits: int = 0):
     if cutoff > MAX_CUTOFF:
         raise BadParameter(
             f"{family} at eps={format_rational(eps)} needs a truncation cutoff above"
             f" MAX_CUTOFF = {MAX_CUTOFF}"
         )
+    if bits > MAX_WEIGHT_BITS:
+        raise BadParameter(f"{family} at cutoff {cutoff} needs weights of {bits} bits,"
+                           f" above MAX_WEIGHT_BITS = {MAX_WEIGHT_BITS} ((n + K + 2) x bits(q))")
 
 
 def _check_square(products: int, ints: Sequence[int]):
-    bits = max(map(int.bit_length, ints), default=0)
-    if max(products, 64) * bits * bits > MAX_SQUARE_WORK:
-        raise BadParameter(
-            f"the square of a lattice pair, {products} products on {bits}-bit ints,"
-            f" exceeds MAX_SQUARE_WORK = {MAX_SQUARE_WORK} (max(products, 64) x bits^2)"
-        )
+    _check_work(products, ints, MAX_SQUARE_WORK, lambda bits: (
+        f"the square of a lattice pair, {products} products on {bits}-bit ints,"
+        f" exceeds MAX_SQUARE_WORK = {MAX_SQUARE_WORK} (max(products, 64) x bits^2)"
+    ), min_count=64)
 
 
 def truncated_family(family: str, eps=DEFAULT_EPS) -> LatticeSeq:

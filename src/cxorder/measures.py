@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .errors import MassMismatch, NegativeWeight, ParseError
+from .errors import BadParameter, MassMismatch, NegativeWeight, ParseError
 
 # Budget on the exponent of a string like "1e-30": Fraction builds 10^|exp|
 # before any other check.  4300 is Python's own cap on the digits of an
@@ -203,6 +203,14 @@ def _scaled_ints(values) -> tuple[int, list[int]]:
     output."""
     scale = lcm(*(v.denominator for v in values))
     return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _check_work(count: int, ints, budget: int, message, min_count=0, min_bits=0):
+    """Refuse max(count, min_count) x max(bits, min_bits)^2 above ``budget``,
+    bits the widest of ``ints``, with BadParameter(message(bits))."""
+    bits = max(map(int.bit_length, ints), default=0)
+    if max(count, min_count) * max(bits, min_bits) ** 2 > budget:
+        raise BadParameter(message(bits))
 
 
 def _product_row(

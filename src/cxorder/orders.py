@@ -32,6 +32,7 @@ from .errors import BadParameter, NonConvexTestFn
 from .measures import (
     DiscreteMeasure,
     StepFunction,
+    _check_work,
     _frozen,
     _product_row,
     _scaled_ints,
@@ -349,9 +350,9 @@ def _budgeted_ints(values, atoms: int, what: str) -> tuple[int, list[int]]:
     for v in values:
         if scale % v.denominator:
             scale = lcm(scale, v.denominator)
-            _check_work(atoms, (scale,), what, "atoms")
+            _check_pairs(atoms, (scale,), what, "atoms")
     ints = [v.numerator * (scale // v.denominator) for v in values]
-    _check_work(atoms, ints, what, "atoms")
+    _check_pairs(atoms, ints, what, "atoms")
     return scale, ints
 
 
@@ -367,18 +368,16 @@ def _signed_square(h: StepFunction) -> tuple[int, int, dict[int, int]]:
     scale, bs = _scaled_ints(h.breakpoints)
     scale_d, ds = _scaled_ints(jumps)
     breaks = len(bs)
-    _check_work(breaks * breaks, bs + ds, f"the signed square of {breaks} breakpoints")
+    _check_pairs(breaks * breaks, bs + ds, f"the signed square of {breaks} breakpoints")
     row = list(zip(bs, ds))
     return scale, scale_d * scale_d, _product_row(row, row)
 
 
-def _check_work(count: int, ints, what: str, noun: str = "pairs"):
-    bits = max(map(int.bit_length, ints), default=0)
-    if count * max(bits, 512) ** 2 > MAX_CONVOLUTION_WORK:
-        raise BadParameter(
-            f"{what}: {count} {noun} on {bits}-bit ints exceed MAX_CONVOLUTION_WORK"
-            f" = {MAX_CONVOLUTION_WORK} ({noun} x max(bits, 512)^2)"
-        )
+def _check_pairs(count: int, ints, what: str, noun: str = "pairs"):
+    _check_work(count, ints, MAX_CONVOLUTION_WORK, lambda bits: (
+        f"{what}: {count} {noun} on {bits}-bit ints exceed MAX_CONVOLUTION_WORK"
+        f" = {MAX_CONVOLUTION_WORK} ({noun} x max(bits, 512)^2)"
+    ), min_bits=512)
 
 
 def step_self_convolution(h: StepFunction) -> PiecewiseLinear:
@@ -432,7 +431,7 @@ def rasa_direct(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     n, m = len(mu.atoms), len(nu.atoms)
     rows = ([x for x, _ in mu.atoms + nu.atoms], [w for _, w in mu.atoms], [w for _, w in nu.atoms])
     ints = [v for row in rows for v in _scaled_ints(row)[1]]
-    _check_work(n * m + n * n + m * m, ints, f"the three convolutions of {n} and {m} atoms")
+    _check_pairs(n * m + n * n + m * m, ints, f"the three convolutions of {n} and {m} atoms")
     left = convolve(mu, nu)
     right = mix((_HALF, _HALF), (convolve(mu, mu), convolve(nu, nu)))
     # Counted above: testing the convolutions costs about as much as

@@ -1,6 +1,8 @@
 """Shared generators for randomized exact-arithmetic tests."""
 
+import argparse
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -10,12 +12,14 @@ from cxorder import (
     ArityMismatch,
     BivariateFn,
     ConvexTestFn,
+    DEFAULT_EPS,
     DiscreteMeasure,
     MVPolynomial,
     MassMismatch,
     NotMajorized,
     NotNonneg,
     OrderVerdict,
+    ParseError,
     PiecewiseLinear,
     StepFunction,
     Witness,
@@ -31,6 +35,8 @@ from cxorder import (
     s_step_chain,
     w_polynomial,
 )
+from cxorder.bernstein import GAV_MODES
+from cxorder.cli import _REPRODUCTIONS
 from cxorder.measures import format_rational
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)
@@ -402,3 +408,186 @@ def convolution_work_message(what, count, bits, work=2**34, noun="pairs"):
         f"{what}: {count} {noun} on {bits}-bit ints exceed MAX_CONVOLUTION_WORK"
         f" = {work} ({noun} x max(bits, 512)^2)"
     )
+
+
+# -- the argparse command line, kept as the oracle of cli.parse_args ----------
+# The parser cxorder used before its table-driven one, unchanged but for its
+# imports: a verb's arguments are added on its first parse, and its errors
+# raise ParseError instead of exiting.
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises instead of exiting, and adds its own arguments only when
+    argparse first gives it arguments to parse: ``populate(parser)`` runs
+    then, so a command builds the parser of its own verb and no other."""
+
+    def __init__(self, *args, populate=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._populate = populate
+
+    def parse_known_args(self, args=None, namespace=None):
+        populate, self._populate = self._populate, None
+        if populate is not None:
+            populate(self)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):  # argparse would sys.exit(2); keep it testable
+        raise ParseError(message)
+
+
+def _default_eps() -> Fraction | None:
+    """CXORDER_EPS as a fraction, or None when it is unset."""
+    text = os.environ.get("CXORDER_EPS")
+    if not text:
+        return None
+    try:
+        return as_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"CXORDER_EPS={text!r} is not a fraction: {exc}") from exc
+
+
+def _rational_arg(text: str) -> Fraction:
+    """argparse type of the --eps options: as_rational, its errors reported
+    as bad values of the option."""
+    try:
+        return as_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"bad fraction {text!r}: {exc}") from exc
+
+
+def _add_eps(parser: _Parser, eps: Fraction | None):
+    """--eps, defaulting to CXORDER_EPS or else lattice.DEFAULT_EPS."""
+    if eps is None:
+        eps = DEFAULT_EPS
+    parser.add_argument("--eps", type=_rational_arg, default=eps)
+
+
+def _order_args(order: _Parser, eps):
+    order.add_argument("relation", choices=["st", "cx"])
+    order.add_argument("--mu", required=True)
+    order.add_argument("--nu", required=True)
+
+
+def _rasa_args(rasa: _Parser, eps):
+    rasa_actions = rasa.add_subparsers(dest="action", required=True)
+    for name in ("check", "direct"):
+        sub = rasa_actions.add_parser(name)
+        sub.add_argument("--mu", required=True)
+        sub.add_argument("--nu", required=True)
+    gap = rasa_actions.add_parser("gap")
+    gap.add_argument("--mu", required=True)
+    gap.add_argument("--nu", required=True)
+    gap.add_argument("--phi", required=True)
+    equiv = rasa_actions.add_parser("equivalence")
+    equiv.add_argument("--trials", type=int, default=200)
+    equiv.add_argument("--seed", type=int, default=0)
+
+
+def _genfun_args(genfun: _Parser, eps):
+    genfun_actions = genfun.add_subparsers(dest="action", required=True)
+    check = genfun_actions.add_parser("check")
+    check.add_argument("--mu")
+    check.add_argument("--nu")
+    check.add_argument("--family", action="append",
+                       help="negbinomial:n,x or poisson:lambda (repeatable)")
+    _add_eps(check, eps)
+    check.add_argument("--csv", action="store_true")
+    gequiv = genfun_actions.add_parser("equivalence")
+    gequiv.add_argument("--trials", type=int, default=200)
+    gequiv.add_argument("--seed", type=int, default=0)
+
+
+def _major_args(major: _Parser, eps):
+    major_actions = major.add_subparsers(dest="action", required=True)
+    for name in ("compare", "chain"):
+        sub = major_actions.add_parser(name)
+        sub.add_argument("--p", required=True)
+        sub.add_argument("--q", required=True)
+
+
+def _poly_args(poly: _Parser, eps):
+    poly_actions = poly.add_subparsers(dest="action", required=True)
+    w = poly_actions.add_parser("w")
+    w.add_argument("--p", required=True)
+    sos = poly_actions.add_parser("sos")
+    sos.add_argument("--p", required=True)
+    sos.add_argument("--q", required=True)
+    evaluate = poly_actions.add_parser("eval")
+    evaluate.add_argument("--expr", required=True)
+    evaluate.add_argument("--measure", action="append", required=True)
+    muir = poly_actions.add_parser("muirhead")
+    muir.add_argument("--p", required=True)
+    muir.add_argument("--q", required=True)
+    muir.add_argument("--measure", action="append", required=True)
+
+
+def _bernstein_args(bern: _Parser, eps):
+    bern_actions = bern.add_subparsers(dest="action", required=True)
+    brasa = bern_actions.add_parser("rasa")
+    brasa.add_argument("--n", type=int, required=True)
+    brasa.add_argument("--x", required=True)
+    brasa.add_argument("--y", required=True)
+    brasa.add_argument("--phi", required=True)
+    bscan = bern_actions.add_parser("rasa-scan")
+    bscan.add_argument("--n", type=int, required=True)
+    bscan.add_argument("--phi", required=True)
+    bscan.add_argument("--step", default="1/16")
+    gav = bern_actions.add_parser("gav")
+    gav.add_argument("--mode", choices=list(GAV_MODES), required=True)
+    gav.add_argument("--g", required=True)
+    gav.add_argument("--ns", required=True)
+    gav.add_argument("--points", required=True)
+    gscan = bern_actions.add_parser("gav-scan")
+    gscan.add_argument("--mode", choices=list(GAV_MODES), required=True)
+    gscan.add_argument("--g", required=True)
+    gscan.add_argument("--ns", required=True)
+    gscan.add_argument("--step", default="1/4")
+    smod = bern_actions.add_parser("supermod")
+    smod.add_argument("--g", required=True)
+    smod.add_argument("--step", default="1/16")
+    eq6 = bern_actions.add_parser("eq6")
+    eq6.add_argument("--ns", required=True)
+    eq6.add_argument("--points", required=True)
+    eq6.add_argument("--phi", required=True)
+    multi = bern_actions.add_parser("multi")
+    multi.add_argument("--n", type=int, required=True)
+    multi.add_argument("--points", required=True)
+    multi.add_argument("--phi", required=True)
+    p4 = bern_actions.add_parser("p4")
+    p4.add_argument("--n", type=int, required=True)
+    p4.add_argument("--x", required=True)
+    p4.add_argument("--y", required=True)
+    p4.add_argument("--phi", required=True)
+    _add_eps(p4, eps)
+
+
+def _reproduce_args(repro: _Parser, eps):
+    repro.add_argument("case", choices=list(_REPRODUCTIONS))
+    _add_eps(repro, eps)
+
+
+# verb -> (help, the arguments of its parser)
+_VERBS = {
+    "order": ("usual stochastic / convex order", _order_args),
+    "rasa": ("self-convolution criterion and oracle", _rasa_args),
+    "genfun": ("lattice generating-function test", _genfun_args),
+    "major": ("majorization comparisons and chains", _major_args),
+    "poly": ("convolution polynomials", _poly_args),
+    "bernstein": ("basis gap evaluators and scanners", _bernstein_args),
+    "reproduce": ("bundled reference scenarios", _reproduce_args),
+}
+
+
+def build_argparse_parser() -> _Parser:
+    """The former cxorder parser.  A verb's arguments are added when that
+    verb is parsed; CXORDER_EPS, when set, is the default of the --eps
+    options."""
+    eps = _default_eps()
+    parser = _Parser(prog="cxorder", formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--decimal", type=int, default=None, metavar="K",
+                        help="append a K-digit decimal rendering to every fraction")
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    for name, (help_text, add_arguments) in _VERBS.items():
+        verbs.add_parser(name, help=help_text,
+                         populate=lambda verb, add=add_arguments: add(verb, eps))
+    return parser

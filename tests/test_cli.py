@@ -1,9 +1,12 @@
 """Command-line behaviour: exit codes, witnesses, grammars, reproductions."""
 
+import os
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from cxorder import (
@@ -15,9 +18,9 @@ from cxorder import (
     measure_to_json,
     orders,
 )
+from cxorder import cli
 from cxorder.cli import (
     MAX_NESTING,
-    build_parser,
     parse_convex_fn,
     parse_mvpoly,
     parse_surface,
@@ -812,16 +815,120 @@ def test_truncations_print_numbers_over_4300_digits():
     )
 
 
-def test_a_parser_builds_each_verb_once():
-    # A verb's arguments are added on its first parse; a second parse with
-    # the same parser must not add them again (argparse refuses duplicates).
-    parser = build_parser()
-    for argv in (["major", "compare", "--p", "1,1", "--q", "2,0"],
-                 ["major", "chain", "--p", "1,1", "--q", "2,0"],
-                 ["order", "cx", "--mu", "a.json", "--nu", "b.json"]):
-        args = parser.parse_args(argv)
-        assert args.verb == argv[0]
-    assert (args.relation, args.mu, args.nu) == ("cx", "a.json", "b.json")
+# Values of each option kind: mostly ones that read, and some that argparse
+# refuses or reads as options ("-x", "-1/2") or as values ("-1", "a b").
+_VALUES = {
+    "str": ["a", "1/2", "a", "-1", "a b", "", "-x", "-1/2"],
+    "int": ["3", "-2", "3", " 7", "x", "1.5"],
+    "append": ["binomial:1,1/2", "-1", "-x"],
+    "eps": ["1/8", "1e-3", "1/8", "-1", "abc", "1/0"],
+}
+_JUNK = ["--bogus", "extra", "-x", "--bogus=1", "-1"]
+
+
+def _option_tokens(draw, option, kind):
+    """One use of ``option``: its name, or a prefix of it, with its value
+    after it, after "=", or missing."""
+    name = option[: draw(st.integers(3, len(option)))] if draw(st.booleans()) else option
+    if kind == "flag":
+        return [name]
+    values = list(kind) + ["nope"] if isinstance(kind, tuple) else _VALUES[kind]
+    value = draw(st.sampled_from(values))
+    form = draw(st.sampled_from(["apart"] * 6 + ["equals"] * 3 + ["missing"]))
+    if form == "equals":
+        return [f"{name}={value}"]
+    return [name] if form == "missing" else [name, value]
+
+
+@st.composite
+def _argvs(draw):
+    """argv drawn from the command table: a verb and action (or a wrong
+    one), each option given or not (required ones mostly given, append ones
+    repeated), in any order, spelled out, by prefix or with "=", plus junk."""
+    verb = draw(st.sampled_from([*cli._COMMANDS, "nope"]))
+    if verb == "nope":
+        return [verb]
+    actions = cli._COMMANDS[verb][2]
+    action = draw(st.sampled_from([*actions, "nope"] if None not in actions else [None]))
+    head = [verb] + ([] if action is None else [action])
+    if action == "nope":
+        return head
+    positional, options = actions[action]
+    groups = []
+    if positional is not None and draw(st.integers(0, 9)):
+        groups.append([draw(st.sampled_from([*positional[1], "nope"]))])
+    for option, (kind, default) in options.items():
+        uses = draw(st.integers(0, 3 if kind == "append" else 1))
+        if default is cli._REQUIRED and draw(st.integers(0, 9)):
+            uses = max(uses, 1)
+        groups += [_option_tokens(draw, option, kind) for _ in range(uses)]
+    if not draw(st.integers(0, 3)):
+        groups.append([draw(st.sampled_from(_JUNK))])
+    groups = draw(st.permutations(groups))
+    top = draw(st.sampled_from([[]] * 6 + [["--decimal", "2"], ["--dec=x"], ["--decimal"]]))
+    return top + head + [token for group in groups for token in group]
+
+
+def _outcome(parse, argv):
+    try:
+        return "namespace", vars(parse(argv))
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argvs(), env=st.sampled_from([None, None, "1/1024", "abc"]))
+def test_parser_matches_the_argparse_oracle(argv, env):
+    saved = os.environ.pop("CXORDER_EPS", None)
+    if env is not None:
+        os.environ["CXORDER_EPS"] = env
+    try:
+        kind, found = _outcome(cli.parse_args, argv)
+        expected = _outcome(lambda a: helpers.build_argparse_parser().parse_args(a), argv)
+    finally:
+        os.environ.pop("CXORDER_EPS", None)
+        if saved is not None:
+            os.environ["CXORDER_EPS"] = saved
+    if kind == "namespace" and found.get("eps", 0) is None:
+        found["eps"] = lattice.DEFAULT_EPS  # resolved when a handler reads it
+    assert (kind, found) == expected
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["-h"], "usage: cxorder [-h] [--decimal DECIMAL]"
+             " {order,rasa,genfun,major,poly,bernstein,reproduce} ..."),
+    (["rasa", "--help"], "usage: cxorder rasa [-h] {check,direct,gap,equivalence} ..."),
+    (["order", "cx", "--he"], "usage: cxorder order [-h] --mu MU --nu NU {st,cx}"),
+    (["genfun", "check", "--mu", "a", "-h", "--bogus"],
+     "usage: cxorder genfun check [-h] [--mu MU] [--nu NU] [--family FAMILY]..."
+     " [--eps EPS] [--csv]"),
+])
+def test_help_prints_the_usage_of_its_level_and_exits_0(argv, usage):
+    code, text = run(argv)
+    assert code == 0 and text.splitlines()[0] == usage
+    assert ("Textual grammars" in text) == (argv == ["-h"])
+
+
+def test_gav_modes_are_those_of_bernstein():
+    # the table names them so that parsing loads no bernstein
+    assert cli._GAV_MODES == bernstein.GAV_MODES
+
+
+def test_eps_is_none_until_a_command_reads_its_default(monkeypatch):
+    monkeypatch.delenv("CXORDER_EPS", raising=False)
+    assert cli.parse_args(["reproduce", "absdiff"]).eps is None
+    monkeypatch.setenv("CXORDER_EPS", "1/1024")
+    assert cli.parse_args(["reproduce", "absdiff"]).eps == Fraction(1, 1024)
+    assert cli.parse_args(["reproduce", "absdiff", "--ep=1/8"]).eps == Fraction(1, 8)
+
+
+def test_wide_negbinomial_weights_exit_2_fast():
+    # q = 10^4300, n = 100: weights over q^103 (1.47M bits) once took 10 s
+    # to print; now refused before the first weight
+    code, text = run(["genfun", "check", "--family", "negbinomial:100,1e-4300"])
+    assert code == 2 and text.count("\n") == 1
+    assert text.endswith("needs weights of 1471355 bits, above MAX_WEIGHT_BITS = 262144"
+                         " ((n + K + 2) x bits(q))\n")
 
 
 _RASA_PHI = ["bernstein", "rasa", "--n", "2", "--x", "1/4", "--y", "3/4", "--phi"]

@@ -115,6 +115,30 @@ def test_no_verb_loads_dataclasses(argv):
     assert "json" not in loaded  # no measure file is read
 
 
+# argparse and what it imports: cli.parse_args reads the command line.
+_ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["order", "cx", "--mu", "{coin}", "--nu", "{coin}"],
+    ["rasa", "equivalence", "--trials", "3"],
+    ["genfun", "check", "--family", "negbinomial:1,1/2", "--eps", "1/64"],
+    ["major", "chain", "--p", "1,1", "--q", "2,0"],
+    ["poly", "w", "--p", "2,1"],
+    ["bernstein", "p4", "--n", "1", "--x", "1/4", "--y", "3/4",
+     "--phi", "sum(affine 1 -2, quad 1)"],
+    ["--decimal", "2", "reproduce", "example-3"],
+])
+def test_no_command_loads_argparse(coin, argv):
+    assert not _loaded(*(a.format(coin=coin) for a in argv)) & _ARGPARSE
+
+
+def test_reproduce_example_3_loads_no_lattice():
+    # lattice holds the default --eps, which example-3 never reads
+    loaded = _loaded("reproduce", "example-3")
+    assert "cxorder.polynomials" in loaded and "cxorder.lattice" not in loaded
+
+
 # Every name `cxorder` exported before its exports became lazy.
 EXPORTS = """
     ArityMismatch BadParameter BivariateFn ConvexTestFn CxOrderError DEFAULT_EPS

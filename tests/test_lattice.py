@@ -433,6 +433,20 @@ def test_negbinomial_index_budget_boundary(monkeypatch):
         truncated_family("negbinomial:4097,1/2")
 
 
+def test_negbinomial_weight_bits_budget_boundary(monkeypatch):
+    # x = 10^-1130 (q of 3,754 bits) stops at K = 1: its weights over
+    # q^(n + 1 + k), k <= 2, count (n + 3) x 3,754 bits
+    assert lattice.MAX_WEIGHT_BITS == 2**18
+    x = Fraction(1, 10**1130)
+    fits = truncate_negbinomial(66, x)
+    assert fits.last_index == 1 and 69 * 3754 <= 2**18
+    assert max(w.denominator.bit_length() for w in fits.coeffs) <= 68 * 3754
+    refuse_weights(monkeypatch)
+    with pytest.raises(BadParameter, match=r"at cutoff 1 needs weights of 262780 bits, above"
+                                           r" MAX_WEIGHT_BITS = 262144 \(\(n \+ K \+ 2\) x bits\(q\)\)$"):
+        truncate_negbinomial(67, x)
+
+
 def test_poisson_rate_budget_boundary(monkeypatch):
     limit = lattice.MAX_POISSON_RATE
     assert limit == 512
