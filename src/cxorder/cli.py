@@ -961,6 +961,14 @@ def run(argv: list[str]) -> tuple[int, str]:
 def main():
     code, text = run(sys.argv[1:])
     sys.stdout.write(text)
+    # The process ends here.  Interpreter shutdown runs full collections over
+    # every tracked object (the site-loaded modules included) and skips frozen
+    # ones: `major compare` takes 55 ms instead of 62 ms as a fresh process on
+    # a shared two-vCPU machine.  atexit handlers, stream flushes and the exit
+    # code are unchanged.  run() never freezes: its caller's heap is not ours.
+    import gc
+
+    gc.freeze()
     raise SystemExit(code)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import BadParameter, Inconclusive, MassMismatch, NotLattice
@@ -32,7 +32,10 @@ DEFAULT_EPS = Fraction(1, 2**40)
 # MAX_POISSON_RATE (its first cutoff is the power of two >= 2 lambda: 1024
 # at the limit, 2048 just past it, where the truncation costs five times more),
 # and truncate_negbinomial a cutoff K whose weights, over q^(n + 1 + k) for x =
-# p/q and k <= K + 1, exceed (n + K + 2) x bits(q) = MAX_WEIGHT_BITS.
+# p/q and k <= K + 1, exceed (n + K + 2) x bits(q) = MAX_WEIGHT_BITS, and
+# truncate_poisson one whose terms lambda^k / k!, lambda = p/q and k <= K + 1,
+# exceed (K + 2) x (bits(p) + bits(q)): terms above 1 have wide numerators too,
+# and the sums behind the tail bound carry both.
 # Every square (genfun_square_coeffs, the box of bernstein.gavrea_p4_sum)
 # costs one product per pair of row entries, each on ints of up to ``bits``
 # bits, so products * bits^2 above MAX_SQUARE_WORK is refused after the row
@@ -202,9 +205,7 @@ def _rational_square(
         for _ in range(m):
             den = [u - c * v for u, v in zip(den + [0], [0] + den)]
     r = len(den) - 1
-    if s != 1:
-        a, b = ([c * s**k for k, c in enumerate(row)] for row in (a, b))
-    scale, ints = _scaled_ints([*b, *a])
+    scale, ints = _scaled_ints([*b, *a]) if s == 1 else _power_scaled_ints((b, a), s)
     steps = itertools.zip_longest(ints[: len(b)], ints[len(b) :], fillvalue=0)
     ts = list(itertools.accumulate((bk - ak for bk, ak in steps), lambda t, step: s * t + step))
     _check_square(size * len(ts), ts)
@@ -218,6 +219,20 @@ def _rational_square(
         out[k] -= sum(map(mul, den[1 : k + 1], reversed(out[max(k - r, 0) : k])))
     units = itertools.accumulate(itertools.repeat(s), mul, initial=scale * scale)  # scale^2 s^k
     return [Fraction(e, unit) for e, unit in zip(out, units)]
+
+
+def _power_scaled_ints(rows: Sequence[Sequence[Fraction]], s: int) -> tuple[int, list[int]]:
+    """(scale, ints): scale the least common denominator of c s^k over the
+    entries c at index k of every row, and ints each c s^k scale, row after
+    row.  On ints: one division per entry shows whether scale already
+    covers it, and only an entry that grows scale costs a gcd."""
+    powers = list(itertools.accumulate(itertools.repeat(s, max(map(len, rows))), mul, initial=1))
+    pairs = [pair for row in rows for pair in zip(row, powers)]
+    scale = 1
+    for c, p in pairs:
+        if p * scale % c.denominator:
+            scale = lcm(scale, c.denominator // gcd(c.denominator, p))
+    return scale, [c.numerator * (p * scale // c.denominator) for c, p in pairs]
 
 
 def genfun_test(
@@ -278,7 +293,8 @@ def truncate_negbinomial(n: int, x, eps=DEFAULT_EPS) -> LatticeSeq:
 
     family, cutoff = f"negbinomial:{n},{format_rational(x)}", 1
     while True:
-        _check_cutoff(cutoff, family, eps, (n + cutoff + 2) * x.denominator.bit_length())
+        _check_cutoff(cutoff, family, eps, (n + cutoff + 2) * x.denominator.bit_length(),
+                      "(n + K + 2) x bits(q)")
         extend(cutoff + 1)
         ratio = x * Fraction(n + cutoff + 2, cutoff + 2)
         if ratio < 1:
@@ -294,6 +310,9 @@ def truncate_negbinomial(n: int, x, eps=DEFAULT_EPS) -> LatticeSeq:
         cutoff *= 2
 
 
+_POISSON_WEIGHT_BITS = "(K + 2) x (bits(p) + bits(q))"
+
+
 def truncate_poisson(lam, eps=DEFAULT_EPS) -> LatticeSeq:
     """Certified lower-bound coefficients L * lam^k / k! with rational
     L <= e^(-lam).
@@ -305,19 +324,22 @@ def truncate_poisson(lam, eps=DEFAULT_EPS) -> LatticeSeq:
     certified under-approximation of the Poisson family.  The cutoff K
     starts at the first power of two >= 2 lam, so every term ratio past K is
     <= 1/2, and doubles until the tail is below eps; the terms lam^k/k! are
-    extended in place, and a K above MAX_CUTOFF raises BadParameter before
-    its terms are built.  A lam above MAX_POISSON_RATE is refused right
-    after the first cutoff check, before any term.
+    extended in place, and a K above MAX_CUTOFF or past MAX_WEIGHT_BITS
+    raises BadParameter before its terms are built.  A lam above
+    MAX_POISSON_RATE is refused right after the first cutoff check, before
+    any term.
     """
     lam, eps = as_rational(lam), as_rational(eps)
     if lam <= 0:
         raise BadParameter(f"Poisson parameter {format_rational(lam)} must be positive")
     if eps <= 0:
         raise BadParameter(f"eps={format_rational(eps)} must be positive")
+    family = f"poisson:{format_rational(lam)}"
+    width = lam.numerator.bit_length() + lam.denominator.bit_length()
     cutoff = 1
     while cutoff < 2 * lam:
         cutoff *= 2
-    _check_cutoff(cutoff, f"poisson:{format_rational(lam)}", eps)
+    _check_cutoff(cutoff, family, eps, (cutoff + 2) * width, _POISSON_WEIGHT_BITS)
     if lam > MAX_POISSON_RATE:
         raise BadParameter(
             f"Poisson parameter {format_rational(lam)} exceeds MAX_POISSON_RATE = {MAX_POISSON_RATE}"
@@ -341,10 +363,10 @@ def truncate_poisson(lam, eps=DEFAULT_EPS) -> LatticeSeq:
                 exact=False,
             )
         cutoff *= 2
-        _check_cutoff(cutoff, f"poisson:{format_rational(lam)}", eps)
+        _check_cutoff(cutoff, family, eps, (cutoff + 2) * width, _POISSON_WEIGHT_BITS)
 
 
-def _check_cutoff(cutoff: int, family: str, eps: Fraction, bits: int = 0):
+def _check_cutoff(cutoff: int, family: str, eps: Fraction, bits: int, formula: str):
     if cutoff > MAX_CUTOFF:
         raise BadParameter(
             f"{family} at eps={format_rational(eps)} needs a truncation cutoff above"
@@ -352,7 +374,7 @@ def _check_cutoff(cutoff: int, family: str, eps: Fraction, bits: int = 0):
         )
     if bits > MAX_WEIGHT_BITS:
         raise BadParameter(f"{family} at cutoff {cutoff} needs weights of {bits} bits,"
-                           f" above MAX_WEIGHT_BITS = {MAX_WEIGHT_BITS} ((n + K + 2) x bits(q))")
+                           f" above MAX_WEIGHT_BITS = {MAX_WEIGHT_BITS} ({formula})")
 
 
 def _check_square(products: int, ints: Sequence[int]):

@@ -2,6 +2,7 @@
 
 import argparse
 import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -149,6 +150,16 @@ def cauchy_product_oracle(u, v) -> list[Fraction]:
             if b != 0:
                 out[i + j] += a * b
     return out
+
+
+def power_scaled_ints_oracle(rows, s) -> tuple[int, list[int]]:
+    """The former scaling of lattice._rational_square, kept as the oracle of
+    lattice._power_scaled_ints: every entry c at index k of every row
+    times s^k as a Fraction, then the least common denominator of all of
+    them and each entry in its units."""
+    scaled = [c * s**k for row in rows for k, c in enumerate(row)]
+    scale = math.lcm(*(c.denominator for c in scaled))
+    return scale, [c.numerator * (scale // c.denominator) for c in scaled]
 
 
 def leq_st_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:

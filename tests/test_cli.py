@@ -1,6 +1,8 @@
 """Command-line behaviour: exit codes, witnesses, grammars, reproductions."""
 
+import gc
 import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -929,6 +931,48 @@ def test_wide_negbinomial_weights_exit_2_fast():
     assert code == 2 and text.count("\n") == 1
     assert text.endswith("needs weights of 1471355 bits, above MAX_WEIGHT_BITS = 262144"
                          " ((n + K + 2) x bits(q))\n")
+
+
+# An atexit handler registered at start-up, as the benchmark's peak-memory
+# probe registers one: it must still run after main's output and freeze.
+_ATEXIT_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: sys.stderr.write(f"atexit ran, heap frozen: {gc.get_freeze_count() > 0}\\n"))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["major", "compare", "--p", "1,1", "--q", "2,0"], 0),
+    (["major", "compare", "--p", "2,0", "--q", "1,1"], 1),
+    (["major", "compare", "--p", "1,x", "--q", "1,1"], 2),
+    (["genfun", "check", "--family", "negbinomial:1,1/2", "--family", "negbinomial:1,9/16"], 3),
+])
+def test_main_exits_as_run_returns_and_runs_atexit_handlers(tmp_path, monkeypatch, argv, code):
+    monkeypatch.delenv("CXORDER_EPS", raising=False)
+    (tmp_path / "sitecustomize.py").write_text(_ATEXIT_PROBE)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+    result = subprocess.run([sys.executable, "-m", "cxorder", *argv], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert (result.returncode, result.stdout) == run(argv) and result.returncode == code
+    assert result.stderr == "atexit ran, heap frozen: True\n"
+
+
+def test_run_leaves_the_callers_heap_unfrozen():
+    before = gc.get_freeze_count()
+    for argv in (["major", "compare", "--p", "1,1", "--q", "2,0"], ["major", "compare", "--p", "1,x"]):
+        run(argv)
+    assert gc.get_freeze_count() == before
+
+
+def test_wide_poisson_parameter_exits_2_fast():
+    # lam = (10^4000 + 1)/10^4000 once took 4 s to print 408 kB; its terms
+    # at K = 8 would count 10 x 26,576 bits
+    big = 10**4000
+    code, text = run(["genfun", "check", "--family", f"poisson:{big + 1}/{big}"])
+    assert code == 2 and text.count("\n") == 1
+    assert text.endswith("at cutoff 8 needs weights of 265760 bits, above MAX_WEIGHT_BITS = 262144"
+                         " ((K + 2) x (bits(p) + bits(q)))\n")
 
 
 _RASA_PHI = ["bernstein", "rasa", "--n", "2", "--x", "1/4", "--y", "3/4", "--phi"]

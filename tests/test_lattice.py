@@ -269,6 +269,20 @@ def test_square_takes_the_recurrence_exactly_when_its_order_fits(monkeypatch):
         assert square == helpers.cauchy_product_oracle(row, row)[: sound + 1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=2**12), max_size=12),
+             min_size=1, max_size=3),
+    st.sampled_from([2, 3, 6, 16, 32, 35, 4096, 3**9]),
+)
+@example([[Fraction(1, 2**20), Fraction(3, 2**21), Fraction(1, 3)]], 2)
+@example([[], [Fraction(5, 7)]], 6)
+def test_power_scaled_ints_match_the_fraction_route(rows, s):
+    # one least common denominator for every c s^k, so the squared row, its
+    # width under MAX_SQUARE_WORK and every output stay as before
+    assert lattice._power_scaled_ints(rows, s) == helpers.power_scaled_ints_oracle(rows, s)
+
+
 @pytest.mark.parametrize("poles", [((Fraction(1, 2), 2),), ((Fraction(1, 3), 1),)])
 def test_square_refuses_poles_that_do_not_fit_the_coefficients(poles):
     # negbinomial:1,1/3 has the pole 1/3 of order 2; a hand-built sequence
@@ -457,6 +471,19 @@ def test_poisson_rate_budget_boundary(monkeypatch):
         truncate_poisson(limit + 1)
     with pytest.raises(BadParameter, match="^Poisson parameter 512001/1000 exceeds"):
         truncated_family("poisson:512001/1000")
+
+
+def test_poisson_weight_bits_budget_boundary(monkeypatch):
+    # lam = 1/2^w stops at K = 1, so its terms count 3 x (1 + (w + 1)) bits:
+    # 262,143 at w = 87,379 and 262,146 at w = 87,380, refused before any term
+    assert lattice.MAX_WEIGHT_BITS == 2**18
+    assert truncate_poisson(Fraction(1, 2**87379)).last_index == 1
+    # the benchmark's parameters k/2, k <= 9, stop by K = 32 on 4-bit numerators
+    assert truncate_poisson(Fraction(9, 2)).last_index == 32  # 34 x (4 + 2) = 204 bits
+    refuse_weights(monkeypatch)
+    with pytest.raises(BadParameter, match=r" at cutoff 1 needs weights of 262146 bits, above MAX_WEIGHT_BITS"
+                                           r" = 262144 \(\(K \+ 2\) x \(bits\(p\) \+ bits\(q\)\)\)$"):
+        truncate_poisson(Fraction(1, 2**87380))
 
 
 def _work_message(products, bits, work=2**40):
