@@ -13,13 +13,14 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, prod
 from operator import mul
 
 from .errors import BadParameter, Inconclusive, ModeArity
 from .lattice import (
     DEFAULT_EPS,
     _check_square,
+    _scaled_rows,
     cauchy_product,
     truncate_negbinomial,
 )
@@ -70,11 +71,19 @@ def binomial_measure(n: int, x) -> DiscreteMeasure:
 
 
 def _phi_form(u: Sequence, v: Sequence, phis: Sequence) -> Fraction:
-    """sum_{i,j} u_i v_j phis[i+j], len(phis) = len(u) + len(v) - 1: each
-    Hankel row (v against phis shifted by i) summed on ints scaled by common
-    denominators, then weighted by u_i; one Fraction at the end."""
+    """sum_{i,j} u_i v_j phis[i+j], len(phis) = len(u) + len(v) - 1, on ints
+    scaled by common denominators; one Fraction at the end.  When u and v
+    scale to the same ints (the self form d x d of rasa_gap, rasa_scan and
+    the p4 box) the sum is symmetric in i and j, so it runs over i <= j,
+    sum_i d_i (d_i phis[2i] + 2 sum_{j>i} d_j phis[i+j]): L(L+1)/2 products
+    for a row of length L.  Otherwise each Hankel row (v against phis
+    shifted by i) is summed, then weighted by u_i."""
     (u_scale, us), (v_scale, vs), (phi_scale, ps) = map(_scaled_ints, (u, v, phis))
-    total = sum(a * sum(map(mul, vs, ps[i:])) for i, a in enumerate(us) if a)
+    if us == vs:
+        total = sum(a * (a * ps[2 * i] + 2 * sum(map(mul, us[i + 1 :], ps[2 * i + 1 :])))
+                    for i, a in enumerate(us) if a)
+    else:
+        total = sum(a * sum(map(mul, vs, ps[i:])) for i, a in enumerate(us) if a)
     return Fraction(total, u_scale * v_scale * phi_scale)
 
 
@@ -478,9 +487,11 @@ def gavrea_p4_sum(n: int, x, y, phi: ConvexTestFn, eps=DEFAULT_EPS) -> IntervalV
     remainder is bounded through |phi| <= M on [0,1]: the bracket equals the
     product (a-b)x(a-b), whose mass outside the box is at most
     2*sigma*tau + tau^2 for sigma the boxed L1 difference and tau the summed
-    tail certificates.  A box whose len(d)^2 products (at least 64) on the
-    widest int of the scaled difference row d exceed lattice.MAX_SQUARE_WORK
-    raises BadParameter before its first product and before any phi value.
+    tail certificates.  The difference row d is formed on the int rows of
+    the two truncations and reduced to its least common denominator.  A box
+    whose len(d)^2 products (at least 64) on the widest int of d exceed
+    lattice.MAX_SQUARE_WORK raises BadParameter before its first product
+    and before any phi value; the box itself sums d_i d_j phi over i <= j.
     """
     x, y, eps = as_rational(x), as_rational(y), as_rational(eps)
     if not isinstance(n, int) or n < 1:
@@ -492,9 +503,10 @@ def gavrea_p4_sum(n: int, x, y, phi: ConvexTestFn, eps=DEFAULT_EPS) -> IntervalV
         # identical families: every bracket term vanishes identically
         return IntervalValue(Fraction(0), Fraction(0))
     fam_y = truncate_negbinomial(n, y, eps)
-    scale, d = _scaled_ints(
-        [a - b for a, b in itertools.zip_longest(fam_x.coeffs, fam_y.coeffs, fillvalue=0)]
-    )
+    unit = lcm(fam_x.unit, fam_y.unit)
+    fx, fy = unit // fam_x.unit, unit // fam_y.unit
+    rows = itertools.zip_longest(fam_x.ints, fam_y.ints, fillvalue=0)
+    scale, d = _scaled_rows([(unit, [a * fx - b * fy for a, b in rows])])
     _check_square(len(d) ** 2, d)
     bound = phi.bound_on_unit_interval()
     phis = [phi(Fraction(s, 2 * n + s)) for s in range(2 * len(d) - 1)]

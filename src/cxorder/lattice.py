@@ -11,15 +11,16 @@ pipeline float-free.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import mul
 
 from .errors import BadParameter, Inconclusive, MassMismatch, NotLattice
-from .measures import (DiscreteMeasure, _check_work, _frozen, _scaled_ints, as_rational,
-                       format_rational)
+from .measures import (DiscreteMeasure, _check_work, _refuse_delete, _refuse_set, _scaled_ints,
+                       as_rational, format_rational)
 from .orders import OrderVerdict, Witness
 
 DEFAULT_EPS = Fraction(1, 2**40)
@@ -30,7 +31,7 @@ DEFAULT_EPS = Fraction(1, 2**40)
 # index n above MAX_NEGBIN_INDEX (every weight carries (1 - x)^(n+1), so its
 # digits grow with n at any cutoff) and truncate_poisson a parameter above
 # MAX_POISSON_RATE (its first cutoff is the power of two >= 2 lambda: 1024
-# at the limit, 2048 just past it, where the truncation costs five times more),
+# at the limit, 2048 just past it, where the truncation costs nine times more),
 # and truncate_negbinomial a cutoff K whose weights, over q^(n + 1 + k) for x =
 # p/q and k <= K + 1, exceed (n + K + 2) x bits(q) = MAX_WEIGHT_BITS, and
 # truncate_poisson one whose terms lambda^k / k!, lambda = p/q and k <= K + 1,
@@ -52,7 +53,6 @@ MAX_WEIGHT_BITS = 2**18
 MAX_SQUARE_WORK = 2**40
 
 
-@_frozen
 class LatticeSeq:
     """Masses at the integers 0..K plus a certified bound on everything past K.
 
@@ -71,28 +71,68 @@ class LatticeSeq:
     (CDF difference) * prod (1 - x z)^m is 0, so only
     ``truncate_negbinomial`` should set them.  Poles make a square cheaper
     but not more affordable: MAX_SQUARE_WORK counts its plain products.
+
+    The masses are stored as one row of ints over one unit, ``ints[k] /
+    unit``, unit the least common denominator of the row, so equal masses
+    store equal rows; ``==``, ``hash`` and ``repr`` read as for a record of
+    the fields coeffs, tail_bound, total_mass, exact and poles.  ``coeffs``,
+    the masses as Fractions, is built only when first read (a sequence
+    built from Fractions keeps the row it was given).
     """
 
-    coeffs: tuple[Fraction, ...]
-    tail_bound: Fraction = Fraction(0)
-    total_mass: Fraction | None = None
-    exact: bool = True
-    poles: tuple[tuple[Fraction, int], ...] = ()
+    __setattr__, __delattr__ = _refuse_set, _refuse_delete
 
-    def __post_init__(self):
-        for i, c in enumerate(self.coeffs):
+    def __init__(self, coeffs, tail_bound=Fraction(0), total_mass=None, exact=True, poles=()):
+        coeffs = tuple(coeffs)
+        self._init(*_scaled_ints(coeffs), tail_bound, total_mass, exact, poles)
+        self.__dict__["coeffs"] = coeffs
+
+    @classmethod
+    def _of_ints(cls, unit: int, ints: Sequence[int], *fields) -> LatticeSeq:
+        """The sequence of masses ints[k] / unit, unit their least common
+        denominator, then the fields after coeffs."""
+        seq = cls.__new__(cls)
+        seq._init(unit, ints, *fields)
+        return seq
+
+    def _init(self, unit, ints, tail_bound=Fraction(0), total_mass=None, exact=True, poles=()):
+        for i, c in enumerate(ints):
             if c < 0:
-                raise BadParameter(f"coefficient {format_rational(c)} at index {i} is negative")
-        if self.tail_bound < 0:
+                raise BadParameter(
+                    f"coefficient {format_rational(Fraction(c, unit))} at index {i} is negative"
+                )
+        if tail_bound < 0:
             raise BadParameter("tail bound must be non-negative")
-        if self.total_mass is None:
-            if self.tail_bound != 0:
+        if total_mass is None:
+            if tail_bound != 0:
                 raise BadParameter("a truncated sequence must declare its total mass")
-            object.__setattr__(self, "total_mass", self.boxed_mass)
+            total_mass = Fraction(sum(ints), unit)
+        self.__dict__.update(unit=unit, ints=tuple(ints), tail_bound=tail_bound,
+                             total_mass=total_mass, exact=exact, poles=poles)
+
+    @functools.cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.unit) for c in self.ints)
+
+    def _key(self) -> tuple:
+        return self.unit, self.ints, self.tail_bound, self.total_mass, self.exact, self.poles
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        names = ("coeffs", "tail_bound", "total_mass", "exact", "poles")
+        text = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{self.__class__.__qualname__}({text})"
 
     @property
     def boxed_mass(self) -> Fraction:
-        return sum(self.coeffs, Fraction(0))
+        return Fraction(sum(self.ints), self.unit)
 
     @property
     def complete(self) -> bool:
@@ -100,30 +140,32 @@ class LatticeSeq:
 
     @property
     def last_index(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
 
 def as_lattice(mu: DiscreteMeasure) -> LatticeSeq:
     """View a measure supported on {0, 1, 2, ...} as a coefficient sequence.
 
     The sequence runs up to the largest atom, so a position above
-    MAX_CUTOFF raises BadParameter before the sequence is built."""
+    MAX_CUTOFF raises BadParameter before the sequence is built.  Its row is
+    the weights scaled by their least common denominator."""
     for x, _ in mu.atoms:
         if x < 0 or x.denominator != 1:
             raise NotLattice(f"atom position {format_rational(x)} is not a non-negative integer")
     top = int(mu.atoms[-1][0]) if mu.atoms else -1  # positions ascend
     if top > MAX_CUTOFF:
         raise BadParameter(f"atom position {top} exceeds MAX_CUTOFF = {MAX_CUTOFF}")
-    coeffs = [Fraction(0)] * (top + 1)
-    for x, w in mu.atoms:
-        coeffs[int(x)] = w
-    return LatticeSeq(tuple(coeffs))
+    unit, weights = _scaled_ints([w for _, w in mu.atoms])
+    ints = [0] * (top + 1)
+    for (x, _), w in zip(mu.atoms, weights):
+        ints[int(x)] = w
+    return LatticeSeq._of_ints(unit, ints)
 
 
 def lattice_to_measure(seq: LatticeSeq) -> DiscreteMeasure:
     """The measure carried by the stored coefficients (the box part only)."""
     return DiscreteMeasure(
-        tuple((Fraction(k), c) for k, c in enumerate(seq.coeffs) if c != 0)
+        tuple((Fraction(k), Fraction(c, seq.unit)) for k, c in enumerate(seq.ints) if c)
     )
 
 
@@ -158,6 +200,14 @@ def genfun_square_coeffs(a: LatticeSeq, b: LatticeSeq) -> list[Fraction]:
     products), with none (Den = 1, the plain square) otherwise.  The kernel
     refuses, complete pairs included, a square past MAX_SQUARE_WORK.
     """
+    out, unit, s = _square(a, b)
+    units = itertools.accumulate(itertools.repeat(s), mul, initial=unit)  # unit s^k
+    return [Fraction(e, u) for e, u in zip(out, units)]
+
+
+def _square(a: LatticeSeq, b: LatticeSeq) -> tuple[list[int], int, int]:
+    """(out, unit, s): coefficient k of genfun_square_coeffs(a, b) is
+    out[k] / (unit s^k), computed on the int rows of a and b."""
     if a.total_mass != b.total_mass:
         raise MassMismatch(
             f"total masses differ: {format_rational(a.total_mass)}"
@@ -171,28 +221,30 @@ def genfun_square_coeffs(a: LatticeSeq, b: LatticeSeq) -> list[Fraction]:
     poles = a.poles + b.poles if a.poles and b.poles else ()
     if a.complete and b.complete:
         # (G - F) vanishes from the common support end by mass equality
-        length = max(len(a.coeffs), len(b.coeffs)) - 1
+        length = max(len(a.ints), len(b.ints)) - 1
         size = max(2 * length - 1, 0)
     else:
         length = size = min(a.last_index, b.last_index) + 1
     if sum(m for _, m in poles) >= length:
         poles = ()
-    return _rational_square(a.coeffs[:length], b.coeffs[:length], poles, size)
+    return _rational_square((a.unit, a.ints[:length]), (b.unit, b.ints[:length]), poles, size)
 
 
 def _rational_square(
-    a: Sequence[Fraction], b: Sequence[Fraction], poles: Sequence[tuple[Fraction, int]], size: int
-) -> list[Fraction]:
-    """The first ``size`` coefficients of D(z)^2, D = sum d_i z^i the CDF
-    difference d_i = sum_{k <= i} (b_k - a_k) of the rows a and b, where
-    Den * D = N for Den = prod (1 - x z)^m over ``poles`` and deg N < r = sum m < len(d).
+    a: tuple[int, Sequence[int]], b: tuple[int, Sequence[int]],
+    poles: Sequence[tuple[Fraction, int]], size: int,
+) -> tuple[list[int], int, int]:
+    """(E, unit, s) with E_k / (unit s^k) the first ``size`` coefficients of
+    D(z)^2, D = sum d_i z^i the CDF difference d_i = sum_{k <= i} (b_k - a_k)
+    of the rows a and b, each a (unit, ints) pair, where Den * D = N for
+    Den = prod (1 - x z)^m over ``poles`` and deg N < r = sum m < len(d).
 
     Den * D^2 = N * D, so with P the first ``size`` coefficients of N * d,
     E_k = P_k - sum_{j=1}^{min(k, r)} Den_j E_{k-j}: O(size r) products;
     with no poles Den = 1, N = d and E = P is the plain square.  With
     z = s w, s the lcm of the pole denominators, Den_j s^j is an int; a and
-    b (times s^k when s != 1) share one common denominator, so d_i s^i is
-    summed and multiplied on ints and E_k is one Fraction over scale^2 * s^k.
+    b (times s^k when s != 1) share one least common denominator, scale, so
+    d_i s^i is summed and multiplied on ints and unit = scale^2.
     Before the first product, max(size * len(d), 64) * bits^2, bits the
     widest int of the scaled row, is checked against MAX_SQUARE_WORK, poles
     or not.
@@ -205,8 +257,8 @@ def _rational_square(
         for _ in range(m):
             den = [u - c * v for u, v in zip(den + [0], [0] + den)]
     r = len(den) - 1
-    scale, ints = _scaled_ints([*b, *a]) if s == 1 else _power_scaled_ints((b, a), s)
-    steps = itertools.zip_longest(ints[: len(b)], ints[len(b) :], fillvalue=0)
+    scale, ints = _scaled_rows((b, a), s)
+    steps = itertools.zip_longest(ints[: len(b[1])], ints[len(b[1]) :], fillvalue=0)
     ts = list(itertools.accumulate((bk - ak for bk, ak in steps), lambda t, step: s * t + step))
     _check_square(size * len(ts), ts)
     q = ts  # N
@@ -217,22 +269,24 @@ def _rational_square(
     out = _int_product(q, ts, size)
     for k in range(1, len(out) if r else 0):
         out[k] -= sum(map(mul, den[1 : k + 1], reversed(out[max(k - r, 0) : k])))
-    units = itertools.accumulate(itertools.repeat(s), mul, initial=scale * scale)  # scale^2 s^k
-    return [Fraction(e, unit) for e, unit in zip(out, units)]
+    return out, scale * scale, s
 
 
-def _power_scaled_ints(rows: Sequence[Sequence[Fraction]], s: int) -> tuple[int, list[int]]:
-    """(scale, ints): scale the least common denominator of c s^k over the
-    entries c at index k of every row, and ints each c s^k scale, row after
-    row.  On ints: one division per entry shows whether scale already
-    covers it, and only an entry that grows scale costs a gcd."""
-    powers = list(itertools.accumulate(itertools.repeat(s, max(map(len, rows))), mul, initial=1))
-    pairs = [pair for row in rows for pair in zip(row, powers)]
-    scale = 1
-    for c, p in pairs:
-        if p * scale % c.denominator:
-            scale = lcm(scale, c.denominator // gcd(c.denominator, p))
-    return scale, [c.numerator * (p * scale // c.denominator) for c, p in pairs]
+def _scaled_rows(rows: Sequence[tuple[int, Sequence[int]]], s: int = 1) -> tuple[int, list[int]]:
+    """(scale, ints) for rows of (unit, ints) pairs: scale the least common
+    denominator of c s^k / unit over the entries c at index k of every row,
+    and ints each of them in units of 1/scale, row after row.  A row's own
+    least common denominator is unit / gcd(unit, every c s^k): one gcd over
+    the row."""
+    top = max((len(ints) for _, ints in rows), default=0)
+    powers = list(itertools.accumulate(itertools.repeat(s, top), mul, initial=1))
+    scaled = []
+    for unit, ints in rows:
+        row = list(map(mul, ints, powers)) if s != 1 else ints
+        common = gcd(unit, *row)
+        scaled.append((unit // common, common, row))
+    scale = lcm(*(own for own, _, _ in scaled))
+    return scale, [c // common * (scale // own) for own, common, row in scaled for c in row]
 
 
 def genfun_test(
@@ -244,7 +298,9 @@ def genfun_test(
     be refuted (any negative coefficient in the sound prefix is a true
     coefficient of the full family); a clean prefix stays inconclusive, and
     lower-bound families (Poisson) are inconclusive outright.  A caller that
-    already holds ``genfun_square_coeffs(a, b)`` passes it as ``coeffs``.
+    already holds ``genfun_square_coeffs(a, b)`` passes it as ``coeffs``;
+    otherwise the signs are read on the square's ints and only a witness
+    becomes a Fraction.
     Unequal total masses m1 != m2 fail outright with the mass gap
     -(m1 - m2)^2/2 of the constant test functions, as in rasa_criterion.
     """
@@ -253,10 +309,14 @@ def genfun_test(
     if not (a.exact and b.exact):
         return OrderVerdict(None)
     if coeffs is None:
-        coeffs = genfun_square_coeffs(a, b)
-    for k, c in enumerate(coeffs):
-        if c < 0:
-            return OrderVerdict(False, Witness("coefficient", k, c))
+        out, unit, s = _square(a, b)
+        k = next((k for k, e in enumerate(out) if e < 0), None)
+        gap = None if k is None else Fraction(out[k], unit * s**k)
+    else:
+        k = next((k for k, c in enumerate(coeffs) if c < 0), None)
+        gap = None if k is None else coeffs[k]
+    if k is not None:
+        return OrderVerdict(False, Witness("coefficient", k, gap))
     if a.complete and b.complete:
         return OrderVerdict(True)
     return OrderVerdict(None)
@@ -270,43 +330,49 @@ def truncate_negbinomial(n: int, x, eps=DEFAULT_EPS) -> LatticeSeq:
     drops below 1 the tail is dominated by the geometric series
     w_{K+1} / (1 - r); K doubles until that certificate is below eps, and
     a K above MAX_CUTOFF or past MAX_WEIGHT_BITS raises BadParameter before
-    its weights are built, as does an index n above MAX_NEGBIN_INDEX.
+    its weights are built, as does an index n above MAX_NEGBIN_INDEX.  For
+    x = p/q the weights are built on ints, w_k q^(n+1+k) = C(n+k, k)
+    (q-p)^(n+1) p^k by the exact recurrence times p (n+k+1) / (k+1), and
+    stored over the unit q^(n+1+K).
     """
     x, eps = as_rational(x), as_rational(eps)
     if not isinstance(n, int) or n < 0:
         raise BadParameter(f"negative binomial index must be an integer >= 0, got {n!r}")
     if not 0 < x < 1:
-        raise BadParameter(f"negative binomial parameter x={format_rational(x)} must lie in (0, 1)")
+        raise BadParameter(f"negative binomial parameter x={_brief(x)} must lie in (0, 1)")
     if eps <= 0:
         raise BadParameter(f"eps={format_rational(eps)} must be positive")
     if n > MAX_NEGBIN_INDEX:
         raise BadParameter(
             f"negative binomial index {n} exceeds MAX_NEGBIN_INDEX = {MAX_NEGBIN_INDEX}"
         )
-    weights = []
+    p, q = x.numerator, x.denominator
+    terms = []  # terms[k] = w_k q^(n+1+k)
 
     def extend(upto: int):
-        while len(weights) <= upto:
-            k = len(weights) - 1
-            weights.append(weights[-1] * x * (n + k + 1) / (k + 1) if weights
-                           else (1 - x) ** (n + 1))
+        while len(terms) <= upto:
+            k = len(terms) - 1
+            terms.append(terms[-1] * p * (n + k + 1) // (k + 1) if terms else (q - p) ** (n + 1))
 
-    family, cutoff = f"negbinomial:{n},{format_rational(x)}", 1
+    family, cutoff = f"negbinomial:{n},{_brief(x)}", 1
     while True:
-        _check_cutoff(cutoff, family, eps, (n + cutoff + 2) * x.denominator.bit_length(),
+        _check_cutoff(cutoff, family, eps, (n + cutoff + 2) * q.bit_length(),
                       "(n + K + 2) x bits(q)")
-        extend(cutoff + 1)
+        extend(cutoff)
         ratio = x * Fraction(n + cutoff + 2, cutoff + 2)
         if ratio < 1:
-            certificate = weights[cutoff + 1] / (1 - ratio)
+            # w_(K+1) from its factors: Fraction(t, q^(n+2+K)) would reduce
+            # two wide ints against each other
+            weight = (1 - x) ** (n + 1) * x ** (cutoff + 1) * comb(n + cutoff + 1, cutoff + 1)
+            certificate = weight / (1 - ratio)
             if certificate < eps:
-                return LatticeSeq(
-                    tuple(weights[: cutoff + 1]),
-                    tail_bound=certificate,
-                    total_mass=Fraction(1),
-                    exact=True,
-                    poles=((x, n + 1),),
-                )
+                powers = itertools.accumulate(itertools.repeat(q, cutoff), mul, initial=1)
+                ints = list(map(mul, terms[cutoff::-1], powers))[::-1]  # w_k q^(n+1+K)
+                # p and q - p are prime to q, so the gcd of the row divides
+                # that of q^(n+1+K) and C(n+K, K): no gcd of two wide ints
+                unit = q ** (n + 1 + cutoff)
+                unit, ints = _lowest(unit, ints, gcd(unit, comb(n + cutoff, cutoff)))
+                return LatticeSeq._of_ints(unit, ints, certificate, Fraction(1), True, ((x, n + 1),))
         cutoff *= 2
 
 
@@ -323,47 +389,68 @@ def truncate_poisson(lam, eps=DEFAULT_EPS) -> LatticeSeq:
     the total rounding slack both go into tail_bound, so the sequence is a
     certified under-approximation of the Poisson family.  The cutoff K
     starts at the first power of two >= 2 lam, so every term ratio past K is
-    <= 1/2, and doubles until the tail is below eps; the terms lam^k/k! are
-    extended in place, and a K above MAX_CUTOFF or past MAX_WEIGHT_BITS
-    raises BadParameter before its terms are built.  A lam above
-    MAX_POISSON_RATE is refused right after the first cutoff check, before
-    any term.
+    <= 1/2, and doubles until the tail is below eps; a K above MAX_CUTOFF or
+    past MAX_WEIGHT_BITS raises BadParameter before its terms are built.  A
+    lam above MAX_POISSON_RATE is refused right after the first cutoff
+    check, before any term.
+
+    At each cutoff the terms t_k, k <= K + 1, are ints in one unit
+    (``_poisson_terms``); with B = t_0 + ... + t_K and T = t_{K+1},
+    U = B + 2T, the coefficients are t_k / U and the tail bound is
+    T (K + 2) q / (B ((K + 2) q - p)) + 2T / U for lam = p/q.
     """
     lam, eps = as_rational(lam), as_rational(eps)
     if lam <= 0:
-        raise BadParameter(f"Poisson parameter {format_rational(lam)} must be positive")
+        raise BadParameter(f"Poisson parameter {_brief(lam)} must be positive")
     if eps <= 0:
         raise BadParameter(f"eps={format_rational(eps)} must be positive")
-    family = f"poisson:{format_rational(lam)}"
-    width = lam.numerator.bit_length() + lam.denominator.bit_length()
+    family = f"poisson:{_brief(lam)}"
+    p, q = lam.numerator, lam.denominator
+    width = p.bit_length() + q.bit_length()
     cutoff = 1
     while cutoff < 2 * lam:
         cutoff *= 2
     _check_cutoff(cutoff, family, eps, (cutoff + 2) * width, _POISSON_WEIGHT_BITS)
     if lam > MAX_POISSON_RATE:
         raise BadParameter(
-            f"Poisson parameter {format_rational(lam)} exceeds MAX_POISSON_RATE = {MAX_POISSON_RATE}"
+            f"Poisson parameter {_brief(lam)} exceeds MAX_POISSON_RATE = {MAX_POISSON_RATE}"
         )
-    core = [Fraction(1)]  # lam^k / k!
-    boxed, summed = Fraction(0), 0  # boxed = sum(core[:summed])
     while True:
-        while len(core) < cutoff + 2:
-            core.append(core[-1] * lam / len(core))
-        boxed += sum(core[summed : cutoff + 1], Fraction(0))
-        summed = cutoff + 1
-        lower_factor = 1 / (boxed + 2 * core[cutoff + 1])  # <= e^(-lam)
-        upper_factor = 1 / boxed  # >= e^(-lam)
-        core_tail = core[cutoff + 1] / (1 - lam / (cutoff + 2))
-        tail = upper_factor * core_tail + (upper_factor - lower_factor) * boxed
+        terms = _poisson_terms(p, q, cutoff + 1)
+        last = terms.pop()
+        boxed = sum(terms)
+        ratio = (cutoff + 2) * q  # 1 / (1 - lam / (K + 2)) = ratio / (ratio - p)
+        tail = Fraction(last * ratio, boxed * (ratio - p)) + Fraction(2 * last, boxed + 2 * last)
         if tail < eps:
-            return LatticeSeq(
-                tuple(lower_factor * c for c in core[: cutoff + 1]),
-                tail_bound=tail,
-                total_mass=Fraction(1),
-                exact=False,
-            )
+            # the gcd of the row divides gcd(t_0, t_K) = q (K + 1) gcd(K!, p^K)
+            unit = boxed + 2 * last
+            bound = gcd(unit, q * (cutoff + 1) * gcd(factorial(cutoff), p**cutoff))
+            unit, ints = _lowest(unit, terms, bound)
+            return LatticeSeq._of_ints(unit, ints, tail, Fraction(1), False)
         cutoff *= 2
         _check_cutoff(cutoff, family, eps, (cutoff + 2) * width, _POISSON_WEIGHT_BITS)
+
+
+def _poisson_terms(p: int, q: int, top: int) -> list[int]:
+    """lam^k / k! for k = 0..top, lam = p/q, in units of 1 / (q^top top!):
+    the ints t_k = p^k q^(top - k) top! / k!, by the exact recurrence
+    t_(k+1) = t_k p / (q (k + 1)), one short product and division each."""
+    terms = [q**top * factorial(top)]
+    for k in range(top):
+        terms.append(terms[-1] * p // (q * (k + 1)))
+    return terms
+
+
+def _lowest(unit: int, ints: list[int], bound: int) -> tuple[int, list[int]]:
+    """ints / unit over their least common denominator: both divided by
+    their gcd, found as gcd(bound, *ints) for a divisor ``bound`` of unit
+    that the gcd divides.  A short bound keeps each gcd step one division
+    of a wide int by a short one; gcd(unit, ...) would start on two wide
+    ints."""
+    common = gcd(bound, *ints)
+    if common == 1:
+        return unit, ints
+    return unit // common, [c // common for c in ints]
 
 
 def _check_cutoff(cutoff: int, family: str, eps: Fraction, bits: int, formula: str):
@@ -375,6 +462,19 @@ def _check_cutoff(cutoff: int, family: str, eps: Fraction, bits: int, formula: s
     if bits > MAX_WEIGHT_BITS:
         raise BadParameter(f"{family} at cutoff {cutoff} needs weights of {bits} bits,"
                            f" above MAX_WEIGHT_BITS = {MAX_WEIGHT_BITS} ({formula})")
+
+
+def _brief(value: Fraction) -> str:
+    """format_rational(value), or, when that text is longer than 60
+    characters, its digit counts ("<4001/4001-digit fraction>", "-<4301-digit
+    integer>"), so that a refusal that names a parameter stays one short
+    line."""
+    text = format_rational(value)
+    if len(text) <= 60:
+        return text
+    sign, digits = ("-", text[1:]) if value < 0 else ("", text)
+    kind = "fraction" if "/" in digits else "integer"
+    return f"{sign}<{'/'.join(str(len(part)) for part in digits.split('/'))}-digit {kind}>"
 
 
 def _check_square(products: int, ints: Sequence[int]):

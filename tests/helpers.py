@@ -3,6 +3,7 @@
 import argparse
 import itertools
 import math
+import operator
 import os
 import random
 from fractions import Fraction
@@ -160,6 +161,58 @@ def power_scaled_ints_oracle(rows, s) -> tuple[int, list[int]]:
     scaled = [c * s**k for row in rows for k, c in enumerate(row)]
     scale = math.lcm(*(c.denominator for c in scaled))
     return scale, [c.numerator * (scale // c.denominator) for c in scaled]
+
+
+def truncate_negbinomial_oracle(n: int, x: Fraction, eps: Fraction) -> tuple:
+    """The former Fraction loop of lattice.truncate_negbinomial, kept as its
+    oracle (no budgets): (coeffs, tail_bound) of the doubling search, each
+    weight the previous one times x (n + k + 1) / (k + 1) as a Fraction."""
+    weights = [(1 - x) ** (n + 1)]
+    cutoff = 1
+    while True:
+        while len(weights) <= cutoff + 1:
+            k = len(weights) - 1
+            weights.append(weights[-1] * x * (n + k + 1) / (k + 1))
+        ratio = x * Fraction(n + cutoff + 2, cutoff + 2)
+        if ratio < 1:
+            certificate = weights[cutoff + 1] / (1 - ratio)
+            if certificate < eps:
+                return tuple(weights[: cutoff + 1]), certificate
+        cutoff *= 2
+
+
+def truncate_poisson_oracle(lam: Fraction, eps: Fraction) -> tuple:
+    """The former Fraction loop of lattice.truncate_poisson, kept as its
+    oracle (no budgets): (coeffs, tail_bound), the terms lam^k / k! as
+    Fractions, the bounds 1 / (boxed + 2 t_(K+1)) <= e^(-lam) <= 1 / boxed
+    and the tail from both."""
+    core = [Fraction(1)]
+    cutoff = 1
+    while cutoff < 2 * lam:
+        cutoff *= 2
+    while True:
+        while len(core) < cutoff + 2:
+            core.append(core[-1] * lam / len(core))
+        boxed = sum(core[: cutoff + 1], Fraction(0))
+        lower_factor = 1 / (boxed + 2 * core[cutoff + 1])
+        upper_factor = 1 / boxed
+        core_tail = core[cutoff + 1] / (1 - lam / (cutoff + 2))
+        tail = upper_factor * core_tail + (upper_factor - lower_factor) * boxed
+        if tail < eps:
+            return tuple(lower_factor * c for c in core[: cutoff + 1]), tail
+        cutoff *= 2
+
+
+def phi_form_oracle(u, v, phis) -> Fraction:
+    """The former bernstein._phi_form, kept as the oracle of its self form:
+    every Hankel row (v against phis shifted by i) summed on ints, then
+    weighted by u_i, L^2 products for rows of length L."""
+    scaled = [(math.lcm(*(c.denominator for c in row)), row) for row in (u, v, phis)]
+    (u_scale, us), (v_scale, vs), (phi_scale, ps) = [
+        (scale, [c.numerator * (scale // c.denominator) for c in row]) for scale, row in scaled
+    ]
+    total = sum(a * sum(map(operator.mul, vs, ps[i:])) for i, a in enumerate(us) if a)
+    return Fraction(total, u_scale * v_scale * phi_scale)
 
 
 def leq_st_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:

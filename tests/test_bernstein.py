@@ -209,6 +209,34 @@ def test_phi_form_matches_the_squared_difference_oracle(u, v, phi, shift):
     assert bernstein._phi_form(u, v, phis) == literal_phi_form(u, v, phis)
 
 
+# signed rows with denominators up to 2^80, as wide as the p4 box rows get
+wide_signed_rows = st.lists(
+    st.one_of(st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=2**80)),
+    min_size=1, max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=wide_signed_rows,
+    phis=st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=2**40), min_size=23, max_size=23),
+)
+@example(d=[Fraction(0)], phis=[Fraction(1)] * 23)
+@example(d=[H, Fraction(0), -H], phis=[Fraction(s, 3) for s in range(23)])
+def test_phi_form_self_form_matches_the_hankel_row_oracle(d, phis):
+    # the self form sums i <= j only; a copy of d (equal, not the same
+    # object) takes it too, and rows that scale to equal ints over different
+    # units must not be mistaken for a self form
+    phis = phis[: 2 * len(d) - 1]
+    expected = helpers.phi_form_oracle(d, d, phis)
+    assert bernstein._phi_form(d, d, phis) == expected
+    assert bernstein._phi_form(d, list(d), phis) == expected
+    halves = [c / 2 for c in d]
+    assert bernstein._phi_form(d, halves, phis) == helpers.phi_form_oracle(d, halves, phis)
+    # [1/2] and [1/4] both scale to [1]: the sum is still symmetric
+    assert bernstein._phi_form([H], [Fraction(1, 4)], [Fraction(3)]) == Fraction(3, 8)
+
+
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 6), x=eighths, y=eighths, phi=hinge_quads)
 @example(n=3, x=Fraction(0), y=Fraction(1), phi=hinge_fn(H))

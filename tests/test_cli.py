@@ -975,6 +975,20 @@ def test_wide_poisson_parameter_exits_2_fast():
                          " ((K + 2) x (bits(p) + bits(q)))\n")
 
 
+@pytest.mark.parametrize("family, expected", [
+    (f"poisson:{10**4000 + 1}/{10**4000}", "poisson:<4001/4001-digit fraction> at cutoff 8 needs weights"),
+    ("negbinomial:100,1e-4300", "negbinomial:100,<1/4301-digit fraction> at cutoff 1 needs weights"),
+    (f"negbinomial:1,{10**61}/{10**61 + 1}", "negbinomial:1,<62/62-digit fraction> at cutoff 2048 needs"),
+    (f"poisson:{10**59}", f"poisson:{10**59} at eps="),  # 60 characters: written out
+    (f"poisson:{10**60}", "poisson:<61-digit integer> at eps="),
+], ids=["wide-poisson", "wide-negbinomial", "two-62-digit-parts", "60-characters", "61-characters"])
+def test_refused_truncations_name_long_parameters_by_their_digits(family, expected):
+    # a refused family once echoed all 8,001 digits of its parameter
+    code, text = run(["genfun", "check", "--family", family])
+    assert code == 2 and text.count("\n") == 1 and len(text.encode()) < 300
+    assert text.startswith(f"error: BadParameter: {expected}")
+
+
 _RASA_PHI = ["bernstein", "rasa", "--n", "2", "--x", "1/4", "--y", "3/4", "--phi"]
 _SUPERMOD_G = ["bernstein", "supermod", "--step", "1/2", "--g"]
 _POLY_EXPR = ["poly", "eval", "--measure", "binomial:1,1/2", "--measure", "binomial:1,1/2", "--expr"]

@@ -1,6 +1,7 @@
 """Generating-function tests and certified truncations."""
 
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import helpers
 from cxorder import lattice
+from cxorder.measures import _scaled_ints
 from cxorder import (
     BadParameter,
     Inconclusive,
@@ -273,14 +275,17 @@ def test_square_takes_the_recurrence_exactly_when_its_order_fits(monkeypatch):
 @given(
     st.lists(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=2**12), max_size=12),
              min_size=1, max_size=3),
-    st.sampled_from([2, 3, 6, 16, 32, 35, 4096, 3**9]),
+    st.sampled_from([1, 2, 3, 6, 16, 32, 35, 4096, 3**9]),
 )
 @example([[Fraction(1, 2**20), Fraction(3, 2**21), Fraction(1, 3)]], 2)
 @example([[], [Fraction(5, 7)]], 6)
+@example([[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(0)]], 1)  # a row of zeros
 def test_power_scaled_ints_match_the_fraction_route(rows, s):
     # one least common denominator for every c s^k, so the squared row, its
-    # width under MAX_SQUARE_WORK and every output stay as before
-    assert lattice._power_scaled_ints(rows, s) == helpers.power_scaled_ints_oracle(rows, s)
+    # width under MAX_SQUARE_WORK and every output stay as before; the
+    # kernel reads each row as the (unit, ints) pair a LatticeSeq stores
+    int_rows = [(unit * 5, [c * 5 for c in ints]) for unit, ints in map(_scaled_ints, rows)]
+    assert lattice._scaled_rows(int_rows, s) == helpers.power_scaled_ints_oracle(rows, s)
 
 
 @pytest.mark.parametrize("poles", [((Fraction(1, 2), 2),), ((Fraction(1, 3), 1),)])
@@ -292,6 +297,99 @@ def test_square_refuses_poles_that_do_not_fit_the_coefficients(poles):
     wrong = LatticeSeq(a.coeffs, a.tail_bound, a.total_mass, poles=poles)
     with pytest.raises(BadParameter, match="^the poles of a truncated pair do not match its coefficients$"):
         genfun_square_coeffs(wrong, b)
+
+
+# -- int rows against the former Fraction loops ---------------------------------
+
+# x = floor(q t / 1000) / q <= 3/4, denominators up to 2^120
+_wide_x = st.builds(
+    lambda q, t: Fraction(max(q * t // 1000, 1), q), st.integers(2, 2**120), st.integers(1, 750)
+)
+# lam = floor(q t / 100) / q <= 8, and 1 + 1/10^k
+_wide_lam = st.one_of(
+    st.builds(
+        lambda q, t: Fraction(max(q * t // 100, 1), q), st.integers(1, 2**80), st.integers(1, 800)
+    ),
+    st.integers(1, 30).map(lambda k: Fraction(10**k + 1, 10**k)),
+)
+
+
+def _assert_lowest_row(seq, coeffs):
+    # the stored row is the masses over their least common denominator
+    assert seq.unit == math.lcm(*(c.denominator for c in coeffs))
+    assert [Fraction(c, seq.unit) for c in seq.ints] == list(coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 6), st.one_of(st.sampled_from(_NEGBIN_PARAMETERS), _wide_x), st.integers(4, 24)
+)
+@example(0, Fraction(1, 3), 20)  # n = 0: the geometric law
+@example(0, Fraction(3, 2**100), 8)
+@example(5, Fraction(1, 10**30), 24)  # stops at K = 1
+@example(2, Fraction(3, 4), 24)
+def test_negbinomial_int_row_matches_the_fraction_loop(n, x, bits):
+    eps = Fraction(1, 2**bits)
+    seq = truncate_negbinomial(n, x, eps)
+    assert "coeffs" not in vars(seq)  # no Fraction row until one is read
+    coeffs, tail = helpers.truncate_negbinomial_oracle(n, x, eps)
+    _assert_lowest_row(seq, coeffs)
+    assert (seq.coeffs, seq.tail_bound, seq.boxed_mass) == (coeffs, tail, sum(coeffs))
+    assert (seq.total_mass, seq.exact, seq.poles) == (1, True, ((x, n + 1),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.sampled_from([Fraction(k, 2) for k in range(1, 10)]), _wide_lam),
+    st.integers(4, 24),
+)
+@example(Fraction(1, 2**200), 24)  # stops at K = 1 on 200-bit terms
+@example(Fraction(10**30 + 1, 10**30), 24)
+@example(Fraction(8), 4)
+def test_poisson_int_row_matches_the_fraction_loop(lam, bits):
+    eps = Fraction(1, 2**bits)
+    seq = truncate_poisson(lam, eps)
+    assert "coeffs" not in vars(seq)
+    coeffs, tail = helpers.truncate_poisson_oracle(lam, eps)
+    _assert_lowest_row(seq, coeffs)
+    assert (seq.coeffs, seq.tail_bound, seq.boxed_mass) == (coeffs, tail, sum(coeffs))
+    assert (seq.total_mass, seq.exact, seq.poles) == (1, False, ())
+
+
+def _fraction_built(seq):
+    """The same sequence built by the public constructor from Fractions."""
+    coeffs = tuple(Fraction(c, seq.unit) for c in seq.ints)
+    return LatticeSeq(coeffs, seq.tail_bound, seq.total_mass, seq.exact, seq.poles)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.sampled_from(_NEGBIN_PARAMETERS), st.sampled_from(_NEGBIN_PARAMETERS),
+       st.lists(st.integers(0, 5), min_size=1, max_size=9).filter(any))
+def test_int_backed_sequences_compare_hash_and_print_as_fraction_built(n, x, lam, weights):
+    eps = Fraction(1, 2**12)
+    sequences = (truncate_negbinomial(n, x, eps), truncate_poisson(lam * 4, eps),
+                 _unit_mass(weights), as_lattice(make_measure([])))
+    for seq in sequences:
+        built = _fraction_built(seq)
+        assert seq == built and hash(seq) == hash(built)
+        assert (seq.unit, seq.ints) == (built.unit, built.ints)
+        assert repr(seq) == repr(built)
+        other = LatticeSeq(built.coeffs, seq.tail_bound + 1, seq.total_mass, seq.exact, seq.poles)
+        assert seq != other
+    # ints and Fractions of equal value store equal rows
+    assert LatticeSeq((1, 0, 1)) == LatticeSeq((Fraction(1), Fraction(0), Fraction(1)))
+    assert hash(LatticeSeq((1, 0, 1))) == hash(LatticeSeq((Fraction(1), Fraction(0), Fraction(1))))
+
+
+def test_genfun_check_builds_no_fraction_rows():
+    # the verdict, the boxed mass and the tail bound read the int rows
+    pair = [truncate_negbinomial(1, x) for x in (Fraction(13, 16), Fraction(27, 32))]
+    files = [_unit_mass([1, 0, 2]), _unit_mass([0, 3])]
+    for a, b in (pair, files):
+        genfun_test(a, b)
+        assert a.boxed_mass <= 1 and b.tail_bound >= 0 and a.last_index >= 0
+        assert "coeffs" not in vars(a) and "coeffs" not in vars(b)
+    assert genfun_test(*files) == genfun_test(*files, coeffs=genfun_square_coeffs(*files))
 
 
 # -- certified truncations -----------------------------------------------------
