@@ -754,7 +754,7 @@ _STR, _INT = ("str", _REQUIRED), ("int", _REQUIRED)
 _PAIR = {"--mu": _STR, "--nu": _STR}
 _PQ = {"--p": _STR, "--q": _STR}
 _SWEEP = {"--trials": ("int", 200), "--seed": ("int", 0)}
-_EPS = {"--eps": ("eps", None)}  # defaults to CXORDER_EPS, else see _eps
+_EPS = {"--eps": ("eps", None)}  # None: see _eps
 _GAV_MODES = ("P1", "P1p", "P3", "P3p")  # bernstein.GAV_MODES, without loading bernstein
 _GAV = {"--mode": (_GAV_MODES, _REQUIRED), "--g": _STR, "--ns": _STR}
 
@@ -806,8 +806,8 @@ class _Help(Exception):
 
 
 def _eps(args) -> Fraction:
-    """--eps, else CXORDER_EPS, else lattice.DEFAULT_EPS: only a command
-    that reads its eps loads lattice for it."""
+    """--eps, else lattice.DEFAULT_EPS: only a command that reads its eps
+    loads lattice for it."""
     from .lattice import DEFAULT_EPS
 
     return DEFAULT_EPS if args.eps is None else args.eps
@@ -858,18 +858,12 @@ def _value(name: str, kind, text: str):
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """Read argv against _COMMANDS in one pass, to the namespace and the usage
     error line (a ParseError) that argparse gave; -h/--help raises _Help with
-    the usage of its level.  A malformed CXORDER_EPS fails every command."""
-    text = os.environ.get("CXORDER_EPS")
-    try:
-        eps = _fraction(text, None) if text else None  # the default of --eps
-    except ParseError as exc:
-        raise ParseError(f"CXORDER_EPS={text!r} is not a fraction: {exc.__cause__}") from exc
+    the usage of its level.  It reads argv alone."""
     args, path, extras, i = SimpleNamespace(), [], [], 0
     while True:  # one level: cxorder, then its verb, then the verb's action
         positional, options, descends = _level(path)
-        for option, (kind, default) in options.items():
-            setattr(args, option[2:], eps if kind == "eps" else
-                    None if default is _REQUIRED else default)
+        for option, (_, default) in options.items():
+            setattr(args, option[2:], None if default is _REQUIRED else default)
         if positional:
             setattr(args, positional[0], None)
         # argparse reads every token of a level before it takes any

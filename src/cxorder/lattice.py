@@ -341,7 +341,7 @@ def truncate_negbinomial(n: int, x, eps=DEFAULT_EPS) -> LatticeSeq:
     if not 0 < x < 1:
         raise BadParameter(f"negative binomial parameter x={_brief(x)} must lie in (0, 1)")
     if eps <= 0:
-        raise BadParameter(f"eps={format_rational(eps)} must be positive")
+        raise BadParameter(f"eps={_brief(eps)} must be positive")
     if n > MAX_NEGBIN_INDEX:
         raise BadParameter(
             f"negative binomial index {n} exceeds MAX_NEGBIN_INDEX = {MAX_NEGBIN_INDEX}"
@@ -403,7 +403,7 @@ def truncate_poisson(lam, eps=DEFAULT_EPS) -> LatticeSeq:
     if lam <= 0:
         raise BadParameter(f"Poisson parameter {_brief(lam)} must be positive")
     if eps <= 0:
-        raise BadParameter(f"eps={format_rational(eps)} must be positive")
+        raise BadParameter(f"eps={_brief(eps)} must be positive")
     family = f"poisson:{_brief(lam)}"
     p, q = lam.numerator, lam.denominator
     width = p.bit_length() + q.bit_length()
@@ -456,7 +456,7 @@ def _lowest(unit: int, ints: list[int], bound: int) -> tuple[int, list[int]]:
 def _check_cutoff(cutoff: int, family: str, eps: Fraction, bits: int, formula: str):
     if cutoff > MAX_CUTOFF:
         raise BadParameter(
-            f"{family} at eps={format_rational(eps)} needs a truncation cutoff above"
+            f"{family} at eps={_brief(eps)} needs a truncation cutoff above"
             f" MAX_CUTOFF = {MAX_CUTOFF}"
         )
     if bits > MAX_WEIGHT_BITS:
@@ -467,8 +467,8 @@ def _check_cutoff(cutoff: int, family: str, eps: Fraction, bits: int, formula: s
 def _brief(value: Fraction) -> str:
     """format_rational(value), or, when that text is longer than 60
     characters, its digit counts ("<4001/4001-digit fraction>", "-<4301-digit
-    integer>"), so that a refusal that names a parameter stays one short
-    line."""
+    integer>"), so that a refusal that names a parameter or eps stays one
+    short line."""
     text = format_rational(value)
     if len(text) <= 60:
         return text

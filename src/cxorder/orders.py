@@ -53,9 +53,9 @@ _HALF = Fraction(1, 2)
 # pairs * max(bits, 512)^2 above MAX_CONVOLUTION_WORK is refused: 65,536
 # pairs of ints up to 512 bits pass, 1,024 of 4,096 bits (at the limit
 # `rasa check` takes about 0.5 s, `rasa gap` 1.1 s and `rasa direct` 3.1 s;
-# the README has the table).  leq_cx counts its n + m atoms instead of
-# pairs, each a few products and an lcm step on such ints, and checks its
-# common denominators while they grow.
+# the README has the table).  leq_st and leq_cx count their n + m atoms
+# instead of pairs, each a few products and an lcm step on such ints, and
+# check their common denominators while they grow.
 MAX_CONVOLUTION_WORK = 2**34
 
 
@@ -248,16 +248,22 @@ def leq_st(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     """Usual stochastic order: equal masses and F_mu >= F_nu everywhere.
 
     H = F_mu - F_nu is a step function that only moves at atom positions,
-    so its values on the steps of cdf_diff decide the comparison on all of
-    R.  The first step where H < 0 starts at the first atom position where
-    it does (a canonical step function breaks wherever its value changes).
+    so its values there decide the comparison on all of R, and the witness
+    is the first atom position where H < 0.
+
+    Runs on the ints of ``_net_ints``, under the same MAX_CONVOLUTION_WORK
+    count of n + m atoms as leq_cx: one sorted scan of the running level of
+    H, with Fractions built only for a witness.
     """
-    if mu.mass != nu.mass:
-        return OrderVerdict(False, Witness("mass", None, -abs(mu.mass - nu.mass)))
-    h = cdf_diff(mu, nu)
-    for x, gap in zip(h.breakpoints, h.values):
-        if gap < 0:
-            return OrderVerdict(False, Witness("cdf", x, gap))
+    scale, unit, net = _net_ints(mu, nu, len(mu.atoms) + len(nu.atoms), "stochastic-order")
+    mass = sum(net.values())
+    if mass:
+        return OrderVerdict(False, Witness("mass", None, Fraction(-abs(mass), unit)))
+    level = 0
+    for x in sorted(net):
+        level -= net[x]
+        if level < 0:
+            return OrderVerdict(False, Witness("cdf", Fraction(x, scale), Fraction(level, unit)))
     return OrderVerdict(True)
 
 
@@ -298,29 +304,36 @@ def leq_cx(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     (O(n log n) for n positions).  The witness is the first position where
     D < 0.
 
-    Runs on ints: the positions of both measures are scaled by one common
-    denominator and the weights by one unit, and the mass, mean and ramp
-    checks run in ``_cx_ints``, which builds Fractions only for a witness.
-    The n + m atoms times max(bits, 512)^2 of the widest int past
-    MAX_CONVOLUTION_WORK raise BadParameter; the common denominators are
-    checked while they grow, so wide coprime denominators are refused
-    before their full lcm.
+    Runs on the ints of ``_net_ints``: the mass, mean and ramp checks run
+    in ``_cx_ints``, which builds Fractions only for a witness.
     """
     return _leq_cx(mu, nu, len(mu.atoms) + len(nu.atoms))
 
 
 def _leq_cx(mu: DiscreteMeasure, nu: DiscreteMeasure, atoms: int) -> OrderVerdict:
     """leq_cx with ``atoms`` counted against MAX_CONVOLUTION_WORK."""
+    scale, unit, net = _net_ints(mu, nu, atoms, "convex-order")
+    witness = _cx_ints(net, scale, unit)
+    return OrderVerdict(True) if witness is None else OrderVerdict(False, witness)
+
+
+def _net_ints(mu: DiscreteMeasure, nu: DiscreteMeasure, atoms: int, test: str):
+    """(scale, unit, net) for the order tests: the positions of both
+    measures scaled by one common denominator and the weights by one unit,
+    net mapping each position of the union of supports, in units of
+    1/scale, to nu's weight less mu's, in units of 1/unit.  ``atoms`` times
+    max(bits, 512)^2 of the widest int past MAX_CONVOLUTION_WORK raise
+    BadParameter; the common denominators are checked while they grow, so
+    wide coprime denominators are refused before their full lcm."""
     n, m = len(mu.atoms), len(nu.atoms)
-    what = f"the convex-order test of {n} and {m} atoms"
+    what = f"the {test} test of {n} and {m} atoms"
     both = mu.atoms + nu.atoms
     scale, xs = _budgeted_ints([x for x, _ in both], atoms, what)
     unit, ws = _budgeted_ints([w for _, w in both], atoms, what)
     net = dict(zip(xs[n:], ws[n:]))
     for x, w in zip(xs[:n], ws[:n]):
         net[x] = net.get(x, 0) - w
-    witness = _cx_ints(net, scale, unit)
-    return OrderVerdict(True) if witness is None else OrderVerdict(False, witness)
+    return scale, unit, net
 
 
 def _cx_ints(net: dict[int, int], scale: int, unit: int) -> Witness | None:

@@ -4,7 +4,6 @@ import argparse
 import itertools
 import math
 import operator
-import os
 import random
 from fractions import Fraction
 
@@ -464,6 +463,17 @@ def wide_denominator_pair(n):
     return mu, nu
 
 
+def wide_weight_pair(n):
+    """n atoms of weight 1/(10^4000 + k) at 2k against the same weights at
+    2k + 1: equal masses, mu <=_st nu, and 2n weights whose 13,288-bit
+    denominators are pairwise coprime up to factors below n, so their lcm
+    gains about 13,288 bits with each new one."""
+    big = 10**4000
+    mu = make_measure([(2 * k, Fraction(1, big + k)) for k in range(n)])
+    nu = make_measure([(2 * k + 1, Fraction(1, big + k)) for k in range(n)])
+    return mu, nu
+
+
 def convolution_work_message(what, count, bits, work=2**34, noun="pairs"):
     """The one line with which an order-engine square, convolution or
     convex-order test past MAX_CONVOLUTION_WORK = work is refused: count
@@ -499,17 +509,6 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _default_eps() -> Fraction | None:
-    """CXORDER_EPS as a fraction, or None when it is unset."""
-    text = os.environ.get("CXORDER_EPS")
-    if not text:
-        return None
-    try:
-        return as_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"CXORDER_EPS={text!r} is not a fraction: {exc}") from exc
-
-
 def _rational_arg(text: str) -> Fraction:
     """argparse type of the --eps options: as_rational, its errors reported
     as bad values of the option."""
@@ -519,20 +518,18 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad fraction {text!r}: {exc}") from exc
 
 
-def _add_eps(parser: _Parser, eps: Fraction | None):
-    """--eps, defaulting to CXORDER_EPS or else lattice.DEFAULT_EPS."""
-    if eps is None:
-        eps = DEFAULT_EPS
-    parser.add_argument("--eps", type=_rational_arg, default=eps)
+def _add_eps(parser: _Parser):
+    """--eps, defaulting to lattice.DEFAULT_EPS."""
+    parser.add_argument("--eps", type=_rational_arg, default=DEFAULT_EPS)
 
 
-def _order_args(order: _Parser, eps):
+def _order_args(order: _Parser):
     order.add_argument("relation", choices=["st", "cx"])
     order.add_argument("--mu", required=True)
     order.add_argument("--nu", required=True)
 
 
-def _rasa_args(rasa: _Parser, eps):
+def _rasa_args(rasa: _Parser):
     rasa_actions = rasa.add_subparsers(dest="action", required=True)
     for name in ("check", "direct"):
         sub = rasa_actions.add_parser(name)
@@ -547,21 +544,21 @@ def _rasa_args(rasa: _Parser, eps):
     equiv.add_argument("--seed", type=int, default=0)
 
 
-def _genfun_args(genfun: _Parser, eps):
+def _genfun_args(genfun: _Parser):
     genfun_actions = genfun.add_subparsers(dest="action", required=True)
     check = genfun_actions.add_parser("check")
     check.add_argument("--mu")
     check.add_argument("--nu")
     check.add_argument("--family", action="append",
                        help="negbinomial:n,x or poisson:lambda (repeatable)")
-    _add_eps(check, eps)
+    _add_eps(check)
     check.add_argument("--csv", action="store_true")
     gequiv = genfun_actions.add_parser("equivalence")
     gequiv.add_argument("--trials", type=int, default=200)
     gequiv.add_argument("--seed", type=int, default=0)
 
 
-def _major_args(major: _Parser, eps):
+def _major_args(major: _Parser):
     major_actions = major.add_subparsers(dest="action", required=True)
     for name in ("compare", "chain"):
         sub = major_actions.add_parser(name)
@@ -569,7 +566,7 @@ def _major_args(major: _Parser, eps):
         sub.add_argument("--q", required=True)
 
 
-def _poly_args(poly: _Parser, eps):
+def _poly_args(poly: _Parser):
     poly_actions = poly.add_subparsers(dest="action", required=True)
     w = poly_actions.add_parser("w")
     w.add_argument("--p", required=True)
@@ -585,7 +582,7 @@ def _poly_args(poly: _Parser, eps):
     muir.add_argument("--measure", action="append", required=True)
 
 
-def _bernstein_args(bern: _Parser, eps):
+def _bernstein_args(bern: _Parser):
     bern_actions = bern.add_subparsers(dest="action", required=True)
     brasa = bern_actions.add_parser("rasa")
     brasa.add_argument("--n", type=int, required=True)
@@ -622,12 +619,12 @@ def _bernstein_args(bern: _Parser, eps):
     p4.add_argument("--x", required=True)
     p4.add_argument("--y", required=True)
     p4.add_argument("--phi", required=True)
-    _add_eps(p4, eps)
+    _add_eps(p4)
 
 
-def _reproduce_args(repro: _Parser, eps):
+def _reproduce_args(repro: _Parser):
     repro.add_argument("case", choices=list(_REPRODUCTIONS))
-    _add_eps(repro, eps)
+    _add_eps(repro)
 
 
 # verb -> (help, the arguments of its parser)
@@ -644,14 +641,12 @@ _VERBS = {
 
 def build_argparse_parser() -> _Parser:
     """The former cxorder parser.  A verb's arguments are added when that
-    verb is parsed; CXORDER_EPS, when set, is the default of the --eps
-    options."""
-    eps = _default_eps()
+    verb is parsed."""
     parser = _Parser(prog="cxorder", formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--decimal", type=int, default=None, metavar="K",
                         help="append a K-digit decimal rendering to every fraction")
     verbs = parser.add_subparsers(dest="verb", required=True)
     for name, (help_text, add_arguments) in _VERBS.items():
         verbs.add_parser(name, help=help_text,
-                         populate=lambda verb, add=add_arguments: add(verb, eps))
+                         populate=lambda verb, add=add_arguments: add(verb))
     return parser

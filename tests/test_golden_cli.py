@@ -164,8 +164,7 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name, monkeypatch):
-    monkeypatch.delenv("CXORDER_EPS", raising=False)
+def test_cli_output_matches_golden(name):
     code, text = run(CASES[name])
     expected = (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
     assert f"exit {code}\n{text}" == expected

@@ -6,6 +6,7 @@ counts modules rather than timing them, so it is deterministic.
 """
 
 import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -30,10 +31,10 @@ _NEVER = {"dataclasses", "inspect"}
 _KERNELS = {"cxorder.lattice", "cxorder.polynomials", "cxorder.bernstein"}
 
 
-def _loaded(*argv: str) -> set[str]:
+def _loaded(*argv: str, env: dict[str, str] | None = None) -> set[str]:
     result = subprocess.run(
         [sys.executable, "-I", "-S", "-c", _PROBE, str(SRC), *argv],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env={**os.environ, **(env or {})},
     )
     return set(result.stdout.split())
 
@@ -59,6 +60,14 @@ def test_major_compare_loads_only_majorization():
         "cxorder", "cxorder.cli", "cxorder.errors", "cxorder.majorization",
     }
     assert not loaded & (_NEVER | {"fractions", "decimal", "json", "random"})
+
+
+@pytest.mark.parametrize("eps", ["1/8", "abc"])
+def test_major_compare_loads_no_fractions_whatever_cxorder_eps_holds(eps):
+    # the --eps default is read by the commands that truncate, never from
+    # the environment
+    loaded = _loaded("major", "compare", "--p", "1,1", "--q", "2,0", env={"CXORDER_EPS": eps})
+    assert not loaded & {"fractions", "decimal", "cxorder.measures"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -83,6 +83,29 @@ def test_leq_st_matches_literal_cdf_oracle(mu, nu, rescale, rng):
         assert leq_st(a, b) == helpers.leq_st_oracle(a, b)
 
 
+def test_leq_st_refuses_wide_weights_before_their_full_lcm(monkeypatch):
+    mu, nu = helpers.wide_weight_pair(48)
+    steps = []
+    lcm = orders.lcm
+
+    def counting(a, b):
+        steps.append(1)
+        return lcm(a, b)
+
+    monkeypatch.setattr(orders, "lcm", counting)
+    message = helpers.convolution_work_message(
+        "the stochastic-order test of 48 and 48 atoms", 96, 26576, noun="atoms"
+    )
+    with pytest.raises(BadParameter, match="^" + re.escape(message) + "$"):
+        leq_st(mu, nu)
+    # one weight denominator of 13,288 bits passes; the lcm of two is refused
+    assert len(steps) == 2
+    # inside the budget the same weights decide as the oracle does
+    small, large = helpers.wide_weight_pair(2)
+    assert leq_st(small, large) == helpers.leq_st_oracle(small, large) == OrderVerdict(True)
+    assert leq_st(large, small) == helpers.leq_st_oracle(large, small)
+
+
 # -- convex order -------------------------------------------------------------
 
 
