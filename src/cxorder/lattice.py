@@ -27,13 +27,10 @@ DEFAULT_EPS = Fraction(1, 2**40)
 # Budgets, each checked before the weights it bounds are built: the
 # truncations refuse a cutoff K above MAX_CUTOFF, and as_lattice an atom
 # position above it (the square of a sequence of length K costs O(K^2)
-# products on O(K)-digit numbers), truncate_negbinomial an
-# index n above MAX_NEGBIN_INDEX (every weight carries (1 - x)^(n+1), so its
-# digits grow with n at any cutoff) and truncate_poisson a parameter above
-# MAX_POISSON_RATE (its first cutoff is the power of two >= 2 lambda: 1024
-# at the limit, 2048 just past it, where the truncation costs nine times more),
-# and truncate_negbinomial a cutoff K whose weights, over q^(n + 1 + k) for x =
-# p/q and k <= K + 1, exceed (n + K + 2) x bits(q) = MAX_WEIGHT_BITS, and
+# products on O(K)-digit numbers), truncate_negbinomial an index n above
+# MAX_NEGBIN_INDEX (every weight carries (1 - x)^(n+1), so its digits grow
+# with n at any cutoff) and a cutoff K whose weights, over q^(n + 1 + k) for
+# x = p/q and k <= K + 1, exceed (n + K + 2) x bits(q) = MAX_WEIGHT_BITS, and
 # truncate_poisson one whose terms lambda^k / k!, lambda = p/q and k <= K + 1,
 # exceed (K + 2) x (bits(p) + bits(q)): terms above 1 have wide numerators too,
 # and the sums behind the tail bound carry both.
@@ -48,7 +45,6 @@ DEFAULT_EPS = Fraction(1, 2**40)
 # the timings.
 MAX_CUTOFF = 4096
 MAX_NEGBIN_INDEX = 4096
-MAX_POISSON_RATE = 512
 MAX_WEIGHT_BITS = 2**18
 MAX_SQUARE_WORK = 2**40
 
@@ -73,11 +69,13 @@ class LatticeSeq:
     but not more affordable: MAX_SQUARE_WORK counts its plain products.
 
     The masses are stored as one row of ints over one unit, ``ints[k] /
-    unit``, unit the least common denominator of the row, so equal masses
-    store equal rows; ``==``, ``hash`` and ``repr`` read as for a record of
-    the fields coeffs, tail_bound, total_mass, exact and poles.  ``coeffs``,
-    the masses as Fractions, is built only when first read (a sequence
-    built from Fractions keeps the row it was given).
+    unit``, unit a common denominator of the row but not necessarily the
+    least: a truncation keeps the unit it builds its row on.  ``==`` and
+    ``hash`` compare rows reduced to lowest terms, so equal masses compare
+    equal on any unit, and with ``repr`` they read as for a record of the
+    fields coeffs, tail_bound, total_mass, exact and poles.  ``coeffs``, the
+    masses as Fractions, is built only when first read (a sequence built
+    from Fractions keeps the row it was given).
     """
 
     __setattr__, __delattr__ = _refuse_set, _refuse_delete
@@ -89,8 +87,8 @@ class LatticeSeq:
 
     @classmethod
     def _of_ints(cls, unit: int, ints: Sequence[int], *fields) -> LatticeSeq:
-        """The sequence of masses ints[k] / unit, unit their least common
-        denominator, then the fields after coeffs."""
+        """The sequence of masses ints[k] / unit, unit any common
+        denominator of them, then the fields after coeffs."""
         seq = cls.__new__(cls)
         seq._init(unit, ints, *fields)
         return seq
@@ -114,16 +112,19 @@ class LatticeSeq:
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.unit) for c in self.ints)
 
+    @functools.cached_property
     def _key(self) -> tuple:
-        return self.unit, self.ints, self.tail_bound, self.total_mass, self.exact, self.poles
+        common = gcd(self.unit, *self.ints)  # the row in lowest terms
+        ints = tuple(c // common for c in self.ints)
+        return self.unit // common, ints, self.tail_bound, self.total_mass, self.exact, self.poles
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return self._key == other._key
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key)
 
     def __repr__(self):
         names = ("coeffs", "tail_bound", "total_mass", "exact", "poles")
@@ -277,7 +278,7 @@ def _scaled_rows(rows: Sequence[tuple[int, Sequence[int]]], s: int = 1) -> tuple
     denominator of c s^k / unit over the entries c at index k of every row,
     and ints each of them in units of 1/scale, row after row.  A row's own
     least common denominator is unit / gcd(unit, every c s^k): one gcd over
-    the row."""
+    the row, whatever its unit."""
     top = max((len(ints) for _, ints in rows), default=0)
     powers = list(itertools.accumulate(itertools.repeat(s, top), mul, initial=1))
     scaled = []
@@ -286,7 +287,11 @@ def _scaled_rows(rows: Sequence[tuple[int, Sequence[int]]], s: int = 1) -> tuple
         common = gcd(unit, *row)
         scaled.append((unit // common, common, row))
     scale = lcm(*(own for own, _, _ in scaled))
-    return scale, [c // common * (scale // own) for own, common, row in scaled for c in row]
+    out = []
+    for own, common, row in scaled:
+        factor = scale // own  # one wide division per row
+        out.extend(c // common * factor for c in row)
+    return scale, out
 
 
 def genfun_test(
@@ -331,9 +336,9 @@ def truncate_negbinomial(n: int, x, eps=DEFAULT_EPS) -> LatticeSeq:
     w_{K+1} / (1 - r); K doubles until that certificate is below eps, and
     a K above MAX_CUTOFF or past MAX_WEIGHT_BITS raises BadParameter before
     its weights are built, as does an index n above MAX_NEGBIN_INDEX.  For
-    x = p/q the weights are built on ints, w_k q^(n+1+k) = C(n+k, k)
-    (q-p)^(n+1) p^k by the exact recurrence times p (n+k+1) / (k+1), and
-    stored over the unit q^(n+1+K).
+    x = p/q the row is built once, at the final K, on ints over the unit
+    q^(n+1+K), which it keeps: w_k q^(n+1+K) = C(n+k, k) (q-p)^(n+1) p^k
+    q^(K-k), by the exact recurrence times p (n+k+1) / ((k+1) q).
     """
     x, eps = as_rational(x), as_rational(eps)
     if not isinstance(n, int) or n < 0:
@@ -347,18 +352,10 @@ def truncate_negbinomial(n: int, x, eps=DEFAULT_EPS) -> LatticeSeq:
             f"negative binomial index {n} exceeds MAX_NEGBIN_INDEX = {MAX_NEGBIN_INDEX}"
         )
     p, q = x.numerator, x.denominator
-    terms = []  # terms[k] = w_k q^(n+1+k)
-
-    def extend(upto: int):
-        while len(terms) <= upto:
-            k = len(terms) - 1
-            terms.append(terms[-1] * p * (n + k + 1) // (k + 1) if terms else (q - p) ** (n + 1))
-
     family, cutoff = f"negbinomial:{n},{_brief(x)}", 1
     while True:
         _check_cutoff(cutoff, family, eps, (n + cutoff + 2) * q.bit_length(),
                       "(n + K + 2) x bits(q)")
-        extend(cutoff)
         ratio = x * Fraction(n + cutoff + 2, cutoff + 2)
         if ratio < 1:
             # w_(K+1) from its factors: Fraction(t, q^(n+2+K)) would reduce
@@ -366,17 +363,13 @@ def truncate_negbinomial(n: int, x, eps=DEFAULT_EPS) -> LatticeSeq:
             weight = (1 - x) ** (n + 1) * x ** (cutoff + 1) * comb(n + cutoff + 1, cutoff + 1)
             certificate = weight / (1 - ratio)
             if certificate < eps:
-                powers = itertools.accumulate(itertools.repeat(q, cutoff), mul, initial=1)
-                ints = list(map(mul, terms[cutoff::-1], powers))[::-1]  # w_k q^(n+1+K)
-                # p and q - p are prime to q, so the gcd of the row divides
-                # that of q^(n+1+K) and C(n+K, K): no gcd of two wide ints
-                unit = q ** (n + 1 + cutoff)
-                unit, ints = _lowest(unit, ints, gcd(unit, comb(n + cutoff, cutoff)))
-                return LatticeSeq._of_ints(unit, ints, certificate, Fraction(1), True, ((x, n + 1),))
+                break
         cutoff *= 2
-
-
-_POISSON_WEIGHT_BITS = "(K + 2) x (bits(p) + bits(q))"
+    ints = [(q - p) ** (n + 1) * q**cutoff]
+    for k in range(cutoff):
+        ints.append(ints[-1] * p * (n + k + 1) // ((k + 1) * q))
+    return LatticeSeq._of_ints(q ** (n + 1 + cutoff), ints, certificate, Fraction(1), True,
+                               ((x, n + 1),))
 
 
 def truncate_poisson(lam, eps=DEFAULT_EPS) -> LatticeSeq:
@@ -390,14 +383,14 @@ def truncate_poisson(lam, eps=DEFAULT_EPS) -> LatticeSeq:
     certified under-approximation of the Poisson family.  The cutoff K
     starts at the first power of two >= 2 lam, so every term ratio past K is
     <= 1/2, and doubles until the tail is below eps; a K above MAX_CUTOFF or
-    past MAX_WEIGHT_BITS raises BadParameter before its terms are built.  A
-    lam above MAX_POISSON_RATE is refused right after the first cutoff
-    check, before any term.
+    past MAX_WEIGHT_BITS raises BadParameter before its terms are built, so
+    these two budgets bound every lam.
 
     At each cutoff the terms t_k, k <= K + 1, are ints in one unit
     (``_poisson_terms``); with B = t_0 + ... + t_K and T = t_{K+1},
-    U = B + 2T, the coefficients are t_k / U and the tail bound is
-    T (K + 2) q / (B ((K + 2) q - p)) + 2T / U for lam = p/q.
+    U = B + 2T, the coefficients are t_k / U, stored over the unit U, and
+    the tail bound is T (K + 2) q / (B ((K + 2) q - p)) + 2T / U for
+    lam = p/q.
     """
     lam, eps = as_rational(lam), as_rational(eps)
     if lam <= 0:
@@ -410,25 +403,16 @@ def truncate_poisson(lam, eps=DEFAULT_EPS) -> LatticeSeq:
     cutoff = 1
     while cutoff < 2 * lam:
         cutoff *= 2
-    _check_cutoff(cutoff, family, eps, (cutoff + 2) * width, _POISSON_WEIGHT_BITS)
-    if lam > MAX_POISSON_RATE:
-        raise BadParameter(
-            f"Poisson parameter {_brief(lam)} exceeds MAX_POISSON_RATE = {MAX_POISSON_RATE}"
-        )
     while True:
+        _check_cutoff(cutoff, family, eps, (cutoff + 2) * width, "(K + 2) x (bits(p) + bits(q))")
         terms = _poisson_terms(p, q, cutoff + 1)
         last = terms.pop()
         boxed = sum(terms)
         ratio = (cutoff + 2) * q  # 1 / (1 - lam / (K + 2)) = ratio / (ratio - p)
         tail = Fraction(last * ratio, boxed * (ratio - p)) + Fraction(2 * last, boxed + 2 * last)
         if tail < eps:
-            # the gcd of the row divides gcd(t_0, t_K) = q (K + 1) gcd(K!, p^K)
-            unit = boxed + 2 * last
-            bound = gcd(unit, q * (cutoff + 1) * gcd(factorial(cutoff), p**cutoff))
-            unit, ints = _lowest(unit, terms, bound)
-            return LatticeSeq._of_ints(unit, ints, tail, Fraction(1), False)
+            return LatticeSeq._of_ints(boxed + 2 * last, terms, tail, Fraction(1), False)
         cutoff *= 2
-        _check_cutoff(cutoff, family, eps, (cutoff + 2) * width, _POISSON_WEIGHT_BITS)
 
 
 def _poisson_terms(p: int, q: int, top: int) -> list[int]:
@@ -439,18 +423,6 @@ def _poisson_terms(p: int, q: int, top: int) -> list[int]:
     for k in range(top):
         terms.append(terms[-1] * p // (q * (k + 1)))
     return terms
-
-
-def _lowest(unit: int, ints: list[int], bound: int) -> tuple[int, list[int]]:
-    """ints / unit over their least common denominator: both divided by
-    their gcd, found as gcd(bound, *ints) for a divisor ``bound`` of unit
-    that the gcd divides.  A short bound keeps each gcd step one division
-    of a wide int by a short one; gcd(unit, ...) would start on two wide
-    ints."""
-    common = gcd(bound, *ints)
-    if common == 1:
-        return unit, ints
-    return unit // common, [c // common for c in ints]
 
 
 def _check_cutoff(cutoff: int, family: str, eps: Fraction, bits: int, formula: str):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -259,7 +260,7 @@ def test_parse_surface_grammar():
 
 
 def test_json_round_trip_through_files(tmp_path, measure_files):
-    original = measure_from_json(open(measure_files["outer"]).read())
+    original = measure_from_json(Path(measure_files["outer"]).read_text())
     rewritten = measure_from_json(measure_to_json(original))
     assert rewritten == original
 
@@ -462,8 +463,8 @@ def test_scan_budgets_exit_2_with_one_line(argv, limit):
     [
         (["genfun", "check", "--family", "negbinomial:4097,1/1000"],
          "negative binomial index 4097 exceeds MAX_NEGBIN_INDEX = 4096"),
-        (["genfun", "check", "--family", "poisson:1/2", "--family", "poisson:513"],
-         "Poisson parameter 513 exceeds MAX_POISSON_RATE = 512"),
+        (["genfun", "check", "--family", "poisson:1/2", "--family", "poisson:2049"],
+         "poisson:2049 at eps=1/1099511627776 needs a truncation cutoff above MAX_CUTOFF = 4096"),
         (["bernstein", "p4", "--n", "4097", "--x", "1/1000", "--y", "1/999", "--phi", "quad 1"],
          "negative binomial index 4097 exceeds MAX_NEGBIN_INDEX = 4096"),
         # x = y gives [0, 0], but only after n and eps are checked

@@ -276,15 +276,17 @@ def test_square_takes_the_recurrence_exactly_when_its_order_fits(monkeypatch):
     st.lists(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=2**12), max_size=12),
              min_size=1, max_size=3),
     st.sampled_from([1, 2, 3, 6, 16, 32, 35, 4096, 3**9]),
+    st.one_of(st.integers(1, 64), st.integers(1, 2**300)),
 )
-@example([[Fraction(1, 2**20), Fraction(3, 2**21), Fraction(1, 3)]], 2)
-@example([[], [Fraction(5, 7)]], 6)
-@example([[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(0)]], 1)  # a row of zeros
-def test_power_scaled_ints_match_the_fraction_route(rows, s):
+@example([[Fraction(1, 2**20), Fraction(3, 2**21), Fraction(1, 3)]], 2, 5)
+@example([[], [Fraction(5, 7)]], 6, 7**90)
+@example([[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(0)]], 1, 2**256)  # a row of zeros
+def test_power_scaled_ints_match_the_fraction_route(rows, s, factor):
     # one least common denominator for every c s^k, so the squared row, its
     # width under MAX_SQUARE_WORK and every output stay as before; the
-    # kernel reads each row as the (unit, ints) pair a LatticeSeq stores
-    int_rows = [(unit * 5, [c * 5 for c in ints]) for unit, ints in map(_scaled_ints, rows)]
+    # kernel reads each row as the (unit, ints) pair a LatticeSeq stores,
+    # on a unit that need not be the least (a truncation keeps its own)
+    int_rows = [(unit * factor, [c * factor for c in ints]) for unit, ints in map(_scaled_ints, rows)]
     assert lattice._scaled_rows(int_rows, s) == helpers.power_scaled_ints_oracle(rows, s)
 
 
@@ -314,9 +316,10 @@ _wide_lam = st.one_of(
 )
 
 
-def _assert_lowest_row(seq, coeffs):
-    # the stored row is the masses over their least common denominator
-    assert seq.unit == math.lcm(*(c.denominator for c in coeffs))
+def _assert_row(seq, coeffs):
+    # the stored row is the masses over a common denominator, not
+    # necessarily the least: a truncation keeps the unit it builds on
+    assert seq.unit % math.lcm(*(c.denominator for c in coeffs)) == 0
     assert [Fraction(c, seq.unit) for c in seq.ints] == list(coeffs)
 
 
@@ -333,7 +336,7 @@ def test_negbinomial_int_row_matches_the_fraction_loop(n, x, bits):
     seq = truncate_negbinomial(n, x, eps)
     assert "coeffs" not in vars(seq)  # no Fraction row until one is read
     coeffs, tail = helpers.truncate_negbinomial_oracle(n, x, eps)
-    _assert_lowest_row(seq, coeffs)
+    _assert_row(seq, coeffs)
     assert (seq.coeffs, seq.tail_bound, seq.boxed_mass) == (coeffs, tail, sum(coeffs))
     assert (seq.total_mass, seq.exact, seq.poles) == (1, True, ((x, n + 1),))
 
@@ -351,7 +354,7 @@ def test_poisson_int_row_matches_the_fraction_loop(lam, bits):
     seq = truncate_poisson(lam, eps)
     assert "coeffs" not in vars(seq)
     coeffs, tail = helpers.truncate_poisson_oracle(lam, eps)
-    _assert_lowest_row(seq, coeffs)
+    _assert_row(seq, coeffs)
     assert (seq.coeffs, seq.tail_bound, seq.boxed_mass) == (coeffs, tail, sum(coeffs))
     assert (seq.total_mass, seq.exact, seq.poles) == (1, False, ())
 
@@ -372,10 +375,15 @@ def test_int_backed_sequences_compare_hash_and_print_as_fraction_built(n, x, lam
     for seq in sequences:
         built = _fraction_built(seq)
         assert seq == built and hash(seq) == hash(built)
-        assert (seq.unit, seq.ints) == (built.unit, built.ints)
         assert repr(seq) == repr(built)
         other = LatticeSeq(built.coeffs, seq.tail_bound + 1, seq.total_mass, seq.exact, seq.poles)
         assert seq != other
+        # the same masses stored on a wider unit
+        fields = seq.tail_bound, seq.total_mass, seq.exact, seq.poles
+        wide = LatticeSeq._of_ints(seq.unit * 6, [c * 6 for c in seq.ints], *fields)
+        assert wide == seq and hash(wide) == hash(seq) and repr(wide) == repr(seq)
+        if seq.complete:  # stored over the least common denominator
+            assert (seq.unit, seq.ints) == (built.unit, built.ints)
     # ints and Fractions of equal value store equal rows
     assert LatticeSeq((1, 0, 1)) == LatticeSeq((Fraction(1), Fraction(0), Fraction(1)))
     assert hash(LatticeSeq((1, 0, 1))) == hash(LatticeSeq((Fraction(1), Fraction(0), Fraction(1))))
@@ -559,16 +567,17 @@ def test_negbinomial_weight_bits_budget_boundary(monkeypatch):
         truncate_negbinomial(67, x)
 
 
-def test_poisson_rate_budget_boundary(monkeypatch):
-    limit = lattice.MAX_POISSON_RATE
-    assert limit == 512
-    assert truncate_poisson(limit).last_index == 1024
+def test_poisson_cutoff_budget_boundary(monkeypatch):
+    # the first cutoff is the power of two >= 2 lam: 4096 = MAX_CUTOFF at
+    # lam = 2048, 8192 just past it, refused before any term
+    assert lattice.MAX_CUTOFF == 4096
+    assert truncate_poisson(2048).last_index == 4096
     refuse_weights(monkeypatch)
-    message = "^Poisson parameter 513 exceeds MAX_POISSON_RATE = 512$"
+    message = "^poisson:2049 at eps=1/1099511627776 needs a truncation cutoff above MAX_CUTOFF = 4096$"
     with pytest.raises(BadParameter, match=message):
-        truncate_poisson(limit + 1)
-    with pytest.raises(BadParameter, match="^Poisson parameter 512001/1000 exceeds"):
-        truncated_family("poisson:512001/1000")
+        truncate_poisson(2049)
+    with pytest.raises(BadParameter, match="^poisson:2048001/1000 at eps=.* above MAX_CUTOFF = 4096$"):
+        truncated_family("poisson:2048001/1000")
 
 
 def test_poisson_weight_bits_budget_boundary(monkeypatch):
