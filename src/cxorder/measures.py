@@ -187,7 +187,7 @@ def make_measure(atoms: Iterable[tuple]) -> DiscreteMeasure:
             raise NegativeWeight(
                 f"weight {format_rational(w)} at position {format_rational(x)} is negative"
             )
-        merged[x] = merged.get(x, Fraction(0)) + w
+        merged[x] = merged[x] + w if x in merged else w
     return DiscreteMeasure(tuple((x, w) for x, w in sorted(merged.items()) if w != 0))
 
 

@@ -20,6 +20,14 @@ with jumps d_i at the breakpoints b_i gives the ramp identity
 
 so the profile of B breakpoints costs B^2 kink weights, one sort and one
 sweep: O(B^2 log B) exact operations.
+
+Neither the criterion nor its brute-force oracle ``rasa_direct`` builds an
+intermediate measure or step function.  The criterion reads the jumps of H
+from the pair and squares them on ints; the oracle forms mu*mu, nu*nu and
+mu*nu on ints and tests their net row with the kernel of leq_cx.  The two
+share only ``measures._scaled_ints``, ``measures._product_row`` and
+``_ramp_sums``, which the tests check against literal Fraction loops, so
+each can certify the other.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 
-from .errors import BadParameter, NonConvexTestFn
+from .errors import MassMismatch, NonConvexTestFn
 from .measures import (
     DiscreteMeasure,
     StepFunction,
@@ -37,22 +45,21 @@ from .measures import (
     _product_row,
     _scaled_ints,
     as_rational,
-    cdf_diff,
-    convolve,
     format_rational,
-    mix,
 )
-
-_HALF = Fraction(1, 2)
+# Not called here: the criterion and its oracle build no intermediate
+# measure.  They stay importable from this module, where the tests replace
+# them to show just that.
+from .measures import cdf_diff, convolve, mix  # noqa: F401
 
 # Budget, checked after the rows are scaled to ints and before the first
 # product: the signed square of B breakpoints forms B^2 pairs and the three
 # convolutions of rasa_direct n*m + n^2 + m^2 for n and m atoms, each pair a
-# product on ints of up to ``bits`` bits whose result becomes a Fraction,
+# product on ints of up to ``bits`` bits added into a kink or atom weight,
 # plus a fixed Python overhead that counts as 512 bits, so
 # pairs * max(bits, 512)^2 above MAX_CONVOLUTION_WORK is refused: 65,536
 # pairs of ints up to 512 bits pass, 1,024 of 4,096 bits (at the limit
-# `rasa check` takes about 0.5 s, `rasa gap` 1.1 s and `rasa direct` 3.1 s;
+# `rasa check` takes about 0.5 s, `rasa gap` 1.2 s and `rasa direct` 0.1 s;
 # the README has the table).  leq_st and leq_cx count their n + m atoms
 # instead of pairs, each a few products and an lcm step on such ints, and
 # check their common denominators while they grow.
@@ -307,13 +314,11 @@ def leq_cx(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     Runs on the ints of ``_net_ints``: the mass, mean and ramp checks run
     in ``_cx_ints``, which builds Fractions only for a witness.
     """
-    return _leq_cx(mu, nu, len(mu.atoms) + len(nu.atoms))
+    scale, unit, net = _net_ints(mu, nu, len(mu.atoms) + len(nu.atoms), "convex-order")
+    return _cx_verdict(_cx_ints(net, scale, unit))
 
 
-def _leq_cx(mu: DiscreteMeasure, nu: DiscreteMeasure, atoms: int) -> OrderVerdict:
-    """leq_cx with ``atoms`` counted against MAX_CONVOLUTION_WORK."""
-    scale, unit, net = _net_ints(mu, nu, atoms, "convex-order")
-    witness = _cx_ints(net, scale, unit)
+def _cx_verdict(witness: Witness | None) -> OrderVerdict:
     return OrderVerdict(True) if witness is None else OrderVerdict(False, witness)
 
 
@@ -369,21 +374,36 @@ def _budgeted_ints(values, atoms: int, what: str) -> tuple[int, list[int]]:
     return scale, ints
 
 
-def _signed_square(h: StepFunction) -> tuple[int, int, dict[int, int]]:
-    """The signed measure (mu - nu)*(mu - nu), for h = cdf_diff(mu, nu) with
-    jumps d_i at breakpoints b_i: the weights d_i d_j at b_i + b_j, as
-    (scale, unit, kinks) with kinks[s] = w for the weight w/unit at s/scale.
-    Both are scaled to ints, so the B^2 products run on ints; sums whose
-    weights cancel stay in ``kinks`` with weight 0.  B^2 pairs past
-    MAX_CONVOLUTION_WORK raise BadParameter before the first product."""
-    levels = (0,) + h.values + (0,)
-    jumps = [after - before for before, after in zip(levels, levels[1:])]
-    scale, bs = _scaled_ints(h.breakpoints)
-    scale_d, ds = _scaled_ints(jumps)
+def _jump_row(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """(scale, bs, unit, ds): the jumps d = mu(x) - nu(x) of H = F_mu - F_nu
+    at the positions x where they are not 0, sorted, the positions bs over
+    their least common denominator scale and the jumps ds over theirs, unit.
+    Weights are subtracted only where mu and nu share a position; elsewhere
+    a jump is the weight itself.  So an atom that both measures carry with
+    one weight cancels before any scaling and leaves its denominators in
+    neither unit: a unit of the whole pair, reduced afterwards by its gcd
+    with each row, gives the same ints, but its gcds on wide coprime
+    denominators cost more than all the rest."""
+    net = dict(mu.atoms)
+    for x, w in nu.atoms:
+        net[x] = net[x] - w if x in net else -w
+    xs = sorted(x for x, d in net.items() if d)
+    scale, bs = _scaled_ints(xs)
+    unit, ds = _scaled_ints([net[x] for x in xs])
+    return scale, bs, unit, ds
+
+
+def _signed_square(scale: int, bs: list[int], unit: int, ds: list[int]):
+    """The signed measure (mu - nu)*(mu - nu) of the jumps ds/unit of H at
+    the breakpoints bs/scale: the weights d_i d_j at b_i + b_j, as
+    (scale, unit^2, kinks) with kinks[s] = w for the weight w/unit^2 at
+    s/scale; sums whose weights cancel stay in ``kinks`` with weight 0.
+    B^2 pairs past MAX_CONVOLUTION_WORK raise BadParameter before the first
+    product."""
     breaks = len(bs)
     _check_pairs(breaks * breaks, bs + ds, f"the signed square of {breaks} breakpoints")
     row = list(zip(bs, ds))
-    return scale, scale_d * scale_d, _product_row(row, row)
+    return scale, unit * unit, _product_row(row, row)
 
 
 def _check_pairs(count: int, ints, what: str, noun: str = "pairs"):
@@ -393,21 +413,33 @@ def _check_pairs(count: int, ints, what: str, noun: str = "pairs"):
     ), min_bits=512)
 
 
+def _profile(scale: int, unit: int, kinks: dict[int, int]) -> tuple[PiecewiseLinear, list[int]]:
+    """The profile (H*H) of the signed square ``kinks`` and its values on
+    ints: the ramp sum over the kinks, sorted once and swept once, at every
+    kink, in units of 1/(scale * unit)."""
+    sums = sorted(kinks)
+    values = _ramp_sums(sums, [kinks[s] for s in sums])
+    denominator = scale * unit
+    profile = PiecewiseLinear(
+        tuple(Fraction(s, scale) for s in sums), tuple(Fraction(v, denominator) for v in values)
+    )
+    return profile, values
+
+
 def step_self_convolution(h: StepFunction) -> PiecewiseLinear:
     """The exact profile (h*h), evaluated at every pairwise breakpoint sum
     (between which it is affine).
 
     With jumps d_i at the breakpoints b_i, (h*h)(A) is the ramp sum
     sum_{i,j} d_i d_j (A - b_i - b_j)+ over the kinks of ``_signed_square``,
-    sorted once and swept once on ints, O(B^2 log B).  Sums whose weights
-    cancel stay breakpoints of the profile.
+    sorted once and swept once on ints, O(B^2 log B): the core of
+    rasa_criterion, fed from h's own Fractions.  Sums whose weights cancel
+    stay breakpoints of the profile.
     """
-    scale, unit, kinks = _signed_square(h)
-    sums = sorted(kinks)
-    values = _ramp_sums(sums, [kinks[s] for s in sums])
-    return PiecewiseLinear(
-        tuple(Fraction(s, scale) for s in sums), tuple(Fraction(v, scale * unit) for v in values)
-    )
+    levels = (0,) + h.values + (0,)
+    scale, bs = _scaled_ints(h.breakpoints)
+    unit, ds = _scaled_ints([after - before for before, after in zip(levels, levels[1:])])
+    return _profile(*_signed_square(scale, bs, unit, ds))[0]
 
 
 def rasa_criterion(
@@ -416,40 +448,62 @@ def rasa_criterion(
     """Necessary-and-sufficient test for mu*nu <=_cx (mu*mu + nu*nu)/2.
 
     Returns the verdict together with the full profile (H*H) of
-    H = cdf_diff(mu, nu); the verdict holds exactly when the profile is
+    H = F_mu - F_nu; the verdict holds exactly when the profile is
     nonnegative, and a failure reports the smallest minimising abscissa.
     Unequal masses m1 != m2 fail with no profile: the constant test
     functions give the gap m1 m2 - (m1^2 + m2^2)/2 = -(m1 - m2)^2/2.
+
+    Builds no intermediate measure or step function: the jumps of H are
+    read from the pair and scaled to ints (``_jump_row``), and the signed
+    square, the ramp sweep and the argmin run on ints.  Fractions are built
+    for the returned profile only, and the witness is read from it.  Of
+    rasa_direct's code it shares only ``_scaled_ints``, ``_product_row``
+    and ``_ramp_sums``, which the tests check against literal Fraction
+    loops, and the work budget.
     """
-    if mu.mass != nu.mass:
-        return OrderVerdict(False, Witness("mass", None, -((mu.mass - nu.mass) ** 2) / 2)), None
-    profile = step_self_convolution(cdf_diff(mu, nu))
-    arg, low = profile.minimum()
+    scale, bs, unit, ds = _jump_row(mu, nu)
+    mass = sum(ds)
+    if mass:
+        return OrderVerdict(False, Witness("mass", None, Fraction(-mass * mass, 2 * unit * unit))), None
+    profile, values = _profile(*_signed_square(scale, bs, unit, ds))
+    low = min(values, default=0)
     if low < 0:
-        return OrderVerdict(False, Witness("profile", arg, low)), profile
+        i = values.index(low)
+        return OrderVerdict(False, Witness("profile", profile.breakpoints[i], profile.values[i])), profile
     return OrderVerdict(True), profile
 
 
 def rasa_direct(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
-    """Brute-force oracle: build the three convolutions and run the direct
-    convex-order test.  Of rasa_criterion's code it shares only the integer
-    scaling of ``measures._scaled_ints`` (behind ``convolve`` here and the
-    profile there), which the tests check against literal Fraction loops,
-    and the work budget, so the two can certify each other.  A mass
-    mismatch is a definite failure here (the constant test functions force
-    equal masses), not an error.  The n*m + n^2 + m^2 pairs of the three
-    convolutions, on the widest int that ``convolve`` scales the positions
-    and weights to, past MAX_CONVOLUTION_WORK raise BadParameter before the
-    first convolution."""
+    """Brute-force oracle: the three convolutions and the direct
+    convex-order test of mu*nu against (mu*mu + nu*nu)/2.  A mass mismatch
+    is a definite failure here (the constant test functions force equal
+    masses), not an error.
+
+    Builds no intermediate measure: the positions of both measures are
+    scaled by one common denominator and the weights of each by its own
+    unit, u and v; ``_product_row`` forms mu*mu, nu*nu and mu*nu on ints,
+    and the net row nu*nu u^2 + mu*mu v^2 - 2 mu*nu u v over the unit
+    2 u^2 v^2 goes to ``_cx_ints``, the kernel of leq_cx.  Of
+    rasa_criterion's code it shares only ``_scaled_ints``, ``_product_row``
+    and ``_ramp_sums``, which the tests check against literal Fraction
+    loops, and the work budget, so the two can certify each other.  The
+    n*m + n^2 + m^2 pairs of the three convolutions, on the widest of those
+    ints, past MAX_CONVOLUTION_WORK raise BadParameter before the first
+    product; the convex-order test counts nothing beyond them."""
     n, m = len(mu.atoms), len(nu.atoms)
-    rows = ([x for x, _ in mu.atoms + nu.atoms], [w for _, w in mu.atoms], [w for _, w in nu.atoms])
-    ints = [v for row in rows for v in _scaled_ints(row)[1]]
-    _check_pairs(n * m + n * n + m * m, ints, f"the three convolutions of {n} and {m} atoms")
-    left = convolve(mu, nu)
-    right = mix((_HALF, _HALF), (convolve(mu, mu), convolve(nu, nu)))
-    # Counted above: testing the convolutions costs about as much as
-    # building their Fractions did, so it counts no atoms of its own.
-    return _leq_cx(left, right, 0)
+    scale, xs = _scaled_ints([x for x, _ in mu.atoms + nu.atoms])
+    u, a = _scaled_ints([w for _, w in mu.atoms])
+    v, b = _scaled_ints([w for _, w in nu.atoms])
+    _check_pairs(n * m + n * n + m * m, xs + a + b, f"the three convolutions of {n} and {m} atoms")
+    mu_row, nu_row = list(zip(xs[:n], a)), list(zip(xs[n:], b))
+    uu, vv, uv = u * u, v * v, 2 * u * v
+    net = {s: w * uu for s, w in _product_row(nu_row, nu_row).items()}
+    get = net.get
+    for s, w in _product_row(mu_row, mu_row).items():
+        net[s] = get(s, 0) + w * vv
+    for s, w in _product_row(mu_row, nu_row).items():
+        net[s] = get(s, 0) - w * uv
+    return _cx_verdict(_cx_ints(net, scale, 2 * uu * vv))
 
 
 def gap_functional(mu: DiscreteMeasure, nu: DiscreteMeasure, phi: ConvexTestFn) -> Fraction:
@@ -457,11 +511,16 @@ def gap_functional(mu: DiscreteMeasure, nu: DiscreteMeasure, phi: ConvexTestFn) 
 
     Requires equal masses so the affine part of phi cancels exactly.  The
     measure is the signed square (mu - nu)*(mu - nu) whose kinks the profile
-    sweeps, so for a hinge at A this equals the rasa_criterion profile at A;
-    for phi = x^2 it equals 2 (mean mu - mean nu)^2 (raw means, any equal mass).
+    sweeps, read from the same ints as in rasa_criterion, so for a hinge at
+    A this equals the rasa_criterion profile at A; for phi = x^2 it equals
+    2 (mean mu - mean nu)^2 (raw means, any equal mass).
     """
-    h = cdf_diff(mu, nu)
+    scale, bs, unit, ds = _jump_row(mu, nu)
+    if sum(ds):
+        raise MassMismatch(
+            f"masses differ: {format_rational(mu.mass)} vs {format_rational(nu.mass)}"
+        )
     if not isinstance(phi, ConvexTestFn):
         raise NonConvexTestFn("test function must be a ConvexTestFn")
-    scale, unit, kinks = _signed_square(h)
+    scale, unit, kinks = _signed_square(scale, bs, unit, ds)
     return sum((w * phi(Fraction(s, scale)) for s, w in kinks.items() if w), Fraction(0)) / unit

@@ -27,11 +27,13 @@ from cxorder import (
     as_rational,
     binomial_weights,
     cauchy_product,
+    cdf_diff,
     convolve,
     dirac,
     integrate_hinge,
     majorizes,
     make_measure,
+    mix,
     rasa_criterion,
     s_step_chain,
     w_polynomial,
@@ -273,6 +275,30 @@ def step_self_convolution_oracle(h: StepFunction) -> PiecewiseLinear:
         return PiecewiseLinear((), ())
     sums = sorted({a + b for a in h.breakpoints for b in h.breakpoints})
     return PiecewiseLinear(tuple(sums), tuple(_step_conv_value(h, h, s) for s in sums))
+
+
+def rasa_criterion_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """The former Fraction route of rasa_criterion, kept as its oracle:
+    unequal masses m1 != m2 fail with the gap -(m1 - m2)^2/2 and no profile;
+    otherwise the step function cdf_diff(mu, nu), its profile by
+    step_self_convolution_oracle, and the verdict from the profile's
+    minimum."""
+    if mu.mass != nu.mass:
+        return OrderVerdict(False, Witness("mass", None, -((mu.mass - nu.mass) ** 2) / 2)), None
+    profile = step_self_convolution_oracle(cdf_diff(mu, nu))
+    arg, low = profile.minimum()
+    if low < 0:
+        return OrderVerdict(False, Witness("profile", arg, low)), profile
+    return OrderVerdict(True), profile
+
+
+def rasa_direct_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
+    """The former Fraction route of rasa_direct, kept as its oracle: the
+    three convolutions of convolve_oracle, mu*mu and nu*nu mixed half and
+    half, and leq_cx_oracle of mu*nu against that mixture."""
+    half = Fraction(1, 2)
+    right = mix((half, half), (convolve_oracle(mu, mu), convolve_oracle(nu, nu)))
+    return leq_cx_oracle(convolve_oracle(mu, nu), right)
 
 
 def tensor_bernstein_oracle(g: BivariateFn, ns, xs) -> Fraction:

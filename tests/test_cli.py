@@ -552,6 +552,23 @@ def test_squares_inside_the_budget_run(tmp_path):
     assert run(["genfun", "check", "--mu", paths[0], "--nu", paths[1]]) == (0, "holds\n")
 
 
+def test_rasa_on_a_cancelled_wide_atom_takes_the_budget_of_what_is_left(tmp_path):
+    # both measures carry 1/(2^600 + 1) at 1/(2^601 + 3), which cancels in
+    # H: the 256 small breakpoints left are the budget itself, while the
+    # three convolutions see the 609-bit ints of that atom and refuse
+    shared = (Fraction(1, 2**601 + 3), Fraction(1, 2**600 + 1))
+    paths = []
+    for name, offset in (("mu", 0), ("nu", 1)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(measure_to_json(make_measure([(2 * k + offset, 1) for k in range(128)] + [shared])))
+        paths.append(str(path))
+    pair = ["--mu", paths[0], "--nu", paths[1]]
+    assert run(["rasa", "check", *pair]) == (0, "holds; min 0\n")
+    assert run(["rasa", "gap", *pair, "--phi", "quad 1"]) == (0, "gap = 32768\n")
+    message = helpers.convolution_work_message("the three convolutions of 129 and 129 atoms", 49923, 609)
+    assert run(["rasa", "direct", *pair]) == (2, f"error: BadParameter: {message}\n")
+
+
 @pytest.mark.parametrize(
     "action, sizes, what, pairs",
     [

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+import helpers
+from cxorder import measures, orders
 from cxorder.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -165,6 +167,26 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
+    code, text = run(CASES[name])
+    expected = (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
+    assert f"exit {code}\n{text}" == expected
+
+
+# Every golden case of `rasa check`, `rasa direct` and `rasa equivalence`:
+# the self-convolution criterion and its oracle run on ints, without a step
+# function, a convolution or a mixture in between
+_RASA = [
+    "decimal_rasa_check", "error_mass_mismatch", "rasa_check_equal", "rasa_check_fails",
+    "rasa_check_holds", "rasa_check_spread", "rasa_direct_fails", "rasa_direct_holds",
+    "rasa_equivalence",
+]
+
+
+@pytest.mark.parametrize("name", _RASA)
+def test_rasa_prints_the_golden_bytes_without_intermediate_measures(name, monkeypatch):
+    for module in (measures, orders):
+        for stand_in in ("cdf_diff", "convolve", "mix"):
+            monkeypatch.setattr(module, stand_in, helpers.refuse(stand_in))
     code, text = run(CASES[name])
     expected = (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
     assert f"exit {code}\n{text}" == expected

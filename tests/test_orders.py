@@ -350,6 +350,99 @@ def test_oracle_reports_mass_mismatch_as_failure():
     assert verdict.holds is False and verdict.witness.kind == "mass"
 
 
+def _atoms(denominator, size):
+    """Lists of atoms at multiples of 1/denominator in [-3, 3], negative ones
+    included, with weights k/denominator."""
+    return st.lists(
+        st.tuples(
+            st.integers(min_value=-3 * denominator, max_value=3 * denominator),
+            st.integers(min_value=1, max_value=6),
+        ).map(lambda a: (Fraction(a[0], denominator), Fraction(a[1], denominator))),
+        min_size=size[0],
+        max_size=size[1],
+    )
+
+
+@st.composite
+def _criterion_pairs(draw):
+    """mu on multiples of 1/7 and nu on multiples of 1/11, each of one to
+    four atoms, plus atoms that both carry with one weight, on either grid:
+    where such an atom meets no other, mu(x) = nu(x) cancels in H; where it
+    meets one, it only shifts the weight.  The masses are equal (nu's own
+    atoms scaled to the mass of mu's), unequal as drawn, or nu is mu."""
+    own_mu, own_nu = draw(_atoms(7, (1, 4))), draw(_atoms(11, (1, 4)))
+    shared = draw(st.one_of(_atoms(7, (0, 3)), _atoms(11, (0, 3))))
+    mode = draw(st.sampled_from(("equal", "unequal", "same")))
+    mu = make_measure(own_mu + shared)
+    if mode == "same":
+        return mu, mu
+    if mode == "equal":
+        ratio = sum(w for _, w in own_mu) / sum(w for _, w in own_nu)
+        own_nu = [(x, w * ratio) for x, w in own_nu]
+    return mu, make_measure(own_nu + shared)
+
+
+_SHARED = (Fraction(2, 7), Fraction(3, 7))
+
+
+@settings(max_examples=120)
+@given(_criterion_pairs())
+@example((dirac(Fraction(-3, 7)), dirac(Fraction(5, 11))))  # one atom each, equal masses
+@example((dirac(Fraction(1, 7)), make_measure([(Fraction(-2, 11), 3)])))  # one atom each, unequal
+@example((make_measure([(Fraction(-1, 7), 1), _SHARED]),) * 2)  # mu = nu
+@example(  # the shared atom cancels; the other positions differ
+    (make_measure([(Fraction(-1, 7), 1), _SHARED]), make_measure([(Fraction(4, 11), 1), _SHARED]))
+)
+def test_criterion_and_direct_match_their_fraction_routes(pair):
+    mu, nu = pair
+    assert rasa_criterion(mu, nu) == helpers.rasa_criterion_oracle(mu, nu)
+    assert rasa_direct(mu, nu) == helpers.rasa_direct_oracle(mu, nu)
+
+
+def test_criterion_pairs_cover_cancellation_and_every_outcome():
+    # the draws of the Fraction-route comparison reach every case it names
+    seen = set()
+
+    @settings(max_examples=300, database=None, derandomize=True)
+    @given(_criterion_pairs())
+    def record(pair):
+        mu, nu = pair
+        verdict, _ = rasa_criterion(mu, nu)
+        seen.add(verdict.witness.kind if verdict.witness else "holds")
+        if mu == nu:
+            seen.add("same")
+        if min(len(mu.atoms), len(nu.atoms)) == 1:
+            seen.add("one atom")
+        mu_at, nu_at = dict(mu.atoms), dict(nu.atoms)
+        if mu != nu and mu.mass == nu.mass and any(mu_at[x] == nu_at.get(x) for x in mu_at):
+            seen.add("cancels")  # in a profile that is built
+        if any(x < 0 for x in mu.positions() + nu.positions()):
+            seen.add("negative")
+
+    record()
+    assert seen == {"mass", "profile", "holds", "same", "one atom", "cancels", "negative"}
+
+
+def test_criterion_budget_counts_no_cancelled_atom(monkeypatch):
+    # a shared atom at 1/(2^601 + 3) with weight 1/(2^600 + 1) cancels in
+    # H: the 256 breakpoints of unit atoms at 0..255 stay small ints, so the
+    # signed square is the budget itself.  A unit of the whole pair would
+    # carry the cancelled denominators and refuse it at 609 bits.
+    shared = (Fraction(1, 2**601 + 3), Fraction(1, 2**600 + 1))
+    mu = make_measure([(2 * k, 1) for k in range(128)] + [shared])
+    nu = make_measure([(2 * k + 1, 1) for k in range(128)] + [shared])
+    assert 256**2 * 512**2 == orders.MAX_CONVOLUTION_WORK
+    verdict, profile = rasa_criterion(mu, nu)
+    assert verdict.holds and len(profile.breakpoints) == 511
+    assert gap_functional(mu, nu, quad_fn(1)) == 2 * 128 * 128
+    monkeypatch.setattr(orders, "MAX_CONVOLUTION_WORK", 256**2 * 512**2 - 1)
+    message = _work_message("the signed square of 256 breakpoints", 65536, 8, 256**2 * 512**2 - 1)
+    with pytest.raises(BadParameter, match=message):
+        rasa_criterion(mu, nu)
+    with pytest.raises(BadParameter, match=message):
+        gap_functional(mu, nu, quad_fn(1))
+
+
 # -- gap functional -------------------------------------------------------------
 
 
