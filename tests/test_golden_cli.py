@@ -122,6 +122,22 @@ CASES = {
                                  "--step", "1/4"],
     "bernstein_supermod_sum": ["bernstein", "supermod", "--g", "sum(term 1 1,1; absdiff 1/4)",
                                "--step", "1/4"],
+    # grids and points whose coordinates carry different denominators
+    "bernstein_gav_scan_p3_mixed": ["bernstein", "gav-scan", "--mode", "P3",
+                                    "--g", "mid(quad 1; 1/3,2/5,1/7)", "--ns", "2,1,3",
+                                    "--step", "2/7"],
+    "bernstein_gav_scan_p1_one_degree": ["bernstein", "gav-scan", "--mode", "P1",
+                                         "--g", "sum(hinge2 1 1,-1/2 1/4; term -1/3 2,1)",
+                                         "--ns", "3", "--step", "1/5"],
+    "bernstein_gav_p3_mixed": ["bernstein", "gav", "--mode", "P3",
+                               "--g", "sum(mid(hinge 1/2 1; 1/3,1/3,1/3); term -1 1,0,2)",
+                               "--ns", "1,2,2", "--points", "1/3,2/5,1/7"],
+    "bernstein_supermod_sevenths": ["bernstein", "supermod", "--g", "hinge2 -1 1,1 3/2",
+                                    "--step", "2/7"],
+    "bernstein_supermod_sum_twelfths": ["bernstein", "supermod",
+                                        "--g", "sum(term 1 1,1; absdiff 1/4)", "--step", "1/12"],
+    "bernstein_rasa_scan_twelfths": ["bernstein", "rasa-scan", "--n", "4",
+                                     "--phi", "sum(quad 1, hinge 1/3 2)", "--step", "1/12"],
     "bernstein_eq6": ["bernstein", "eq6", "--ns", "1,1", "--points", "0,1",
                       "--phi", "hinge 1/2 1"],
     "bernstein_eq6_three": ["bernstein", "eq6", "--ns", "1,2,3", "--points", "0,1/2,1",
@@ -151,6 +167,8 @@ CASES = {
                               "--family", "negbinomial:0,1/2", "--eps", "1/1024"],
     "decimal_rasa_scan": ["--decimal", "3", "bernstein", "rasa-scan", "--n", "1",
                           "--phi", "quad 1", "--step", "1/2"],
+    "decimal_gav_scan": ["--decimal", "4", "bernstein", "gav-scan", "--mode", "P1p",
+                         "--g", "absdiff 3/8", "--ns", "2,3", "--step", "1/6"],
     "decimal_p4": ["--decimal", "5", "bernstein", "p4", "--n", "1", "--x", "1/4",
                    "--y", "3/4", "--phi", "affine 0 1", "--eps", EPS40],
     "decimal_example3": ["--decimal", "3", "reproduce", "example-3"],
