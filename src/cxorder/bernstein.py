@@ -6,6 +6,12 @@ hinge-style integrals of the order engine in disguise; both routes are kept
 and cross-checked.  The open characterisation questions around the product
 operators make most of this module a scanner: it evaluates gaps exactly and
 hunts for sign violations, it does not decide function classes.
+
+The scanners run on ints.  Grid points share one denominator q, so a basis
+row is the int row C(n,i) a^i (q-a)^(n-i) over q^n; _surface_ints tabulates
+a surface at grid points on one int unit; rasa_scan, gav_scan (with
+gav_gap and tensor_bernstein) and supermodularity_check sum and compare
+those ints and build one Fraction per value they return.
 """
 
 from __future__ import annotations
@@ -48,11 +54,24 @@ MAX_MULTI_POINTS = 16
 
 def binomial_weights(n: int, x) -> list[Fraction]:
     """All n+1 basis values b_{n,i}(x), zeros included."""
+    x = _basis_point(n, x)
+    unit = x.denominator**n
+    return [Fraction(c, unit) for c in _basis_ints(n, x.numerator, x.denominator)]
+
+
+def _basis_point(n: int, x) -> Fraction:
+    """x as a rational, once the degree n and then x itself are checked."""
     x = as_rational(x)
     _check_degree(n)
     if not 0 <= x <= 1:
         raise BadParameter(f"parameter x={format_rational(x)} must lie in [0, 1]")
-    return [comb(n, i) * x**i * (1 - x) ** (n - i) for i in range(n + 1)]
+    return x
+
+
+def _basis_ints(n: int, a: int, q: int) -> list[int]:
+    """The basis row of the point a/q on the unit q^n:
+    q^n b_{n,i}(a/q) = C(n,i) a^i (q - a)^(n-i), i = 0..n."""
+    return [comb(n, i) * a**i * (q - a) ** (n - i) for i in range(n + 1)]
 
 
 def _check_degree(n: int):
@@ -73,8 +92,8 @@ def binomial_measure(n: int, x) -> DiscreteMeasure:
 def _phi_form(u: Sequence, v: Sequence, phis: Sequence) -> Fraction:
     """sum_{i,j} u_i v_j phis[i+j], len(phis) = len(u) + len(v) - 1, on ints
     scaled by common denominators; one Fraction at the end.  When u and v
-    scale to the same ints (the self form d x d of rasa_gap, rasa_scan and
-    the p4 box) the sum is symmetric in i and j, so it runs over i <= j,
+    scale to the same ints (the self form d x d of rasa_gap and the p4
+    box) the sum is symmetric in i and j, so it runs over i <= j,
     sum_i d_i (d_i phis[2i] + 2 sum_{j>i} d_j phis[i+j]): L(L+1)/2 products
     for a row of length L.  Otherwise each Hankel row (v against phis
     shifted by i) is summed, then weighted by u_i."""
@@ -98,19 +117,23 @@ def rasa_gap(n: int, x, y, phi: ConvexTestFn) -> Fraction:
 
 
 def rasa_scan(n: int, grid: Sequence, phi: ConvexTestFn) -> list:
-    """[((x, y), rasa_gap(n, x, y, phi)) for x in grid for y in grid], with
-    the basis row of each grid point and each phi(s/(2n)) computed once.
-
-    The gap is symmetric in x and y (a sign flip of the weight difference
-    leaves its self-convolution unchanged), so each unordered pair of grid
-    positions is computed once and mirrored."""
+    """[((x, y), rasa_gap(n, x, y, phi)) for x in grid for y in grid], on
+    ints: basis rows u over q^n, q the grid's common denominator, and the
+    phi(s/(2n)) over theirs.  With the Hankel matrix Phi = (phi((i+j)/(2n)))
+    the gap is u_x Phi u_x + u_y Phi u_y - 2 u_x Phi u_y, so Phi u is formed
+    once per grid point and each pair costs one dot product.  The gap is
+    symmetric, so each unordered pair is computed once and mirrored."""
     _check_scan_size(grid, 2)
-    rows = [binomial_weights(n, x) for x in grid]
-    phis = [phi(Fraction(s, 2 * n)) for s in range(2 * n + 1)]
+    scale, nums = _scaled_ints([_basis_point(n, x) for x in grid])
+    rows = [_basis_ints(n, a, scale) for a in nums]
+    phi_scale, ps = _scaled_ints([phi(Fraction(s, 2 * n)) for s in range(2 * n + 1)])
+    images = [[sum(map(mul, row, ps[i:])) for i in range(n + 1)] for row in rows]
+    forms = [sum(map(mul, row, image)) for row, image in zip(rows, images)]
+    unit = scale ** (2 * n) * phi_scale
     gaps = {}
     for i, j in itertools.combinations_with_replacement(range(len(grid)), 2):
-        d = [a - b for a, b in zip(rows[i], rows[j])]
-        gaps[i, j] = gaps[j, i] = _phi_form(d, d, phis)
+        gap = forms[i] + forms[j] - 2 * sum(map(mul, rows[i], images[j]))
+        gaps[i, j] = gaps[j, i] = Fraction(gap, unit)
     return [((x, y), gaps[i, j]) for i, x in enumerate(grid) for j, y in enumerate(grid)]
 
 
@@ -225,73 +248,106 @@ def compose_convex(phi: ConvexTestFn, weights: Sequence) -> BivariateFn:
     return _ridge(1, phi, weights)
 
 
+def _surface_ints(g: BivariateFn, points: Sequence[Sequence[int]], q: int) -> tuple[int, list[int]]:
+    """(unit, [g(a_1/q, ..., a_k/q) * unit for each point (a_1, ..., a_k)]):
+    g at grid points a/q on one int unit, the lcm of its parts' units.
+
+    Each part is an int column over a unit that no point changes.  A
+    monomial c prod u_t^e_t is c.num prod a_t^e_t over c.den q^(sum e_t).
+    A ridge c phi(s) has s = S/(W q), W the common denominator of its
+    weights and S = sum (w_t W) a_t: c const, c slope S over W q, c curve
+    S^2 over (W q)^2 and, per hinge (A, h), c h max(S A.den - A.num W q, 0)
+    over W q A.den."""
+    parts = [
+        (c.denominator * q ** sum(exps), [c.numerator * prod(map(pow, pt, exps)) for pt in points])
+        for exps, c in g.poly.terms
+    ]
+    for c, phi, w in g.ridges:
+        scale, ws = _scaled_ints(w)
+        wq = scale * q
+        sums = [sum(map(mul, ws, pt)) for pt in points]
+        for coeff, den, column in (
+            (c * phi.const, 1, [1] * len(points)),
+            (c * phi.slope, wq, sums),
+            (c * phi.curve, wq * wq, [t * t for t in sums]),
+        ):
+            if coeff:
+                parts.append((coeff.denominator * den, [coeff.numerator * t for t in column]))
+        for a, h in phi.hinges:
+            coeff, shift = c * h, a.numerator * wq
+            column = [coeff.numerator * max(t * a.denominator - shift, 0) for t in sums]
+            parts.append((coeff.denominator * wq * a.denominator, column))
+    unit = lcm(*(den for den, _ in parts))
+    total = [0] * len(points)
+    for den, column in parts:
+        factor = unit // den
+        total = [t + factor * v for t, v in zip(total, column)]
+    return unit, total
+
+
 def tensor_bernstein(g: BivariateFn, ns: Sequence[int], xs: Sequence) -> Fraction:
     """Exact value of the product operator
 
         (B_{n_1..n_k} g)(x_1..x_k)
             = sum b_{n_1,i_1}(x_1) ... b_{n_k,i_k}(x_k) g(i_1/n_1, ..., i_k/n_k).
     """
-    return _ProductOperator(g)(ns, xs)
+    if len(ns) != len(xs):
+        raise ModeArity(f"{len(ns)} degrees vs {len(xs)} coordinates")
+    degrees = tuple(ns)
+    _check_table(g, degrees)
+    op = _ProductOperator(g, degrees, [_basis_point(n, x) for n, x in zip(degrees, xs)])
+    return Fraction(op(range(len(degrees))), op.unit)
+
+
+def _check_table(g: BivariateFn, ns: tuple):
+    if g.arity != len(ns):
+        raise ModeArity(f"function arity {g.arity} does not match {len(ns)} axes")
+    size = prod(n + 1 for n in ns)
+    if size > MAX_OPERATOR_TABLE:
+        raise BadParameter(
+            f"degrees {','.join(map(str, ns))} give a table of {size} surface values;"
+            f" MAX_OPERATOR_TABLE = {MAX_OPERATOR_TABLE}"
+        )
 
 
 class _ProductOperator:
-    """tensor_bernstein for one surface g at many points.
+    """tensor_bernstein of one surface g in the checked degrees ns at many
+    points of one list, on ints.
 
-    g is tabulated once per degree tuple on the index grid (i_1/n_1, ...,
-    i_k/n_k), flat and index-major; the basis row b_{n,.}(x) is computed once
-    per (n, x); and the table summed against the rows of x_1..x_j is kept per
-    prefix (x_1..x_j).  A point seen before, such as the diagonal and shifted
-    terms that recur across a gav_gap scan, is a lookup, and points sharing a
-    prefix share its partial sums.  One instance serves one call or one scan.
+    g is tabulated once by _surface_ints on the index grid (i_1/n_1, ...,
+    i_k/n_k), flat and index-major; the basis row of point j in degree n is
+    built once, over q^n for the points' common denominator q; and the
+    table summed against the rows of points j_1..j_t is kept per prefix of
+    point indices, so recurring points (the diagonal and shifted terms of a
+    gav_gap scan) are lookups.  Every value is an int over ``unit``, the
+    table's unit times q^(n_1 + ... + n_k).
     """
 
-    def __init__(self, g: BivariateFn):
-        self.g = g
+    def __init__(self, g: BivariateFn, ns: tuple, points: Sequence[Fraction]):
+        self.ns = ns
+        self.scale, self.nums = _scaled_ints(points)
+        q = lcm(*ns)
+        grid = itertools.product(*(range(0, q + 1, q // n) for n in ns))
+        table_unit, table = _surface_ints(g, list(grid), q)
+        self.unit = table_unit * self.scale ** sum(ns)
         self._rows: dict = {}
-        self._tables: dict = {}  # (ns, x_1, ..., x_j) -> table summed over j axes
+        self._tables: dict = {(): table}  # (j_1, ..., j_t) -> table summed over t axes
 
-    def __call__(self, ns: Sequence[int], xs: Sequence) -> Fraction:
-        if len(ns) != len(xs):
-            raise ModeArity(f"{len(ns)} degrees vs {len(xs)} coordinates")
-        if self.g.arity != len(ns):
-            raise ModeArity(f"function arity {self.g.arity} does not match {len(ns)} axes")
-        size = prod(n + 1 for n in ns)
-        if size > MAX_OPERATOR_TABLE:
-            raise BadParameter(
-                f"degrees {','.join(map(str, ns))} give a table of {size} surface values;"
-                f" MAX_OPERATOR_TABLE = {MAX_OPERATOR_TABLE}"
-            )
-        rows = [self._row(n, x) for n, x in zip(ns, xs)]
-        key = (tuple(ns),)
-        table = self._tables.get(key)
-        if table is None:
-            table = self._tables[key] = [
-                self.g([Fraction(i, n) for i, n in zip(indices, ns)])
-                for indices in itertools.product(*(range(n + 1) for n in ns))
-            ]
-        for x, row in zip(xs, rows):
-            key += (x,)
+    def __call__(self, cell: Sequence[int]) -> int:
+        key, table = (), self._tables[()]
+        for n, j in zip(self.ns, cell):
+            key += (j,)
             summed = self._tables.get(key)
             if summed is None:
-                summed = self._tables[key] = _sum_leading_axis(table, row)
+                row = self._rows.get((n, j))
+                if row is None:
+                    row = self._rows[n, j] = _basis_ints(n, self.nums[j], self.scale)
+                size = len(table) // (n + 1)
+                summed = self._tables[key] = [
+                    sum(map(mul, row, table[p::size])) for p in range(size)
+                ]
             table = summed
         return table[0]
-
-    def _row(self, n: int, x) -> list[Fraction]:
-        row = self._rows.get((n, x))
-        if row is None:
-            row = self._rows[(n, x)] = binomial_weights(n, x)
-        return row
-
-
-def _sum_leading_axis(table: list[Fraction], row: list[Fraction]) -> list[Fraction]:
-    """sum_i row[i] * table[i, ...] for an index-major flat table."""
-    size = len(table) // len(row)
-    total = [Fraction(0)] * size
-    for i, w in enumerate(row):
-        if w:
-            total = [t + w * v for t, v in zip(total, table[i * size : (i + 1) * size])]
-    return total
 
 
 GAV_MODES = ("P1", "P1p", "P3", "P3p")
@@ -308,15 +364,26 @@ def gav_gap(mode: str, g: BivariateFn, ns: Sequence[int], points: Sequence) -> F
 
     (B is the tensor_bernstein operator throughout.)
     """
-    return _gav_gap(mode, _ProductOperator(g), ns, points)
+    xs = _unit_points(points)
+    op = _ProductOperator(g, _gav_degrees(mode, g, ns, len(xs)), xs)
+    return _gav_gap(mode, op, tuple(range(len(xs))))
 
 
 def gav_scan(mode: str, g: BivariateFn, ns: Sequence[int], grid: Sequence) -> list:
     """[(point, gav_gap(mode, g, ns, point)) for every point of grid^k], k the
-    arity of g, in itertools.product order, all through one product operator."""
+    arity of g, in itertools.product order, all through one product operator
+    keyed by grid index."""
     _check_scan_size(grid, g.arity)
-    op = _ProductOperator(g)
-    return [(pt, _gav_gap(mode, op, ns, pt)) for pt in itertools.product(grid, repeat=g.arity)]
+    cells = list(itertools.product(range(len(grid)), repeat=g.arity))
+    if not cells:
+        return []
+    # the checks run in the order of a scan point by point: the first
+    # point, the mode and the degrees, then each later grid point alone
+    _unit_points([grid[j] for j in cells[0]])
+    degrees = _gav_degrees(mode, g, ns, g.arity)
+    op = _ProductOperator(g, degrees, [_unit_points([t])[0] for t in grid])
+    points = itertools.product(grid, repeat=g.arity)
+    return [(pt, _gav_gap(mode, op, cell)) for pt, cell in zip(points, cells)]
 
 
 def _unit_points(points: Sequence) -> list[Fraction]:
@@ -327,42 +394,40 @@ def _unit_points(points: Sequence) -> list[Fraction]:
     return xs
 
 
-def _gav_gap(mode: str, op: _ProductOperator, ns: Sequence[int], points: Sequence) -> Fraction:
-    xs = _unit_points(points)
+def _gav_degrees(mode: str, g: BivariateFn, ns: Sequence[int], k: int) -> tuple:
+    """The operator's degrees for a gap at k points, once the mode, the
+    arity, MAX_OPERATOR_TABLE and every degree are checked."""
     if mode in ("P1", "P1p"):
-        if len(xs) != 2:
-            raise ModeArity(f"mode {mode} takes exactly two points, got {len(xs)}")
+        if k != 2:
+            raise ModeArity(f"mode {mode} takes exactly two points, got {k}")
         if len(ns) not in (1, 2):
             raise ModeArity(f"mode {mode} takes one or two degrees")
-        degrees = list(ns) if len(ns) == 2 else [ns[0], ns[0]]
-        x, y = xs
-
-        def b(u, v):
-            return op(degrees, [u, v])
-
-        if mode == "P1":
-            return b(x, x) + b(y, y) - 2 * b(x, y)
-        return b(x, x) + b(y, y) - b(x, y) - b(y, x)
-    if mode in ("P3", "P3p"):
-        k = len(ns)
-        if len(xs) != k or k < 1:
+        degrees = tuple(ns) * (2 // len(ns))
+    elif mode in ("P3", "P3p"):
+        if k != len(ns) or k < 1:
             raise ModeArity(f"mode {mode} needs one point per degree")
-        diagonal = [op(ns, [t] * k) for t in xs]
-        if mode == "P3":
-            m = sum(ns)
-            mixed = op(ns, xs)
-            return sum(
-                (Fraction(n, m) * d for n, d in zip(ns, diagonal)), Fraction(0)
-            ) - mixed
-        shifts = sum(
-            (
-                op(ns, xs[shift:] + xs[:shift])
-                for shift in range(k)
-            ),
-            Fraction(0),
-        )
-        return sum(diagonal, Fraction(0)) - shifts
-    raise ModeArity(f"unknown mode {mode!r}; expected one of {GAV_MODES}")
+        degrees = tuple(ns)
+    else:
+        raise ModeArity(f"unknown mode {mode!r}; expected one of {GAV_MODES}")
+    _check_table(g, degrees)
+    for n in degrees:
+        _check_degree(n)
+    return degrees
+
+
+def _gav_gap(mode: str, op: _ProductOperator, cell: tuple) -> Fraction:
+    """The gap at the points of op indexed by cell, summed on ints over
+    op.unit; P3 is multiplied through by m = sum(ns)."""
+    if mode in ("P1", "P1p"):
+        x, y = cell
+        mixed = op((x, y)) + op((y, x) if mode == "P1p" else (x, y))
+        return Fraction(op((x, x)) + op((y, y)) - mixed, op.unit)
+    diagonal = [op((j,) * len(cell)) for j in cell]
+    if mode == "P3":
+        m = sum(op.ns)
+        return Fraction(sum(map(mul, op.ns, diagonal)) - m * op(cell), m * op.unit)
+    shifts = sum(op(cell[shift:] + cell[:shift]) for shift in range(len(cell)))
+    return Fraction(sum(diagonal) - shifts, op.unit)
 
 
 def unit_grid(step=Fraction(1, 16)) -> list[Fraction]:
@@ -388,7 +453,9 @@ def supermodularity_check(g: BivariateFn, grid: Sequence | None = None) -> Order
     (x1,y1) or (x2,y2) maps the both-decreasing case onto it.  A pass is
     evidence on the grid, not a proof on the square.
 
-    g is tabulated once on the sorted grid p_0 < ... < p_{G-1}: G^2 calls.
+    g is tabulated once on the sorted grid p_0 < ... < p_{G-1}, by one
+    _surface_ints call for all G^2 cells on the grid's common denominator,
+    and the screen compares those ints.
     The gap of the quadruple x1 = p_i, y1 = p_j, x2 = p_k, y2 = p_l is
     D(l) - D(k) with D = g(p_j, .) - g(p_i, .) on the grid, and it is the
     sum of the adjacent-cell differences of the cells between those rows and
@@ -404,12 +471,15 @@ def supermodularity_check(g: BivariateFn, grid: Sequence | None = None) -> Order
     if g.arity != 2:
         raise ModeArity("supermodularity screening is for two-variable functions")
     pts = sorted(set(pts))
-    table = [[g([x, y]) for y in pts] for x in pts]
+    scale, nums = _scaled_ints(pts)
+    unit, values = _surface_ints(g, [(a, b) for a in nums for b in nums], scale)
+    size = len(pts)
+    table = [values[i * size : (i + 1) * size] for i in range(size)]
 
-    def row_gain(i: int, j: int) -> list[Fraction]:
+    def row_gain(i: int, j: int) -> list[int]:
         return [b - a for a, b in zip(table[i], table[j])]
 
-    def falls(d: list[Fraction]) -> bool:
+    def falls(d: list[int]) -> bool:
         return any(b < a for a, b in zip(d, d[1:]))
 
     if not any(falls(row_gain(i, i + 1)) for i in range(len(pts) - 1)):
@@ -418,7 +488,8 @@ def supermodularity_check(g: BivariateFn, grid: Sequence | None = None) -> Order
     i, j = next((i, j) for i, j in pairs if falls(row_gain(i, j)))
     d = row_gain(i, j)
     k, l = next((k, l) for k, l in pairs if d[l] < d[k])
-    return OrderVerdict(False, Witness("quadruple", (pts[i], pts[k], pts[j], pts[l]), d[l] - d[k]))
+    gap = Fraction(d[l] - d[k], unit)
+    return OrderVerdict(False, Witness("quadruple", (pts[i], pts[k], pts[j], pts[l]), gap))
 
 
 def eq6prim_gap(ns: Sequence[int], xs: Sequence, phi: ConvexTestFn) -> Fraction:

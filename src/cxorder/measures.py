@@ -200,9 +200,12 @@ def _scaled_ints(values) -> tuple[int, list[int]]:
     """(scale, [v * scale for v in values]) with scale the least common
     denominator of ``values``: exact rationals as ints in units of 1/scale,
     so a kernel can multiply and add on ints and build one Fraction per
-    output."""
-    scale = lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+    output.  Each distinct denominator costs one lcm step and one division,
+    however often it repeats."""
+    denominators = {v.denominator for v in values}
+    scale = lcm(*denominators)
+    factors = {d: scale // d for d in denominators}
+    return scale, [v.numerator * factors[v.denominator] for v in values]
 
 
 def _check_work(count: int, ints, budget: int, message, min_count=0, min_bits=0):

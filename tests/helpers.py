@@ -154,6 +154,13 @@ def cauchy_product_oracle(u, v) -> list[Fraction]:
     return out
 
 
+def scaled_ints_oracle(values) -> tuple[int, list[int]]:
+    """The former measures._scaled_ints, kept as its oracle: the lcm over
+    every entry's denominator and one division of the scale per entry."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def power_scaled_ints_oracle(rows, s) -> tuple[int, list[int]]:
     """The former scaling of lattice._rational_square, kept as the oracle of
     lattice._power_scaled_ints: every entry c at index k of every row

@@ -1,6 +1,7 @@
 """Basis gaps, product-operator inequalities, certified double sums."""
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -666,6 +667,45 @@ def test_surfaces_match_the_three_kind_oracle(drawn, data):
     assert g.supermodular_cert == ("construction" if supermod else None)
 
 
+# coordinates of both signs, also outside [0, 1], with unrelated denominators
+mixed_coords = st.one_of(unit_points, small, st.fractions(min_value=-3, max_value=3, max_denominator=9))
+
+
+def _surface_ints_at(g, points, factor):
+    """bernstein._surface_ints at rational points, on the points' common
+    denominator times factor, each value back as a Fraction."""
+    q = factor * math.lcm(*(x.denominator for pt in points for x in pt))
+    unit, ints = bernstein._surface_ints(g, [tuple(int(x * q) for x in pt) for pt in points], q)
+    assert unit > 0
+    return [Fraction(v, unit) for v in ints]
+
+
+@settings(max_examples=150, deadline=None)
+@given(surface_sums(), st.data())
+def test_surface_ints_match_the_literal_evaluators(drawn, data):
+    g, terms, _, _ = drawn
+    point = st.lists(mixed_coords, min_size=g.arity, max_size=g.arity)
+    points = data.draw(st.lists(point, min_size=1, max_size=6))
+    values = _surface_ints_at(g, points, data.draw(st.integers(1, 3)))
+    for pt, value in zip(points, values):
+        assert value == g(pt) == helpers.surface_oracle(pt, **terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    surfaces(arity=k), st.lists(st.lists(mixed_coords, min_size=k, max_size=k), min_size=1, max_size=6),
+)), st.integers(1, 3))
+def test_surface_ints_match_bivariate_call_on_signed_surfaces(drawn, factor):
+    g, points = drawn
+    assert _surface_ints_at(g, points, factor) == [g(pt) for pt in points]
+
+
+def test_surface_ints_of_an_empty_grid():
+    unit, ints = bernstein._surface_ints(absdiff_surface(1), [], 7)
+    assert unit > 0 and ints == []
+    assert bernstein._surface_ints(poly_surface([], 2), [(1, 2)], 7) == (1, [0])
+
+
 @settings(max_examples=200, deadline=None)
 @given(surfaces(), grids)
 def test_supermodularity_check_matches_literal_walk(g, grid):
@@ -715,14 +755,18 @@ def test_supermodularity_check_oracle_comparison_covers_both_outcomes():
 
 @st.composite
 def operator_inputs(draw):
+    # points of one denominator and of several, sevenths and fifths too
     k = draw(st.integers(1, 3))
     ns = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
-    xs = draw(st.lists(unit_points, min_size=k, max_size=k))
+    coords = st.one_of(unit_points, st.fractions(min_value=0, max_value=1, max_denominator=9))
+    xs = draw(st.lists(coords, min_size=k, max_size=k))
     return draw(surfaces(arity=k)), ns, xs
 
 
 @settings(max_examples=150, deadline=None)
 @given(operator_inputs())
+@example((hinge_surface(-1, (1, Fraction(-1, 2), 2), Fraction(1, 3)) + absdiff_surface(1, 3, 2, 0),
+          [2, 1, 3], [Fraction(1, 3), Fraction(2, 5), Fraction(6, 7)]))
 def test_tensor_bernstein_matches_literal_sum(inputs):
     g, ns, xs = inputs
     assert tensor_bernstein(g, ns, xs) == helpers.tensor_bernstein_oracle(g, ns, xs)
@@ -784,23 +828,29 @@ def test_rasa_scan_matches_brute_double_sum():
         assert rasa_scan(n, grid, phi) == expected
 
 
-def test_rasa_scan_computes_each_unordered_pair_once(monkeypatch):
-    # the gap is symmetric, so a G-point grid needs G (G + 1) / 2 Hankel
-    # forms, not G^2
-    squares = []
-    form = bernstein._phi_form
+def test_rasa_scan_builds_one_row_per_grid_point(monkeypatch):
+    # one basis row and one Phi u per grid point, each phi(s/(2n)) once, no
+    # Hankel form per pair, and the symmetric gap mirrored
+    rows, phis = [], []
+    basis, phi = bernstein._basis_ints, hinge_fn(Fraction(1, 3))
 
-    def counting(u, v, phis):
-        squares.append(len(u))
-        return form(u, v, phis)
+    def counting_rows(n, a, q):
+        rows.append(a)
+        return basis(n, a, q)
 
-    monkeypatch.setattr(bernstein, "_phi_form", counting)
+    def counting_phi(t):
+        phis.append(t)
+        return phi(t)
+
+    monkeypatch.setattr(bernstein, "_basis_ints", counting_rows)
+    monkeypatch.setattr(bernstein, "_phi_form", helpers.refuse("_phi_form"))
     grid = unit_grid(Fraction(1, 6))
-    rows = rasa_scan(2, grid, hinge_fn(Fraction(1, 3)))
-    assert len(squares) == 7 * 8 // 2
-    assert [point for point, _ in rows] == [(x, y) for x in grid for y in grid]
-    gaps = dict(rows)
+    result = rasa_scan(2, grid, counting_phi)
+    assert len(rows) == 7 and len(phis) == 5
+    assert [point for point, _ in result] == [(x, y) for x in grid for y in grid]
+    gaps = dict(result)
     assert all(gaps[x, y] == gaps[y, x] for x in grid for y in grid)
+    assert all(gaps[x, x] == 0 for x in grid)
 
 
 def test_operator_table_budget_is_checked_before_evaluating(monkeypatch):
@@ -824,25 +874,26 @@ def test_operator_table_budget_is_checked_before_evaluating(monkeypatch):
         gav_scan("P3", g3, [2, 2, 1], [0, 1])
 
 
-def test_supermodularity_check_tabulates_g_once(monkeypatch):
-    # a 33-point grid costs 33^2 surface evaluations whether the screen
-    # passes or has to walk to a witness
+def test_supermodularity_check_tabulates_g_once_on_ints(monkeypatch):
+    # a 33-point grid is one _surface_ints call for its 33^2 cells, and no
+    # literal evaluation, whether the screen passes or walks to a witness
     calls = []
-    evaluate = BivariateFn.__call__
+    tabulate = bernstein._surface_ints
 
-    def counting(self, point):
-        calls.append(point)
-        return evaluate(self, point)
+    def counting(g, points, q):
+        calls.append(len(points))
+        return tabulate(g, points, q)
 
-    monkeypatch.setattr(BivariateFn, "__call__", counting)
+    monkeypatch.setattr(bernstein, "_surface_ints", counting)
+    monkeypatch.setattr(BivariateFn, "__call__", helpers.refuse("BivariateFn.__call__"))
     grid = unit_grid(Fraction(1, 32))
     assert len(grid) == 33
     assert supermodularity_check(compose_convex(quad_fn(1), (1, 1)), grid).holds
-    assert len(calls) == 33**2
+    assert calls == [33**2]
     calls.clear()
     verdict = supermodularity_check(hinge_surface(-1, (1, 1), Fraction(3, 2)), grid)
     assert verdict.holds is False
-    assert len(calls) == 33**2
+    assert calls == [33**2]
 
 
 # -- budgets ---------------------------------------------------------------------

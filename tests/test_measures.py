@@ -130,6 +130,18 @@ def test_convolve_matches_literal_oracle(mu, nu):
     assert all(type(x) is Fraction and type(w) is Fraction for x, w in out.atoms)
 
 
+@settings(max_examples=300)
+@given(st.lists(st.one_of(_positions, _weights, st.sampled_from([Fraction(1, 10**40 + k) for k in range(3)]))))
+@example([])
+@example([Fraction(3), Fraction(-5), Fraction(7)])
+@example([H, Q, H, Fraction(-3, 4), Q])
+def test_scaled_ints_match_the_per_entry_oracle(values):
+    # repeated, distinct and wide denominators, ints and the empty list
+    scale, ints = measures._scaled_ints(values)
+    assert (scale, ints) == helpers.scaled_ints_oracle(values)
+    assert all(type(v) is int for v in ints)
+
+
 def test_mix_basics():
     mu = make_measure([(0, H), (2, H)])
     assert mix([H, H], [dirac(0), dirac(2)]) == mu
