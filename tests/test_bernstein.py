@@ -69,6 +69,18 @@ def test_binomial_measure_examples():
     assert b2.mass == 1 and b2.mean == 1
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), x=st.fractions(min_value=0, max_value=1, max_denominator=30))
+@example(n=5, x=Fraction(0))
+@example(n=5, x=Fraction(1))
+def test_binomial_weights_match_the_literal_powers(n, x):
+    # the rows are built on ints over q^n; the literal Fraction formula is
+    # the reference for them and for every oracle built on binomial_weights
+    literal = [math.comb(n, i) * x**i * (1 - x) ** (n - i) for i in range(n + 1)]
+    assert binomial_weights(n, x) == literal
+    assert all(type(w) is Fraction for w in binomial_weights(n, x))
+
+
 def test_binomial_measure_rejects_bad_parameters():
     with pytest.raises(BadParameter):
         binomial_measure(0, H)
@@ -874,7 +886,7 @@ def test_operator_table_budget_is_checked_before_evaluating(monkeypatch):
         gav_scan("P3", g3, [2, 2, 1], [0, 1])
 
 
-def test_supermodularity_check_tabulates_g_once_on_ints(monkeypatch):
+def test_supermodularity_check_makes_one_surface_ints_call(monkeypatch):
     # a 33-point grid is one _surface_ints call for its 33^2 cells, and no
     # literal evaluation, whether the screen passes or walks to a witness
     calls = []
