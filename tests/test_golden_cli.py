@@ -24,6 +24,7 @@ def m(name: str) -> str:
 
 
 EPS40 = "1/1099511627776"  # 2^-40
+MIXED_PHI = "sum(hinge 3/8 1, quad 2/5, affine 1 1/3)"
 
 CASES = {
     # order
@@ -47,6 +48,9 @@ CASES = {
     "rasa_gap_nested": ["rasa", "gap", "--mu", m("coin"), "--nu", "binomial:1,1/3",
                         "--phi", " sum (hinge 0 1, sum(quad 1/2, affine 0 0)) "],
     "rasa_equivalence": ["rasa", "equivalence", "--trials", "20", "--seed", "7"],
+    # atoms, weights and phi on different denominators
+    "rasa_gap_mixed": ["rasa", "gap", "--mu", m("spread"), "--nu", "binomial:2,2/7",
+                       "--phi", MIXED_PHI],
     # genfun
     "genfun_check_holds": ["genfun", "check", "--mu", m("dirac0"), "--nu", m("coin")],
     "genfun_check_fails": ["genfun", "check", "--mu", m("outer"), "--nu", m("inner")],
@@ -144,6 +148,13 @@ CASES = {
                             "--phi", "quad 1"],
     "bernstein_multi": ["bernstein", "multi", "--n", "2", "--points", "0,1/2,1",
                         "--phi", "hinge 1/2 1"],
+    # points on different denominators and a phi with every part
+    "bernstein_rasa_mixed": ["bernstein", "rasa", "--n", "5", "--x", "1/3", "--y", "2/7",
+                             "--phi", MIXED_PHI],
+    "bernstein_eq6_mixed": ["bernstein", "eq6", "--ns", "2,3,1", "--points", "1/3,2/5,6/7",
+                            "--phi", MIXED_PHI],
+    "bernstein_multi_mixed": ["bernstein", "multi", "--n", "3", "--points", "1/3,2/5,6/7",
+                              "--phi", MIXED_PHI],
     "bernstein_p4_negative": ["bernstein", "p4", "--n", "1", "--x", "1/4", "--y", "3/4",
                               "--phi", "affine 0 1", "--eps", EPS40],
     "bernstein_p4_positive": ["bernstein", "p4", "--n", "1", "--x", "1/4", "--y", "3/4",
@@ -171,6 +182,8 @@ CASES = {
                          "--g", "absdiff 3/8", "--ns", "2,3", "--step", "1/6"],
     "decimal_p4": ["--decimal", "5", "bernstein", "p4", "--n", "1", "--x", "1/4",
                    "--y", "3/4", "--phi", "affine 0 1", "--eps", EPS40],
+    "decimal_eq6": ["--decimal", "6", "bernstein", "eq6", "--ns", "2,3,1",
+                    "--points", "1/3,2/5,6/7", "--phi", MIXED_PHI],
     "decimal_example3": ["--decimal", "3", "reproduce", "example-3"],
     "decimal_zero": ["--decimal", "0", "bernstein", "rasa", "--n", "2", "--x", "1/4",
                      "--y", "3/4", "--phi", "hinge 1/2 1"],
