@@ -7,11 +7,11 @@ and cross-checked.  The open characterisation questions around the product
 operators make most of this module a scanner: it evaluates gaps exactly and
 hunts for sign violations, it does not decide function classes.
 
-The scanners run on ints.  Grid points share one denominator q, so a basis
-row is the int row C(n,i) a^i (q-a)^(n-i) over q^n; _surface_ints tabulates
-a surface at grid points on one int unit; rasa_scan, gav_scan (with
-gav_gap and tensor_bernstein) and supermodularity_check sum and compare
-those ints and build one Fraction per value they return.
+The gaps and scanners run on ints.  The basis row of a point a/q is the
+int row C(n,i) a^i (q-a)^(n-i) over q^n (a scan's points share one q); phi
+is tabulated at s/den on one int unit by ConvexTestFn._tabulate, a surface
+by _surface_ints.  Every gap sums those ints and builds one Fraction per
+value it returns; only the gavrea_p4_sum box keeps a literal phi table.
 """
 
 from __future__ import annotations
@@ -20,25 +20,19 @@ import itertools
 from collections.abc import Sequence
 from fractions import Fraction
 from math import comb, lcm, prod
-from operator import mul
+from operator import mul, sub
 
 from .errors import BadParameter, Inconclusive, ModeArity
-from .lattice import (
-    DEFAULT_EPS,
-    _check_square,
-    _scaled_rows,
-    cauchy_product,
-    truncate_negbinomial,
-)
+from .lattice import DEFAULT_EPS, _check_square, _int_product, _scaled_rows, truncate_negbinomial
 from .measures import DiscreteMeasure, _frozen, _scaled_ints, as_rational, format_rational
-from .orders import ConvexTestFn, OrderVerdict, Witness, hinge_fn
+from .orders import ConvexTestFn, OrderVerdict, Witness, _test_fn, _unit_sum, hinge_fn
 
-# Budgets, checked before any work: binomial_weights refuses a degree above
+# Budgets, checked before any work: the basis rows refuse a degree above
 # MAX_DEGREE (rasa_gap at x = 1/3, y = 3/7 with a hinge at 1/3 takes about
-# 0.05 s at n = 512, 0.3 s at n = 1024 and 2 s at n = 2048 on one Xeon core;
-# the gaps build their rows before any phi value), unit_grid refuses a step
-# finer than 1/(MAX_GRID_POINTS - 1), and gav_scan/rasa_scan refuse more
-# than MAX_SCAN_POINTS points.
+# 0.055 s at n = 512, 0.3 s at n = 1024 and 2.4 s at n = 2048 on one Xeon
+# core; the gaps check every degree before any row or phi value), unit_grid
+# refuses a step finer than 1/(MAX_GRID_POINTS - 1), and gav_scan/rasa_scan
+# refuse more than MAX_SCAN_POINTS points.
 # supermodularity_check tabulates G^2 values on a G-point grid, so the grid
 # budget bounds it too.  The product operator behind tensor_bernstein,
 # gav_gap and gav_scan tabulates prod(n_i + 1) surface values and refuses
@@ -89,21 +83,13 @@ def binomial_measure(n: int, x) -> DiscreteMeasure:
     )
 
 
-def _phi_form(u: Sequence, v: Sequence, phis: Sequence) -> Fraction:
-    """sum_{i,j} u_i v_j phis[i+j], len(phis) = len(u) + len(v) - 1, on ints
-    scaled by common denominators; one Fraction at the end.  When u and v
-    scale to the same ints (the self form d x d of rasa_gap and the p4
-    box) the sum is symmetric in i and j, so it runs over i <= j,
-    sum_i d_i (d_i phis[2i] + 2 sum_{j>i} d_j phis[i+j]): L(L+1)/2 products
-    for a row of length L.  Otherwise each Hankel row (v against phis
-    shifted by i) is summed, then weighted by u_i."""
-    (u_scale, us), (v_scale, vs), (phi_scale, ps) = map(_scaled_ints, (u, v, phis))
-    if us == vs:
-        total = sum(a * (a * ps[2 * i] + 2 * sum(map(mul, us[i + 1 :], ps[2 * i + 1 :])))
-                    for i, a in enumerate(us) if a)
-    else:
-        total = sum(a * sum(map(mul, vs, ps[i:])) for i, a in enumerate(us) if a)
-    return Fraction(total, u_scale * v_scale * phi_scale)
+def _self_form(d: Sequence[int], ps: Sequence[int]) -> int:
+    """sum_{i,j} d_i d_j ps[i+j] on ints, len(ps) = 2 len(d) - 1: the self
+    form of rasa_gap and the p4 box.  The sum is symmetric in i and j, so
+    it runs over i <= j, sum_i d_i (d_i ps[2i] + 2 sum_{j>i} d_j ps[i+j]):
+    L(L+1)/2 products for a row of length L."""
+    return sum(a * (a * ps[2 * i] + 2 * sum(map(mul, d[i + 1 :], ps[2 * i + 1 :])))
+               for i, a in enumerate(d) if a)
 
 
 def rasa_gap(n: int, x, y, phi: ConvexTestFn) -> Fraction:
@@ -111,22 +97,26 @@ def rasa_gap(n: int, x, y, phi: ConvexTestFn) -> Fraction:
 
         sum_{i,j} (b_i(x)b_j(x) + b_i(y)b_j(y) - 2 b_i(x)b_j(y)) phi((i+j)/(2n)),
 
-    whose bracket is d_i d_j for d = b(x) - b(y).  Non-negative for convex phi."""
-    d = [a - b for a, b in zip(binomial_weights(n, x), binomial_weights(n, y))]
-    return _phi_form(d, d, [phi(Fraction(s, 2 * n)) for s in range(2 * n + 1)])
+    whose bracket is d_i d_j for d = b(x) - b(y).  Non-negative for convex phi.
+    x and y go on their common denominator q, d on ints over q^n, and the
+    self form of d pairs it with phi's table."""
+    scale, (a, b) = _scaled_ints([_basis_point(n, x), _basis_point(n, y)])
+    unit, ps = _test_fn(phi)._tabulate(range(2 * n + 1), 2 * n)
+    d = list(map(sub, _basis_ints(n, a, scale), _basis_ints(n, b, scale)))
+    return Fraction(_self_form(d, ps), scale ** (2 * n) * unit)
 
 
 def rasa_scan(n: int, grid: Sequence, phi: ConvexTestFn) -> list:
     """[((x, y), rasa_gap(n, x, y, phi)) for x in grid for y in grid], on
-    ints: basis rows u over q^n, q the grid's common denominator, and the
-    phi(s/(2n)) over theirs.  With the Hankel matrix Phi = (phi((i+j)/(2n)))
+    ints: basis rows u over q^n, q the grid's common denominator, and phi's
+    table of phi(s/(2n)).  With the Hankel matrix Phi = (phi((i+j)/(2n)))
     the gap is u_x Phi u_x + u_y Phi u_y - 2 u_x Phi u_y, so Phi u is formed
     once per grid point and each pair costs one dot product.  The gap is
     symmetric, so each unordered pair is computed once and mirrored."""
     _check_scan_size(grid, 2)
     scale, nums = _scaled_ints([_basis_point(n, x) for x in grid])
+    phi_scale, ps = _test_fn(phi)._tabulate(range(2 * n + 1), 2 * n)
     rows = [_basis_ints(n, a, scale) for a in nums]
-    phi_scale, ps = _scaled_ints([phi(Fraction(s, 2 * n)) for s in range(2 * n + 1)])
     images = [[sum(map(mul, row, ps[i:])) for i in range(n + 1)] for row in rows]
     forms = [sum(map(mul, row, image)) for row, image in zip(rows, images)]
     unit = scale ** (2 * n) * phi_scale
@@ -255,34 +245,17 @@ def _surface_ints(g: BivariateFn, points: Sequence[Sequence[int]], q: int) -> tu
     Each part is an int column over a unit that no point changes.  A
     monomial c prod u_t^e_t is c.num prod a_t^e_t over c.den q^(sum e_t).
     A ridge c phi(s) has s = S/(W q), W the common denominator of its
-    weights and S = sum (w_t W) a_t: c const, c slope S over W q, c curve
-    S^2 over (W q)^2 and, per hinge (A, h), c h max(S A.den - A.num W q, 0)
-    over W q A.den."""
+    weights and S = sum (w_t W) a_t: c.num times phi's table at the S over
+    W q (ConvexTestFn._tabulate), over c.den times the table's unit."""
     parts = [
         (c.denominator * q ** sum(exps), [c.numerator * prod(map(pow, pt, exps)) for pt in points])
         for exps, c in g.poly.terms
     ]
     for c, phi, w in g.ridges:
         scale, ws = _scaled_ints(w)
-        wq = scale * q
-        sums = [sum(map(mul, ws, pt)) for pt in points]
-        for coeff, den, column in (
-            (c * phi.const, 1, [1] * len(points)),
-            (c * phi.slope, wq, sums),
-            (c * phi.curve, wq * wq, [t * t for t in sums]),
-        ):
-            if coeff:
-                parts.append((coeff.denominator * den, [coeff.numerator * t for t in column]))
-        for a, h in phi.hinges:
-            coeff, shift = c * h, a.numerator * wq
-            column = [coeff.numerator * max(t * a.denominator - shift, 0) for t in sums]
-            parts.append((coeff.denominator * wq * a.denominator, column))
-    unit = lcm(*(den for den, _ in parts))
-    total = [0] * len(points)
-    for den, column in parts:
-        factor = unit // den
-        total = [t + factor * v for t, v in zip(total, column)]
-    return unit, total
+        unit, values = phi._tabulate([sum(map(mul, ws, pt)) for pt in points], scale * q)
+        parts.append((c.denominator * unit, [c.numerator * v for v in values]))
+    return _unit_sum(parts, len(points))
 
 
 def tensor_bernstein(g: BivariateFn, ns: Sequence[int], xs: Sequence) -> Fraction:
@@ -498,24 +471,28 @@ def eq6prim_gap(ns: Sequence[int], xs: Sequence, phi: ConvexTestFn) -> Fraction:
         sum_i (n_i/m) (B_m phi)(x_i)
             - sum_{i_1..i_k} prod_t b_{n_t,i_t}(x_t) phi((i_1+...+i_k)/m)
 
-    with m = sum n_i; non-negative for convex phi.  The mixed sum collapses
-    along the total index: the product of the first k-1 rows paired with
-    the last.  The block rows of degree m come first, so MAX_DEGREE refuses
-    m before any product or phi value, each phi(s/m) then computed once."""
+    with m = sum n_i; non-negative for convex phi.  Each point a/q keeps its
+    own denominator, its rows on ints over q^m and q^n.  A block is one dot
+    product of its row with phi's table of phi(s/m); the mixed sum collapses
+    along the total index to one dot product of the table with the int
+    product of the k rows, over the product of their units.  MAX_DEGREE
+    refuses m, then each n_i, before any row or phi value."""
     if not ns or len(ns) != len(xs):
         raise ModeArity(f"{len(ns)} degrees vs {len(xs)} coordinates; need >= 1 block")
     if len(ns) > MAX_MULTI_POINTS:
         raise BadParameter(f"{len(ns)} points exceed MAX_MULTI_POINTS = {MAX_MULTI_POINTS}")
     points = _unit_points(xs)
     m = sum(ns)
-    block_rows = [binomial_weights(m, x) for x in points]
-    rows = [binomial_weights(n, x) for n, x in zip(ns, points)]
-    phis = [phi(Fraction(s, m)) for s in range(m + 1)]
-    blocks = sum(Fraction(n, m) * _phi_form([1], row, phis) for n, row in zip(ns, block_rows))
-    joint = [Fraction(1)]
-    for row in rows[:-1]:
-        joint = cauchy_product(joint, row)
-    return blocks - _phi_form(joint, rows[-1], phis)
+    for n in (m, *ns):
+        _check_degree(n)
+    unit, ps = _test_fn(phi)._tabulate(range(m + 1), m)
+    blocks, joint, joint_unit = Fraction(0), [1], 1
+    for n, x in zip(ns, points):
+        a, q = x.numerator, x.denominator
+        blocks += Fraction(n * sum(map(mul, _basis_ints(m, a, q), ps)), q**m)
+        joint = _int_product(joint, _basis_ints(n, a, q), len(joint) + n)
+        joint_unit *= q**n
+    return (blocks / m - Fraction(sum(map(mul, joint, ps)), joint_unit)) / unit
 
 
 @_frozen
@@ -580,8 +557,8 @@ def gavrea_p4_sum(n: int, x, y, phi: ConvexTestFn, eps=DEFAULT_EPS) -> IntervalV
     scale, d = _scaled_rows([(unit, [a * fx - b * fy for a, b in rows])])
     _check_square(len(d) ** 2, d)
     bound = phi.bound_on_unit_interval()
-    phis = [phi(Fraction(s, 2 * n + s)) for s in range(2 * len(d) - 1)]
-    boxed = _phi_form(d, d, phis) / (scale * scale)
+    phi_scale, ps = _scaled_ints([phi(Fraction(s, 2 * n + s)) for s in range(2 * len(d) - 1)])
+    boxed = Fraction(_self_form(d, ps), scale * scale * phi_scale)
     sigma = Fraction(sum(map(abs, d)), scale)
     tau = fam_x.tail_bound + fam_y.tail_bound
     slack = bound * (2 * sigma * tau + tau * tau)

@@ -380,6 +380,8 @@ def measure_from_json(text: str) -> DiscreteMeasure:
         obj = json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
+    except RecursionError as exc:  # the reader recurses once per nested array or object
+        raise ParseError("invalid JSON: nested deeper than the parser's recursion limit") from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("atoms"), list):
         raise ParseError('measure file must be an object {"atoms": [...]}')
     pairs = []

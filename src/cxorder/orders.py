@@ -33,8 +33,10 @@ each can certify the other.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import MassMismatch, NonConvexTestFn
 from .measures import (
@@ -47,10 +49,6 @@ from .measures import (
     as_rational,
     format_rational,
 )
-# Not called here: the criterion and its oracle build no intermediate
-# measure.  They stay importable from this module, where the tests replace
-# them to show just that.
-from .measures import cdf_diff, convolve, mix  # noqa: F401
 
 # Budget, checked after the rows are scaled to ints and before the first
 # product: the signed square of B breakpoints forms B^2 pairs and the three
@@ -123,8 +121,6 @@ class PiecewiseLinear:
         if not bps or x <= bps[0] or x >= bps[-1]:
             return Fraction(0)
         i = bisect_right(bps, x) - 1
-        if bps[i] == x:
-            return self.values[i]
         x0, x1 = bps[i], bps[i + 1]
         v0, v1 = self.values[i], self.values[i + 1]
         return v0 + (v1 - v0) * (x - x0) / (x1 - x0)
@@ -178,11 +174,7 @@ class ConvexTestFn:
 
     def __call__(self, x) -> Fraction:
         x = as_rational(x)
-        out = self.const
-        if self.slope:
-            out += self.slope * x
-        if self.curve:
-            out += self.curve * x * x
+        out = self.const + self.slope * x + self.curve * x * x
         for a, c in self.hinges:
             if x > a:
                 out += c * (x - a)
@@ -208,6 +200,21 @@ class ConvexTestFn:
             tuple((a / s, c * s) for a, c in self.hinges),
         )
 
+    def _tabulate(self, sums: Sequence[int], den: int) -> tuple[int, list[int]]:
+        """(unit, [phi(s/den) * unit for s in sums]) on ints, for int sums s
+        of any sign and den >= 1: each part is its coefficient times an int
+        column over a unit (the constant's 1 over 1, the slope's s over den,
+        the curve's s^2 over den^2, a hinge (A, c)'s max(s A.den - A.num den,
+        0) over den A.den), summed on the lcm of their units.  The gaps
+        tabulate phi here, so no other module reads its fields."""
+        parts = [(self.const, 1, [1] * len(sums)), (self.slope, den, sums),
+                 (self.curve, den * den, [t * t for t in sums])]
+        for a, c in self.hinges:
+            shift, q = a.numerator * den, a.denominator
+            parts.append((c, den * q, [max(t * q - shift, 0) for t in sums]))
+        return _unit_sum([(coeff.denominator * unit, [coeff.numerator * t for t in column])
+                          for coeff, unit, column in parts if coeff], len(sums))
+
     def integrate(self, mu: DiscreteMeasure) -> Fraction:
         return sum((w * self(x) for x, w in mu.atoms), Fraction(0))
 
@@ -222,18 +229,12 @@ class ConvexTestFn:
         candidates = list(kinks)
         if self.curve > 0:
             # derivative on (left, right) is ramp + 2*curve*x with ramp
-            # collecting slope plus all hinges already switched on
-            ramp = self.slope
-            for a, c in self.hinges:
-                if a <= 0:
-                    ramp += c
+            # collecting slope plus all hinges switched on at left
             for left, right in zip(kinks, kinks[1:]):
+                ramp = self.slope + sum(c for a, c in self.hinges if a <= left)
                 vertex = -ramp / (2 * self.curve)
                 if left < vertex < right:
                     candidates.append(vertex)
-                for a, c in self.hinges:
-                    if a == right:
-                        ramp += c
         lo = min(self(t) for t in candidates)
         hi = max(self(Fraction(0)), self(Fraction(1)))
         return max(abs(lo), abs(hi))
@@ -249,6 +250,25 @@ def quad_fn(curve) -> ConvexTestFn:
 
 def hinge_fn(threshold, coeff=1) -> ConvexTestFn:
     return ConvexTestFn(hinges=((as_rational(threshold), as_rational(coeff)),))
+
+
+def _unit_sum(parts, size: int) -> tuple[int, list[int]]:
+    """(unit, total) for ``parts``, pairs (den, column) of int columns of
+    ``size`` entries each over its own den: unit the lcm of the dens and
+    total the entrywise sum of the columns over it."""
+    unit = lcm(*(den for den, _ in parts))
+    total = [0] * size
+    for den, column in parts:
+        factor = unit // den
+        total = [t + factor * v for t, v in zip(total, column)]
+    return unit, total
+
+
+def _test_fn(phi) -> ConvexTestFn:
+    """phi, once checked to be a ConvexTestFn: the gaps tabulate its parts."""
+    if not isinstance(phi, ConvexTestFn):
+        raise NonConvexTestFn("test function must be a ConvexTestFn")
+    return phi
 
 
 def leq_st(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
@@ -511,7 +531,8 @@ def gap_functional(mu: DiscreteMeasure, nu: DiscreteMeasure, phi: ConvexTestFn) 
 
     Requires equal masses so the affine part of phi cancels exactly.  The
     measure is the signed square (mu - nu)*(mu - nu) whose kinks the profile
-    sweeps, read from the same ints as in rasa_criterion, so for a hinge at
+    sweeps, read from the same ints as in rasa_criterion and paired with
+    phi's int table at its kinks (ConvexTestFn._tabulate), so for a hinge at
     A this equals the rasa_criterion profile at A; for phi = x^2 it equals
     2 (mean mu - mean nu)^2 (raw means, any equal mass).
     """
@@ -520,7 +541,7 @@ def gap_functional(mu: DiscreteMeasure, nu: DiscreteMeasure, phi: ConvexTestFn) 
         raise MassMismatch(
             f"masses differ: {format_rational(mu.mass)} vs {format_rational(nu.mass)}"
         )
-    if not isinstance(phi, ConvexTestFn):
-        raise NonConvexTestFn("test function must be a ConvexTestFn")
+    phi = _test_fn(phi)
     scale, unit, kinks = _signed_square(scale, bs, unit, ds)
-    return sum((w * phi(Fraction(s, scale)) for s, w in kinks.items() if w), Fraction(0)) / unit
+    phi_unit, values = phi._tabulate(list(kinks), scale)
+    return Fraction(sum(map(mul, kinks.values(), values)), unit * phi_unit)

@@ -223,6 +223,29 @@ def phi_form_oracle(u, v, phis) -> Fraction:
     return Fraction(total, u_scale * v_scale * phi_scale)
 
 
+def unit_interval_bound_oracle(phi: ConvexTestFn) -> Fraction:
+    """The former ConvexTestFn.bound_on_unit_interval, kept as its oracle:
+    sup |phi| over [0, 1], the minimum found by carrying the derivative's
+    ramp from one piece to the next, each hinge added at its own kink."""
+    kinks = [Fraction(0)] + [a for a, _ in phi.hinges if 0 < a < 1] + [Fraction(1)]
+    candidates = list(kinks)
+    if phi.curve > 0:
+        ramp = phi.slope
+        for a, c in phi.hinges:
+            if a <= 0:
+                ramp += c
+        for left, right in zip(kinks, kinks[1:]):
+            vertex = -ramp / (2 * phi.curve)
+            if left < vertex < right:
+                candidates.append(vertex)
+            for a, c in phi.hinges:
+                if a == right:
+                    ramp += c
+    lo = min(phi(t) for t in candidates)
+    hi = max(phi(Fraction(0)), phi(Fraction(1)))
+    return max(abs(lo), abs(hi))
+
+
 def leq_st_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     """Independent oracle for leq_st: the literal scan that re-sums both
     CDFs at every position of the union of supports."""

@@ -17,6 +17,7 @@ from cxorder import (
     ConvexTestFn,
     Inconclusive,
     ModeArity,
+    NonConvexTestFn,
     absdiff_surface,
     affine_fn,
     binomial_measure,
@@ -41,7 +42,7 @@ from cxorder import (
     tensor_bernstein,
     unit_grid,
 )
-from cxorder import bernstein
+from cxorder import bernstein, measures
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -167,11 +168,12 @@ def test_multi_rasa_gap_is_m_block_gaps(monkeypatch):
         return Fraction(1, 7)
 
     def refuse(*args):
-        raise AssertionError("multi_rasa_gap builds no row of its own")
+        raise AssertionError("multi_rasa_gap builds no row and no phi table of its own")
 
     monkeypatch.setattr(bernstein, "eq6prim_gap", block_gap)
-    monkeypatch.setattr(bernstein, "binomial_weights", refuse)
-    monkeypatch.setattr(bernstein, "cauchy_product", refuse)
+    monkeypatch.setattr(bernstein, "_basis_ints", refuse)
+    monkeypatch.setattr(bernstein, "_int_product", refuse)
+    monkeypatch.setattr(ConvexTestFn, "_tabulate", refuse)
     phi = quad_fn(1)
     assert multi_rasa_gap(3, [0, H, 1], phi) == Fraction(3, 7)
     assert calls == [([3, 3, 3], [0, H, 1], phi)]
@@ -179,12 +181,49 @@ def test_multi_rasa_gap_is_m_block_gaps(monkeypatch):
 
 def test_multi_rasa_gap_takes_the_block_degree_budget(monkeypatch):
     def refuse(*args):
-        raise AssertionError("no row may be built")
+        raise AssertionError("no row and no phi value may be built")
 
     monkeypatch.setattr(bernstein, "comb", refuse)
-    monkeypatch.setattr(bernstein, "cauchy_product", refuse)
+    monkeypatch.setattr(bernstein, "_int_product", refuse)
+    monkeypatch.setattr(ConvexTestFn, "_tabulate", refuse)
     with pytest.raises(BadParameter, match="^degree 1536 exceeds MAX_DEGREE = 512$"):
         multi_rasa_gap(512, [0, H, 1], quad_fn(1))
+
+
+mixed_points = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), xs=st.lists(mixed_points, min_size=1, max_size=4), phi=hinge_quads)
+@example(n=3, xs=[Fraction(1, 3), Fraction(2, 5), Fraction(6, 7)],
+         phi=hinge_fn(Fraction(3, 8)) + quad_fn(Fraction(2, 5)) + affine_fn(1, Fraction(1, 3)))
+def test_eq6prim_gap_on_mixed_denominators_matches_the_power_loop_oracle(n, xs, phi):
+    # each point keeps its own denominator; phi is tabulated, never called
+    expected = helpers.multi_rasa_gap_oracle(n, xs, phi)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(ConvexTestFn, "__call__", helpers.refuse("ConvexTestFn.__call__"))
+        blocks = eq6prim_gap([n] * len(xs), xs, phi)
+        assert multi_rasa_gap(n, xs, phi) == expected == len(xs) * blocks
+        if len(xs) == 2:
+            assert rasa_gap(n, *xs, phi) == expected
+
+
+@pytest.mark.parametrize(
+    "gap",
+    [
+        lambda phi: rasa_gap(2, Q, Fraction(2, 3), phi),
+        lambda phi: rasa_scan(2, [0, Fraction(1, 3), 1], phi),
+        lambda phi: eq6prim_gap([1, 2], [Q, Fraction(2, 3)], phi),
+        lambda phi: multi_rasa_gap(2, [0, Q, Fraction(2, 3)], phi),
+        lambda phi: gap_functional(make_measure([(0, Q), (1, 3 * Q)]), dirac(Fraction(3, 4)), phi),
+    ],
+    ids=["rasa_gap", "rasa_scan", "eq6prim_gap", "multi_rasa_gap", "gap_functional"],
+)
+def test_gaps_refuse_a_phi_that_is_not_a_convex_test_fn(gap, monkeypatch):
+    # a plain callable has no table: refused before any basis row
+    monkeypatch.setattr(bernstein, "_basis_ints", helpers.refuse("_basis_ints"))
+    with pytest.raises(NonConvexTestFn, match="^test function must be a ConvexTestFn$"):
+        gap(lambda t: t * t)
 
 
 def test_multi_rasa_gap_equal_points_vanishes():
@@ -192,18 +231,18 @@ def test_multi_rasa_gap_equal_points_vanishes():
     assert multi_rasa_gap(2, [Q, Q, Q], phi) == 0
 
 
-# -- the Hankel-form kernel ------------------------------------------------------
+# -- the self-form kernel --------------------------------------------------------
 
 signed_rows = st.lists(
     st.fractions(min_value=-4, max_value=4, max_denominator=9), min_size=1, max_size=7
 )
 
 
-def literal_phi_form(u, v, phis):
-    return sum(
-        (a * b * phis[i + j] for (i, a), (j, b) in itertools.product(enumerate(u), enumerate(v))),
-        Fraction(0),
-    )
+def self_form(d, phis):
+    """bernstein._self_form on Fraction rows: d and phis scaled to ints by
+    their least common denominators, one Fraction at the end."""
+    (d_scale, ds), (phi_scale, ps) = measures._scaled_ints(d), measures._scaled_ints(phis)
+    return Fraction(bernstein._self_form(ds, ps), d_scale * d_scale * phi_scale)
 
 
 @settings(max_examples=150, deadline=None)
@@ -215,11 +254,27 @@ def test_phi_form_matches_the_squared_difference_oracle(u, v, phi, shift):
     # gavrea_p4_sum box
     phi_at = lambda s: phi(Fraction(s, shift + s))
     d = [a - b for a, b in itertools.zip_longest(u, v, fillvalue=0)]
-    value = bernstein._phi_form(d, d, [phi_at(s) for s in range(2 * len(d) - 1)])
+    value = self_form(d, [phi_at(s) for s in range(2 * len(d) - 1)])
     assert isinstance(value, Fraction)
     assert value == helpers.squared_difference_gap_oracle(u, v, phi_at)
-    phis = [phi_at(s) for s in range(len(u) + len(v) - 1)]
-    assert bernstein._phi_form(u, v, phis) == literal_phi_form(u, v, phis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.lists(st.one_of(st.just(0), st.integers(-(2**90), 2**90)), min_size=1, max_size=10),
+    data=st.data(),
+)
+@example(d=[0], data=None)
+def test_self_form_on_ints_matches_the_phi_form_oracle(d, data):
+    # the int kernel alone: int rows, int phi values, an int result
+    size = 2 * len(d) - 1
+    ps = [1] * size if data is None else data.draw(
+        st.lists(st.integers(-(2**60), 2**60), min_size=size, max_size=size)
+    )
+    value = bernstein._self_form(d, ps)
+    assert type(value) is int
+    as_fractions = [Fraction(c) for c in d]
+    assert value == helpers.phi_form_oracle(as_fractions, as_fractions, [Fraction(p) for p in ps])
 
 
 # signed rows with denominators up to 2^80, as wide as the p4 box rows get
@@ -237,17 +292,13 @@ wide_signed_rows = st.lists(
 @example(d=[Fraction(0)], phis=[Fraction(1)] * 23)
 @example(d=[H, Fraction(0), -H], phis=[Fraction(s, 3) for s in range(23)])
 def test_phi_form_self_form_matches_the_hankel_row_oracle(d, phis):
-    # the self form sums i <= j only; a copy of d (equal, not the same
-    # object) takes it too, and rows that scale to equal ints over different
-    # units must not be mistaken for a self form
+    # the self form sums i <= j only; the oracle sums every Hankel row, and
+    # a row scaled by 1/2 scales the form by 1/4
     phis = phis[: 2 * len(d) - 1]
     expected = helpers.phi_form_oracle(d, d, phis)
-    assert bernstein._phi_form(d, d, phis) == expected
-    assert bernstein._phi_form(d, list(d), phis) == expected
+    assert self_form(d, phis) == expected
     halves = [c / 2 for c in d]
-    assert bernstein._phi_form(d, halves, phis) == helpers.phi_form_oracle(d, halves, phis)
-    # [1/2] and [1/4] both scale to [1]: the sum is still symmetric
-    assert bernstein._phi_form([H], [Fraction(1, 4)], [Fraction(3)]) == Fraction(3, 8)
+    assert self_form(halves, phis) == helpers.phi_form_oracle(halves, halves, phis) == expected / 4
 
 
 @settings(max_examples=100, deadline=None)
@@ -260,7 +311,7 @@ def test_phi_form_on_basis_rows_matches_the_squared_difference_oracle(n, x, y, p
     u, v = binomial_weights(n, x), binomial_weights(n, y)
     d = [a - b for a, b in zip(u, v)]
     expected = helpers.squared_difference_gap_oracle(u, v, phi_at)
-    assert bernstein._phi_form(d, d, [phi_at(s) for s in range(2 * n + 1)]) == expected
+    assert self_form(d, [phi_at(s) for s in range(2 * n + 1)]) == expected
     assert rasa_gap(n, x, y, phi) == expected
 
 
@@ -368,17 +419,22 @@ def test_eq6prim_hand_value():
     assert eq6prim_gap([1, 1], [0, 1], hinge_fn(H)) == Q
 
 
-def test_eq6prim_evaluates_phi_once_per_grid_point():
+def test_eq6prim_evaluates_phi_once_per_grid_point(monkeypatch):
+    # one phi table of phi(s/m), s = 0..m, and no literal phi value
     phi = hinge_fn(Fraction(1, 3), 2) + quad_fn(1)
     calls = []
+    tabulate = ConvexTestFn._tabulate
 
-    def counting(t):
-        calls.append(t)
-        return phi(t)
+    def counting(self, sums, den):
+        calls.append((list(sums), den))
+        return tabulate(self, sums, den)
 
+    monkeypatch.setattr(ConvexTestFn, "_tabulate", counting)
+    monkeypatch.setattr(ConvexTestFn, "__call__", helpers.refuse("ConvexTestFn.__call__"))
     n, xs = 4, [Fraction(1, k) for k in range(2, 10)]  # 8 blocks, m = 32
-    gap = eq6prim_gap([n] * len(xs), xs, counting)
-    assert len(calls) == len(set(calls)) <= n * len(xs) + 1
+    gap = eq6prim_gap([n] * len(xs), xs, phi)
+    assert calls == [(list(range(n * len(xs) + 1)), n * len(xs))]
+    monkeypatch.undo()
     # a sum of m independent B(n, x) is B(m n, x): the m-point gap is m blocks
     assert gap == helpers.multi_rasa_gap_oracle(n, xs, phi) / len(xs)
 
@@ -502,13 +558,13 @@ def test_p4_takes_the_negbinomial_index_budget(monkeypatch):
         raise AssertionError("no weight and no phi value may be built")
 
     monkeypatch.setattr(Fraction, "__pow__", refuse)
-    monkeypatch.setattr(bernstein, "_phi_form", refuse)
+    monkeypatch.setattr(bernstein, "_self_form", refuse)
     with pytest.raises(BadParameter, match="^negative binomial index 4097 exceeds"):
         gavrea_p4_sum(lattice.MAX_NEGBIN_INDEX + 1, Q, H, affine_fn(0, 1))
 
 
 def _refuse_box_work(monkeypatch):
-    monkeypatch.setattr(bernstein, "_phi_form", helpers.refuse("_phi_form"))
+    monkeypatch.setattr(bernstein, "_self_form", helpers.refuse("_self_form"))
     monkeypatch.setattr(ConvexTestFn, "__call__", helpers.refuse("phi"))
 
 
@@ -841,24 +897,26 @@ def test_rasa_scan_matches_brute_double_sum():
 
 
 def test_rasa_scan_builds_one_row_per_grid_point(monkeypatch):
-    # one basis row and one Phi u per grid point, each phi(s/(2n)) once, no
-    # Hankel form per pair, and the symmetric gap mirrored
-    rows, phis = [], []
-    basis, phi = bernstein._basis_ints, hinge_fn(Fraction(1, 3))
+    # one basis row and one Phi u per grid point, one table of the
+    # phi(s/(2n)), no self form per pair, and the symmetric gap mirrored
+    rows, tables = [], []
+    basis, tabulate = bernstein._basis_ints, ConvexTestFn._tabulate
 
     def counting_rows(n, a, q):
         rows.append(a)
         return basis(n, a, q)
 
-    def counting_phi(t):
-        phis.append(t)
-        return phi(t)
+    def counting_tables(self, sums, den):
+        tables.append((list(sums), den))
+        return tabulate(self, sums, den)
 
     monkeypatch.setattr(bernstein, "_basis_ints", counting_rows)
-    monkeypatch.setattr(bernstein, "_phi_form", helpers.refuse("_phi_form"))
+    monkeypatch.setattr(ConvexTestFn, "_tabulate", counting_tables)
+    monkeypatch.setattr(ConvexTestFn, "__call__", helpers.refuse("ConvexTestFn.__call__"))
+    monkeypatch.setattr(bernstein, "_self_form", helpers.refuse("_self_form"))
     grid = unit_grid(Fraction(1, 6))
-    result = rasa_scan(2, grid, counting_phi)
-    assert len(rows) == 7 and len(phis) == 5
+    result = rasa_scan(2, grid, hinge_fn(Fraction(1, 3)))
+    assert len(rows) == 7 and tables == [([0, 1, 2, 3, 4], 4)]
     assert [point for point, _ in result] == [(x, y) for x in grid for y in grid]
     gaps = dict(result)
     assert all(gaps[x, y] == gaps[y, x] for x in grid for y in grid)
@@ -875,7 +933,8 @@ def test_operator_table_budget_is_checked_before_evaluating(monkeypatch):
         raise AssertionError("nothing may be evaluated")
 
     monkeypatch.setattr(BivariateFn, "__call__", refuse)
-    monkeypatch.setattr(bernstein, "binomial_weights", refuse)
+    monkeypatch.setattr(bernstein, "_basis_ints", refuse)
+    monkeypatch.setattr(ConvexTestFn, "_tabulate", refuse)
     with pytest.raises(BadParameter, match="table of 16 surface values; MAX_OPERATOR_TABLE = 12"):
         tensor_bernstein(g2, [3, 3], [Q, H])
     with pytest.raises(BadParameter, match="MAX_OPERATOR_TABLE"):
@@ -939,7 +998,8 @@ def test_scan_budget_is_checked_before_enumerating(monkeypatch):
     assert len(gav_scan("P1", g, [1], [0, Q, H, 1])) == 16
     assert len(rasa_scan(1, [0, Q, H, 1], hinge_fn(H))) == 16
     monkeypatch.setattr(BivariateFn, "__call__", refuse)
-    monkeypatch.setattr(bernstein, "binomial_weights", refuse)
+    monkeypatch.setattr(bernstein, "_basis_ints", refuse)
+    monkeypatch.setattr(ConvexTestFn, "_tabulate", refuse)
     five = [0, Q, H, Fraction(3, 4), 1]
     with pytest.raises(BadParameter, match="MAX_SCAN_POINTS"):
         gav_scan("P1", g, [1], five)
@@ -958,8 +1018,9 @@ def test_degree_budget_boundary(monkeypatch):
         raise AssertionError("no weight and no phi value may be built")
 
     monkeypatch.setattr(bernstein, "comb", refuse)
-    monkeypatch.setattr(bernstein, "cauchy_product", refuse)
+    monkeypatch.setattr(bernstein, "_int_product", refuse)
     monkeypatch.setattr(ConvexTestFn, "__call__", refuse)
+    monkeypatch.setattr(ConvexTestFn, "_tabulate", refuse)
     for call in (
         lambda: binomial_weights(limit + 1, Fraction(1, 3)),
         lambda: binomial_measure(limit + 1, H),
@@ -978,10 +1039,11 @@ def test_multi_points_budget_boundary(monkeypatch):
     assert multi_rasa_gap(1, [H] * limit, quad_fn(1)) == 0  # equal points: the gap vanishes
 
     def refuse(*args):
-        raise AssertionError("no row may be built")
+        raise AssertionError("no row and no phi value may be built")
 
-    monkeypatch.setattr(bernstein, "binomial_weights", refuse)
-    monkeypatch.setattr(bernstein, "cauchy_product", refuse)
+    monkeypatch.setattr(bernstein, "_basis_ints", refuse)
+    monkeypatch.setattr(bernstein, "_int_product", refuse)
+    monkeypatch.setattr(ConvexTestFn, "_tabulate", refuse)
     with pytest.raises(BadParameter, match="17 points exceed MAX_MULTI_POINTS = 16"):
         multi_rasa_gap(1, [H] * (limit + 1), quad_fn(1))
 
@@ -991,10 +1053,11 @@ def test_eq6_blocks_budget_boundary(monkeypatch):
     assert eq6prim_gap([1] * limit, [H] * limit, quad_fn(1)) == 0  # equal points
 
     def refuse(*args):
-        raise AssertionError("no row may be built")
+        raise AssertionError("no row and no phi value may be built")
 
-    monkeypatch.setattr(bernstein, "binomial_weights", refuse)
-    monkeypatch.setattr(bernstein, "cauchy_product", refuse)
+    monkeypatch.setattr(bernstein, "_basis_ints", refuse)
+    monkeypatch.setattr(bernstein, "_int_product", refuse)
+    monkeypatch.setattr(ConvexTestFn, "_tabulate", refuse)
     # the points lie outside [0, 1]: the block count is refused before them
     with pytest.raises(BadParameter, match="17 points exceed MAX_MULTI_POINTS = 16"):
         eq6prim_gap([1] * (limit + 1), [2] * (limit + 1), quad_fn(1))

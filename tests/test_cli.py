@@ -265,6 +265,30 @@ def test_json_round_trip_through_files(tmp_path, measure_files):
     assert rewritten == original
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["order", "cx", "--mu", "DEEP", "--nu", "dirac0"],
+        ["rasa", "check", "--mu", "dirac0", "--nu", "DEEP"],
+        ["rasa", "direct", "--mu", "DEEP", "--nu", "dirac0"],
+        ["rasa", "gap", "--mu", "DEEP", "--nu", "dirac0", "--phi", "quad 1"],
+        ["genfun", "check", "--mu", "DEEP", "--nu", "dirac0"],
+        ["poly", "eval", "--expr", "x1", "--measure", "DEEP"],
+    ],
+    ids=["order-cx", "rasa-check", "rasa-direct", "rasa-gap", "genfun-check", "poly-eval"],
+)
+def test_deeply_nested_measure_json_exits_2_with_one_line(argv, tmp_path, measure_files):
+    # 2,000 nested arrays once raised RecursionError out of json.loads and
+    # exited 1, the code of a failing inequality, with a traceback
+    nested = "[" * 2000 + "]" * 2000
+    message = "error: invalid JSON: nested deeper than the parser's recursion limit\n"
+    for name, text in (("bare", nested), ("atoms", '{"atoms": ' + nested + "}")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        files = {**measure_files, "DEEP": str(path)}
+        assert run([files.get(a, a) for a in argv]) == (2, message)
+
+
 def test_seeded_equivalence_sweeps():
     code, text = run(["rasa", "equivalence", "--trials", "40", "--seed", "7"])
     assert code == 0 and "40 randomized pairs" in text
@@ -488,7 +512,7 @@ def _box(n, x, y):
 
 def _refuse_squares(monkeypatch):
     monkeypatch.setattr(lattice, "_int_product", helpers.refuse("_int_product"))
-    monkeypatch.setattr(bernstein, "_phi_form", helpers.refuse("_phi_form"))
+    monkeypatch.setattr(bernstein, "_self_form", helpers.refuse("_self_form"))
     monkeypatch.setattr(bernstein.ConvexTestFn, "__call__", helpers.refuse("phi"))
 
 
@@ -618,7 +642,7 @@ def test_order_st_on_wide_weights_exits_2_before_any_fraction_mass(tmp_path, mon
     for path, measure in zip(paths, helpers.wide_weight_pair(48)):
         path.write_text(measure_to_json(measure))
     monkeypatch.setattr(measures.DiscreteMeasure, "mass", property(helpers.refuse("mass")))
-    monkeypatch.setattr(orders, "cdf_diff", helpers.refuse("cdf_diff"))
+    monkeypatch.setattr(measures, "cdf_diff", helpers.refuse("cdf_diff"))
     message = helpers.convolution_work_message(
         "the stochastic-order test of 48 and 48 atoms", 96, 26576, noun="atoms"
     )

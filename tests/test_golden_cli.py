@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from cxorder import bernstein, measures, orders
+from cxorder import bernstein, measures
 from cxorder.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -215,27 +215,28 @@ _RASA = [
 
 @pytest.mark.parametrize("name", _RASA)
 def test_rasa_prints_the_golden_bytes_without_intermediate_measures(name, monkeypatch):
-    for module in (measures, orders):
-        for stand_in in ("cdf_diff", "convolve", "mix"):
-            monkeypatch.setattr(module, stand_in, helpers.refuse(stand_in))
+    for stand_in in ("cdf_diff", "convolve", "mix"):
+        monkeypatch.setattr(measures, stand_in, helpers.refuse(stand_in))
     code, text = run(CASES[name])
     expected = (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
     assert f"exit {code}\n{text}" == expected
 
 
-# Every golden case of the Bernstein scanners and the product operator: the
-# surfaces are tabulated and the gaps summed on ints, with no literal
-# surface evaluation and no Hankel form per grid pair
+# Every golden case of the Bernstein scanners, the product operator and the
+# gaps that pair a row with phi (`bernstein rasa`/`eq6`/`multi`, `rasa gap`):
+# surfaces and phi are tabulated on ints and the gaps summed there, with no
+# literal surface or phi evaluation.  Only the p4 box keeps a literal phi
+# table.
 _SCANS = sorted(
     name for name, argv in CASES.items()
-    if {"rasa-scan", "gav", "gav-scan", "supermod"} & set(argv) or argv == ["reproduce", "absdiff"]
+    if ("--phi" in argv or "--g" in argv) and "p4" not in argv or argv == ["reproduce", "absdiff"]
 )
 
 
 @pytest.mark.parametrize("name", _SCANS)
 def test_bernstein_scans_print_the_golden_bytes_on_ints(name, monkeypatch):
     monkeypatch.setattr(bernstein.BivariateFn, "__call__", helpers.refuse("BivariateFn.__call__"))
-    monkeypatch.setattr(bernstein, "_phi_form", helpers.refuse("_phi_form"))
+    monkeypatch.setattr(bernstein.ConvexTestFn, "__call__", helpers.refuse("ConvexTestFn.__call__"))
     code, text = run(CASES[name])
     expected = (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
     assert f"exit {code}\n{text}" == expected

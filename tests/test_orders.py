@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from cxorder import orders
+from cxorder import measures, orders
 from cxorder import (
     BadParameter,
     ConvexTestFn,
@@ -514,16 +514,25 @@ def test_gap_functional_and_oracle_refuse_unequal_masses_alike():
 
 
 def test_gap_functional_builds_no_convolution(monkeypatch):
-    from cxorder import orders
-
+    # phi is tabulated on ints (ConvexTestFn._tabulate), never called
     def refuse(*args):
-        raise AssertionError("gap_functional must neither convolve nor integrate")
+        raise AssertionError("gap_functional must neither convolve, integrate nor call phi")
 
-    monkeypatch.setattr(orders, "convolve", refuse)
-    monkeypatch.setattr(ConvexTestFn, "integrate", refuse)
     mu, nu = cross_pair()
+    expected = helpers.gap_functional_oracle(mu, nu, _PHI)
+    monkeypatch.setattr(measures, "convolve", refuse)
+    monkeypatch.setattr(ConvexTestFn, "integrate", refuse)
+    monkeypatch.setattr(ConvexTestFn, "__call__", refuse)
     assert gap_functional(mu, nu, hinge_fn(3)) == -H
-    assert gap_functional(mu, nu, _PHI) == helpers.gap_functional_oracle(mu, nu, _PHI)
+    assert gap_functional(mu, nu, _PHI) == expected
+
+
+def test_gap_functional_refuses_a_phi_that_is_not_a_convex_test_fn(monkeypatch):
+    # refused before the signed square: only a ConvexTestFn has a table
+    monkeypatch.setattr(orders, "_product_row", helpers.refuse("_product_row"))
+    mu, nu = cross_pair()
+    with pytest.raises(NonConvexTestFn, match="^test function must be a ConvexTestFn$"):
+        gap_functional(mu, nu, lambda t: t * t)
 
 
 def test_convex_fn_rejects_negative_certificates():
@@ -551,6 +560,55 @@ def test_convex_fn_unit_interval_bound():
     dipped = ConvexTestFn(slope=-1, curve=1, hinges=((H, Fraction(1, 4)),))
     assert (dipped(0), dipped(H), dipped(1)) == (0, -Fraction(1, 4), Fraction(1, 8))
     assert dipped.bound_on_unit_interval() == Fraction(1, 4)
+
+
+# convex test functions of every shape: zero, constant, affine, quadratic,
+# and hinges at negative thresholds, above 1 and off any grid a table uses
+_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+_nonneg = st.fractions(min_value=0, max_value=5, max_denominator=12)
+_thresholds = st.one_of(
+    st.fractions(min_value=-3, max_value=Fraction(-1, 50), max_denominator=50),
+    st.fractions(min_value=Fraction(51, 50), max_value=3, max_denominator=50),
+    st.fractions(min_value=0, max_value=1, max_denominator=2**70),
+)
+_hinges = st.lists(st.tuples(_thresholds, _nonneg), max_size=4)
+convex_fns = st.one_of(
+    st.just(ConvexTestFn()),
+    st.builds(lambda c: ConvexTestFn(const=c), _coeffs),
+    st.builds(affine_fn, _coeffs, _coeffs),
+    st.builds(quad_fn, _nonneg),
+    st.builds(lambda hs: ConvexTestFn(hinges=tuple(hs)), _hinges),
+    st.builds(lambda c, b, q, hs: ConvexTestFn(c, b, q, tuple(hs)), _coeffs, _coeffs, _nonneg, _hinges),
+)
+
+
+@st.composite
+def _grids(draw):
+    den = draw(st.integers(1, 2**64))
+    return den, draw(st.lists(st.integers(-4 * den, 4 * den), max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(phi=convex_fns, grid=_grids())
+@example(phi=ConvexTestFn(), grid=(1, []))
+@example(phi=hinge_fn(Fraction(1, 3), 2) + quad_fn(1), grid=(3, [-1, 0, 1, 2, 3]))  # at the kink
+@example(phi=hinge_fn(-H) + affine_fn(1, -1), grid=(2**64, [-(2**63), -(2**63) - 1]))
+def test_tabulate_matches_the_literal_phi(phi, grid):
+    # the int table of the gaps against ConvexTestFn.__call__, the literal
+    # evaluator, at s/den for signed int sums s
+    den, sums = grid
+    unit, values = phi._tabulate(sums, den)
+    assert type(unit) is int and unit >= 1 and all(type(v) is int for v in values)
+    assert [Fraction(v, unit) for v in values] == [phi(Fraction(s, den)) for s in sums]
+    assert phi._tabulate(range(len(sums)), den) == phi._tabulate(list(range(len(sums))), den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(phi=convex_fns)
+@example(phi=ConvexTestFn(slope=-1, curve=1, hinges=((H, Fraction(1, 4)),)))
+@example(phi=ConvexTestFn(slope=-3, curve=1, hinges=((-H, 1), (Fraction(1, 3), 1), (H, 1))))
+def test_unit_interval_bound_matches_the_running_ramp_oracle(phi):
+    assert phi.bound_on_unit_interval() == helpers.unit_interval_bound_oracle(phi)
 
 
 def test_convex_fn_rescale_argument():
@@ -698,7 +756,7 @@ def test_rasa_direct_takes_the_convolution_work_budget(monkeypatch):
     monkeypatch.setattr(orders, "MAX_CONVOLUTION_WORK", 37 * 512**2)
     assert rasa_direct(mu, nu) == rasa_criterion(mu, nu)[0]
     monkeypatch.setattr(orders, "MAX_CONVOLUTION_WORK", 37 * 512**2 - 1)
-    monkeypatch.setattr(orders, "convolve", helpers.refuse("convolve"))
+    monkeypatch.setattr(measures, "convolve", helpers.refuse("convolve"))
     message = _work_message("the three convolutions of 3 and 4 atoms", 37, 3, 37 * 512**2 - 1)
     with pytest.raises(BadParameter, match=message):
         rasa_direct(mu, nu)
@@ -708,6 +766,6 @@ def test_rasa_direct_takes_the_convolution_work_budget(monkeypatch):
     monkeypatch.undo()
     near, far = (make_measure([(Fraction(1, 2**e), 4), (1, 4), (2, 4)]) for e in (21000, 22000))
     assert rasa_direct(near, nu).holds is rasa_criterion(near, nu)[0].holds
-    monkeypatch.setattr(orders, "convolve", helpers.refuse("convolve"))
+    monkeypatch.setattr(measures, "convolve", helpers.refuse("convolve"))
     with pytest.raises(BadParameter, match=_work_message("the three convolutions of 3 and 4 atoms", 37, 22002)):
         rasa_direct(far, nu)
