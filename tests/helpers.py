@@ -212,9 +212,9 @@ def truncate_poisson_oracle(lam: Fraction, eps: Fraction) -> tuple:
 
 
 def phi_form_oracle(u, v, phis) -> Fraction:
-    """The former bernstein._phi_form, kept as the oracle of its self form:
-    every Hankel row (v against phis shifted by i) summed on ints, then
-    weighted by u_i, L^2 products for rows of length L."""
+    """The former bernstein._phi_form, kept as the oracle of the self form
+    bernstein._self_form: every Hankel row (v against phis shifted by i)
+    summed on ints, then weighted by u_i, L^2 products for rows of length L."""
     scaled = [(math.lcm(*(c.denominator for c in row)), row) for row in (u, v, phis)]
     (u_scale, us), (v_scale, vs), (phi_scale, ps) = [
         (scale, [c.numerator * (scale // c.denominator) for c in row]) for scale, row in scaled
