@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, witnesses, grammars, reproductions."""
 
+import errno
 import gc
 import os
 import subprocess
@@ -58,6 +59,26 @@ def test_rasa_check_failure_witness(measure_files):
     code, text = run(["rasa", "check", "--mu", measure_files["outer"], "--nu", measure_files["inner"]])
     assert code == 1
     assert "A=3 gap=-1/2" in text
+
+
+@pytest.mark.parametrize(
+    "mu, nu, verb, line",
+    [
+        ([(0, 1), ("4/3", 1), (2, "5/2")], [(1, "3/2"), (2, 3)], "rasa", "fails; A=3 gap=-1/12"),
+        ([(0, 1), (2, 3), (3, 5)], [(2, 5), (3, 2), (5, 2)], "genfun", "fails; index=2 gap=-1"),
+    ],
+    ids=["rasa-check", "genfun-check"],
+)
+def test_a_minimum_of_one_negative_int_unit_fails(mu, nu, verb, line, tmp_path):
+    # the sign scan's most negative int is exactly -1 here, so a test of
+    # `< -1` in place of `< 0` would print "holds"
+    files = []
+    for name, atoms in (("--mu", mu), ("--nu", nu)):
+        path = tmp_path / f"{name[2:]}.json"
+        path.write_text(measure_to_json(make_measure(atoms)))
+        files += [name, str(path)]
+    assert run([verb, "check", *files]) == (1, f"{line}\n")
+    assert run(["rasa", "direct", *files])[0] == 1
 
 
 def test_rasa_direct_and_gap(measure_files):
@@ -1073,14 +1094,53 @@ def test_input_errors_exit_2_with_one_line(argv, message):
     assert run(argv) == (2, f"error: {message}\n")
 
 
+_DIRAC0 = '{"atoms": [{"x": "0", "w": "1"}]}'
+
+
 @pytest.mark.parametrize(
     "body, message",
     [
         ("{", "invalid JSON: Expecting property name enclosed in double quotes (at position 1)"),
         ('{"atoms": [1]}', 'atom #0 must be an object {"x": ..., "w": ...}'),
+        ("\ufeff" + _DIRAC0,
+         "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig) (at position 0)"),
+        (_DIRAC0 + " x", "invalid JSON: Extra data (at position 34)"),
+        ('{"atoms": []}{}', "invalid JSON: Extra data (at position 13)"),
+        ('{"atoms": [{"x": 0.5, "w": "1"}]}',
+         "floating-point literal '0.5' not allowed in measure files"),
+        ('{"atoms": [{"x": 1e5, "w": "1"}]}',
+         "floating-point literal '1e5' not allowed in measure files"),
+        ('{"atoms": [{"x": NaN, "w": "1"}]}',
+         "atom #0: refusing float nan; pass a Fraction, int or string"),
+        ('{"atoms": [{"x": "0", "w": -Infinity}]}',
+         "atom #0: refusing float -inf; pass a Fraction, int or string"),
+        ('{"atoms": [{"x": "\\q", "w": "1"}]}', "invalid JSON: Invalid \\escape (at position 18)"),
+        ('{"atoms": [{"x": "0\n", "w": "1"}]}',
+         "invalid JSON: Invalid control character at (at position 19)"),
+        (b'{"atoms": [{"x": "\xff", "w": "1"}]}',
+         "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 18: "
+         "invalid start byte"),
     ],
+    ids=["open-brace", "atom-not-object", "bom", "extra-data", "second-value", "float",
+         "float-exponent", "nan", "minus-infinity", "bad-escape", "control-character",
+         "not-utf-8"],
 )
 def test_malformed_measure_file_exits_2_with_one_line(body, message, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text(body)
+    bad.write_bytes(body if isinstance(body, bytes) else body.encode("utf-8"))
     assert run(["order", "cx", "--mu", str(bad), "--nu", str(bad)]) == (2, f"error: {message}\n")
+
+
+def test_measure_file_with_a_repeated_key_keeps_the_last(tmp_path):
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text('{"atoms": [{"x": "5", "w": "1"}], "atoms": [{"x": "0", "w": "1"}]}')
+    dirac0 = tmp_path / "dirac0.json"
+    dirac0.write_text(_DIRAC0)
+    # the first list would put the mass at 5, another mean: "fails"
+    assert run(["order", "cx", "--mu", str(repeated), "--nu", str(dirac0)]) == (0, "holds\n")
+
+
+def test_directory_as_a_measure_file_exits_2_with_one_line(tmp_path):
+    assert run(["order", "cx", "--mu", str(tmp_path), "--nu", "binomial:1,1/2"]) == (
+        2, f"error: IsADirectoryError: [Errno {errno.EISDIR}] Is a directory: '{tmp_path}'\n"
+    )
