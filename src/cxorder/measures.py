@@ -15,6 +15,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
+from operator import attrgetter
 
 from .errors import BadParameter, MassMismatch, NegativeWeight, ParseError
 
@@ -48,24 +49,16 @@ def _frozen(cls):
     them again through ``object.__setattr__``.  ``==`` compares instances
     of the same class field by field, ``hash`` hashes the field tuple,
     ``repr`` reads ``Name(field=value, ...)``, and assignment or deletion
-    raises FrozenInstanceError.
+    raises FrozenInstanceError.  The constructor is compiled on the class's
+    first construction, so a command pays only for the records it builds.
     """
     fields = tuple(cls.__dict__.get("__annotations__", {}))
-    defaults = {f"_default_{name}": cls.__dict__[name] for name in fields if name in cls.__dict__}
-    params = "".join(
-        f", {name}=_default_{name}" if name in cls.__dict__ else f", {name}" for name in fields
-    )
-    lines = [f"def __init__(self{params}):"]
-    lines += [f"    _set(self, {name!r}, {name})" for name in fields]
-    if hasattr(cls, "__post_init__"):
-        lines.append("    self.__post_init__()")
-    lines += ["    return None", "def values(self):"]
-    lines.append("    return (" + "".join(f"self.{name}, " for name in fields) + ")")
-    # Generated code, as dataclasses does: a plain signature keeps
-    # construction as fast as a hand-written __init__.
-    namespace = {"_set": object.__setattr__, **defaults}
-    exec("\n".join(lines), namespace)
-    values = namespace["values"]
+    get = attrgetter(*fields)
+    values = get if len(fields) > 1 else lambda self: (get(self),)
+
+    def __init__(self, *args, **kwargs):
+        cls.__init__ = _compile_init(cls, fields)
+        cls.__init__(self, *args, **kwargs)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -79,11 +72,30 @@ def _frozen(cls):
         text = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values(self)))
         return f"{self.__class__.__qualname__}({text})"
 
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"  # names the class in a TypeError
-    cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = init, __eq__, __hash__, __repr__
+    __init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = __init__, __eq__, __hash__, __repr__
     cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_delete
     return cls
+
+
+def _compile_init(cls, fields: tuple[str, ...]):
+    """The constructor of a `_frozen` record over ``fields``.  Generated
+    code, as dataclasses does: a plain signature keeps construction as fast
+    as a hand-written __init__."""
+    defaults = {f"_default_{name}": cls.__dict__[name] for name in fields if name in cls.__dict__}
+    params = "".join(
+        f", {name}=_default_{name}" if name in cls.__dict__ else f", {name}" for name in fields
+    )
+    lines = [f"def __init__(self{params}):"]
+    lines += [f"    _set(self, {name!r}, {name})" for name in fields]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    lines.append("    return None")
+    namespace = {"_set": object.__setattr__, **defaults}
+    exec("\n".join(lines), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"  # names the class in a TypeError
+    return init
 
 
 def _int_text(n: int) -> str:
@@ -359,6 +371,43 @@ def _reject_float(text: str):
     raise ParseError(f"floating-point literal {text!r} not allowed in measure files")
 
 
+class _ScanContext:
+    """The settings that ``json.loads(text, parse_float=_reject_float)``
+    hands CPython's C scanner."""
+
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_int = int
+    parse_float = staticmethod(_reject_float)
+    parse_constant = {
+        "NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf"),
+    }.__getitem__
+
+
+_JSON_SPACE = " \t\n\r"  # what json skips before and after the value
+_UNSCANNED = object()
+
+
+def _scan_json(text: str):
+    """What ``json.loads(text, parse_float=_reject_float)`` returns, read by
+    the C scanner that json.loads runs, without importing json: its import
+    compiles a dozen regular expressions that no well-formed file needs.
+    _UNSCANNED where json.loads must decide: no C scanner, text that is not
+    a str or starts with a BOM, a scanner error, or data after the value."""
+    try:
+        from _json import make_scanner
+    except ImportError:
+        return _UNSCANNED
+    if not isinstance(text, str) or text.startswith("\ufeff"):
+        return _UNSCANNED
+    start = len(text) - len(text.lstrip(_JSON_SPACE))
+    try:
+        obj, end = make_scanner(_ScanContext())(text, start)
+    except Exception:  # StopIteration, a float's ParseError, RecursionError, ...
+        return _UNSCANNED  # json.loads raises it again, with its message
+    return _UNSCANNED if text[end:].strip(_JSON_SPACE) else obj
+
+
 def format_rational(q: Fraction) -> str:
     q = as_rational(q)
     if q.denominator == 1:
@@ -374,14 +423,26 @@ def measure_to_json(mu: DiscreteMeasure) -> str:
 
 
 def measure_from_json(text: str) -> DiscreteMeasure:
-    import json
+    """The measure of a measure file's text (the format above).
 
-    try:
-        obj = json.loads(text, parse_float=_reject_float)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
-    except RecursionError as exc:  # the reader recurses once per nested array or object
-        raise ParseError("invalid JSON: nested deeper than the parser's recursion limit") from exc
+    Malformed JSON, a float literal, an entry that is not an atom object and
+    a position or weight that `as_rational` refuses raise ParseError, and an
+    int literal of more digits than Python reads ValueError; the atoms are
+    merged as by `make_measure`.  Well-formed text is read by CPython's C
+    scanner alone (`_scan_json`); anything else goes to ``json.loads``,
+    which gives the message."""
+    obj = _scan_json(text)
+    if obj is _UNSCANNED:
+        import json
+
+        try:
+            obj = json.loads(text, parse_float=_reject_float)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
+        except RecursionError as exc:  # the reader recurses once per nested array or object
+            raise ParseError(
+                "invalid JSON: nested deeper than the parser's recursion limit"
+            ) from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("atoms"), list):
         raise ParseError('measure file must be an object {"atoms": [...]}')
     pairs = []

@@ -40,7 +40,7 @@ from cxorder import (
 )
 from cxorder.bernstein import GAV_MODES
 from cxorder.cli import _REPRODUCTIONS
-from cxorder.measures import format_rational
+from cxorder.measures import _reject_float, format_rational
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 positive_rationals = st.fractions(
@@ -99,6 +99,30 @@ def st_comparable_pair(rng: random.Random, max_atoms=6):
     mu = make_measure(zip(lows, (w / total for w in weights)))
     nu = make_measure(zip(highs, (w / total for w in weights)))
     return mu, nu
+
+
+def measure_from_json_oracle(text: str) -> DiscreteMeasure:
+    """The measure file reader as one json.loads call, the reading that
+    measures.measure_from_json must give byte for byte."""
+    import json
+
+    try:
+        obj = json.loads(text, parse_float=_reject_float)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested deeper than the parser's recursion limit") from exc
+    if not isinstance(obj, dict) or not isinstance(obj.get("atoms"), list):
+        raise ParseError('measure file must be an object {"atoms": [...]}')
+    pairs = []
+    for i, entry in enumerate(obj["atoms"]):
+        if not isinstance(entry, dict) or "x" not in entry or "w" not in entry:
+            raise ParseError(f'atom #{i} must be an object {{"x": ..., "w": ...}}')
+        try:
+            pairs.append((as_rational(entry["x"]), as_rational(entry["w"])))
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            raise ParseError(f"atom #{i}: {exc}") from exc
+    return make_measure(pairs)
 
 
 def hinge_integral_brute(mu: DiscreteMeasure, threshold) -> Fraction:

@@ -77,9 +77,10 @@ def test_major_compare_loads_no_fractions_whatever_cxorder_eps_holds(eps):
     ["rasa", "direct", "--mu", "{coin}", "--nu", "{coin}"],
 ])
 def test_order_and_rasa_on_files_load_no_other_kernel(coin, argv):
+    # a well-formed measure file is read by the C scanner alone
     loaded = _loaded(*(a.format(coin=coin) for a in argv))
-    assert "cxorder.orders" in loaded and "json" in loaded
-    assert not loaded & (_NEVER | _KERNELS)
+    assert "cxorder.orders" in loaded and "_json" in loaded
+    assert not loaded & (_NEVER | _KERNELS | {"json"})
 
 
 def test_rasa_equivalence_loads_no_other_kernel():
@@ -122,6 +123,37 @@ def test_no_verb_loads_dataclasses(argv):
     loaded = _loaded(*argv)
     assert not loaded & _NEVER
     assert "json" not in loaded  # no measure file is read
+
+
+_COMPILE_PROBE = """
+import importlib
+import sys
+sys.path.insert(0, sys.argv[1])
+callers = set()
+
+
+def hook(event, args):
+    if event in ("exec", "compile"):
+        callers.add(sys._getframe(1).f_globals.get("__name__") or "")
+
+
+sys.addaudithook(hook)
+for name in sys.argv[2:]:
+    importlib.import_module(name)
+print(" ".join(sorted(c for c in callers if c.startswith("cxorder"))))
+"""
+
+
+def test_importing_every_module_compiles_no_code():
+    # a record's constructor is compiled on its first construction, not at import
+    names = [f"cxorder.{path.stem}" for path in sorted((SRC / "cxorder").glob("*.py"))
+             if path.stem not in ("__init__", "__main__")]
+    assert len(names) == 8
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _COMPILE_PROBE, str(SRC), *names],
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.split() == []
 
 
 # argparse and what it imports: cli.parse_args reads the command line.

@@ -272,6 +272,67 @@ def test_measure_json_needs_an_atom_list(text):
     assert str(info.value) == 'measure file must be an object {"atoms": [...]}'
 
 
+# A measure file's values are fraction strings and int literals.  Most
+# drawn texts carry one flaw: a value that json refuses, reads as a float or
+# reads as something no measure file holds (floats, the constants json reads
+# as floats, bad escapes, a raw control character, an int over the 4300
+# digits Python reads, nesting deeper than the parser's recursion limit), a
+# space json does not skip, a BOM, a cut, or data after the value.
+_JSON_VALUES = st.one_of(
+    st.fractions(max_denominator=50).map(lambda q: f'"{q}"'),
+    st.integers(-10**30, 10**30).map(str),
+)
+_ODD_JSON_VALUES = st.sampled_from([
+    "0.5", "-1e3", "2E+1", "NaN", "Infinity", "-Infinity", "null", "true", "[]", "{}",
+    '"1/0"', '"\\q"', '"\\u0031/2"', '"\\ud800"', '"\x01"', '"1e-5000"', "01", "-",
+    "1" * 4301, "[" * 1200 + "]" * 1200,
+])
+_JSON_GAPS = st.sampled_from(["", "", " ", "\t", "\n", "\r", " \r\n\t"])  # what json skips
+_ODD_JSON_GAPS = st.sampled_from(["\x0b", "\xa0", "\x0c", "\u2028"])
+
+
+@st.composite
+def _measure_texts(draw):
+    values = [draw(_JSON_VALUES) for _ in range(2 * draw(st.integers(0, 4)))]
+    flaw = draw(st.sampled_from([None, None, "value", "gap", "bom", "cut", "tail"]))
+    if flaw == "value" and values:
+        values[draw(st.integers(0, len(values) - 1))] = draw(_ODD_JSON_VALUES)
+    entries = [f'{{~"x"~:~{x}~,~"w"~:~{w}~}}' for x, w in zip(values[::2], values[1::2])]
+    first, *pieces = ('~{~"atoms"~:~[~' + "~,~".join(entries) + "~]~}~").split("~")
+    gaps = [draw(_JSON_GAPS) for _ in pieces]
+    if flaw == "gap":
+        gaps[draw(st.integers(0, len(gaps) - 1))] = draw(_ODD_JSON_GAPS)
+    text = first + "".join(gap + piece for gap, piece in zip(gaps, pieces))
+    if flaw == "bom":
+        text = "\ufeff" + text
+    if flaw == "cut":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    if flaw == "tail":
+        text += draw(st.sampled_from([" x", "{}", "]", "\x00", "null"]))
+    return text
+
+
+def _outcome(read, text):
+    """("ok", repr of the value), or the type and text of what it raised:
+    repr, because NaN != NaN."""
+    try:
+        return "ok", repr(read(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_measure_texts(), st.text(max_size=40)))
+def test_measure_file_reader_matches_json_loads(text):
+    import json
+
+    scanned = measures._scan_json(text)
+    if scanned is not measures._UNSCANNED:  # read without json: json.loads reads the same
+        assert _outcome(lambda t: scanned, text) == _outcome(
+            lambda t: json.loads(t, parse_float=measures._reject_float), text)
+    assert _outcome(measure_from_json, text) == _outcome(helpers.measure_from_json_oracle, text)
+
+
 @pytest.mark.parametrize("sign", ["", "+", "-"])
 def test_as_rational_exponent_budget_boundary(sign):
     # "1e1000000000" would make Fraction build 10^1000000000 (not run here);

@@ -1,8 +1,10 @@
 """The frozen-record helper behind the package's value types, checked
 against ``dataclasses.dataclass(frozen=True)`` on the same class bodies."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -136,3 +138,45 @@ def test_package_records_use_the_helper(cls):
     assert not dataclasses.is_dataclass(cls)
     assert cls.__setattr__ is measures._refuse_set
     assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+
+
+def _samples():
+    """One record of each class of RECORDS, each built by the function
+    that builds it in the package."""
+    mu = measures.make_measure([(0, 1), (3, 1)])
+    nu = measures.make_measure([(1, 1), (2, 1)])
+    verdict, profile = orders.rasa_criterion(mu, nu)
+    return [
+        mu, measures.cdf_diff(mu, nu), verdict.witness, verdict, profile,
+        orders.hinge_fn("1/2", 2), lattice.as_lattice(mu), polynomials.w_polynomial((2, 1)),
+        polynomials.sos_step_decomposition((2, 1), (3, 0)), bernstein.absdiff_surface(1),
+        bernstein.IntervalValue(Fraction(-1, 3), Fraction(1, 2)),
+    ]
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, lambda record: pickle.loads(pickle.dumps(record))],
+                         ids=["copy", "pickle"])
+def test_copied_and_unpickled_records_compare_hash_and_print_as_the_original(duplicate):
+    samples = _samples()
+    assert [type(record) for record in samples] == RECORDS
+    for record in samples:
+        twin = duplicate(record)
+        assert twin is not record and type(twin) is type(record)
+        assert twin == record and not twin != record
+        assert hash(twin) == hash(record)
+        assert repr(twin) == repr(record)
+        assert twin in {record}
+        with pytest.raises(AttributeError):
+            setattr(twin, "extra", 0)
+
+
+def test_a_record_built_without_its_constructor_reads_its_fields():
+    # copy and pickle set the fields with __dict__.update, bypassing __init__;
+    # here the class has not compiled its constructor yet
+    (pair, _), _ = _both()
+    blank = pair.__new__(pair)
+    blank.__dict__.update(left=1, right=Fraction(1, 2))
+    assert repr(blank).endswith("Pair(left=1, right=Fraction(1, 2))")
+    assert hash(blank) == hash((1, Fraction(1, 2)))
+    built = pair(1, Fraction(1, 2))
+    assert blank == built and repr(blank) == repr(built)
