@@ -407,6 +407,11 @@ def _random_lattice_measure(rng: random.Random) -> DiscreteMeasure:
     return make_measure((rng.randint(0, 6), rng.randint(1, 8)) for _ in range(rng.randint(1, 5)))
 
 
+# Budget: a sweep draws and decides ``--trials`` pairs one after another,
+# 0.2-0.3 ms each, so a count above MAX_TRIALS is refused before any draw.
+MAX_TRIALS = 100_000
+
+
 def _equivalence_sweep(out: _Printer, trials: int, seed: int, draw, oracle) -> int:
     """rasa_criterion against ``oracle(mu, nu)`` on seeded pairs: mu, then
     nu, from ``draw(rng)``, nu scaled to the mass of mu."""
@@ -417,6 +422,8 @@ def _equivalence_sweep(out: _Printer, trials: int, seed: int, draw, oracle) -> i
 
     if trials < 0:
         raise ParseError(f"--trials: must be >= 0, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ParseError(f"--trials: {trials} exceeds MAX_TRIALS = {MAX_TRIALS}")
     rng = random.Random(seed)
     for trial in range(trials):
         mu, nu = draw(rng), draw(rng)

@@ -240,6 +240,20 @@ def test_negative_trials_exit_2_with_one_line(verb):
     )
 
 
+@pytest.mark.parametrize("verb", ["rasa", "genfun"])
+def test_trials_budget_boundary(verb, monkeypatch):
+    assert cli.MAX_TRIALS == 100_000
+    monkeypatch.setattr(cli, "MAX_TRIALS", 3)
+    assert run([verb, "equivalence", "--trials", "3"]) == (
+        0, "3 randomized pairs: criterion and oracle agree\n"
+    )
+    monkeypatch.setattr(cli, "_random_measure", helpers.refuse("_random_measure"))
+    monkeypatch.setattr(cli, "_random_lattice_measure", helpers.refuse("_random_lattice_measure"))
+    assert run([verb, "equivalence", "--trials", "4"]) == (
+        2, "error: --trials: 4 exceeds MAX_TRIALS = 3\n"
+    )
+
+
 def test_decimal_flag(measure_files):
     code, text = run(["--decimal", "3", "rasa", "gap", "--mu", measure_files["outer"],
                       "--nu", measure_files["inner"], "--phi", "hinge 3 1"])
@@ -1117,13 +1131,16 @@ _DIRAC0 = '{"atoms": [{"x": "0", "w": "1"}]}'
         ('{"atoms": [{"x": "\\q", "w": "1"}]}', "invalid JSON: Invalid \\escape (at position 18)"),
         ('{"atoms": [{"x": "0\n", "w": "1"}]}',
          "invalid JSON: Invalid control character at (at position 19)"),
+        ('{"atoms": [{"x": ' + "1" * 4301 + ', "w": "1"}]}',
+         "ValueError: Exceeds the limit (4300 digits) for integer string conversion: value has "
+         "4301 digits; use sys.set_int_max_str_digits() to increase the limit"),
         (b'{"atoms": [{"x": "\xff", "w": "1"}]}',
          "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 18: "
          "invalid start byte"),
     ],
     ids=["open-brace", "atom-not-object", "bom", "extra-data", "second-value", "float",
          "float-exponent", "nan", "minus-infinity", "bad-escape", "control-character",
-         "not-utf-8"],
+         "int-over-4300-digits", "not-utf-8"],
 )
 def test_malformed_measure_file_exits_2_with_one_line(body, message, tmp_path):
     bad = tmp_path / "bad.json"
