@@ -1138,9 +1138,6 @@ _DIRAC0 = '{"atoms": [{"x": "0", "w": "1"}]}'
          "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 18: "
          "invalid start byte"),
     ],
-    ids=["open-brace", "atom-not-object", "bom", "extra-data", "second-value", "float",
-         "float-exponent", "nan", "minus-infinity", "bad-escape", "control-character",
-         "int-over-4300-digits", "not-utf-8"],
 )
 def test_malformed_measure_file_exits_2_with_one_line(body, message, tmp_path):
     bad = tmp_path / "bad.json"
