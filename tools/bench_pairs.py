@@ -16,7 +16,7 @@ The output holds, per workload and end-to-end metric, each side's median,
 quartiles (the inclusive method of `statistics.quantiles`) and minimum,
 the number of pairs in which the change read lower, the change of the
 medians in percent, and every run in pair order.  It is rewritten after
-every pair, so an interrupted session keeps the pairs it finished.  One
+every pair, so an interrupted run keeps the pairs it finished.  One
 line per metric on stdout compares the median gap with the parent's
 interquartile range, the spread a claimed gain has to exceed.
 
