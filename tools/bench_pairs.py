@@ -7,7 +7,7 @@ PARENT and CHANGE are two checkouts of the repository.  Each pair runs
 
     python3 bench/run.py --workload W --seed SEED --seconds SECONDS --trace 0
 
-in both, every workload of BENCHMARK.json (or those named by --workload)
+in both, SECONDS the run_seconds of BENCHMARK.json and every workload of it
 in turn within a side: the parent side first in even-numbered pairs
 (0, 2, ...), the change side first in odd-numbered ones.  Each checkout
 runs its own bench/ on its own sources.
@@ -124,10 +124,6 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: run_seconds of BENCHMARK.json)")
-    parser.add_argument("--workload", action="append",
-                        help="a workload to run (default: every one of BENCHMARK.json)")
     parser.add_argument("--change", dest="description", required=True,
                         help="one line on what the change does")
     parser.add_argument("--claim", default="none: the change claims no gain",
@@ -136,8 +132,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = _benchmark(args.change)
-    seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
-    names = args.workload or [w["name"] for w in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
+    names = [workload["name"] for workload in benchmark["workloads"]]
     bounds = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
     runs = {name: {side: [] for side in SIDES} for name in names}
