@@ -27,22 +27,21 @@ _EXPORTS = {
     ),
     "lattice": (
         "DEFAULT_EPS", "LatticeSeq", "as_lattice", "cauchy_product",
-        "genfun_square_coeffs", "genfun_test", "lattice_to_measure",
-        "truncate_negbinomial", "truncate_poisson", "truncated_family",
+        "genfun_square_coeffs", "genfun_test", "truncate_negbinomial",
+        "truncate_poisson", "truncated_family",
     ),
     "majorization": (
         "distinct_arrangements", "is_s_step", "majorizes", "s_step_chain",
         "sorted_desc",
     ),
     "measures": (
-        "DiscreteMeasure", "StepFunction", "as_rational", "cdf_diff", "convolve",
-        "dirac", "integrate_hinge", "make_measure", "measure_from_json",
-        "measure_to_json", "mix", "step_function",
+        "DiscreteMeasure", "as_rational", "dirac", "integrate_hinge", "make_measure",
+        "measure_from_json", "measure_to_json",
     ),
     "orders": (
         "ConvexTestFn", "OrderVerdict", "PiecewiseLinear", "Witness", "affine_fn",
         "gap_functional", "hinge_fn", "leq_cx", "leq_st", "quad_fn", "rasa_criterion",
-        "rasa_direct", "step_self_convolution",
+        "rasa_direct",
     ),
     "polynomials": (
         "MVPolynomial", "SosDecomposition", "moment_consistency", "muirhead_cx_check",

@@ -282,12 +282,17 @@ def parse_exponents(token: str, pos: int = 0) -> tuple[int, ...]:
 
 
 def load_measure(spec: str) -> DiscreteMeasure:
-    """A measure argument: JSON file path or inline ``binomial:n,x``."""
+    """A measure argument: JSON file path or inline ``binomial:n,x``.  A
+    file that does not read as a measure is a ParseError that names it."""
     from . import measures
 
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as handle:
-            return measures.measure_from_json(handle.read())
+        try:
+            with open(spec, "r", encoding="utf-8") as handle:
+                return measures.measure_from_json(handle.read())
+        except (CxOrderError, UnicodeDecodeError) as exc:
+            reason = exc if isinstance(exc, ParseError) else f"{exc.__class__.__name__}: {exc}"
+            raise ParseError(f"{spec}: {reason}") from exc
     if spec.startswith("binomial:"):
         from . import bernstein
 

@@ -163,13 +163,6 @@ def as_lattice(mu: DiscreteMeasure) -> LatticeSeq:
     return LatticeSeq._of_ints(unit, ints)
 
 
-def lattice_to_measure(seq: LatticeSeq) -> DiscreteMeasure:
-    """The measure carried by the stored coefficients (the box part only)."""
-    return DiscreteMeasure(
-        tuple((Fraction(k), Fraction(c, seq.unit)) for k, c in enumerate(seq.ints) if c)
-    )
-
-
 def cauchy_product(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
     """Discrete convolution of coefficient sequences.
 

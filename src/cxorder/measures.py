@@ -10,20 +10,19 @@ between threads without synchronisation.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
 from operator import attrgetter
 
-from .errors import BadParameter, MassMismatch, NegativeWeight, ParseError
+from .errors import BadParameter, NegativeWeight, ParseError
 
 # Budget on the exponent of a string like "1e-30": Fraction builds 10^|exp|
 # before any other check.  4300 is Python's own cap on the digits of an
-# integer read from a string, which bounds the other parts of the text.
+# integer read from a string, so it also bounds every run of digits.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)", re.IGNORECASE)
+_DIGITS = re.compile(r"\d[\d_]*")
 
 
 class FrozenInstanceError(AttributeError):
@@ -119,7 +118,9 @@ def as_rational(value) -> Fraction:
 
     Floats are refused outright: admitting one would silently break the
     exactness guarantee of the whole pipeline.  A string whose exponent
-    exceeds MAX_EXPONENT in size raises ValueError before Fraction sees it.
+    exceeds MAX_EXPONENT in size, or with a run of more than MAX_EXPONENT
+    digits (which Python's int() would refuse), raises ValueError before
+    Fraction sees it.
     """
     if type(value) is Fraction:
         return value
@@ -130,6 +131,12 @@ def as_rational(value) -> Fraction:
         exponent = match.group(1).replace("_", "").lstrip("0") if match else ""
         if len(exponent) > len(str(MAX_EXPONENT)) or int(exponent or 0) > MAX_EXPONENT:
             raise ValueError(f"exponent of {value!r} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+        if len(value) > MAX_EXPONENT:
+            digits = max((len(run.replace("_", "")) for run in _DIGITS.findall(value)), default=0)
+            if digits > MAX_EXPONENT:
+                raise ValueError(
+                    f"int literal of {digits} digits exceeds MAX_EXPONENT = {MAX_EXPONENT}"
+                )
     return Fraction(value)
 
 
@@ -243,120 +250,10 @@ def _product_row(
     return acc
 
 
-def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
-    """Convolution: positions add, weights multiply (law of a sum of
-    independent draws).  Masses multiply and means obey
-    mean(mu*nu) = mass(nu)*mean(mu) + mass(mu)*mean(nu).
-
-    The positions of both measures are scaled to ints by one common
-    denominator and the weights of each by its own, so the n*m sums and
-    products run on ints and each output atom is one pair of Fractions.
-    """
-    pos_scale, positions = _scaled_ints([x for x, _ in mu.atoms + nu.atoms])
-    xs, ys = positions[: len(mu.atoms)], positions[len(mu.atoms) :]
-    mu_scale, mu_ws = _scaled_ints([w for _, w in mu.atoms])
-    nu_scale, nu_ws = _scaled_ints([w for _, w in nu.atoms])
-    acc = _product_row(zip(xs, mu_ws), list(zip(ys, nu_ws)))
-    unit = mu_scale * nu_scale
-    return DiscreteMeasure(
-        tuple((Fraction(s, pos_scale), Fraction(w, unit)) for s, w in sorted(acc.items()))
-    )
-
-
-def mix(coeffs: Sequence, measures: Sequence[DiscreteMeasure]) -> DiscreteMeasure:
-    """Non-negative linear combination sum_i coeffs[i] * measures[i]."""
-    if len(coeffs) != len(measures):
-        raise ValueError("coefficient and measure lists differ in length")
-    acc: dict[Fraction, Fraction] = {}
-    for c, m in zip(coeffs, measures):
-        c = as_rational(c)
-        if c < 0:
-            raise NegativeWeight(f"mixture coefficient {format_rational(c)} is negative")
-        if c == 0:
-            continue
-        for x, w in m.atoms:
-            acc[x] = acc.get(x, Fraction(0)) + c * w
-    return DiscreteMeasure(tuple((x, w) for x, w in sorted(acc.items()) if w != 0))
-
-
 def integrate_hinge(mu: DiscreteMeasure, threshold) -> Fraction:
     """Exact integral of max(x - threshold, 0) against mu."""
     a = as_rational(threshold)
     return sum((w * (x - a) for x, w in mu.atoms if x > a), Fraction(0))
-
-
-@_frozen
-class StepFunction:
-    """Right-continuous step function vanishing outside a compact interval.
-
-    ``values[i]`` is the value on [breakpoints[i], breakpoints[i+1]); the
-    function is 0 before the first breakpoint and from the last breakpoint
-    on.  Stored canonically: no leading/trailing zero runs, no two adjacent
-    intervals with equal values.  The zero function has no breakpoints.
-    """
-
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.values) != max(len(self.breakpoints) - 1, 0):
-            raise ValueError("values must cover exactly the gaps between breakpoints")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.breakpoints
-
-    def value(self, x) -> Fraction:
-        x = as_rational(x)
-        i = bisect_right(self.breakpoints, x) - 1
-        if 0 <= i < len(self.values):
-            return self.values[i]
-        return Fraction(0)
-
-
-def step_function(breakpoints: Sequence, values: Sequence) -> StepFunction:
-    """Canonicalising constructor: trims zero ends, merges equal neighbours."""
-    pts = [as_rational(b) for b in breakpoints]
-    vals = [as_rational(v) for v in values]
-    if len(vals) != max(len(pts) - 1, 0):
-        raise ValueError("values must cover exactly the gaps between breakpoints")
-    while vals and vals[0] == 0:
-        vals.pop(0)
-        pts.pop(0)
-    while vals and vals[-1] == 0:
-        vals.pop()
-        pts.pop()
-    if not vals:
-        return StepFunction((), ())
-    out_pts = [pts[0]]
-    out_vals = [vals[0]]
-    for i in range(1, len(vals)):
-        if vals[i] == out_vals[-1]:
-            continue  # same value: the breakpoint between is not a jump
-        out_pts.append(pts[i])
-        out_vals.append(vals[i])
-    out_pts.append(pts[-1])
-    return StepFunction(tuple(out_pts), tuple(out_vals))
-
-
-def cdf_diff(mu: DiscreteMeasure, nu: DiscreteMeasure) -> StepFunction:
-    """H(x) = mu((-inf, x]) - nu((-inf, x]) as a compactly supported step.
-
-    Needs equal masses: otherwise H does not return to 0 on the right and
-    cannot be represented.
-    """
-    if mu.mass != nu.mass:
-        raise MassMismatch(
-            f"masses differ: {format_rational(mu.mass)} vs {format_rational(nu.mass)}"
-        )
-    net = dict(mu.atoms)
-    for x, w in nu.atoms:
-        net[x] = net.get(x, 0) - w
-    xs = sorted(x for x, w in net.items() if w)
-    # Already canonical: every kept jump is non-zero, so no two adjacent
-    # levels are equal and the first is not 0, and equal masses bring the
-    # level after the last jump back to 0; step_function would change nothing.
-    return StepFunction(tuple(xs), tuple(accumulate(net[x] for x in xs[:-1])))
 
 
 # -- measure file format ----------------------------------------------------
@@ -371,13 +268,19 @@ def _reject_float(text: str):
     raise ParseError(f"floating-point literal {text!r} not allowed in measure files")
 
 
+def _read_int(text: str):
+    """An int literal as an int, or as its text when longer than
+    MAX_EXPONENT: as_rational then refuses it with the atom's index."""
+    return int(text) if len(text) <= MAX_EXPONENT else text
+
+
 class _ScanContext:
-    """The settings that ``json.loads(text, parse_float=_reject_float)``
-    hands CPython's C scanner."""
+    """The settings that ``json.loads(text, parse_float=_reject_float,
+    parse_int=_read_int)`` hands CPython's C scanner."""
 
     strict = True
     object_hook = object_pairs_hook = None
-    parse_int = int
+    parse_int = staticmethod(_read_int)
     parse_float = staticmethod(_reject_float)
     parse_constant = {
         "NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf"),
@@ -389,8 +292,8 @@ _UNSCANNED = object()
 
 
 def _scan_json(text: str):
-    """What ``json.loads(text, parse_float=_reject_float)`` returns, read by
-    the C scanner that json.loads runs, without importing json: its import
+    """What json.loads with the settings above returns, read by the C
+    scanner that json.loads runs, without importing json: its import
     compiles a dozen regular expressions that no well-formed file needs.
     _UNSCANNED where json.loads must decide: no C scanner, text that is not
     a str or starts with a BOM, a scanner error, or data after the value."""
@@ -426,8 +329,8 @@ def measure_from_json(text: str) -> DiscreteMeasure:
     """The measure of a measure file's text (the format above).
 
     Malformed JSON, a float literal, an entry that is not an atom object and
-    a position or weight that `as_rational` refuses raise ParseError, and an
-    int literal of more digits than Python reads ValueError; the atoms are
+    a position or weight that `as_rational` refuses (an int literal of more
+    than MAX_EXPONENT digits among them) raise ParseError; the atoms are
     merged as by `make_measure`.  Well-formed text is read by CPython's C
     scanner alone (`_scan_json`); anything else goes to ``json.loads``,
     which gives the message."""
@@ -436,7 +339,7 @@ def measure_from_json(text: str) -> DiscreteMeasure:
         import json
 
         try:
-            obj = json.loads(text, parse_float=_reject_float)
+            obj = json.loads(text, parse_float=_reject_float, parse_int=_read_int)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
         except RecursionError as exc:  # the reader recurses once per nested array or object

@@ -41,7 +41,6 @@ from operator import mul
 from .errors import MassMismatch, NonConvexTestFn
 from .measures import (
     DiscreteMeasure,
-    StepFunction,
     _check_work,
     _frozen,
     _product_row,
@@ -186,18 +185,6 @@ class ConvexTestFn:
             self.slope + other.slope,
             self.curve + other.curve,
             self.hinges + other.hinges,
-        )
-
-    def rescale_argument(self, factor) -> "ConvexTestFn":
-        """The function x -> phi(factor * x), for factor > 0."""
-        s = as_rational(factor)
-        if s <= 0:
-            raise NonConvexTestFn("argument rescaling needs a positive factor")
-        return ConvexTestFn(
-            self.const,
-            self.slope * s,
-            self.curve * s * s,
-            tuple((a / s, c * s) for a, c in self.hinges),
         )
 
     def _tabulate(self, sums: Sequence[int], den: int) -> tuple[int, list[int]]:
@@ -444,22 +431,6 @@ def _profile(scale: int, unit: int, kinks: dict[int, int]) -> tuple[PiecewiseLin
         tuple(Fraction(s, scale) for s in sums), tuple(Fraction(v, denominator) for v in values)
     )
     return profile, values
-
-
-def step_self_convolution(h: StepFunction) -> PiecewiseLinear:
-    """The exact profile (h*h), evaluated at every pairwise breakpoint sum
-    (between which it is affine).
-
-    With jumps d_i at the breakpoints b_i, (h*h)(A) is the ramp sum
-    sum_{i,j} d_i d_j (A - b_i - b_j)+ over the kinks of ``_signed_square``,
-    sorted once and swept once on ints, O(B^2 log B): the core of
-    rasa_criterion, fed from h's own Fractions.  Sums whose weights cancel
-    stay breakpoints of the profile.
-    """
-    levels = (0,) + h.values + (0,)
-    scale, bs = _scaled_ints(h.breakpoints)
-    unit, ds = _scaled_ints([after - before for before, after in zip(levels, levels[1:])])
-    return _profile(*_signed_square(scale, bs, unit, ds))[0]
 
 
 def rasa_criterion(

@@ -1,11 +1,13 @@
 """Shared generators for randomized exact-arithmetic tests."""
 
 import argparse
+import bisect
 import itertools
 import math
 import operator
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
@@ -22,25 +24,21 @@ from cxorder import (
     OrderVerdict,
     ParseError,
     PiecewiseLinear,
-    StepFunction,
     Witness,
     as_rational,
     binomial_weights,
     cauchy_product,
-    cdf_diff,
-    convolve,
     dirac,
     integrate_hinge,
     majorizes,
     make_measure,
-    mix,
     rasa_criterion,
     s_step_chain,
     w_polynomial,
 )
 from cxorder.bernstein import GAV_MODES
 from cxorder.cli import _REPRODUCTIONS
-from cxorder.measures import _reject_float, format_rational
+from cxorder.measures import _read_int, _reject_float, format_rational
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 positive_rationals = st.fractions(
@@ -107,7 +105,7 @@ def measure_from_json_oracle(text: str) -> DiscreteMeasure:
     import json
 
     try:
-        obj = json.loads(text, parse_float=_reject_float)
+        obj = json.loads(text, parse_float=_reject_float, parse_int=_read_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
     except RecursionError as exc:
@@ -134,14 +132,30 @@ def hinge_integral_brute(mu: DiscreteMeasure, threshold) -> Fraction:
 
 
 def convolve_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
-    """Independent oracle for convolve: the literal loop that adds every
-    atom pair's weight product, Fraction by Fraction, at the pair's sum."""
+    """The convolution mu*nu by the literal loop that adds every atom
+    pair's weight product, Fraction by Fraction, at the pair's sum."""
     acc: dict[Fraction, Fraction] = {}
     for x, wx in mu.atoms:
         for y, wy in nu.atoms:
             s = x + y
             acc[s] = acc.get(s, Fraction(0)) + wx * wy
     return DiscreteMeasure(tuple(sorted(acc.items())))
+
+
+def mix(coeffs, measures) -> DiscreteMeasure:
+    """The non-negative combination sum_i coeffs[i] * measures[i], every
+    atom's weight times its coefficient, merged by make_measure."""
+    return make_measure(
+        (x, c * w) for c, m in zip(coeffs, measures, strict=True) for x, w in m.atoms
+    )
+
+
+def rescale_argument(phi: ConvexTestFn, factor) -> ConvexTestFn:
+    """The test function x -> phi(factor * x), for factor > 0."""
+    s = as_rational(factor)
+    return ConvexTestFn(
+        phi.const, phi.slope * s, phi.curve * s * s, tuple((a / s, c * s) for a, c in phi.hinges)
+    )
 
 
 def gap_functional_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure, phi: ConvexTestFn) -> Fraction:
@@ -297,7 +311,51 @@ def leq_cx_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     return OrderVerdict(True)
 
 
-def _step_conv_value(h1: StepFunction, h2: StepFunction, at: Fraction) -> Fraction:
+class Step(NamedTuple):
+    """A right-continuous step function, 0 outside [breakpoints[0],
+    breakpoints[-1]): values[i] on [breakpoints[i], breakpoints[i + 1])."""
+
+    breakpoints: tuple
+    values: tuple
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.breakpoints
+
+    def value(self, x) -> Fraction:
+        i = bisect.bisect_right(self.breakpoints, x) - 1
+        return self.values[i] if 0 <= i < len(self.values) else Fraction(0)
+
+
+def cdf_diff(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Step:
+    """H = F_mu - F_nu of an equal-mass pair as a Step: both CDFs re-summed
+    at every position of the union of supports, a breakpoint wherever the
+    level changes.  So no level repeats its neighbour and the first is not
+    0, and equal masses bring the level after the last breakpoint to 0."""
+    if mu.mass != nu.mass:
+        raise MassMismatch(
+            f"masses differ: {format_rational(mu.mass)} vs {format_rational(nu.mass)}"
+        )
+    breakpoints, levels = [], [Fraction(0)]
+    for x in sorted(set(mu.positions()) | set(nu.positions())):
+        level = mu.cdf(x) - nu.cdf(x)
+        if level != levels[-1]:
+            breakpoints.append(x)
+            levels.append(level)
+    return Step(tuple(breakpoints), tuple(levels[1:-1]))
+
+
+def step_pair(h: Step) -> tuple[DiscreteMeasure, DiscreteMeasure]:
+    """An equal-mass pair (mu, nu) whose cdf_diff is h: each jump of h at a
+    breakpoint is an atom of mu where it rises and of nu where it falls."""
+    levels = (Fraction(0),) + h.values + (Fraction(0),)
+    jumps = [(b, after - before) for b, before, after in zip(h.breakpoints, levels, levels[1:])]
+    return make_measure((b, d) for b, d in jumps if d > 0), make_measure(
+        (b, -d) for b, d in jumps if d < 0
+    )
+
+
+def _step_conv_value(h1: Step, h2: Step, at: Fraction) -> Fraction:
     """Exact (h1 * h2)(at) = integral h1(t) h2(at - t) dt.
 
     The integrand is a step function of t whose jumps happen at breakpoints
@@ -321,10 +379,10 @@ def _step_conv_value(h1: StepFunction, h2: StepFunction, at: Fraction) -> Fracti
     return total
 
 
-def step_self_convolution_oracle(h: StepFunction) -> PiecewiseLinear:
-    """Independent oracle for step_self_convolution: the integral (h*h)(A)
-    by midpoint integration over a fresh cut list at every pairwise
-    breakpoint sum A, O(B^3 log B) for B breakpoints."""
+def step_self_convolution_oracle(h: Step) -> PiecewiseLinear:
+    """Independent oracle for the profile of rasa_criterion: the integral
+    (h*h)(A) by midpoint integration over a fresh cut list at every
+    pairwise breakpoint sum A, O(B^3 log B) for B breakpoints."""
     if h.is_zero:
         return PiecewiseLinear((), ())
     sums = sorted({a + b for a in h.breakpoints for b in h.breakpoints})
@@ -375,7 +433,7 @@ def tensor_bernstein_oracle(g: BivariateFn, ns, xs) -> Fraction:
 
 def poly_eval_measures_oracle(poly: MVPolynomial, measures) -> DiscreteMeasure:
     """Independent oracle for poly_eval_measures: each variable's powers by
-    one convolve per step, then per term one convolve per non-zero
+    one convolve_oracle per step, then per term one per non-zero
     exponent, the terms mixed Fraction by Fraction."""
     if len(measures) != poly.arity:
         raise ArityMismatch(f"need {poly.arity} measures, got {len(measures)}")
@@ -385,14 +443,14 @@ def poly_eval_measures_oracle(poly: MVPolynomial, measures) -> DiscreteMeasure:
     for exps, _ in poly.terms:
         for row, m, e in zip(powers, measures, exps):
             while len(row) <= e:
-                row.append(convolve(row[-1], m))
+                row.append(convolve_oracle(row[-1], m))
 
     acc: dict[Fraction, Fraction] = {}
     for exps, coeff in poly.terms:
         part = dirac(0)
         for i, e in enumerate(exps):
             if e:
-                part = convolve(part, powers[i][e])
+                part = convolve_oracle(part, powers[i][e])
         for x, w in part.atoms:
             acc[x] = acc.get(x, Fraction(0)) + coeff * w
     return make_measure(acc.items())

@@ -102,7 +102,7 @@ def test_rasa_gap_matches_rescaled_gap_functional():
     n, x, y = 2, Q, Fraction(3, 4)
     phi = hinge_fn(H)
     direct = rasa_gap(n, x, y, phi)
-    rescaled = phi.rescale_argument(Fraction(1, 2 * n))
+    rescaled = helpers.rescale_argument(phi, Fraction(1, 2 * n))
     via_measures = gap_functional(binomial_measure(n, x), binomial_measure(n, y), rescaled)
     assert direct == via_measures
     _, profile = rasa_criterion(binomial_measure(n, x), binomial_measure(n, y))

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from cxorder import bernstein, measures
+from cxorder import bernstein, measures, orders
 from cxorder.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -204,8 +204,8 @@ def test_cli_output_matches_golden(name):
 
 
 # Every golden case of `rasa check`, `rasa direct` and `rasa equivalence`:
-# the self-convolution criterion and its oracle run on ints, without a step
-# function, a convolution or a mixture in between
+# the self-convolution criterion and its oracle run on ints, so the oracle
+# hands no convolution measure to leq_cx and integrates no hinge on Fractions
 _RASA = [
     "decimal_rasa_check", "error_mass_mismatch", "rasa_check_equal", "rasa_check_fails",
     "rasa_check_holds", "rasa_check_spread", "rasa_direct_fails", "rasa_direct_holds",
@@ -215,8 +215,8 @@ _RASA = [
 
 @pytest.mark.parametrize("name", _RASA)
 def test_rasa_prints_the_golden_bytes_without_intermediate_measures(name, monkeypatch):
-    for stand_in in ("cdf_diff", "convolve", "mix"):
-        monkeypatch.setattr(measures, stand_in, helpers.refuse(stand_in))
+    monkeypatch.setattr(orders, "leq_cx", helpers.refuse("leq_cx"))
+    monkeypatch.setattr(measures, "integrate_hinge", helpers.refuse("integrate_hinge"))
     code, text = run(CASES[name])
     expected = (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
     assert f"exit {code}\n{text}" == expected

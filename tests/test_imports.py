@@ -180,22 +180,22 @@ def test_reproduce_example_3_loads_no_lattice():
     assert "cxorder.polynomials" in loaded and "cxorder.lattice" not in loaded
 
 
-# Every name `cxorder` exported before its exports became lazy.
+# Every name `cxorder` exported before its exports became lazy, less the
+# Fraction routes that no command ran (test_sources checks they stay gone).
 EXPORTS = """
     ArityMismatch BadParameter BivariateFn ConvexTestFn CxOrderError DEFAULT_EPS
     DecompositionMismatch DiscreteMeasure Inconclusive IntervalValue LatticeSeq
-    LengthMismatch MVPolynomial MassMismatch ModeArity NegativeWeight NonConvexTestFn
-    NonPositiveInput NotLattice NotMajorized NotNonneg NotSStep OrderVerdict ParseError
-    PiecewiseLinear SosDecomposition StepFunction Witness absdiff_surface affine_fn
-    as_lattice as_rational bernstein binomial_measure binomial_weights cauchy_product
-    cdf_diff compose_convex convolve dirac distinct_arrangements eq6prim_gap errors
+    LengthMismatch MVPolynomial MassMismatch ModeArity NegativeWeight
+    NonConvexTestFn NonPositiveInput NotLattice NotMajorized NotNonneg NotSStep
+    OrderVerdict ParseError PiecewiseLinear SosDecomposition Witness absdiff_surface
+    affine_fn as_lattice as_rational bernstein binomial_measure binomial_weights
+    cauchy_product compose_convex dirac distinct_arrangements eq6prim_gap errors
     gap_functional gav_gap gav_scan gavrea_p4_sum genfun_square_coeffs genfun_test
-    hinge_fn hinge_surface integrate_hinge is_s_step lattice lattice_to_measure
-    leq_cx leq_st majorization majorizes make_measure measure_from_json
-    measure_to_json measures mix moment_consistency muirhead_cx_check
-    muirhead_scalar multi_rasa_gap orders poly_eval_measures poly_surface
-    polynomials quad_fn rasa_criterion rasa_direct rasa_gap rasa_scan s_step_chain
-    sorted_desc sos_cx_check sos_step_decomposition step_function step_self_convolution
+    hinge_fn hinge_surface integrate_hinge is_s_step lattice leq_cx leq_st
+    majorization majorizes make_measure measure_from_json measure_to_json measures
+    moment_consistency muirhead_cx_check muirhead_scalar multi_rasa_gap orders
+    poly_eval_measures poly_surface polynomials quad_fn rasa_criterion rasa_direct
+    rasa_gap rasa_scan s_step_chain sorted_desc sos_cx_check sos_step_decomposition
     supermodularity_check tensor_bernstein truncate_negbinomial truncate_poisson
     truncated_family unit_grid w_polynomial
 """.split()
@@ -204,7 +204,7 @@ EXPORTS = """
 def test_every_export_resolves():
     import cxorder
 
-    assert len(EXPORTS) == 90
+    assert len(EXPORTS) == 83
     assert set(EXPORTS) <= set(dir(cxorder))
     submodules = [importlib.import_module(f"cxorder.{name}") for name in (
         "bernstein", "errors", "lattice", "majorization", "measures", "orders", "polynomials")]

@@ -489,11 +489,9 @@ def test_interpolation_against_hinge_gap_on_truncations():
     a = truncate_negbinomial(1, Fraction(1, 4), eps)
     b = truncate_negbinomial(1, Fraction(3, 4), eps)
     coeffs = genfun_square_coeffs(a, b)
-    from cxorder import lattice_to_measure, step_self_convolution, cdf_diff
-
-    boxed_a = lattice_to_measure(a).scaled(1 / lattice_to_measure(a).mass)
-    boxed_b = lattice_to_measure(b).scaled(1 / lattice_to_measure(b).mass)
-    profile = step_self_convolution(cdf_diff(boxed_a, boxed_b))
+    boxed_a, boxed_b = (make_measure(enumerate(seq.coeffs)) for seq in (a, b))
+    boxed_a, boxed_b = boxed_a.scaled(1 / boxed_a.mass), boxed_b.scaled(1 / boxed_b.mass)
+    profile = helpers.step_self_convolution_oracle(helpers.cdf_diff(boxed_a, boxed_b))
     for i in range(6):
         # normalisation perturbs by less than the tail certificates can hide
         assert abs(profile.value(i + 1) - coeffs[i]) < Fraction(1, 2**30)

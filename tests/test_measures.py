@@ -1,4 +1,5 @@
-"""Measure algebra: construction, moments, convolution, CDF differences."""
+"""Measure algebra: construction, moments, the convolution kernel, and the
+CDF differences and mixtures of the test oracles."""
 
 import sys
 from fractions import Fraction
@@ -15,17 +16,14 @@ from cxorder import (
     NegativeWeight,
     ParseError,
     as_rational,
-    cdf_diff,
-    convolve,
     dirac,
     integrate_hinge,
     make_measure,
     measure_from_json,
     measure_to_json,
-    mix,
     poly_eval_measures,
-    step_function,
 )
+from helpers import cdf_diff, mix
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -70,6 +68,18 @@ def test_moments_zero_measure():
     assert (mu.mass, mu.mean) == (0, 0)
 
 
+def convolve(mu, nu):
+    """mu*nu by the kernel ``measures._product_row``, on the rows that
+    rasa_direct forms: the positions of both measures over one common
+    denominator, the weights of each over its own."""
+    scale, xs = measures._scaled_ints(mu.positions() + nu.positions())
+    u, a = measures._scaled_ints([w for _, w in mu.atoms])
+    v, b = measures._scaled_ints([w for _, w in nu.atoms])
+    n = len(mu.atoms)
+    row = measures._product_row(zip(xs[:n], a), list(zip(xs[n:], b)))
+    return make_measure((Fraction(s, scale), Fraction(w, u * v)) for s, w in row.items())
+
+
 def test_convolve_diracs():
     assert convolve(dirac(Fraction(3, 2)), dirac(-1)) == dirac(H)
 
@@ -89,7 +99,7 @@ def test_convolve_power():
 
     assert convolve_power(coin, 0) == point(0)
     assert convolve_power(coin, 1) == coin
-    assert convolve_power(coin, 2) == convolve(coin, coin)
+    assert convolve_power(coin, 2) == helpers.convolve_oracle(coin, coin)
     cubed = convolve_power(coin, 3)
     assert cubed.atoms == (
         (0, Fraction(1, 8)),
@@ -113,7 +123,7 @@ def test_convolve_matches_direct_atom_pair_sum():
 
 
 # integer and fractional positions of both signs, weights with large and
-# unrelated denominators, so the common scales of convolve are non-trivial
+# unrelated denominators, so the common scales of the rows are non-trivial
 _positions = st.one_of(
     st.integers(-20, 20).map(Fraction),
     st.fractions(min_value=-20, max_value=20, max_denominator=60),
@@ -125,9 +135,7 @@ _scaled_measures = st.lists(st.tuples(_positions, _weights), max_size=8).map(mak
 @settings(max_examples=300)
 @given(_scaled_measures, _scaled_measures)
 def test_convolve_matches_literal_oracle(mu, nu):
-    out = convolve(mu, nu)
-    assert out.atoms == helpers.convolve_oracle(mu, nu).atoms
-    assert all(type(x) is Fraction and type(w) is Fraction for x, w in out.atoms)
+    assert convolve(mu, nu).atoms == helpers.convolve_oracle(mu, nu).atoms
 
 
 @settings(max_examples=300)
@@ -192,23 +200,29 @@ def test_cdf_diff_needs_equal_masses():
         cdf_diff(dirac(0), make_measure([(0, 2)]))
 
 
-def test_step_function_canonicalisation():
-    s = step_function([0, 1, 2, 3, 4], [0, 1, 1, 0])
-    assert s.breakpoints == (1, 3)
-    assert s.values == (1,)
+# rows of (position, weight) ints as the kernels square them: repeated
+# positions, and weights of both signs that may cancel
+_int_rows = st.lists(st.tuples(st.integers(-20, 20), st.integers(-50, 50)), max_size=8)
 
 
-@given(helpers.measures, helpers.measures, helpers.measures)
+@given(_int_rows, _int_rows, _int_rows)
 def test_convolution_commutative_associative(a, b, c):
-    assert convolve(a, b) == convolve(b, a)
-    assert convolve(convolve(a, b), c) == convolve(a, convolve(b, c))
+    product = measures._product_row
+    assert product(a, b) == product(b, a)
+    assert product(product(a, b).items(), c) == product(a, product(b, c).items())
 
 
-@given(helpers.measures, helpers.measures)
+@given(_int_rows, _int_rows)
 def test_convolution_moment_homomorphism(a, b):
-    ab = convolve(a, b)
-    assert ab.mass == a.mass * b.mass
-    assert ab.mean == b.mass * a.mean + a.mass * b.mean
+    def mass(row):
+        return sum(w for _, w in row)
+
+    def mean(row):
+        return sum(x * w for x, w in row)
+
+    ab = measures._product_row(a, b).items()
+    assert mass(ab) == mass(a) * mass(b)
+    assert mean(ab) == mass(b) * mean(a) + mass(a) * mean(b)
 
 
 @given(helpers.nonempty_measures)
@@ -245,7 +259,8 @@ def test_cdf_diff_is_canonical(a, b, shared):
     b = b.scaled(a.mass / b.mass)
     mu, nu = mix((1, 1), (a, shared)), mix((1, 1), (b, shared))
     h = cdf_diff(mu, nu)
-    assert h == step_function(h.breakpoints, h.values)
+    levels = (0,) + h.values + (0,)
+    assert h.is_zero or all(before != after for before, after in zip(levels, levels[1:]))
     assert all(type(v) is Fraction for v in h.values)
     for x in set(mu.positions()) | set(nu.positions()):
         assert h.value(x) == mu.cdf(x) - nu.cdf(x)
@@ -329,7 +344,8 @@ def test_measure_file_reader_matches_json_loads(text):
     scanned = measures._scan_json(text)
     if scanned is not measures._UNSCANNED:  # read without json: json.loads reads the same
         assert _outcome(lambda t: scanned, text) == _outcome(
-            lambda t: json.loads(t, parse_float=measures._reject_float), text)
+            lambda t: json.loads(t, parse_float=measures._reject_float,
+                                 parse_int=measures._read_int), text)
     assert _outcome(measure_from_json, text) == _outcome(helpers.measure_from_json_oracle, text)
 
 
@@ -348,6 +364,22 @@ def test_as_rational_exponent_budget_boundary(sign):
             as_rational(text)
     with pytest.raises(ParseError, match="atom #0: .*MAX_EXPONENT"):
         measure_from_json(f'{{"atoms": [{{"x": "1e{sign}{limit + 1}", "w": "1"}}]}}')
+
+
+def test_as_rational_digit_budget_boundary():
+    # Python's int() refuses more than 4300 digits with advice to raise its
+    # limit; a longer run of digits is refused first, and a measure file's
+    # int literal of that length reaches as_rational as its text
+    digits = "1" * measures.MAX_EXPONENT
+    assert as_rational(digits) == int(digits)
+    assert as_rational("-" + digits + "/3") == Fraction(-int(digits), 3)
+    assert measure_from_json(f'{{"atoms": [{{"x": -{digits}, "w": 1}}]}}') == dirac(-int(digits))
+    zeros = "0" * measures.MAX_EXPONENT  # an exponent of 1 after 4300 zeros
+    for text in ("1" + digits, "1/0" + digits, "0." + digits + "1", "1e" + zeros + "1", "1_" + digits):
+        with pytest.raises(ValueError, match="^int literal of 4301 digits exceeds MAX_EXPONENT = 4300$"):
+            as_rational(text)
+    with pytest.raises(ParseError, match="^atom #1: int literal of 4301 digits exceeds"):
+        measure_from_json(f'{{"atoms": [{{"x": 0, "w": 1}}, {{"x": 1{digits}, "w": 1}}]}}')
 
 
 def test_as_rational_returns_a_fraction_unchanged():

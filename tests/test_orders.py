@@ -19,21 +19,18 @@ from cxorder import (
     Witness,
     affine_fn,
     binomial_measure,
-    cdf_diff,
-    convolve,
     dirac,
     gap_functional,
     hinge_fn,
     leq_cx,
     leq_st,
     make_measure,
-    mix,
     quad_fn,
     rasa_criterion,
     rasa_direct,
-    step_function,
-    step_self_convolution,
 )
+from helpers import Step, cdf_diff, mix
+from helpers import convolve_oracle as convolve
 
 H = Fraction(1, 2)
 
@@ -254,33 +251,37 @@ def test_leq_cx_work_budget_boundary(monkeypatch):
         leq_cx(mu, nu)
 
 
+# any step function with compact support: levels on the cells between
+# sorted breakpoints, 0 before the first and from the last on
 step_functions = st.lists(
     st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=3), helpers.rationals),
     min_size=0,
     max_size=9,
 ).map(
-    lambda cells: step_function(
-        sorted({x for x, _ in cells}),
-        [v for _, v in sorted(dict(cells).items())][:-1],
-    )
+    lambda cells: cdf_diff(*helpers.step_pair(Step(
+        tuple(sorted({x for x, _ in cells})),
+        tuple(v for _, v in sorted(dict(cells).items()))[:-1],
+    )))
 )
 
 
 @settings(max_examples=150)
 @given(step_functions)
 def test_step_self_convolution_matches_midpoint_oracle(h):
-    assert step_self_convolution(h) == helpers.step_self_convolution_oracle(h)
+    # rasa_criterion squares the jumps of H = F_mu - F_nu, here h
+    profile = rasa_criterion(*helpers.step_pair(h))[1]
+    assert profile == helpers.step_self_convolution_oracle(h)
 
 
 # jumps (2, 1, -6, 3) at 0, 1, 2, 3: the kink weights of 0+3 and 1+2 cancel
-CANCELLING = step_function((0, 1, 2, 3), (2, 3, -3))
+CANCELLING = Step((0, 1, 2, 3), (2, 3, -3))
 
 
 def test_step_self_convolution_keeps_kinks_whose_weights_cancel():
     mu = make_measure([(0, 2), (1, 1), (3, 3)])
     nu = make_measure([(2, 6)])
     assert cdf_diff(mu, nu) == CANCELLING
-    profile = step_self_convolution(CANCELLING)
+    profile = rasa_criterion(mu, nu)[1]
     assert profile == helpers.step_self_convolution_oracle(CANCELLING)
     assert profile.breakpoints == tuple(range(7))
     # affine through 3: the profile is the mean of its neighbours there
@@ -292,9 +293,8 @@ def test_step_self_convolution_keeps_kinks_whose_weights_cancel():
 def test_step_self_convolution_matches_oracle_on_cdf_differences(rng):
     # integer positions make many pairwise breakpoint sums coincide
     mu, nu = helpers.random_lattice_pair(rng, top=6, max_atoms=6)
-    h = cdf_diff(mu, nu)
-    profile = step_self_convolution(h)
-    assert profile == helpers.step_self_convolution_oracle(h)
+    profile = rasa_criterion(mu, nu)[1]
+    assert profile == helpers.step_self_convolution_oracle(cdf_diff(mu, nu))
     assert all(isinstance(v, Fraction) for v in profile.breakpoints + profile.values)
 
 
@@ -516,11 +516,11 @@ def test_gap_functional_and_oracle_refuse_unequal_masses_alike():
 def test_gap_functional_builds_no_convolution(monkeypatch):
     # phi is tabulated on ints (ConvexTestFn._tabulate), never called
     def refuse(*args):
-        raise AssertionError("gap_functional must neither convolve, integrate nor call phi")
+        raise AssertionError("gap_functional must neither build a measure, integrate nor call phi")
 
     mu, nu = cross_pair()
     expected = helpers.gap_functional_oracle(mu, nu, _PHI)
-    monkeypatch.setattr(measures, "convolve", refuse)
+    monkeypatch.setattr(measures.DiscreteMeasure, "__init__", refuse)
     monkeypatch.setattr(ConvexTestFn, "integrate", refuse)
     monkeypatch.setattr(ConvexTestFn, "__call__", refuse)
     assert gap_functional(mu, nu, hinge_fn(3)) == -H
@@ -613,7 +613,7 @@ def test_unit_interval_bound_matches_the_running_ramp_oracle(phi):
 
 def test_convex_fn_rescale_argument():
     phi = hinge_fn(2, 3) + quad_fn(1) + affine_fn(1, 5)
-    scaled = phi.rescale_argument(Fraction(1, 4))
+    scaled = helpers.rescale_argument(phi, Fraction(1, 4))
     for t in (Fraction(-3), Fraction(0), Fraction(8), Fraction(17, 3)):
         assert scaled(t) == phi(t / 4)
 
@@ -727,8 +727,6 @@ def test_convolution_work_budget_boundary(monkeypatch):
         rasa_criterion(evens, wider)
     with pytest.raises(BadParameter, match=message):
         gap_functional(evens, wider, quad_fn(1))
-    with pytest.raises(BadParameter, match=message):
-        step_self_convolution(cdf_diff(evens, wider))
     with pytest.raises(BadParameter, match=_work_message("the signed square of 10 breakpoints", 100, 16385)):
         rasa_criterion(mu, six)
 
@@ -756,16 +754,17 @@ def test_rasa_direct_takes_the_convolution_work_budget(monkeypatch):
     monkeypatch.setattr(orders, "MAX_CONVOLUTION_WORK", 37 * 512**2)
     assert rasa_direct(mu, nu) == rasa_criterion(mu, nu)[0]
     monkeypatch.setattr(orders, "MAX_CONVOLUTION_WORK", 37 * 512**2 - 1)
-    monkeypatch.setattr(measures, "convolve", helpers.refuse("convolve"))
+    monkeypatch.setattr(orders, "_product_row", helpers.refuse("_product_row"))
     message = _work_message("the three convolutions of 3 and 4 atoms", 37, 3, 37 * 512**2 - 1)
     with pytest.raises(BadParameter, match=message):
         rasa_direct(mu, nu)
-    # the widest int is one that convolve builds: the positions of both
-    # measures over one denominator, here 2^21000 or 2^22000, and 37 pairs
-    # of ints of up to 21,002 bits pass, of 22,002 bits do not
+    # the widest int is one of the rows the three convolutions read: the
+    # positions of both measures over one denominator, here 2^21000 or
+    # 2^22000, and 37 pairs of ints of up to 21,002 bits pass, of 22,002
+    # bits do not
     monkeypatch.undo()
     near, far = (make_measure([(Fraction(1, 2**e), 4), (1, 4), (2, 4)]) for e in (21000, 22000))
     assert rasa_direct(near, nu).holds is rasa_criterion(near, nu)[0].holds
-    monkeypatch.setattr(measures, "convolve", helpers.refuse("convolve"))
+    monkeypatch.setattr(orders, "_product_row", helpers.refuse("_product_row"))
     with pytest.raises(BadParameter, match=_work_message("the three convolutions of 3 and 4 atoms", 37, 22002)):
         rasa_direct(far, nu)

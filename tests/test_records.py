@@ -127,7 +127,7 @@ def test_post_init_normalises_and_may_refuse():
 
 
 RECORDS = [
-    measures.DiscreteMeasure, measures.StepFunction, orders.Witness, orders.OrderVerdict,
+    measures.DiscreteMeasure, orders.Witness, orders.OrderVerdict,
     orders.PiecewiseLinear, orders.ConvexTestFn, lattice.LatticeSeq, polynomials.MVPolynomial,
     polynomials.SosDecomposition, bernstein.BivariateFn, bernstein.IntervalValue,
 ]
@@ -147,7 +147,7 @@ def _samples():
     nu = measures.make_measure([(1, 1), (2, 1)])
     verdict, profile = orders.rasa_criterion(mu, nu)
     return [
-        mu, measures.cdf_diff(mu, nu), verdict.witness, verdict, profile,
+        mu, verdict.witness, verdict, profile,
         orders.hinge_fn("1/2", 2), lattice.as_lattice(mu), polynomials.w_polynomial((2, 1)),
         polynomials.sos_step_decomposition((2, 1), (3, 0)), bernstein.absdiff_surface(1),
         bernstein.IntervalValue(Fraction(-1, 3), Fraction(1, 2)),

@@ -1,6 +1,7 @@
 """Source checks over src/cxorder: no module reads the environment, so a
-verdict follows from the command line and the files it names alone; and
-only orders reads the parts of a convex test function."""
+verdict follows from the command line and the files it names alone; only
+orders reads the parts of a convex test function; and the Fraction routes
+that no command ran stay retired."""
 
 import re
 from pathlib import Path
@@ -30,3 +31,25 @@ def test_only_orders_reads_the_fields_of_a_test_function(path):
     # of a test function stays behind the module that defines it
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [line for line in lines if _PHI_FIELDS.search(line)] == []
+
+
+# The exported Fraction routes that no command ran; the tests keep literal
+# oracles of the ones they need in tests/helpers.py
+_RETIRED = ("convolve", "mix", "cdf_diff", "StepFunction", "step_function",
+            "step_self_convolution", "lattice_to_measure", "rescale_argument")
+_DEFINITION = re.compile(r"^\s*(?:def|class)\s+(\w+)|^(\w+)\s*[:=]", re.MULTILINE)
+
+
+def test_the_retired_fraction_routes_stay_gone():
+    import cxorder
+
+    defined = {
+        name for path in PACKAGE.glob("*.py")
+        for match in _DEFINITION.finditer(path.read_text(encoding="utf-8"))
+        for name in match.groups() if name
+    }
+    assert "measure_from_json" in defined and "ConvexTestFn" in defined
+    assert defined.isdisjoint(_RETIRED)
+    assert set(cxorder.__all__).isdisjoint(_RETIRED)
+    with pytest.raises(AttributeError, match="no attribute 'convolve'"):
+        cxorder.convolve
