@@ -11,7 +11,7 @@ The gaps and scanners run on ints.  The basis row of a point a/q is the
 int row C(n,i) a^i (q-a)^(n-i) over q^n (a scan's points share one q); phi
 is tabulated at s/den on one int unit by ConvexTestFn._tabulate, a surface
 by _surface_ints.  Every gap sums those ints and builds one Fraction per
-value it returns; only the gavrea_p4_sum box keeps a literal phi table.
+value it returns.
 """
 
 from __future__ import annotations
@@ -85,11 +85,33 @@ def binomial_measure(n: int, x) -> DiscreteMeasure:
 
 def _self_form(d: Sequence[int], ps: Sequence[int]) -> int:
     """sum_{i,j} d_i d_j ps[i+j] on ints, len(ps) = 2 len(d) - 1: the self
-    form of rasa_gap and the p4 box.  The sum is symmetric in i and j, so
-    it runs over i <= j, sum_i d_i (d_i ps[2i] + 2 sum_{j>i} d_j ps[i+j]):
-    L(L+1)/2 products for a row of length L."""
+    form of rasa_gap.  The sum is symmetric in i and j, so it runs over
+    i <= j, sum_i d_i (d_i ps[2i] + 2 sum_{j>i} d_j ps[i+j]): L(L+1)/2
+    products for a row of length L, each as wide as d times as wide as ps,
+    which is cheap while ps is narrow (rasa_gap's table has the unit 2n)."""
     return sum(a * (a * ps[2 * i] + 2 * sum(map(mul, d[i + 1 :], ps[2 * i + 1 :])))
                for i, a in enumerate(d) if a)
+
+
+def _square_ints(d: Sequence[int]) -> list[int]:
+    """The 2L - 1 coefficients c_s = sum_{i+j=s} d_i d_j of the square of
+    the int row d of length L, by one Kronecker substitution (Harvey,
+    J. Symbolic Comput. 44, 2009): d is packed into one int at a slot width
+    w of whole bytes, that int is squared once, and each slot is read back
+    from a to_bytes slice.  |c_s| <= L max|d_i|^2 < 2^(w - 1) for
+    w >= 2 bits + bits(L) + 1, so a bias of 2^(w - 1) per slot puts every
+    slot in [0, 2^w) and no slot carries into the next.  One wide square
+    beats the L^2/2 products of the self form when the table that pairs
+    with the square is as wide as d (the gavrea_p4_sum box)."""
+    size = (2 * max(abs(v) for v in d).bit_length() + len(d).bit_length() + 8) // 8
+    packed = (int.from_bytes(b"".join(max(v, 0).to_bytes(size, "little") for v in d), "little")
+              - int.from_bytes(b"".join(max(-v, 0).to_bytes(size, "little") for v in d), "little"))
+    slots = 2 * len(d) - 1
+    half = 1 << (8 * size - 1)
+    bias = int.from_bytes(half.to_bytes(size, "little") * slots, "little")
+    square = (packed * packed + bias).to_bytes(size * slots, "little")
+    return [int.from_bytes(square[k : k + size], "little") - half
+            for k in range(0, size * slots, size)]
 
 
 def rasa_gap(n: int, x, y, phi: ConvexTestFn) -> Fraction:
@@ -539,13 +561,18 @@ def gavrea_p4_sum(n: int, x, y, phi: ConvexTestFn, eps=DEFAULT_EPS) -> IntervalV
     the two truncations and reduced to its least common denominator.  A box
     whose len(d)^2 products (at least 64) on the widest int of d exceed
     lattice.MAX_SQUARE_WORK raises BadParameter before its first product
-    and before any phi value; the box itself sums d_i d_j phi over i <= j.
+    and before any phi value.  The box itself is one dot product: the 2L - 1
+    coefficients of d x d (_square_ints, one Kronecker square) against phi's
+    int table at s/(2n + s), s = 0..2L - 2, all on the grid's common
+    denominator lcm(2n, ..., 2n + 2L - 2) (ConvexTestFn._tabulate).  A phi
+    that is not a ConvexTestFn is refused before any truncation.
     """
     x, y, eps = as_rational(x), as_rational(y), as_rational(eps)
     if not isinstance(n, int) or n < 1:
         raise BadParameter(f"index must be an integer >= 1, got {n!r}")
     if not (0 < x < 1 and 0 < y < 1):
         raise BadParameter("both parameters must lie strictly inside (0, 1)")
+    phi = _test_fn(phi)
     fam_x = truncate_negbinomial(n, x, eps)  # checks eps and n
     if x == y:
         # identical families: every bracket term vanishes identically
@@ -557,8 +584,10 @@ def gavrea_p4_sum(n: int, x, y, phi: ConvexTestFn, eps=DEFAULT_EPS) -> IntervalV
     scale, d = _scaled_rows([(unit, [a * fx - b * fy for a, b in rows])])
     _check_square(len(d) ** 2, d)
     bound = phi.bound_on_unit_interval()
-    phi_scale, ps = _scaled_ints([phi(Fraction(s, 2 * n + s)) for s in range(2 * len(d) - 1)])
-    boxed = Fraction(_self_form(d, ps), scale * scale * phi_scale)
+    grid = range(2 * len(d) - 1)
+    den = lcm(*(2 * n + s for s in grid))
+    phi_unit, ps = phi._tabulate([s * (den // (2 * n + s)) for s in grid], den)
+    boxed = Fraction(sum(map(mul, _square_ints(d), ps)), scale * scale * phi_unit)
     sigma = Fraction(sum(map(abs, d)), scale)
     tau = fam_x.tail_bound + fam_y.tail_bound
     slack = bound * (2 * sigma * tau + tau * tau)

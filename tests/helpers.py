@@ -17,6 +17,7 @@ from cxorder import (
     ConvexTestFn,
     DEFAULT_EPS,
     DiscreteMeasure,
+    IntervalValue,
     MVPolynomial,
     MassMismatch,
     NotMajorized,
@@ -34,11 +35,13 @@ from cxorder import (
     make_measure,
     rasa_criterion,
     s_step_chain,
+    truncate_negbinomial,
     w_polynomial,
 )
-from cxorder.bernstein import GAV_MODES
+from cxorder.bernstein import GAV_MODES, _self_form
 from cxorder.cli import _REPRODUCTIONS
-from cxorder.measures import _read_int, _reject_float, format_rational
+from cxorder.lattice import _scaled_rows
+from cxorder.measures import _read_int, _reject_float, _scaled_ints, format_rational
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 positive_rationals = st.fractions(
@@ -250,8 +253,8 @@ def truncate_poisson_oracle(lam: Fraction, eps: Fraction) -> tuple:
 
 
 def phi_form_oracle(u, v, phis) -> Fraction:
-    """The former bernstein._phi_form, kept as the oracle of the self form
-    bernstein._self_form: every Hankel row (v against phis shifted by i)
+    """The former bernstein._phi_form, kept as the oracle of rasa_gap's self
+    form bernstein._self_form: every Hankel row (v against phis shifted by i)
     summed on ints, then weighted by u_i, L^2 products for rows of length L."""
     scaled = [(math.lcm(*(c.denominator for c in row)), row) for row in (u, v, phis)]
     (u_scale, us), (v_scale, vs), (phi_scale, ps) = [
@@ -259,6 +262,35 @@ def phi_form_oracle(u, v, phis) -> Fraction:
     ]
     total = sum(a * sum(map(operator.mul, vs, ps[i:])) for i, a in enumerate(us) if a)
     return Fraction(total, u_scale * v_scale * phi_scale)
+
+
+def gavrea_p4_oracle(n: int, x: Fraction, y: Fraction, phi: ConvexTestFn, eps: Fraction) -> IntervalValue:
+    """The former box route of bernstein.gavrea_p4_sum, kept as its oracle
+    (no budgets): the same truncations, difference row d and tail slack,
+    with phi's table built as Fractions phi(s/(2n + s)), scaled to ints by
+    measures._scaled_ints and paired with d by the self form
+    bernstein._self_form, L(L+1)/2 products for a row of length L."""
+    fam_x, fam_y = truncate_negbinomial(n, x, eps), truncate_negbinomial(n, y, eps)
+    if x == y:
+        return IntervalValue(Fraction(0), Fraction(0))
+    unit = math.lcm(fam_x.unit, fam_y.unit)
+    fx, fy = unit // fam_x.unit, unit // fam_y.unit
+    rows = itertools.zip_longest(fam_x.ints, fam_y.ints, fillvalue=0)
+    scale, d = _scaled_rows([(unit, [a * fx - b * fy for a, b in rows])])
+    phi_scale, ps = _scaled_ints([phi(Fraction(s, 2 * n + s)) for s in range(2 * len(d) - 1)])
+    boxed = Fraction(_self_form(d, ps), scale * scale * phi_scale)
+    sigma = Fraction(sum(map(abs, d)), scale)
+    tau = fam_x.tail_bound + fam_y.tail_bound
+    slack = phi.bound_on_unit_interval() * (2 * sigma * tau + tau * tau)
+    return IntervalValue(boxed - slack, boxed + slack)
+
+
+def square_oracle(d) -> list:
+    """The literal square of the row d, the oracle of bernstein._square_ints:
+    each coefficient summed along its anti-diagonal i + j = s."""
+    size = len(d)
+    return [sum(d[i] * d[s - i] for i in range(max(0, s - size + 1), min(s, size - 1) + 1))
+            for s in range(2 * size - 1)]
 
 
 def unit_interval_bound_oracle(phi: ConvexTestFn) -> Fraction:
@@ -489,9 +521,10 @@ def muirhead_cx_check_oracle(p, q, measures, chain=None) -> OrderVerdict:
 
 def squared_difference_gap_oracle(u, v, phi_at) -> Fraction:
     """Independent oracle for the squared-difference Hankel forms of
-    bernstein (rasa_gap, rasa_scan, the gavrea_p4_sum box): the difference
-    u - v, the shorter row padded with zeros, squared by cauchy_product and
-    paired with phi_at(s) along its diagonals."""
+    bernstein (rasa_gap and rasa_scan on the Hankel table, the gavrea_p4_sum
+    box on the square of d): the difference u - v, the shorter row padded
+    with zeros, squared by cauchy_product and paired with phi_at(s) along
+    its diagonals."""
     diff = [a - b for a, b in itertools.zip_longest(u, v, fillvalue=0)]
     square = cauchy_product(diff, diff)
     return sum((c * phi_at(s) for s, c in enumerate(square) if c != 0), Fraction(0))

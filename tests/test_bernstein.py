@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -215,12 +215,17 @@ def test_eq6prim_gap_on_mixed_denominators_matches_the_power_loop_oracle(n, xs, 
         lambda phi: rasa_scan(2, [0, Fraction(1, 3), 1], phi),
         lambda phi: eq6prim_gap([1, 2], [Q, Fraction(2, 3)], phi),
         lambda phi: multi_rasa_gap(2, [0, Q, Fraction(2, 3)], phi),
+        lambda phi: gavrea_p4_sum(1, Q, Fraction(3, 4), phi),
+        lambda phi: gavrea_p4_sum(1, Q, Q, phi),
     ],
-    ids=["rasa_gap", "rasa_scan", "eq6prim_gap", "multi_rasa_gap"],
+    ids=["rasa_gap", "rasa_scan", "eq6prim_gap", "multi_rasa_gap", "gavrea_p4_sum",
+         "gavrea_p4_sum_equal_points"],
 )
 def test_gaps_refuse_a_phi_that_is_not_a_convex_test_fn(gap, monkeypatch):
-    # a plain callable has no table: refused before any basis row
+    # a plain callable has no table: refused before any basis row or
+    # truncation, even where x = y makes the box vanish
     monkeypatch.setattr(bernstein, "_basis_ints", helpers.refuse("_basis_ints"))
+    monkeypatch.setattr(bernstein, "truncate_negbinomial", helpers.refuse("truncate_negbinomial"))
     with pytest.raises(NonConvexTestFn, match="^test function must be a ConvexTestFn$"):
         gap(lambda t: t * t)
 
@@ -249,8 +254,8 @@ def self_form(d, phis):
 @example(u=[Fraction(1, 3)] * 3, v=[Fraction(1, 3)] * 3, phi=quad_fn(1), shift=2)  # u = v
 @example(u=[Fraction(1)], v=[Fraction(0), H, H], phi=hinge_fn(H), shift=1)
 def test_phi_form_matches_the_squared_difference_oracle(u, v, phi, shift):
-    # rows of unequal length and phi on a grid s / (shift + s), as in the
-    # gavrea_p4_sum box
+    # rows of unequal length and phi on a grid s / (shift + s), the grid of
+    # the gavrea_p4_sum box
     phi_at = lambda s: phi(Fraction(s, shift + s))
     d = [a - b for a, b in itertools.zip_longest(u, v, fillvalue=0)]
     value = self_form(d, [phi_at(s) for s in range(2 * len(d) - 1)])
@@ -512,6 +517,54 @@ def test_p4_box_is_the_literal_double_sum():
     assert (enclosure.lo + enclosure.hi) / 2 == box
 
 
+sixteenths = st.integers(1, 15).map(lambda k: Fraction(k, 16))
+p4_fns = st.builds(
+    lambda c, b, q, hs: ConvexTestFn(c, b, q, tuple(hs)),
+    st.fractions(-2, 2, max_denominator=3), st.fractions(-2, 2, max_denominator=3),
+    st.fractions(0, 2, max_denominator=3),
+    st.lists(st.tuples(st.fractions(-1, 2, max_denominator=8), st.fractions(0, 2, max_denominator=3)),
+             max_size=3),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), x=sixteenths, y=sixteenths, phi=p4_fns,
+       eps=st.sampled_from([Fraction(1, 4), Fraction(1, 2**10)]))
+@example(n=2, x=Fraction(5, 16), y=Fraction(5, 16), phi=ConvexTestFn(1, -1, 1, ((H, 1),)),
+         eps=Fraction(1, 2**10))
+@example(n=1, x=Fraction(1, 16), y=Fraction(15, 16), phi=ConvexTestFn(0, 1, 0, ((Q, 2),)),
+         eps=Fraction(1, 2**10))
+@example(n=3, x=Fraction(2, 16), y=Fraction(3, 16), phi=ConvexTestFn(Fraction(-1, 3)), eps=Fraction(1, 4))
+def test_p4_matches_the_fraction_table_oracle(n, x, y, phi, eps):
+    # the box on phi's int table and one Kronecker square against the
+    # Fraction table and the self form; the oracle has no budget
+    try:
+        enclosure = gavrea_p4_sum(n, x, y, phi, eps)
+    except BadParameter as error:
+        assert "MAX_SQUARE_WORK" in str(error)
+        reject()
+    assert enclosure == helpers.gavrea_p4_oracle(n, x, y, phi, eps)
+
+
+# entries of 7/8/9 and 15/16/17 bits put the slot width on either side of a
+# byte boundary; 80-bit entries give slots of several bytes
+square_entries = st.one_of(
+    st.just(0),
+    st.sampled_from([1, 7, 8, 9, 15, 16, 17, 80]).flatmap(lambda k: st.integers(-(2**k), 2**k)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.lists(square_entries, min_size=1, max_size=40))
+@example(d=[0])
+@example(d=[0] * 9)
+@example(d=[-(2**80)])
+@example(d=[2**8 - 1, -(2**8 - 1)])
+@example(d=[-(2**16)] * 17)
+def test_square_ints_match_the_anti_diagonal_oracle(d):
+    assert bernstein._square_ints(d) == helpers.square_oracle(d)
+
+
 def test_p4_inconclusive_when_interval_straddles_zero():
     # a symmetric-but-distinct pair with a huge eps cannot certify the sign
     enclosure = gavrea_p4_sum(1, Fraction(2, 5), Fraction(3, 5), affine_fn(0, 1), Fraction(1, 4))
@@ -540,12 +593,16 @@ def test_p4_takes_the_negbinomial_index_budget(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__pow__", refuse)
     monkeypatch.setattr(bernstein, "_self_form", refuse)
+    monkeypatch.setattr(bernstein, "_square_ints", refuse)
+    monkeypatch.setattr(ConvexTestFn, "_tabulate", refuse)
     with pytest.raises(BadParameter, match="^negative binomial index 4097 exceeds"):
         gavrea_p4_sum(lattice.MAX_NEGBIN_INDEX + 1, Q, H, affine_fn(0, 1))
 
 
 def _refuse_box_work(monkeypatch):
     monkeypatch.setattr(bernstein, "_self_form", helpers.refuse("_self_form"))
+    monkeypatch.setattr(bernstein, "_square_ints", helpers.refuse("_square_ints"))
+    monkeypatch.setattr(ConvexTestFn, "_tabulate", helpers.refuse("ConvexTestFn._tabulate"))
     monkeypatch.setattr(ConvexTestFn, "__call__", helpers.refuse("phi"))
 
 

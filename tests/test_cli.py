@@ -548,6 +548,8 @@ def _box(n, x, y):
 def _refuse_squares(monkeypatch):
     monkeypatch.setattr(lattice, "_int_product", helpers.refuse("_int_product"))
     monkeypatch.setattr(bernstein, "_self_form", helpers.refuse("_self_form"))
+    monkeypatch.setattr(bernstein, "_square_ints", helpers.refuse("_square_ints"))
+    monkeypatch.setattr(bernstein.ConvexTestFn, "_tabulate", helpers.refuse("ConvexTestFn._tabulate"))
     monkeypatch.setattr(bernstein.ConvexTestFn, "__call__", helpers.refuse("phi"))
 
 

@@ -225,8 +225,8 @@ def test_rasa_prints_the_golden_bytes_without_intermediate_measures(name, monkey
 # Every golden case of the Bernstein scanners, the product operator and the
 # gaps that pair a row with phi (`bernstein rasa`/`eq6`/`multi`, `rasa gap`):
 # surfaces and phi are tabulated on ints and the gaps summed there, with no
-# literal surface or phi evaluation.  Only the p4 box keeps a literal phi
-# table.
+# literal surface or phi evaluation.  The p4 box tabulates phi too, but its
+# tail bound evaluates phi at the ends and kinks of [0, 1].
 _SCANS = sorted(
     name for name, argv in CASES.items()
     if ("--phi" in argv or "--g" in argv) and "p4" not in argv or argv == ["reproduce", "absdiff"]
