@@ -24,7 +24,15 @@ from operator import mul, sub
 
 from .errors import BadParameter, Inconclusive, ModeArity
 from .lattice import DEFAULT_EPS, _check_square, _int_product, _scaled_rows, truncate_negbinomial
-from .measures import DiscreteMeasure, _frozen, _scaled_ints, as_rational, format_rational
+from .measures import (
+    DiscreteMeasure,
+    _frozen,
+    _pack,
+    _scaled_ints,
+    _unpack,
+    as_rational,
+    format_rational,
+)
 from .orders import ConvexTestFn, OrderVerdict, Witness, _test_fn, _unit_sum, hinge_fn
 
 # Budgets, checked before any work: the basis rows refuse a degree above
@@ -97,21 +105,18 @@ def _square_ints(d: Sequence[int]) -> list[int]:
     """The 2L - 1 coefficients c_s = sum_{i+j=s} d_i d_j of the square of
     the int row d of length L, by one Kronecker substitution (Harvey,
     J. Symbolic Comput. 44, 2009): d is packed into one int at a slot width
-    w of whole bytes, that int is squared once, and each slot is read back
-    from a to_bytes slice.  |c_s| <= L max|d_i|^2 < 2^(w - 1) for
-    w >= 2 bits + bits(L) + 1, so a bias of 2^(w - 1) per slot puts every
-    slot in [0, 2^w) and no slot carries into the next.  One wide square
-    beats the L^2/2 products of the self form when the table that pairs
-    with the square is as wide as d (the gavrea_p4_sum box)."""
+    w of whole bytes (measures._pack), that int is squared once, and each
+    slot is read back from a to_bytes slice (measures._unpack).
+    |c_s| <= L max|d_i|^2 < 2^(w - 1) for w >= 2 bits + bits(L) + 1, so a
+    bias of h = 2^(w - 1) per slot puts every entry d_i + h and every
+    slot c_s + h in [0, 2^w) and no slot carries into the next.  One wide
+    square beats the L^2/2 products of the self form when the table that
+    pairs with the square is as wide as d (the gavrea_p4_sum box)."""
     size = (2 * max(abs(v) for v in d).bit_length() + len(d).bit_length() + 8) // 8
-    packed = (int.from_bytes(b"".join(max(v, 0).to_bytes(size, "little") for v in d), "little")
-              - int.from_bytes(b"".join(max(-v, 0).to_bytes(size, "little") for v in d), "little"))
-    slots = 2 * len(d) - 1
     half = 1 << (8 * size - 1)
-    bias = int.from_bytes(half.to_bytes(size, "little") * slots, "little")
-    square = (packed * packed + bias).to_bytes(size * slots, "little")
-    return [int.from_bytes(square[k : k + size], "little") - half
-            for k in range(0, size * slots, size)]
+    packed = _pack([v + half for v in d], size) - _pack([half] * len(d), size)
+    square = packed * packed + _pack([half] * (2 * len(d) - 1), size)
+    return [c - half for c in _unpack(square, size)]
 
 
 def rasa_gap(n: int, x, y, phi: ConvexTestFn) -> Fraction:

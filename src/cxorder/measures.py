@@ -250,6 +250,34 @@ def _product_row(
     return acc
 
 
+def _pack(values: Iterable[int], size: int) -> int:
+    """The row of ints ``values``, each in [0, 2^(8 size)), as one int with
+    entry i at byte i·size (Kronecker substitution): a product of two
+    packed rows is the packed convolution of the rows while no slot of it
+    reaches 2^(8 size)."""
+    return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+
+
+def _unpack(packed: int, size: int) -> list[int]:
+    """The slots of a non-negative packed int, read back from one to_bytes
+    and a slice per slot; the row ends at its highest non-zero slot."""
+    data = packed.to_bytes(-(-packed.bit_length() // (8 * size)) * size, "little")
+    return [int.from_bytes(data[k : k + size], "little") for k in range(0, len(data), size)]
+
+
+def _repack(packed: int, size: int, wider: int) -> int:
+    """The packed int with ``size``-byte slots on ``wider``-byte slots:
+    each byte of a slot is copied by one strided slice per byte offset."""
+    if wider == size or packed.bit_length() <= 8 * size:  # one slot moves nowhere
+        return packed
+    slots = -(-packed.bit_length() // (8 * size))
+    data = packed.to_bytes(slots * size, "little")
+    out = bytearray(slots * wider)
+    for j in range(size):
+        out[j::wider] = data[j::size]
+    return int.from_bytes(out, "little")
+
+
 def integrate_hinge(mu: DiscreteMeasure, threshold) -> Fraction:
     """Exact integral of max(x - threshold, 0) against mu."""
     a = as_rational(threshold)

@@ -36,8 +36,11 @@ from .majorization import (
 from .measures import (
     DiscreteMeasure,
     _frozen,
+    _pack,
     _product_row,
+    _repack,
     _scaled_ints,
+    _unpack,
     as_rational,
     format_rational,
 )
@@ -48,9 +51,27 @@ from .orders import OrderVerdict, Witness, _cx_ints, leq_cx, rasa_criterion
 MAX_ARRANGEMENTS = 100_000
 # Budget for poly_eval_measures: the largest span of one term,
 # sum_i e_i * max(atoms(mu_i) - 1, 1), which bounds both the term's atom
-# count and the power steps that build it.  x1^2048 on a coin takes about
-# 3 s.
+# count on a lattice and the power steps that build it.  x1^2048 on a coin
+# takes about 0.23 s in-process.
 MAX_POLY_SPAN = 2048
+# Budget for muirhead_cx_check: the most work of one chain, terms * span *
+# bits, with terms the number of terms of all the W^t it evaluates, span =
+# top * max(atoms - 1, 1) the widest span of a term and bits = top * bits(S)
+# a bound on the bits of every weight (top = sum(p), S the int weight sum
+# of each measure on the common unit).  Checked before the first product.
+# Chains just inside the limit took 0.07 to 1.2 s in-process, the widest
+# weights costing the most per unit of work.
+MAX_CHAIN_WORK = 2**25
+# Packed rows (_PackedPowers) replace the dict rows of _product_row when
+# the evaluation has degree d >= 2 and every measure it raises to a power,
+# of a atoms on span + 1 positions, is dense, span + 1 <= _PACK_SPREAD * a,
+# and large enough, d * a >= _PACK_MIN_WORK: one wide product then does
+# the work of about d^2 a^2 / 2 pairs of the dict loop.  Below either
+# bound the dict rows were faster in-process (fixed costs of packing for
+# small d * a; slots without atoms, or with all the weight bits of the
+# row, for sparse supports).
+_PACK_SPREAD = 2
+_PACK_MIN_WORK = 48
 
 
 @_frozen
@@ -206,43 +227,191 @@ def poly_eval_measures(
     negative coefficient, and BadParameter, before any power is built, when
     a term's span exceeds MAX_POLY_SPAN.
     """
-    pos_scale, weight_scale, powers = _measure_powers(measures)
+    degree = max((sum(exps) for exps, _ in poly.terms), default=0)
+    used = [any(column) for column in zip(*(exps for exps, _ in poly.terms))]
+    pos_scale, weight_scale, powers = _measure_powers(measures, degree, used)
     unit, row = _eval_ints(poly, powers, weight_scale)
     return DiscreteMeasure(
         tuple((Fraction(s, pos_scale), Fraction(w, unit)) for s, w in sorted(row.items()))
     )
 
 
-def _measure_powers(measures: Sequence[DiscreteMeasure]) -> tuple[int, int, list[list]]:
+def _measure_powers(measures: Sequence[DiscreteMeasure], degree: int, used: Sequence[bool]):
     """(pos_scale, weight_scale, powers): every measure's atoms as
     (position, weight) int pairs, positions in units of 1/pos_scale and
-    weights in units of 1/weight_scale, each the entry 1 of that measure's
-    list of convolution powers ``[[], pairs]`` for ``_eval_ints``."""
+    weights in units of 1/weight_scale, handed to the convolution powers
+    that ``_eval_ints`` multiplies by, for polynomials of degree at most
+    ``degree`` in which the i-th measure appears when ``used[i]``.
+
+    The powers are packed ints (``_PackedPowers``) when degree >= 2 and
+    every measure used has span + 1 <= _PACK_SPREAD * atoms and
+    degree * atoms >= _PACK_MIN_WORK, span the distance from its first
+    atom to its last in units of 1/pos_scale; dict rows (``_DictPowers``)
+    otherwise: the zero measure, sparse supports such as {0, 10^9}, and
+    evaluations too small to repay the packing.  Nothing is packed here,
+    so the budgets of the callers run first."""
     pos_scale, positions = _scaled_ints([x for m in measures for x, _ in m.atoms])
     weight_scale, weights = _scaled_ints([w for m in measures for _, w in m.atoms])
-    powers = []
+    rows = []
     start = 0
     for m in measures:
         stop = start + len(m.atoms)
-        powers.append([[], list(zip(positions[start:stop], weights[start:stop]))])
+        rows.append(list(zip(positions[start:stop], weights[start:stop])))
         start = stop
-    return pos_scale, weight_scale, powers
+    if degree >= 2 and all(
+        row
+        and row[-1][0] - row[0][0] + 1 <= _PACK_SPREAD * len(row)
+        and degree * len(row) >= _PACK_MIN_WORK
+        for row, use in zip(rows, used)
+        if use
+    ):
+        return pos_scale, weight_scale, _PackedPowers(rows)
+    return pos_scale, weight_scale, _DictPowers(rows)
 
 
-def _eval_ints(
-    poly: MVPolynomial, powers: list[list], weight_scale: int
-) -> tuple[int, dict[int, int]]:
+class _DictPowers:
+    """Convolution powers as lists of (position, weight) int pairs, each
+    built from the one below by ``_product_row``; a row of ``_eval_ints``
+    is a dict position -> weight, multiplied by a power with
+    ``_product_row`` too."""
+
+    def __init__(self, rows: list[list[tuple[int, int]]]):
+        self.rows = rows
+        # powers[i][e]: the e-th power of the i-th measure (entry 0 unused)
+        self.powers = [[[], row] for row in rows]
+
+    @staticmethod
+    def scalar(c: int) -> dict[int, int]:
+        return {0: c}
+
+    def times(self, row: dict[int, int], i: int, e: int) -> dict[int, int]:
+        powers = self.powers[i]
+        while len(powers) <= e:
+            powers.append(list(_product_row(powers[-1], powers[1]).items()))
+        return _product_row(row.items(), powers[e])
+
+    @staticmethod
+    def plus(into: dict[int, int], row: dict[int, int]) -> dict[int, int]:
+        for s, w in row.items():
+            into[s] = into.get(s, 0) + w
+        return into
+
+    @staticmethod
+    def unpack(row: dict[int, int]) -> dict[int, int]:
+        return row
+
+
+class _PackedPowers:
+    """Convolution powers as Kronecker-packed ints (Harvey, J. Symbolic
+    Comput. 44, 2009): a measure's dense weight row, shifted to start at
+    slot 0, is one int with one slot per position, and a product of two
+    such ints is their convolution while no slot overflows.
+
+    A row of ``_eval_ints`` is a triple (offset, total, packed): slot k
+    holds the weight at position offset + k, and total is the row's weight
+    sum.  Every weight is >= 0, so no slot exceeds total, and the slots are
+    the whole bytes that hold it (``_slot_bytes``).  A product sums to the
+    product of the sums of its factors, so both are widened to the width
+    of the product (``measures._repack``) before they are multiplied, and
+    a sum of two rows to the width of its total, after a shift of the one
+    with the larger offset.  Each measure keeps its own offset, its first
+    atom, so a support far from 0 costs nothing.
+
+    ``powers[i][e]`` holds the e-th power of the i-th measure as a pair
+    (total, packed) on its own width, built once (``_power``); entry 1 is
+    packed the first time a power of the measure is asked for, so a term
+    refused by MAX_POLY_SPAN packs nothing."""
+
+    def __init__(self, rows: list[list[tuple[int, int]]]):
+        self.rows = rows
+        self.offsets = [row[0][0] if row else 0 for row in rows]
+        self.powers = [{} for _ in rows]
+
+    @staticmethod
+    def scalar(c: int) -> tuple[int, int, int]:
+        return 0, c, c
+
+    def times(self, row: tuple[int, int, int], i: int, e: int) -> tuple[int, int, int]:
+        offset, total, packed = row
+        power_total, power = _power(self.powers[i], self.rows[i], e)
+        product = total * power_total
+        size = _slot_bytes(product)
+        packed = _repack(packed, _slot_bytes(total), size)
+        return offset + e * self.offsets[i], product, packed * _repack(
+            power, _slot_bytes(power_total), size
+        )
+
+    @staticmethod
+    def plus(into: tuple[int, int, int], row: tuple[int, int, int]) -> tuple[int, int, int]:
+        if into[0] > row[0]:
+            into, row = row, into
+        total = into[1] + row[1]
+        size = _slot_bytes(total)
+        low = _repack(into[2], _slot_bytes(into[1]), size)
+        high = _repack(row[2], _slot_bytes(row[1]), size)
+        return into[0], total, low + (high << (row[0] - into[0]) * 8 * size)
+
+    @staticmethod
+    def unpack(row: tuple[int, int, int]) -> dict[int, int]:
+        offset, total, packed = row
+        return {offset + k: w for k, w in enumerate(_unpack(packed, _slot_bytes(total))) if w}
+
+
+def _slot_bytes(bound: int) -> int:
+    """The whole bytes of a slot that holds every int in [0, bound]."""
+    return (bound.bit_length() + 7) // 8
+
+
+def _dense(row: list[tuple[int, int]]) -> list[int]:
+    """The weights of the (position, weight) pairs ``row``, sorted by
+    position, on every position from its first to its last."""
+    offset = row[0][0]
+    dense = [0] * (row[-1][0] - offset + 1)
+    for s, w in row:
+        dense[s - offset] = w
+    return dense
+
+
+def _power(
+    powers: dict[int, tuple[int, int]], row: list[tuple[int, int]], e: int
+) -> tuple[int, int]:
+    """The e-th entry of the memo ``powers`` of (total, packed) powers of
+    the measure with the (position, weight) pairs ``row``: entry 1 is the
+    packed dense row, and entry e is P^(e - 1) * P when entry e - 1 is
+    there, as a chain asks for them, else P^(e//2) * P^(e - e//2), a
+    squaring where the two halves are one.  On wide weights the first,
+    a wide int times a narrow one, beat the balanced product: the chain
+    (8,8) -> (16,0) on binomials of degree 32 ran in 0.92 of the dict
+    rows' time with it and in 1.06 on balanced products alone."""
+    entry = powers.get(e)
+    if entry is None:
+        if e == 1:
+            total = sum(w for _, w in row)
+            entry = total, _pack(_dense(row), _slot_bytes(total))
+        else:
+            low = e - 1 if e - 1 in powers else e // 2
+            (total_a, a), (total_b, b) = _power(powers, row, low), _power(powers, row, e - low)
+            total = total_a * total_b
+            size = _slot_bytes(total)
+            a = _repack(a, _slot_bytes(total_a), size)
+            b = a if low == e - low else _repack(b, _slot_bytes(total_b), size)
+            entry = total, a * b
+        powers[e] = entry
+    return entry
+
+
+def _eval_ints(poly: MVPolynomial, powers, weight_scale: int) -> tuple[int, dict[int, int]]:
     """The core of poly_eval_measures: (unit, row) with row the evaluated
     measure as a dict position -> weight, in the position unit of
     ``powers`` and weights in units of 1/unit.
 
-    ``powers[i][e]`` holds the (position, weight) int pairs of the i-th
-    measure's e-th convolution power, weights in units of 1/weight_scale^e.
-    Missing powers are appended in place, so polynomials evaluated on the
-    same ``powers`` build each power once.  The coefficients are scaled by
-    their lcm C, and a term c * x^e of degree d starts as the int
-    c*C*weight_scale^(top - d), top being the largest degree, so every term
-    ends in the one unit C*weight_scale^top.
+    ``powers`` (``_DictPowers`` or ``_PackedPowers``) multiplies a row by
+    the e-th convolution power of the i-th measure, whose weights are in
+    units of 1/weight_scale^e, and builds each power once, so polynomials
+    evaluated on the same ``powers`` share them.  The coefficients are
+    scaled by their lcm C, and a term c * x^e of degree d starts as the
+    int c*C*weight_scale^(top - d), top being the largest degree, so every
+    term ends in the one unit C*weight_scale^top.
 
     The variables are walked left to right, Horner-like: at each level the
     terms whose remaining exponents coincide are summed into one row,
@@ -252,11 +421,11 @@ def _eval_ints(
     BadParameter, before any power is built, when a term's span exceeds
     MAX_POLY_SPAN.
     """
-    if len(powers) != poly.arity:
-        raise ArityMismatch(f"need {poly.arity} measures, got {len(powers)}")
+    if len(powers.rows) != poly.arity:
+        raise ArityMismatch(f"need {poly.arity} measures, got {len(powers.rows)}")
     if not poly.nonneg:
         raise NotNonneg("polynomial has a negative coefficient")
-    steps = [max(len(row[1]) - 1, 1) for row in powers]
+    steps = [max(len(row) - 1, 1) for row in powers.rows]
     for exps, _ in poly.terms:
         span = sum(e * step for e, step in zip(exps, steps))
         if span > MAX_POLY_SPAN:
@@ -266,27 +435,21 @@ def _eval_ints(
     coeff_scale, coeffs = _scaled_ints([c for _, c in poly.terms])
     degrees = [sum(exps) for exps, _ in poly.terms]
     top = max(degrees, default=0)
-    # remaining exponents -> row {position: weight} summed over the terms
-    groups: dict[tuple[int, ...], dict[int, int]] = {
-        exps: {0: c * weight_scale ** (top - d)}
+    # remaining exponents -> row summed over the terms
+    groups = {
+        exps: powers.scalar(c * weight_scale ** (top - d))
         for (exps, _), c, d in zip(poly.terms, coeffs, degrees)
     }
-    for row_powers in powers:
-        base = row_powers[1]
-        for _ in range(len(row_powers), max((exps[0] for exps in groups), default=0) + 1):
-            row_powers.append(list(_product_row(row_powers[-1], base).items()))
-        merged: dict[tuple[int, ...], dict[int, int]] = {}
+    for i in range(poly.arity):
+        merged = {}
         for exps, row in groups.items():
             if exps[0]:
-                row = _product_row(row.items(), row_powers[exps[0]])
+                row = powers.times(row, i, exps[0])
             into = merged.get(exps[1:])
-            if into is None:
-                merged[exps[1:]] = row
-            else:
-                for s, w in row.items():
-                    into[s] = into.get(s, 0) + w
+            merged[exps[1:]] = row if into is None else powers.plus(into, row)
         groups = merged
-    return coeff_scale * weight_scale**top, groups.get((), {})
+    row = groups.get(())
+    return coeff_scale * weight_scale**top, {} if row is None else powers.unpack(row)
 
 
 def moment_consistency(
@@ -462,18 +625,21 @@ def muirhead_cx_check(
     Runs on ints end to end: the measures are scaled once and their
     convolution powers shared by every W^t of the chain, and consecutive
     rows are compared by leq_cx's kernel ``_cx_ints`` on the lcm of their
-    two units, only the previous row being kept.
+    two units, only the previous row being kept.  Raises BadParameter,
+    before the pairwise profiles and before any power, when the chain's
+    work exceeds MAX_CHAIN_WORK.
     """
     if not majorizes(p, q):
         raise NotMajorized(f"{tuple(p)} is not majorized by {tuple(q)}")
     if len(measures) != len(p):
         raise ArityMismatch(f"need {len(p)} measures, got {len(measures)}")
     _require_equal_masses(measures)
+    chain = s_step_chain(p, q)
+    pos_scale, weight_scale, powers = _measure_powers(measures, sum(p), [True] * len(measures))
+    _check_chain_work(p, q, chain, powers.rows)
     bad_pair = _pairwise_profiles_nonneg(measures)
     if bad_pair is not None:
         return OrderVerdict(False, bad_pair)
-    chain = s_step_chain(p, q)
-    pos_scale, weight_scale, powers = _measure_powers(measures)
     previous = None
     for t in chain:
         unit, row = _eval_ints(w_polynomial(t), powers, weight_scale)
@@ -490,3 +656,19 @@ def muirhead_cx_check(
                 return OrderVerdict(False, Witness("step", point, witness.gap))
         previous = t, unit, row
     return OrderVerdict(True)
+
+
+def _check_chain_work(p, q, chain, rows: list[list[tuple[int, int]]]):
+    """Refuse the chain of symmetric means ``chain`` on the int rows
+    ``rows`` when its work terms * span * bits (see MAX_CHAIN_WORK)
+    exceeds the budget."""
+    terms = sum(map(arrangement_count, chain))
+    top = sum(p)
+    span = top * max((max(len(row) - 1, 1) for row in rows), default=1)
+    bits = top * sum(w for _, w in rows[0]).bit_length() if rows else 0
+    work = terms * span * bits
+    if work > MAX_CHAIN_WORK:
+        raise BadParameter(
+            f"the chain from {tuple(p)} to {tuple(q)} evaluates {terms} terms of span {span}"
+            f" on {bits}-bit weights, work {work}, which exceeds MAX_CHAIN_WORK = {MAX_CHAIN_WORK}"
+        )

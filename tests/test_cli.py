@@ -821,6 +821,31 @@ def test_poly_eval_span_budget_exits_2_with_one_line(measure_files):
     )
 
 
+def test_poly_muirhead_chain_budget_exits_2_with_one_line():
+    # 4.4 s as a fresh process before the budget; now refused before the
+    # pairwise profiles
+    argv = ["poly", "muirhead", "--p", "200,200", "--q", "400,0",
+            "--measure", "binomial:1,1/2", "--measure", "binomial:1,1/3"]
+    assert run(argv) == (2, (
+        "error: BadParameter: the chain from (200, 200) to (400, 0) evaluates 401 terms"
+        " of span 400 on 1200-bit weights, work 192480000, which exceeds"
+        " MAX_CHAIN_WORK = 33554432\n"
+    ))
+
+
+def test_a_wide_support_of_many_atoms_is_refused_before_any_row_is_built(tmp_path):
+    # 5,000 atoms at 0..4,998 and 24,999,999: a dense row would hold
+    # 25,000,000 slots; every term's span is over MAX_POLY_SPAN
+    path = tmp_path / "wide.json"
+    path.write_text(measure_to_json(make_measure([(x, 1) for x in range(4999)] + [(24_999_999, 1)])))
+    assert run(["poly", "eval", "--expr", "1 * x1^2", "--measure", str(path)]) == (
+        2, "error: BadParameter: monomial (2,) has span 9998, which exceeds MAX_POLY_SPAN = 2048\n"
+    )
+    code, text = run(["poly", "muirhead", "--p", "1,1", "--q", "2,0",
+                      "--measure", str(path), "--measure", str(path)])
+    assert code == 2 and text.count("\n") == 1 and text.startswith("error: BadParameter: ")
+
+
 @pytest.mark.parametrize("exponent", ["4301", "-4301"])
 def test_exponent_budget_at_every_textual_entry_point(exponent, tmp_path):
     big = f"1e{exponent}"

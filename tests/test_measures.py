@@ -225,6 +225,37 @@ def test_convolution_moment_homomorphism(a, b):
     assert mean(ab) == mass(b) * mean(a) + mass(a) * mean(b)
 
 
+_packable_rows = st.integers(min_value=1, max_value=4).flatmap(
+    lambda size: st.tuples(
+        st.just(size),
+        st.lists(st.integers(min_value=0, max_value=2 ** (8 * size) - 1), max_size=12).map(
+            lambda row: row + [1]  # the row ends at a non-zero slot
+        ),
+    )
+)
+
+
+@given(_packable_rows, st.integers(min_value=0, max_value=3))
+def test_pack_unpack_and_repack_keep_every_slot(sized, extra):
+    size, row = sized
+    packed = measures._pack(row, size)
+    assert packed == sum(v << (8 * size * k) for k, v in enumerate(row))
+    assert measures._unpack(packed, size) == row
+    assert measures._repack(packed, size, size + extra) == measures._pack(row, size + extra)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=10),
+       st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=10))
+def test_a_packed_product_is_the_convolution(a, b):
+    # slots as wide as the largest weight sum hold every entry and coefficient
+    size = (max(sum(a) * sum(b), sum(a), sum(b)).bit_length() + 7) // 8 or 1
+    product = measures._unpack(measures._pack(a, size) * measures._pack(b, size), size)
+    row = measures._product_row(enumerate(a), list(enumerate(b)))
+    assert product == [row.get(s, 0) for s in range(len(product))]
+    assert not any(w for s, w in row.items() if s >= len(product))
+
+
 @given(helpers.nonempty_measures)
 def test_hinge_tail_identities(mu):
     mass, mean = mu.mass, mu.mean

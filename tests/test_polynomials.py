@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -143,6 +144,31 @@ def test_poly_eval_convolves_each_power_once(monkeypatch):
     assert len(calls) == 5
 
 
+def test_poly_eval_packs_each_power_once(monkeypatch):
+    products = []
+    times = polynomials._PackedPowers.times
+
+    def counting(self, row, i, e):
+        products.append((i, e))
+        return times(self, row, i, e)
+
+    monkeypatch.setattr(polynomials, "_PackedPowers", type(
+        "Counting", (polynomials._PackedPowers,), {"times": counting}
+    ))
+    monkeypatch.setattr(polynomials, "_product_row", helpers.refuse("_product_row"))
+    poly = MVPolynomial.from_dict(2, {(1, 2): 1, (2, 2): 2, (0, 0): 1})
+    coin = make_measure([(0, Fraction(1, 2)), (1, Fraction(1, 2))])
+    pos_scale, weight_scale, rows = polynomials._measure_powers([coin, coin], 4, [True] * 2)
+    powers = polynomials._PackedPowers(rows.rows)  # packed, though the rule keeps coins as dicts
+    assert polynomials._eval_ints(poly, powers, weight_scale) == (
+        16, {0: 20, 1: 14, 2: 18, 3: 10, 4: 2}
+    )
+    # the same products as the dict rows: one per distinct non-zero
+    # exponent suffix, and every power up to 2 built once
+    assert sorted(products) == [(0, 1), (0, 2), (1, 2)]
+    assert [sorted(p) for p in powers.powers] == [[1, 2], [1, 2]]
+
+
 def test_poly_eval_on_many_variables_without_recursion():
     # one level per variable: a recursion over the variables would overflow
     poly = MVPolynomial.monomial(1500, (1,) * 1500)
@@ -150,10 +176,13 @@ def test_poly_eval_on_many_variables_without_recursion():
 
 
 def test_poly_eval_span_budget_is_checked_before_any_power(monkeypatch):
-    def refuse(left, right):
-        raise AssertionError("built a power past the budget")
-
-    monkeypatch.setattr(polynomials, "_product_row", refuse)
+    # the dict rows and the packed ones, which pack no row before the check
+    for name in ("_product_row", "_power", "_repack", "_pack", "_dense"):
+        monkeypatch.setattr(polynomials, name, helpers.refuse(name))
+    lattice = make_measure([(x, 1) for x in range(3000)])
+    assert _powers_type([lattice], 2) is polynomials._PackedPowers
+    with pytest.raises(BadParameter):
+        poly_eval_measures(MVPolynomial.monomial(1, (2,)), [lattice])
     coin = make_measure([(0, Fraction(1, 2)), (1, Fraction(1, 2))])
     three = make_measure([(0, 1), (1, 1), (5, 1)])
     poly = MVPolynomial.from_dict(2, {(1, 0): 1, (1, 1024): 1})  # span 1 + 2 * 1024
@@ -477,3 +506,194 @@ def test_muirhead_cx_matches_the_loop_oracle(p, data, reverse):
             patch.setattr(polynomials, "s_step_chain", lambda a, b: forward(a, b)[::-1])
         verdict = muirhead_cx_check(p, q, measures)
     assert verdict == helpers.muirhead_cx_check_oracle(p, q, measures, chain=chain)
+
+
+# -- packed rows and the selection rule ---------------------------------------
+
+
+def _support(atoms, span, start):
+    """``atoms`` >= 2 positions from ``start`` to ``start + span``, both
+    ends included, for span >= atoms - 1."""
+    return [*range(start, start + atoms - 1), start + span]
+
+
+def _powers_type(measures, degree):
+    return type(polynomials._measure_powers(measures, degree, [True] * len(measures))[2])
+
+
+@pytest.mark.parametrize("atoms", [2, 3, 5, 24, 48])
+def test_rows_are_packed_while_dense_and_large_enough(atoms):
+    # packed iff span + 1 <= 2 atoms and degree * atoms >= 48, degree >= 2
+    degree = max(-(-48 // atoms), 2)
+
+    def powers(span, degree):
+        return _powers_type([make_measure([(x, 1) for x in _support(atoms, span, -7)])], degree)
+
+    assert powers(2 * atoms - 1, degree) is polynomials._PackedPowers
+    assert powers(atoms - 1, degree) is polynomials._PackedPowers
+    assert powers(2 * atoms, degree) is polynomials._DictPowers
+    assert powers(atoms - 1, degree - 1) is polynomials._DictPowers
+
+
+def test_a_dirac_is_packed_from_degree_48_and_a_used_zero_measure_never():
+    assert _powers_type([dirac(-2)], 48) is polynomials._PackedPowers
+    assert _powers_type([dirac(-2)], 47) is polynomials._DictPowers
+    assert _powers_type([dirac(-2), make_measure([])], 48) is polynomials._DictPowers
+    # a measure the polynomial leaves out does not count
+    pos_scale, weight_scale, powers = polynomials._measure_powers(
+        [dirac(-2), make_measure([])], 48, [True, False]
+    )
+    assert type(powers) is polynomials._PackedPowers
+
+
+def test_degree_one_keeps_the_dict_rows():
+    # a mixture of the measures multiplies nothing: packing would only copy
+    lattice = make_measure([(x, 1) for x in range(100)])
+    assert _powers_type([lattice], 1) is polynomials._DictPowers
+    assert _powers_type([lattice], 2) is polynomials._PackedPowers
+
+
+@st.composite
+def _rule_measures(draw):
+    """A measure whose scaled support sits just inside or just outside the
+    density bound span + 1 <= 2 atoms of the packing rule, at negative
+    and positive positions; or the zero measure, or a Dirac.  With 6 to
+    12 atoms, the degrees 1 to 8 of ``_mixed_terms`` fall on both sides
+    of its size bound degree * atoms >= 48."""
+    kind = draw(st.sampled_from(["inside", "outside", "zero", "dirac"]))
+    if kind == "zero":
+        return make_measure([])
+    start = draw(st.integers(min_value=-30, max_value=30))
+    if kind == "dirac":
+        return make_measure([(start, draw(st.integers(min_value=1, max_value=5)))])
+    atoms = draw(st.integers(min_value=2, max_value=12))
+    span = 2 * atoms - 1 if kind == "inside" else 2 * atoms + draw(st.integers(0, 3))
+    weights = st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6)
+    return make_measure([(x, draw(weights)) for x in _support(atoms, span, start)])
+
+
+# eight atoms on 15 positions: packed from degree 6 on
+_LATTICE = make_measure([(x, Fraction(k + 1, 6)) for k, x in enumerate(_support(8, 14, -5))])
+
+_mixed_terms = st.dictionaries(
+    st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=2).map(tuple),
+    st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4),
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_terms, st.lists(_rule_measures(), min_size=2, max_size=2))
+@example({(3, 0): 1, (1, 1): Fraction(1, 2), (0, 0): 2}, [dirac(-4), make_measure([])])
+@example({(4, 2): 1, (0, 1): Fraction(1, 3)}, [_LATTICE, make_measure([(-3, 1), (12, 2)])])
+@example({(4, 2): 1, (0, 1): Fraction(1, 3)}, [_LATTICE, _LATTICE])  # packed
+@example({(4, 1): 1, (0, 1): Fraction(1, 3)}, [_LATTICE, _LATTICE])  # degree 5 * 8 < 48
+def test_poly_eval_matches_the_oracle_on_both_sides_of_the_packing_rule(terms, measures):
+    # mixed degrees, so the terms meet on the unit weight_scale^top
+    poly = MVPolynomial.from_dict(2, terms)
+    assert poly_eval_measures(poly, measures) == helpers.poly_eval_measures_oracle(poly, measures)
+    # and both kinds of rows, whichever the rule picks
+    pos_scale, weight_scale, powers = polynomials._measure_powers(measures, 0, [False] * 2)
+    if all(powers.rows):  # packed rows need an atom in every measure
+        assert polynomials._eval_ints(
+            poly, polynomials._PackedPowers(powers.rows), weight_scale
+        ) == polynomials._eval_ints(poly, polynomials._DictPowers(powers.rows), weight_scale)
+
+
+_binomials = st.builds(
+    binomial_measure,
+    st.integers(min_value=1, max_value=12),
+    st.fractions(min_value=0, max_value=1, max_denominator=8),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(
+        st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=2).map(tuple),
+        st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(_binomials, min_size=2, max_size=2),
+)
+def test_poly_eval_matches_the_oracle_on_binomials(terms, measures):
+    poly = MVPolynomial.from_dict(2, terms)
+    assert poly_eval_measures(poly, measures) == helpers.poly_eval_measures_oracle(poly, measures)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=3),
+    st.integers(min_value=1, max_value=6),
+    st.lists(st.sampled_from([Fraction(k, 8) for k in range(9)]), min_size=3, max_size=3),
+    st.integers(min_value=-5, max_value=5),
+)
+def test_muirhead_cx_matches_the_oracle_on_binomials(p, degree, xs, shift):
+    # binomials of one degree are pairwise compatible; the shift moves
+    # every support, negative positions included
+    q = (sum(p),) + (0,) * (len(p) - 1)
+    measures = [
+        make_measure([(x + shift, w) for x, w in binomial_measure(degree, y).atoms])
+        for y in xs[: len(p)]
+    ]
+    assert muirhead_cx_check(p, q, measures) == helpers.muirhead_cx_check_oracle(p, q, measures)
+
+
+def test_packed_rows_keep_their_offsets_far_from_zero():
+    # padded from position 0, this row would need 10^12 slots
+    far = make_measure([(10**12, Fraction(1, 2)), (10**12 + 1, Fraction(1, 2))])
+    cube = MVPolynomial.monomial(1, (3,))
+    expected = {3 * 10**12 + k: c for k, c in enumerate((1, 3, 3, 1))}
+    assert poly_eval_measures(cube, [far]) == make_measure(
+        [(s, Fraction(c, 8)) for s, c in expected.items()]
+    )
+    # the rule keeps x1^3 on two atoms on the dict rows; on packed ones
+    pos_scale, weight_scale, powers = polynomials._measure_powers([far], 48, [True])
+    assert type(powers) is polynomials._PackedPowers
+    assert powers.offsets == [10**12]
+    assert polynomials._eval_ints(cube, powers, weight_scale) == (8, expected)
+    power = poly_eval_measures(MVPolynomial.monomial(1, (48,)), [far])
+    assert power.atoms[0] == (48 * 10**12, Fraction(1, 2**48))
+
+
+def test_sparse_supports_take_the_dict_rows(monkeypatch):
+    # {0, 10^9}: a dense row of 10^9 + 1 slots for two atoms, at a degree
+    # the size bound would pack
+    monkeypatch.setattr(polynomials, "_PackedPowers", helpers.refuse("_PackedPowers"))
+    wide = make_measure([(0, Fraction(1, 2)), (10**9, Fraction(1, 2))])
+    power = poly_eval_measures(MVPolynomial.monomial(1, (48,)), [wide])
+    assert power == make_measure([(k * 10**9, Fraction(comb(48, k), 2**48)) for k in range(49)])
+
+
+# -- the chain budget ------------------------------------------------------------
+
+
+def test_chain_budget_boundary():
+    # admitted: 876 terms of span 180 on 210-bit weights, work 33,112,800;
+    # refused: 396 terms of span 285 on 300-bit weights, work 33,858,000
+    # (a binomial:n,1/2 weighs 2^n on the common unit, so bits(S) = n + 1)
+    admitted = ((6,) * 5, (30, 0, 0, 0, 0), [binomial_measure(6, H)] * 5)
+    refused = ((3,) * 5, (15, 0, 0, 0, 0), [binomial_measure(19, H)] * 5)
+    for p, q, measures in (admitted, refused):
+        chain = polynomials.s_step_chain(p, q)
+        terms = sum(map(polynomials.arrangement_count, chain))
+        degree = len(measures[0].atoms) - 1
+        work = terms * sum(p) * degree * sum(p) * (2**degree).bit_length()
+        assert (work <= polynomials.MAX_CHAIN_WORK) == (p == admitted[0])
+    assert muirhead_cx_check(*admitted).holds
+    with pytest.raises(BadParameter) as err:
+        muirhead_cx_check(*refused)
+    assert str(err.value) == (
+        "the chain from (3, 3, 3, 3, 3) to (15, 0, 0, 0, 0) evaluates 396 terms of span 285"
+        " on 300-bit weights, work 33858000, which exceeds MAX_CHAIN_WORK = 33554432"
+    )
+
+
+def test_chain_budget_is_checked_before_any_product(monkeypatch):
+    # nothing is packed or profiled before the refusal
+    for name in ("_product_row", "_power", "_repack", "_pack", "_dense", "_pairwise_profiles_nonneg"):
+        monkeypatch.setattr(polynomials, name, helpers.refuse(name))
+    coins = [binomial_measure(1, H), binomial_measure(1, Fraction(1, 3))]
+    with pytest.raises(BadParameter):
+        muirhead_cx_check((200, 200), (400, 0), coins)
