@@ -21,8 +21,9 @@ from .errors import BadParameter, NegativeWeight, ParseError
 # before any other check.  4300 is Python's own cap on the digits of an
 # integer read from a string, so it also bounds every run of digits.
 MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"e[-+]?([\d_]+)", re.IGNORECASE)
-_DIGITS = re.compile(r"\d[\d_]*")
+# patterns of as_rational, through re's own cache
+_EXPONENT = r"[eE][-+]?([\d_]+)"
+_DIGITS = r"\d[\d_]*"
 
 
 class FrozenInstanceError(AttributeError):
@@ -127,12 +128,12 @@ def as_rational(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass a Fraction, int or string")
     if isinstance(value, str):
-        match = _EXPONENT.search(value)
+        match = re.search(_EXPONENT, value) if "e" in value or "E" in value else None
         exponent = match.group(1).replace("_", "").lstrip("0") if match else ""
         if len(exponent) > len(str(MAX_EXPONENT)) or int(exponent or 0) > MAX_EXPONENT:
             raise ValueError(f"exponent of {value!r} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
         if len(value) > MAX_EXPONENT:
-            digits = max((len(run.replace("_", "")) for run in _DIGITS.findall(value)), default=0)
+            digits = max((len(run.replace("_", "")) for run in re.findall(_DIGITS, value)), default=0)
             if digits > MAX_EXPONENT:
                 raise ValueError(
                     f"int literal of {digits} digits exceeds MAX_EXPONENT = {MAX_EXPONENT}"

@@ -51,9 +51,19 @@ from .orders import OrderVerdict, Witness, _cx_ints, leq_cx, rasa_criterion
 MAX_ARRANGEMENTS = 100_000
 # Budget for poly_eval_measures: the largest span of one term,
 # sum_i e_i * max(atoms(mu_i) - 1, 1), which bounds both the term's atom
-# count on a lattice and the power steps that build it.  x1^2048 on a coin
-# takes about 0.23 s in-process.
+# count on a lattice and the power steps that build it.
 MAX_POLY_SPAN = 2048
+# Budget for poly_eval_measures: the most work of one evaluation, span *
+# bits, with span the largest span of a term and bits = top * bits(S) a
+# bound on the bits of every weight (top the degree, S the largest of the
+# common weight denominator and the int weight sums of the measures), as
+# MAX_CHAIN_WORK counts a chain.  Checked before the first product.
+# Evaluations just inside the limit took 0.1 to 1.6 s in-process (cli.run,
+# printing included), the widest weights costing the most per unit of
+# work: x1^1448 on a coin 0.1 s, x1^42 x2^42 on two binomials of degree 12
+# 0.4 s, x1^12 on two atoms with 4300-digit weights 1.6 s.  x1^85 x2^85 on
+# those binomials (work 16,993,200) took 3.4 s and printed 8.9 MB.
+MAX_POLY_WORK = 2**22
 # Budget for muirhead_cx_check: the most work of one chain, terms * span *
 # bits, with terms the number of terms of all the W^t it evaluates, span =
 # top * max(atoms - 1, 1) the widest span of a term and bits = top * bits(S)
@@ -225,12 +235,13 @@ def poly_eval_measures(
     denominator, and one Fraction pair built per output atom.  Raises
     ArityMismatch for the wrong number of measures, NotNonneg for a
     negative coefficient, and BadParameter, before any power is built, when
-    a term's span exceeds MAX_POLY_SPAN.
+    a term's span exceeds MAX_POLY_SPAN or the evaluation's work exceeds
+    MAX_POLY_WORK.
     """
     degree = max((sum(exps) for exps, _ in poly.terms), default=0)
     used = [any(column) for column in zip(*(exps for exps, _ in poly.terms))]
     pos_scale, weight_scale, powers = _measure_powers(measures, degree, used)
-    unit, row = _eval_ints(poly, powers, weight_scale)
+    unit, row = _eval_ints(poly, powers, weight_scale, budget_work=True)
     return DiscreteMeasure(
         tuple((Fraction(s, pos_scale), Fraction(w, unit)) for s, w in sorted(row.items()))
     )
@@ -400,7 +411,9 @@ def _power(
     return entry
 
 
-def _eval_ints(poly: MVPolynomial, powers, weight_scale: int) -> tuple[int, dict[int, int]]:
+def _eval_ints(
+    poly: MVPolynomial, powers, weight_scale: int, budget_work: bool = False
+) -> tuple[int, dict[int, int]]:
     """The core of poly_eval_measures: (unit, row) with row the evaluated
     measure as a dict position -> weight, in the position unit of
     ``powers`` and weights in units of 1/unit.
@@ -419,22 +432,33 @@ def _eval_ints(poly: MVPolynomial, powers, weight_scale: int) -> tuple[int, dict
     product per distinct exponent suffix (for W^t, one per arrangement of a
     sub-multiset of t) rather than one per term and variable.  Raises
     BadParameter, before any power is built, when a term's span exceeds
-    MAX_POLY_SPAN.
+    MAX_POLY_SPAN, or, with ``budget_work`` (a chain has its own budget,
+    MAX_CHAIN_WORK), when the work exceeds MAX_POLY_WORK.
     """
     if len(powers.rows) != poly.arity:
         raise ArityMismatch(f"need {poly.arity} measures, got {len(powers.rows)}")
     if not poly.nonneg:
         raise NotNonneg("polynomial has a negative coefficient")
     steps = [max(len(row) - 1, 1) for row in powers.rows]
+    widest = 0
     for exps, _ in poly.terms:
         span = sum(e * step for e, step in zip(exps, steps))
         if span > MAX_POLY_SPAN:
             raise BadParameter(
                 f"monomial {exps} has span {span}, which exceeds MAX_POLY_SPAN = {MAX_POLY_SPAN}"
             )
-    coeff_scale, coeffs = _scaled_ints([c for _, c in poly.terms])
+        widest = max(widest, span)
     degrees = [sum(exps) for exps, _ in poly.terms]
     top = max(degrees, default=0)
+    if budget_work:
+        sums = [sum(w for _, w in row) for row in powers.rows]
+        bits = top * max([weight_scale, *sums]).bit_length()
+        if widest * bits > MAX_POLY_WORK:
+            raise BadParameter(
+                f"the polynomial has terms of span {widest} on {bits}-bit weights, work"
+                f" {widest * bits}, which exceeds MAX_POLY_WORK = {MAX_POLY_WORK}"
+            )
+    coeff_scale, coeffs = _scaled_ints([c for _, c in poly.terms])
     # remaining exponents -> row summed over the terms
     groups = {
         exps: powers.scalar(c * weight_scale ** (top - d))

@@ -1,7 +1,9 @@
 """Command-line behaviour: exit codes, witnesses, grammars, reproductions."""
 
+import atexit
 import errno
 import gc
+import io
 import os
 import subprocess
 import sys
@@ -821,6 +823,18 @@ def test_poly_eval_span_budget_exits_2_with_one_line(measure_files):
     )
 
 
+def test_poly_eval_work_budget_exits_2_with_one_line():
+    # 4.1 s and 8.9 MB of output before the budget, within MAX_POLY_SPAN
+    argv = ["poly", "eval", "--expr", "1 * x1^85 x2^85",
+            "--measure", "binomial:12,1/16", "--measure", "binomial:12,3/16"]
+    assert run(argv) == (2, (
+        "error: BadParameter: the polynomial has terms of span 2040 on 8330-bit weights,"
+        " work 16993200, which exceeds MAX_POLY_WORK = 4194304\n"
+    ))
+    code, text = run([*argv[:3], "1 * x1^42 x2^42", *argv[4:]])
+    assert code == 0 and len(text.split()) == 42 * 24 + 1  # atoms at 0..1008
+
+
 def test_poly_muirhead_chain_budget_exits_2_with_one_line():
     # 4.4 s as a fresh process before the budget; now refused before the
     # pairwise profiles
@@ -1051,10 +1065,19 @@ def test_wide_negbinomial_weights_exit_2_fast():
 
 
 # An atexit handler registered at start-up, as the benchmark's peak-memory
-# probe registers one: it must still run after main's output and freeze.
+# probe registers one: it must still run after main's output, and what it
+# writes must still be flushed.  The sentinel's __del__ runs only if the
+# interpreter tears the modules down, which main skips.
 _ATEXIT_PROBE = """
-import atexit, gc, sys
-atexit.register(lambda: sys.stderr.write(f"atexit ran, heap frozen: {gc.get_freeze_count() > 0}\\n"))
+import atexit, functools, os, sys
+
+class _Sentinel:
+    # a partial, not a function: no cycle through this module's globals, so
+    # the sentinel goes with the module's dict at teardown
+    __del__ = functools.partial(os.write, 2, b"teardown ran\\n")
+
+sentinel = _Sentinel()
+atexit.register(lambda: (sys.stdout.write("atexit ran\\n"), sys.stderr.write("atexit ran\\n")))
 """
 
 
@@ -1068,10 +1091,42 @@ def test_main_exits_as_run_returns_and_runs_atexit_handlers(tmp_path, argv, code
     (tmp_path / "sitecustomize.py").write_text(_ATEXIT_PROBE)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered: only the last flush writes stdout
     result = subprocess.run([sys.executable, "-m", "cxorder", *argv], env=env, capture_output=True,
                             text=True, timeout=60)
-    assert (result.returncode, result.stdout) == run(argv) and result.returncode == code
-    assert result.stderr == "atexit ran, heap frozen: True\n"
+    expected_code, expected_text = run(argv)
+    assert (result.returncode, result.stdout) == (expected_code, expected_text + "atexit ran\n")
+    assert result.returncode == code
+    assert result.stderr == "atexit ran\n"
+
+
+class _UnflushableStdout(io.StringIO):
+    """A stdout whose reader has gone: every flush fails."""
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_main_leaves_a_failed_flush_to_interpreter_shutdown(monkeypatch):
+    argv = ["major", "compare", "--p", "2,0", "--q", "1,1"]
+    exitfuncs = []
+    monkeypatch.setattr(sys, "argv", ["cxorder", *argv])
+    monkeypatch.setattr(sys, "stdout", _UnflushableStdout())
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: exitfuncs.append(1))
+    monkeypatch.setattr(os, "_exit", helpers.refuse("os._exit"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert (exc.value.code, sys.stdout.getvalue()) == run(argv) and exc.value.code == 1
+    assert exitfuncs == [1]
+
+
+def test_main_under_python_i_still_starts_the_prompt():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-i", "-m", "cxorder", "major", "compare", "--p", "1,1",
+                             "--q", "2,0"], env=env, input="", capture_output=True, text=True, timeout=60)
+    assert result.stdout == "majorized\n"
+    assert ">>>" in result.stderr
 
 
 def test_run_leaves_the_callers_heap_unfrozen():

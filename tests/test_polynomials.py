@@ -191,6 +191,44 @@ def test_poly_eval_span_budget_is_checked_before_any_power(monkeypatch):
     assert str(err.value) == "monomial (1, 1024) has span 2049, which exceeds MAX_POLY_SPAN = 2048"
 
 
+def test_poly_eval_work_budget_is_checked_before_any_power(monkeypatch):
+    # x1^43 x2^43 on two binomials of degree 12 runs on packed rows, x1^1449
+    # on a coin on dict rows; both are within MAX_POLY_SPAN
+    for name in ("_product_row", "_power", "_repack", "_pack", "_dense"):
+        monkeypatch.setattr(polynomials, name, helpers.refuse(name))
+    low, high = binomial_measure(12, Fraction(1, 16)), binomial_measure(12, Fraction(3, 16))
+    assert _powers_type([low, high], 86) is polynomials._PackedPowers
+    with pytest.raises(BadParameter) as err:
+        poly_eval_measures(MVPolynomial.monomial(2, (43, 43)), [low, high])
+    assert str(err.value) == (
+        "the polynomial has terms of span 1032 on 4214-bit weights, work 4348848,"
+        " which exceeds MAX_POLY_WORK = 4194304"
+    )
+    coin = binomial_measure(1, Fraction(1, 2))
+    with pytest.raises(BadParameter, match="work 4199202, which exceeds MAX_POLY_WORK"):
+        poly_eval_measures(MVPolynomial.monomial(1, (1449,)), [coin])
+
+
+@pytest.mark.parametrize("exponent, bits_of_p", [(1448, 1), (64, 1023)], ids=["coin", "wide-weights"])
+def test_poly_eval_work_budget_boundary(exponent, bits_of_p):
+    # x1^e on binomial(1, 1/2^k): span e, bits e * (k + 1); the work of
+    # 1448 * 2896 and of 64 * 64 * 1024 = 2^22 is admitted, one more
+    # exponent is not
+    mu = binomial_measure(1, Fraction(1, 2**bits_of_p))
+    power = poly_eval_measures(MVPolynomial.monomial(1, (exponent,)), [mu])
+    assert len(power.atoms) == exponent + 1
+    assert power.mass == 1
+    with pytest.raises(BadParameter, match="exceeds MAX_POLY_WORK"):
+        poly_eval_measures(MVPolynomial.monomial(1, (exponent + 1,)), [mu])
+
+
+def test_a_chain_is_held_to_its_own_work_budget():
+    # the one term x1^1449 on a coin has poly-eval work over MAX_POLY_WORK;
+    # the chain's work, 1449 * 2898, is within MAX_CHAIN_WORK
+    coin = binomial_measure(1, Fraction(1, 2))
+    assert muirhead_cx_check((1449,), (1449,), [coin]) == OrderVerdict(True)
+
+
 def test_poly_eval_span_budget_boundary():
     # a zero measure and a point mass count one step per unit of exponent
     poly = MVPolynomial.from_dict(2, {(2047, 1): 1})

@@ -1,8 +1,10 @@
 """Source checks over src/cxorder: no module reads the environment, so a
 verdict follows from the command line and the files it names alone; only
-orders reads the parts of a convex test function; and the Fraction routes
-that no command ran stay retired."""
+orders reads the parts of a convex test function; the Fraction routes
+that no command ran stay retired; and no module compiles a regex when it
+is imported."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -53,3 +55,25 @@ def test_the_retired_fraction_routes_stay_gone():
     assert set(cxorder.__all__).isdisjoint(_RETIRED)
     with pytest.raises(AttributeError, match="no attribute 'convolve'"):
         cxorder.convolve
+
+
+def _runs_at_import(node):
+    """``node`` and the nodes under it that run when its module is imported:
+    all but the bodies of functions and lambdas."""
+    yield node
+    for field, value in ast.iter_fields(node):
+        if field == "body" and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                yield from _runs_at_import(child)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_compiles_a_regex_at_import(path):
+    # every command pays for what its modules do at import; a pattern string
+    # goes through re's own cache when its call site first runs
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [node.lineno for node in _runs_at_import(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "re.compile"]
+    assert calls == []
