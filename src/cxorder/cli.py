@@ -95,8 +95,8 @@ def _call_parts(text: str, base: int, sep: str):
 
     Returns None when the first word is not followed by '('.  Text after the
     matching ')' is an error, not something to ignore."""
-    head = re.match(_CALL, text)
-    if head is None:
+    head = "(" in text and re.match(_CALL, text)  # most terms are no call
+    if not head:
         return None
     depth = 0
     for close_at in range(head.end() - 1, len(text)):
@@ -849,7 +849,10 @@ def _option_at(token: str, options: dict):
         raise ParseError(f"ambiguous option: {token} could match {', '.join(matches)}")
     if matches:
         return matches[0], text if eq else None
-    return None if re.match(_NEGATIVE_NUMBER, token) or " " in token else (None, None)
+    # "--..." is never a negative number, and every option unknown at the
+    # verb's level, such as --mu, comes here: skip compiling the pattern
+    negative = token[1:2] != "-" and re.match(_NEGATIVE_NUMBER, token)
+    return None if negative or " " in token else (None, None)
 
 
 def _value(name: str, kind, text: str):
@@ -969,12 +972,12 @@ def main():
     sys.stdout.write(text)
     if sys.flags.inspect:
         raise SystemExit(code)  # python -i: the prompt must still start
-    # The process ends here, without the teardown of every module and object
-    # that interpreter shutdown would run: `major compare` takes about 1.4 ms
-    # less as a fresh process.  Shutdown's own steps run first, in its order:
-    # the atexit handlers (the C routine that shutdown calls, which clears
-    # them), then the flush of both streams.  A flush that fails leaves the
-    # exit to shutdown, which reports the error as it always has.  run()
+    # The process ends here, skipping the teardown of every module and object
+    # that interpreter shutdown would run (about 1.4 ms of `major compare` as
+    # a fresh process).  The steps of shutdown that can be seen still run, in
+    # its order: the atexit handlers (the C routine shutdown calls, which
+    # then clears them), then the flush of both streams.  A failed flush
+    # leaves the exit to shutdown, which reports it as it always has.  run()
     # never exits: its caller's process is not ours.
     import atexit
 
