@@ -84,11 +84,13 @@ def _check_degree(n: int):
 
 
 def binomial_measure(n: int, x) -> DiscreteMeasure:
-    """The binomial distribution B(n, x) as an exact measure on 0..n."""
-    weights = binomial_weights(n, x)
-    return DiscreteMeasure(
-        tuple((Fraction(i), w) for i, w in enumerate(weights) if w != 0)
-    )
+    """The binomial distribution B(n, x) as an exact measure on 0..n, built
+    on its int form: for x = a/q the weights C(n,i) a^i (q - a)^(n-i) over
+    q^n, a least unit, since the weight at 0 or at n is prime to q."""
+    x = _basis_point(n, x)
+    ints = _basis_ints(n, x.numerator, x.denominator)
+    return DiscreteMeasure._of_ints(1, tuple(i for i, c in enumerate(ints) if c),
+                                    x.denominator**n, tuple(c for c in ints if c))
 
 
 def _self_form(d: Sequence[int], ps: Sequence[int]) -> int:

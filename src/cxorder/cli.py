@@ -43,7 +43,7 @@ from types import SimpleNamespace
 # Every import at module level is paid by every command: a handler imports
 # the modules its verb runs when it runs (and looks functions up on them
 # then, so a patched module attribute is the one called).
-from .errors import CxOrderError, Inconclusive, ParseError
+from .errors import BadParameter, CxOrderError, Inconclusive, ParseError
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -281,15 +281,32 @@ def parse_exponents(token: str, pos: int = 0) -> tuple[int, ...]:
     return tuple(values)
 
 
+# Budget: a measure file whose positions, or whose weights, have a common
+# denominator (the lcm of their denominators in lowest terms) of more than
+# MAX_MEASURE_BITS bits is refused while it is read, at the lcm step that
+# passes the bound, before any product.  2^17 bits is the widest row that
+# lattice.MAX_SQUARE_WORK admits (at its floor of 64 products), and
+# orders.MAX_CONVOLUTION_WORK admits none wider than 92,681 bits.
+MAX_MEASURE_BITS = 2**17
+
+
+def _check_file_width(what: str, den: int):
+    bits = den.bit_length()
+    if bits > MAX_MEASURE_BITS:
+        raise BadParameter(f"the {what} have a common denominator of {bits} bits, above"
+                           f" MAX_MEASURE_BITS = {MAX_MEASURE_BITS}")
+
+
 def load_measure(spec: str) -> DiscreteMeasure:
     """A measure argument: JSON file path or inline ``binomial:n,x``.  A
-    file that does not read as a measure is a ParseError that names it."""
+    file that does not read as a measure, or whose common denominators
+    pass MAX_MEASURE_BITS, is a ParseError that names it."""
     from . import measures
 
     if os.path.exists(spec):
         try:
             with open(spec, "r", encoding="utf-8") as handle:
-                return measures.measure_from_json(handle.read())
+                return measures.measure_from_json(handle.read(), _check_file_width)
         except (CxOrderError, UnicodeDecodeError) as exc:
             reason = exc if isinstance(exc, ParseError) else f"{exc.__class__.__name__}: {exc}"
             raise ParseError(f"{spec}: {reason}") from exc
@@ -393,23 +410,23 @@ def _sign_exit(out: _Printer, gap: Fraction) -> int:
 # -- random sweeps (the seeded property subcommands) -------------------------
 
 
+# Each draw builds the measure's int form from the drawn numerators and
+# denominators, in the order the rng gives them.
+
+
 def _random_measure(rng: random.Random) -> DiscreteMeasure:
-    from fractions import Fraction
+    from .measures import _measure_of_ints
 
-    from .measures import make_measure
-
-    atoms = []
-    for _ in range(rng.randint(1, 5)):
-        position = Fraction(rng.randint(-8, 8), rng.randint(1, 3))
-        weight = Fraction(rng.randint(1, 8), rng.randint(1, 4))
-        atoms.append((position, weight))
-    return make_measure(atoms)
+    randint = rng.randint
+    return _measure_of_ints([(randint(-8, 8), randint(1, 3), randint(1, 8), randint(1, 4))
+                             for _ in range(randint(1, 5))])
 
 
 def _random_lattice_measure(rng: random.Random) -> DiscreteMeasure:
-    from .measures import make_measure
+    from .measures import _measure_of_ints
 
-    return make_measure((rng.randint(0, 6), rng.randint(1, 8)) for _ in range(rng.randint(1, 5)))
+    randint = rng.randint
+    return _measure_of_ints([(randint(0, 6), 1, randint(1, 8), 1) for _ in range(randint(1, 5))])
 
 
 # Budget: a sweep draws and decides ``--trials`` pairs one after another,

@@ -19,8 +19,8 @@ from math import comb, factorial, gcd, lcm
 from operator import mul
 
 from .errors import BadParameter, Inconclusive, MassMismatch, NotLattice
-from .measures import (DiscreteMeasure, _check_work, _refuse_delete, _refuse_set, _scaled_ints,
-                       as_rational, format_rational)
+from .measures import (DiscreteMeasure, _check_work, _ratio_text, _refuse_delete, _refuse_set,
+                       _scaled_ints, as_rational, format_rational)
 from .orders import OrderVerdict, Witness
 
 DEFAULT_EPS = Fraction(1, 2**40)
@@ -70,7 +70,9 @@ class LatticeSeq:
 
     The masses are stored as one row of ints over one unit, ``ints[k] /
     unit``, unit a common denominator of the row but not necessarily the
-    least: a truncation keeps the unit it builds its row on.  ``==`` and
+    least: a truncation keeps the unit it builds its row on, and only a
+    sequence built from Fractions or by ``as_lattice`` is known to be on its
+    least unit (``_least``), which spares a square one gcd over its row.  ``==`` and
     ``hash`` compare rows reduced to lowest terms, so equal masses compare
     equal on any unit, and with ``repr`` they read as for a record of the
     fields coeffs, tail_bound, total_mass, exact and poles.  ``coeffs``, the
@@ -83,14 +85,16 @@ class LatticeSeq:
     def __init__(self, coeffs, tail_bound=Fraction(0), total_mass=None, exact=True, poles=()):
         coeffs = tuple(coeffs)
         self._init(*_scaled_ints(coeffs), tail_bound, total_mass, exact, poles)
-        self.__dict__["coeffs"] = coeffs
+        self.__dict__.update(coeffs=coeffs, _least=True)
 
     @classmethod
-    def _of_ints(cls, unit: int, ints: Sequence[int], *fields) -> LatticeSeq:
+    def _of_ints(cls, unit: int, ints: Sequence[int], *fields, least: bool = False) -> LatticeSeq:
         """The sequence of masses ints[k] / unit, unit any common
-        denominator of them, then the fields after coeffs."""
+        denominator of them (``least`` when it is their least one), then the
+        fields after coeffs."""
         seq = cls.__new__(cls)
         seq._init(unit, ints, *fields)
+        seq.__dict__["_least"] = least
         return seq
 
     def _init(self, unit, ints, tail_bound=Fraction(0), total_mass=None, exact=True, poles=()):
@@ -149,18 +153,18 @@ def as_lattice(mu: DiscreteMeasure) -> LatticeSeq:
 
     The sequence runs up to the largest atom, so a position above
     MAX_CUTOFF raises BadParameter before the sequence is built.  Its row is
-    the weights scaled by their least common denominator."""
-    for x, _ in mu.atoms:
-        if x < 0 or x.denominator != 1:
-            raise NotLattice(f"atom position {format_rational(x)} is not a non-negative integer")
-    top = int(mu.atoms[-1][0]) if mu.atoms else -1  # positions ascend
+    the measure's int weights on their least unit."""
+    scale, xs, unit, ws = mu._int_form()
+    for x in xs:
+        if x < 0 or x % scale:
+            raise NotLattice(f"atom position {_ratio_text(x, scale)} is not a non-negative integer")
+    top = xs[-1] if xs else -1  # positions ascend, and scale is 1
     if top > MAX_CUTOFF:
         raise BadParameter(f"atom position {top} exceeds MAX_CUTOFF = {MAX_CUTOFF}")
-    unit, weights = _scaled_ints([w for _, w in mu.atoms])
     ints = [0] * (top + 1)
-    for (x, _), w in zip(mu.atoms, weights):
-        ints[int(x)] = w
-    return LatticeSeq._of_ints(unit, ints)
+    for x, w in zip(xs, ws):
+        ints[x] = w
+    return LatticeSeq._of_ints(unit, ints, least=True)
 
 
 def cauchy_product(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
@@ -221,7 +225,10 @@ def _square(a: LatticeSeq, b: LatticeSeq) -> tuple[list[int], int, int]:
         length = size = min(a.last_index, b.last_index) + 1
     if sum(m for _, m in poles) >= length:
         poles = ()
-    return _rational_square((a.unit, a.ints[:length]), (b.unit, b.ints[:length]), poles, size)
+    # a row cut short may lose the entry that made its unit least
+    a_row, b_row = ((seq.unit, seq.ints[:length], seq._least and length >= len(seq.ints))
+                    for seq in (a, b))
+    return _rational_square(a_row, b_row, poles, size)
 
 
 def _rational_square(
@@ -241,7 +248,13 @@ def _rational_square(
     d_i s^i is summed and multiplied on ints and unit = scale^2.
     Before the first product, max(size * len(d), 64) * bits^2, bits the
     widest int of the scaled row, is checked against MAX_SQUARE_WORK, poles
-    or not.
+    or not.  Scaling costs about bits(unit)^2 per entry, so where the rows
+    count (len(a) + len(b)) * bits^2 past MAX_SQUARE_WORK on their widest
+    unit, the same check on a lower bound of the scaled width
+    (``_width_floor``) runs before the scaling, and its line says "at
+    least"; everything it refuses, the exact check would refuse too.  A row given as a
+    triple (unit, ints, True) is on the least common denominator of its
+    ints, which then needs no gcd when s is 1.
     Poles that do not fit d are refused: d * Den must have no z^r term.
     """
     s = lcm(*(x.denominator for x, _ in poles))
@@ -251,6 +264,9 @@ def _rational_square(
         for _ in range(m):
             den = [u - c * v for u, v in zip(den + [0], [0] + den)]
     r = len(den) - 1
+    if (len(a[1]) + len(b[1])) * max(a[0], b[0]).bit_length() ** 2 > MAX_SQUARE_WORK:
+        # scaling costs more than a square may: a lower bound may refuse first
+        _check_square(size * max(len(a[1]), len(b[1])), (), _width_floor((b, a), s))
     scale, ints = _scaled_rows((b, a), s)
     steps = itertools.zip_longest(ints[: len(b[1])], ints[len(b[1]) :], fillvalue=0)
     ts = list(itertools.accumulate((bk - ak for bk, ak in steps), lambda t, step: s * t + step))
@@ -266,18 +282,19 @@ def _rational_square(
     return out, scale * scale, s
 
 
-def _scaled_rows(rows: Sequence[tuple[int, Sequence[int]]], s: int = 1) -> tuple[int, list[int]]:
+def _scaled_rows(rows: Sequence[tuple], s: int = 1) -> tuple[int, list[int]]:
     """(scale, ints) for rows of (unit, ints) pairs: scale the least common
     denominator of c s^k / unit over the entries c at index k of every row,
     and ints each of them in units of 1/scale, row after row.  A row's own
     least common denominator is unit / gcd(unit, every c s^k): one gcd over
-    the row, whatever its unit."""
-    top = max((len(ints) for _, ints in rows), default=0)
+    the row, whatever its unit, unless the row is a triple (unit, ints,
+    True), whose unit is known to be least, and s is 1."""
+    top = max((len(row[1]) for row in rows), default=0)
     powers = list(itertools.accumulate(itertools.repeat(s, top), mul, initial=1))
     scaled = []
-    for unit, ints in rows:
+    for unit, ints, *least in rows:
         row = list(map(mul, ints, powers)) if s != 1 else ints
-        common = gcd(unit, *row)
+        common = 1 if least == [True] and s == 1 else gcd(unit, *row)
         scaled.append((unit // common, common, row))
     scale = lcm(*(own for own, _, _ in scaled))
     out = []
@@ -285,6 +302,39 @@ def _scaled_rows(rows: Sequence[tuple[int, Sequence[int]]], s: int = 1) -> tuple
         factor = scale // own  # one wide division per row
         out.extend(c // common * factor for c in row)
     return scale, out
+
+
+def _width_floor(rows: Sequence[tuple], s: int) -> int:
+    """A lower bound, computed without the gcds over the rows, on the bits
+    of the widest int t_i = s^i L D_i that ``_rational_square`` checks, for
+    the rows b, a = ``rows``, L the scale of ``_scaled_rows`` and D_i the
+    CDF difference sum_{k <= i} (b_k/B - a_k/A) over the units B and A.
+
+    A row's own least denominator is a multiple of unit / gcd(unit, c s^j)
+    for any of its entries c at index j, and of unit / gcd(unit, c, c') for
+    two of them (this takes the first entry, or with s = 1 the last and the
+    first non-zero ones), and is the unit itself for a triple (unit, ints,
+    True) when s = 1, so the lcm of those divides L.  At i = 0 and at the last index,
+    N_i = D_i A B is an int, and where it is not 0, log2 |t_i| > bits(N_i)
+    - 1 + bits(L) - 1 + i (bits(s) - 1) - bits(A) - bits(B)."""
+    floor = 1
+    for unit, row, *least in rows:
+        if least == [True] and s == 1:
+            floor = lcm(floor, unit)
+        elif s == 1:
+            last = next((c for c in reversed(row) if c), 0)  # fewest factors in common first
+            floor = lcm(floor, unit // gcd(gcd(unit, last), next((c for c in row if c), 0)))
+        else:
+            floor = lcm(floor, unit // gcd(unit, row[0] if row else 0))
+    (b_unit, b_row, *_), (a_unit, a_row, *_) = rows
+    last = max(len(a_row), len(b_row)) - 1
+    bits = 0
+    for i, stop in ((0, 1), (last, None)):
+        n = sum(b_row[:stop]) * a_unit - sum(a_row[:stop]) * b_unit
+        if n:
+            bits = max(bits, n.bit_length() + floor.bit_length() + i * (s.bit_length() - 1)
+                       - a_unit.bit_length() - b_unit.bit_length() - 1)
+    return bits
 
 
 def genfun_test(
@@ -442,9 +492,13 @@ def _brief(value: Fraction) -> str:
     return f"{sign}<{'/'.join(str(len(part)) for part in digits.split('/'))}-digit {kind}>"
 
 
-def _check_square(products: int, ints: Sequence[int]):
-    _check_work(products, ints, MAX_SQUARE_WORK, lambda bits: (
-        f"the square of a lattice pair, {products} products on {bits}-bit ints,"
+def _check_square(products: int, ints: Sequence[int], floor: int | None = None):
+    """Refuse max(products, 64) x bits^2 past MAX_SQUARE_WORK, bits the widest
+    of ``ints``, or ``floor``, a lower bound on it, whose line says so."""
+    width = "{}-bit ints" if floor is None else "ints of at least {} bits"
+    _check_work(products, ints if floor is None else (1 << floor >> 1,), MAX_SQUARE_WORK,
+                lambda bits: (
+        f"the square of a lattice pair, {products} products on {width.format(bits)},"
         f" exceeds MAX_SQUARE_WORK = {MAX_SQUARE_WORK} (max(products, 64) x bits^2)"
     ), min_count=64)
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from fractions import Fraction
-from math import lcm
-from operator import attrgetter
+from functools import cached_property, partial
+from math import gcd, lcm
+from operator import attrgetter, mul
 
 from .errors import BadParameter, NegativeWeight, ParseError
 
@@ -141,20 +142,29 @@ def as_rational(value) -> Fraction:
     return Fraction(value)
 
 
-@_frozen
 class DiscreteMeasure:
     """Finite non-negative measure with finitely many rational atoms.
 
     ``atoms`` is a tuple of (position, weight) pairs with strictly
     increasing positions and strictly positive weights.  The empty tuple is
     the zero measure.
+
+    The measure also has one int form, ``_int_form()``: (scale, xs, unit,
+    ws) with the positions xs[i] / scale and the weights ws[i] / unit, scale
+    and unit their least common denominators.  A measure read from a file
+    (``measure_from_json``), drawn by a sweep or built by
+    ``_measure_of_ints`` holds only that form, and ``atoms``, its Fraction
+    view, is built on first read, as ``LatticeSeq.coeffs`` is.  A measure
+    built from atoms computes its int form the first time a kernel asks for
+    it.  ``==``, ``hash`` and ``repr`` read as for a record of the one field
+    atoms, and assignment raises FrozenInstanceError.
     """
 
-    atoms: tuple[tuple[Fraction, Fraction], ...]
+    __setattr__, __delattr__ = _refuse_set, _refuse_delete
 
-    def __post_init__(self):
+    def __init__(self, atoms):
         previous = None
-        for x, w in self.atoms:
+        for x, w in atoms:
             if w <= 0:
                 raise NegativeWeight(
                     f"atom at {format_rational(x)} has non-positive weight {format_rational(w)}"
@@ -162,19 +172,67 @@ class DiscreteMeasure:
             if previous is not None and x <= previous:
                 raise ValueError("atom positions must be strictly increasing")
             previous = x
+        self.__dict__["atoms"] = atoms
+
+    @classmethod
+    def _of_ints(cls, scale: int, xs: tuple[int, ...], unit: int, ws: tuple[int, ...]):
+        """The measure of the int form (scale, xs, unit, ws): xs strictly
+        increasing, every ws[i] > 0, scale and unit least."""
+        mu = cls.__new__(cls)
+        mu.__dict__["_form"] = scale, xs, unit, ws
+        return mu
+
+    @cached_property
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        scale, xs, unit, ws = self._form
+        return tuple((Fraction(x, scale), Fraction(w, unit)) for x, w in zip(xs, ws))
+
+    def _int_form(self, check=None) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
+        """(scale, xs, unit, ws), computed from the atoms when first asked
+        for: each common denominator grows one distinct denominator at a
+        time, and ``check(denominator)``, when given, sees it at each step,
+        so a kernel's budget refuses wide coprime denominators before their
+        full lcm."""
+        form = self.__dict__.get("_form")
+        if form is None:
+            scale, xs = _common_ints([(x.denominator, (x.numerator,)) for x, _ in self.atoms], check)
+            unit, ws = _common_ints([(w.denominator, (w.numerator,)) for _, w in self.atoms], check)
+            form = self.__dict__["_form"] = scale, tuple(xs), unit, tuple(ws)
+        return form
+
+    @property
+    def _size(self) -> int:
+        """The number of atoms, read from whichever form the measure holds."""
+        atoms = self.__dict__.get("atoms")
+        return len(self._form[1]) if atoms is None else len(atoms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if "_form" in self.__dict__ and "_form" in other.__dict__:
+            return self._form == other._form  # least forms are canonical
+        return self.atoms == other.atoms
+
+    def __hash__(self):
+        return hash((self.atoms,))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(atoms={self.atoms!r})"
 
     @property
     def mass(self) -> Fraction:
-        return sum((w for _, w in self.atoms), Fraction(0))
+        _, _, unit, ws = self._int_form()
+        return Fraction(sum(ws), unit)
 
     @property
     def mean(self) -> Fraction:
         """Raw first moment, not normalised by the mass."""
-        return sum((x * w for x, w in self.atoms), Fraction(0))
+        scale, xs, unit, ws = self._int_form()
+        return Fraction(sum(map(mul, xs, ws)), scale * unit)
 
     @property
     def is_zero(self) -> bool:
-        return not self.atoms
+        return not self._size
 
     def positions(self) -> tuple[Fraction, ...]:
         return tuple(x for x, _ in self.atoms)
@@ -190,7 +248,68 @@ class DiscreteMeasure:
             raise NegativeWeight(f"scale factor {format_rational(factor)} is negative")
         if factor == 0:
             return DiscreteMeasure(())
-        return DiscreteMeasure(tuple((x, factor * w) for x, w in self.atoms))
+        scale, xs, unit, ws = self._int_form()
+        unit *= factor.denominator
+        ws = [w * factor.numerator for w in ws]
+        common = gcd(unit, *ws)
+        return DiscreteMeasure._of_ints(scale, xs, unit // common, tuple(w // common for w in ws))
+
+
+def _common_ints(rows, check=None) -> tuple[int, list[int]]:
+    """(unit, ints) for int rows given as (denominator, numerators) pairs,
+    each denominator positive: unit their lcm, grown one distinct
+    denominator at a time and passed to ``check``, when given, at each step
+    that widens it, and ints every numerator over it, row after row, one
+    division per distinct denominator.  The lcm of least denominators is
+    least."""
+    unit, seen = 1, {1}
+    for den, _ in rows:
+        if den not in seen:
+            seen.add(den)
+            grown = lcm(unit, den)
+            if grown != unit:
+                unit = grown
+                if check is not None:
+                    check(unit)
+    factors = {den: unit // den for den in seen}
+    return unit, [n * factors[den] for den, row in rows for n in row]
+
+
+def _measure_of_ints(atoms, check=None) -> DiscreteMeasure:
+    """The measure of the atoms (xn, xd, wn, wd), position xn/xd and weight
+    wn/wd, denominators positive, merged as ``make_measure`` merges
+    Fractions: NegativeWeight for the first negative weight, then positions
+    that coincide summed and zero weights dropped.  Each number is put in
+    lowest terms by one gcd of its own two ints, so the lcm of the
+    denominators is least; ``check(what, denominator)``, when given, sees
+    the common denominator of the "positions" and then of the "weights" at
+    each lcm step.  On those the positions merge and sort as ints; only a
+    merge, or a position dropped, takes a gcd over a whole row."""
+    for xn, xd, wn, wd in atoms:
+        if wn < 0:
+            raise NegativeWeight(
+                f"weight {format_rational(Fraction(wn, wd))} at position"
+                f" {format_rational(Fraction(xn, xd))} is negative"
+            )
+    scale, xs = _common_ints([_lowest(xn, xd) for xn, xd, _, _ in atoms],
+                             check and partial(check, "positions"))
+    unit, ws = _common_ints([_lowest(wn, wd) for _, _, wn, wd in atoms],
+                            check and partial(check, "weights"))
+    merged: dict[int, int] = {}
+    for x, w in zip(xs, ws):
+        merged[x] = merged[x] + w if x in merged else w
+    xs = sorted(x for x, w in merged.items() if w)
+    ws = [merged[x] for x in xs]
+    common = gcd(scale, *xs) if len(xs) < len(merged) else 1  # a position dropped
+    own = gcd(unit, *ws) if len(merged) < len(atoms) else 1  # weights summed
+    return DiscreteMeasure._of_ints(scale // common, tuple(x // common for x in xs),
+                                    unit // own, tuple(w // own for w in ws))
+
+
+def _lowest(n: int, d: int) -> tuple[int, tuple[int]]:
+    """(denominator, (numerator,)) of n/d in lowest terms, for d > 0."""
+    common = gcd(n, d)
+    return (d, (n,)) if common == 1 else (d // common, (n // common,))
 
 
 def make_measure(atoms: Iterable[tuple]) -> DiscreteMeasure:
@@ -340,6 +459,13 @@ def _scan_json(text: str):
     return _UNSCANNED if text[end:].strip(_JSON_SPACE) else obj
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """format_rational(Fraction(num, den)) for den > 0, no Fraction built."""
+    common = gcd(num, den)
+    num, den = num // common, den // common
+    return _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
+
+
 def format_rational(q: Fraction) -> str:
     q = as_rational(q)
     if q.denominator == 1:
@@ -354,15 +480,36 @@ def measure_to_json(mu: DiscreteMeasure) -> str:
     return json.dumps({"atoms": atoms})
 
 
-def measure_from_json(text: str) -> DiscreteMeasure:
+def _int_pair(value) -> tuple[int, int]:
+    """(numerator, denominator) of a position or weight of a measure file,
+    the denominator positive but not necessarily least: an int, and a string
+    of at most MAX_EXPONENT ASCII digits after an optional "-", with an
+    optional "/" and as many digits not all 0, are split into ints; every
+    other value is read by as_rational, which words any error."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num.startswith("-") else num
+        if digits.isdigit() and len(digits) <= MAX_EXPONENT and (
+            not slash or den.isdigit() and len(den) <= MAX_EXPONENT and den.strip("0")
+        ):
+            return int(num), (int(den) if slash else 1)
+    q = as_rational(value)
+    return q.numerator, q.denominator
+
+
+def measure_from_json(text: str, check=None) -> DiscreteMeasure:
     """The measure of a measure file's text (the format above).
 
     Malformed JSON, a float literal, an entry that is not an atom object and
     a position or weight that `as_rational` refuses (an int literal of more
     than MAX_EXPONENT digits among them) raise ParseError; the atoms are
-    merged as by `make_measure`.  Well-formed text is read by CPython's C
-    scanner alone (`_scan_json`); anything else goes to ``json.loads``,
-    which gives the message."""
+    merged as by `make_measure`, on ints (``_measure_of_ints``, which passes
+    ``check`` each common denominator as it grows).  No Fraction is built
+    for a plain number (``_int_pair``).  Well-formed text is read by
+    CPython's C scanner alone (`_scan_json`); anything else goes to
+    ``json.loads``, which gives the message."""
     obj = _scan_json(text)
     if obj is _UNSCANNED:
         import json
@@ -377,12 +524,12 @@ def measure_from_json(text: str) -> DiscreteMeasure:
             ) from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("atoms"), list):
         raise ParseError('measure file must be an object {"atoms": [...]}')
-    pairs = []
+    atoms = []
     for i, entry in enumerate(obj["atoms"]):
         if not isinstance(entry, dict) or "x" not in entry or "w" not in entry:
             raise ParseError(f'atom #{i} must be an object {{"x": ..., "w": ...}}')
         try:
-            pairs.append((as_rational(entry["x"]), as_rational(entry["w"])))
+            atoms.append((*_int_pair(entry["x"]), *_int_pair(entry["w"])))
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise ParseError(f"atom #{i}: {exc}") from exc
-    return make_measure(pairs)
+    return _measure_of_ints(atoms, check)

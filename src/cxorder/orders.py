@@ -23,11 +23,13 @@ sweep: O(B^2 log B) exact operations.
 
 Neither the criterion nor its brute-force oracle ``rasa_direct`` builds an
 intermediate measure or step function.  The criterion reads the jumps of H
-from the pair and squares them on ints; the oracle forms mu*mu, nu*nu and
-mu*nu on ints and tests their net row with the kernel of leq_cx.  The two
-share only ``measures._scaled_ints``, ``measures._product_row`` and
-``_ramp_sums``, which the tests check against literal Fraction loops, so
-each can certify the other.
+from the int forms of the pair and squares them on ints over i <= j
+(``_signed_square``); the oracle forms mu*mu, nu*nu and mu*nu on ints with
+``measures._product_row`` and tests their net row with the kernel of
+leq_cx.  The two share only the measures' int form
+(``DiscreteMeasure._int_form``, which the tests check against the Fraction
+reader of measure files), ``_ramp_sums`` and the work budget, so each can
+certify the other.
 """
 
 from __future__ import annotations
@@ -35,16 +37,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import MassMismatch, NonConvexTestFn
 from .measures import (
     DiscreteMeasure,
     _check_work,
+    _common_ints,
     _frozen,
     _product_row,
-    _scaled_ints,
     as_rational,
     format_rational,
 )
@@ -99,16 +101,36 @@ class OrderVerdict:
 class PiecewiseLinear:
     """Continuous function, affine between consecutive breakpoints and zero
     outside them.  ``values[i]`` is the value at ``breakpoints[i]``; the
-    first and last values are 0 so the function is globally continuous."""
+    first and last values are 0 so the function is globally continuous.
+
+    A profile built on ints (``_of_ints``, as rasa_criterion builds it)
+    holds sums[i] / scale and values[i] / den and builds its two fields on
+    first read; ``minimum`` reads the ints."""
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if len(self.breakpoints) != len(self.values):
-            raise ValueError("one value per breakpoint required")
-        if self.values and (self.values[0] != 0 or self.values[-1] != 0):
-            raise ValueError("a compactly supported profile must start and end at 0")
+        _check_profile(self.breakpoints, self.values)
+
+    @classmethod
+    def _of_ints(cls, scale: int, sums: list[int], den: int, values: list[int]):
+        """The profile with breakpoints sums[i] / scale, strictly increasing,
+        and values values[i] / den."""
+        _check_profile(sums, values)
+        profile = cls.__new__(cls)
+        profile.__dict__["_ints"] = scale, sums, den, values
+        return profile
+
+    def __getattr__(self, name):
+        # the fields of a profile built on ints, made once, when first read
+        ints = self.__dict__.get("_ints")
+        if ints is None or name not in ("breakpoints", "values"):
+            raise AttributeError(f"{self.__class__.__name__!r} object has no attribute {name!r}")
+        scale, sums, den, values = ints
+        self.__dict__.update(breakpoints=tuple(Fraction(s, scale) for s in sums),
+                             values=tuple(Fraction(v, den) for v in values))
+        return self.__dict__[name]
 
     @property
     def is_zero(self) -> bool:
@@ -128,6 +150,13 @@ class PiecewiseLinear:
         """(argmin, min) over breakpoints -- which is the global minimum,
         since the function is affine in between and 0 outside.  Ties go to
         the smallest argmin; the zero profile reports (0, 0)."""
+        ints = self.__dict__.get("_ints")
+        if ints is not None:
+            scale, sums, den, values = ints
+            if not sums:
+                return Fraction(0), Fraction(0)
+            low = min(values)
+            return Fraction(sums[values.index(low)], scale), Fraction(low, den)
         if not self.breakpoints:
             return Fraction(0), Fraction(0)
         best_x, best_v = self.breakpoints[0], self.values[0]
@@ -135,6 +164,13 @@ class PiecewiseLinear:
             if v < best_v:
                 best_x, best_v = x, v
         return best_x, best_v
+
+
+def _check_profile(breakpoints, values):
+    if len(breakpoints) != len(values):
+        raise ValueError("one value per breakpoint required")
+    if values and (values[0] != 0 or values[-1] != 0):
+        raise ValueError("a compactly supported profile must start and end at 0")
 
 
 @_frozen
@@ -269,7 +305,7 @@ def leq_st(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     count of n + m atoms as leq_cx: one sorted scan of the running level of
     H, with Fractions built only for a witness.
     """
-    scale, unit, net = _net_ints(mu, nu, len(mu.atoms) + len(nu.atoms), "stochastic-order")
+    scale, unit, net = _net_ints(mu, nu, mu._size + nu._size, "stochastic-order")
     mass = sum(net.values())
     if mass:
         return OrderVerdict(False, Witness("mass", None, Fraction(-abs(mass), unit)))
@@ -321,7 +357,7 @@ def leq_cx(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     Runs on the ints of ``_net_ints``: the mass, mean and ramp checks run
     in ``_cx_ints``, which builds Fractions only for a witness.
     """
-    scale, unit, net = _net_ints(mu, nu, len(mu.atoms) + len(nu.atoms), "convex-order")
+    scale, unit, net = _net_ints(mu, nu, mu._size + nu._size, "convex-order")
     return _cx_verdict(_cx_ints(net, scale, unit))
 
 
@@ -335,13 +371,20 @@ def _net_ints(mu: DiscreteMeasure, nu: DiscreteMeasure, atoms: int, test: str):
     net mapping each position of the union of supports, in units of
     1/scale, to nu's weight less mu's, in units of 1/unit.  ``atoms`` times
     max(bits, 512)^2 of the widest int past MAX_CONVOLUTION_WORK raise
-    BadParameter; the common denominators are checked while they grow, so
-    wide coprime denominators are refused before their full lcm."""
-    n, m = len(mu.atoms), len(nu.atoms)
+    BadParameter; each common denominator is checked while it grows (in a
+    measure built from Fractions, one denominator at a time; then across the
+    pair), so wide coprime denominators are refused before their full lcm."""
+    n, m = mu._size, nu._size
     what = f"the {test} test of {n} and {m} atoms"
-    both = mu.atoms + nu.atoms
-    scale, xs = _budgeted_ints([x for x, _ in both], atoms, what)
-    unit, ws = _budgeted_ints([w for _, w in both], atoms, what)
+
+    def check(den):
+        _check_pairs(atoms, (den,), what, "atoms")
+
+    (s1, x1, u1, w1), (s2, x2, u2, w2) = mu._int_form(check), nu._int_form(check)
+    scale, xs = _common_ints([(s1, x1), (s2, x2)], check)
+    _check_pairs(atoms, xs, what, "atoms")
+    unit, ws = _common_ints([(u1, w1), (u2, w2)], check)
+    _check_pairs(atoms, ws, what, "atoms")
     net = dict(zip(xs[n:], ws[n:]))
     for x, w in zip(xs[:n], ws[:n]):
         net[x] = net.get(x, 0) - w
@@ -367,36 +410,33 @@ def _cx_ints(net: dict[int, int], scale: int, unit: int) -> Witness | None:
     return None
 
 
-def _budgeted_ints(values, atoms: int, what: str) -> tuple[int, list[int]]:
-    """``measures._scaled_ints`` under the work check of ``atoms`` atoms:
-    the common denominator grows one value at a time and is checked at each
-    step, and the scaled ints are checked once built."""
-    scale = 1
-    for v in values:
-        if scale % v.denominator:
-            scale = lcm(scale, v.denominator)
-            _check_pairs(atoms, (scale,), what, "atoms")
-    ints = [v.numerator * (scale // v.denominator) for v in values]
-    _check_pairs(atoms, ints, what, "atoms")
-    return scale, ints
-
-
 def _jump_row(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """(scale, bs, unit, ds): the jumps d = mu(x) - nu(x) of H = F_mu - F_nu
     at the positions x where they are not 0, sorted, the positions bs over
     their least common denominator scale and the jumps ds over theirs, unit.
-    Weights are subtracted only where mu and nu share a position; elsewhere
-    a jump is the weight itself.  So an atom that both measures carry with
-    one weight cancels before any scaling and leaves its denominators in
-    neither unit: a unit of the whole pair, reduced afterwards by its gcd
-    with each row, gives the same ints, but its gcds on wide coprime
-    denominators cost more than all the rest."""
-    net = dict(mu.atoms)
-    for x, w in nu.atoms:
-        net[x] = net[x] - w if x in net else -w
-    xs = sorted(x for x, d in net.items() if d)
-    scale, bs = _scaled_ints(xs)
-    unit, ds = _scaled_ints([net[x] for x in xs])
+    Both are read from the measures' int forms on the lcm of their
+    denominators, which is least for the union of the two supports and for
+    the weights of both: so where the measures share no position, no gcd is
+    taken.  Where they share one, a jump may cancel or lose a factor, and
+    one gcd over each row makes its denominator least again."""
+    (s1, x1, u1, w1), (s2, x2, u2, w2) = mu._int_form(), nu._int_form()
+    scale, xs = _common_ints([(s1, x1), (s2, x2)])
+    unit, ws = _common_ints([(u1, w1), (u2, [-w for w in w2])])
+    n = len(x1)
+    net = dict(zip(xs[:n], ws[:n]))
+    shared = False
+    for x, d in zip(xs[n:], ws[n:]):
+        if x in net:
+            shared = True
+            net[x] += d
+        else:
+            net[x] = d
+    bs = sorted(x for x, d in net.items() if d)
+    ds = [net[x] for x in bs]
+    if shared:
+        common, own = gcd(scale, *bs), gcd(unit, *ds)
+        scale, bs = scale // common, [b // common for b in bs]
+        unit, ds = unit // own, [d // own for d in ds]
     return scale, bs, unit, ds
 
 
@@ -405,12 +445,20 @@ def _signed_square(scale: int, bs: list[int], unit: int, ds: list[int]):
     the breakpoints bs/scale: the weights d_i d_j at b_i + b_j, as
     (scale, unit^2, kinks) with kinks[s] = w for the weight w/unit^2 at
     s/scale; sums whose weights cancel stay in ``kinks`` with weight 0.
-    B^2 pairs past MAX_CONVOLUTION_WORK raise BadParameter before the first
-    product."""
+    The square is symmetric in i and j, so it runs over i <= j: d_i^2 at
+    2 b_i and 2 d_i d_j at b_i + b_j for i < j, half the products of the
+    full square.  B^2 pairs past MAX_CONVOLUTION_WORK raise BadParameter
+    before the first product."""
     breaks = len(bs)
     _check_pairs(breaks * breaks, bs + ds, f"the signed square of {breaks} breakpoints")
-    row = list(zip(bs, ds))
-    return scale, unit * unit, _product_row(row, row)
+    kinks: dict[int, int] = {}
+    get = kinks.get
+    for i, (b, d) in enumerate(zip(bs, ds)):
+        kinks[2 * b] = get(2 * b, 0) + d * d
+        d += d
+        for c, e in zip(bs[i + 1 :], ds[i + 1 :]):
+            kinks[b + c] = get(b + c, 0) + d * e
+    return scale, unit * unit, kinks
 
 
 def _check_pairs(count: int, ints, what: str, noun: str = "pairs"):
@@ -418,19 +466,6 @@ def _check_pairs(count: int, ints, what: str, noun: str = "pairs"):
         f"{what}: {count} {noun} on {bits}-bit ints exceed MAX_CONVOLUTION_WORK"
         f" = {MAX_CONVOLUTION_WORK} ({noun} x max(bits, 512)^2)"
     ), min_bits=512)
-
-
-def _profile(scale: int, unit: int, kinks: dict[int, int]) -> tuple[PiecewiseLinear, list[int]]:
-    """The profile (H*H) of the signed square ``kinks`` and its values on
-    ints: the ramp sum over the kinks, sorted once and swept once, at every
-    kink, in units of 1/(scale * unit)."""
-    sums = sorted(kinks)
-    values = _ramp_sums(sums, [kinks[s] for s in sums])
-    denominator = scale * unit
-    profile = PiecewiseLinear(
-        tuple(Fraction(s, scale) for s in sums), tuple(Fraction(v, denominator) for v in values)
-    )
-    return profile, values
 
 
 def rasa_criterion(
@@ -445,22 +480,25 @@ def rasa_criterion(
     functions give the gap m1 m2 - (m1^2 + m2^2)/2 = -(m1 - m2)^2/2.
 
     Builds no intermediate measure or step function: the jumps of H are
-    read from the pair and scaled to ints (``_jump_row``), and the signed
-    square, the ramp sweep and the argmin run on ints.  Fractions are built
-    for the returned profile only, and the witness is read from it.  Of
-    rasa_direct's code it shares only ``_scaled_ints``, ``_product_row``
-    and ``_ramp_sums``, which the tests check against literal Fraction
-    loops, and the work budget.
+    read from the int forms of the pair (``_jump_row``), and the signed
+    square, the ramp sweep and the argmin run on ints.  The returned profile
+    is built on those ints and makes its Fractions only when they are read;
+    the witness is two Fractions.  Of rasa_direct's code it shares only the
+    measures' int form, ``_ramp_sums`` and the work budget.
     """
     scale, bs, unit, ds = _jump_row(mu, nu)
     mass = sum(ds)
     if mass:
         return OrderVerdict(False, Witness("mass", None, Fraction(-mass * mass, 2 * unit * unit))), None
-    profile, values = _profile(*_signed_square(scale, bs, unit, ds))
+    scale, unit, kinks = _signed_square(scale, bs, unit, ds)
+    sums = sorted(kinks)
+    values = _ramp_sums(sums, [kinks[s] for s in sums])
+    den = scale * unit
+    profile = PiecewiseLinear._of_ints(scale, sums, den, values)
     low = min(values, default=0)
     if low < 0:
-        i = values.index(low)
-        return OrderVerdict(False, Witness("profile", profile.breakpoints[i], profile.values[i])), profile
+        where = Fraction(sums[values.index(low)], scale)
+        return OrderVerdict(False, Witness("profile", where, Fraction(low, den))), profile
     return OrderVerdict(True), profile
 
 
@@ -470,22 +508,22 @@ def rasa_direct(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     is a definite failure here (the constant test functions force equal
     masses), not an error.
 
-    Builds no intermediate measure: the positions of both measures are
-    scaled by one common denominator and the weights of each by its own
-    unit, u and v; ``_product_row`` forms mu*mu, nu*nu and mu*nu on ints,
-    and the net row nu*nu u^2 + mu*mu v^2 - 2 mu*nu u v over the unit
-    2 u^2 v^2 goes to ``_cx_ints``, the kernel of leq_cx.  Of
-    rasa_criterion's code it shares only ``_scaled_ints``, ``_product_row``
-    and ``_ramp_sums``, which the tests check against literal Fraction
-    loops, and the work budget, so the two can certify each other.  The
-    n*m + n^2 + m^2 pairs of the three convolutions, on the widest of those
-    ints, past MAX_CONVOLUTION_WORK raise BadParameter before the first
-    product; the convex-order test counts nothing beyond them."""
-    n, m = len(mu.atoms), len(nu.atoms)
-    scale, xs = _scaled_ints([x for x, _ in mu.atoms + nu.atoms])
-    u, a = _scaled_ints([w for _, w in mu.atoms])
-    v, b = _scaled_ints([w for _, w in nu.atoms])
-    _check_pairs(n * m + n * n + m * m, xs + a + b, f"the three convolutions of {n} and {m} atoms")
+    Builds no intermediate measure: the positions of both measures, read
+    from their int forms, are scaled by one common denominator and the
+    weights of each keep its own unit, u and v; ``_product_row`` forms
+    mu*mu, nu*nu and mu*nu on ints, and the net row nu*nu u^2 + mu*mu v^2 -
+    2 mu*nu u v over the unit 2 u^2 v^2 goes to ``_cx_ints``, the kernel of
+    leq_cx.  Of rasa_criterion's code it shares only the measures' int
+    form, ``_ramp_sums`` and the work budget, so the two can certify each
+    other.  The n*m + n^2 + m^2 pairs of the three convolutions, on the
+    widest of those ints, past MAX_CONVOLUTION_WORK raise BadParameter
+    before the first product; the convex-order test counts nothing beyond
+    them."""
+    (s1, x1, u, a), (s2, x2, v, b) = mu._int_form(), nu._int_form()
+    n, m = len(x1), len(x2)
+    scale, xs = _common_ints([(s1, x1), (s2, x2)])
+    _check_pairs(n * m + n * n + m * m, xs + list(a) + list(b),
+                 f"the three convolutions of {n} and {m} atoms")
     mu_row, nu_row = list(zip(xs[:n], a)), list(zip(xs[n:], b))
     uu, vv, uv = u * u, v * v, 2 * u * v
     net = {s: w * uu for s, w in _product_row(nu_row, nu_row).items()}

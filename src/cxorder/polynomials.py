@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from .errors import (
     ArityMismatch,
@@ -35,6 +35,7 @@ from .majorization import (
 )
 from .measures import (
     DiscreteMeasure,
+    _common_ints,
     _frozen,
     _pack,
     _product_row,
@@ -238,45 +239,55 @@ def poly_eval_measures(
     a term's span exceeds MAX_POLY_SPAN or the evaluation's work exceeds
     MAX_POLY_WORK.
     """
-    degree = max((sum(exps) for exps, _ in poly.terms), default=0)
+    degrees = {sum(exps) for exps, _ in poly.terms}
     used = [any(column) for column in zip(*(exps for exps, _ in poly.terms))]
-    pos_scale, weight_scale, powers = _measure_powers(measures, degree, used)
+    pos_scale, weight_scale, powers = _measure_powers(measures, max(degrees, default=0), used,
+                                                      len(degrees) <= 1)
     unit, row = _eval_ints(poly, powers, weight_scale, budget_work=True)
     return DiscreteMeasure(
         tuple((Fraction(s, pos_scale), Fraction(w, unit)) for s, w in sorted(row.items()))
     )
 
 
-def _measure_powers(measures: Sequence[DiscreteMeasure], degree: int, used: Sequence[bool]):
+def _measure_powers(
+    measures: Sequence[DiscreteMeasure], degree: int, used: Sequence[bool],
+    homogeneous: bool = False,
+):
     """(pos_scale, weight_scale, powers): every measure's atoms as
-    (position, weight) int pairs, positions in units of 1/pos_scale and
-    weights in units of 1/weight_scale, handed to the convolution powers
-    that ``_eval_ints`` multiplies by, for polynomials of degree at most
-    ``degree`` in which the i-th measure appears when ``used[i]``.
+    (position, weight) int pairs, read from its int form, positions in
+    units of 1/pos_scale and weights in units of 1/weight_scale, handed to
+    the convolution powers that ``_eval_ints`` multiplies by, for
+    polynomials of degree at most ``degree`` in which the i-th measure
+    appears when ``used[i]``, all of one degree when ``homogeneous``.
 
-    The powers are packed ints (``_PackedPowers``) when degree >= 2 and
-    every measure used has span + 1 <= _PACK_SPREAD * atoms and
-    degree * atoms >= _PACK_MIN_WORK, span the distance from its first
-    atom to its last in units of 1/pos_scale; dict rows (``_DictPowers``)
-    otherwise: the zero measure, sparse supports such as {0, 10^9}, and
-    evaluations too small to repay the packing.  Nothing is packed here,
-    so the budgets of the callers run first."""
-    pos_scale, positions = _scaled_ints([x for m in measures for x, _ in m.atoms])
-    weight_scale, weights = _scaled_ints([w for m in measures for _, w in m.atoms])
+    Every position of an evaluation is then congruent to one offset modulo
+    the step g, the gcd of the differences between the positions of each
+    measure used and, across them, between their first atoms (for
+    polynomials of more than one degree, of the first atoms themselves).
+    The powers are packed ints (``_PackedPowers``) with a slot per step g
+    when degree >= 2 and every measure used has span + 1 <= _PACK_SPREAD *
+    atoms and degree * atoms >= _PACK_MIN_WORK, span the distance from its
+    first atom to its last in steps of g; dict rows (``_DictPowers``)
+    otherwise: the zero measure, sparse supports such as {0, 1, 10^9},
+    and evaluations too small to repay the packing.  Nothing is packed
+    here, so the budgets of the callers run first."""
+    forms = [m._int_form() for m in measures]
+    pos_scale, positions = _common_ints([(s, xs) for s, xs, _, _ in forms])
+    weight_scale, weights = _common_ints([(u, ws) for _, _, u, ws in forms])
     rows = []
     start = 0
-    for m in measures:
-        stop = start + len(m.atoms)
+    for _, xs, _, _ in forms:
+        stop = start + len(xs)
         rows.append(list(zip(positions[start:stop], weights[start:stop])))
         start = stop
-    if degree >= 2 and all(
-        row
-        and row[-1][0] - row[0][0] + 1 <= _PACK_SPREAD * len(row)
-        and degree * len(row) >= _PACK_MIN_WORK
-        for row, use in zip(rows, used)
-        if use
-    ):
-        return pos_scale, weight_scale, _PackedPowers(rows)
+    live = [row for row, use in zip(rows, used) if use]
+    if degree >= 2 and all(live) and live:
+        first = live[0][0][0]
+        step = gcd(*(x - row[0][0] for row in live for x, _ in row),
+                   *(row[0][0] - first if homogeneous else row[0][0] for row in live))
+        if all((row[-1][0] - row[0][0]) // (step or 1) + 1 <= _PACK_SPREAD * len(row)
+               and degree * len(row) >= _PACK_MIN_WORK for row in live):
+            return pos_scale, weight_scale, _PackedPowers(rows, step or 1)
     return pos_scale, weight_scale, _DictPowers(rows)
 
 
@@ -319,22 +330,25 @@ class _PackedPowers:
     such ints is their convolution while no slot overflows.
 
     A row of ``_eval_ints`` is a triple (offset, total, packed): slot k
-    holds the weight at position offset + k, and total is the row's weight
-    sum.  Every weight is >= 0, so no slot exceeds total, and the slots are
+    holds the weight at position offset + k * step, and total is the row's
+    weight sum.  Every weight is >= 0, so no slot exceeds total, and the slots are
     the whole bytes that hold it (``_slot_bytes``).  A product sums to the
     product of the sums of its factors, so both are widened to the width
     of the product (``measures._repack``) before they are multiplied, and
     a sum of two rows to the width of its total, after a shift of the one
     with the larger offset.  Each measure keeps its own offset, its first
-    atom, so a support far from 0 costs nothing.
+    atom, so a support far from 0 costs nothing, and one slot per step,
+    the gcd of every offset difference of the evaluation
+    (``_measure_powers``), so a support on a coarse grid costs no empty
+    slots.
 
     ``powers[i][e]`` holds the e-th power of the i-th measure as a pair
     (total, packed) on its own width, built once (``_power``); entry 1 is
     packed the first time a power of the measure is asked for, so a term
     refused by MAX_POLY_SPAN packs nothing."""
 
-    def __init__(self, rows: list[list[tuple[int, int]]]):
-        self.rows = rows
+    def __init__(self, rows: list[list[tuple[int, int]]], step: int = 1):
+        self.rows, self.step = rows, step
         self.offsets = [row[0][0] if row else 0 for row in rows]
         self.powers = [{} for _ in rows]
 
@@ -344,7 +358,7 @@ class _PackedPowers:
 
     def times(self, row: tuple[int, int, int], i: int, e: int) -> tuple[int, int, int]:
         offset, total, packed = row
-        power_total, power = _power(self.powers[i], self.rows[i], e)
+        power_total, power = _power(self.powers[i], self.rows[i], e, self.step)
         product = total * power_total
         size = _slot_bytes(product)
         packed = _repack(packed, _slot_bytes(total), size)
@@ -352,20 +366,20 @@ class _PackedPowers:
             power, _slot_bytes(power_total), size
         )
 
-    @staticmethod
-    def plus(into: tuple[int, int, int], row: tuple[int, int, int]) -> tuple[int, int, int]:
+    def plus(self, into: tuple[int, int, int], row: tuple[int, int, int]) -> tuple[int, int, int]:
         if into[0] > row[0]:
             into, row = row, into
         total = into[1] + row[1]
         size = _slot_bytes(total)
         low = _repack(into[2], _slot_bytes(into[1]), size)
         high = _repack(row[2], _slot_bytes(row[1]), size)
-        return into[0], total, low + (high << (row[0] - into[0]) * 8 * size)
+        return into[0], total, low + (high << (row[0] - into[0]) // self.step * 8 * size)
 
-    @staticmethod
-    def unpack(row: tuple[int, int, int]) -> dict[int, int]:
+    def unpack(self, row: tuple[int, int, int]) -> dict[int, int]:
         offset, total, packed = row
-        return {offset + k: w for k, w in enumerate(_unpack(packed, _slot_bytes(total))) if w}
+        step = self.step
+        return {offset + k * step: w
+                for k, w in enumerate(_unpack(packed, _slot_bytes(total))) if w}
 
 
 def _slot_bytes(bound: int) -> int:
@@ -373,22 +387,23 @@ def _slot_bytes(bound: int) -> int:
     return (bound.bit_length() + 7) // 8
 
 
-def _dense(row: list[tuple[int, int]]) -> list[int]:
+def _dense(row: list[tuple[int, int]], step: int) -> list[int]:
     """The weights of the (position, weight) pairs ``row``, sorted by
-    position, on every position from its first to its last."""
+    position, on every position from its first to its last that lies a
+    multiple of ``step`` past the first."""
     offset = row[0][0]
-    dense = [0] * (row[-1][0] - offset + 1)
+    dense = [0] * ((row[-1][0] - offset) // step + 1)
     for s, w in row:
-        dense[s - offset] = w
+        dense[(s - offset) // step] = w
     return dense
 
 
 def _power(
-    powers: dict[int, tuple[int, int]], row: list[tuple[int, int]], e: int
+    powers: dict[int, tuple[int, int]], row: list[tuple[int, int]], e: int, step: int
 ) -> tuple[int, int]:
     """The e-th entry of the memo ``powers`` of (total, packed) powers of
     the measure with the (position, weight) pairs ``row``: entry 1 is the
-    packed dense row, and entry e is P^(e - 1) * P when entry e - 1 is
+    packed dense row, one slot per ``step``, and entry e is P^(e - 1) * P when entry e - 1 is
     there, as a chain asks for them, else P^(e//2) * P^(e - e//2), a
     squaring where the two halves are one.  On wide weights the first,
     a wide int times a narrow one, beat the balanced product: the chain
@@ -398,10 +413,11 @@ def _power(
     if entry is None:
         if e == 1:
             total = sum(w for _, w in row)
-            entry = total, _pack(_dense(row), _slot_bytes(total))
+            entry = total, _pack(_dense(row, step), _slot_bytes(total))
         else:
             low = e - 1 if e - 1 in powers else e // 2
-            (total_a, a), (total_b, b) = _power(powers, row, low), _power(powers, row, e - low)
+            (total_a, a), (total_b, b) = (_power(powers, row, low, step),
+                                          _power(powers, row, e - low, step))
             total = total_a * total_b
             size = _slot_bytes(total)
             a = _repack(a, _slot_bytes(total_a), size)
@@ -659,7 +675,7 @@ def muirhead_cx_check(
         raise ArityMismatch(f"need {len(p)} measures, got {len(measures)}")
     _require_equal_masses(measures)
     chain = s_step_chain(p, q)
-    pos_scale, weight_scale, powers = _measure_powers(measures, sum(p), [True] * len(measures))
+    pos_scale, weight_scale, powers = _measure_powers(measures, sum(p), [True] * len(measures), True)
     _check_chain_work(p, q, chain, powers.rows)
     bad_pair = _pairwise_profiles_nonneg(measures)
     if bad_pair is not None:

@@ -41,7 +41,8 @@ from cxorder import (
 from cxorder.bernstein import GAV_MODES, _self_form
 from cxorder.cli import _REPRODUCTIONS
 from cxorder.lattice import _scaled_rows
-from cxorder.measures import _read_int, _reject_float, _scaled_ints, format_rational
+from cxorder.measures import (_UNSCANNED, _product_row, _read_int, _reject_float, _scaled_ints,
+                              _scan_json, format_rational)
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 positive_rationals = st.fractions(
@@ -124,6 +125,67 @@ def measure_from_json_oracle(text: str) -> DiscreteMeasure:
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise ParseError(f"atom #{i}: {exc}") from exc
     return make_measure(pairs)
+
+
+def fraction_measure_from_json(text: str) -> DiscreteMeasure:
+    """measures.measure_from_json as it read a file into one Fraction per
+    position and weight, kept verbatim as the oracle of the int reader:
+    the same measure, and the same error line, for every text."""
+    obj = _scan_json(text)
+    if obj is _UNSCANNED:
+        import json
+
+        try:
+            obj = json.loads(text, parse_float=_reject_float, parse_int=_read_int)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
+        except RecursionError as exc:  # the reader recurses once per nested array or object
+            raise ParseError(
+                "invalid JSON: nested deeper than the parser's recursion limit"
+            ) from exc
+    if not isinstance(obj, dict) or not isinstance(obj.get("atoms"), list):
+        raise ParseError('measure file must be an object {"atoms": [...]}')
+    pairs = []
+    for i, entry in enumerate(obj["atoms"]):
+        if not isinstance(entry, dict) or "x" not in entry or "w" not in entry:
+            raise ParseError(f'atom #{i} must be an object {{"x": ..., "w": ...}}')
+        try:
+            pairs.append((as_rational(entry["x"]), as_rational(entry["w"])))
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            raise ParseError(f"atom #{i}: {exc}") from exc
+    return make_measure(pairs)
+
+
+def random_measure_draw(rng: random.Random) -> DiscreteMeasure:
+    """cli._random_measure as it drew through Fractions and make_measure,
+    kept as the oracle of the draws of `rasa equivalence`."""
+    atoms = []
+    for _ in range(rng.randint(1, 5)):
+        position = Fraction(rng.randint(-8, 8), rng.randint(1, 3))
+        weight = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+        atoms.append((position, weight))
+    return make_measure(atoms)
+
+
+def random_lattice_measure_draw(rng: random.Random) -> DiscreteMeasure:
+    """cli._random_lattice_measure as it drew through make_measure, kept as
+    the oracle of the draws of `genfun equivalence`."""
+    return make_measure((rng.randint(0, 6), rng.randint(1, 8)) for _ in range(rng.randint(1, 5)))
+
+
+def int_form_oracle(mu: DiscreteMeasure) -> tuple:
+    """(scale, xs, unit, ws) of a measure from its Fraction atoms: each row
+    over the least common denominator of its values."""
+    scale, xs = scaled_ints_oracle([x for x, _ in mu.atoms])
+    unit, ws = scaled_ints_oracle([w for _, w in mu.atoms])
+    return scale, tuple(xs), unit, tuple(ws)
+
+
+def signed_square_oracle(scale, bs, unit, ds):
+    """The signed square of orders._signed_square as the full square, every
+    ordered pair (i, j) through measures._product_row, kept as its oracle."""
+    row = list(zip(bs, ds))
+    return scale, unit * unit, _product_row(row, row)
 
 
 def hinge_integral_brute(mu: DiscreteMeasure, threshold) -> Fraction:
@@ -643,6 +705,40 @@ def wide_weight_pair(n):
     mu = make_measure([(2 * k, Fraction(1, big + k)) for k in range(n)])
     nu = make_measure([(2 * k + 1, Fraction(1, big + k)) for k in range(n)])
     return mu, nu
+
+
+def measure_width_message(path, what, bits, budget=2**17):
+    """The line (after "error: ") with which cli.load_measure refuses the
+    file ``path`` whose ``what`` ("positions" or "weights") reach a common
+    denominator of ``bits`` bits past MAX_MEASURE_BITS = budget."""
+    return (f"{path}: BadParameter: the {what} have a common denominator of {bits} bits,"
+            f" above MAX_MEASURE_BITS = {budget}")
+
+
+def denominators_of_width(bits):
+    """Pairwise coprime prime powers, each of at most 4,300 digits, whose
+    product has exactly ``bits`` bits: powers of the odd primes fill up to
+    about 1,000 bits short of it, and a power of 2 the rest."""
+    dens, product = [], 1
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73):
+        gap = bits - 1000 - product.bit_length()
+        if gap < 100:  # no power of p, or a narrow one
+            break
+        dens.append(p ** int(min(14200, gap) / math.log2(p)))
+        product *= dens[-1]
+    dens.append(2 ** (bits - product.bit_length()))
+    return dens
+
+
+def first_lcm_bits_past(denominators, budget=2**17):
+    """The bits of the first running lcm of ``denominators`` wider than
+    ``budget`` bits, or of their whole lcm when none is."""
+    common = 1
+    for d in denominators:
+        common = math.lcm(common, d)
+        if common.bit_length() > budget:
+            break
+    return common.bit_length()
 
 
 def convolution_work_message(what, count, bits, work=2**34, noun="pairs"):

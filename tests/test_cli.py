@@ -4,6 +4,8 @@ import atexit
 import errno
 import gc
 import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -662,30 +664,71 @@ def test_convolution_work_budget_exits_2_before_any_product(
 
 @pytest.mark.parametrize("n", [16, 48])
 def test_order_cx_on_wide_denominators_exits_2_with_one_line(n, tmp_path):
+    # mu's file has n position denominators 10^4000 + k of 13,288 bits,
+    # pairwise coprime up to small factors: the reader refuses it at the lcm
+    # step past MAX_MEASURE_BITS = 2^17, before the convex-order test
     paths = [tmp_path / "mu.json", tmp_path / "nu.json"]
     for path, measure in zip(paths, helpers.wide_denominator_pair(n)):
         path.write_text(measure_to_json(measure))
-    message = helpers.convolution_work_message(
-        f"the convex-order test of {n} and {n} atoms", 2 * n, 26576, noun="atoms"
-    )
+    bits = helpers.first_lcm_bits_past(10**4000 + k for k in range(n))
+    message = helpers.measure_width_message(paths[0], "positions", bits)
     argv = ["order", "cx", "--mu", str(paths[0]), "--nu", str(paths[1])]
-    assert run(argv) == (2, f"error: BadParameter: {message}\n")
+    assert run(argv) == (2, f"error: {message}\n")
 
 
-def test_order_st_on_wide_weights_exits_2_before_any_fraction_mass(tmp_path, monkeypatch):
-    # 48 + 48 weights 1/(10^4000 + k): summing their Fraction masses and
-    # CDFs once took 2.1 s to print "holds"
+def _wide_weight_files(tmp_path, monkeypatch):
+    """Defect 4's pair, tests/helpers.wide_weight_pair(48), as two files, and
+    the line with which the reader refuses mu's: at the lcm step whose
+    weight denominator passes MAX_MEASURE_BITS, with no Fraction view or
+    mass of a measure read."""
     from cxorder import measures
 
     paths = [tmp_path / "mu.json", tmp_path / "nu.json"]
     for path, measure in zip(paths, helpers.wide_weight_pair(48)):
         path.write_text(measure_to_json(measure))
     monkeypatch.setattr(measures.DiscreteMeasure, "mass", property(helpers.refuse("mass")))
-    message = helpers.convolution_work_message(
-        "the stochastic-order test of 48 and 48 atoms", 96, 26576, noun="atoms"
-    )
-    argv = ["order", "st", "--mu", str(paths[0]), "--nu", str(paths[1])]
-    assert run(argv) == (2, f"error: BadParameter: {message}\n")
+    monkeypatch.setattr(measures.DiscreteMeasure, "atoms", property(helpers.refuse("atoms")))
+    bits = helpers.first_lcm_bits_past(10**4000 + k for k in range(48))
+    message = helpers.measure_width_message(paths[0], "weights", bits)
+    return ["--mu", str(paths[0]), "--nu", str(paths[1])], f"error: {message}\n"
+
+
+def test_order_st_on_wide_weights_exits_2_before_any_fraction_mass(tmp_path, monkeypatch):
+    # 48 + 48 weights 1/(10^4000 + k): summing their Fraction masses and
+    # CDFs once took 2.1 s to print "holds"; now the file is refused as it
+    # is read
+    files, line = _wide_weight_files(tmp_path, monkeypatch)
+    assert run(["order", "st", *files]) == (2, line)
+
+
+@pytest.mark.parametrize("argv", [["order", "cx"], ["rasa", "check"], ["rasa", "direct"],
+                                  ["genfun", "check"]])
+def test_wide_weights_are_refused_where_the_file_is_read(argv, tmp_path, monkeypatch):
+    # `rasa check`, `rasa direct` and `genfun check` on that pair ran 1.2 s,
+    # 2.3 s and 14.8 s before a work budget refused them
+    files, line = _wide_weight_files(tmp_path, monkeypatch)
+    assert run(argv + files) == (2, line)
+
+
+@pytest.mark.parametrize("what", ["positions", "weights"])
+def test_measure_width_budget_boundary(what, tmp_path):
+    # a file whose positions, or weights, have a common denominator of
+    # 2^17 bits is read; one more bit, and it is refused at that lcm step
+    # with one line, before any product
+    assert cli.MAX_MEASURE_BITS == 2**17
+    for bits in (2**17, 2**17 + 1):
+        dens = helpers.denominators_of_width(bits)
+        assert math.lcm(*dens).bit_length() == bits and max(dens).bit_length() < 14300
+        atoms = [{"x": f"1/{d}", "w": "1"} if what == "positions" else {"x": str(k), "w": f"1/{d}"}
+                 for k, d in enumerate(dens)]
+        path = tmp_path / f"{bits}.json"
+        path.write_text(json.dumps({"atoms": atoms}))
+        if bits == 2**17:
+            scale, _, unit, _ = cli.load_measure(str(path))._int_form()
+            assert (scale if what == "positions" else unit).bit_length() == bits
+        else:
+            line = helpers.measure_width_message(path, what, bits)
+            assert run(["genfun", "check", "--mu", str(path)]) == (2, f"error: {line}\n")
 
 
 def test_poly_muirhead_prints_a_failing_step(monkeypatch):

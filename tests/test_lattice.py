@@ -658,3 +658,60 @@ def test_lattice_position_budget_boundary(monkeypatch):
         as_lattice(dirac(10**9))
     with pytest.raises(NotLattice):  # positions are checked before the budget
         as_lattice(make_measure([(H, H), (limit + 1, H)]))
+
+
+# -- the rows of a square: the gcd skip and the width floor ----------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=0, max_value=4, max_denominator=2**10), max_size=10),
+    st.lists(st.fractions(min_value=0, max_value=4, max_denominator=2**10), max_size=10),
+    st.sampled_from([1, 1, 2, 3, 272]),
+    st.integers(1, 2**40),
+)
+def test_width_floor_bounds_the_checked_width(a, b, s, factor):
+    # the floor is at most the bits of the widest int the exact check sees,
+    # on any unit, least (a triple marked True) or not
+    known = [(*_scaled_ints(row), True) for row in (b, a)]
+    wide = [(unit * factor, [c * factor for c in ints]) for unit, ints, _ in known]
+    for rows in (wide, known):
+        scale, ints = lattice._scaled_rows(rows, s)
+        assert (scale, ints) == helpers.power_scaled_ints_oracle([b, a], s)
+        steps = itertools.zip_longest(ints[: len(b)], ints[len(b):], fillvalue=0)
+        ts = list(itertools.accumulate((x - y for x, y in steps), lambda t, step: s * t + step))
+        assert lattice._width_floor(rows, s) <= max((t.bit_length() for t in ts), default=0)
+
+
+def test_least_rows_are_scaled_without_a_row_gcd(monkeypatch):
+    # a sequence read from a measure is on its least unit: a square of two
+    # untruncated such rows takes no gcd over them
+    left = as_lattice(make_measure([(0, Fraction(1, 3)), (2, Fraction(2, 3))]))
+    right = as_lattice(make_measure([(0, Fraction(1, 6)), (1, Fraction(1, 2)), (3, Fraction(1, 3))]))
+    assert left._least and right._least
+    expected = genfun_square_coeffs(left, right)
+    calls = []
+    real = lattice.gcd
+
+    def counting(*args):
+        calls.append(len(args))
+        return real(*args)
+
+    monkeypatch.setattr(lattice, "gcd", counting)
+    assert genfun_square_coeffs(left, right) == expected
+    # right's row is cut short by one entry: its unit may no longer be least,
+    # so it takes the one row gcd, gcd(unit, c0, c1, c2); left's takes none
+    assert [n for n in calls if n > 2] == [4]
+    truncation = truncated_family("negbinomial:1,1/2")
+    assert not truncation._least
+
+
+def test_a_square_far_past_the_budget_is_refused_before_its_rows_are_scaled(monkeypatch):
+    # 4,198,401 products on ints of 49,688 bits: scaling the two rows took
+    # 1.1 s in-process; a floor of 49,330 bits refuses the square first
+    monkeypatch.setattr(lattice, "_scaled_rows", helpers.refuse("_scaled_rows"))
+    pair = [truncated_family(f"negbinomial:4096,{x}", Fraction(1, 10**300)) for x in ("1/16", "1/17")]
+    message = ("^the square of a lattice pair, 4198401 products on ints of at least 49330 bits,"
+               " exceeds MAX_SQUARE_WORK = 1099511627776 \\(max\\(products, 64\\) x bits\\^2\\)$")
+    with pytest.raises(BadParameter, match=message):
+        genfun_test(*pair)

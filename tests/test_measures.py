@@ -1,6 +1,7 @@
 """Measure algebra: construction, moments, the convolution kernel, and the
 CDF differences and mixtures of the test oracles."""
 
+import random
 import sys
 from fractions import Fraction
 
@@ -447,3 +448,99 @@ def test_format_rational_prints_over_4300_digits():
     assert measures.format_rational(Fraction(-big - 1, 3)) == "-1" + "0" * 4299 + "1/3"
     assert measures.format_rational(Fraction(1, big)) == "1/1" + "0" * 4300
     assert measures.format_rational(Fraction(7 * big**3)) == "7" + "0" * 12900
+
+
+# -- the int form: the reader, the sweeps' draws and the measure's own view ----
+
+_RUN = st.sampled_from([1, 4299, 4300, 4301])
+_ODD_TOKENS = st.sampled_from([
+    '"+3"', '"-0"', '"007/014"', '"1_000"', '"1_0/3"', '"1e-3"', '"-2.5E1"', '" 1/2 "',
+    '"\\u0663"', '"\\uff13/\\uff14"', '"\\u00b2"', '"1/-2"', '"-/2"', '"1/"', '""', '"0/0"',
+    '"-0/0"', '"-3/6"', '"1/2/3"', '"--1"', '"0x10"', '"1 /2"', '"-"', "true", "false", "null",
+    "[]", '{"a": 1}', "-0", "1.0",
+])
+
+
+@st.composite
+def _file_tokens(draw):
+    """A position or weight of a measure file: mostly plain numbers (JSON
+    ints, "p" and "p/q" strings with signs, leading zeros and q = 0), and
+    what as_rational alone reads or refuses: signs, exponents, underscores,
+    non-ASCII digits, runs of 4,300 digits and more, other JSON values."""
+    kind = draw(st.sampled_from(["int", "ratio", "ratio", "text", "odd", "run"]))
+    n = draw(st.integers(-12, 12))
+    if kind == "int":
+        return str(n)
+    if kind == "ratio":
+        return f'"{n}/{draw(st.integers(0, 12))}"'
+    if kind == "text":
+        return f'"{n}"'
+    if kind == "odd":
+        return draw(_ODD_TOKENS)
+    digits = draw(st.sampled_from("1379")) * draw(_RUN)
+    return draw(st.sampled_from([f'"{digits}"', f'"-1/{digits}"', f'"{digits}/7"', digits,
+                                 f"-{digits}"]))
+
+
+@st.composite
+def _file_texts(draw):
+    atoms = [(draw(_file_tokens()), draw(_file_tokens())) for _ in range(draw(st.integers(0, 6)))]
+    if atoms and draw(st.booleans()):  # a position again, with its own weight
+        atoms.append((atoms[0][0], draw(_file_tokens())))
+    body = ", ".join(f'{{"x": {x}, "w": {w}}}' for x, w in atoms)
+    return f'{{"atoms": [{body}]}}'
+
+
+@settings(max_examples=500, deadline=None)
+@given(_file_texts())
+@example('{"atoms": [{"x": "1/2", "w": "1/3"}, {"x": "2/4", "w": "1/6"}, {"x": 3, "w": "0"}]}')
+@example('{"atoms": [{"x": 1, "w": "-1/2"}, {"x": "1/0", "w": 1}]}')  # the parse error first
+@example('{"atoms": [{"x": 1, "w": "-2/4"}, {"x": 2, "w": "-1"}]}')  # the first negative weight
+@example('{"atoms": [{"x": "-4/6", "w": "3/9"}, {"x": "2/3", "w": "2/9"}]}')
+def test_the_int_reader_matches_the_fraction_reader(text):
+    read = _outcome(measure_from_json, text)
+    assert read == _outcome(helpers.fraction_measure_from_json, text)
+    if read[0] == "ok":
+        new, old = measure_from_json(text), helpers.fraction_measure_from_json(text)
+        assert new._int_form() == helpers.int_form_oracle(old) == old._int_form()
+        assert new == old and hash(new) == hash(old) and new.atoms == old.atoms
+
+
+@pytest.mark.parametrize("draw, oracle", [
+    ("_random_measure", helpers.random_measure_draw),
+    ("_random_lattice_measure", helpers.random_lattice_measure_draw),
+])
+def test_the_sweeps_draw_the_pairs_they_drew_through_fractions(draw, oracle):
+    from cxorder import cli
+
+    for seed in range(300):
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            mu, expected = getattr(cli, draw)(new), oracle(old)
+            assert mu == expected and mu._int_form() == helpers.int_form_oracle(expected)
+        assert new.getstate() == old.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(helpers.measures, st.fractions(min_value=0, max_value=9, max_denominator=12))
+def test_mass_mean_and_scaled_read_the_int_form(mu, factor):
+    file_mu = measure_from_json(measure_to_json(mu))
+    assert "atoms" not in file_mu.__dict__
+    for m in (mu, file_mu):
+        assert m.mass == sum((w for _, w in mu.atoms), Fraction(0))
+        assert m.mean == sum((x * w for x, w in mu.atoms), Fraction(0))
+        scaled = m.scaled(factor)
+        assert scaled == make_measure([(x, factor * w) for x, w in mu.atoms])
+        assert scaled._int_form() == helpers.int_form_oracle(scaled)
+    assert "atoms" not in file_mu.__dict__  # no Fraction view was needed
+
+
+def test_a_measure_of_ints_builds_its_fraction_view_once_and_compares_as_a_record():
+    mu = measures._measure_of_ints([(1, 2, 1, 3), (2, 4, 1, 6), (-3, 1, 0, 1)])
+    assert mu._int_form() == (2, (1,), 2, (1,))
+    assert "atoms" not in mu.__dict__
+    assert repr(mu) == "DiscreteMeasure(atoms=((Fraction(1, 2), Fraction(1, 2)),))"
+    assert mu.atoms is mu.atoms
+    assert mu == make_measure([(H, H)]) and hash(mu) == hash(make_measure([(H, H)]))
+    with pytest.raises(AttributeError):
+        mu.atoms = ()

@@ -81,15 +81,17 @@ def test_leq_st_matches_literal_cdf_oracle(mu, nu, rescale, rng):
 
 
 def test_leq_st_refuses_wide_weights_before_their_full_lcm(monkeypatch):
+    # the common denominators grow in measures._common_ints, one lcm step at
+    # a time, as the measures' int forms are built
     mu, nu = helpers.wide_weight_pair(48)
     steps = []
-    lcm = orders.lcm
+    lcm = measures.lcm
 
     def counting(a, b):
         steps.append(1)
         return lcm(a, b)
 
-    monkeypatch.setattr(orders, "lcm", counting)
+    monkeypatch.setattr(measures, "lcm", counting)
     message = helpers.convolution_work_message(
         "the stochastic-order test of 48 and 48 atoms", 96, 26576, noun="atoms"
     )
@@ -213,13 +215,13 @@ def test_leq_cx_matches_the_oracle_on_non_dyadic_denominators(mu, nu, common, rn
 def test_leq_cx_refuses_wide_denominators_before_their_full_lcm(n, monkeypatch):
     mu, nu = helpers.wide_denominator_pair(n)
     steps = []
-    lcm = orders.lcm
+    lcm = measures.lcm
 
     def counting(a, b):
         steps.append(1)
         return lcm(a, b)
 
-    monkeypatch.setattr(orders, "lcm", counting)
+    monkeypatch.setattr(measures, "lcm", counting)
     message = helpers.convolution_work_message(
         f"the convex-order test of {n} and {n} atoms", 2 * n, 26576, noun="atoms"
     )
@@ -768,3 +770,81 @@ def test_rasa_direct_takes_the_convolution_work_budget(monkeypatch):
     monkeypatch.setattr(orders, "_product_row", helpers.refuse("_product_row"))
     with pytest.raises(BadParameter, match=_work_message("the three convolutions of 3 and 4 atoms", 37, 22002)):
         rasa_direct(far, nu)
+
+
+# -- the half square and the int-backed profile ----------------------------------
+
+
+@st.composite
+def _signed_rows(draw):
+    """Breakpoints on a small grid, so that many pair sums repeat, with
+    signed jumps summing to 0 or not, some repeated with the opposite sign
+    so that kink weights cancel."""
+    bs = sorted(draw(st.sets(st.integers(-12, 12), max_size=9)))
+    ds = [draw(st.integers(-5, 5).filter(bool)) for _ in bs]
+    if len(ds) >= 2 and draw(st.booleans()):
+        ds[-1] = ds[-1] if sum(ds[:-1]) == 0 else -sum(ds[:-1])
+    if len(ds) >= 4 and draw(st.booleans()):
+        ds[1], ds[2] = ds[0], -ds[0]
+    return bs, ds
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_rows(), st.integers(1, 7), st.integers(1, 7))
+@example(([0, 1, 2, 3], [2, 1, -6, 3]), 1, 1)  # the kinks of 0+3 and 1+2 cancel
+def test_half_square_equals_the_full_square(row, scale, unit):
+    bs, ds = row
+    square = orders._signed_square(scale, bs, unit, ds)
+    assert square == helpers.signed_square_oracle(scale, bs, unit, ds)
+    assert sorted(square[2]) == sorted({a + b for a in bs for b in bs})
+
+
+@st.composite
+def _int_profiles(draw):
+    """(scale, sums, den, values): strictly increasing int sums and int values
+    that start and end at 0."""
+    sums = sorted(draw(st.sets(st.integers(-40, 40), max_size=8)))
+    values = [0] + [draw(st.integers(-9, 9)) for _ in sums[2:]] + [0] if len(sums) > 1 else [0] * len(sums)
+    return draw(st.integers(1, 12)), sums, draw(st.integers(1, 12)), values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_profiles(), st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=8), max_size=4))
+def test_int_backed_profile_equals_the_eager_one(profile, points):
+    scale, sums, den, values = profile
+    lazy = orders.PiecewiseLinear._of_ints(scale, sums, den, values)
+    eager = orders.PiecewiseLinear(tuple(Fraction(s, scale) for s in sums),
+                                   tuple(Fraction(v, den) for v in values))
+    assert lazy.minimum() == eager.minimum()  # on the ints, before any field is built
+    assert "breakpoints" not in lazy.__dict__
+    assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+    assert repr(lazy) == repr(eager)
+    assert lazy.is_zero == eager.is_zero
+    for x in points + list(eager.breakpoints):
+        assert lazy.value(x) == eager.value(x)
+
+
+def test_an_int_backed_profile_is_checked_as_the_record_is():
+    with pytest.raises(ValueError, match="start and end at 0"):
+        orders.PiecewiseLinear._of_ints(1, [0, 1], 1, [0, 1])
+    with pytest.raises(AttributeError, match="no attribute 'slope'"):
+        orders.PiecewiseLinear._of_ints(1, [], 1, []).slope
+
+
+def test_rasa_check_builds_only_the_minimum_of_its_profile(tmp_path, monkeypatch):
+    # the CLI prints one point of the profile: no breakpoint Fraction is made
+    from cxorder.cli import run
+
+    mu, nu = tmp_path / "mu.json", tmp_path / "nu.json"
+    mu.write_text('{"atoms": [{"x": "0", "w": "1/2"}, {"x": "1", "w": "1/2"}]}')
+    nu.write_text('{"atoms": [{"x": "1", "w": "1/2"}, {"x": "3/2", "w": "1/2"}]}')
+    built = []
+    getattr_ = orders.PiecewiseLinear.__getattr__
+
+    def spy(self, name):
+        built.append(name)
+        return getattr_(self, name)
+
+    monkeypatch.setattr(orders.PiecewiseLinear, "__getattr__", spy)
+    assert run(["rasa", "check", "--mu", str(mu), "--nu", str(nu)]) == (0, "holds; min 0\n")
+    assert built == []

@@ -696,12 +696,40 @@ def test_packed_rows_keep_their_offsets_far_from_zero():
 
 
 def test_sparse_supports_take_the_dict_rows(monkeypatch):
-    # {0, 10^9}: a dense row of 10^9 + 1 slots for two atoms, at a degree
-    # the size bound would pack
+    # {0, 1, 10^9}: a dense row of 10^9 + 1 slots for three atoms, at a
+    # degree the size bound would pack
     monkeypatch.setattr(polynomials, "_PackedPowers", helpers.refuse("_PackedPowers"))
-    wide = make_measure([(0, Fraction(1, 2)), (10**9, Fraction(1, 2))])
-    power = poly_eval_measures(MVPolynomial.monomial(1, (48,)), [wide])
-    assert power == make_measure([(k * 10**9, Fraction(comb(48, k), 2**48)) for k in range(49)])
+    third = Fraction(1, 3)
+    wide = make_measure([(0, third), (1, third), (10**9, third)])
+    power = poly_eval_measures(MVPolynomial.monomial(1, (16,)), [wide])
+    assert power == helpers.poly_eval_measures_oracle(MVPolynomial.monomial(1, (16,)), [wide])
+
+
+@pytest.mark.parametrize("support", [(0, 63), (0, 10**9), (5, 68, 131)])
+def test_supports_on_a_coarse_grid_pack_as_their_steps_do(support):
+    # positions a multiple of one step g past the first atom pack with one
+    # slot per g: {0, 63} as {0, 1}, {0, 10^9} as {0, 1}
+    mu = make_measure([(x, Fraction(1, len(support))) for x in support])
+    powers = polynomials._measure_powers([mu], 256, [True], homogeneous=True)[2]
+    assert type(powers) is polynomials._PackedPowers
+    poly = MVPolynomial.monomial(1, (256,))
+    step = support[1] - support[0]
+    unit = make_measure([(k, Fraction(1, len(support))) for k in range(len(support))])
+    power = poly_eval_measures(poly, [mu])
+    assert power == make_measure([(256 * support[0] + step * x, w)
+                                  for x, w in poly_eval_measures(poly, [unit]).atoms])
+
+
+def test_a_grid_step_respects_every_offset_of_the_polynomial():
+    # x1^2 + x2^2 on {0, 63} and {1, 64}: the two terms start at 0 and 2, so
+    # they share no grid of step 63; x1^2 + x1 on {1, 64}: terms at 2 and 1
+    coarse, shifted = (make_measure([(x, H), (x + 63, H)]) for x in (0, 1))
+    sums = MVPolynomial.from_dict(2, {(24, 0): 1, (0, 24): 1})
+    mixed = MVPolynomial.from_dict(1, {(24,): 1, (23,): 1})
+    for poly, measures in ((sums, [coarse, shifted]), (mixed, [shifted])):
+        assert poly_eval_measures(poly, measures) == helpers.poly_eval_measures_oracle(
+            poly, measures
+        )
 
 
 # -- the chain budget ------------------------------------------------------------

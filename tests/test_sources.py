@@ -1,8 +1,8 @@
 """Source checks over src/cxorder: no module reads the environment, so a
 verdict follows from the command line and the files it names alone; only
-orders reads the parts of a convex test function; the Fraction routes
-that no command ran stay retired; and no module compiles a regex when it
-is imported."""
+orders reads the parts of a convex test function; no kernel reads a
+measure's Fraction atoms; the Fraction routes that no command ran stay
+retired; and no module compiles a regex when it is imported."""
 
 import ast
 import re
@@ -33,6 +33,41 @@ def test_only_orders_reads_the_fields_of_a_test_function(path):
     # of a test function stays behind the module that defines it
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [line for line in lines if _PHI_FIELDS.search(line)] == []
+
+
+def _atoms_readers(tree):
+    """The qualified names of the functions (the module, for code outside
+    any) whose own code reads an attribute named atoms."""
+    readers = []
+
+    def walk(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{name}.{child.name}" if name else child.name)
+            else:
+                if isinstance(child, ast.Attribute) and child.attr == "atoms":
+                    readers.append(name or "<module>")
+                walk(child, name)
+
+    walk(tree, "")
+    return readers
+
+
+@pytest.mark.parametrize("name", ["orders", "lattice", "polynomials"])
+def test_no_kernel_reads_the_fraction_atoms_of_a_measure(name):
+    # the kernels read a measure's int form (DiscreteMeasure._int_form); only
+    # the literal integral of a test function sums over the Fraction atoms
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    readers = _atoms_readers(tree)
+    assert set(readers) <= {"ConvexTestFn.integrate"}
+    assert readers.count("ConvexTestFn.integrate") == (name == "orders")
+
+
+def test_the_atoms_check_sees_every_reader():
+    tree = ast.parse("def f(mu):\n    return [x for x, _ in mu.atoms]\n"
+                     "class C:\n    def g(self, mu):\n        return lambda: mu.atoms\n"
+                     "TOP = m.atoms\n")
+    assert _atoms_readers(tree) == ["f", "C.g", "<module>"]
 
 
 # The exported Fraction routes that no command ran; the tests keep literal
