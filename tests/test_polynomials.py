@@ -3,7 +3,6 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings
