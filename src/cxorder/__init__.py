@@ -1,10 +1,11 @@
 """Exact convex-order and stochastic-order toolkit for discrete measures.
 
-Everything runs on `fractions.Fraction`: measure algebra, the
-self-convolution order criterion and its generating-function counterpart,
-majorization chains with squared-difference certificates, and the
-Bernstein-basis gap evaluators, all with exact verdicts and certified
-truncations for the infinite families.
+Exact verdicts for measure algebra, the self-convolution order criterion
+and its generating-function counterpart, majorization chains with
+squared-difference certificates, and the Bernstein-basis gap evaluators,
+with certified truncations for the infinite families.  Every kernel runs on
+ints, results and witnesses are `fractions.Fraction` values, and no float
+ever decides a verdict.
 """
 
 from importlib import import_module as _import_module

@@ -588,7 +588,7 @@ def gavrea_p4_sum(n: int, x, y, phi: ConvexTestFn, eps=DEFAULT_EPS) -> IntervalV
     unit = lcm(fam_x.unit, fam_y.unit)
     fx, fy = unit // fam_x.unit, unit // fam_y.unit
     rows = itertools.zip_longest(fam_x.ints, fam_y.ints, fillvalue=0)
-    scale, d = _scaled_rows([(unit, [a * fx - b * fy for a, b in rows])])
+    scale, d = _scaled_rows([(unit, [a * fx - b * fy for a, b in rows], False)])
     _check_square(len(d) ** 2, d)
     bound = phi.bound_on_unit_interval()
     grid = range(2 * len(d) - 1)

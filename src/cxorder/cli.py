@@ -480,8 +480,7 @@ def _cmd_rasa(args, out: _Printer) -> int:
         if verdict.holds:
             out.say(f"holds; min {out.rat(profile.minimum()[1])}")
             return EXIT_HOLDS
-        out.say("fails; " + _witness_text(out, verdict.witness))
-        return EXIT_FAILS
+        return _verdict_exit(out, verdict)
     if args.action == "direct":
         return _verdict_exit(out, rasa_direct(mu, nu))
     phi = parse_convex_fn(args.phi)

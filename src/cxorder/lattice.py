@@ -20,7 +20,7 @@ from operator import mul
 
 from .errors import BadParameter, Inconclusive, MassMismatch, NotLattice
 from .measures import (DiscreteMeasure, _check_work, _ratio_text, _refuse_delete, _refuse_set,
-                       _scaled_ints, as_rational, format_rational)
+                       _common_ints, _scaled_ints, as_rational, format_rational)
 from .orders import OrderVerdict, Witness
 
 DEFAULT_EPS = Fraction(1, 2**40)
@@ -232,13 +232,13 @@ def _square(a: LatticeSeq, b: LatticeSeq) -> tuple[list[int], int, int]:
 
 
 def _rational_square(
-    a: tuple[int, Sequence[int]], b: tuple[int, Sequence[int]],
+    a: tuple[int, Sequence[int], bool], b: tuple[int, Sequence[int], bool],
     poles: Sequence[tuple[Fraction, int]], size: int,
 ) -> tuple[list[int], int, int]:
     """(E, unit, s) with E_k / (unit s^k) the first ``size`` coefficients of
     D(z)^2, D = sum d_i z^i the CDF difference d_i = sum_{k <= i} (b_k - a_k)
-    of the rows a and b, each a (unit, ints) pair, where Den * D = N for
-    Den = prod (1 - x z)^m over ``poles`` and deg N < r = sum m < len(d).
+    of the rows a and b, each a (unit, ints, least) triple, where Den * D = N
+    for Den = prod (1 - x z)^m over ``poles`` and deg N < r = sum m < len(d).
 
     Den * D^2 = N * D, so with P the first ``size`` coefficients of N * d,
     E_k = P_k - sum_{j=1}^{min(k, r)} Den_j E_{k-j}: O(size r) products;
@@ -252,9 +252,9 @@ def _rational_square(
     count (len(a) + len(b)) * bits^2 past MAX_SQUARE_WORK on their widest
     unit, the same check on a lower bound of the scaled width
     (``_width_floor``) runs before the scaling, and its line says "at
-    least"; everything it refuses, the exact check would refuse too.  A row given as a
-    triple (unit, ints, True) is on the least common denominator of its
-    ints, which then needs no gcd when s is 1.
+    least"; everything it refuses, the exact check would refuse too.  A row
+    whose ``least`` is True is on the least common denominator of its ints,
+    which then needs no gcd when s is 1.
     Poles that do not fit d are refused: d * Den must have no z^r term.
     """
     s = lcm(*(x.denominator for x, _ in poles))
@@ -283,25 +283,21 @@ def _rational_square(
 
 
 def _scaled_rows(rows: Sequence[tuple], s: int = 1) -> tuple[int, list[int]]:
-    """(scale, ints) for rows of (unit, ints) pairs: scale the least common
-    denominator of c s^k / unit over the entries c at index k of every row,
-    and ints each of them in units of 1/scale, row after row.  A row's own
-    least common denominator is unit / gcd(unit, every c s^k): one gcd over
-    the row, whatever its unit, unless the row is a triple (unit, ints,
-    True), whose unit is known to be least, and s is 1."""
+    """(scale, ints) for rows of (unit, ints, least) triples: scale the least
+    common denominator of c s^k / unit over the entries c at index k of
+    every row, and ints each of them in units of 1/scale, row after row
+    (``measures._common_ints`` of the rows on their own least units).  A
+    row's own least common denominator is unit / gcd(unit, every c s^k):
+    one gcd over the row, unless ``least`` says its unit is least and s
+    is 1."""
     top = max((len(row[1]) for row in rows), default=0)
     powers = list(itertools.accumulate(itertools.repeat(s, top), mul, initial=1))
-    scaled = []
-    for unit, ints, *least in rows:
+    reduced = []
+    for unit, ints, least in rows:
         row = list(map(mul, ints, powers)) if s != 1 else ints
-        common = 1 if least == [True] and s == 1 else gcd(unit, *row)
-        scaled.append((unit // common, common, row))
-    scale = lcm(*(own for own, _, _ in scaled))
-    out = []
-    for own, common, row in scaled:
-        factor = scale // own  # one wide division per row
-        out.extend(c // common * factor for c in row)
-    return scale, out
+        common = 1 if least and s == 1 else gcd(unit, *row)
+        reduced.append((unit // common, [c // common for c in row] if common != 1 else row))
+    return _common_ints(reduced)
 
 
 def _width_floor(rows: Sequence[tuple], s: int) -> int:
@@ -313,20 +309,20 @@ def _width_floor(rows: Sequence[tuple], s: int) -> int:
     A row's own least denominator is a multiple of unit / gcd(unit, c s^j)
     for any of its entries c at index j, and of unit / gcd(unit, c, c') for
     two of them (this takes the first entry, or with s = 1 the last and the
-    first non-zero ones), and is the unit itself for a triple (unit, ints,
-    True) when s = 1, so the lcm of those divides L.  At i = 0 and at the last index,
+    first non-zero ones), and is the unit itself for a least row when
+    s = 1, so the lcm of those divides L.  At i = 0 and at the last index,
     N_i = D_i A B is an int, and where it is not 0, log2 |t_i| > bits(N_i)
     - 1 + bits(L) - 1 + i (bits(s) - 1) - bits(A) - bits(B)."""
     floor = 1
-    for unit, row, *least in rows:
-        if least == [True] and s == 1:
+    for unit, row, least in rows:
+        if least and s == 1:
             floor = lcm(floor, unit)
         elif s == 1:
             last = next((c for c in reversed(row) if c), 0)  # fewest factors in common first
             floor = lcm(floor, unit // gcd(gcd(unit, last), next((c for c in row if c), 0)))
         else:
             floor = lcm(floor, unit // gcd(unit, row[0] if row else 0))
-    (b_unit, b_row, *_), (a_unit, a_row, *_) = rows
+    (b_unit, b_row, _), (a_unit, a_row, _) = rows
     last = max(len(a_row), len(b_row)) - 1
     bits = 0
     for i, stop in ((0, 1), (last, None)):

@@ -1,10 +1,11 @@
 """Exact finite discrete measures on the rationals.
 
-Positions, weights and everything derived from them are
-`fractions.Fraction` values; no operation in this package touches floating
-point, so equality and order comparisons are always exact.  All types are
-immutable values and all operations are pure functions, safe to share
-between threads without synchronisation.
+A measure holds its positions and weights as int rows over their least
+common denominators, and every kernel of this package runs on such ints;
+Fractions are built for a view, a result or a witness.  No float ever
+decides a verdict, so equality and order comparisons are always exact.  All
+types are immutable values and all operations are pure functions, safe to
+share between threads without synchronisation.
 """
 
 from __future__ import annotations
@@ -339,12 +340,8 @@ def _scaled_ints(values) -> tuple[int, list[int]]:
     """(scale, [v * scale for v in values]) with scale the least common
     denominator of ``values``: exact rationals as ints in units of 1/scale,
     so a kernel can multiply and add on ints and build one Fraction per
-    output.  Each distinct denominator costs one lcm step and one division,
-    however often it repeats."""
-    denominators = {v.denominator for v in values}
-    scale = lcm(*denominators)
-    factors = {d: scale // d for d in denominators}
-    return scale, [v.numerator * factors[v.denominator] for v in values]
+    output; ``_common_ints`` of the one-entry rows of the values."""
+    return _common_ints([(v.denominator, (v.numerator,)) for v in values])
 
 
 def _check_work(count: int, ints, budget: int, message, min_count=0, min_bits=0):

@@ -47,6 +47,7 @@ from .measures import (
     _common_ints,
     _frozen,
     _product_row,
+    _scaled_ints,
     as_rational,
     format_rational,
 )
@@ -103,15 +104,20 @@ class PiecewiseLinear:
     outside them.  ``values[i]`` is the value at ``breakpoints[i]``; the
     first and last values are 0 so the function is globally continuous.
 
-    A profile built on ints (``_of_ints``, as rasa_criterion builds it)
-    holds sums[i] / scale and values[i] / den and builds its two fields on
-    first read; ``minimum`` reads the ints."""
+    Every profile holds one int form, breakpoints sums[i] / scale and values
+    values[i] / den over common denominators: a profile built from
+    Fractions puts its fields on ints once, and one built on ints
+    (``_of_ints``, as rasa_criterion builds it) makes its two fields on
+    first read.  ``minimum`` and ``is_zero`` read the ints."""
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        _check_profile(self.breakpoints, self.values)
+        scale, sums = _scaled_ints(self.breakpoints)
+        den, values = _scaled_ints(self.values)
+        _check_profile(sums, values)
+        self.__dict__["_ints"] = scale, sums, den, values
 
     @classmethod
     def _of_ints(cls, scale: int, sums: list[int], den: int, values: list[int]):
@@ -134,7 +140,7 @@ class PiecewiseLinear:
 
     @property
     def is_zero(self) -> bool:
-        return not self.breakpoints
+        return not self._ints[1]
 
     def value(self, x) -> Fraction:
         x = as_rational(x)
@@ -150,20 +156,11 @@ class PiecewiseLinear:
         """(argmin, min) over breakpoints -- which is the global minimum,
         since the function is affine in between and 0 outside.  Ties go to
         the smallest argmin; the zero profile reports (0, 0)."""
-        ints = self.__dict__.get("_ints")
-        if ints is not None:
-            scale, sums, den, values = ints
-            if not sums:
-                return Fraction(0), Fraction(0)
-            low = min(values)
-            return Fraction(sums[values.index(low)], scale), Fraction(low, den)
-        if not self.breakpoints:
+        scale, sums, den, values = self._ints
+        if not sums:
             return Fraction(0), Fraction(0)
-        best_x, best_v = self.breakpoints[0], self.values[0]
-        for x, v in zip(self.breakpoints, self.values):
-            if v < best_v:
-                best_x, best_v = x, v
-        return best_x, best_v
+        low = min(values)
+        return Fraction(sums[values.index(low)], scale), Fraction(low, den)
 
 
 def _check_profile(breakpoints, values):
@@ -318,8 +315,8 @@ def leq_st(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
 
 
 def _ramp_sums(points, weights) -> list:
-    """sum_j weights[j] * (x - points[j])+ at every x in ``points``, which
-    must be strictly increasing; exact on ints or Fractions.
+    """sum_j weights[j] * (x - points[j])+ at every x in ``points``, for int
+    points, strictly increasing, and int weights.
 
     Between consecutive points the sum is affine, with slope the total
     weight of the points already passed, so one sweep gives every value.
@@ -481,10 +478,10 @@ def rasa_criterion(
 
     Builds no intermediate measure or step function: the jumps of H are
     read from the int forms of the pair (``_jump_row``), and the signed
-    square, the ramp sweep and the argmin run on ints.  The returned profile
-    is built on those ints and makes its Fractions only when they are read;
-    the witness is two Fractions.  Of rasa_direct's code it shares only the
-    measures' int form, ``_ramp_sums`` and the work budget.
+    square and the ramp sweep run on ints.  The returned profile is built
+    on those ints and makes its Fractions only when they are read; the
+    witness is its minimum, two Fractions.  Of rasa_direct's code it shares
+    only the measures' int form, ``_ramp_sums`` and the work budget.
     """
     scale, bs, unit, ds = _jump_row(mu, nu)
     mass = sum(ds)
@@ -493,12 +490,10 @@ def rasa_criterion(
     scale, unit, kinks = _signed_square(scale, bs, unit, ds)
     sums = sorted(kinks)
     values = _ramp_sums(sums, [kinks[s] for s in sums])
-    den = scale * unit
-    profile = PiecewiseLinear._of_ints(scale, sums, den, values)
-    low = min(values, default=0)
+    profile = PiecewiseLinear._of_ints(scale, sums, scale * unit, values)
+    where, low = profile.minimum()
     if low < 0:
-        where = Fraction(sums[values.index(low)], scale)
-        return OrderVerdict(False, Witness("profile", where, Fraction(low, den))), profile
+        return OrderVerdict(False, Witness("profile", where, low)), profile
     return OrderVerdict(True), profile
 
 

@@ -232,8 +232,9 @@ def poly_eval_measures(
     """Evaluate a non-negative polynomial on measures by convolution.
 
     Runs on ints (``_eval_ints``): positions in units of their least
-    common denominator, the weights of every measure in units of one common
-    denominator, and one Fraction pair built per output atom.  Raises
+    common denominator and the weights of every measure in units of one
+    common denominator; one gcd over each output row makes the result's
+    int form least, and no Fraction is built.  Raises
     ArityMismatch for the wrong number of measures, NotNonneg for a
     negative coefficient, and BadParameter, before any power is built, when
     a term's span exceeds MAX_POLY_SPAN or the evaluation's work exceeds
@@ -244,9 +245,11 @@ def poly_eval_measures(
     pos_scale, weight_scale, powers = _measure_powers(measures, max(degrees, default=0), used,
                                                       len(degrees) <= 1)
     unit, row = _eval_ints(poly, powers, weight_scale, budget_work=True)
-    return DiscreteMeasure(
-        tuple((Fraction(s, pos_scale), Fraction(w, unit)) for s, w in sorted(row.items()))
-    )
+    xs = sorted(row)
+    ws = [row[x] for x in xs]
+    common, own = gcd(pos_scale, *xs), gcd(unit, *ws)
+    return DiscreteMeasure._of_ints(pos_scale // common, tuple(x // common for x in xs),
+                                    unit // own, tuple(w // own for w in ws))
 
 
 def _measure_powers(

@@ -181,6 +181,19 @@ def int_form_oracle(mu: DiscreteMeasure) -> tuple:
     return scale, tuple(xs), unit, tuple(ws)
 
 
+def profile_minimum_oracle(profile) -> tuple[Fraction, Fraction]:
+    """The former Fraction body of orders.PiecewiseLinear.minimum, kept as
+    its oracle: the first breakpoint of least value, and (0, 0) for the
+    zero profile."""
+    if not profile.breakpoints:
+        return Fraction(0), Fraction(0)
+    best_x, best_v = profile.breakpoints[0], profile.values[0]
+    for x, v in zip(profile.breakpoints, profile.values):
+        if v < best_v:
+            best_x, best_v = x, v
+    return best_x, best_v
+
+
 def signed_square_oracle(scale, bs, unit, ds):
     """The signed square of orders._signed_square as the full square, every
     ordered pair (i, j) through measures._product_row, kept as its oracle."""
@@ -338,7 +351,7 @@ def gavrea_p4_oracle(n: int, x: Fraction, y: Fraction, phi: ConvexTestFn, eps: F
     unit = math.lcm(fam_x.unit, fam_y.unit)
     fx, fy = unit // fam_x.unit, unit // fam_y.unit
     rows = itertools.zip_longest(fam_x.ints, fam_y.ints, fillvalue=0)
-    scale, d = _scaled_rows([(unit, [a * fx - b * fy for a, b in rows])])
+    scale, d = _scaled_rows([(unit, [a * fx - b * fy for a, b in rows], False)])
     phi_scale, ps = _scaled_ints([phi(Fraction(s, 2 * n + s)) for s in range(2 * len(d) - 1)])
     boxed = Fraction(_self_form(d, ps), scale * scale * phi_scale)
     sigma = Fraction(sum(map(abs, d)), scale)

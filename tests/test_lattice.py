@@ -284,9 +284,10 @@ def test_square_takes_the_recurrence_exactly_when_its_order_fits(monkeypatch):
 def test_power_scaled_ints_match_the_fraction_route(rows, s, factor):
     # one least common denominator for every c s^k, so the squared row, its
     # width under MAX_SQUARE_WORK and every output stay as before; the
-    # kernel reads each row as the (unit, ints) pair a LatticeSeq stores,
-    # on a unit that need not be the least (a truncation keeps its own)
-    int_rows = [(unit * factor, [c * factor for c in ints]) for unit, ints in map(_scaled_ints, rows)]
+    # kernel reads each row as the (unit, ints) a LatticeSeq stores, on a
+    # unit that need not be the least (a truncation keeps its own)
+    int_rows = [(unit * factor, [c * factor for c in ints], False)
+                for unit, ints in map(_scaled_ints, rows)]
     assert lattice._scaled_rows(int_rows, s) == helpers.power_scaled_ints_oracle(rows, s)
 
 
@@ -674,7 +675,7 @@ def test_width_floor_bounds_the_checked_width(a, b, s, factor):
     # the floor is at most the bits of the widest int the exact check sees,
     # on any unit, least (a triple marked True) or not
     known = [(*_scaled_ints(row), True) for row in (b, a)]
-    wide = [(unit * factor, [c * factor for c in ints]) for unit, ints, _ in known]
+    wide = [(unit * factor, [c * factor for c in ints], False) for unit, ints, _ in known]
     for rows in (wide, known):
         scale, ints = lattice._scaled_rows(rows, s)
         assert (scale, ints) == helpers.power_scaled_ints_oracle([b, a], s)

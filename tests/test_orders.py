@@ -810,12 +810,17 @@ def _int_profiles(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_int_profiles(), st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=8), max_size=4))
+@example((4, [-4, 2, 8, 9], 3, [0, -1, -1, 0]), [])  # a tied negative minimum: the first argmin
+@example((3, [0, 1, 2, 3], 42, [0, -35, 6, 0]), [])
+@example((1, [0, 1, 2], 2, [0, 1, 0]), [])  # the minimum 0, tied at both ends
+@example((1, [], 1, []), [])  # the zero profile
 def test_int_backed_profile_equals_the_eager_one(profile, points):
     scale, sums, den, values = profile
     lazy = orders.PiecewiseLinear._of_ints(scale, sums, den, values)
     eager = orders.PiecewiseLinear(tuple(Fraction(s, scale) for s in sums),
                                    tuple(Fraction(v, den) for v in values))
-    assert lazy.minimum() == eager.minimum()  # on the ints, before any field is built
+    # on the ints, before any field is built
+    assert lazy.minimum() == eager.minimum() == helpers.profile_minimum_oracle(eager)
     assert "breakpoints" not in lazy.__dict__
     assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
     assert repr(lazy) == repr(eager)

@@ -731,6 +731,32 @@ def test_a_grid_step_respects_every_offset_of_the_polynomial():
         )
 
 
+
+# eight atoms at odd halves: a sum of an even number of them is an int
+_HALVES = make_measure([(Fraction(2 * k + 1, 2), Fraction(k + 1, 36)) for k in range(8)])
+
+
+@pytest.mark.parametrize("poly, measures, rows", [
+    (MVPolynomial.zero(2), [_LATTICE, dirac(1)], "_DictPowers"),  # no term: empty row
+    (MVPolynomial.monomial(2, (2, 1)), [_HALVES, make_measure([])], "_DictPowers"),  # empty row
+    (MVPolynomial.monomial(1, (2,), 3), [_HALVES], "_DictPowers"),
+    (MVPolynomial.from_dict(2, {(3, 0): 1, (1, 1): H}), [_HALVES, dirac(Fraction(-3, 2))],
+     "_DictPowers"),
+    (MVPolynomial.monomial(1, (6,), Fraction(1, 3)), [_HALVES], "_PackedPowers"),
+    (MVPolynomial.from_dict(2, {(4, 2): 1, (0, 1): Fraction(1, 3)}), [_LATTICE, _LATTICE],
+     "_PackedPowers"),
+])
+def test_poly_eval_returns_its_least_int_form(monkeypatch, poly, measures, rows):
+    # the result is built on its int row, reduced to its least form, and
+    # builds no Fraction view until one is read
+    other = {"_DictPowers": "_PackedPowers", "_PackedPowers": "_DictPowers"}[rows]
+    monkeypatch.setattr(polynomials, other, helpers.refuse(other))
+    result = poly_eval_measures(poly, measures)
+    assert "atoms" not in result.__dict__
+    oracle = helpers.poly_eval_measures_oracle(poly, measures)
+    assert result._int_form() == oracle._int_form()  # the oracle's form is least
+    assert result == oracle
+
 # -- the chain budget ------------------------------------------------------------
 
 

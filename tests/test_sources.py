@@ -53,7 +53,7 @@ def _atoms_readers(tree):
     return readers
 
 
-@pytest.mark.parametrize("name", ["orders", "lattice", "polynomials"])
+@pytest.mark.parametrize("name", ["orders", "lattice", "polynomials", "bernstein"])
 def test_no_kernel_reads_the_fraction_atoms_of_a_measure(name):
     # the kernels read a measure's int form (DiscreteMeasure._int_form); only
     # the literal integral of a test function sums over the Fraction atoms
