@@ -10,8 +10,10 @@ hunts for sign violations, it does not decide function classes.
 The gaps and scanners run on ints.  The basis row of a point a/q is the
 int row C(n,i) a^i (q-a)^(n-i) over q^n (a scan's points share one q); phi
 is tabulated at s/den on one int unit by ConvexTestFn._tabulate, a surface
-by _surface_ints.  Every gap sums those ints and builds one Fraction per
-value it returns.
+by _surface_ints.  A gap sums those ints and builds one Fraction per value
+it returns, but for two: eq6prim_gap keeps each point on its own
+denominator and adds one Fraction per block, and gavrea_p4_sum builds its
+box, sigma, tau and slack as Fractions.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import BadParameter, Inconclusive, ModeArity
 from .lattice import DEFAULT_EPS, _check_square, _int_product, _scaled_rows, truncate_negbinomial
 from .measures import (
     DiscreteMeasure,
+    _common_ints,
     _frozen,
     _pack,
     _scaled_ints,
@@ -246,12 +249,12 @@ def _ridge(coeff, phi: ConvexTestFn, weights: Sequence, arity: int | None = None
     return BivariateFn(zero, ((c, phi, w),), convex, supermod)
 
 
-def absdiff_surface(coeff=1, arity: int = 2, i: int = 0, j: int = 1) -> BivariateFn:
-    """c * |u_i - u_j| = c * (2 (u_i - u_j)_+ - (u_i - u_j)): convex for
-    c >= 0 (and famously not supermodular)."""
-    w = [0] * arity
-    w[i] += 1
-    w[j] -= 1
+def absdiff_surface(coeff=1, arity: int = 2) -> BivariateFn:
+    """c * |u_1 - u_2| = c * (2 (u_1 - u_2)_+ - (u_1 - u_2)) at arity >= 2
+    (else ModeArity): convex for c >= 0 (and famously not supermodular)."""
+    if arity < 2:
+        raise ModeArity(f"absdiff needs arity >= 2, got {arity}")
+    w = [1, -1] + [0] * (arity - 2)
     return _ridge(coeff, ConvexTestFn(slope=-1, hinges=((0, 2),)), w)
 
 
@@ -585,10 +588,9 @@ def gavrea_p4_sum(n: int, x, y, phi: ConvexTestFn, eps=DEFAULT_EPS) -> IntervalV
         # identical families: every bracket term vanishes identically
         return IntervalValue(Fraction(0), Fraction(0))
     fam_y = truncate_negbinomial(n, y, eps)
-    unit = lcm(fam_x.unit, fam_y.unit)
-    fx, fy = unit // fam_x.unit, unit // fam_y.unit
-    rows = itertools.zip_longest(fam_x.ints, fam_y.ints, fillvalue=0)
-    scale, d = _scaled_rows([(unit, [a * fx - b * fy for a, b in rows], False)])
+    unit, ints = _common_ints([(fam_x.unit, fam_x.ints), (fam_y.unit, fam_y.ints)])
+    rows = itertools.zip_longest(ints[: len(fam_x.ints)], ints[len(fam_x.ints) :], fillvalue=0)
+    scale, d = _scaled_rows([(unit, [a - b for a, b in rows], False)])
     _check_square(len(d) ** 2, d)
     bound = phi.bound_on_unit_interval()
     grid = range(2 * len(d) - 1)

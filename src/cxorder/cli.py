@@ -15,7 +15,7 @@ convex test function (``--phi``):
     sum(expr, expr, ...)
 
 multivariate surface (``--g``):
-    absdiff c           c*|u1 - u2|
+    absdiff c           c*|u1 - u2|     (arity >= 2)
     term c e1,e2,...    c * u1^e1 u2^e2 ...
     hinge2 c a1,a2,... A    c*max(a1*u1 + a2*u2 + ... - A, 0)
     mid(<phi> ; w1,w2,...)  phi(w1*u1 + w2*u2 + ...)

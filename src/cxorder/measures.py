@@ -284,8 +284,7 @@ def _measure_of_ints(atoms, check=None) -> DiscreteMeasure:
     lowest terms by one gcd of its own two ints, so the lcm of the
     denominators is least; ``check(what, denominator)``, when given, sees
     the common denominator of the "positions" and then of the "weights" at
-    each lcm step.  On those the positions merge and sort as ints; only a
-    merge, or a position dropped, takes a gcd over a whole row."""
+    each lcm step.  On those ``_least_form`` merges the atoms as ints."""
     for xn, xd, wn, wd in atoms:
         if wn < 0:
             raise NegativeWeight(
@@ -296,15 +295,29 @@ def _measure_of_ints(atoms, check=None) -> DiscreteMeasure:
                              check and partial(check, "positions"))
     unit, ws = _common_ints([_lowest(wn, wd) for _, _, wn, wd in atoms],
                             check and partial(check, "weights"))
+    return DiscreteMeasure._of_ints(*_least_form(scale, xs, unit, ws))
+
+
+def _least_form(scale: int, xs, unit: int, ws, least: bool = True):
+    """(scale, xs, unit, ws), tuples of ints, of the entries xs[i]/scale and
+    ws[i]/unit merged as ``make_measure`` merges atoms (weights at equal
+    positions summed, zero weights dropped, positions sorted), each row on
+    its least denominator.  Rows given on least units (``least``) take a gcd
+    only where they may lose it, the positions after a drop and the weights
+    after a sum; other rows always take one (Knuth, TAOCP vol. 2, 4.5.1)."""
     merged: dict[int, int] = {}
     for x, w in zip(xs, ws):
         merged[x] = merged[x] + w if x in merged else w
+    summed = len(merged) < len(xs)
     xs = sorted(x for x, w in merged.items() if w)
     ws = [merged[x] for x in xs]
-    common = gcd(scale, *xs) if len(xs) < len(merged) else 1  # a position dropped
-    own = gcd(unit, *ws) if len(merged) < len(atoms) else 1  # weights summed
-    return DiscreteMeasure._of_ints(scale // common, tuple(x // common for x in xs),
-                                    unit // own, tuple(w // own for w in ws))
+    if not least or len(xs) < len(merged):  # a position dropped
+        common = gcd(scale, *xs)
+        scale, xs = scale // common, [x // common for x in xs]
+    if not least or summed:
+        common = gcd(unit, *ws)
+        unit, ws = unit // common, [w // common for w in ws]
+    return scale, tuple(xs), unit, tuple(ws)
 
 
 def _lowest(n: int, d: int) -> tuple[int, tuple[int]]:

@@ -29,7 +29,8 @@ from the int forms of the pair and squares them on ints over i <= j
 leq_cx.  The two share only the measures' int form
 (``DiscreteMeasure._int_form``, which the tests check against the Fraction
 reader of measure files), ``_ramp_sums`` and the work budget, so each can
-certify the other.
+certify the other.  ``_jump_row`` merges the jumps with the kernel that
+merges a file's atoms into its int form, ``measures._least_form``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from .errors import MassMismatch, NonConvexTestFn
@@ -46,6 +47,7 @@ from .measures import (
     _check_work,
     _common_ints,
     _frozen,
+    _least_form,
     _product_row,
     _scaled_ints,
     as_rational,
@@ -413,28 +415,13 @@ def _jump_row(mu: DiscreteMeasure, nu: DiscreteMeasure):
     their least common denominator scale and the jumps ds over theirs, unit.
     Both are read from the measures' int forms on the lcm of their
     denominators, which is least for the union of the two supports and for
-    the weights of both: so where the measures share no position, no gcd is
-    taken.  Where they share one, a jump may cancel or lose a factor, and
-    one gcd over each row makes its denominator least again."""
+    the weights of mu and -nu, and merged by ``measures._least_form``: a
+    jump summed at a shared position may lose a factor, and one that
+    cancels drops its position."""
     (s1, x1, u1, w1), (s2, x2, u2, w2) = mu._int_form(), nu._int_form()
     scale, xs = _common_ints([(s1, x1), (s2, x2)])
     unit, ws = _common_ints([(u1, w1), (u2, [-w for w in w2])])
-    n = len(x1)
-    net = dict(zip(xs[:n], ws[:n]))
-    shared = False
-    for x, d in zip(xs[n:], ws[n:]):
-        if x in net:
-            shared = True
-            net[x] += d
-        else:
-            net[x] = d
-    bs = sorted(x for x, d in net.items() if d)
-    ds = [net[x] for x in bs]
-    if shared:
-        common, own = gcd(scale, *bs), gcd(unit, *ds)
-        scale, bs = scale // common, [b // common for b in bs]
-        unit, ds = unit // own, [d // own for d in ds]
-    return scale, bs, unit, ds
+    return _least_form(scale, xs, unit, ws)
 
 
 def _signed_square(scale: int, bs: list[int], unit: int, ds: list[int]):

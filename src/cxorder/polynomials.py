@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, prod
 
 from .errors import (
     ArityMismatch,
@@ -37,6 +37,7 @@ from .measures import (
     DiscreteMeasure,
     _common_ints,
     _frozen,
+    _least_form,
     _pack,
     _product_row,
     _repack,
@@ -233,23 +234,19 @@ def poly_eval_measures(
 
     Runs on ints (``_eval_ints``): positions in units of their least
     common denominator and the weights of every measure in units of one
-    common denominator; one gcd over each output row makes the result's
-    int form least, and no Fraction is built.  Raises
-    ArityMismatch for the wrong number of measures, NotNonneg for a
-    negative coefficient, and BadParameter, before any power is built, when
-    a term's span exceeds MAX_POLY_SPAN or the evaluation's work exceeds
-    MAX_POLY_WORK.
+    common denominator; ``measures._least_form`` takes one gcd over each
+    output row, which makes the result's int form least, and no Fraction
+    is built.  Raises ArityMismatch for the wrong number of measures,
+    NotNonneg for a negative coefficient, and BadParameter, before any
+    power is built, when a term's span exceeds MAX_POLY_SPAN or the
+    evaluation's work exceeds MAX_POLY_WORK.
     """
     degrees = {sum(exps) for exps, _ in poly.terms}
     used = [any(column) for column in zip(*(exps for exps, _ in poly.terms))]
     pos_scale, weight_scale, powers = _measure_powers(measures, max(degrees, default=0), used,
                                                       len(degrees) <= 1)
     unit, row = _eval_ints(poly, powers, weight_scale, budget_work=True)
-    xs = sorted(row)
-    ws = [row[x] for x in xs]
-    common, own = gcd(pos_scale, *xs), gcd(unit, *ws)
-    return DiscreteMeasure._of_ints(pos_scale // common, tuple(x // common for x in xs),
-                                    unit // own, tuple(w // own for w in ws))
+    return DiscreteMeasure._of_ints(*_least_form(pos_scale, row, unit, row.values(), least=False))
 
 
 def _measure_powers(
@@ -668,9 +665,9 @@ def muirhead_cx_check(
     Runs on ints end to end: the measures are scaled once and their
     convolution powers shared by every W^t of the chain, and consecutive
     rows are compared by leq_cx's kernel ``_cx_ints`` on the lcm of their
-    two units, only the previous row being kept.  Raises BadParameter,
-    before the pairwise profiles and before any power, when the chain's
-    work exceeds MAX_CHAIN_WORK.
+    two units (``measures._common_ints``), only the previous row being
+    kept.  Raises BadParameter, before the pairwise profiles and before
+    any power, when the chain's work exceeds MAX_CHAIN_WORK.
     """
     if not majorizes(p, q):
         raise NotMajorized(f"{tuple(p)} is not majorized by {tuple(q)}")
@@ -688,11 +685,10 @@ def muirhead_cx_check(
         unit, row = _eval_ints(w_polynomial(t), powers, weight_scale)
         if previous is not None:
             lower, lower_unit, lower_row = previous
-            common = lcm(lower_unit, unit)
-            up, down = common // unit, common // lower_unit
-            net = {s: w * up for s, w in row.items()}
-            for s, w in lower_row.items():
-                net[s] = net.get(s, 0) - w * down
+            common, ws = _common_ints([(unit, row.values()), (lower_unit, lower_row.values())])
+            net = dict(zip(row, ws))
+            for s, w in zip(lower_row, ws[len(row):]):
+                net[s] = net.get(s, 0) - w
             witness = _cx_ints(net, pos_scale, common)
             if witness is not None:
                 point = (lower, t, witness.point)

@@ -201,6 +201,23 @@ def signed_square_oracle(scale, bs, unit, ds):
     return scale, unit * unit, _product_row(row, row)
 
 
+def jump_row_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple:
+    """orders._jump_row from the jumps of H = F_mu - F_nu, literally: H
+    re-summed from the Fraction atoms at every position of the union of
+    supports, a breakpoint wherever it moves, and each row of positions and
+    jumps over the least common denominator of its values."""
+    breakpoints, jumps, level = [], [], Fraction(0)
+    for x in sorted(set(mu.positions()) | set(nu.positions())):
+        jump = mu.cdf(x) - nu.cdf(x) - level
+        if jump:
+            breakpoints.append(x)
+            jumps.append(jump)
+            level += jump
+    scale, bs = scaled_ints_oracle(breakpoints)
+    unit, ds = scaled_ints_oracle(jumps)
+    return scale, tuple(bs), unit, tuple(ds)
+
+
 def hinge_integral_brute(mu: DiscreteMeasure, threshold) -> Fraction:
     """Independent oracle: literal sum of max(x - A, 0) * w over atoms."""
     total = Fraction(0)

@@ -649,6 +649,20 @@ def test_p4_box_takes_the_bits_budget(monkeypatch):
         gavrea_p4_sum(34, x, y, quad_fn(1))
 
 
+@pytest.mark.parametrize("arity", [-1, 0, 1])
+def test_absdiff_surface_refuses_an_arity_below_two(arity):
+    with pytest.raises(ModeArity, match=f"^absdiff needs arity >= 2, got {arity}$"):
+        absdiff_surface(1, arity)
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_absdiff_surface_is_the_distance_of_the_first_two_coordinates(arity):
+    g = absdiff_surface(Q, arity)
+    assert g.arity == arity
+    for point in itertools.product([0, Q, 1], repeat=arity):
+        assert g(point) == helpers.surface_oracle(point, absdiff_terms=[(Q, 0, 1)])
+
+
 def test_surface_certificates():
     # construction-level certificates follow the closure rules
     assert absdiff_surface(1).convex_cert == "construction"
@@ -688,6 +702,14 @@ small = st.fractions(min_value=-2, max_value=2, max_denominator=4)
 unit_points = st.sampled_from([Fraction(k, 6) for k in range(7)] + [Q, Fraction(3, 4)])
 
 
+def _absdiff(c, arity, i, j):
+    """c * |u_i - u_j| for any two coordinates i != j: the ridge of
+    absdiff_surface, which takes u_1 and u_2."""
+    w = [0] * arity
+    w[i], w[j] = 1, -1
+    return bernstein._ridge(c, ConvexTestFn(slope=-1, hinges=((0, 2),)), w)
+
+
 @st.composite
 def surfaces(draw, arity=2, supermodular=False):
     """Sums of random polynomial, hinge and absolute-difference terms.  With
@@ -707,7 +729,7 @@ def surfaces(draw, arity=2, supermodular=False):
             g = g + hinge_surface(draw(sign), draw(alphas), draw(small), arity)
         elif kind == "absdiff" and arity >= 2:
             i, j = draw(st.permutations(range(arity)))[:2]
-            g = g + absdiff_surface(draw(small), arity, i, j)
+            g = g + _absdiff(draw(small), arity, i, j)
         else:
             exps = [0] * arity
             exps[draw(st.integers(0, arity - 1))] = 1
@@ -749,7 +771,7 @@ def surface_sums(draw):
             supermod = supermod and c >= 0 and all(t >= 0 for t in alphas)
         elif kind == "absdiff" and arity >= 2:
             i, j = draw(st.permutations(range(arity)))[:2]
-            pieces.append(absdiff_surface(c, arity, i, j))
+            pieces.append(_absdiff(c, arity, i, j))
             terms["absdiff_terms"].append((c, i, j))
             convex, supermod = convex and c >= 0, False
         else:
@@ -871,7 +893,7 @@ def operator_inputs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(operator_inputs())
-@example((hinge_surface(-1, (1, Fraction(-1, 2), 2), Fraction(1, 3)) + absdiff_surface(1, 3, 2, 0),
+@example((hinge_surface(-1, (1, Fraction(-1, 2), 2), Fraction(1, 3)) + _absdiff(1, 3, 2, 0),
           [2, 1, 3], [Fraction(1, 3), Fraction(2, 5), Fraction(6, 7)]))
 def test_tensor_bernstein_matches_literal_sum(inputs):
     g, ns, xs = inputs

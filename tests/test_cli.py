@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, witnesses, grammars, reproductions."""
 
 import atexit
+import contextlib
 import errno
 import gc
 import io
@@ -392,6 +393,9 @@ def test_unknown_reproduce_case_lists_the_cases_in_order():
          "error: the following arguments are required: --x"),
         (["rasa", "equivalence", "--trials", "x"], "1/0",
          "error: argument --trials: invalid int value: 'x'"),
+        (["genfun", "check", "--family", "poisson:1", "--csv=1"], None,
+         "error: argument --csv: ignored explicit argument '1'"),
+        (["rasa", "--help=x"], None, "error: argument -h/--help: ignored explicit argument 'x'"),
     ],
 )
 def test_parse_stage_errors_keep_their_line(argv, env, line, monkeypatch):
@@ -1005,10 +1009,15 @@ _JUNK = ["--bogus", "extra", "-x", "--bogus=1", "-1"]
 
 def _option_tokens(draw, option, kind):
     """One use of ``option``: its name, or a prefix of it, with its value
-    after it, after "=", or missing."""
+    after it, after "=", or missing; a flag alone or with "=value"; now and
+    then -h/--help in its place, alone or with "=value"."""
+    if not draw(st.integers(0, 19)):
+        return [draw(st.sampled_from(["-h", "--help", "--he", "-h=x", "--help=1", "--help="]))]
     name = option[: draw(st.integers(3, len(option)))] if draw(st.booleans()) else option
     if kind == "flag":
-        return [name]
+        if draw(st.integers(0, 3)):
+            return [name]
+        return [f"{name}={draw(st.sampled_from(['1', 'x', '']))}"]
     values = list(kind) + ["nope"] if isinstance(kind, tuple) else _VALUES[kind]
     value = draw(st.sampled_from(values))
     form = draw(st.sampled_from(["apart"] * 6 + ["equals"] * 3 + ["missing"]))
@@ -1047,10 +1056,19 @@ def _argvs(draw):
 
 
 def _outcome(parse, argv):
+    """What parsing argv gives: a namespace, an error line, or for a help
+    text (cli's _Help, or argparse's exit after printing one) the level it
+    is the usage of, the words before its "[-h]"."""
+    printed = io.StringIO()
     try:
-        return "namespace", vars(parse(argv))
+        with contextlib.redirect_stdout(printed):
+            return "namespace", vars(parse(argv))
     except ParseError as exc:
         return "error", str(exc)
+    except cli._Help as exc:
+        return "help", str(exc).partition(" [-h]")[0]
+    except SystemExit:
+        return "help", printed.getvalue().partition(" [-h]")[0]
 
 
 @settings(max_examples=400, deadline=None)
@@ -1226,10 +1244,45 @@ _POLY_EXPR = ["poly", "eval", "--measure", "binomial:1,1/2", "--measure", "binom
         (["genfun", "check", "--mu", "binomial:1,1/2", "--nu", "binomial:1,1/2",
           "--family", "negbinomial:1,1/2"], "genfun check needs exactly two sequences (files or families)"),
         (["genfun", "check"], "genfun check needs exactly two sequences (files or families)"),
+        (["genfun", "check", "--family", "poisson:0"],
+         "BadParameter: Poisson parameter 0 must be positive"),
+        (["genfun", "check", "--family", "poisson:1", "--eps", "0"],
+         "BadParameter: eps=0 must be positive"),
+        (["bernstein", "rasa-scan", "--n", "1", "--phi", "quad 1", "--step", "0"],
+         "BadParameter: grid step 0 must lie in (0, 1]"),
+        (["bernstein", "supermod", "--g", "absdiff 1", "--step", "2"],
+         "BadParameter: grid step 2 must lie in (0, 1]"),
+        (["bernstein", "eq6", "--ns", "1,2", "--points", "1/2", "--phi", "quad 1"],
+         "ModeArity: 2 degrees vs 1 coordinates; need >= 1 block"),
+        (["bernstein", "gav", "--mode", "P3", "--g", "absdiff 1", "--ns", "1", "--points", "1/2"],
+         "ModeArity: absdiff needs arity >= 2, got 1"),
+        (["bernstein", "gav-scan", "--mode", "P3p", "--g", "absdiff 1", "--ns", "2",
+          "--step", "1/2"],
+         "ModeArity: absdiff needs arity >= 2, got 1"),
     ],
 )
 def test_input_errors_exit_2_with_one_line(argv, message):
     assert run(argv) == (2, f"error: {message}\n")
+
+
+def _surface_atoms(k):
+    """One --g text of each surface atom, and a sum, with lists of k entries."""
+    ones, halves = ",".join(["1"] * k), ",".join(["1/2"] * k)
+    return ["absdiff 1", f"term 1 {ones}", f"hinge2 1 {ones} 1/2", f"mid(quad 1; {halves})",
+            f"sum(absdiff 1; term 1 {ones})"]
+
+
+@pytest.mark.parametrize("mode", ["P1", "P1p", "P3", "P3p"])
+@pytest.mark.parametrize("action", ["gav", "gav-scan"])
+def test_every_surface_atom_at_every_small_arity_exits_without_a_traceback(action, mode):
+    # absdiff at arity 1 once ended in an IndexError with exit 1
+    for k in (1, 2, 3):
+        ns = ",".join(["1"] * k)
+        tail = ["--points", ",".join(["1/2"] * k)] if action == "gav" else ["--step", "1/2"]
+        for g in _surface_atoms(k):
+            code, text = run(["bernstein", action, "--mode", mode, "--g", g, "--ns", ns] + tail)
+            assert code in (0, 1, 2), (g, k)
+            assert code != 2 or (text.count("\n") == 1 and text.startswith("error: ")), (g, k)
 
 
 _DIRAC0 = '{"atoms": [{"x": "0", "w": "1"}]}'

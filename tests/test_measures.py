@@ -1,6 +1,7 @@
 """Measure algebra: construction, moments, the convolution kernel, and the
 CDF differences and mixtures of the test oracles."""
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -533,6 +534,20 @@ def test_mass_mean_and_scaled_read_the_int_form(mu, factor):
         assert scaled == make_measure([(x, factor * w) for x, w in mu.atoms])
         assert scaled._int_form() == helpers.int_form_oracle(scaled)
     assert "atoms" not in file_mu.__dict__  # no Fraction view was needed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 4)), max_size=8),
+       st.integers(1, 12), st.integers(1, 12))
+@example([(1, 0), (2, 1)], 2, 1)  # the position 1/2 drops: the scale falls to 1
+@example([(0, 1), (0, 1)], 1, 2)  # the weights 1/2 sum to 1: the unit falls to 1
+def test_least_form_merges_as_make_measure_does(entries, scale, unit):
+    xs, ws = [x for x, _ in entries], [w for _, w in entries]
+    expected = helpers.int_form_oracle(
+        make_measure((Fraction(x, scale), Fraction(w, unit)) for x, w in entries))
+    assert measures._least_form(scale, xs, unit, ws, least=False) == expected
+    if math.gcd(scale, *xs) == 1 and math.gcd(unit, *ws) == 1:  # rows given on least units
+        assert measures._least_form(scale, xs, unit, ws) == expected
 
 
 def test_a_measure_of_ints_builds_its_fraction_view_once_and_compares_as_a_record():

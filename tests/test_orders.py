@@ -33,6 +33,7 @@ from helpers import Step, cdf_diff, mix
 from helpers import convolve_oracle as convolve
 
 H = Fraction(1, 2)
+Q = Fraction(1, 4)
 
 
 def cross_pair():
@@ -797,6 +798,49 @@ def test_half_square_equals_the_full_square(row, scale, unit):
     square = orders._signed_square(scale, bs, unit, ds)
     assert square == helpers.signed_square_oracle(scale, bs, unit, ds)
     assert sorted(square[2]) == sorted({a + b for a in bs for b in bs})
+
+
+_atom_fractions = st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                            st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6))
+
+
+@st.composite
+def _jump_pairs(draw):
+    """(mu, nu) with shared positions: nu copies some atoms of mu (their
+    jumps cancel), puts other weights at some of its positions and adds
+    atoms of its own; each measure built from Fractions or, on ints not in
+    lowest terms, by measures._measure_of_ints."""
+    mu_atoms = draw(st.lists(_atom_fractions, max_size=6))
+    nu_atoms = []
+    for x, w in mu_atoms:
+        move = draw(st.sampled_from(["copy", "reweigh", "skip"]))
+        if move == "copy":
+            nu_atoms.append((x, w))
+        elif move == "reweigh":
+            nu_atoms.append((x, draw(_atom_fractions)[1]))
+    nu_atoms += draw(st.lists(_atom_fractions, max_size=4))
+
+    def build(atoms):
+        if draw(st.booleans()):
+            return make_measure(atoms)
+        k = draw(st.integers(1, 3))
+        return measures._measure_of_ints(
+            [(x.numerator * k, x.denominator * k, w.numerator * k, w.denominator * k)
+             for x, w in atoms]
+        )
+
+    return build(mu_atoms), build(nu_atoms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_jump_pairs())
+# first the jump at 1/2 cancels (the scale falls to 1), then jumps of -1/2 and 1/2 summed on
+# the unit 4 (the unit falls to 2)
+@example((make_measure([(H, 1), (1, H)]), make_measure([(H, 1), (1, Fraction(1, 3))])))
+@example((make_measure([(0, Q), (1, 1 - Q)]), make_measure([(0, 1 - Q), (1, Q)])))
+def test_jump_row_matches_the_literal_jumps_of_h(pair):
+    mu, nu = pair
+    assert orders._jump_row(mu, nu) == helpers.jump_row_oracle(mu, nu)
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """Source checks over src/cxorder: no module reads the environment, so a
 verdict follows from the command line and the files it names alone; only
 orders reads the parts of a convex test function; no kernel reads a
-measure's Fraction atoms; the Fraction routes that no command ran stay
+measure's Fraction atoms; an lcm outside measures is a grid's, a pole's or
+a column sum's; the Fraction routes that no command ran stay
 retired; and no module compiles a regex when it is imported."""
 
 import ast
@@ -35,22 +36,29 @@ def test_only_orders_reads_the_fields_of_a_test_function(path):
     assert [line for line in lines if _PHI_FIELDS.search(line)] == []
 
 
-def _atoms_readers(tree):
+def _functions_where(tree, hit):
     """The qualified names of the functions (the module, for code outside
-    any) whose own code reads an attribute named atoms."""
-    readers = []
+    any) with a node of their own code for which ``hit`` holds, once per
+    such node."""
+    found = []
 
     def walk(node, name):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 walk(child, f"{name}.{child.name}" if name else child.name)
             else:
-                if isinstance(child, ast.Attribute) and child.attr == "atoms":
-                    readers.append(name or "<module>")
+                if hit(child):
+                    found.append(name or "<module>")
                 walk(child, name)
 
     walk(tree, "")
-    return readers
+    return found
+
+
+def _atoms_readers(tree):
+    """The functions whose own code reads an attribute named atoms."""
+    return _functions_where(tree, lambda node: (isinstance(node, ast.Attribute)
+                                                and node.attr == "atoms"))
 
 
 @pytest.mark.parametrize("name", ["orders", "lattice", "polynomials", "bernstein"])
@@ -68,6 +76,26 @@ def test_the_atoms_check_sees_every_reader():
                      "class C:\n    def g(self, mu):\n        return lambda: mu.atoms\n"
                      "TOP = m.atoms\n")
     assert _atoms_readers(tree) == ["f", "C.g", "<module>"]
+
+
+# Outside measures, whose _common_ints puts int rows on a common
+# denominator, an lcm is taken only for a grid, the poles of a rational
+# generating function, the bound of _width_floor and the columns of _unit_sum
+_LCM_SITES = {
+    "bernstein": ["_ProductOperator.__init__", "gavrea_p4_sum"],
+    "lattice": ["_rational_square", "_width_floor", "_width_floor", "_width_floor"],
+    "orders": ["_unit_sum"],
+}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "measures.py"), ids=lambda path: path.name
+)
+def test_only_grids_poles_and_column_sums_take_an_lcm_outside_measures(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    sites = _functions_where(tree, lambda node: isinstance(node, ast.Call)
+                             and ast.unparse(node.func) in ("lcm", "math.lcm"))
+    assert sites == _LCM_SITES.get(path.stem, [])
 
 
 # The exported Fraction routes that no command ran; the tests keep literal
