@@ -1007,15 +1007,16 @@ _VALUES = {
 _JUNK = ["--bogus", "extra", "-x", "--bogus=1", "-1"]
 
 
-def _option_tokens(draw, option, kind):
+def _option_tokens(draw, option, kind, forms):
     """One use of ``option``: its name, or a prefix of it, with its value
-    after it, after "=", or missing; a flag alone or with "=value"; now and
-    then -h/--help in its place, alone or with "=value"."""
-    if not draw(st.integers(0, 19)):
+    after it, after "=", or missing.  With ``forms``, a flag also comes with
+    "=value", and now and then -h/--help takes its place, alone or with
+    "=value"."""
+    if forms and not draw(st.integers(0, 9)):
         return [draw(st.sampled_from(["-h", "--help", "--he", "-h=x", "--help=1", "--help="]))]
     name = option[: draw(st.integers(3, len(option)))] if draw(st.booleans()) else option
     if kind == "flag":
-        if draw(st.integers(0, 3)):
+        if not forms or draw(st.booleans()):
             return [name]
         return [f"{name}={draw(st.sampled_from(['1', 'x', '']))}"]
     values = list(kind) + ["nope"] if isinstance(kind, tuple) else _VALUES[kind]
@@ -1027,10 +1028,11 @@ def _option_tokens(draw, option, kind):
 
 
 @st.composite
-def _argvs(draw):
+def _argvs(draw, forms=False):
     """argv drawn from the command table: a verb and action (or a wrong
     one), each option given or not (required ones mostly given, append ones
-    repeated), in any order, spelled out, by prefix or with "=", plus junk."""
+    repeated), in any order, spelled out, by prefix or with "=", plus junk;
+    ``forms`` as for ``_option_tokens``."""
     verb = draw(st.sampled_from([*cli._COMMANDS, "nope"]))
     if verb == "nope":
         return [verb]
@@ -1047,7 +1049,7 @@ def _argvs(draw):
         uses = draw(st.integers(0, 3 if kind == "append" else 1))
         if default is cli._REQUIRED and draw(st.integers(0, 9)):
             uses = max(uses, 1)
-        groups += [_option_tokens(draw, option, kind) for _ in range(uses)]
+        groups += [_option_tokens(draw, option, kind, forms) for _ in range(uses)]
     if not draw(st.integers(0, 3)):
         groups.append([draw(st.sampled_from(_JUNK))])
     groups = draw(st.permutations(groups))
@@ -1071,6 +1073,14 @@ def _outcome(parse, argv):
         return "help", printed.getvalue().partition(" [-h]")[0]
 
 
+def _assert_parsed_as_the_oracle(argv):
+    kind, found = _outcome(cli.parse_args, argv)
+    expected = _outcome(lambda a: helpers.build_argparse_parser().parse_args(a), argv)
+    if kind == "namespace" and found.get("eps", 0) is None:
+        found["eps"] = lattice.DEFAULT_EPS  # resolved when a handler reads it
+    assert (kind, found) == expected
+
+
 @settings(max_examples=400, deadline=None)
 @given(argv=_argvs(), env=st.sampled_from([None, None, "1/1024", "abc"]))
 def test_parser_matches_the_argparse_oracle(argv, env):
@@ -1080,15 +1090,19 @@ def test_parser_matches_the_argparse_oracle(argv, env):
     if env is not None:
         os.environ["CXORDER_EPS"] = env
     try:
-        kind, found = _outcome(cli.parse_args, argv)
-        expected = _outcome(lambda a: helpers.build_argparse_parser().parse_args(a), argv)
+        _assert_parsed_as_the_oracle(argv)
     finally:
         os.environ.pop("CXORDER_EPS", None)
         if saved is not None:
             os.environ["CXORDER_EPS"] = saved
-    if kind == "namespace" and found.get("eps", 0) is None:
-        found["eps"] = lattice.DEFAULT_EPS  # resolved when a handler reads it
-    assert (kind, found) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argvs(forms=True))
+def test_help_and_flag_values_parse_as_the_argparse_oracle(argv):
+    # flag=value and -h/--help, alone or with "=value": their error lines
+    # and the usage level of a help text
+    _assert_parsed_as_the_oracle(argv)
 
 
 @pytest.mark.parametrize("argv, usage", [

@@ -1,11 +1,11 @@
 """Mutants of the int-row kernels, each run against the tests of its module.
 
-    python3 tools/mutants.py [NAME ...] [--work DIR]
+    python3 tools/mutants.py
 
 Each mutant of the table below replaces one piece of source text, found
 exactly once in its file, by a wrong one.  For each mutant in turn, one
 process at a time, the script copies src/, tests/ and pyproject.toml into a
-temporary directory (under DIR when given), applies the mutant there and runs
+temporary directory, applies the mutant there and runs
 
     python -m pytest -x -q -p no:cacheprovider TESTS
 
@@ -13,7 +13,7 @@ in the copy, TESTS the test files of the mutated module.  A failing run
 kills the mutant; a passing one lets it survive, and a survivor is a test
 that is missing.  One line per mutant says which, with the first failing
 test of a killed one, and a last line gives the kill count.  The exit code
-is 0 when every mutant named (all by default) is killed, 1 otherwise.
+is 0 when every mutant is killed, 1 otherwise.
 
 The repository itself is never written.  Only the standard library.
 """
@@ -90,11 +90,11 @@ def first_failure(output: str) -> str:
     return lines[-1] if lines else "no output"
 
 
-def run_mutant(name: str, work: Path | None = None) -> tuple[bool, str]:
+def run_mutant(name: str) -> tuple[bool, str]:
     """(killed, first failing test or the passing summary) of one mutant,
     run in a fresh copy of the sources and tests."""
     path, _, _, tests = MUTANTS[name]
-    with tempfile.TemporaryDirectory(prefix="mutant-", dir=work) as scratch:
+    with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
         copy = Path(scratch)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part,
@@ -108,25 +108,16 @@ def run_mutant(name: str, work: Path | None = None) -> tuple[bool, str]:
     return proc.returncode != 0, first_failure(proc.stdout + proc.stderr)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("names", nargs="*", metavar="NAME",
-                        help=f"mutants to run (default: all of {', '.join(MUTANTS)})")
-    parser.add_argument("--work", type=Path, default=None,
-                        help="directory for the temporary copies (default: the system's)")
-    args = parser.parse_args(argv)
-    unknown = [name for name in args.names if name not in MUTANTS]
-    if unknown:
-        parser.error(f"unknown mutant {unknown[0]!r}; choose from {', '.join(MUTANTS)}")
-    names = args.names or list(MUTANTS)
+def main() -> int:
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
     killed = 0
-    for name in names:
-        dead, detail = run_mutant(name, args.work)
+    for name in MUTANTS:
+        dead, detail = run_mutant(name)
         killed += dead
         print(f"{'killed' if dead else 'SURVIVED':8} {name}: {detail}", flush=True)
-    print(f"{killed} of {len(names)} mutants killed")
-    return 0 if killed == len(names) else 1
+    print(f"{killed} of {len(MUTANTS)} mutants killed")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
