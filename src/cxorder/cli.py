@@ -333,23 +333,29 @@ class _Printer:
     @cached_property
     def _num(self):
         """measures, bound on the first number printed: ``major compare``
-        prints none and so never loads fractions."""
+        prints none and so never loads it."""
         from . import measures
 
         return measures
 
     def rat(self, q) -> str:
-        num = self._num
-        q = num.as_rational(q)
-        text = num.format_rational(q)
+        """An int or Fraction as ``ratio`` prints it."""
+        return self.ratio(q.numerator, q.denominator)
+
+    def ratio(self, num: int, den: int) -> str:
+        """num/den, den > 0, in lowest terms, and with ``--decimal K`` its
+        K-digit rendering: the one number formatter, on ints."""
+        text = self._num._ratio_text(num, den)
         if self.decimal is not None:
-            text += f" ({self._decimal_digits(q)})"
+            text += f" ({self._decimal_digits(num, den)})"
         return text
 
-    def _decimal_digits(self, q: Fraction) -> str:
+    def _decimal_digits(self, num: int, den: int) -> str:
+        """num/den rounded half up to K digits; any positive den, in lowest
+        terms or not, gives the same digits."""
         int_text, digits = self._num._int_text, self.decimal
-        sign = "-" if q < 0 else ""
-        n, d = abs(q.numerator), q.denominator
+        sign = "-" if num < 0 else ""
+        n, d = abs(num), den
         scaled = (n * 10**digits + d // 2) // d  # round half up, integers only
         if digits == 0:
             return f"{sign}{int_text(scaled)}"
@@ -369,26 +375,31 @@ class _Printer:
 
 
 def _point_text(out: _Printer, point) -> str:
+    """The point of a witness that a kernel building Fractions reports (a
+    pair, a step, a quadruple), so the class it checks is loaded already."""
+    from fractions import Fraction
+
     if isinstance(point, tuple):
         return "(" + ",".join(_point_text(out, p) for p in point) + ")"
-    if isinstance(point, out._num.Fraction):
+    if isinstance(point, Fraction):
         return out.rat(point)
     return str(point)
 
 
 def _witness_text(out: _Printer, witness) -> str:
+    """The witness's fields as printed; its rationals are read as ints."""
     if witness is None:
         return ""
-    kind, point, gap = witness.kind, witness.point, witness.gap
+    kind, gap = witness.kind, out.ratio(*witness._ratio("gap"))
     if kind in ("profile", "hinge"):
-        return f"A={out.rat(point)} gap={out.rat(gap)}"
+        return f"A={out.ratio(*witness._ratio('point'))} gap={gap}"
     if kind == "cdf":
-        return f"x={out.rat(point)} gap={out.rat(gap)}"
+        return f"x={out.ratio(*witness._ratio('point'))} gap={gap}"
     if kind in ("mass", "mean"):
-        return f"{kind} mismatch gap={out.rat(gap)}"
+        return f"{kind} mismatch gap={gap}"
     if kind == "coefficient":
-        return f"index={point} gap={out.rat(gap)}"
-    return f"{kind}={_point_text(out, point)} gap={out.rat(gap)}"
+        return f"index={witness.point} gap={gap}"
+    return f"{kind}={_point_text(out, witness.point)} gap={gap}"
 
 
 def _verdict_exit(out: _Printer, verdict: OrderVerdict) -> int:
@@ -436,7 +447,7 @@ MAX_TRIALS = 100_000
 
 def _equivalence_sweep(out: _Printer, trials: int, seed: int, draw, oracle) -> int:
     """rasa_criterion against ``oracle(mu, nu)`` on seeded pairs: mu, then
-    nu, from ``draw(rng)``, nu scaled to the mass of mu."""
+    nu, from ``draw(rng)``, nu scaled to the mass of mu on the int forms."""
     import random
 
     from .measures import measure_to_json
@@ -449,7 +460,8 @@ def _equivalence_sweep(out: _Printer, trials: int, seed: int, draw, oracle) -> i
     rng = random.Random(seed)
     for trial in range(trials):
         mu, nu = draw(rng), draw(rng)
-        nu = nu.scaled(mu.mass / nu.mass)
+        (_, _, u, a), (_, _, v, b) = mu._int_form(), nu._int_form()
+        nu = nu._times(sum(a) * v, u * sum(b))
         verdict, _ = rasa_criterion(mu, nu)
         if verdict.holds != oracle(mu, nu).holds:
             out.say(f"disagreement at trial {trial}: {measure_to_json(mu)} {measure_to_json(nu)}")
@@ -478,7 +490,7 @@ def _cmd_rasa(args, out: _Printer) -> int:
     if args.action == "check":
         verdict, profile = rasa_criterion(mu, nu)
         if verdict.holds:
-            out.say(f"holds; min {out.rat(profile.minimum()[1])}")
+            out.say(f"holds; min {out.ratio(*profile._minimum_ints()[1])}")
             return EXIT_HOLDS
         return _verdict_exit(out, verdict)
     if args.action == "direct":

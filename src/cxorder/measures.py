@@ -2,17 +2,18 @@
 
 A measure holds its positions and weights as int rows over their least
 common denominators, and every kernel of this package runs on such ints;
-Fractions are built for a view, a result or a witness.  No float ever
-decides a verdict, so equality and order comparisons are always exact.  All
-types are immutable values and all operations are pure functions, safe to
-share between threads without synchronisation.
+Fractions are built for a view, a result or a witness.  So ``fractions``
+is imported by the functions that build or check a Fraction, when they
+run, and reading and deciding on measure files loads it not at all.  No
+float ever decides a verdict, so equality and order comparisons are always
+exact.  All types are immutable values and all operations are pure
+functions, safe to share between threads without synchronisation.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, lcm
 from operator import attrgetter, mul
@@ -125,6 +126,8 @@ def as_rational(value) -> Fraction:
     digits (which Python's int() would refuse), raises ValueError before
     Fraction sees it.
     """
+    from fractions import Fraction
+
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
@@ -185,6 +188,8 @@ class DiscreteMeasure:
 
     @cached_property
     def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        from fractions import Fraction
+
         scale, xs, unit, ws = self._form
         return tuple((Fraction(x, scale), Fraction(w, unit)) for x, w in zip(xs, ws))
 
@@ -222,12 +227,16 @@ class DiscreteMeasure:
 
     @property
     def mass(self) -> Fraction:
+        from fractions import Fraction
+
         _, _, unit, ws = self._int_form()
         return Fraction(sum(ws), unit)
 
     @property
     def mean(self) -> Fraction:
         """Raw first moment, not normalised by the mass."""
+        from fractions import Fraction
+
         scale, xs, unit, ws = self._int_form()
         return Fraction(sum(map(mul, xs, ws)), scale * unit)
 
@@ -240,6 +249,8 @@ class DiscreteMeasure:
 
     def cdf(self, x) -> Fraction:
         """mu((-inf, x]), right-continuous."""
+        from fractions import Fraction
+
         x = as_rational(x)
         return sum((w for p, w in self.atoms if p <= x), Fraction(0))
 
@@ -249,9 +260,14 @@ class DiscreteMeasure:
             raise NegativeWeight(f"scale factor {format_rational(factor)} is negative")
         if factor == 0:
             return DiscreteMeasure(())
+        return self._times(factor.numerator, factor.denominator)
+
+    def _times(self, num: int, den: int) -> "DiscreteMeasure":
+        """The measure with every weight times num/den, for num, den > 0, on
+        the int form: one gcd puts the weights back on their least unit."""
         scale, xs, unit, ws = self._int_form()
-        unit *= factor.denominator
-        ws = [w * factor.numerator for w in ws]
+        unit *= den
+        ws = [w * num for w in ws]
         common = gcd(unit, *ws)
         return DiscreteMeasure._of_ints(scale, xs, unit // common, tuple(w // common for w in ws))
 
@@ -288,8 +304,7 @@ def _measure_of_ints(atoms, check=None) -> DiscreteMeasure:
     for xn, xd, wn, wd in atoms:
         if wn < 0:
             raise NegativeWeight(
-                f"weight {format_rational(Fraction(wn, wd))} at position"
-                f" {format_rational(Fraction(xn, xd))} is negative"
+                f"weight {_ratio_text(wn, wd)} at position {_ratio_text(xn, xd)} is negative"
             )
     scale, xs = _common_ints([_lowest(xn, xd) for xn, xd, _, _ in atoms],
                              check and partial(check, "positions"))
@@ -298,23 +313,23 @@ def _measure_of_ints(atoms, check=None) -> DiscreteMeasure:
     return DiscreteMeasure._of_ints(*_least_form(scale, xs, unit, ws))
 
 
-def _least_form(scale: int, xs, unit: int, ws, least: bool = True):
+def _least_form(scale: int, xs, unit: int, ws):
     """(scale, xs, unit, ws), tuples of ints, of the entries xs[i]/scale and
-    ws[i]/unit merged as ``make_measure`` merges atoms (weights at equal
-    positions summed, zero weights dropped, positions sorted), each row on
-    its least denominator.  Rows given on least units (``least``) take a gcd
-    only where they may lose it, the positions after a drop and the weights
-    after a sum; other rows always take one (Knuth, TAOCP vol. 2, 4.5.1)."""
+    ws[i]/unit, each row given on its least unit, merged as ``make_measure``
+    merges atoms (weights at equal positions summed, zero weights dropped,
+    positions sorted), each row on its least denominator: a row takes a gcd
+    only where it may lose a factor, the positions after a drop and the
+    weights after a sum (Knuth, TAOCP vol. 2, 4.5.1)."""
     merged: dict[int, int] = {}
     for x, w in zip(xs, ws):
         merged[x] = merged[x] + w if x in merged else w
     summed = len(merged) < len(xs)
     xs = sorted(x for x, w in merged.items() if w)
     ws = [merged[x] for x in xs]
-    if not least or len(xs) < len(merged):  # a position dropped
+    if len(xs) < len(merged):  # a position dropped
         common = gcd(scale, *xs)
         scale, xs = scale // common, [x // common for x in xs]
-    if not least or summed:
+    if summed:
         common = gcd(unit, *ws)
         unit, ws = unit // common, [w // common for w in ws]
     return scale, tuple(xs), unit, tuple(ws)
@@ -346,6 +361,8 @@ def make_measure(atoms: Iterable[tuple]) -> DiscreteMeasure:
 
 def dirac(position) -> DiscreteMeasure:
     """The unit point mass at ``position``."""
+    from fractions import Fraction
+
     return DiscreteMeasure(((as_rational(position), Fraction(1)),))
 
 
@@ -410,6 +427,8 @@ def _repack(packed: int, size: int, wider: int) -> int:
 
 def integrate_hinge(mu: DiscreteMeasure, threshold) -> Fraction:
     """Exact integral of max(x - threshold, 0) against mu."""
+    from fractions import Fraction
+
     a = as_rational(threshold)
     return sum((w * (x - a) for x, w in mu.atoms if x > a), Fraction(0))
 

@@ -31,13 +31,18 @@ leq_cx.  The two share only the measures' int form
 reader of measure files), ``_ramp_sums`` and the work budget, so each can
 certify the other.  ``_jump_row`` merges the jumps with the kernel that
 merges a file's atoms into its int form, ``measures._least_form``.
+
+The order tests and both routes of the criterion build their witnesses on
+ints (``Witness._of_ints``), and a witness, like an int-backed profile,
+makes its Fractions when a field is first read.  So deciding on measure
+files imports no ``fractions``: it is imported by the functions that build
+or check a Fraction, when they run.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from fractions import Fraction
 from math import lcm
 from operator import mul
 
@@ -76,11 +81,44 @@ class Witness:
            "pair", "step", "quadruple"
     point  location of the violation: a rational, an index, a tuple, or None
     gap    the strictly violating signed amount (negative for a failed >=)
-    """
+
+    A witness built on ints (``_of_ints``, as the order tests and
+    rasa_criterion build theirs) makes its point and gap on first read, as
+    an int-backed ``PiecewiseLinear`` does; ``_ratio`` reads a rational
+    field as (num, den) without building it."""
 
     kind: str
     point: object
     gap: Fraction
+
+    @classmethod
+    def _of_ints(cls, kind: str, point: tuple[int, int] | None, gap: tuple[int, int]):
+        """The witness of ``kind`` at the point point[0] / point[1] (None for
+        no point) with the gap gap[0] / gap[1], each denominator positive."""
+        witness = cls.__new__(cls)
+        witness.__dict__.update(kind=kind, _ints={"point": point, "gap": gap})
+        return witness
+
+    def __getattr__(self, name):
+        # the fields of a witness built on ints, made once, when first read
+        ints = self.__dict__.get("_ints")
+        if ints is None or name not in ("point", "gap"):
+            raise AttributeError(f"{self.__class__.__name__!r} object has no attribute {name!r}")
+        from fractions import Fraction
+
+        point, (num, den) = ints["point"], ints["gap"]
+        self.__dict__.update(point=None if point is None else Fraction(*point),
+                             gap=Fraction(num, den))
+        return self.__dict__[name]
+
+    def _ratio(self, name: str) -> tuple[int, int]:
+        """(num, den) of the rational field ``name``, den > 0, read from the
+        ints of a witness built on them (no Fraction made)."""
+        ints = self.__dict__.get("_ints")
+        if ints is not None:
+            return ints[name]
+        q = getattr(self, name)
+        return q.numerator, q.denominator
 
 
 @_frozen
@@ -135,6 +173,8 @@ class PiecewiseLinear:
         ints = self.__dict__.get("_ints")
         if ints is None or name not in ("breakpoints", "values"):
             raise AttributeError(f"{self.__class__.__name__!r} object has no attribute {name!r}")
+        from fractions import Fraction
+
         scale, sums, den, values = ints
         self.__dict__.update(breakpoints=tuple(Fraction(s, scale) for s in sums),
                              values=tuple(Fraction(v, den) for v in values))
@@ -145,6 +185,8 @@ class PiecewiseLinear:
         return not self._ints[1]
 
     def value(self, x) -> Fraction:
+        from fractions import Fraction
+
         x = as_rational(x)
         bps = self.breakpoints
         if not bps or x <= bps[0] or x >= bps[-1]:
@@ -158,11 +200,19 @@ class PiecewiseLinear:
         """(argmin, min) over breakpoints -- which is the global minimum,
         since the function is affine in between and 0 outside.  Ties go to
         the smallest argmin; the zero profile reports (0, 0)."""
+        from fractions import Fraction
+
+        where, low = self._minimum_ints()
+        return Fraction(*where), Fraction(*low)
+
+    def _minimum_ints(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """``minimum()`` on the ints: ((num, den) of the argmin, (num, den)
+        of the min), each denominator positive."""
         scale, sums, den, values = self._ints
         if not sums:
-            return Fraction(0), Fraction(0)
+            return (0, 1), (0, 1)
         low = min(values)
-        return Fraction(sums[values.index(low)], scale), Fraction(low, den)
+        return (sums[values.index(low)], scale), (low, den)
 
 
 def _check_profile(breakpoints, values):
@@ -182,9 +232,9 @@ class ConvexTestFn:
     it integrates exactly against finite discrete measures.
     """
 
-    const: Fraction = Fraction(0)
-    slope: Fraction = Fraction(0)
-    curve: Fraction = Fraction(0)
+    const: Fraction = 0
+    slope: Fraction = 0
+    curve: Fraction = 0
     hinges: tuple[tuple[Fraction, Fraction], ...] = ()
 
     def __post_init__(self):
@@ -203,7 +253,7 @@ class ConvexTestFn:
                     f"hinge coefficient {format_rational(c)} at {format_rational(a)} is negative"
                 )
             if c != 0:
-                merged[a] = merged.get(a, Fraction(0)) + c
+                merged[a] = merged[a] + c if a in merged else c
         object.__setattr__(self, "hinges", tuple(sorted(merged.items())))
 
     def __call__(self, x) -> Fraction:
@@ -238,6 +288,8 @@ class ConvexTestFn:
                           for coeff, unit, column in parts if coeff], len(sums))
 
     def integrate(self, mu: DiscreteMeasure) -> Fraction:
+        from fractions import Fraction
+
         return sum((w * self(x) for x, w in mu.atoms), Fraction(0))
 
     def bound_on_unit_interval(self) -> Fraction:
@@ -246,6 +298,8 @@ class ConvexTestFn:
         The max of a convex function sits at an endpoint; the min is found
         by walking the (increasing, piecewise linear) derivative.
         """
+        from fractions import Fraction
+
         kinks = [Fraction(0)] + [a for a, _ in self.hinges if 0 < a < 1] + [Fraction(1)]
         # the minimum sits at an endpoint, a hinge kink, or a quadratic vertex
         candidates = list(kinks)
@@ -302,17 +356,17 @@ def leq_st(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
 
     Runs on the ints of ``_net_ints``, under the same MAX_CONVOLUTION_WORK
     count of n + m atoms as leq_cx: one sorted scan of the running level of
-    H, with Fractions built only for a witness.
+    H; its witness is built on those ints.
     """
     scale, unit, net = _net_ints(mu, nu, mu._size + nu._size, "stochastic-order")
     mass = sum(net.values())
     if mass:
-        return OrderVerdict(False, Witness("mass", None, Fraction(-abs(mass), unit)))
+        return OrderVerdict(False, Witness._of_ints("mass", None, (-abs(mass), unit)))
     level = 0
     for x in sorted(net):
         level -= net[x]
         if level < 0:
-            return OrderVerdict(False, Witness("cdf", Fraction(x, scale), Fraction(level, unit)))
+            return OrderVerdict(False, Witness._of_ints("cdf", (x, scale), (level, unit)))
     return OrderVerdict(True)
 
 
@@ -354,7 +408,7 @@ def leq_cx(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
     D < 0.
 
     Runs on the ints of ``_net_ints``: the mass, mean and ramp checks run
-    in ``_cx_ints``, which builds Fractions only for a witness.
+    in ``_cx_ints``, which builds its witness on those ints.
     """
     scale, unit, net = _net_ints(mu, nu, mu._size + nu._size, "convex-order")
     return _cx_verdict(_cx_ints(net, scale, unit))
@@ -395,17 +449,17 @@ def _cx_ints(net: dict[int, int], scale: int, unit: int) -> Witness | None:
     chain.  ``net`` maps every position of the union of supports, in units
     of 1/scale, to nu's weight less mu's, in units of 1/unit (0 where they
     agree).  Returns None when mu <=_cx nu, else the first failure's
-    witness: the only Fractions built."""
+    witness, built on the ints."""
     mass = sum(net.values())
     if mass:
-        return Witness("mass", None, Fraction(-abs(mass), unit))
+        return Witness._of_ints("mass", None, (-abs(mass), unit))
     mean = sum(x * w for x, w in net.items())
     if mean:
-        return Witness("mean", None, Fraction(-abs(mean), scale * unit))
+        return Witness._of_ints("mean", None, (-abs(mean), scale * unit))
     points = sorted(net)
     for a, gap in zip(points, _ramp_sums(points, [net[a] for a in points])):
         if gap < 0:
-            return Witness("hinge", Fraction(a, scale), Fraction(gap, scale * unit))
+            return Witness._of_ints("hinge", (a, scale), (gap, scale * unit))
     return None
 
 
@@ -467,20 +521,22 @@ def rasa_criterion(
     read from the int forms of the pair (``_jump_row``), and the signed
     square and the ramp sweep run on ints.  The returned profile is built
     on those ints and makes its Fractions only when they are read; the
-    witness is its minimum, two Fractions.  Of rasa_direct's code it shares
-    only the measures' int form, ``_ramp_sums`` and the work budget.
+    witness is its minimum, read on the ints, and is built on them.  Of
+    rasa_direct's code it shares only the measures' int form,
+    ``_ramp_sums`` and the work budget.
     """
     scale, bs, unit, ds = _jump_row(mu, nu)
     mass = sum(ds)
     if mass:
-        return OrderVerdict(False, Witness("mass", None, Fraction(-mass * mass, 2 * unit * unit))), None
+        witness = Witness._of_ints("mass", None, (-mass * mass, 2 * unit * unit))
+        return OrderVerdict(False, witness), None
     scale, unit, kinks = _signed_square(scale, bs, unit, ds)
     sums = sorted(kinks)
     values = _ramp_sums(sums, [kinks[s] for s in sums])
     profile = PiecewiseLinear._of_ints(scale, sums, scale * unit, values)
-    where, low = profile.minimum()
-    if low < 0:
-        return OrderVerdict(False, Witness("profile", where, low)), profile
+    where, low = profile._minimum_ints()
+    if low[0] < 0:
+        return OrderVerdict(False, Witness._of_ints("profile", where, low)), profile
     return OrderVerdict(True), profile
 
 
@@ -527,6 +583,8 @@ def gap_functional(mu: DiscreteMeasure, nu: DiscreteMeasure, phi: ConvexTestFn) 
     A this equals the rasa_criterion profile at A; for phi = x^2 it equals
     2 (mean mu - mean nu)^2 (raw means, any equal mass).
     """
+    from fractions import Fraction
+
     scale, bs, unit, ds = _jump_row(mu, nu)
     if sum(ds):
         raise MassMismatch(

@@ -37,7 +37,6 @@ from .measures import (
     DiscreteMeasure,
     _common_ints,
     _frozen,
-    _least_form,
     _pack,
     _product_row,
     _repack,
@@ -234,9 +233,10 @@ def poly_eval_measures(
 
     Runs on ints (``_eval_ints``): positions in units of their least
     common denominator and the weights of every measure in units of one
-    common denominator; ``measures._least_form`` takes one gcd over each
-    output row, which makes the result's int form least, and no Fraction
-    is built.  Raises ArityMismatch for the wrong number of measures,
+    common denominator.  The output row has distinct positions and
+    positive weights, so it is only sorted and takes one gcd over each of
+    its two int rows, which makes the result's int form least, and no
+    Fraction is built.  Raises ArityMismatch for the wrong number of measures,
     NotNonneg for a negative coefficient, and BadParameter, before any
     power is built, when a term's span exceeds MAX_POLY_SPAN or the
     evaluation's work exceeds MAX_POLY_WORK.
@@ -246,7 +246,11 @@ def poly_eval_measures(
     pos_scale, weight_scale, powers = _measure_powers(measures, max(degrees, default=0), used,
                                                       len(degrees) <= 1)
     unit, row = _eval_ints(poly, powers, weight_scale, budget_work=True)
-    return DiscreteMeasure._of_ints(*_least_form(pos_scale, row, unit, row.values(), least=False))
+    xs = sorted(row)
+    ws = [row[x] for x in xs]
+    pos_common, weight_common = gcd(pos_scale, *xs), gcd(unit, *ws)
+    return DiscreteMeasure._of_ints(pos_scale // pos_common, tuple(x // pos_common for x in xs),
+                                    unit // weight_common, tuple(w // weight_common for w in ws))
 
 
 def _measure_powers(

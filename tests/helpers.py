@@ -41,8 +41,9 @@ from cxorder import (
 from cxorder.bernstein import GAV_MODES, _self_form
 from cxorder.cli import _REPRODUCTIONS
 from cxorder.lattice import _scaled_rows
-from cxorder.measures import (_UNSCANNED, _product_row, _read_int, _reject_float, _scaled_ints,
-                              _scan_json, format_rational)
+from cxorder import orders
+from cxorder.measures import (_UNSCANNED, _int_text, _product_row, _read_int, _reject_float,
+                              _scaled_ints, _scan_json, format_rational)
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 positive_rationals = st.fractions(
@@ -192,6 +193,74 @@ def profile_minimum_oracle(profile) -> tuple[Fraction, Fraction]:
         if v < best_v:
             best_x, best_v = x, v
     return best_x, best_v
+
+
+def leq_st_fraction_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
+    """The former body of orders.leq_st, kept as the oracle of its int-built
+    witnesses: the same scan of the running level of H, each witness built
+    from Fractions."""
+    scale, unit, net = orders._net_ints(mu, nu, mu._size + nu._size, "stochastic-order")
+    mass = sum(net.values())
+    if mass:
+        return OrderVerdict(False, Witness("mass", None, Fraction(-abs(mass), unit)))
+    level = 0
+    for x in sorted(net):
+        level -= net[x]
+        if level < 0:
+            return OrderVerdict(False, Witness("cdf", Fraction(x, scale), Fraction(level, unit)))
+    return OrderVerdict(True)
+
+
+def cx_ints_fraction_oracle(net, scale, unit):
+    """The former body of orders._cx_ints, kept as the oracle of its
+    int-built witnesses: the same checks, each witness built from
+    Fractions."""
+    mass = sum(net.values())
+    if mass:
+        return Witness("mass", None, Fraction(-abs(mass), unit))
+    mean = sum(x * w for x, w in net.items())
+    if mean:
+        return Witness("mean", None, Fraction(-abs(mean), scale * unit))
+    points = sorted(net)
+    for a, gap in zip(points, orders._ramp_sums(points, [net[a] for a in points])):
+        if gap < 0:
+            return Witness("hinge", Fraction(a, scale), Fraction(gap, scale * unit))
+    return None
+
+
+def rasa_criterion_fraction_oracle(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderVerdict:
+    """The verdict of the former body of orders.rasa_criterion, kept as the
+    oracle of its int-built witnesses: the mass witness from Fractions, and
+    the profile's minimum read by the Fraction argmin of
+    profile_minimum_oracle."""
+    scale, bs, unit, ds = orders._jump_row(mu, nu)
+    mass = sum(ds)
+    if mass:
+        return OrderVerdict(False, Witness("mass", None, Fraction(-mass * mass, 2 * unit * unit)))
+    scale, unit, kinks = orders._signed_square(scale, bs, unit, ds)
+    sums = sorted(kinks)
+    values = orders._ramp_sums(sums, [kinks[s] for s in sums])
+    profile = PiecewiseLinear(tuple(Fraction(s, scale) for s in sums),
+                              tuple(Fraction(v, scale * unit) for v in values))
+    where, low = profile_minimum_oracle(profile)
+    return OrderVerdict(False, Witness("profile", where, low)) if low < 0 else OrderVerdict(True)
+
+
+def rat_oracle(q, decimal=None) -> str:
+    """The former Fraction body of cli._Printer.rat and _decimal_digits,
+    kept as the oracle of the int formatter: format_rational, and with
+    ``decimal`` K digits rounded half up."""
+    q = as_rational(q)
+    text = format_rational(q)
+    if decimal is None:
+        return text
+    sign = "-" if q < 0 else ""
+    n, d = abs(q.numerator), q.denominator
+    scaled = (n * 10**decimal + d // 2) // d
+    if decimal == 0:
+        return f"{text} ({sign}{_int_text(scaled)})"
+    whole, frac = divmod(scaled, 10**decimal)
+    return f"{text} ({sign}{_int_text(whole)}.{_int_text(frac).zfill(decimal)})"
 
 
 def signed_square_oracle(scale, bs, unit, ds):

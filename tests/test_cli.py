@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -454,6 +454,54 @@ def test_decimal_zero_writes_no_point(measure_files):
     code, text = run(["--decimal", "0", "bernstein", "rasa-scan", "--n", "1",
                       "--phi", "quad 1", "--step", "1/2"])
     assert code == 0 and "1,0,1,2,1" in text and "." not in text
+
+
+@st.composite
+def _ratios(draw):
+    """(num, den, K): num/den with den > 0, times a common factor so that it
+    is not always in lowest terms, and K digits or None (no --decimal).
+    Small ratios, exact half-way points of the K-th digit, and ints past
+    the 4,300 digits that str() refuses."""
+    digits = draw(st.none() | st.integers(0, 12))
+    kind = draw(st.sampled_from(["small", "half-way", "long"]))
+    num = draw(st.integers(-10**6, 10**6))
+    if kind == "half-way" and digits is not None:
+        num, den = 2 * num + 1, 2 * 10**digits
+    elif kind == "long":
+        num += draw(st.sampled_from([-1, 1])) * 10**4400
+        den = draw(st.sampled_from([1, 3, 7, 10**4305 + 1]))
+    else:
+        den = draw(st.integers(1, 10**4))
+    factor = draw(st.integers(1, 30))
+    return num * factor, den * factor, digits
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ratios())
+@example((0, 1, None))
+@example((0, 7, 0))
+@example((5, 10, 0))  # 1/2 rounds up to 1
+@example((-5, 10, 0))  # -1/2 rounds to -1
+@example((1, 2000, 3))  # 0.0005 rounds up
+@example((-3, 6000, 3))
+@example((-1, 4, 2))
+def test_int_formatter_matches_the_fraction_formatter(case):
+    num, den, digits = case
+    out = cli._Printer()
+    out.decimal = digits
+    expected = helpers.rat_oracle(Fraction(num, den), digits)
+    assert out.ratio(num, den) == expected
+    assert out.rat(Fraction(num, den)) == expected
+
+
+def test_int_formatter_rounds_half_up_and_keeps_the_sign():
+    out = cli._Printer()
+    out.decimal = 3
+    assert [out.ratio(n, d) for n, d in [(1, 2000), (-1, 2000), (2, 4000), (-7, 2), (0, 9)]] == [
+        "1/2000 (0.001)", "-1/2000 (-0.001)", "1/2000 (0.001)", "-7/2 (-3.500)", "0 (0.000)"]
+    out.decimal = 0
+    assert [out.ratio(n, d) for n, d in [(1, 2), (-1, 2), (3, 2), (-1, 4)]] == [
+        "1/2 (1)", "-1/2 (-1)", "3/2 (2)", "-1/4 (-0)"]
 
 
 @pytest.mark.parametrize(

@@ -18,10 +18,10 @@ _PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
-if sys.argv[2:]:
+if sys.argv[3:]:
     from cxorder.cli import run
-    code, _ = run(sys.argv[2:])
-    assert code == 0, code
+    code, _ = run(sys.argv[3:])
+    assert code == int(sys.argv[2]), code
 else:
     import cxorder
 print(" ".join(sorted(set(sys.modules) - before)))
@@ -31,9 +31,11 @@ _NEVER = {"dataclasses", "inspect"}
 _KERNELS = {"cxorder.lattice", "cxorder.polynomials", "cxorder.bernstein"}
 
 
-def _loaded(*argv: str, env: dict[str, str] | None = None) -> set[str]:
+def _loaded(*argv: str, env: dict[str, str] | None = None, code: int = 0) -> set[str]:
+    """The modules that the command ``argv`` loads, which must exit ``code``;
+    with no argv, those of ``import cxorder``."""
     result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", _PROBE, str(SRC), *argv],
+        [sys.executable, "-I", "-S", "-c", _PROBE, str(SRC), str(code), *argv],
         capture_output=True, text=True, check=True, env={**os.environ, **(env or {})},
     )
     return set(result.stdout.split())
@@ -81,6 +83,76 @@ def test_order_and_rasa_on_files_load_no_other_kernel(coin, argv):
     loaded = _loaded(*(a.format(coin=coin) for a in argv))
     assert "cxorder.orders" in loaded and "_json" in loaded
     assert not loaded & (_NEVER | _KERNELS | {"json"})
+
+
+# fractions and what it imports: only a command that prints or computes a
+# Fraction loads them
+_FRACTIONS = {"fractions", "decimal", "_decimal", "numbers"}
+
+
+@pytest.fixture(scope="module")
+def pair_files(tmp_path_factory) -> dict[str, str]:
+    folder = tmp_path_factory.mktemp("pairs")
+    atoms = {
+        "coin": [("0", "1/2"), ("1", "1/2")],
+        "half": [("0", "1/4"), ("1", "1/4")],
+        "dirac0": [("0", "1")],
+        "dirac1": [("1", "1")],
+        "dirac2": [("2", "1")],
+        "spread": [("-1", "1/2"), ("1", "1/2")],
+        "wide": [("-1", "1/4"), ("1/2", "1/2"), ("2", "1/4")],
+    }
+    paths = {}
+    for name, pairs in atoms.items():
+        paths[name] = str(folder / f"{name}.json")
+        Path(paths[name]).write_text(
+            '{"atoms": [' + ", ".join(f'{{"x": "{x}", "w": "{w}"}}' for x, w in pairs) + "]}")
+    return paths
+
+
+# (command on files of pair_files, exit code, the start of its verdict):
+# each order test and the criterion where it holds and with each witness
+_DECISIONS = [
+    ("order st --mu {coin} --nu {coin}", 0, "holds"),
+    ("order st --mu {dirac2} --nu {coin}", 1, "fails; x="),
+    ("order st --mu {coin} --nu {half}", 1, "fails; mass mismatch"),
+    ("order cx --mu {coin} --nu {coin}", 0, "holds"),
+    ("order cx --mu {coin} --nu {dirac1}", 1, "fails; mean mismatch"),
+    ("order cx --mu {spread} --nu {dirac0}", 1, "fails; A="),
+    ("order cx --mu {coin} --nu {half}", 1, "fails; mass mismatch"),
+    ("rasa check --mu {coin} --nu {dirac1}", 0, "holds; min "),
+    ("rasa check --mu {coin} --nu {wide}", 1, "fails; A="),
+    ("rasa check --mu {coin} --nu {half}", 1, "fails; mass mismatch"),
+    ("rasa direct --mu {coin} --nu {coin}", 0, "holds"),
+    ("rasa direct --mu {coin} --nu {wide}", 1, "fails; A="),
+    ("rasa direct --mu {coin} --nu {half}", 1, "fails; mass mismatch"),
+]
+
+
+@pytest.mark.parametrize("decimal", [[], ["--decimal", "3"]], ids=["exact", "decimal"])
+@pytest.mark.parametrize("command, code, verdict", _DECISIONS, ids=[c for c, _, _ in _DECISIONS])
+def test_order_and_rasa_decisions_load_no_fractions(pair_files, decimal, command, code, verdict):
+    from cxorder.cli import run
+
+    argv = decimal + command.format(**pair_files).split()
+    exit_code, text = run(argv)
+    assert exit_code == code and text.startswith(verdict)
+    assert not _loaded(*argv, code=code) & _FRACTIONS
+
+
+def test_rasa_equivalence_loads_no_fractions():
+    assert not _loaded("rasa", "equivalence", "--trials", "40", "--seed", "3") & _FRACTIONS
+
+
+def test_importing_orders_loads_no_fractions():
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import cxorder.orders; print(*sys.modules)",
+         str(SRC)],
+        capture_output=True, text=True, check=True,
+    )
+    loaded = set(result.stdout.split())
+    assert "cxorder.orders" in loaded and not loaded & _FRACTIONS
 
 
 def test_rasa_equivalence_loads_no_other_kernel():

@@ -545,9 +545,10 @@ def test_least_form_merges_as_make_measure_does(entries, scale, unit):
     xs, ws = [x for x, _ in entries], [w for _, w in entries]
     expected = helpers.int_form_oracle(
         make_measure((Fraction(x, scale), Fraction(w, unit)) for x, w in entries))
-    assert measures._least_form(scale, xs, unit, ws, least=False) == expected
-    if math.gcd(scale, *xs) == 1 and math.gcd(unit, *ws) == 1:  # rows given on least units
-        assert measures._least_form(scale, xs, unit, ws) == expected
+    # each row given on its least unit, as every caller gives it
+    x_common, w_common = math.gcd(scale, *xs), math.gcd(unit, *ws)
+    assert measures._least_form(scale // x_common, [x // x_common for x in xs],
+                                unit // w_common, [w // w_common for w in ws]) == expected
 
 
 def test_a_measure_of_ints_builds_its_fraction_view_once_and_compares_as_a_record():

@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -897,3 +898,58 @@ def test_rasa_check_builds_only_the_minimum_of_its_profile(tmp_path, monkeypatch
     monkeypatch.setattr(orders.PiecewiseLinear, "__getattr__", spy)
     assert run(["rasa", "check", "--mu", str(mu), "--nu", str(nu)]) == (0, "holds; min 0\n")
     assert built == []
+
+
+@st.composite
+def _witness_pairs(draw):
+    """Pairs of measures, as drawn, on equal masses, or on equal masses and
+    means: each kind of witness of the order tests and the criterion."""
+    mu, nu = draw(helpers.nonempty_measures), draw(helpers.nonempty_measures)
+    join = draw(st.sampled_from(["as drawn", "mass", "mass and mean"]))
+    if join != "as drawn":
+        nu = nu.scaled(mu.mass / nu.mass)
+    if join == "mass and mean":
+        shift = (mu.mean - nu.mean) / nu.mass
+        nu = make_measure((x + shift, w) for x, w in nu.atoms)
+    return mu, nu
+
+
+def _int_built_witnesses(mu, nu):
+    return [leq_st(mu, nu).witness, leq_cx(mu, nu).witness, rasa_direct(mu, nu).witness,
+            rasa_criterion(mu, nu)[0].witness]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_witness_pairs())
+@example((dirac(0), make_measure([(0, H)])))  # mass
+@example((make_measure([(0, H), (1, H)]), dirac(1)))  # mean
+@example((dirac(2), make_measure([(0, H), (1, H)])))  # cdf
+@example((make_measure([(-1, H), (1, H)]), dirac(0)))  # hinge
+@example((make_measure([(0, H), (1, H)]), make_measure([(-1, Q), (H, H), (2, Q)])))  # profile
+def test_int_built_witnesses_are_the_fraction_witnesses(pair):
+    # each comparison reads a witness whose fields were never read
+    mu, nu = pair
+    with mock.patch.object(orders, "_cx_ints", helpers.cx_ints_fraction_oracle):
+        cx_verdicts = [leq_cx(mu, nu), rasa_direct(mu, nu)]
+    old = [verdict.witness for verdict in (
+        helpers.leq_st_fraction_oracle(mu, nu), *cx_verdicts, helpers.rasa_criterion_fraction_oracle(mu, nu))]
+    assert [hash(w) for w in _int_built_witnesses(mu, nu)] == [hash(w) for w in old]
+    assert [repr(w) for w in _int_built_witnesses(mu, nu)] == [repr(w) for w in old]
+    assert _int_built_witnesses(mu, nu) == old and old == _int_built_witnesses(mu, nu)
+    for new, built in zip(_int_built_witnesses(mu, nu), old):
+        if built is not None:
+            assert Fraction(*new._ratio("gap")) == built.gap
+            assert new.kind == built.kind and new.point == built.point and new.gap == built.gap
+            assert type(new.gap) is Fraction and new._ratio("gap")[1] > 0
+
+
+def test_an_int_built_witness_makes_its_fields_once_on_first_read():
+    witness = Witness._of_ints("hinge", (2, 4), (-3, 6))
+    assert "gap" not in witness.__dict__ and witness._ratio("point") == (2, 4)
+    assert witness.point is witness.point and witness.gap == Fraction(-1, 2)
+    assert Witness._of_ints("mass", None, (1, 3)).point is None
+    assert Witness("pair", (H, Q), Fraction(-1, 3))._ratio("gap") == (-1, 3)
+    with pytest.raises(AttributeError, match="no attribute 'where'"):
+        witness.where
+    with pytest.raises(AttributeError):
+        witness.kind = "cdf"

@@ -33,14 +33,14 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = {
     "least-form-no-drop-gcd": (
         "src/cxorder/measures.py",
-        "    if not least or len(xs) < len(merged):  # a position dropped\n",
-        "    if not least:  # a position dropped\n",
+        "    if len(xs) < len(merged):  # a position dropped\n",
+        "    if False:  # a position dropped\n",
         ["tests/test_measures.py"],
     ),
     "least-form-no-sum-gcd": (
         "src/cxorder/measures.py",
-        "    if not least or summed:\n",
-        "    if not least:\n",
+        "    if summed:\n",
+        "    if False:\n",
         ["tests/test_measures.py"],
     ),
     "jump-row-nu-not-negated": (
@@ -60,6 +60,30 @@ MUTANTS = {
         "_common_ints([(fam_x.unit, fam_x.ints), (fam_y.unit, fam_y.ints)])",
         "_common_ints([(fam_y.unit, fam_x.ints), (fam_x.unit, fam_y.ints)])",
         ["tests/test_bernstein.py"],
+    ),
+    "decimal-rounds-half-down": (
+        "src/cxorder/cli.py",
+        "(n * 10**digits + d // 2) // d",
+        "(n * 10**digits + (d - 1) // 2) // d",
+        ["tests/test_cli.py"],
+    ),
+    "decimal-drops-negative-sign": (
+        "src/cxorder/cli.py",
+        'sign = "-" if num < 0 else ""',
+        'sign = ""',
+        ["tests/test_cli.py"],
+    ),
+    "witness-gap-num-den-swapped": (
+        "src/cxorder/orders.py",
+        "gap=Fraction(num, den))",
+        "gap=Fraction(den, num))",
+        ["tests/test_orders.py"],
+    ),
+    "minimum-takes-last-argmin": (
+        "src/cxorder/orders.py",
+        "return (sums[values.index(low)], scale), (low, den)",
+        "return (sums[len(values) - 1 - values[::-1].index(low)], scale), (low, den)",
+        ["tests/test_orders.py"],
     ),
     "absdiff-arity-check-at-1": (
         "src/cxorder/bernstein.py",
