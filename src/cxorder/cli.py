@@ -343,8 +343,9 @@ class _Printer:
         return self.ratio(q.numerator, q.denominator)
 
     def ratio(self, num: int, den: int) -> str:
-        """num/den, den > 0, in lowest terms, and with ``--decimal K`` its
-        K-digit rendering: the one number formatter, on ints."""
+        """num/den for any den > 0, printed in lowest terms, and with
+        ``--decimal K`` its K-digit rendering: the one number formatter, on
+        ints."""
         text = self._num._ratio_text(num, den)
         if self.decimal is not None:
             text += f" ({self._decimal_digits(num, den)})"
@@ -460,8 +461,8 @@ def _equivalence_sweep(out: _Printer, trials: int, seed: int, draw, oracle) -> i
     rng = random.Random(seed)
     for trial in range(trials):
         mu, nu = draw(rng), draw(rng)
-        (_, _, u, a), (_, _, v, b) = mu._int_form(), nu._int_form()
-        nu = nu._times(sum(a) * v, u * sum(b))
+        (_, _, mu_unit, mu_ws), (_, _, nu_unit, nu_ws) = mu._int_form(), nu._int_form()
+        nu = nu._times(sum(mu_ws) * nu_unit, mu_unit * sum(nu_ws))
         verdict, _ = rasa_criterion(mu, nu)
         if verdict.holds != oracle(mu, nu).holds:
             out.say(f"disagreement at trial {trial}: {measure_to_json(mu)} {measure_to_json(nu)}")

@@ -489,7 +489,8 @@ def _scan_json(text: str):
 
 
 def _ratio_text(num: int, den: int) -> str:
-    """format_rational(Fraction(num, den)) for den > 0, no Fraction built."""
+    """num/den for any den > 0, in lowest terms: the text of every printed
+    rational, built without a Fraction."""
     common = gcd(num, den)
     num, den = num // common, den // common
     return _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
@@ -497,9 +498,7 @@ def _ratio_text(num: int, den: int) -> str:
 
 def format_rational(q: Fraction) -> str:
     q = as_rational(q)
-    if q.denominator == 1:
-        return _int_text(q.numerator)
-    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
+    return _ratio_text(q.numerator, q.denominator)
 
 
 def measure_to_json(mu: DiscreteMeasure) -> str:
